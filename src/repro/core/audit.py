@@ -80,7 +80,7 @@ def audit_chain(
         if block.certificate is None:
             report.fail(f"height {height}: missing certificate")
             continue
-        if not block.certificate.verify_against(block.transactions):
+        if not block.header_valid():
             # A filtered block (invalid txs discarded at commit) keeps the
             # certificate over the ORIGINAL transaction set, so an exact
             # mismatch is expected under flooding; the replay below is

@@ -44,14 +44,14 @@ class BlockCertificate:
         """``derive(P_k)`` of Alg. 2."""
         return derive_address(self.public_key)
 
-    def verify_against(self, txs: Sequence[Transaction]) -> bool:
-        """Check the signature covers exactly these transactions."""
-        return verify(self.public_key, transactions_hash(txs), self.signed_tx_hash)
-
 
 @dataclass(frozen=True)
 class Block:
-    """One proposer's batch of transactions for a chain index."""
+    """One proposer's batch of transactions for a chain index.
+
+    Frozen, like its transactions: the tx root, hash, wire size and a
+    positive header verdict are derived once per object and kept on it.
+    """
 
     proposer_id: int
     index: int
@@ -60,6 +60,12 @@ class Block:
     certificate: BlockCertificate | None = None
     #: round of the consensus instance that proposed this block
     round: int = 0
+
+    def __post_init__(self) -> None:
+        # memo slots (see Transaction.__post_init__)
+        memo = self.__dict__
+        memo["_encoded_size"] = None
+        memo["_header_ok"] = False
 
     @cached_property
     def tx_root(self) -> bytes:
@@ -77,29 +83,45 @@ class Block:
 
     def encoded_size(self) -> int:
         """Wire size: ~200-byte header + transactions."""
-        return 200 + sum(tx.encoded_size() for tx in self.transactions)
+        size = self._encoded_size
+        if size is None:
+            size = 200 + sum(tx.encoded_size() for tx in self.transactions)
+            self.__dict__["_encoded_size"] = size
+        return size
 
     def header_valid(self) -> bool:
         """The 'invalid header' check of Alg. 1 line 16: a block's
-        certificate must exist and must sign exactly its transactions."""
-        return self.certificate is not None and self.certificate.verify_against(
-            self.transactions
-        )
+        certificate must exist and must sign exactly its transactions.
+
+        Every validator of an in-process deployment checks the same block
+        object, so a positive verdict is kept; a failure is re-checked on
+        every call.
+        """
+        if self._header_ok:
+            return True
+        cert = self.certificate
+        if cert is None or not verify(cert.public_key, self.tx_root, cert.signed_tx_hash):
+            return False
+        self.__dict__["_header_ok"] = True
+        return True
 
     def with_certificate(self, keypair: KeyPair) -> "Block":
         """Return a copy certified by the proposer's key pair."""
-        cert = BlockCertificate(
-            public_key=keypair.public,
-            signed_tx_hash=sign(keypair.private, transactions_hash(self.transactions)),
-        )
-        return Block(
+        root = self.tx_root
+        certified = Block(
             proposer_id=self.proposer_id,
             index=self.index,
             transactions=self.transactions,
             parent_hash=self.parent_hash,
-            certificate=cert,
+            certificate=BlockCertificate(
+                public_key=keypair.public,
+                signed_tx_hash=sign(keypair.private, root),
+            ),
             round=self.round,
         )
+        # Same transactions, same root: the copy need not rebuild the tree.
+        certified.__dict__["tx_root"] = root
+        return certified
 
 
 def make_block(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from repro import params
-from repro.core.block import Block, BlockCertificate, transactions_hash
+from repro.core.block import Block, BlockCertificate
 from repro.crypto.hashing import hash_items
 from repro.crypto.keys import PublicKey, Signature, derive_address, verify
 from repro.errors import VMRevert
@@ -259,7 +259,7 @@ def certificate_payload(block: Block) -> tuple[tuple, str, int]:
         raise ValueError("block has no certificate")
     return (
         encode_certificate(block.certificate),
-        transactions_hash(block.transactions).hex(),
+        block.tx_root.hex(),
         len(block.transactions),
     )
 

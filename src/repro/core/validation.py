@@ -14,8 +14,6 @@ validators *count* failures (they feed RPM reports and DIABLO loss metrics).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -58,75 +56,42 @@ def _fail(code: str) -> ValidationOutcome:
     return ValidationOutcome(False, code)
 
 
-# -- signature cache -----------------------------------------------------------
+# -- signature verdicts ---------------------------------------------------------
 #
 # Every node eagerly validates every transaction it sees, and execution
-# repeats the recovery check — so the same (tx, signature) pair is verified
-# many times per process.  Cache *positive* verdicts only, keyed by tx hash,
-# and guard against hash-reuse tampering by storing a fingerprint of every
-# signature-relevant field: a doctored transaction that somehow reuses a
-# cached hash still falls through to the full ``recover_check``.
-
-SIG_CACHE_CAPACITY = 65_536
-
-#: tx_hash -> fingerprint of the verified transaction (LRU, positives only)
-_sig_cache: "OrderedDict[bytes, tuple]" = OrderedDict()
-
-#: The cache is shared by the eager path and by every executor — including
-#: the parallel backend's worker threads.  OrderedDict move-to-end/evict is
-#: not atomic, so all cache access goes through this lock; the expensive
-#: work (fingerprint hashing, ``recover_check``) stays outside it.
-_sig_lock = threading.Lock()
-
-
-def _sig_fingerprint(tx: Transaction) -> tuple:
-    return (
-        tx.signing_payload(),
-        tx.signature.tag,
-        tx.signature.vk,
-        tx.public_key.raw,
-        tx.public_key.binding,
-        tx.sender,
-    )
+# repeats the recovery check — so the same transaction object is verified
+# many times per process.  The *positive* verdict is kept on the object
+# (``Transaction.sig_verified``): its fields are frozen, so the verdict
+# cannot go stale, and a tampered copy is a new object without one.
 
 
 def check_signature(tx: Transaction) -> bool:
-    """``recover_check`` with a bounded positive-result cache.
+    """``recover_check``, at most once per properly signed transaction.
 
-    Negative results are never cached (an attacker could otherwise poison
-    a hash before the honest submission arrives), and a cache hit counts
-    only when every signature-relevant field matches the entry — reusing a
-    verified transaction's hash on tampered content misses the cache.
+    Negative results are never kept (a forged signature is re-checked on
+    every call), and nothing is shared between objects, so no submission
+    can vouch for another.  Threads racing on one transaction each compute
+    the same verdict; the store is a single attribute write.
     """
     if tx.signature is None or tx.public_key is None:
         return False
     m = _metrics()
-    fingerprint = _sig_fingerprint(tx)
-    with _sig_lock:
-        cached = _sig_cache.get(tx.tx_hash)
-        if cached is not None and cached == fingerprint:
-            _sig_cache.move_to_end(tx.tx_hash)
-            hit = True
-        else:
-            hit = False
-    if hit:
+    if tx.sig_verified:
         m.sig_hits.inc()
         return True
     m.sig_misses.inc()
     ok = recover_check(tx.public_key, tx.signing_payload(), tx.signature, tx.sender)
     if ok:
-        with _sig_lock:
-            _sig_cache[tx.tx_hash] = fingerprint
-            _sig_cache.move_to_end(tx.tx_hash)
-            while len(_sig_cache) > SIG_CACHE_CAPACITY:
-                _sig_cache.popitem(last=False)
+        object.__setattr__(tx, "sig_verified", True)
     return ok
 
 
 def clear_signature_cache() -> None:
-    """Drop every cached verdict (tests and long-running sweeps)."""
-    with _sig_lock:
-        _sig_cache.clear()
+    """No-op: there is no process-wide cache left to clear.
+
+    Kept only because ``benchmarks/perf/micro.py`` imports it and the
+    benchmark's files are frozen; nothing else may call it.
+    """
 
 
 @timed("srbb_eager_validate_seconds", "wall time per eager validation")
@@ -172,18 +137,13 @@ def eager_validate(
     return _OK
 
 
-def lazy_validate(
-    tx: Transaction,
-    state,
-    protocol: params.ProtocolParams | None = None,
-) -> ValidationOutcome:
+def lazy_validate(tx: Transaction, state) -> ValidationOutcome:
     """Pre-execution check: (iii) exact nonce, (iv) gas, (v) balance.
 
     Deliberately weaker than eager validation — no signature or size check
     (§IV-D: "lazy validation checks (iii), (iv), (v) whereas the execution
     checks (i) and (ii)").
     """
-    protocol = protocol or params.ProtocolParams()
     if tx.nonce != state.nonce_of(tx.sender):
         return _fail("bad-nonce")
     balance = state.balance_of(tx.sender)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256 as _sha256
 from typing import Sequence
 
 from repro.crypto.hashing import sha256
@@ -82,5 +83,17 @@ class MerkleTree:
 
 
 def merkle_root(leaves: Sequence[bytes]) -> bytes:
-    """Root hash of a sequence of raw leaves (empty sequence allowed)."""
-    return MerkleTree(leaves).root
+    """Root hash of a sequence of raw leaves (empty sequence allowed).
+
+    Same root as ``MerkleTree(leaves).root`` but keeps only the current
+    level: the tree's retained levels are for ``proof()`` users.
+    """
+    level = [_sha256(_LEAF + leaf).digest() for leaf in leaves]
+    if not level:
+        return _EMPTY_ROOT
+    while len(level) > 1:
+        if len(level) % 2:
+            level.append(level[-1])  # duplicate-last-node padding
+        pairs = iter(level)
+        level = [_sha256(_NODE + left + right).digest() for left, right in zip(pairs, pairs)]
+    return level[0]

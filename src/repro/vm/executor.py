@@ -148,8 +148,8 @@ class Executor:
         from repro.core.validation import check_signature
 
         # Execution-time checks (i) signature and (ii) size — §IV-D.
-        # ``check_signature`` caches positive verdicts, so a tx already
-        # eagerly validated by this process skips the recovery here.
+        # A positive ``check_signature`` verdict stays on the transaction,
+        # so one already eagerly validated skips the recovery here.
         if tx.signature is None or tx.public_key is None:
             raise InvalidSignature("unsigned transaction")
         if not check_signature(tx):

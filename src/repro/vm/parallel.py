@@ -95,12 +95,15 @@ def _chunk(group: Sequence[int], workers: int) -> list[list[int]]:
     return chunks
 
 
-def _prewarm(executor: Executor, txs: Sequence[Transaction]) -> None:
+def _prewarm() -> None:
     """Resolve every lazily-created shared structure from the main thread.
 
-    ``telemetry.bind`` handles, labeled metric children and the
-    ``tx_hash`` cached property are all create-on-first-use; touching
-    them here means worker threads only ever *read* them.
+    ``telemetry.bind`` handles and labeled metric children are
+    create-on-first-use; touching them here means worker threads only
+    ever *read* them.  Values memoised on a transaction are not warmed:
+    racing threads would store the same bytes, and a transaction this
+    process has not seen yet gets its payload hashed inside a worker,
+    where the hashing overlaps.
     """
     from repro.core import validation as _validation
     from repro.vm import executor as _executor_mod
@@ -108,8 +111,7 @@ def _prewarm(executor: Executor, txs: Sequence[Transaction]) -> None:
     _executor_mod._metrics()
     _validation._metrics()
     _metrics()
-    for tx in txs:
-        tx.tx_hash
+
 
 def execute_parallel(
     executor: Executor,
@@ -160,7 +162,7 @@ def execute_parallel(
         and any(len(group) > 1 for group in report.groups)
     )
     if use_threads:
-        _prewarm(executor, txs)
+        _prewarm()
         pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="srbb-exec"
         )

@@ -20,16 +20,6 @@ from repro.vm.state import WorldState
 FUNDS = 10**12
 
 
-@pytest.fixture(autouse=True)
-def _fresh_signature_cache():
-    """Keep the process-global verified-signature cache test-hermetic."""
-    from repro.core.validation import clear_signature_cache
-
-    clear_signature_cache()
-    yield
-    clear_signature_cache()
-
-
 @pytest.fixture
 def keypair():
     return generate_keypair(1)

@@ -7,7 +7,6 @@ from repro.core.transaction import Transaction, TxType, make_transfer
 from repro.core.validation import (
     NONCE_WINDOW,
     check_signature,
-    clear_signature_cache,
     eager_validate,
     lazy_validate,
 )
@@ -139,7 +138,10 @@ class TestLazyValidation:
                 assert not eager_validate(tx, state)
 
 
-class TestSignatureCache:
+class TestSignatureVerdict:
+    """``check_signature`` keeps a positive verdict on the transaction
+    object; generated-input coverage is in ``test_memo_coherence.py``."""
+
     def _count_recoveries(self, monkeypatch):
         """Wrap the underlying recover_check with an invocation counter."""
         from repro.core import validation
@@ -154,14 +156,14 @@ class TestSignatureCache:
         monkeypatch.setattr(validation, "recover_check", counting)
         return calls
 
-    def test_second_check_hits_cache(self, kp, monkeypatch):
+    def test_second_check_reads_the_kept_verdict(self, kp, monkeypatch):
         calls = self._count_recoveries(monkeypatch)
         tx = make_transfer(kp, "aa" * 20, 10, nonce=0)
         assert check_signature(tx)
         assert check_signature(tx)
-        assert len(calls) == 1  # one full recovery, one cache hit
+        assert len(calls) == 1  # one full recovery, then the memo
 
-    def test_negative_results_are_not_cached(self, kp, monkeypatch):
+    def test_negative_results_are_not_kept(self, kp, monkeypatch):
         calls = self._count_recoveries(monkeypatch)
         good = make_transfer(kp, "aa" * 20, 10, nonce=0)
         forged = Transaction(
@@ -174,39 +176,23 @@ class TestSignatureCache:
         assert not check_signature(forged)
         assert len(calls) == 2  # both failures recomputed in full
 
-    def test_tampered_resubmission_with_reused_hash_misses_cache(self, kp):
-        """An attacker who re-submits tampered content under an
-        already-verified transaction hash must not be vouched for by the
-        cache: the fingerprint covers every signature-relevant field, so
-        the check falls through to full recovery — which fails."""
+    def test_tampered_resubmission_is_not_vouched_for(self, kp, monkeypatch):
+        """Re-submitting tampered content under a verified transaction's
+        signature builds a new object, which carries no verdict: the check
+        runs in full — and fails — however often the original verified."""
+        calls = self._count_recoveries(monkeypatch)
         good = make_transfer(kp, "aa" * 20, 10, nonce=0)
-        assert check_signature(good)  # hash now cached as verified
+        assert check_signature(good)
         tampered = Transaction(
             tx_type=good.tx_type, sender=good.sender, receiver=good.receiver,
             amount=good.amount + 10**6, nonce=good.nonce,
             gas_limit=good.gas_limit, gas_price=good.gas_price,
             public_key=good.public_key, signature=good.signature,
         )
-        # Force the collision: pre-seed the cached_property with the
-        # verified transaction's hash, as a malicious peer would claim.
-        tampered.__dict__["tx_hash"] = good.tx_hash
-        assert tampered.tx_hash == good.tx_hash
         assert not check_signature(tampered)
-        # ... and the poisoned attempt did not evict/overwrite the entry
+        assert len(calls) == 2
         assert check_signature(good)
-
-    def test_cache_is_bounded(self, kp, monkeypatch):
-        from repro.core import validation
-
-        monkeypatch.setattr(validation, "SIG_CACHE_CAPACITY", 4)
-        clear_signature_cache()
-        txs = [make_transfer(kp, "aa" * 20, 1, nonce=i) for i in range(10)]
-        for tx in txs:
-            assert check_signature(tx)
-        assert len(validation._sig_cache) == 4
-        # LRU: the most recent entries survive
-        assert txs[-1].tx_hash in validation._sig_cache
-        assert txs[0].tx_hash not in validation._sig_cache
+        assert len(calls) == 2
 
     def test_unsigned_rejected_without_recovery(self, kp, monkeypatch):
         calls = self._count_recoveries(monkeypatch)
@@ -217,47 +203,51 @@ class TestSignatureCache:
         assert not check_signature(tx)
         assert not calls
 
-
-class TestSignatureCacheThreadSafety:
     def test_concurrent_check_signature(self):
-        """Worker threads hammering the LRU (with churn past capacity)
-        must neither crash nor return a wrong verdict."""
+        """Eight threads racing on shared transaction objects (good and
+        forged interleaved, switch interval shortened so they really
+        interleave) must only ever see the correct verdict."""
+        import sys
         import threading
 
-        from repro.core import validation as v
-        from repro.core.transaction import make_transfer
-        from repro.crypto.keys import generate_keypair
-
         keypairs = [generate_keypair(8800 + i) for i in range(4)]
-        txs = [
+        good = [
             make_transfer(kp, "aa" * 20, 1, nonce=n)
             for kp in keypairs
-            for n in range(60)
+            for n in range(40)
         ]
-        old_capacity = v.SIG_CACHE_CAPACITY
-        v.SIG_CACHE_CAPACITY = 32  # force constant eviction
-        v.clear_signature_cache()
-        failures: list = []
+        forged = [
+            Transaction(
+                tx_type=tx.tx_type, sender=tx.sender, receiver=tx.receiver,
+                amount=tx.amount + 1, nonce=tx.nonce, gas_limit=tx.gas_limit,
+                gas_price=tx.gas_price, public_key=tx.public_key,
+                signature=tx.signature,
+            )
+            for tx in good[::4]
+        ]
+        expected = [(tx, True) for tx in good] + [(tx, False) for tx in forged]
+        wrong: list = []
 
-        def worker(rounds):
+        def worker():
             try:
-                for _ in range(rounds):
-                    for tx in txs:
-                        if not v.check_signature(tx):
-                            failures.append(tx)
+                for _ in range(3):
+                    for tx, verdict in expected:
+                        if check_signature(tx) is not verdict:
+                            wrong.append(tx)
             except Exception as exc:  # pragma: no cover - failure path
-                failures.append(exc)
+                wrong.append(exc)
 
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            threads = [
-                threading.Thread(target=worker, args=(3,)) for _ in range(8)
-            ]
+            threads = [threading.Thread(target=worker) for _ in range(8)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
         finally:
-            v.SIG_CACHE_CAPACITY = old_capacity
-            v.clear_signature_cache()
-        assert not failures
-        assert len(v._sig_cache) <= 32
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert all(tx.sig_verified for tx in good)
+        assert not any(tx.sig_verified for tx in forged)

@@ -30,6 +30,27 @@ class TestMerkleRoot:
         assert merkle_root([inner]) != inner
 
 
+    @pytest.mark.parametrize("count, root", [
+        (0, "b7406b361af147f7d0c5c7cd76af41c4633666f71c6e243260e507ebc20e4c95"),
+        (1, "7f9c9e31ac8256ca2f258583df262dbc7d6f68f2a03043d5c99a4ae5a7396ce9"),
+        (2, "28fb81e496897e0ce886f08602392e9239b65c659041e5202163e58ad898f444"),
+        (3, "9aa08d413285ecda667944ba9446d77c1f1712ecf946bfcf74453c731a38e7b7"),
+        (5, "2d331714d5160948ab3e13bed57544502653b85d90b7d71f98580eeb835b9c06"),
+        (8, "f907f23f76aa01b755a614d31ef9832909f44638b4590073301e61e6d01f9a1d"),
+        (250, "62d02d26c2356f4c35d8fdfcace6bd7eebba3817f558a55c807b04e36834fc96"),
+    ])
+    def test_golden_roots(self, count, root):
+        """Recorded before ``merkle_root`` stopped building the full tree."""
+        leaves = [bytes([i % 256]) * 32 for i in range(count)]
+        assert merkle_root(leaves).hex() == root
+        assert merkle_root(iter(leaves)).hex() == root
+        assert MerkleTree(leaves).root.hex() == root
+
+    @given(st.lists(st.binary(max_size=40), max_size=70))
+    def test_property_root_equals_tree_root(self, leaves):
+        assert merkle_root(leaves) == MerkleTree(leaves).root
+
+
 class TestProofs:
     def test_proof_roundtrip_all_indices(self):
         leaves = [bytes([i]) * 4 for i in range(7)]
