@@ -6,8 +6,7 @@ speedup of a conflict-respecting W-worker executor over the serial one
 the reproduction (and the paper's Geth-derived VM) uses.
 """
 
-from repro.vm.parallel import parallel_commit_time_s
-from repro.vm.conflicts import analyze_block
+from repro.vm.conflicts import analyze_block, parallel_commit_time_s
 from repro.workloads.fifa import fifa_request_factory
 from repro.workloads.nasdaq import nasdaq_request_factory
 from repro.workloads.uber import uber_request_factory

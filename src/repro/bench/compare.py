@@ -134,19 +134,6 @@ DEFAULT_THRESHOLDS: "tuple[Threshold, ...]" = (
     Threshold("headline:wall_scaling_exponent", "lower", 10.0, abs_slack=0.2),
     Threshold("headline:events_n*", "lower", 10.0, abs_slack=50.0),
     Threshold("headline:committed_n*", "higher", 5.0, abs_slack=1.0),
-    # -- parallel_exec_ablation: determinism is binary (threads must equal
-    # the serial oracle byte-for-byte), schedule shape is deterministic
-    # (tight gates), and the measured-speedup gate is pre-folded into the
-    # binary speedup_ok_* key on the scenario side (hardware-conditional);
-    # raw measured_speedup_* never reaches these thresholds — it is a
-    # wall-clock marker and stays informational
-    Threshold("headline:receipts_match", "higher", 0.0),
-    Threshold("headline:schedule_serialized", "higher", 0.0),
-    Threshold("headline:speedup_ok_*", "higher", 0.0),
-    Threshold("headline:commit_committed", "higher", 0.0),
-    Threshold("headline:parallel_depth_*", "lower", 0.0),
-    Threshold("headline:theoretical_speedup_*", "higher", 0.0),
-    Threshold("headline:mixed_depth_sum", "lower", 0.0),
     # -- lower is better: latency (simulated time only; quantiles only —
     # a histogram's :count/:sum grow with *more commits*, which is good)
     Threshold("*latency_s", "lower", 10.0, abs_slack=0.05),
@@ -175,18 +162,12 @@ _WALL_CLOCK_MARKERS = (
     "wall_s_n",
     "wall_scaling_exponent_full",
     "peak_rss_mb",
-    "measured_speedup",
-    "cpu_count",
 )
 
 #: every headline key whose *value* depends on the host's wall clock —
 #: the ungated markers above plus the (gated, but still host-measured)
-#: scaling-exponent fit and the hardware-conditional parallel-exec
-#: speedup verdict.  Determinism assertions filter with this.
-WALL_CLOCK_HEADLINE_MARKERS = _WALL_CLOCK_MARKERS + (
-    "wall_scaling_exponent",
-    "speedup_ok",
-)
+#: scaling-exponent fit.  Determinism assertions filter with this.
+WALL_CLOCK_HEADLINE_MARKERS = _WALL_CLOCK_MARKERS + ("wall_scaling_exponent",)
 
 
 def is_wall_clock_key(key: str) -> bool:

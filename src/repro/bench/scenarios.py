@@ -19,7 +19,7 @@ gating on them; only its event counts and the generously-bounded
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -1095,315 +1095,6 @@ def _run_table1_scale_200(reg: MetricsRegistry) -> dict:
     return headline
 
 
-def _run_parallel_exec_ablation(reg: MetricsRegistry) -> dict:
-    """Threaded parallel execution vs the serial oracle (the multi-core
-    tentpole evidence), four arms:
-
-    1. the commit loop with ``ProtocolParams.parallel_execution`` on must
-       decide a byte-identical chain (same block hashes, state root,
-       receipts, discards) as with it off;
-    2. the threaded backend must reproduce the oracle's state roots and
-       per-position receipts over seeded mixed workloads (transfers,
-       deploys, scoped and opaque native calls, invalid txs) at every
-       worker count — and the derived schedule must pass the Definition 1
-       serialization check;
-    3. a conflict-light workload (disjoint senders, ~128 KiB memos whose
-       hashing releases the GIL) is timed serial vs threads, interleaved
-       min-of-3.  A transaction's payload hash and signature verdict are
-       kept on the object once computed, so every timed run executes
-       freshly re-constructed copies (same fields and signature, nothing
-       derived yet) — each run pays the hashing it is there to time.  The
-       speedup gate is hardware-conditional, folded into the
-       binary ``speedup_ok_w8`` (single-core hosts pass vacuously) while
-       raw ``measured_speedup_*`` stays informational like every
-       wall-clock quantity;
-    4. a conflict-heavy contrast (same-symbol trades) must serialize
-       fully and still match the oracle.
-    """
-    import os
-    import random
-    import time
-
-    from repro.core.block import SuperBlock, make_block
-    from repro.core.blockchain import Blockchain
-    from repro.core.transaction import (
-        Transaction,
-        TxType,
-        make_deploy,
-        make_invoke,
-        make_transfer,
-    )
-    from repro.crypto.keys import generate_keypair
-    from repro.params import ProtocolParams
-    from repro.vm.conflicts import analyze_block, blocks_are_conflict_serialized
-    from repro.vm.contracts import (
-        ExchangeContract,
-        MobilityContract,
-        TicketingContract,
-    )
-    from repro.vm.contracts.base import NativeRegistry
-    from repro.vm.executor import Executor, install_native, native_address_for
-    from repro.vm.parallel import execute_parallel
-    from repro.vm.state import WorldState
-
-    funds = 10**12
-
-    # -- arm 1: commit-loop chain identity, knob off vs on -------------------
-    kps = [generate_keypair(5200 + i) for i in range(12)]
-    deployer = generate_keypair(5299)
-
-    def _commit_chain(parallel: bool):
-        state = WorldState()
-        for kp in kps + [deployer]:
-            state.create_account(kp.address, funds)
-        state.commit()
-        chain = Blockchain(
-            protocol=ProtocolParams(
-                n=4, parallel_execution=parallel, parallel_workers=8
-            ),
-            state=state,
-        )
-        duplicate = make_transfer(kps[1], "dd" * 20, 2, nonce=0)
-        blocks = []
-        for b in range(3):
-            txs = [
-                make_transfer(kp, f"{b:02d}{i:038x}", 3 + b, nonce=b)
-                for i, kp in enumerate(kps)
-            ]
-            txs.append(make_deploy(deployer, bytes([b + 1]) * 6, nonce=b))
-            txs.append(make_transfer(kps[0], "ee" * 20, 1, nonce=99))  # invalid
-            if b == 2:
-                txs.append(duplicate)  # re-decided via a second proposer
-            blocks.append(make_block(kps[0], b, 1, txs))
-        result = chain.commit_superblock(
-            SuperBlock(index=1, blocks=tuple(blocks)),
-            now=1.0,
-            coinbase_of=lambda pid: f"{pid:040d}",
-            exec_rate=2_000.0,
-        )
-        return chain, result
-
-    serial_chain, serial_result = _commit_chain(False)
-    par_chain, par_result = _commit_chain(True)
-    chains_identical = (
-        serial_chain.block_hashes() == par_chain.block_hashes()
-        and serial_chain.state.state_root() == par_chain.state.state_root()
-        and serial_chain.commit_times == par_chain.commit_times
-        and [
-            (r.tx_hash, r.success, r.gas_used, r.error)
-            for r in serial_result.receipts
-        ] == [
-            (r.tx_hash, r.success, r.gas_used, r.error)
-            for r in par_result.receipts
-        ]
-        and [d[1] for d in serial_result.discarded]
-        == [d[1] for d in par_result.discarded]
-    )
-
-    # -- arm 2: executor-level differential over seeded mixed blocks ---------
-    mixed_kps = [generate_keypair(5300 + i) for i in range(6)]
-    exchange = native_address_for("exchange")
-    mobility = native_address_for("mobility")
-    ticketing = native_address_for("ticketing")
-
-    def _registry() -> NativeRegistry:
-        registry = NativeRegistry()
-        registry.register(ExchangeContract())
-        registry.register(MobilityContract())
-        registry.register(TicketingContract())
-        return registry
-
-    def _mixed_state() -> WorldState:
-        state = WorldState()
-        for kp in mixed_kps:
-            state.create_account(kp.address, funds)
-        for name in ("exchange", "mobility", "ticketing"):
-            install_native(state, name)
-        state.commit()
-        return state
-
-    def _mixed_block(seed: int) -> list:
-        rng = random.Random(seed)
-        nonces = {kp.address: 0 for kp in mixed_kps}
-        txs = []
-        for _ in range(40):
-            kp = rng.choice(mixed_kps)
-            nonce = nonces[kp.address]
-            roll = rng.random()
-            if roll < 0.35:
-                tx = make_transfer(
-                    kp, rng.choice(mixed_kps).address, rng.randint(1, 50),
-                    nonce=nonce,
-                )
-            elif roll < 0.50:
-                tx = make_deploy(
-                    kp, bytes([rng.randint(0, 255)]) * 4, nonce=nonce
-                )
-            elif roll < 0.70:
-                tx = make_invoke(
-                    kp, exchange, "trade",
-                    (rng.choice(("AAPL", "MSFT", "GOOG")),
-                     rng.randint(1, 9), rng.randint(1, 9)),
-                    nonce=nonce,
-                )
-            elif roll < 0.80:
-                tx = make_invoke(
-                    kp, ticketing, "open_match",
-                    (rng.randint(1, 3), rng.randint(10, 20), rng.randint(1, 5)),
-                    nonce=nonce,
-                )
-            elif roll < 0.90:
-                # opaque native call — a whole-block serialization point
-                tx = make_invoke(
-                    kp, mobility, "complete_ride", (rng.randint(1, 3),),
-                    nonce=nonce,
-                )
-            else:
-                tx = make_transfer(kp, mixed_kps[0].address, 1, nonce=nonce + 50)
-                nonces[kp.address] -= 1  # invalid: nonce not consumed
-            nonces[kp.address] += 1
-            txs.append(tx)
-        return txs
-
-    coinbase = "cb" * 20
-    roots_match = True
-    receipts_match = True
-    schedule_serialized = True
-    depths = []
-    for seed in (1, 2, 3):
-        txs = _mixed_block(seed)
-        report = analyze_block(txs, coinbase=coinbase)
-        depths.append(report.parallel_depth)
-        schedule_serialized &= blocks_are_conflict_serialized(
-            txs, report.groups, coinbase=coinbase
-        )
-        oracle_state = _mixed_state()
-        oracle = Executor(oracle_state, registry=_registry())
-        oracle_receipts = [oracle.execute(tx, coinbase=coinbase) for tx in txs]
-        oracle_root = oracle_state.state_root()
-        for workers in (2, 8):
-            state = _mixed_state()
-            executor = Executor(state, registry=_registry())
-            outcome = execute_parallel(
-                executor, txs, workers=workers, coinbase=coinbase,
-                backend="threads",
-            )
-            roots_match &= state.state_root() == oracle_root
-            receipts_match &= [
-                (r.tx_hash, r.success, r.gas_used, r.error)
-                for r in oracle_receipts
-            ] == [
-                (r.tx_hash, r.success, r.gas_used, r.error)
-                for r in outcome.receipts
-            ]
-
-    # -- arm 3: measured wall-clock speedup on a conflict-light block --------
-    light_kps = [generate_keypair(5400 + i) for i in range(64)]
-    light_txs = [
-        Transaction(
-            tx_type=TxType.TRANSFER,
-            sender=kp.address,
-            receiver=f"{i:040x}",
-            amount=1,
-            nonce=0,
-            gas_limit=2_500_000,
-            gas_price=1,
-            # ~128 KiB unique memo: hashing it releases the GIL, so the
-            # signing-payload hash of a not-yet-seen transaction inside
-            # each worker overlaps (it dominates per-tx execution time)
-            payload={"memo": i.to_bytes(4, "big") * 32768},
-        ).signed_by(kp)
-        for i, kp in enumerate(light_kps)
-    ]
-    light_report = analyze_block(light_txs, coinbase=coinbase)
-
-    def _light_state() -> WorldState:
-        state = WorldState()
-        for kp in light_kps:
-            state.create_account(kp.address, funds)
-        state.commit()
-        return state
-
-    def _unseen_light_txs() -> list:
-        return [replace(tx) for tx in light_txs]
-
-    walls: "dict[str, list[float]]" = {"serial": [], "w2": [], "w8": []}
-    light_roots = set()
-    for _ in range(3):  # interleaved min-of-3: no arm benefits from warm-up
-        state = _light_state()
-        executor = Executor(state)
-        unseen = _unseen_light_txs()
-        start = time.perf_counter()
-        for tx in unseen:
-            executor.execute(tx, coinbase=coinbase)
-        walls["serial"].append(time.perf_counter() - start)
-        light_roots.add(state.state_root())
-        for label, workers in (("w2", 2), ("w8", 8)):
-            state = _light_state()
-            executor = Executor(state)
-            unseen = _unseen_light_txs()
-            start = time.perf_counter()
-            execute_parallel(
-                executor, unseen, workers=workers, coinbase=coinbase,
-                backend="threads",
-            )
-            walls[label].append(time.perf_counter() - start)
-            light_roots.add(state.state_root())
-    roots_match &= len(light_roots) == 1
-    speedup_w2 = min(walls["serial"]) / min(walls["w2"])
-    speedup_w8 = min(walls["serial"]) / min(walls["w8"])
-    cpu_count = os.cpu_count() or 1
-    # Hardware-conditional gate: a single-core host cannot exhibit thread
-    # speedup (the gate would measure the scheduler, not the executor).
-    speedup_ok_w8 = 1.0 if cpu_count < 2 else float(speedup_w8 > 1.3)
-
-    # -- arm 4: conflict-heavy contrast (must fully serialize, still match) --
-    heavy_kps = [generate_keypair(5500 + i) for i in range(24)]
-
-    def _heavy_state() -> WorldState:
-        state = WorldState()
-        for kp in heavy_kps:
-            state.create_account(kp.address, funds)
-        install_native(state, "exchange")
-        state.commit()
-        return state
-
-    heavy_txs = [
-        make_invoke(kp, exchange, "trade", ("AAPL", 5, 3), nonce=0)
-        for kp in heavy_kps
-    ]
-    heavy_report = analyze_block(heavy_txs, coinbase=coinbase)
-    heavy_registry = NativeRegistry()
-    heavy_registry.register(ExchangeContract())
-    heavy_oracle = Executor(_heavy_state(), registry=heavy_registry)
-    for tx in heavy_txs:
-        heavy_oracle.execute(tx, coinbase=coinbase)
-    heavy_state = _heavy_state()
-    execute_parallel(
-        Executor(heavy_state, registry=heavy_registry), heavy_txs,
-        workers=8, coinbase=coinbase, backend="threads",
-    )
-    roots_match &= heavy_state.state_root() == heavy_oracle.state.state_root()
-
-    return {
-        "chains_identical": float(chains_identical),
-        "state_roots_match": float(roots_match),
-        "receipts_match": float(receipts_match),
-        "schedule_serialized": float(schedule_serialized),
-        "commit_committed": float(len(serial_result.committed)),
-        "commit_discarded": float(len(serial_result.discarded)),
-        "mixed_depth_sum": float(sum(depths)),
-        "parallel_depth_light": float(light_report.parallel_depth),
-        "theoretical_speedup_light": round(light_report.speedup, 4),
-        "parallel_depth_heavy": float(heavy_report.parallel_depth),
-        "light_txs": float(len(light_txs)),
-        "measured_speedup_w2": round(speedup_w2, 4),
-        "measured_speedup_w8": round(speedup_w8, 4),
-        "speedup_ok_w8": speedup_ok_w8,
-        "cpu_count": float(cpu_count),
-    }
-
-
 register_scenario(Scenario(
     name="tvpr_ablation",
     description="SRBB vs EVM+DBFT on the full FIFA workload (tick engine): "
@@ -1465,19 +1156,6 @@ register_scenario(Scenario(
     seed=9,
     cost_rank=5,
     tags=("engine", "profiling", "scaling"),
-))
-
-register_scenario(Scenario(
-    name="parallel_exec_ablation",
-    description="Threaded parallel execution vs the serial oracle: the "
-    "commit loop with the knob on must decide a byte-identical chain, "
-    "threaded roots/receipts must equal serial over mixed seeded blocks, "
-    "and a conflict-light workload is wall-clock timed (speedup gate is "
-    "hardware-conditional; single-core hosts pass vacuously)",
-    run=_run_parallel_exec_ablation,
-    seed=1,
-    cost_rank=6,
-    tags=("vm", "parallel", "ablation"),
 ))
 
 register_scenario(Scenario(

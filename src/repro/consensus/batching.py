@@ -89,21 +89,7 @@ class VoteBatcher:
         finishes — but coalesces only messages emitted within one event.
     enabled:
         ``False`` bypasses buffering entirely (the ablation path).
-    adaptive:
-        When True the *effective* flush tick shrinks under light load:
-        waiting the full tick when only a vote or two coalesces per flush
-        buys no wire reduction and costs pure latency, so the tick scales
-        with an EWMA of observed votes-per-flush, floored at
-        ``tick / MIN_TICK_DIVISOR``.  Off by default — the adapted tick
-        changes flush timing, so enabling it perturbs seeded runs.
     """
-
-    #: votes-per-flush at (or above) which the full tick is warranted
-    LIGHT_LOAD_VOTES = 16.0
-    #: the adaptive tick never shrinks below ``tick / MIN_TICK_DIVISOR``
-    MIN_TICK_DIVISOR = 8.0
-    #: EWMA smoothing for the votes-per-flush load estimate
-    EWMA_ALPHA = 0.25
 
     def __init__(
         self,
@@ -113,7 +99,6 @@ class VoteBatcher:
         sim=None,
         tick: float = 0.0,
         enabled: bool = True,
-        adaptive: bool = False,
     ):
         if tick < 0:
             raise ValueError(f"negative batch tick {tick}")
@@ -122,9 +107,6 @@ class VoteBatcher:
         self.sim = sim
         self.tick = tick
         self.enabled = enabled
-        self.adaptive = adaptive
-        self._effective_tick = tick
-        self._load_ewma: "float | None" = None
         self._buffer: "list[ConsensusMessage]" = []
         self._flush_scheduled = False
         #: lifetime counters (cheap, always on — the bench comparisons read
@@ -149,7 +131,7 @@ class VoteBatcher:
         self._flush_scheduled = True
         if self.sim is None:
             return  # manual flushing (unit tests)
-        tick = self.effective_tick
+        tick = self.tick
         # Flushes from every node land on shared instants (tick-grid
         # boundaries, or the current instant), so a bucket-capable engine
         # coalesces the whole committee's flush timers into one heap entry
@@ -176,12 +158,6 @@ class VoteBatcher:
             else:
                 self.sim.schedule(delay, self.flush)
 
-    @property
-    def effective_tick(self) -> float:
-        """The flush quantum currently in force: ``tick`` when static,
-        the load-scaled value when ``adaptive``."""
-        return self._effective_tick if self.adaptive else self.tick
-
     # -- flush path --------------------------------------------------------------
 
     def flush(self) -> None:
@@ -191,18 +167,6 @@ class VoteBatcher:
             return
         buffered = tuple(self._buffer)
         self._buffer.clear()
-        if self.adaptive and self.tick > 0.0:
-            # Light-load adaptation: estimate votes-per-flush, shrink the
-            # next flush window proportionally (full tick once the EWMA
-            # reaches LIGHT_LOAD_VOTES, never below tick/MIN_TICK_DIVISOR).
-            observed = float(len(buffered))
-            if self._load_ewma is None:
-                self._load_ewma = observed
-            else:
-                a = self.EWMA_ALPHA
-                self._load_ewma = (1.0 - a) * self._load_ewma + a * observed
-            target = self.tick * min(1.0, self._load_ewma / self.LIGHT_LOAD_VOTES)
-            self._effective_tick = max(self.tick / self.MIN_TICK_DIVISOR, target)
         batch = ConsensusBatch(messages=buffered, sender=self.node_id)
         saved = batch.bytes_saved()
         self.batches_sent += 1

@@ -101,17 +101,13 @@ class Blockchain:
         for block in superblock.blocks:
             kept: list[Transaction] = []
             coinbase = coinbase_of(block.proposer_id) if coinbase_of else ""
-            receipt_of = self._execute_block_parallel(block.transactions, coinbase)
             for tx in block.transactions:
                 cursor += step
                 if tx.tx_hash in self._committed_hashes:
                     # Same tx decided via two proposers: keep first only.
                     result.discarded.append((tx, "duplicate"))
                     continue
-                if receipt_of is not None:
-                    receipt = receipt_of[tx.tx_hash]
-                else:
-                    receipt = self.executor.execute(tx, coinbase=coinbase)
+                receipt = self.executor.execute(tx, coinbase=coinbase)
                 result.receipts.append(receipt)
                 if receipt.success:
                     kept.append(tx)
@@ -137,44 +133,6 @@ class Blockchain:
                 result.appended_blocks.append(filtered)
         self.state.commit()
         return result
-
-    def _execute_block_parallel(
-        self, txs, coinbase: str
-    ) -> dict[bytes, Receipt] | None:
-        """Pre-execute one block with the threaded backend when enabled.
-
-        Returns ``tx_hash -> receipt`` for every transaction the serial
-        loop would execute, or ``None`` to fall back to per-transaction
-        serial execution.  Blocks containing intra-block duplicate hashes
-        fall back: the serial loop treats a later duplicate as executable
-        when the first copy *failed*, a data dependency the conflict
-        schedule does not model.
-        """
-        # deferred import: repro.vm.parallel needs conflict analysis,
-        # which needs repro.core — a cycle at module-import time
-        from repro.vm.parallel import execute_parallel
-
-        if not self.protocol.parallel_execution or len(txs) < 2:
-            return None
-        hashes = [tx.tx_hash for tx in txs]
-        if len(set(hashes)) != len(hashes):
-            return None
-        runnable = [
-            tx for tx in txs if tx.tx_hash not in self._committed_hashes
-        ]
-        if not runnable:
-            return None
-        outcome = execute_parallel(
-            self.executor,
-            runnable,
-            workers=self.protocol.parallel_workers,
-            coinbase=coinbase,
-            backend="threads",
-        )
-        return {
-            tx.tx_hash: receipt
-            for tx, receipt in zip(runnable, outcome.receipts)
-        }
 
     # -- safety helpers -----------------------------------------------------------
 

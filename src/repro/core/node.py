@@ -272,7 +272,6 @@ class ValidatorNode:
             sim=sim,
             tick=protocol.vote_batch_tick,
             enabled=protocol.vote_batching,
-            adaptive=protocol.vote_batch_adaptive,
         )
         network.register(node_id, self)
 

@@ -70,7 +70,7 @@ def check_signature(tx: Transaction) -> bool:
 
     Negative results are never kept (a forged signature is re-checked on
     every call), and nothing is shared between objects, so no submission
-    can vouch for another.  Threads racing on one transaction each compute
+    can vouch for another.  Callers racing on one transaction each compute
     the same verdict; the store is a single attribute write.
     """
     if tx.signature is None or tx.public_key is None:

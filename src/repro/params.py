@@ -96,22 +96,6 @@ class ProtocolParams:
     #: a single-region deployment coalesces enough of each round's votes
     #: for a >=10x wire-message reduction without altering decisions.
     vote_batch_tick: float = 0.1
-    #: Adaptive vote-batch tick: when True each batcher shrinks its
-    #: effective flush quantum under light load (EWMA of votes-per-flush),
-    #: trading a little coalescing for latency when there is nothing to
-    #: coalesce.  Off by default — flush timing shifts perturb seeded
-    #: runs, so baselines stay byte-identical.
-    vote_batch_adaptive: bool = False
-    #: Parallel transaction execution: when True the commit loop executes
-    #: each block's conflict-free groups (Definition 1) concurrently via
-    #: the ``threads`` backend of :mod:`repro.vm.parallel`, merging
-    #: per-chunk state forks in deterministic order.  State roots and
-    #: receipts are byte-identical to serial execution; off by default so
-    #: existing baselines are untouched.
-    parallel_execution: bool = False
-    #: Worker-thread count for parallel execution (the paper's c5.2xlarge
-    #: validators have 8 vCPUs).
-    parallel_workers: int = 8
     #: Liveness watchdog: flag a node as wedged after this many round
     #: intervals without a commit (0 disables the watchdog entirely, the
     #: default, so fault-free baselines schedule no extra events).  A
@@ -136,10 +120,6 @@ class ProtocolParams:
         if self.watchdog_stall_rounds < 0:
             raise ValueError(
                 f"watchdog_stall_rounds must be >= 0, got {self.watchdog_stall_rounds}"
-            )
-        if self.parallel_workers < 1:
-            raise ValueError(
-                f"parallel_workers must be >= 1, got {self.parallel_workers}"
             )
 
     @property

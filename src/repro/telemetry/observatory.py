@@ -49,11 +49,6 @@ _metrics = bind(
         vote_buffer=reg.gauge(
             "srbb_obs_vote_buffer", "vote-batcher backlog at last sample"
         ),
-        vote_tick=reg.gauge(
-            "srbb_obs_vote_batch_tick_seconds",
-            "effective vote-batch flush tick at last sample (shrinks under "
-            "light load when vote_batch_adaptive is on)",
-        ),
         consensus_open=reg.gauge(
             "srbb_obs_consensus_open", "open consensus instances at last sample"
         ),
@@ -73,12 +68,11 @@ _NODE_SIGNALS = (
     "pool_depth",
     "pool_age_s",
     "vote_buffer",
-    "vote_tick_s",
     "consensus_open",
 )
 
 #: signals aggregated across nodes by max (everything else sums)
-_MAX_AGGREGATED = frozenset({"pool_age_s", "vote_tick_s"})
+_MAX_AGGREGATED = frozenset({"pool_age_s"})
 
 
 class CongestionObservatory:
@@ -123,10 +117,6 @@ class CongestionObservatory:
                 "pool_depth": len(node.pool),
                 "pool_age_s": round(node.pool.oldest_age(now), 6),
                 "vote_buffer": node.vote_batcher.pending,
-                # getattr: test fakes stub the batcher with bare namespaces
-                "vote_tick_s": round(
-                    getattr(node.vote_batcher, "effective_tick", 0.0), 6
-                ),
                 "consensus_open": len(node._consensus),
                 "crashed": bool(node.crashed),
             }
@@ -135,7 +125,6 @@ class CongestionObservatory:
             m.pool_depth.labels(**labels).set(row["pool_depth"])
             m.pool_age.labels(**labels).set(row["pool_age_s"])
             m.vote_buffer.labels(**labels).set(row["vote_buffer"])
-            m.vote_tick.labels(**labels).set(row["vote_tick_s"])
             m.consensus_open.labels(**labels).set(row["consensus_open"])
 
         network = deployment.network
@@ -229,7 +218,6 @@ def render_samples_text(samples: "list[dict]") -> str:
         "pool_depth": "txpool depth (Σ nodes)",
         "pool_age_s": "oldest tx age (max, s)",
         "vote_buffer": "vote-batcher backlog",
-        "vote_tick_s": "effective vote tick (max, s)",
         "consensus_open": "open consensus instances",
         "net_inflight": "un-acked sends in flight",
         "net_retransmissions": "retransmissions / interval",

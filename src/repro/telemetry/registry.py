@@ -85,9 +85,6 @@ class _Metric:
         self._registry = registry
         self._labels: dict = {}
         self._children: "dict[tuple, _Metric]" = {}
-        # Guards child creation and counter increments: the parallel VM
-        # executor drives these from worker threads.
-        self._mutex = threading.Lock()
 
     # -- labels ----------------------------------------------------------------
 
@@ -101,12 +98,9 @@ class _Metric:
         key = _label_key({k: str(v) for k, v in labels.items()})
         child = self._children.get(key)
         if child is None:
-            with self._mutex:
-                child = self._children.get(key)
-                if child is None:
-                    child = self._new_child()
-                    child._labels = dict(key)
-                    self._children[key] = child
+            child = self._new_child()
+            child._labels = dict(key)
+            self._children[key] = child
         return child
 
     def _new_child(self) -> "_Metric":
@@ -141,11 +135,7 @@ class Counter(_Metric):
         if amount < 0:
             raise ValueError("counters can only increase")
         if self._on:
-            # ``+=`` on a float attribute is not atomic (read/modify/write
-            # interleaves across threads); parallel execution increments
-            # executor counters concurrently.
-            with self._mutex:
-                self.value += amount
+            self.value += amount
 
     def total(self) -> float:
         """Own value plus every labeled child's."""

@@ -18,7 +18,8 @@ how SRBB satisfies the property.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from math import ceil
+from typing import Sequence
 
 import networkx as nx
 
@@ -122,8 +123,7 @@ def access_set(tx: Transaction, *, coinbase: str = "") -> AccessSet:
 
 _READONLY_FUNCTIONS = {
     "last_price", "volume", "position", "ride_state", "zone_demand",
-    "sold", "tickets_of", "balance_of", "allowance", "total_supply",
-    "deposit_of", "validators", "excluded", "events",
+    "sold", "tickets_of", "deposit_of", "validators", "excluded", "events",
 }
 
 #: Functions whose effects the static scopes above fully capture: storage
@@ -132,7 +132,6 @@ _READONLY_FUNCTIONS = {
 #: driver address; SVM bytecode is arbitrary) is opaque.
 _SAFE_FUNCTIONS = _READONLY_FUNCTIONS | {
     "trade", "open_match", "buy_ticket", "request_ride", "accept_ride",
-    "init", "mint", "transfer", "approve", "transfer_from",
 }
 
 
@@ -276,3 +275,17 @@ def blocks_are_conflict_serialized(
     return all(
         group_of[min(edge)] < group_of[max(edge)] for edge in graph.edges
     )
+
+
+def parallel_commit_time_s(
+    txs: Sequence[Transaction],
+    *,
+    workers: int,
+    exec_rate: float,
+    coinbase: str = "",
+) -> float:
+    """Unit-cost headroom model (no execution): each conflict-free group
+    costs ``ceil(len(group) / workers) / exec_rate`` seconds."""
+    report = analyze_block(txs, coinbase=coinbase)
+    unit = 1.0 / exec_rate
+    return sum(ceil(len(g) / workers) * unit for g in report.groups)

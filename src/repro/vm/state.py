@@ -8,7 +8,7 @@ transaction rolls back completely — the mechanism behind the paper's
 from __future__ import annotations
 
 import copy as _copymod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.crypto.hashing import hash_items
@@ -20,8 +20,7 @@ def _clone_value(value: Any) -> Any:
 
     Storage holds arbitrary Python values; sharing a mutable value (list,
     dict) between two states lets an in-place mutation in one leak into
-    the other, which corrupts both ``WorldState.copy()`` clones and
-    per-group execution forks.
+    the other, which corrupts ``WorldState.copy()`` clones.
     """
     if value is None or isinstance(value, (int, float, str, bytes, bool)):
         return value
@@ -139,29 +138,6 @@ class WorldState:
         account.nonce = prev + 1
         self._journal.append(lambda acc=account, p=prev: setattr(acc, "nonce", p))
 
-    def set_nonce(self, address: str, value: int) -> None:
-        if value < 0:
-            raise ValueError(f"negative nonce {value} for {address!r}")
-        account = self.get_or_create(address)
-        prev = account.nonce
-        account.nonce = value
-        self._journal.append(lambda acc=account, p=prev: setattr(acc, "nonce", p))
-
-    def set_code(
-        self, address: str, code: bytes | None, *, native: str | None = None
-    ) -> None:
-        """Install code/native on an account without touching its balance
-        (``create_account`` resets the balance, which a delta merge must
-        never do)."""
-        account = self.get_or_create(address)
-        prev_code, prev_native = account.code, account.native
-        account.code, account.native = code, native
-
-        def undo(acc=account, c=prev_code, nat=prev_native) -> None:
-            acc.code, acc.native = c, nat
-
-        self._journal.append(undo)
-
     # -- storage ------------------------------------------------------------
 
     def storage_get(self, contract: str, key: str, default: Any = None) -> Any:
@@ -207,7 +183,7 @@ class WorldState:
         """Independent copy: accounts re-created, storage values deep-copied.
 
         Mutable storage values (lists/dicts) must not be shared between
-        clones — a fork mutating a stored value in place would otherwise
+        clones — one clone mutating a stored value in place would otherwise
         leak the mutation into every other clone of the same state.
         """
         clone = WorldState()
@@ -224,207 +200,5 @@ class WorldState:
         }
         return clone
 
-    def fork(self) -> "StateFork":
-        """Copy-on-write overlay for parallel group execution."""
-        return StateFork(self)
-
-    def apply_delta(self, delta: "ForkDelta") -> None:
-        """Merge one fork's delta back into this (base) state.
-
-        Balances are applied *additively* (fork balance minus the base
-        value captured when the fork first touched the account) so
-        commutative credits from several forks of the same group compose;
-        nonces, code and storage slots are exclusive per the conflict
-        analysis and are applied as final values.  All mutations are
-        journaled, so a later ``revert`` remains correct.
-        """
-        for address, dbal, dnonce, code_change in delta.accounts:
-            self.get_or_create(address)
-            if dbal:
-                self.add_balance(address, dbal)
-            if dnonce:
-                self.set_nonce(address, self.nonce_of(address) + dnonce)
-            if code_change is not None:
-                self.set_code(address, code_change[0], native=code_change[1])
-        for (contract, key), value in delta.storage:
-            self.storage_set(contract, key, value)
-
     def __len__(self) -> int:
         return len(self._accounts)
-
-
-# ---------------------------------------------------------------------------
-# Copy-on-write forks for parallel execution
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _AccountPre:
-    """Pre-image of an account at the moment a fork first touched it."""
-
-    existed: bool
-    balance: int = 0
-    nonce: int = 0
-    code: bytes | None = None
-    native: str | None = None
-
-
-@dataclass
-class ForkDelta:
-    """Deterministic diff of one fork against its base.
-
-    ``accounts`` rows are ``(address, balance_delta, nonce_delta,
-    code_change)`` where ``code_change`` is ``None`` (untouched) or a
-    ``(code, native)`` pair; rows and storage slots are sorted so the
-    merge order never depends on dict insertion history.
-    """
-
-    accounts: list[tuple[str, int, int, tuple | None]] = field(default_factory=list)
-    storage: list[tuple[tuple[str, str], Any]] = field(default_factory=list)
-
-
-class StateFork(WorldState):
-    """Copy-on-write view over a base :class:`WorldState`.
-
-    Reads fall through to the base; the first touch of an account copies
-    it into the overlay (capturing the base pre-image, which the merge
-    uses to compute deltas), and storage reads of mutable base values are
-    cloned into the overlay so in-place mutation cannot cross forks.
-
-    A fork is single-threaded; several forks may share one base
-    concurrently because group execution never mutates the base — deltas
-    are merged (``WorldState.apply_delta``) only after every fork of the
-    group has joined.  Journaling is inherited, so per-transaction
-    snapshot/revert works unchanged inside a fork.
-    """
-
-    def __init__(self, base: WorldState):
-        super().__init__()
-        self._base = base
-        self._account_pre: dict[str, _AccountPre] = {}
-
-    # -- copy-on-write plumbing ---------------------------------------------
-
-    def _touch(self, address: str) -> Account | None:
-        """Overlay account for ``address``, copying from base on first use."""
-        account = self._accounts.get(address)
-        if account is not None:
-            return account
-        if not self._base.account_exists(address):
-            return None
-        base_acct = self._base.get_account(address)
-        self._account_pre.setdefault(
-            address,
-            _AccountPre(
-                True,
-                base_acct.balance,
-                base_acct.nonce,
-                base_acct.code,
-                base_acct.native,
-            ),
-        )
-        account = Account(
-            address=address,
-            balance=base_acct.balance,
-            nonce=base_acct.nonce,
-            code=base_acct.code,
-            native=base_acct.native,
-        )
-        self._accounts[address] = account
-        self._journal.append(lambda: self._accounts.pop(address, None))
-        return account
-
-    # -- overridden reads ----------------------------------------------------
-
-    def account_exists(self, address: str) -> bool:
-        return address in self._accounts or self._base.account_exists(address)
-
-    def get_account(self, address: str) -> Account:
-        account = self._touch(address)
-        if account is None:
-            raise UnknownSender(f"no account {address!r}") from None
-        return account
-
-    def get_or_create(self, address: str) -> Account:
-        account = self._touch(address)
-        if account is None:
-            self._account_pre.setdefault(address, _AccountPre(False))
-            account = Account(address=address)
-            self._accounts[address] = account
-            self._journal.append(lambda: self._accounts.pop(address, None))
-        return account
-
-    def balance_of(self, address: str) -> int:
-        account = self._accounts.get(address)
-        if account is not None:
-            return account.balance
-        return self._base.balance_of(address)
-
-    def nonce_of(self, address: str) -> int:
-        account = self._accounts.get(address)
-        if account is not None:
-            return account.nonce
-        return self._base.nonce_of(address)
-
-    def storage_get(self, contract: str, key: str, default: Any = None) -> Any:
-        slot = (contract, key)
-        if slot in self._storage:
-            return self._storage[slot]
-        if slot in self._base._storage:
-            # Clone into the overlay (journaled) so in-place mutation of a
-            # mutable value stays fork-local yet persists across reads of
-            # the same slot — matching serial shared-object semantics.
-            value = _clone_value(self._base._storage[slot])
-            self._storage[slot] = value
-            self._journal.append(lambda: self._storage.pop(slot, None))
-            return value
-        return default
-
-    def storage_items(self, contract: str) -> Iterator[tuple[str, Any]]:
-        seen: set[str] = set()
-        for (addr, key), value in self._storage.items():
-            if addr == contract:
-                seen.add(key)
-                yield key, value
-        for key, value in self._base.storage_items(contract):
-            if key not in seen:
-                yield key, value
-
-    # -- merged views --------------------------------------------------------
-
-    def _materialize(self) -> WorldState:
-        merged = WorldState()
-        merged._accounts = {**self._base._accounts, **self._accounts}
-        merged._storage = {**self._base._storage, **self._storage}
-        return merged
-
-    def state_root(self) -> bytes:
-        return self._materialize().state_root()
-
-    def copy(self) -> WorldState:
-        return self._materialize().copy()
-
-    def __len__(self) -> int:
-        return len(set(self._base._accounts) | set(self._accounts))
-
-    # -- delta extraction ----------------------------------------------------
-
-    def delta(self) -> ForkDelta:
-        """Diff of this fork vs its base, in deterministic (sorted) order."""
-        accounts: list[tuple[str, int, int, tuple | None]] = []
-        for address in sorted(self._accounts):
-            account = self._accounts[address]
-            pre = self._account_pre.get(address, _AccountPre(False))
-            code_change = None
-            if (account.code, account.native) != (pre.code, pre.native):
-                code_change = (account.code, account.native)
-            accounts.append(
-                (
-                    address,
-                    account.balance - pre.balance,
-                    account.nonce - pre.nonce,
-                    code_change,
-                )
-            )
-        storage = [(slot, self._storage[slot]) for slot in sorted(self._storage)]
-        return ForkDelta(accounts=accounts, storage=storage)

@@ -1,7 +1,12 @@
 """Scenario registry API and (cheap) end-to-end determinism."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+from repro import params
 from repro.bench import (
     cheapest_scenarios,
     get_scenario,
@@ -17,13 +22,31 @@ class TestRegistry:
         for expected in (
             "tvpr_ablation", "table1_dapp", "saturation_sweep",
             "weak_validator", "vote_batching_ablation", "chaos_soak",
-            "engine_scaling", "parallel_exec_ablation",
+            "engine_scaling", "byzantine_campaign",
             "trace_replay_nasdaq", "trace_replay_uber", "trace_replay_fifa",
             "table1_scale_200",
         ):
             assert expected in names
+        assert len(names) == 12
         # renamed in the crash-recovery PR: a slow node is a delay fault
         assert "fault_injection" not in names
+
+    def test_every_boolean_knob_is_set_by_a_scenario_or_workload(self):
+        """A bool on ProtocolParams/NetParams that no gated scenario and no
+        benchmark workload ever assigns is a code path nothing measures."""
+        root = Path(__file__).resolve().parents[2]
+        text = "".join(
+            (root / rel).read_text()
+            for rel in ("src/repro/bench/scenarios.py", "benchmarks/perf/workloads.py")
+        )
+        unset = [
+            f"{cls.__name__}.{f.name}"
+            for cls in (params.ProtocolParams, params.NetParams)
+            for f in dataclasses.fields(cls)
+            if f.type == "bool"  # params.py postpones annotations
+            and not re.search(rf"\b{f.name}\s*=[^=]", text)
+        ]
+        assert unset == []
 
     def test_unknown_scenario_raises_with_candidates(self):
         with pytest.raises(KeyError, match="tvpr_ablation"):

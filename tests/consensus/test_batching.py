@@ -139,71 +139,3 @@ class TestScheduling:
         sim.run_until(1.0)
         assert len(sent) == 1
         assert len(sent[0].value) == 10
-
-
-class TestAdaptiveTick:
-    def test_static_by_default(self, sent):
-        batcher = VoteBatcher(node_id=0, sink=sent.append, tick=0.1)
-        assert batcher.adaptive is False
-        for _ in range(3):
-            batcher.submit(_vote())
-            batcher.flush()
-        assert batcher.effective_tick == 0.1  # never adapts when off
-
-    def test_light_load_shrinks_effective_tick(self, sent):
-        batcher = VoteBatcher(
-            node_id=0, sink=sent.append, tick=0.1, adaptive=True
-        )
-        assert batcher.effective_tick == 0.1  # no observations yet
-        for _ in range(20):  # one vote per flush: minimal coalescing
-            batcher.submit(_vote())
-            batcher.flush()
-        # EWMA converges to 1 vote/flush -> clamped at tick / 8
-        assert batcher.effective_tick == pytest.approx(0.1 / 8.0)
-
-    def test_heavy_load_keeps_full_tick(self, sent):
-        batcher = VoteBatcher(
-            node_id=0, sink=sent.append, tick=0.1, adaptive=True
-        )
-        for _ in range(5):
-            for i in range(32):  # >= LIGHT_LOAD_VOTES per flush
-                batcher.submit(_vote(instance=i))
-            batcher.flush()
-        assert batcher.effective_tick == 0.1
-
-    def test_adaptation_is_deterministic(self):
-        ticks = []
-        for _ in range(2):
-            sent = []
-            batcher = VoteBatcher(
-                node_id=0, sink=sent.append, tick=0.1, adaptive=True
-            )
-            trace = []
-            for burst in (1, 1, 40, 2, 40, 1, 1, 1):
-                for i in range(burst):
-                    batcher.submit(_vote(instance=i))
-                batcher.flush()
-                trace.append(batcher.effective_tick)
-            ticks.append(trace)
-        assert ticks[0] == ticks[1]
-
-    def test_adaptive_flush_uses_effective_boundary(self):
-        sim = Simulator()
-        sent_at = []
-        batcher = VoteBatcher(
-            node_id=0,
-            sink=lambda m: sent_at.append(round(sim.now, 6)),
-            sim=sim,
-            tick=0.08,
-            adaptive=True,
-        )
-        # several single-vote windows drive the EWMA down
-        for i in range(12):
-            sim.schedule(0.1 * i + 0.001, batcher.submit, _vote(instance=i))
-        sim.run_until(2.0)
-        assert len(sent_at) == 12
-        # once adapted, flushes land on sub-tick boundaries: the gap from
-        # enqueue (at 0.1k + 0.001) to flush is below the full 0.08 tick
-        last_gap = sent_at[-1] - (0.1 * 11 + 0.001)
-        assert last_gap < 0.08
-        assert batcher.effective_tick < 0.08

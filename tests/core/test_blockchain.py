@@ -134,82 +134,3 @@ class TestSafetyRelations:
         tb = make_transfer(kp, "bb" * 20, 1, nonce=0)
         b.commit_superblock(SuperBlock(index=1, blocks=(make_block(kp2, 1, 1, [tb]),)))
         assert not a.prefix_consistent_with(b)
-
-
-class TestParallelExecutionBackend:
-    """`ProtocolParams.parallel_execution` must be invisible in outcomes."""
-
-    def _chains(self, kps, txs_per_block):
-        """Serial chain + parallel chain over the same superblock."""
-        results = []
-        for parallel in (False, True):
-            state = WorldState()
-            for k in kps:
-                state.create_account(k.address, FUNDS)
-            state.commit()
-            chain = Blockchain(
-                protocol=params.ProtocolParams(
-                    n=4, parallel_execution=parallel, parallel_workers=4
-                ),
-                state=state,
-            )
-            blocks = tuple(
-                make_block(kps[0], i, 1, txs) for i, txs in enumerate(txs_per_block)
-            )
-            result = chain.commit_superblock(
-                SuperBlock(index=1, blocks=blocks),
-                now=2.0,
-                coinbase_of=lambda proposer: f"{proposer:040d}",
-                exec_rate=1000.0,
-            )
-            results.append((chain, result))
-        return results
-
-    def test_parallel_commit_matches_serial(self):
-        kps = [generate_keypair(300 + i) for i in range(4)]
-        broke = generate_keypair(399)
-        txs_a = [make_transfer(k, "aa" * 20, 5, nonce=0) for k in kps]
-        txs_b = [make_transfer(k, "bb" * 20, 7, nonce=1) for k in kps] + [
-            make_transfer(broke, "cc" * 20, 1, nonce=0)  # discarded
-        ]
-        (serial_chain, serial_result), (par_chain, par_result) = self._chains(
-            kps, [txs_a, txs_b]
-        )
-        assert par_chain.state.state_root() == serial_chain.state.state_root()
-        assert par_chain.block_hashes() == serial_chain.block_hashes()
-        assert [t.tx_hash for t in par_result.committed] == [
-            t.tx_hash for t in serial_result.committed
-        ]
-        assert [
-            (r.tx_hash, r.success, r.gas_used, r.error)
-            for r in par_result.receipts
-        ] == [
-            (r.tx_hash, r.success, r.gas_used, r.error)
-            for r in serial_result.receipts
-        ]
-        assert par_chain.commit_times == serial_chain.commit_times
-        assert [d[1] for d in par_result.discarded] == [
-            d[1] for d in serial_result.discarded
-        ]
-
-    def test_duplicate_across_blocks_discarded_under_parallel(self):
-        kps = [generate_keypair(310 + i) for i in range(2)]
-        tx = make_transfer(kps[0], "aa" * 20, 1, nonce=0)
-        other = make_transfer(kps[1], "bb" * 20, 1, nonce=0)
-        (serial_chain, serial_result), (par_chain, par_result) = self._chains(
-            kps, [[tx, other], [tx, make_transfer(kps[1], "cc" * 20, 2, nonce=1)]]
-        )
-        assert par_chain.state.state_root() == serial_chain.state.state_root()
-        assert len(par_result.committed) == len(serial_result.committed) == 3
-        assert ("duplicate" in [d[1] for d in par_result.discarded])
-
-    def test_intra_block_duplicate_falls_back_to_serial_semantics(self):
-        kps = [generate_keypair(320 + i) for i in range(2)]
-        tx = make_transfer(kps[0], "aa" * 20, 1, nonce=0)
-        (serial_chain, serial_result), (par_chain, par_result) = self._chains(
-            kps, [[tx, tx, make_transfer(kps[1], "bb" * 20, 1, nonce=0)]]
-        )
-        assert par_chain.state.state_root() == serial_chain.state.state_root()
-        assert [d[1] for d in par_result.discarded] == [
-            d[1] for d in serial_result.discarded
-        ]

@@ -18,6 +18,7 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "light_client.py",
     "committee_rotation.py",
+    "parallel_execution.py",
 ]
 
 

@@ -56,7 +56,7 @@ class TestSampling:
         assert sample["t"] == 0.0
         assert sample["nodes"][0] == {
             "pool_depth": 3, "pool_age_s": 1.25, "vote_buffer": 2,
-            "vote_tick_s": 0.0, "consensus_open": 1, "crashed": False,
+            "consensus_open": 1, "crashed": False,
         }
         assert sample["nodes"][1]["crashed"] is True
         assert sample["net"]["inflight"] == 4

@@ -264,45 +264,3 @@ class TestGlobalRegistry:
 
     def test_count_buckets_sorted(self):
         assert list(COUNT_BUCKETS) == sorted(COUNT_BUCKETS)
-
-
-class TestThreadSafety:
-    def test_concurrent_counter_increments_sum_exactly(self):
-        import threading
-
-        from repro.telemetry.registry import Counter
-
-        counter = Counter("t_threads_total")
-        per_thread, threads = 5_000, 8
-
-        def worker():
-            for _ in range(per_thread):
-                counter.inc()
-
-        ts = [threading.Thread(target=worker) for _ in range(threads)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        assert counter.value == per_thread * threads
-
-    def test_concurrent_label_children_deduplicate(self):
-        import threading
-
-        from repro.telemetry.registry import Counter
-
-        counter = Counter("t_labels_total")
-        barrier = threading.Barrier(8)
-        children = []
-
-        def worker():
-            barrier.wait()
-            children.append(counter.labels(error="bad-nonce"))
-
-        ts = [threading.Thread(target=worker) for _ in range(8)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        assert all(c is children[0] for c in children)
-        assert len(counter.children) == 1

@@ -1,5 +1,6 @@
 """Conflict analysis: access sets, conflict graph, parallel scheduling."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.transaction import make_invoke, make_transfer
@@ -9,6 +10,7 @@ from repro.vm.conflicts import (
     analyze_block,
     blocks_are_conflict_serialized,
     conflict_graph,
+    parallel_commit_time_s,
 )
 from repro.vm.executor import native_address_for
 
@@ -237,3 +239,30 @@ class TestScheduleVerification:
         # Spreading independent txs over extra groups is legal, just slow.
         txs = [transfer(0, 1), transfer(2, 3)]
         assert blocks_are_conflict_serialized(txs, [[0], [1]])
+
+
+class TestUnitCostTiming:
+    """``parallel_commit_time_s``: ceil(len(group)/workers)/exec_rate per group."""
+
+    @staticmethod
+    def disjoint():
+        # six senders crediting one outside account: a single group
+        return [make_transfer(kp, "aa" * 20, 1, nonce=0) for kp in KPS]
+
+    def test_disjoint_batch_is_one_round(self):
+        txs = self.disjoint()
+        assert parallel_commit_time_s(txs, workers=8, exec_rate=1000.0) == (
+            pytest.approx(1 / 1000.0)
+        )
+
+    def test_same_sender_chain_gets_no_headroom(self):
+        txs = [transfer(0, 1, nonce=i) for i in range(5)]
+        assert parallel_commit_time_s(txs, workers=8, exec_rate=1000.0) == (
+            pytest.approx(5 / 1000.0)
+        )
+
+    def test_worker_count_bounds_the_gain(self):
+        txs = self.disjoint()
+        assert parallel_commit_time_s(txs, workers=2, exec_rate=1000.0) == (
+            pytest.approx(3 / 1000.0)
+        )

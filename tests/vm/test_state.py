@@ -183,95 +183,3 @@ class TestCopyIsolation:
         clone = ws.copy()
         clone.storage_get("contract", "xs").append(3)
         assert ws.storage_get("contract", "xs") == [1, 2]
-
-
-class TestStateFork:
-    def _base(self):
-        ws = WorldState()
-        ws.create_account("alice", 100)
-        ws.create_account("bob", 50)
-        ws.storage_set("c", "k", 7)
-        ws.storage_set("c", "xs", [1, 2])
-        ws.commit()
-        return ws
-
-    def test_reads_fall_through(self):
-        base = self._base()
-        fork = base.fork()
-        assert fork.balance_of("alice") == 100
-        assert fork.nonce_of("bob") == 0
-        assert fork.storage_get("c", "k") == 7
-        assert fork.account_exists("alice")
-
-    def test_writes_stay_in_overlay(self):
-        base = self._base()
-        fork = base.fork()
-        fork.add_balance("alice", 10)
-        fork.bump_nonce("alice")
-        fork.storage_set("c", "k", 8)
-        assert fork.balance_of("alice") == 110
-        assert base.balance_of("alice") == 100
-        assert base.storage_get("c", "k") == 7
-
-    def test_mutable_base_values_cloned_per_fork(self):
-        base = self._base()
-        f1, f2 = base.fork(), base.fork()
-        f1.storage_get("c", "xs").append(3)
-        assert f2.storage_get("c", "xs") == [1, 2]
-        assert base.storage_get("c", "xs") == [1, 2]
-
-    def test_snapshot_revert_inside_fork(self):
-        base = self._base()
-        fork = base.fork()
-        fork.add_balance("alice", 5)
-        snap = fork.snapshot()
-        fork.sub_balance("alice", 100)
-        fork.storage_set("c", "k", 99)
-        fork.get_or_create("carol")
-        fork.revert(snap)
-        assert fork.balance_of("alice") == 105
-        assert fork.storage_get("c", "k") == 7
-        assert not fork.account_exists("carol")
-
-    def test_delta_merge_equals_direct_mutation(self):
-        direct = self._base()
-        forked = self._base()
-        fork = forked.fork()
-        for state in (direct, fork):
-            state.sub_balance("alice", 30)
-            state.add_balance("bob", 30)
-            state.bump_nonce("alice")
-            state.storage_set("c", "k", 8)
-            state.create_account("carol", 0)
-            state.add_balance("carol", 1)
-        forked.apply_delta(fork.delta())
-        assert forked.state_root() == direct.state_root()
-
-    def test_additive_merge_composes_commutative_credits(self):
-        base = self._base()
-        f1, f2 = base.fork(), base.fork()
-        f1.add_balance("bob", 10)
-        f2.add_balance("bob", 25)
-        base.apply_delta(f1.delta())
-        base.apply_delta(f2.delta())
-        assert base.balance_of("bob") == 85
-
-    def test_fork_state_root_matches_materialized(self):
-        base = self._base()
-        fork = base.fork()
-        fork.add_balance("alice", 1)
-        mirror = base.copy()
-        mirror.add_balance("alice", 1)
-        assert fork.state_root() == mirror.state_root()
-
-    def test_merge_is_journaled_for_revert(self):
-        base = self._base()
-        root = base.state_root()
-        snap = base.snapshot()
-        fork = base.fork()
-        fork.add_balance("alice", 42)
-        fork.storage_set("c", "k", 123)
-        base.apply_delta(fork.delta())
-        assert base.balance_of("alice") == 142
-        base.revert(snap)
-        assert base.state_root() == root
