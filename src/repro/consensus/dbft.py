@@ -74,17 +74,142 @@ _metrics = telemetry.bind(_build_metrics)
 
 @dataclass(slots=True)
 class _RoundState:
-    """Per-round bookkeeping (sender sets prevent Byzantine double votes)."""
+    """One instance's own flags for one round (the votes it *heard* are
+    tallied in the :class:`VoteTable`)."""
 
-    bval_senders: dict[int, set[int]] = field(default_factory=dict)  # value -> senders
     bval_echoed: set[int] = field(default_factory=set)  # values we echoed
     bin_values: set[int] = field(default_factory=set)
-    aux_senders: dict[int, int] = field(default_factory=dict)  # sender -> value
-    #: per-value AUX tallies mirroring ``aux_senders`` so the round-exit
-    #: check is O(1) instead of a scan over all recorded votes
-    aux_counts: list[int] = field(default_factory=lambda: [0, 0])
     aux_sent: bool = False
     coord_value: int | None = None
+
+
+class VoteTable:
+    """Column-wise BVAL/AUX quorum tallies: one column per binary instance.
+
+    A :class:`~repro.consensus.superblock.SuperBlockConsensus` owns one
+    table for the ``n`` instances of its chain index, so a run of votes
+    that differ only in their instance (a
+    :class:`~repro.consensus.messages.VoteRun`) is deduplicated with one
+    mask operation and counted with one list bump per instance.  A
+    standalone :class:`BinaryConsensus` owns a one-column table and feeds
+    it runs of one — the same code.
+
+    Only the instances a vote moves across a threshold are woken, and
+    they are woken as their counter moves, in the order the run lists
+    them: exactly where a vote-by-vote walk would have reacted.  That
+    matters because instances are coupled through their owner (a
+    decision may input 0 to a later instance of the same run, which then
+    reads its own — not yet bumped — counter).
+
+    Layout, chosen so that opening a round costs one allocation and a
+    (round, sender) one dict entry: a standalone instance owns a whole
+    table, and every container is one more object for the cyclic
+    collector to walk.  Per round, one flat counter list of four
+    ``columns``-wide fields: BVAL(0), BVAL(1), AUX(0), AUX(1) — distinct
+    senders counted, per column.  Per (round, sender), one integer of
+    three ``columns``-bit fields: the columns in which that sender's
+    BVAL(0), BVAL(1) and AUX (one per sender, whichever value) have been
+    counted — what keeps a Byzantine double vote from counting twice.
+    """
+
+    __slots__ = (
+        "n", "columns", "owners",
+        "_all", "_echo_at", "_bin_at", "_aux_at", "_counts", "_seen",
+    )
+
+    def __init__(self, *, n: int, f: int, columns: int):
+        self.n = n
+        self.columns = columns
+        #: column -> the instance reading it (set by BinaryConsensus)
+        self.owners: "list[BinaryConsensus | None]" = [None] * columns
+        self._all = (1 << columns) - 1
+        self._echo_at = f + 1
+        self._bin_at = 2 * f + 1
+        self._aux_at = n - f
+        self._counts: dict[int, list[int]] = {}  # round -> 4 fields of counters
+        self._seen: dict[tuple[int, int], int] = {}  # (round, sender) -> 3 fields of bits
+
+    # bval() and aux() are the two hottest functions of a committee run and
+    # also the whole of the single-vote path, so each spells out its own
+    # preamble instead of sharing one more call frame per run:
+    # * the sender must be a seat — an ``int`` in ``range(n)``; anything
+    #   else is nobody's vote (and must never size a ``1 << sender``);
+    # * columns at or past ``columns`` are unknown instances: masked off;
+    # * ``new`` is what the sender had not voted yet — the double-vote rule.
+
+    def bval(
+        self, r: int, value: int, sender: int, columns: tuple[int, ...], mask: int
+    ) -> None:
+        """Count ``BVAL(r, value)`` from ``sender`` in each of ``columns``
+        (``mask`` is their bitmask; ``value`` is exactly 0 or 1)."""
+        if type(sender) is not int or not 0 <= sender < self.n or r > MAX_ROUNDS:
+            return
+        field = value * self.columns  # BVAL(value)'s field, bits and counters alike
+        voted = self._seen.get((r, sender), 0)
+        new = mask & self._all & ~(voted >> field)
+        if not new:
+            return
+        self._seen[r, sender] = voted | new << field
+        counts = self._counts.get(r)
+        if counts is None:
+            counts = self._counts[r] = [0] * (4 * self.columns)
+        echo_at, bin_at = self._echo_at, self._bin_at
+        partial = new != mask
+        for col in columns:
+            if partial and not new >> col & 1:
+                continue
+            count = counts[field + col] = counts[field + col] + 1
+            # Exact crossings only: the flags _check_bval sets make every
+            # other call to it a no-op.
+            if count == echo_at or count == bin_at:
+                self.owners[col]._check_bval(r, value)
+
+    def aux(
+        self, r: int, value: int, sender: int, columns: tuple[int, ...], mask: int
+    ) -> None:
+        """Count ``AUX(r, value)`` from ``sender`` in each of ``columns``:
+        one AUX per sender, round and column, whichever its value."""
+        if type(sender) is not int or not 0 <= sender < self.n or r > MAX_ROUNDS:
+            return
+        width = self.columns
+        voted = self._seen.get((r, sender), 0)
+        new = mask & self._all & ~(voted >> 2 * width)
+        if not new:
+            return
+        self._seen[r, sender] = voted | new << 2 * width
+        counts = self._counts.get(r)
+        if counts is None:
+            counts = self._counts[r] = [0] * (4 * width)
+        field = (2 + value) * width
+        other = (3 - value) * width
+        aux_at = self._aux_at
+        partial = new != mask
+        for col in columns:
+            if partial and not new >> col & 1:
+                continue
+            count = counts[field + col] = counts[field + col] + 1
+            # Below n−f AUX in total the round cannot end, and an instance
+            # that left round r no longer reads r's tallies.  (No
+            # _maybe_send_aux here: whenever r is the current round,
+            # bin_values is non-empty and the node participates, the AUX
+            # has already gone out — _check_bval and _start_round see to it.)
+            if count + counts[other + col] >= aux_at:
+                owner = self.owners[col]
+                if owner.round == r:
+                    owner._try_advance(r)
+
+    def bval_count(self, r: int, value: int, col: int) -> int:
+        """Distinct senders whose ``BVAL(r, value)`` column ``col`` counted."""
+        counts = self._counts.get(r)
+        return counts[value * self.columns + col] if counts is not None else 0
+
+    def aux_counts(self, r: int, col: int) -> tuple[int, int]:
+        """Distinct senders whose ``AUX(r, 0)`` / ``AUX(r, 1)`` it counted."""
+        counts = self._counts.get(r)
+        if counts is None:
+            return 0, 0
+        width = self.columns
+        return counts[2 * width + col], counts[3 * width + col]
 
 
 class BinaryConsensus:
@@ -102,6 +227,7 @@ class BinaryConsensus:
         on_decide: Callable[[int, int], None],
         passive: bool = False,
         coin: str = "parity",
+        table: VoteTable | None = None,
     ):
         if not f < n / 3:
             raise ConsensusError(f"requires f < n/3 (n={n}, f={f})")
@@ -133,6 +259,18 @@ class BinaryConsensus:
         self._decided_round: int | None = None
         self._rounds: dict[int, _RoundState] = {}
         self._started = False
+        #: where the votes this instance hears are tallied: column
+        #: ``instance`` of the owning superblock's table, or — standalone —
+        #: the only column of a table of its own
+        if table is None:
+            table = VoteTable(n=n, f=f, columns=1)
+            self._col = 0
+        else:
+            self._col = instance
+        self._table = table
+        table.owners[self._col] = self
+        self._cols = (self._col,)
+        self._bit = 1 << self._col
 
     # -- public API -----------------------------------------------------------
 
@@ -163,37 +301,27 @@ class BinaryConsensus:
 
     def on_message(self, msg: ConsensusMessage) -> None:
         """Feed a BVAL/AUX/COORD message addressed to this instance."""
-        if msg.round > MAX_ROUNDS:
+        r = msg.round
+        if r > MAX_ROUNDS:
             return
-        state = self._rounds.get(msg.round)
-        if state is None:
-            state = self._rounds[msg.round] = _RoundState()
         kind = msg.kind
         if kind is _BVAL:
             value = int(msg.value)
-            if value not in (0, 1):
-                return  # Byzantine garbage
-            senders = state.bval_senders.get(value)
-            if senders is None:
-                senders = state.bval_senders[value] = set()
-            elif msg.sender in senders:
-                return  # duplicate vote
-            senders.add(msg.sender)
-            self._check_bval(msg.round, value, state)
+            if value in (0, 1):  # else Byzantine garbage
+                # a run of one: same tally code as a whole batch stretch
+                self._table.bval(r, value, msg.sender, self._cols, self._bit)
         elif kind is _AUX:
             value = int(msg.value)
-            if value not in (0, 1) or msg.sender in state.aux_senders:
-                return
-            state.aux_senders[msg.sender] = value
-            state.aux_counts[value] += 1
-            self._try_advance(msg.round, state)
+            if value in (0, 1):
+                self._table.aux(r, value, msg.sender, self._cols, self._bit)
         elif kind is _COORD:
-            coord = (msg.round - 1) % self.n
+            state = self._round_state(r)
+            coord = (r - 1) % self.n
             if msg.sender == coord and state.coord_value is None:
                 value = int(msg.value)
                 if value in (0, 1):
                     state.coord_value = value
-                    self._maybe_send_aux(msg.round)
+                    self._maybe_send_aux(r)
 
     # -- internals -----------------------------------------------------------
 
@@ -245,15 +373,15 @@ class BinaryConsensus:
             if self.est not in state.bval_echoed:
                 state.bval_echoed.add(self.est)
                 self._send(MsgKind.BVAL, self.round, self.est)
-        # BVALs may have arrived before we started this round.
-        for value in (0, 1):
-            self._check_bval(self.round, value)
+        # Votes may have arrived before we started this round.  Their echo
+        # and bin_values flags were set as each count crossed its threshold
+        # (_check_bval acts whatever the current round is); only the AUX,
+        # which waits for r == round, can be outstanding.
         self._try_advance(self.round)
 
-    def _check_bval(self, r: int, value: int, state: _RoundState | None = None) -> None:
-        if state is None:
-            state = self._round_state(r)
-        count = len(state.bval_senders.get(value, ()))
+    def _check_bval(self, r: int, value: int) -> None:
+        state = self._round_state(r)
+        count = self._table.bval_count(r, value, self._col)
         # Echo once f+1 distinct nodes back the value (amplification).
         if count >= self.f + 1 and value not in state.bval_echoed:
             state.bval_echoed.add(value)
@@ -289,13 +417,12 @@ class BinaryConsensus:
         bin_values = state.bin_values
         if not bin_values:
             return
-        # n−f AUX messages whose values are all in bin_values; the
-        # per-value tallies make this O(1) (it used to rebuild a dict of
-        # every valid vote on each AUX arrival — the single hottest line
-        # at committee scale).
-        counts = state.aux_counts
-        c0 = counts[0] if 0 in bin_values else 0
-        c1 = counts[1] if 1 in bin_values else 0
+        # n−f AUX messages whose values are all in bin_values
+        c0, c1 = self._table.aux_counts(r, self._col)
+        if 0 not in bin_values:
+            c0 = 0
+        if 1 not in bin_values:
+            c1 = 0
         if c0 + c1 < self.n - self.f:
             return
         coin = self._coin(r)

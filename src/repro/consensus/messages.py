@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 #: fixed per-message envelope: kind + index + instance + round + sender + auth
 BASE_MESSAGE_BYTES = 64
@@ -78,6 +78,108 @@ class ConsensusMessage:
         return BASE_MESSAGE_BYTES + _payload_size(self.value)
 
 
+#: Instance ids at or above this never fold into a :class:`VoteRun`: a
+#: run carries ``1 << instance`` bits, and an id picked by a Byzantine
+#: sender must not size that integer.  Far above any committee here
+#: (Table I runs 200 validators); larger ids stay single constituents.
+RUN_INSTANCE_LIMIT = 4096
+
+
+class VoteRun(NamedTuple):
+    """A stretch of consecutive batch constituents a receiver tallies at once.
+
+    Two shapes, told apart by ``kind``:
+
+    * ``BVAL`` / ``AUX`` — constituents equal in (kind, index, round,
+      value, sender) that differ only in their binary instance.
+      ``instances`` lists the instances in emission order, each at most
+      once, ``mask`` has bit ``i`` set for every instance ``i``, and
+      ``value`` is exactly ``0`` or ``1``.
+    * ``None`` — RBC ``ECHO`` / ``READY`` constituents of one (index,
+      sender), kinds and slots mixed as emitted; the receiver walks
+      ``messages``.
+
+    ``messages`` is the stretch itself, so flattening a batch's runs
+    gives back its constituents exactly and in order.
+    """
+
+    kind: "MsgKind | None"
+    index: int
+    sender: int
+    messages: "tuple[ConsensusMessage, ...]"
+    round: int = 0
+    value: int = 0
+    instances: "tuple[int, ...]" = ()
+    mask: int = 0
+
+
+def _run_key(msg: ConsensusMessage) -> "tuple | None":
+    """What neighbouring constituents must share to fold into one run, or
+    ``None`` for a constituent that stays single.  Exact ``int`` types
+    only: ``1 == 1.0 == True`` must not merge votes that the tallies and
+    the echoed messages would tell apart."""
+    kind = msg.kind
+    if type(msg.index) is not int or type(msg.sender) is not int:
+        return None
+    if kind is MsgKind.BVAL or kind is MsgKind.AUX:
+        value, instance = msg.value, msg.instance
+        if (
+            type(value) is int
+            and (value == 0 or value == 1)
+            and type(msg.round) is int
+            and type(instance) is int
+            and 0 <= instance < RUN_INSTANCE_LIMIT
+        ):
+            return (kind, msg.index, msg.round, value, msg.sender)
+    elif kind is MsgKind.RBC_ECHO or kind is MsgKind.RBC_READY:
+        return (None, msg.index, msg.sender)
+    return None
+
+
+def _fold_runs(
+    messages: "tuple[ConsensusMessage, ...]",
+) -> "tuple[ConsensusMessage | VoteRun, ...]":
+    """Fold each maximal stretch of *consecutive* like votes into a run.
+
+    Never regroups across an intervening constituent: slots are coupled
+    (n−f slots decided 1 → vote 0 on every slot without input), so the
+    order of RBC deliveries relative to DBFT decisions is observable and
+    receivers must see votes in emission order.
+    """
+    keys = [_run_key(m) for m in messages]
+    out: "list[ConsensusMessage | VoteRun]" = []
+    total = len(messages)
+    start = 0
+    while start < total:
+        first = messages[start]
+        key = keys[start]
+        end = start + 1
+        if key is None:
+            out.append(first)
+        elif key[0] is None:
+            while end < total and keys[end] == key:
+                end += 1
+            out.append(VoteRun(None, first.index, first.sender, messages[start:end]))
+        else:
+            instances = [first.instance]
+            mask = 1 << first.instance
+            while end < total and keys[end] == key:
+                instance = messages[end].instance
+                if mask >> instance & 1:
+                    break  # a run holds one vote per instance
+                instances.append(instance)
+                mask |= 1 << instance
+                end += 1
+            out.append(
+                VoteRun(
+                    first.kind, first.index, first.sender, messages[start:end],
+                    first.round, first.value, tuple(instances), mask,
+                )
+            )
+        start = end
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class ConsensusBatch:
     """Coalesced consensus traffic: every vote one node emitted in one tick.
@@ -106,6 +208,19 @@ class ConsensusBatch:
 
     def __iter__(self) -> "Iterator[ConsensusMessage]":
         return iter(self.messages)
+
+    def runs(self) -> "tuple[ConsensusMessage | VoteRun, ...]":
+        """The constituents in emission order with every stretch of like
+        votes folded into one :class:`VoteRun` — what receivers iterate.
+
+        Derived once: every receiver of a broadcast is handed this same
+        batch object.  Wire sizes are still computed from ``messages``.
+        """
+        cached = self.__dict__.get("_runs")
+        if cached is None:
+            cached = _fold_runs(self.messages)
+            object.__setattr__(self, "_runs", cached)
+        return cached
 
     def approx_size(self) -> int:
         """Wire size: one shared envelope + compact per-vote records."""

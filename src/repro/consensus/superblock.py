@@ -29,8 +29,8 @@ from typing import Any, Callable
 from repro import telemetry
 from repro.telemetry import lifecycle
 from repro.consensus.broadcast import ReliableBroadcast
-from repro.consensus.dbft import BinaryConsensus
-from repro.consensus.messages import ConsensusMessage, MsgKind
+from repro.consensus.dbft import BinaryConsensus, VoteTable
+from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun
 from repro.core.block import Block, SuperBlock
 from repro.errors import ConsensusError
 
@@ -119,11 +119,13 @@ class SuperBlockConsensus:
             broadcast=broadcast, on_deliver=self._on_rbc_deliver,
             passive=passive,
         )
+        #: the BVAL/AUX tallies of all n binary instances, one column each
+        self.votes = VoteTable(n=n, f=f, columns=n)
         self.instances = {
             i: BinaryConsensus(
                 n=n, f=f, my_id=my_id, index=index, instance=i,
                 broadcast=broadcast, on_decide=self._on_decide,
-                passive=passive,
+                passive=passive, table=self.votes,
             )
             for i in range(n)
         }
@@ -169,8 +171,11 @@ class SuperBlockConsensus:
             # callers unpack earlier so they can route across indexes.
             if record:
                 record_wire_kind(msg.kind)
-            for constituent in msg.value:
-                self.on_message(constituent, record=False)
+            for item in msg.value.runs():
+                if type(item) is VoteRun:
+                    self.on_run(item)
+                else:
+                    self.on_message(item, record=False)
             return
         if msg.index != self.index:
             return
@@ -191,8 +196,9 @@ class SuperBlockConsensus:
         """Uncounted fast path for batch constituents.
 
         Equivalent to ``on_message(msg, record=False)`` with the counting
-        and keyword plumbing stripped: the vote-batch unpack loop calls
-        this millions of times per committee-scale run.
+        and keyword plumbing stripped — for the constituents of a batch
+        that do not fold into a :class:`VoteRun` (those go to
+        :meth:`on_run`).
         """
         kind = msg.kind
         if kind is MsgKind.BVAL or kind is MsgKind.AUX or kind is MsgKind.COORD:
@@ -202,8 +208,7 @@ class SuperBlockConsensus:
             if instance is not None:
                 instance.on_message(msg)
         elif kind is MsgKind.BATCH:
-            for constituent in msg.value:
-                self.on_constituent(constituent)
+            self.on_message(msg, record=False)  # by the run, uncounted
         elif msg.index != self.index:
             return
         elif kind in _RBC_KINDS:
@@ -212,6 +217,18 @@ class SuperBlockConsensus:
             instance = self.instances.get(msg.instance)
             if instance is not None:
                 instance.on_message(msg)
+
+    def on_run(self, run: VoteRun) -> None:
+        """Tally one stretch of like votes from a batch in a single call."""
+        if run.index != self.index:
+            return
+        kind = run.kind
+        if kind is MsgKind.BVAL:
+            self.votes.bval(run.round, run.value, run.sender, run.instances, run.mask)
+        elif kind is MsgKind.AUX:
+            self.votes.aux(run.round, run.value, run.sender, run.instances, run.mask)
+        else:
+            self.rbc.on_votes(run.messages, run.sender)
 
     # -- callbacks -----------------------------------------------------------------
 

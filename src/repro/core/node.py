@@ -38,7 +38,7 @@ from repro.core.transaction import Transaction, make_invoke
 from repro.core.txpool import TxPool
 from repro.core.validation import eager_validate
 from repro.consensus.batching import VoteBatcher
-from repro.consensus.messages import ConsensusMessage, MsgKind
+from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun
 from repro.consensus.superblock import SuperBlockConsensus, record_wire_kind
 from repro.crypto.keys import KeyPair
 from repro.faults.watchdog import LivenessWatchdog
@@ -603,15 +603,22 @@ class ValidatorNode:
                     and not self._recovering
                     and not self._catchup_floor
                 ):
-                    # Steady state on the base node class: skip the
-                    # per-constituent dispatch/admission call frames —
-                    # this loop is the hottest code in a committee run.
+                    # Steady state on the base node class: one call per
+                    # run of like votes (ConsensusBatch.runs), skipping the
+                    # dispatch/admission call frames — this loop is the
+                    # hottest code in a committee run.
                     consensus_map = self._consensus
-                    for constituent in cmsg.value:
-                        consensus = consensus_map.get(constituent.index)
+                    wire_sender = msg.sender
+                    for item in cmsg.value.runs():
+                        if item.sender != wire_sender:
+                            continue  # a vote speaks only for its own seat
+                        consensus = consensus_map.get(item.index)
                         if consensus is None:
-                            consensus = self._consensus_for(constituent.index)
-                        consensus.on_constituent(constituent)
+                            consensus = self._consensus_for(item.index)
+                        if type(item) is VoteRun:
+                            consensus.on_run(item)
+                        else:
+                            consensus.on_constituent(item)
                 else:
                     for constituent in cmsg.value:
                         self._dispatch_consensus(
@@ -662,10 +669,12 @@ class ValidatorNode:
         authenticate logical senders against committee slots (epochs)
         override this and check each batch constituent individually.
         """
+        if cmsg.sender != wire_sender:
+            # On the base node a seat's logical id is its node id: a vote
+            # speaks only for the seat whose link it arrived on.
+            return
         # Fast path for the steady state (no recovery in progress): skip
-        # the admission gate's per-constituent call and the _consensus_for
-        # membership test — at committee scale this dispatch runs tens of
-        # millions of times per run.
+        # the admission gate's call and the _consensus_for membership test.
         if not self._recovering and not self._catchup_floor:
             consensus = self._consensus.get(cmsg.index)
             if consensus is None:

@@ -152,12 +152,25 @@ class TestByzantineResilience:
         # check that repeated votes from ONE sender never reach quorum.
         node = cluster.nodes[0]
         node.propose(0)
+
+        def sent(kind, value):
+            return [m for m in cluster.queue if m.kind is kind and m.value == value]
+
         for _ in range(10):
             node.on_message(ConsensusMessage(
                 kind=MsgKind.BVAL, index=0, instance=0, round=1, value=1, sender=3
             ))
-        state = node._round_state(1)
-        assert len(state.bval_senders.get(1, ())) == 1
+        # One distinct sender however often it repeats: below f+1 = 2, so
+        # no echo, and far below 2f+1 = 3, so 1 never reaches bin_values
+        # (an AUX would follow at once).
+        assert not sent(MsgKind.BVAL, 1)
+        assert not sent(MsgKind.AUX, 1)
+        # ...whereas one vote from a *second* sender is f+1 and does echo.
+        node.on_message(ConsensusMessage(
+            kind=MsgKind.BVAL, index=0, instance=0, round=1, value=1, sender=2
+        ))
+        assert len(sent(MsgKind.BVAL, 1)) == 1
+        assert not sent(MsgKind.AUX, 1)
 
 
 class TestInputValidation:
