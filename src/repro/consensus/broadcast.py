@@ -58,10 +58,7 @@ class ReliableBroadcast:
         index: int,
         broadcast: Callable[[ConsensusMessage], None],
         on_deliver: Callable[[int, Any], None],
-        passive: bool = False,
     ):
-        #: passive observers count echoes/readies and deliver, never send
-        self.passive = passive
         self.n = n
         self.f = f
         self.my_id = my_id
@@ -82,8 +79,6 @@ class ReliableBroadcast:
         return slot
 
     def _send(self, kind: MsgKind, instance: int, value: Any) -> None:
-        if self.passive:
-            return
         self.sink(
             ConsensusMessage(
                 kind=kind,

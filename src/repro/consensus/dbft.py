@@ -225,7 +225,6 @@ class BinaryConsensus:
         instance: int,
         broadcast: Callable[[ConsensusMessage], None],
         on_decide: Callable[[int, int], None],
-        passive: bool = False,
         coin: str = "parity",
         table: VoteTable | None = None,
     ):
@@ -238,9 +237,6 @@ class BinaryConsensus:
         #: derived from (index, instance, round) — harder for a schedule
         #: adversary to predict rounds ahead, same agreement proof)
         self.coin = coin
-        #: passive observers track thresholds and decide, but never send —
-        #: how non-committee full nodes stay in sync under reconfiguration
-        self.passive = passive
         self.n = n
         self.f = f
         self.my_id = my_id
@@ -278,20 +274,10 @@ class BinaryConsensus:
         """Input this node's estimate (0 or 1); idempotent."""
         if value not in (0, 1):
             raise ConsensusError(f"binary value required, got {value!r}")
-        if self.passive:
-            raise ConsensusError("passive observers cannot propose")
         if self._started:
             return
         self._started = True
         self.est = value
-        self.round = 1
-        self._start_round()
-
-    def observe(self) -> None:
-        """Start tracking as a passive observer (no input, no messages)."""
-        if self._started:
-            return
-        self._started = True
         self.round = 1
         self._start_round()
 
@@ -339,8 +325,6 @@ class BinaryConsensus:
         return self.round <= self._decided_round + GRACE_ROUNDS
 
     def _send(self, kind: MsgKind, round_: int, value: int) -> None:
-        if self.passive:
-            return
         self.sink(
             ConsensusMessage(
                 kind=kind,
@@ -364,15 +348,14 @@ class BinaryConsensus:
                 f"binary consensus exceeded {MAX_ROUNDS} rounds "
                 f"(index={self.index}, instance={self.instance})"
             )
-        if not self.passive:
-            assert self.est is not None
-            coord = (self.round - 1) % self.n
-            if self.my_id == coord:
-                self._send(MsgKind.COORD, self.round, self.est)
-            state = self._round_state(self.round)
-            if self.est not in state.bval_echoed:
-                state.bval_echoed.add(self.est)
-                self._send(MsgKind.BVAL, self.round, self.est)
+        assert self.est is not None
+        coord = (self.round - 1) % self.n
+        if self.my_id == coord:
+            self._send(MsgKind.COORD, self.round, self.est)
+        state = self._round_state(self.round)
+        if self.est not in state.bval_echoed:
+            state.bval_echoed.add(self.est)
+            self._send(MsgKind.BVAL, self.round, self.est)
         # Votes may have arrived before we started this round.  Their echo
         # and bin_values flags were set as each count crossed its threshold
         # (_check_bval acts whatever the current round is); only the AUX,

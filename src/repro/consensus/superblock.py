@@ -32,7 +32,6 @@ from repro.consensus.broadcast import ReliableBroadcast
 from repro.consensus.dbft import BinaryConsensus, VoteTable
 from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun
 from repro.core.block import Block, SuperBlock
-from repro.errors import ConsensusError
 
 _RBC_KINDS = (MsgKind.RBC_SEND, MsgKind.RBC_ECHO, MsgKind.RBC_READY)
 
@@ -68,8 +67,8 @@ def record_wire_kind(kind: MsgKind) -> None:
 
     ``srbb_consensus_messages_total`` counts what actually crossed the
     wire: a vote batch increments the ``BATCH`` child once, and its
-    constituents — delivered with ``record=False`` — are not re-counted
-    (that is precisely the reduction the batching headline measures).
+    constituents are not re-counted (that is precisely the reduction the
+    batching headline measures).
     """
     _metrics().by_kind[kind].inc()
 
@@ -88,11 +87,7 @@ class SuperBlockConsensus:
         on_superblock: Callable[[SuperBlock], None],
         validate_header: Callable[[Block], bool] | None = None,
         on_undecided_block: Callable[[Block], None] | None = None,
-        passive: bool = False,
     ):
-        #: passive observation: track every threshold, send nothing —
-        #: full nodes outside the epoch's committee stay in lock-step
-        self.passive = passive
         self.n = n
         self.f = f
         self.my_id = my_id
@@ -109,6 +104,9 @@ class SuperBlockConsensus:
         self.proposals: dict[int, Block] = {}
         self.decisions: dict[int, int] = {}
         self._ones = 0  # running count of decided-1 slots (close-round rule)
+        #: latched once the close-round rule has walked every slot: from
+        #: then on every instance has an input and the walk finds nothing
+        self._closed = False
         self.finished = False
         self.superblock: SuperBlock | None = None
         #: proposals RBC-delivered but with invalid headers (discarded)
@@ -117,7 +115,6 @@ class SuperBlockConsensus:
         self.rbc = ReliableBroadcast(
             n=n, f=f, my_id=my_id, index=index,
             broadcast=broadcast, on_deliver=self._on_rbc_deliver,
-            passive=passive,
         )
         #: the BVAL/AUX tallies of all n binary instances, one column each
         self.votes = VoteTable(n=n, f=f, columns=n)
@@ -125,26 +122,19 @@ class SuperBlockConsensus:
             i: BinaryConsensus(
                 n=n, f=f, my_id=my_id, index=index, instance=i,
                 broadcast=broadcast, on_decide=self._on_decide,
-                passive=passive, table=self.votes,
+                table=self.votes,
             )
             for i in range(n)
         }
-        if passive:
-            for instance in self.instances.values():
-                instance.observe()
 
     # -- inputs -------------------------------------------------------------------
 
     def propose(self, block: Block) -> None:
         """Submit this node's own proposal for the round."""
-        if self.passive:
-            raise ConsensusError("passive observers cannot propose blocks")
         self.rbc.broadcast_payload(block)
 
     def timeout_silent_proposers(self) -> None:
         """Safety net: give 0 to every slot whose proposal never arrived."""
-        if self.passive:
-            return
         for i, instance in self.instances.items():
             if not instance.has_input:
                 instance.propose(0)
@@ -153,35 +143,34 @@ class SuperBlockConsensus:
         """Input 0 for one slot right away, without waiting for the round
         timeout — used for RPM-excluded proposers whose traffic correct
         nodes no longer accept (``ProtocolParams.rpm_exclude_comms``)."""
-        if self.passive:
-            return
         instance = self.instances.get(instance_id)
         if instance is not None and not instance.has_input:
             instance.propose(0)
 
-    def on_message(self, msg: ConsensusMessage, *, record: bool = True) -> None:
-        """Feed one consensus message (or a whole vote batch) to this index.
+    def on_message(self, msg: ConsensusMessage) -> None:
+        """Feed one consensus *wire* message (a vote batch included) to
+        this index: count its kind, then route it."""
+        record_wire_kind(msg.kind)
+        self.on_constituent(msg)
 
-        ``record=False`` skips the wire-message counter — used for batch
-        constituents, whose *batch* was already counted once.
+    def on_constituent(self, msg: ConsensusMessage) -> None:
+        """Route one message to its RBC slot or binary instance, uncounted.
+
+        This is where callers that already counted the wire message hand
+        over what it carried; a batch is walked by the run, in emission
+        order (node-level callers unpack earlier, to route across
+        indexes).
         """
-        if msg.kind is MsgKind.BATCH:
-            # Standalone users (tests, single-index harnesses) may loop a
-            # batch straight back in; unpack in emission order.  Node-level
-            # callers unpack earlier so they can route across indexes.
-            if record:
-                record_wire_kind(msg.kind)
+        kind = msg.kind
+        if kind is MsgKind.BATCH:
             for item in msg.value.runs():
                 if type(item) is VoteRun:
                     self.on_run(item)
                 else:
-                    self.on_message(item, record=False)
+                    self.on_constituent(item)
+        elif msg.index != self.index:
             return
-        if msg.index != self.index:
-            return
-        if record:
-            _metrics().by_kind[msg.kind].inc()
-        if msg.kind in _RBC_KINDS:
+        elif kind in _RBC_KINDS:
             self.rbc.on_message(msg)
         else:
             instance = self.instances.get(msg.instance)
@@ -190,32 +179,6 @@ class SuperBlockConsensus:
                 # complete the round happen inside _on_decide/_on_rbc_deliver,
                 # and both already end with _check_done — calling it per
                 # constituent was pure overhead at committee scale.
-                instance.on_message(msg)
-
-    def on_constituent(self, msg: ConsensusMessage) -> None:
-        """Uncounted fast path for batch constituents.
-
-        Equivalent to ``on_message(msg, record=False)`` with the counting
-        and keyword plumbing stripped — for the constituents of a batch
-        that do not fold into a :class:`VoteRun` (those go to
-        :meth:`on_run`).
-        """
-        kind = msg.kind
-        if kind is MsgKind.BVAL or kind is MsgKind.AUX or kind is MsgKind.COORD:
-            if msg.index != self.index:
-                return
-            instance = self.instances.get(msg.instance)
-            if instance is not None:
-                instance.on_message(msg)
-        elif kind is MsgKind.BATCH:
-            self.on_message(msg, record=False)  # by the run, uncounted
-        elif msg.index != self.index:
-            return
-        elif kind in _RBC_KINDS:
-            self.rbc.on_message(msg)
-        else:
-            instance = self.instances.get(msg.instance)
-            if instance is not None:
                 instance.on_message(msg)
 
     def on_run(self, run: VoteRun) -> None:
@@ -233,9 +196,9 @@ class SuperBlockConsensus:
     # -- callbacks -----------------------------------------------------------------
 
     def _vote(self, instance_id: int, value: int) -> None:
-        """Input a vote unless observing or already input."""
+        """Input a vote unless already input."""
         instance = self.instances[instance_id]
-        if not self.passive and not instance.has_input:
+        if not instance.has_input:
             instance.propose(value)
 
     def _on_rbc_deliver(self, instance_id: int, payload: Any) -> None:
@@ -278,12 +241,14 @@ class SuperBlockConsensus:
         self.decisions[instance_id] = value
         if value == 1:
             self._ones += 1
-        if value == 1 and not self.passive:
-            if self._ones >= self.n - self.f:
+            if self._ones >= self.n - self.f and not self._closed:
                 # RBBC rule: enough proposals are in — close the round by
-                # voting 0 on everything still undecided on our side.
+                # voting 0 on everything still undecided on our side.  The
+                # latch is set only after a complete walk, so a decision
+                # nested inside this one still walks as it always did.
                 for i in self.instances:
                     self._vote(i, 0)
+                self._closed = True
         self._check_done()
 
     # -- completion -----------------------------------------------------------------

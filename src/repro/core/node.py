@@ -25,12 +25,12 @@ for nonce staleness or duplicates.
 from __future__ import annotations
 
 import logging
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro import params, telemetry
 from repro.telemetry import lifecycle, profiling
 from repro.core.block import Block, SuperBlock, make_block
-from repro.core.blockchain import Blockchain
+from repro.core.blockchain import Blockchain, CommitResult
 from repro.core.catchup import CatchupRequest, CatchupResponse, DecidedJournal
 from repro.core.receipts import ReceiptStore
 from repro.core.rpm import RPMContract, certificate_payload, report_payload
@@ -66,7 +66,7 @@ CONSENSUS_KIND = "consensus"
 CATCHUP_REQ_KIND = "catchup-req"
 CATCHUP_RESP_KIND = "catchup-resp"
 
-#: cap on consensus messages buffered while a restarted node catches up
+#: cap on consensus votes buffered while a restarted node catches up
 CATCHUP_BUFFER_LIMIT = 10_000
 
 logger = logging.getLogger("repro.core.node")
@@ -240,8 +240,10 @@ class ValidatorNode:
         #: catch-up replay covers them (0 for never-crashed nodes, so the
         #: deliberate no-staleness-filter below is untouched)
         self._catchup_floor = 0
-        #: consensus traffic received mid-recovery, replayed once converged
-        self._catchup_buffer: "list[tuple[ConsensusMessage, int, bool]]" = []
+        #: consensus traffic received mid-recovery — (item, wire sender)
+        #: pairs, replayed once converged — and the votes it holds
+        self._catchup_buffer: "list[tuple[ConsensusMessage | VoteRun, int]]" = []
+        self._catchup_buffered_votes = 0
         self.last_commit_time = 0.0
         #: stall detector (chaos runs only): flags a wedged node and nudges
         #: recovery by re-broadcasting the catch-up request
@@ -345,6 +347,7 @@ class ValidatorNode:
         self._rpm_nonce = None
         self._recovering = False
         self._catchup_buffer.clear()
+        self._catchup_buffered_votes = 0
         if self.watchdog is not None:
             self.watchdog.stop()
         telemetry.event(
@@ -584,48 +587,13 @@ class ValidatorNode:
                 )
                 if probe.index > self._max_consensus_index_seen:
                     self._max_consensus_index_seen = probe.index
-            # NO staleness filter, deliberately: a node that already
-            # committed index k must keep serving k's traffic — RBC
-            # totality needs the ECHO/READY exchange to finish (late
-            # undecided blocks recycle), and laggards still deciding k
-            # need the grace-round BVAL/AUX help of early deciders.
-            # Filtering either class deadlocks a lagging replica (see
-            # tests/integration/test_late_delivery.py and
-            # tests/diablo/test_runner.py histories).
-            if cmsg.kind is MsgKind.BATCH:
-                # One wire message, many votes: count the batch once, then
-                # feed constituents to their (index, instance) in emission
-                # order.  Constituents may span chain indexes.
-                record_wire_kind(MsgKind.BATCH)
-                if (
-                    type(self)._dispatch_consensus
-                    is ValidatorNode._dispatch_consensus
-                    and not self._recovering
-                    and not self._catchup_floor
-                ):
-                    # Steady state on the base node class: one call per
-                    # run of like votes (ConsensusBatch.runs), skipping the
-                    # dispatch/admission call frames — this loop is the
-                    # hottest code in a committee run.
-                    consensus_map = self._consensus
-                    wire_sender = msg.sender
-                    for item in cmsg.value.runs():
-                        if item.sender != wire_sender:
-                            continue  # a vote speaks only for its own seat
-                        consensus = consensus_map.get(item.index)
-                        if consensus is None:
-                            consensus = self._consensus_for(item.index)
-                        if type(item) is VoteRun:
-                            consensus.on_run(item)
-                        else:
-                            consensus.on_constituent(item)
-                else:
-                    for constituent in cmsg.value:
-                        self._dispatch_consensus(
-                            constituent, msg.sender, record=False
-                        )
-            else:
-                self._dispatch_consensus(cmsg, msg.sender)
+            # One wire message, however many votes it carries, counts
+            # once; a batch is fed by the run, a lone message as itself.
+            record_wire_kind(cmsg.kind)
+            self._ingest_consensus(
+                cmsg.value.runs() if cmsg.kind is MsgKind.BATCH else (cmsg,),
+                msg.sender,
+            )
         elif msg.kind == GossipLayer.KIND:
             self.gossip.handle(msg)
         elif msg.kind == TX_KIND:
@@ -635,58 +603,59 @@ class ValidatorNode:
         elif msg.kind == CATCHUP_RESP_KIND:
             self._absorb_catchup(msg.payload)
 
-    def _admit_consensus(
-        self, cmsg: ConsensusMessage, wire_sender: int, *, record: bool
-    ) -> bool:
-        """Crash–recovery gate in front of consensus dispatch.
-
-        While a restarted node is still catching up it must not open
-        fresh consensus instances for indices that are mid-flight — it
-        would first have to decide where its chain ends, which is exactly
-        what the catch-up is determining.  Constituents (batched or not)
-        referencing indices at or past the restart frontier are
-        *buffered* and replayed once recovery converges; traffic for
-        indices the pre-crash incarnation already committed is covered by
-        the journal replay and dropped.  For a never-crashed node the
-        floor is 0 and recovery is off, so this is a no-op and the
-        deliberate no-staleness-filter above keeps serving lagging
-        replicas.
-        """
-        if cmsg.index < self._catchup_floor:
-            return False
-        if self._recovering:
-            if len(self._catchup_buffer) < CATCHUP_BUFFER_LIMIT:
-                self._catchup_buffer.append((cmsg, wire_sender, record))
-            return False
-        return True
-
-    def _dispatch_consensus(
-        self, cmsg: ConsensusMessage, wire_sender: int, *, record: bool = True
+    def _ingest_consensus(
+        self, items: "Iterable[ConsensusMessage | VoteRun]", wire_sender: int
     ) -> None:
-        """Route one (unpacked) consensus message to its chain index.
+        """The one way consensus traffic reaches a chain index.
 
-        ``wire_sender`` is the transport-level sender — subclasses that
-        authenticate logical senders against committee slots (epochs)
-        override this and check each batch constituent individually.
+        ``items`` are the constituents of one wire message in emission
+        order, like votes folded into runs (``ConsensusBatch.runs()``; a
+        lone message is a run of one) and possibly spanning chain indexes.
+        This loop is the hottest code in a committee run.  Each item
+        passes, in order:
+
+        * the seat check — a seat's logical id is its node id, so a vote
+          speaks only for the seat whose link (``wire_sender``) carried it;
+        * the restart floor — indices the pre-crash incarnation already
+          committed are covered by the journal replay and dropped.  For a
+          never-crashed node the floor is 0: NO staleness filter,
+          deliberately.  A node that already committed index k must keep
+          serving k's traffic — RBC totality needs the ECHO/READY exchange
+          to finish (late undecided blocks recycle), and laggards still
+          deciding k need the grace-round BVAL/AUX help of early deciders.
+          Filtering either class deadlocks a lagging replica (see
+          tests/integration/test_late_delivery.py and
+          tests/diablo/test_runner.py histories);
+        * the recovery buffer — while a restarted node is still catching
+          up it must not open fresh consensus instances for indices that
+          are mid-flight (it would first have to decide where its chain
+          ends, which is exactly what the catch-up is determining), so
+          items are held, up to ``CATCHUP_BUFFER_LIMIT`` votes, and come
+          back through here once recovery converges.
         """
-        if cmsg.sender != wire_sender:
-            # On the base node a seat's logical id is its node id: a vote
-            # speaks only for the seat whose link it arrived on.
-            return
-        # Fast path for the steady state (no recovery in progress): skip
-        # the admission gate's call and the _consensus_for membership test.
-        if not self._recovering and not self._catchup_floor:
-            consensus = self._consensus.get(cmsg.index)
+        consensus_map = self._consensus
+        floor = self._catchup_floor
+        recovering = self._recovering
+        for item in items:
+            if item.sender != wire_sender:
+                continue
+            index = item.index
+            if floor and index < floor:
+                continue
+            is_run = type(item) is VoteRun
+            if recovering:
+                votes = len(item.messages) if is_run else 1
+                if self._catchup_buffered_votes + votes <= CATCHUP_BUFFER_LIMIT:
+                    self._catchup_buffered_votes += votes
+                    self._catchup_buffer.append((item, wire_sender))
+                continue
+            consensus = consensus_map.get(index)
             if consensus is None:
-                consensus = self._consensus_for(cmsg.index)
-            if record:
-                consensus.on_message(cmsg)
+                consensus = self._consensus_for(index)
+            if is_run:
+                consensus.on_run(item)
             else:
-                consensus.on_constituent(cmsg)
-            return
-        if not self._admit_consensus(cmsg, wire_sender, record=record):
-            return
-        self._consensus_for(cmsg.index).on_message(cmsg, record=record)
+                consensus.on_constituent(item)
 
     # -- decision & commit (Alg. 1 lines 18-31) ------------------------------------------------
 
@@ -697,7 +666,11 @@ class ValidatorNode:
             self._commit(sb)
             self._next_commit_index += 1
 
-    def _commit(self, superblock: SuperBlock) -> None:
+    def _apply_superblock(self, superblock: SuperBlock) -> CommitResult:
+        """Apply one decided superblock to the durable state — commit,
+        journal, stats, receipts, lifecycle stamps, pool prune — whether it
+        was decided here (:meth:`_commit`) or replayed from a peer's
+        journal (:meth:`_absorb_catchup`)."""
         result = self.blockchain.commit_superblock(
             superblock,
             now=self.sim.now,
@@ -711,6 +684,24 @@ class ValidatorNode:
         self.stats.superblocks_committed += 1
         self.stats.txs_committed += len(result.committed)
         self.stats.txs_discarded += len(result.discarded)
+
+        # Index receipts for client confirmation queries (§VI receipts).
+        receipts_by_hash = {r.tx_hash: r for r in result.receipts if r.success}
+        for appended in result.appended_blocks:
+            self.receipts.record_block(
+                appended, receipts_by_hash, commit_time=self.sim.now
+            )
+        self._stamp_committed(superblock.index, result, receipts_by_hash)
+
+        # Drop any pool copies of committed transactions.
+        self.pool.remove_hashes({tx.tx_hash for tx in result.committed})
+        return result
+
+    def _commit(self, superblock: SuperBlock) -> None:
+        """The live path: apply, then everything a replay must not repeat
+        — RPM invocations (peers attested while we were down), exclusion
+        refresh, recycling and the next round's scheduling."""
+        result = self._apply_superblock(superblock)
         processed = len(result.committed) + len(result.discarded)
         telemetry.event(
             "node.commit",
@@ -728,17 +719,6 @@ class ValidatorNode:
             self.node_id, superblock.index,
             len(result.committed), len(result.discarded),
         )
-
-        # Index receipts for client confirmation queries (§VI receipts).
-        receipts_by_hash = {r.tx_hash: r for r in result.receipts if r.success}
-        for appended in result.appended_blocks:
-            self.receipts.record_block(
-                appended, receipts_by_hash, commit_time=self.sim.now
-            )
-        self._stamp_committed(superblock.index, result, receipts_by_hash)
-
-        # Drop any pool copies of committed transactions.
-        self.pool.remove_hashes({tx.tx_hash for tx in result.committed})
 
         # Alg. 1 lines 27-31: recycle transactions from undecided blocks ℂ.
         # (Blocks RBC-delivered after this point recycle via the
@@ -847,12 +827,13 @@ class ValidatorNode:
 
         Replay runs the deterministic commit loop so the chain keeps the
         exact block hashes peers have (safety checks compare prefixes),
-        with RPM invocations skipped — the node must not re-attest blocks
-        its peers attested while it was down.  A recovering node finishes
-        recovery once its frontier reaches the responder's and the
-        responder's snapshot-verified state root matches its own; a
-        tampered snapshot or diverging root rejects the response (one
-        honest responder eventually converges us).
+        with RPM invocations, exclusion refresh and round scheduling
+        skipped (done once at the end of recovery) — the node must not
+        re-attest blocks its peers attested while it was down.  A
+        recovering node finishes recovery once its frontier reaches the
+        responder's and the responder's snapshot-verified state root
+        matches its own; a tampered snapshot or diverging root rejects the
+        response (one honest responder eventually converges us).
         """
         if self.crashed:
             return
@@ -879,7 +860,8 @@ class ValidatorNode:
         for superblock in resp.superblocks:
             if superblock.index != self._next_commit_index:
                 continue  # already applied (racing responses) or future gap
-            self._apply_catchup_superblock(superblock)
+            self._apply_superblock(superblock)
+            self._next_commit_index += 1
             applied += 1
         if self._recovering:
             if self._next_commit_index == resp.next_index:
@@ -914,43 +896,18 @@ class ValidatorNode:
                 self._next_propose_index = next_index
             self._schedule(self.round_interval, self._start_round, next_index)
 
-    def _apply_catchup_superblock(self, superblock: SuperBlock) -> None:
-        """Commit one replayed superblock: the `_commit` path minus RPM,
-        exclusions refresh and round scheduling (done once at the end of
-        recovery), so replay is fast and side-effect-free."""
-        result = self.blockchain.commit_superblock(
-            superblock,
-            now=self.sim.now,
-            coinbase_of=self.coinbase_of,
-            exec_rate=self.execution_rate,
-        )
-        self.journal.record(superblock)
-        self.last_commit_time = self.sim.now
-        if self.watchdog is not None:
-            self.watchdog.notify_commit()
-        self.stats.superblocks_committed += 1
-        self.stats.txs_committed += len(result.committed)
-        self.stats.txs_discarded += len(result.discarded)
-        receipts_by_hash = {r.tx_hash: r for r in result.receipts if r.success}
-        for appended in result.appended_blocks:
-            self.receipts.record_block(
-                appended, receipts_by_hash, commit_time=self.sim.now
-            )
-        self._stamp_committed(superblock.index, result, receipts_by_hash)
-        self.pool.remove_hashes({tx.tx_hash for tx in result.committed})
-        self._next_commit_index += 1
-
     def _finish_recovery(self) -> None:
         """Converged with a peer: leave recovery and rejoin consensus."""
         self._recovering = False
         self._refresh_exclusions()
         buffered, self._catchup_buffer = self._catchup_buffer, []
+        self._catchup_buffered_votes = 0
         replayed = 0
-        for cmsg, wire_sender, record in buffered:
-            if cmsg.index < self._next_commit_index:
+        for item, wire_sender in buffered:
+            if item.index < self._next_commit_index:
                 continue  # decided while we were buffering; replay covered it
-            self._dispatch_consensus(cmsg, wire_sender, record=record)
-            replayed += 1
+            self._ingest_consensus((item,), wire_sender)
+            replayed += len(item.messages) if type(item) is VoteRun else 1
         next_index = max(self._next_commit_index, self._next_propose_index)
         self._next_propose_index = next_index
         telemetry.event(

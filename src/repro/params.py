@@ -45,9 +45,6 @@ BLOCK_REWARD = 100
 #: Eager-validation cost c per transaction (token-denominated, Alg. 2).
 EAGER_VALIDATION_COST = 10 ** -3
 
-#: Epoch length in consensus rounds before committee reconfiguration.
-EPOCH_LENGTH = 64
-
 # -- timing --------------------------------------------------------------------
 
 #: Known post-GST message delay bound (seconds) for partial synchrony.
@@ -71,10 +68,6 @@ class ProtocolParams:
     tx_ttl: float = TX_TTL
     txpool_capacity: int = TXPOOL_CAPACITY
     validator_deposit: int = VALIDATOR_DEPOSIT
-    block_reward: int = BLOCK_REWARD
-    eager_validation_cost: float = EAGER_VALIDATION_COST
-    epoch_length: int = EPOCH_LENGTH
-    delta: float = DELTA
     #: TVPR on/off: when True validators never gossip individual transactions.
     tvpr: bool = True
     #: RPM on/off: when True the reward-penalty contract is active.
@@ -91,7 +84,7 @@ class ProtocolParams:
     #: one-message-per-vote path alive for ablation comparisons.
     vote_batching: bool = True
     #: Flush quantum for vote batching, simulated seconds.  Must stay well
-    #: under ``delta`` (votes are delayed at most one tick) and the
+    #: under ``DELTA`` (votes are delayed at most one tick) and the
     #: proposer timeout; 0 batches only within one event cascade.  At 0.1
     #: a single-region deployment coalesces enough of each round's votes
     #: for a >=10x wire-message reduction without altering decisions.

@@ -48,6 +48,28 @@ class TestRegistry:
         ]
         assert unset == []
 
+    def test_every_knob_is_read_outside_params(self):
+        """A ProtocolParams/NetParams field no ``src/`` module reads is a
+        knob that silently changes nothing when set.  Readers hold the
+        bundles as ``protocol`` / ``net`` (``self.protocol.tvpr``,
+        ``self.net.ack_bytes``); a same-named attribute of another class
+        (``RPMContract.block_reward``) is not a read of the knob."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        text = "".join(
+            path.read_text()
+            for path in sorted(src.rglob("*.py"))
+            if path.name != "params.py"
+        )
+        unread = [
+            f"{cls.__name__}.{f.name}"
+            for cls, holder in (
+                (params.ProtocolParams, "protocol"), (params.NetParams, "net")
+            )
+            for f in dataclasses.fields(cls)
+            if not re.search(rf"\b{holder}\.{f.name}\b", text)
+        ]
+        assert unread == []
+
     def test_unknown_scenario_raises_with_candidates(self):
         with pytest.raises(KeyError, match="tvpr_ablation"):
             get_scenario("no_such_scenario")

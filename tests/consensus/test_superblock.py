@@ -83,6 +83,25 @@ class TestAllCorrect:
         for sb in cluster.superblocks.values():
             assert sorted(b.proposer_id for b in sb.blocks) == list(range(n))
 
+    def test_close_round_rule_walks_the_slots_once(self, monkeypatch):
+        """n−f slots decided 1 → input 0 wherever there is none: one walk
+        over the slots per node, not one more for each later decide-1."""
+        zero_votes = []
+        original = SuperBlockConsensus._vote
+
+        def counted(self, instance_id, value):
+            if value == 0:
+                zero_votes.append(self.my_id)
+            original(self, instance_id, value)
+
+        monkeypatch.setattr(SuperBlockConsensus, "_vote", counted)
+        cluster = SBCluster(7, 2)
+        cluster.propose_all()
+        cluster.run()
+        for i, node in cluster.nodes.items():
+            assert sorted(node.decisions.values()) == [1] * 7  # f+1 past n−f
+            assert zero_votes.count(i) == 7
+
     def test_superblocks_identical_across_nodes(self):
         """Under adversarial delivery orders the superblock may be a
         subset of proposals (RBBC allows it) but must be identical at

@@ -5,7 +5,7 @@ makes one call per stretch (``SuperBlockConsensus.on_run``) instead of one
 per vote.  The property that must hold is plain: whatever stream of
 batches arrives, a node fed through ``runs()`` emits the same messages in
 the same order, decides the same slots and builds the same superblock as a
-node fed the same constituents one ``on_message`` at a time — and both
+node fed the same constituents one ``on_constituent`` at a time — and both
 match a node fed the stream with every repeated vote filtered out by this
 file's own set-based statement of the double-vote rule.
 
@@ -264,7 +264,7 @@ def test_runs_tally_like_single_votes(case):
     for sender, messages in stream:
         by_run[0].on_message(_wire(messages, sender))
         for m in messages:
-            by_vote[0].on_message(m, record=False)
+            by_vote[0].on_constituent(m)
         for m in drop_repeated_votes(messages, seen):
             deduplicated[0].on_constituent(m)
     assert _outcome(*by_run) == _outcome(*by_vote)
@@ -339,7 +339,7 @@ def _feed_both_ways(n, my_id, batches):
                 node.on_message(_wire(messages, sender))
             else:
                 for m in messages:
-                    node.on_message(m, record=False)
+                    node.on_constituent(m)
         traces.append(_emitted(out))
     return traces
 

@@ -1,7 +1,8 @@
 """Crash–recovery: volatile/durable split, catch-up, RPM survival."""
 
 from repro import params
-from repro.consensus.messages import ConsensusMessage, MsgKind
+from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun
+from repro.core import node as node_module
 from repro.core.catchup import CatchupResponse, DecidedJournal
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.rpm import RPMContract
@@ -9,6 +10,7 @@ from repro.core.transaction import make_transfer
 from repro.net.topology import single_region_topology
 from repro.vm.executor import native_address_for
 from repro.vm.sync import take_snapshot
+from tests.core.test_vote_authenticity import _batch, _wire
 
 
 def make_deployment(*, rpm=False, clients=4, **kwargs):
@@ -184,15 +186,7 @@ class TestCatchupHardening:
         node = self._recovering_node(deployment)
         peer = deployment.validators[0]
 
-        resp = CatchupResponse(
-            superblocks=peer.journal.range(
-                node._next_commit_index, peer._next_commit_index
-            ),
-            snapshot=take_snapshot(peer.blockchain.state),
-            state_root=peer.blockchain.state.state_root(),
-            next_index=peer._next_commit_index,
-            responder=0,
-        )
+        resp = _genuine_response(node, peer)
         node._absorb_catchup(resp)
         assert not node._recovering
         assert node.blockchain.state.state_root() == resp.state_root
@@ -206,20 +200,62 @@ class TestCatchupHardening:
         submit_transfers(deployment, clients, count=6)
         deployment.run_until(5.0)
         node = self._recovering_node(deployment)
+        peer = deployment.validators[0]
         floor = node._catchup_floor
+        fresh = peer._next_commit_index + 1
 
-        stale = ConsensusMessage(
-            kind=MsgKind.BVAL, index=floor - 1, instance=0, round=0, value=1, sender=0
-        )
-        fresh = ConsensusMessage(
-            kind=MsgKind.BVAL, index=floor + 1, instance=0, round=0, value=1, sender=0
-        )
-        assert not node._admit_consensus(stale, 0, record=True)
-        assert not node._admit_consensus(fresh, 0, record=True)
+        node.on_message(_wire(_bval(floor - 1), 0))
+        node.on_message(_wire(_bval(fresh), 0))
         # pre-floor traffic is covered by the journal replay and dropped;
         # at/past the frontier it is buffered for post-recovery replay
-        assert [m.index for m, _, _ in node._catchup_buffer] == [floor + 1]
+        assert [item.index for item, _ in node._catchup_buffer] == [fresh]
         assert not node._consensus  # nothing opened mid-recovery
+
+        node._absorb_catchup(_genuine_response(node, peer))
+        assert not node._recovering
+        assert node._catchup_buffer == [] and node._catchup_buffered_votes == 0
+        assert node._consensus[fresh].votes.bval_count(1, 1, 0) == 1
+        # restarted for good: the floor still drops what the journal covers
+        node.on_message(_wire(_bval(floor - 1), 0))
+        assert floor - 1 not in node._consensus
+
+    def test_recovery_buffer_is_bounded_in_votes(self, monkeypatch):
+        monkeypatch.setattr(node_module, "CATCHUP_BUFFER_LIMIT", 5)
+        deployment, _ = make_deployment()
+        node = self._recovering_node(deployment)
+        index = node._catchup_floor
+
+        def run_of_four(sender):
+            votes = [_bval(index, instance=i, sender=sender) for i in range(4)]
+            return _batch(votes, wire_sender=sender)
+
+        node.on_message(run_of_four(0))  # one run, four votes
+        node.on_message(run_of_four(1))  # would make eight: dropped whole
+        node.on_message(_wire(_bval(index, sender=2), 2))  # the fifth vote
+        node.on_message(_wire(_bval(index, sender=1), 1))  # full
+        assert node._catchup_buffered_votes == 5
+        assert [
+            (item.sender, type(item) is VoteRun) for item, _ in node._catchup_buffer
+        ] == [(0, True), (2, False)]
+
+
+def _bval(index, *, instance=0, sender=0):
+    return ConsensusMessage(
+        kind=MsgKind.BVAL, index=index, instance=instance, round=1, value=1,
+        sender=sender,
+    )
+
+
+def _genuine_response(node, peer):
+    return CatchupResponse(
+        superblocks=peer.journal.range(
+            node._next_commit_index, peer._next_commit_index
+        ),
+        snapshot=take_snapshot(peer.blockchain.state),
+        state_root=peer.blockchain.state.state_root(),
+        next_index=peer._next_commit_index,
+        responder=peer.node_id,
+    )
 
 
 class TestDecidedJournal:

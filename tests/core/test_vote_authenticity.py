@@ -1,20 +1,23 @@
-"""A vote speaks only for the seat that sent it.
+"""A vote speaks only for the seat that sent it — on every node.
 
-On the base ``ValidatorNode`` a seat's logical sender id is its node id,
-so a consensus constituent whose ``sender`` differs from the transport-
-level sender of the wire message that carried it is a forgery: one seat
-stuffing a batch with votes "from" the others could otherwise reach any
-quorum alone.
+A seat's logical sender id is its node id, so a consensus constituent
+whose ``sender`` differs from the transport-level sender of the wire
+message that carried it is a forgery: one seat stuffing a batch with votes
+"from" the others could otherwise reach any quorum alone.  Never-crashed,
+recovering and restarted nodes take consensus traffic through the same
+routine, so the same wire batches must leave them in the same state.
 """
 
 import pytest
 
 from repro import params
 from repro.consensus.messages import ConsensusBatch, ConsensusMessage, MsgKind
+from repro.consensus.superblock import SuperBlockConsensus
 from repro.core.deployment import Deployment
 from repro.core.node import CONSENSUS_KIND
 from repro.net.topology import single_region_topology
 from repro.net.transport import Message
+from tests.consensus.test_vote_runs import INDEX as ROUND_INDEX, honest_traffic
 
 INDEX = 1
 
@@ -84,6 +87,55 @@ def test_forged_single_message_is_dropped(node):
 
 
 def test_forged_constituents_are_not_buffered_during_recovery(node):
-    node._recovering = True  # the per-constituent branch of the BATCH loop
+    node._recovering = True
     node.on_message(_batch([_bval(0, 0), _bval(2, 1)], wire_sender=2))
-    assert [c.sender for c, _, _ in node._catchup_buffer] == [2]
+    assert [item.sender for item, _ in node._catchup_buffer] == [2]
+
+
+@pytest.mark.parametrize("n", (4, 7))
+def test_restarted_node_tallies_the_same_batches_by_the_run(n, monkeypatch):
+    """The recorded traffic of an all-correct round, a forged batch mixed
+    in, fed to a never-crashed node and to one that crashed, restarted and
+    recovered (``_catchup_floor`` stays set for life)."""
+    calls = {"on_run": 0, "on_constituent": 0}
+    for name in calls:
+        original = getattr(SuperBlockConsensus, name)
+
+        def counted(self, item, _name=name, _original=original):
+            calls[_name] += 1
+            _original(self, item)
+
+        monkeypatch.setattr(SuperBlockConsensus, name, counted)
+
+    traffic = list(honest_traffic(n, 0))
+    forger = traffic[0][0]
+    traffic.insert(1, ((forger + 1) % n, traffic[0][1]))  # forged: wrong link
+    votes = sum(len(messages) for _, messages in traffic)
+
+    def fed(restarted):
+        deployment = Deployment(
+            protocol=params.ProtocolParams(n=n), topology=single_region_topology(n)
+        )
+        node = deployment.validators[n - 1]
+        if restarted:
+            node.crash()
+            node.restart()
+            node._finish_recovery()
+            assert node._catchup_floor > 0 and not node._recovering
+        calls.update(on_run=0, on_constituent=0)
+        for sender, messages in traffic:
+            node.on_message(_batch(messages, wire_sender=sender))
+        consensus = node._consensus[ROUND_INDEX]
+        return (
+            dict(calls), consensus.decisions, consensus.proposals,
+            consensus.finished, consensus.superblock,
+            consensus.votes._counts, consensus.votes._seen,
+            list(node.vote_batcher._buffer),
+        )
+
+    never_crashed, restarted = fed(False), fed(True)
+    assert restarted == never_crashed
+    assert never_crashed[3] and len(never_crashed[1]) == n  # the round decided
+    # by the run, not one call per vote
+    assert restarted[0]["on_run"] > 0
+    assert sum(restarted[0].values()) < votes

@@ -39,7 +39,7 @@ def test_all_examples_present():
         "quickstart.py", "nasdaq_dapp.py", "flooding_attack.py",
         "censorship_mitigation.py", "committee_rotation.py",
         "blockchain_comparison.py", "light_client.py",
-        "epoch_reconfiguration.py", "parallel_execution.py",
+        "parallel_execution.py",
         "read_api_and_audit.py",
     }
     assert expected <= {p.name for p in EXAMPLES.glob("*.py")}
