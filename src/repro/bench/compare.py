@@ -129,8 +129,8 @@ DEFAULT_THRESHOLDS: "tuple[Threshold, ...]" = (
     # in speed, not asymptotics); absolute wall keys never reach these
     # thresholds (wall-clock markers short-circuit to informational)
     Threshold("headline:event_scaling_exponent", "lower", 2.0, abs_slack=0.05),
-    # Tightened with the engine fast path (was 35%/0.5): the fit now uses
-    # min-of-N process-CPU times, which are stable enough to gate hard.
+    # The fit uses min-of-N process-CPU times, which are stable enough
+    # to gate hard.
     Threshold("headline:wall_scaling_exponent", "lower", 10.0, abs_slack=0.2),
     Threshold("headline:events_n*", "lower", 10.0, abs_slack=50.0),
     Threshold("headline:committed_n*", "higher", 5.0, abs_slack=1.0),

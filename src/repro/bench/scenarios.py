@@ -931,8 +931,8 @@ def run_trace_replay(
     deployment.  Sim-time quantities (throughput, commit rate, latency
     quantiles, backlog drain) are deterministic and gated; the wall-clock
     cost of the replay is reported under the informational ``wall_s_n*``
-    marker.  These runs only became affordable with the engine fast path
-    — the full NASDAQ trace is 30 240 transactions, FIFA is 626 940.
+    marker.  The full NASDAQ trace is 30 240 transactions, FIFA is
+    626 940.
     """
     import time as _time
 

@@ -132,31 +132,17 @@ class VoteBatcher:
         if self.sim is None:
             return  # manual flushing (unit tests)
         tick = self.tick
-        # Flushes from every node land on shared instants (tick-grid
-        # boundaries, or the current instant), so a bucket-capable engine
-        # coalesces the whole committee's flush timers into one heap entry
-        # per boundary.  Duck-typed sims (unit tests) fall back to schedule.
-        bucketed = getattr(self.sim, "schedule_bucketed", None)
         if tick <= 0.0:
             # End-of-instant flush: runs after the current event cascade.
-            if bucketed is not None:
-                bucketed(0.0, self.flush, tag="vote-flush")
-            else:
-                self.sim.schedule(0.0, self.flush)
+            delay = 0.0
         else:
             now = self.sim.now
             # Next tick boundary strictly after the enqueue instant (an
             # enqueue landing exactly on a boundary flushes immediately —
             # same instant, after the cascade — via the max(0, ...) clamp).
-            # By Sterbenz's lemma ``now + (boundary - now)`` reproduces the
-            # boundary bit-for-bit whenever now ∈ [boundary/2, 2·boundary],
-            # so different nodes' flush timers really do share a timestamp.
             boundary = (int(now / tick) + 1) * tick
             delay = max(0.0, boundary - now)
-            if bucketed is not None:
-                bucketed(delay, self.flush, tag="vote-flush")
-            else:
-                self.sim.schedule(delay, self.flush)
+        self.sim.schedule(delay, self.flush)
 
     # -- flush path --------------------------------------------------------------
 

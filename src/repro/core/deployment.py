@@ -88,7 +88,6 @@ class Deployment:
         execution_rate: float = 20_000.0,
         net_params: params.NetParams | None = None,
         fault_schedule: FaultSchedule | None = None,
-        sim: Simulator | None = None,
         genesis_setup: Callable[[WorldState], None] | None = None,
     ):
         self.protocol = protocol or params.ProtocolParams()
@@ -98,9 +97,7 @@ class Deployment:
             raise ValueError(
                 f"topology has {self.topology.n} nodes but protocol.n = {n}"
             )
-        #: injectable engine — the differential suite passes
-        #: ``Simulator(coalesce=False)`` to run the reference scheduler
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         # Lifecycle stamping sites without a sim in scope (the consensus
         # layer) read the recorder's bound clock; point it at this
         # deployment's simulated time whenever recording is on.
@@ -205,19 +202,6 @@ class Deployment:
 
     def run_until(self, time: float, *, max_events: int | None = None) -> None:
         self.sim.run_until(time, max_events=max_events)
-
-    def run_rounds(self, target_height: int, *, timeout: float = 600.0) -> None:
-        """Run until every correct validator's chain reaches the target
-        height (or the simulated-time timeout trips)."""
-        step = 1.0
-        while self.sim.now < timeout:
-            self.sim.run_until(self.sim.now + step)
-            if all(
-                v.blockchain.height >= target_height for v in self.correct_validators
-            ):
-                return
-            if self.sim.pending == 0:
-                return
 
     # -- correctness probes -----------------------------------------------------------
 

@@ -117,10 +117,6 @@ class Transaction:
         sig = self.signature.tag if self.signature else b""
         return hash_items([self.signing_payload(), sig])
 
-    @property
-    def hash_hex(self) -> str:
-        return self.tx_hash.hex()
-
     # -- size & fees --------------------------------------------------------
 
     def encoded_size(self) -> int:

@@ -154,23 +154,3 @@ class DiabloBenchmark:
             duration_s=duration,
             latencies_s=np.array(latencies),
         )
-
-
-def count_valid_dropped(
-    result: BenchmarkResult, schedule: LoadSchedule, deployment: Deployment
-) -> int:
-    """Table I's '#valid txs dropped': schedule entries that are valid
-    against genesis yet missing from every correct validator's chain."""
-    from repro.core.validation import eager_validate
-
-    probe_state = deployment.validators[0].blockchain.state
-    dropped = 0
-    for _, tx in schedule.entries:
-        committed = any(
-            v.blockchain.contains_tx(tx) for v in deployment.correct_validators
-        )
-        if committed:
-            continue
-        if tx.signature is not None and probe_state.balance_of(tx.sender) > 0:
-            dropped += 1
-    return dropped

@@ -39,12 +39,6 @@ class OversizedTransaction(ValidationError):
     code = "oversized"
 
 
-class BadNonce(ValidationError):
-    """Transaction nonce is not the sender's next sequence number."""
-
-    code = "bad-nonce"
-
-
 class InsufficientGas(ValidationError):
     """Sender balance cannot cover ``gas_limit * gas_price``."""
 

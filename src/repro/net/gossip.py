@@ -122,9 +122,6 @@ class GossipLayer:
         self.stats.forwarded += sent
         _metrics().forwarded.inc(sent)
 
-    def has_seen(self, item_id: object) -> bool:
-        return item_id in self._seen
-
     def reset(self) -> None:
         """Forget dedup state (a crashed node's RAM); stats survive as
         they model the analysis side, not the node."""

@@ -5,25 +5,19 @@ deterministic given a seed — the foundation both the message-level engine
 and the correctness property tests rely on (hypothesis drives adversarial
 schedules through ``schedule`` delays).
 
-Fast-path machinery (always on — it is *not* a knob; determinism is
-preserved by construction and checked by the differential engine suite):
+One heap entry per event, popped in ``(time, seq)`` order.  Merging
+callbacks due at the same timestamp into shared heap entries measures
+slower than this on every benchmark workload and committee size
+(docs/PROFILING.md, *What the scheduler does not do, and why*).  Beyond
+the heap there are two pieces of bookkeeping:
 
 * **O(1) ``pending``** — a live-event counter maintained on push, pop and
-  ``Event.cancel`` replaces the previous full heap scan.
+  ``Event.cancel``.
 * **Lazy heap compaction** — cancelled events (retransmission/ack timers
   under reliable delivery almost always cancel) are dropped in one O(n)
   ``heapify`` rebuild once they dominate the heap, instead of bloating it
   until each is individually popped.  Rebuilding is behaviour-neutral
   because ``(time, seq)`` is a total order.
-* **Coalesced timer buckets** — ``schedule_bucketed`` merges callbacks due
-  at a *bitwise-identical* timestamp into one heap entry (one push/pop for
-  ``n`` per-node repeating timers on a shared tick grid).  Members fire in
-  registration order, which equals individual ``(time, seq)`` order as
-  long as no *other* event is scheduled at the same timestamp in between —
-  so any schedule at an open bucket's exact timestamp seals that bucket
-  first.  Each member still consumes one ``seq`` and counts as one
-  processed event, keeping the event stream byte-identical to the
-  reference (uncoalesced) scheduler.
 """
 
 from __future__ import annotations
@@ -51,8 +45,9 @@ class Event:
     callback: Callable[..., None] = field(compare=False)
     args: tuple = field(compare=False, default=())
     cancelled: bool = field(compare=False, default=False)
-    #: optional (name, subsystem, node) attribution stamped by schedulers
-    #: (Node._schedule) so the profiler skips per-event classification
+    #: optional (name, subsystem, node) attribution the caller stamps on
+    #: the returned event (``Node._schedule``, the transport's deliveries)
+    #: so the profiler skips per-event classification
     profile_info: tuple | None = field(compare=False, default=None)
     #: owning simulator while the event sits in its heap (cleared on pop)
     #: so ``cancel()`` can maintain the live/cancelled counters in O(1)
@@ -72,57 +67,10 @@ class Event:
             owner._note_cancel()
 
 
-class _BucketMember:
-    """One callback registered into a coalesced timer bucket.
-
-    Quacks like :class:`Event` for the caller-facing bits (``cancel()``,
-    ``cancelled``, ``profile_info``) without being a heap entry itself.
-    """
-
-    __slots__ = ("callback", "args", "cancelled", "profile_info", "bucket")
-
-    def __init__(self, callback: Callable[..., None], args: tuple, bucket):
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.profile_info: tuple | None = None
-        self.bucket = bucket
-
-    def cancel(self) -> None:
-        if self.cancelled:
-            return
-        self.cancelled = True
-        bucket = self.bucket
-        if bucket is not None:
-            self.bucket = None
-            bucket.live -= 1
-            bucket.sim._live -= 1
-
-
-class _TimerBucket:
-    """All callbacks due at one exact timestamp under one coalescing tag."""
-
-    __slots__ = ("time", "tag", "members", "live", "sim")
-
-    def __init__(self, time: float, tag: Any, sim):
-        self.time = time
-        self.tag = tag
-        self.members: list[_BucketMember] = []
-        self.live = 0
-        self.sim = sim
-
-
 class Simulator:
-    """Deterministic event loop over simulated seconds.
+    """Deterministic event loop over simulated seconds."""
 
-    ``coalesce=False`` builds the *reference scheduler*: every
-    ``schedule_bucketed`` call degrades to an individual ``schedule``.
-    The differential suite runs both engines over identical workloads and
-    asserts byte-identical chains, receipts and counters — the fast path
-    is not allowed to be observable.
-    """
-
-    def __init__(self, *, coalesce: bool = True) -> None:
+    def __init__(self) -> None:
         self._heap: list[Event] = []
         self._seq = itertools.count()
         self.now = 0.0
@@ -130,21 +78,10 @@ class Simulator:
         #: optional wall-clock profiler (repro.telemetry.profiling); None
         #: keeps the hot path at a single attribute check per event
         self.profiler = None
-        #: whether timer/delivery coalescing is active (False = reference)
-        self.coalesce = coalesce
         # live/cancelled bookkeeping for O(1) ``pending`` + compaction
         self._live = 0
         self._cancelled_in_heap = 0
         self.compactions = 0
-        #: open (joinable) buckets by (time, tag); sealed buckets are
-        #: removed here but stay queued in the heap
-        self._open_buckets: dict[tuple[float, Any], _TimerBucket] = {}
-        #: open-bucket keys per exact timestamp (seal trigger index) —
-        #: keyed by time so sealing never scans unrelated open buckets
-        self._open_times: dict[float, set] = {}
-        #: stable bound-method reference — ``self._fire_bucket`` creates a
-        #: fresh object per access, so identity checks need this one
-        self._fire_bucket_ref = self._fire_bucket
 
     # -- scheduling --------------------------------------------------------------
 
@@ -154,12 +91,7 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        time = self.now + delay
-        if self._open_times and time in self._open_times:
-            # A foreign event lands at an open bucket's exact timestamp:
-            # seal so bucket members stay seq-contiguous (ordering proof).
-            self._seal_time(time)
-        event = Event(time, next(self._seq), callback, args)
+        event = Event(self.now + delay, next(self._seq), callback, args)
         event.owner = self
         heapq.heappush(self._heap, event)
         self._live += 1
@@ -172,63 +104,12 @@ class Simulator:
         return self.schedule(max(0.0, time - self.now), callback, *args)
 
     def schedule_bucketed(
-        self, delay: float, callback: Callable[..., None], *args: Any, tag: Any = "timer"
-    ):
-        """Like :meth:`schedule`, but callbacks due at a bitwise-identical
-        timestamp under the same ``tag`` share one heap entry.
-
-        Returns an :class:`Event`-like handle supporting ``cancel()`` and
-        ``profile_info`` stamping.  Members fire in registration order —
-        identical to what individual ``schedule`` calls would produce,
-        because each member still draws one ``seq`` and any non-member
-        schedule at the same timestamp seals the bucket (see module doc).
-        """
-        if not self.coalesce:
-            return self.schedule(delay, callback, *args)
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        time = self.now + delay
-        key = (time, tag)
-        bucket = self._open_buckets.get(key)
-        open_here = self._open_times.get(time)
-        if open_here is not None and len(open_here) > (1 if bucket is not None else 0):
-            # Other tags are open at this exact timestamp: seal them (a
-            # member joining tag A must order after tag B's earlier
-            # members, which only holds if B stops accreting now).
-            self._seal_time(time, keep=key)
-            bucket = self._open_buckets.get(key)
-        if bucket is None:
-            bucket = _TimerBucket(time, tag, self)
-            event = Event(time, next(self._seq), self._fire_bucket_ref, (bucket,))
-            heapq.heappush(self._heap, event)
-            self._open_buckets[key] = bucket
-            keys = self._open_times.get(time)
-            if keys is None:
-                self._open_times[time] = {key}
-            else:
-                keys.add(key)
-        else:
-            # Keep the seq stream aligned with the reference scheduler so
-            # every later tie still breaks identically in both engines.
-            next(self._seq)
-        member = _BucketMember(callback, args, bucket)
-        bucket.members.append(member)
-        bucket.live += 1
-        self._live += 1
-        return member
-
-    def _seal_time(self, time: float, keep: "tuple[float, Any] | None" = None) -> None:
-        keys = self._open_times.get(time)
-        if keys is None:
-            return
-        for key in keys:
-            if key != keep:
-                del self._open_buckets[key]
-        if keep is not None and keep in self._open_buckets:
-            keys.clear()
-            keys.add(keep)
-        else:
-            del self._open_times[time]
+        self, delay: float, callback: Callable[..., None], *args: Any, tag: Any = None
+    ) -> Event:
+        """Alias of :meth:`schedule`; ``tag`` is ignored.  Nothing under
+        ``src/`` calls it — it stays because ``benchmarks/perf/trace.py``
+        names it as a span target (ROADMAP, benchmark-only ride-alongs)."""
+        return self.schedule(delay, callback, *args)
 
     # -- cancellation / compaction ------------------------------------------------
 
@@ -260,10 +141,6 @@ class Simulator:
                 continue
             event.owner = None
             self.now = event.time
-            if event.callback is self._fire_bucket_ref:
-                if self._fire_bucket(event.args[0]) == 0:
-                    continue  # every member was cancelled: not an event
-                return True
             self._live -= 1
             self.events_processed += 1
             profiler = self.profiler
@@ -276,39 +153,6 @@ class Simulator:
             return True
         return False
 
-    def _discard_bucket(self, bucket: _TimerBucket) -> None:
-        """Remove a bucket from the open-bucket tables (fired or dead)."""
-        key = (bucket.time, bucket.tag)
-        if self._open_buckets.pop(key, None) is not None:
-            keys = self._open_times.get(bucket.time)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._open_times[bucket.time]
-
-    def _fire_bucket(self, bucket: _TimerBucket) -> int:
-        """Fire a bucket's live members in registration order; returns the
-        number fired.  Each member is profiled and counted individually —
-        per-callback attribution survives coalescing."""
-        self._discard_bucket(bucket)
-        fired = 0
-        profiler = self.profiler
-        for member in bucket.members:
-            if member.cancelled:
-                continue
-            member.bucket = None
-            bucket.live -= 1
-            fired += 1
-            self._live -= 1
-            self.events_processed += 1
-            if profiler is None:
-                member.callback(*member.args)
-            else:
-                profiler.record_event(
-                    member.callback, member.args, member.profile_info
-                )
-        return fired
-
     def run(self, *, max_events: int | None = None) -> None:
         """Drain the event queue (optionally bounding total events)."""
         budget = max_events if max_events is not None else float("inf")
@@ -319,18 +163,11 @@ class Simulator:
     def run_until(self, time: float, *, max_events: int | None = None) -> None:
         """Process events with timestamps ≤ ``time``; clock ends at ``time``."""
         budget = max_events if max_events is not None else float("inf")
-        fire_bucket = self._fire_bucket_ref
         while self._heap and budget > 0:
             head = self._heap[0]
             if head.cancelled:
                 heapq.heappop(self._heap)
                 self._cancelled_in_heap -= 1
-                continue
-            if head.callback is fire_bucket and head.args[0].live == 0:
-                # A bucket whose members all cancelled is dead weight —
-                # discard it here so ``step`` cannot run past ``time``.
-                heapq.heappop(self._heap)
-                self._discard_bucket(head.args[0])
                 continue
             if head.time > time:
                 break

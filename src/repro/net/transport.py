@@ -287,11 +287,6 @@ class Network:
         #: per-message lookups on the delivery hot path collapse to one
         #: dict hit
         self._links: dict[tuple[int, int], tuple[float, str, str]] = {}
-        #: pre-drawn jitter samples for a fault-free broadcast fan-out
-        #: (one vectorized RNG call replaces n scalar draws; numpy's
-        #: Generator produces bitwise-identical streams either way)
-        self._jitter_buf: "np.ndarray | None" = None
-        self._jitter_idx = 0
         self.stats = NetStats()
 
     def _link(self, src: int, dst: int) -> tuple[float, str, str]:
@@ -341,25 +336,13 @@ class Network:
         congestion observatory (0 under fire-and-forget delivery)."""
         return len(self._pending)
 
-    def inflight_by_link(self) -> "dict[tuple[int, int], int]":
-        """Un-acked reliable sends per directed (src, dst) link."""
-        out: "dict[tuple[int, int], int]" = {}
-        for src, dst, _seq in self._pending:
-            out[(src, dst)] = out.get((src, dst), 0) + 1
-        return out
-
     # -- delay model ---------------------------------------------------------------
 
     def delay_for(self, src: int, dst: int, size_bytes: int) -> float:
         """Sample the delivery delay for one message."""
         base = self._link(src, dst)[0]
         serialization = size_bytes / self.bandwidth
-        buf = self._jitter_buf
-        if buf is not None and self._jitter_idx < len(buf):
-            jitter = float(buf[self._jitter_idx])
-            self._jitter_idx += 1
-        else:
-            jitter = float(self.rng.exponential(self.jitter_s))
+        jitter = float(self.rng.exponential(self.jitter_s))
         delay = base + serialization + jitter
         if self.adversarial_delay is not None:
             # The adversary may only *stretch* delays, bounded by the
@@ -385,55 +368,25 @@ class Network:
 
     def broadcast(self, src: int, msg: Message, *, include_self: bool = True) -> None:
         """Best-effort broadcast to every registered node."""
-        fanout = len(self._endpoints) - (src in self._endpoints)
-        prefill = (
-            self.faults is None and fanout > 1 and self._jitter_buf is None
-        )
-        if prefill:
-            # One vectorized draw for the whole fan-out; ``delay_for``
-            # consumes the samples in send order, so the stream is
-            # bitwise-identical to n scalar draws.
-            self._jitter_buf = self.rng.exponential(self.jitter_s, size=fanout)
-            self._jitter_idx = 0
-        try:
-            for dst in self._endpoints:
-                if dst == src and not include_self:
-                    continue
-                if dst == src:
-                    # Local delivery is immediate-ish (loopback).  Loopback
-                    # cascades within one instant coalesce into one heap
-                    # entry (same bitwise timestamp, same destination).
-                    event = self.sim.schedule_bucketed(
-                        0.0, self._deliver, dst, msg, tag=("dl", dst)
-                    )
-                    if self.sim.profiler is not None:
-                        event.profile_info = _deliver_info(msg.kind, dst)
-                    region = self._link(src, src)[1]
-                    self.stats.record(msg, src_region=region, dst_region=region)
-                else:
-                    self.send(src, dst, msg)
-        finally:
-            if prefill:
-                self._jitter_buf = None
-                self._jitter_idx = 0
+        for dst in self._endpoints:
+            if dst == src and not include_self:
+                continue
+            if dst == src:
+                # Local delivery is immediate-ish (loopback).
+                event = self.sim.schedule(0.0, self._deliver, dst, msg)
+                if self.sim.profiler is not None:
+                    event.profile_info = _deliver_info(msg.kind, dst)
+                region = self._link(src, src)[1]
+                self.stats.record(msg, src_region=region, dst_region=region)
+            else:
+                self.send(src, dst, msg)
 
     def send_to_peers(self, src: int, msg: Message) -> int:
         """Send to overlay neighbours only (gossip building block)."""
         peers = self.topology.peers_of(src)
-        live = [dst for dst in peers if dst in self._endpoints]
-        prefill = (
-            self.faults is None and len(live) > 1 and self._jitter_buf is None
-        )
-        if prefill:
-            self._jitter_buf = self.rng.exponential(self.jitter_s, size=len(live))
-            self._jitter_idx = 0
-        try:
-            for dst in live:
+        for dst in peers:
+            if dst in self._endpoints:
                 self.send(src, dst, msg)
-        finally:
-            if prefill:
-                self._jitter_buf = None
-                self._jitter_idx = 0
         return len(peers)
 
     # -- the (possibly lossy) channel ------------------------------------------------
@@ -463,18 +416,11 @@ class Network:
                 delay += max(
                     0.0, self.faults.extra_delay_s(src, dst, self.sim.now)
                 )
-            # Deliveries landing at a bitwise-identical timestamp on the
-            # same destination share one heap entry (common when the
-            # partial-synchrony clamp flattens a fan-out's delays onto
-            # ``bound + serialization``); per-message attribution and
-            # firing order are preserved by the bucket machinery.
             if seq is None:
-                event = self.sim.schedule_bucketed(
-                    delay, self._deliver, dst, msg, tag=("dl", dst)
-                )
+                event = self.sim.schedule(delay, self._deliver, dst, msg)
             else:
-                event = self.sim.schedule_bucketed(
-                    delay, self._deliver_seq, src, dst, msg, seq, tag=("dl", dst)
+                event = self.sim.schedule(
+                    delay, self._deliver_seq, src, dst, msg, seq
                 )
             if self.sim.profiler is not None:
                 # Attribute the delivery event to its wire kind and the
@@ -501,14 +447,11 @@ class Network:
         timeout = self.net.retransmit_timeout_s * (
             self.net.retransmit_backoff ** attempt
         )
-        # Retransmission timers for a fan-out all land on the same
-        # ``now + timeout`` instant and almost always cancel (the ack
-        # wins): bucketing them keeps the heap at one entry per instant
-        # and lets the cancelled majority never touch the heap at all.
-        timer = self.sim.schedule_bucketed(
-            timeout, self._retransmit, src, dst, msg, seq, attempt, tag="rtx"
+        # Almost every one of these timers is cancelled (the ack wins):
+        # they are what the simulator's lazy heap compaction is for.
+        self._pending[(src, dst, seq)] = self.sim.schedule(
+            timeout, self._retransmit, src, dst, msg, seq, attempt
         )
-        self._pending[(src, dst, seq)] = timer
 
     def _retransmit(
         self, src: int, dst: int, msg: Message, seq: int, attempt: int

@@ -60,11 +60,6 @@ class LatencySample:
         return self._hist.count
 
     @property
-    def weighted_sum(self) -> float:
-        self._flush()
-        return self._hist.sum
-
-    @property
     def max_latency(self) -> float:
         self._flush()
         return self._hist.max if self._hist.count else 0.0
@@ -119,16 +114,6 @@ class SimResult:
     #: (exec_time / block_interval, capped at 1) — how execution-bound
     #: the round cadence was
     exec_share: float = 0.0
-
-    def phase_breakdown(self) -> dict:
-        """Flat ``latency_breakdown:*`` keys for bench headlines: raw
-        phase p50/p99 plus ``exec_share``, mirroring the message-level
-        critical-path block's shape so metrics-diff thresholds apply."""
-        out = {"latency_breakdown:exec_share": round(self.exec_share, 4)}
-        for phase, stats in self.phase_latency.items():
-            out[f"latency_breakdown:{phase}_p50_s"] = round(stats["p50"], 4)
-            out[f"latency_breakdown:{phase}_p99_s"] = round(stats["p99"], 4)
-        return out
 
     @property
     def throughput_tps(self) -> float:

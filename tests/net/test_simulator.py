@@ -1,8 +1,12 @@
-"""Discrete-event scheduler: ordering, cancellation, run_until."""
+"""Discrete-event scheduler: ordering, cancellation, run_until, the live
+counter and heap compaction, and a fuzz against a sorted-list model."""
+
+import random
+from dataclasses import dataclass
 
 import pytest
 
-from repro.net.simulator import Simulator
+from repro.net.simulator import _COMPACT_MIN_CANCELLED, Simulator
 
 
 class TestScheduling:
@@ -34,6 +38,17 @@ class TestScheduling:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             Simulator().schedule(-1.0, lambda: None)
+
+    def test_schedule_bucketed_is_schedule(self):
+        # kept only as a span target of benchmarks/perf/trace.py
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        sim.schedule_bucketed(1.0, fired.append, "b", tag="ignored")
+        sim.schedule(1.0, fired.append, "c")
+        assert len(sim._heap) == 3
+        sim.run()
+        assert fired == ["a", "b", "c"]
 
     def test_schedule_at_absolute(self):
         sim = Simulator()
@@ -94,6 +109,16 @@ class TestRunUntil:
         sim.run_until(3.0)
         assert fired == ["x"]
 
+    def test_cancelled_head_is_skipped_without_passing_the_bound(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "cancelled").cancel()
+        sim.schedule(5.0, fired.append, "later")
+        sim.run_until(3.0)
+        assert fired == []
+        assert sim.now == 3.0
+        assert (sim.pending, sim.cancelled_in_heap) == (1, 0)
+
     def test_max_events_bound(self):
         sim = Simulator()
         count = [0]
@@ -105,3 +130,185 @@ class TestRunUntil:
         sim.schedule(0.0, respawn)
         sim.run(max_events=50)
         assert count[0] == 50
+
+
+class TestPendingAndCompaction:
+    def test_pending_is_live_counter(self):
+        sim = Simulator()
+        events = [sim.schedule(1.0, lambda: None) for _ in range(10)]
+        assert sim.pending == 10
+        events[0].cancel()
+        events[1].cancel()
+        assert sim.pending == 8
+        assert sim.cancelled_in_heap == 2
+
+    def test_compaction_triggers_at_threshold(self):
+        assert _COMPACT_MIN_CANCELLED == 64  # the arithmetic below assumes it
+        sim = Simulator()
+        events = [sim.schedule(1.0, lambda: None) for _ in range(300)]
+        for e in events[:200]:
+            e.cancel()
+        # Compaction fires once cancelled >= 64 AND >= half the heap
+        # (at 150 of 300); the trailing 50 cancels stay below the floor.
+        assert sim.compactions == 1
+        assert sim.pending == 100
+        assert sim.cancelled_in_heap == 50
+        assert len(sim._heap) == 150
+        sim.run()
+        assert sim.events_processed == 100
+
+    def test_popped_events_do_not_count_as_cancelled(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        event = sim.schedule(1.0, lambda: None)
+        event.cancel()
+        assert sim.cancelled_in_heap == 1
+        assert sim.pending == 0
+
+
+@dataclass(eq=False)
+class _Entry:
+    time: float
+    seq: int
+    cancelled: bool = False
+    queued: bool = True  # still occupies a heap slot
+
+
+class _Model:
+    """The scheduler written the slow, obvious way: a list of entries,
+    re-sorted by ``(time, seq)`` whenever the next one is needed.  A
+    cancelled entry keeps its slot until it reaches the head or the
+    cancelled ones are swept (same rule as ``_note_cancel``)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.fired = 0
+        self.seq = 0
+        self.compactions = 0
+        self.queue: list[_Entry] = []
+
+    def push(self, time):
+        entry = _Entry(time, self.seq)
+        self.seq += 1
+        self.queue.append(entry)
+        return entry
+
+    @property
+    def cancelled(self):
+        return sum(e.cancelled for e in self.queue)
+
+    def cancel(self, entry):
+        if entry.cancelled or not entry.queued:
+            return
+        entry.cancelled = True
+        cancelled = self.cancelled
+        if cancelled >= _COMPACT_MIN_CANCELLED and 2 * cancelled >= len(self.queue):
+            self._drop([e for e in self.queue if e.cancelled])
+            self.compactions += 1
+
+    def _drop(self, entries):
+        for entry in entries:
+            entry.queued = False
+            self.queue.remove(entry)
+
+    def drop_cancelled_heads(self):
+        self.queue.sort(key=lambda e: (e.time, e.seq))
+        live = next((i for i, e in enumerate(self.queue) if not e.cancelled), None)
+        self._drop(self.queue[:live])
+
+    def pop_next(self):
+        """The entry that must fire next, or None when nothing is live."""
+        self.drop_cancelled_heads()
+        if not self.queue:
+            return None
+        entry = self.queue[0]
+        self._drop([entry])
+        self.now = entry.time
+        self.fired += 1
+        return entry
+
+
+class TestFuzzAgainstModel:
+    """Random schedule / schedule_at / cancel interleavings, callbacks that
+    schedule and cancel more while draining, driven by a random mix of
+    ``step`` and ``run_until``: every callback the simulator fires must be
+    the model's next live ``(time, seq)`` entry, and ``now``,
+    ``events_processed``, ``pending``, ``cancelled_in_heap`` and
+    ``compactions`` must match the model at every step.  Times are
+    multiples of 0.25, so float sums are exact and ties are plentiful."""
+
+    def _trial(self, rnd, n_ops, cancel_p):
+        sim, model = Simulator(), _Model()
+        handles = []  # (Event, _Entry) of everything ever scheduled
+        bound = [float("inf")]  # the run_until argument while inside one
+
+        def check():
+            assert sim.now == model.now
+            assert sim.events_processed == model.fired
+            assert sim.pending == len(model.queue) - model.cancelled
+            assert sim.cancelled_in_heap == model.cancelled
+            assert sim.compactions == model.compactions
+
+        def add(depth):
+            delay = rnd.choice([0.0, 0.5, 1.0, 1.0, 1.5, 2.0])
+            index = len(handles)
+            if rnd.random() < 0.3:
+                # absolute form; a time already past clamps to now
+                at = model.now + delay - rnd.choice([0.0, 0.0, 3.0])
+                event = sim.schedule_at(at, fire, index, depth)
+                entry = model.push(max(at, model.now))
+            else:
+                event = sim.schedule(delay, fire, index, depth)
+                entry = model.push(model.now + delay)
+            handles.append((event, entry))
+
+        def maybe_cancel():
+            while rnd.random() < cancel_p:
+                event, entry = rnd.choice(handles)  # may have fired already
+                event.cancel()
+                model.cancel(entry)
+
+        def fire(index, depth):
+            assert model.pop_next() is handles[index][1]
+            assert sim.now <= bound[0]
+            check()
+            if depth:
+                for _ in range(rnd.randint(0, 2)):
+                    add(depth - 1)
+                    maybe_cancel()
+            check()
+
+        for _ in range(n_ops):
+            add(rnd.randint(0, 3))
+            maybe_cancel()
+            check()
+        while sim.pending:
+            if rnd.random() < 0.5:
+                assert sim.step()
+            else:
+                bound[0] = sim.now + rnd.choice([0.0, 0.25, 0.5, 1.0, 2.25])
+                sim.run_until(bound[0])
+                # nothing due is left behind, cancelled heads are gone,
+                # and the clock stops exactly at the bound
+                model.drop_cancelled_heads()
+                assert not model.queue or model.queue[0].time > bound[0]
+                model.now = max(model.now, bound[0])
+                bound[0] = float("inf")
+            check()
+        assert not sim.step()
+        assert model.pop_next() is None
+        check()
+        assert model.fired + sum(e.cancelled for _, e in handles) == len(handles)
+        return sim
+
+    def test_random_interleavings_fire_in_time_seq_order(self):
+        rnd = random.Random(0xC0A1)
+        for _ in range(60):
+            self._trial(rnd, n_ops=rnd.randint(5, 40), cancel_p=0.15)
+
+    def test_heavy_cancellation_compacts_without_losing_events(self):
+        rnd = random.Random(0xC0A1)
+        for _ in range(6):
+            sim = self._trial(rnd, n_ops=rnd.randint(300, 500), cancel_p=0.7)
+            assert sim.compactions >= 3  # else this guards nothing
