@@ -108,6 +108,12 @@ class Blockchain:
                     result.discarded.append((tx, "duplicate"))
                     continue
                 receipt = self.executor.execute(tx, coinbase=coinbase)
+                # Nothing reverts across transactions (``apply_transaction``
+                # takes its own snapshot), so this one's undo entries go
+                # now: they die young instead of being promoted into the
+                # collector's oldest generation, as a superblock-long
+                # journal's are.
+                self.state.commit()
                 result.receipts.append(receipt)
                 if receipt.success:
                     kept.append(tx)
@@ -131,7 +137,6 @@ class Blockchain:
                 )
                 self.chain.append(filtered)
                 result.appended_blocks.append(filtered)
-        self.state.commit()
         return result
 
     # -- safety helpers -----------------------------------------------------------

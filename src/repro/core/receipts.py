@@ -47,10 +47,20 @@ class InclusionProof:
 
 
 class ReceiptStore:
-    """Per-validator receipt index built from commit results."""
+    """Per-validator receipt index built from commit results.
+
+    A record lives as long as the validator, so it is kept as one flat
+    tuple of the receipt's and the commit's fields, not as a
+    :class:`CommitRecord`: a tuple of atomic values (bytes, numbers,
+    strings, ``None``, the empty logs tuple) is untracked by CPython's
+    cyclic collector, which then never walks the store.  :meth:`get`
+    builds the :class:`CommitRecord`.
+    """
 
     def __init__(self) -> None:
-        self._records: dict[bytes, CommitRecord] = {}
+        #: tx hash -> (success, gas_used, error, return_value,
+        #: contract_address, logs, height, block_hash, position, commit_time)
+        self._records: dict[bytes, tuple] = {}
         self._blocks_by_height: dict[int, Block] = {}
 
     def record_block(
@@ -66,18 +76,42 @@ class ReceiptStore:
             receipt = receipts_by_hash.get(tx.tx_hash)
             if receipt is None:
                 continue
-            self._records[tx.tx_hash] = CommitRecord(
-                receipt=receipt,
-                height=block.index,
-                block_hash=block.block_hash,
-                position=position,
-                commit_time=commit_time,
+            self._records[tx.tx_hash] = (
+                receipt.success,
+                receipt.gas_used,
+                receipt.error,
+                receipt.return_value,
+                receipt.contract_address,
+                tuple(receipt.logs),
+                block.index,
+                block.block_hash,
+                position,
+                commit_time,
             )
 
     # -- queries ------------------------------------------------------------------
 
     def get(self, tx_hash: bytes) -> CommitRecord | None:
-        return self._records.get(tx_hash)
+        row = self._records.get(tx_hash)
+        if row is None:
+            return None
+        (success, gas_used, error, return_value, contract_address, logs,
+         height, block_hash, position, commit_time) = row
+        return CommitRecord(
+            receipt=Receipt(
+                tx_hash=tx_hash,
+                success=success,
+                gas_used=gas_used,
+                error=error,
+                return_value=return_value,
+                contract_address=contract_address,
+                logs=logs,
+            ),
+            height=height,
+            block_hash=block_hash,
+            position=position,
+            commit_time=commit_time,
+        )
 
     def has_receipt(self, tx: Transaction) -> bool:
         return tx.tx_hash in self._records
@@ -87,7 +121,7 @@ class ReceiptStore:
 
     def inclusion_proof(self, tx_hash: bytes) -> InclusionProof:
         """Build the Merkle inclusion proof for a committed transaction."""
-        record = self._records.get(tx_hash)
+        record = self.get(tx_hash)
         if record is None:
             raise KeyError(f"no receipt for {tx_hash.hex()}")
         block = self._blocks_by_height[record.height]

@@ -15,18 +15,11 @@ The executor realizes the paper's execution semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any
 
 from repro import params, telemetry
-# NB: repro.core imports are deferred to call time — repro.core.blockchain
-# imports this module, and eager cross-imports would make the package
-# import order (vm-first vs core-first) matter.
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.transaction import Transaction
 from repro.crypto.hashing import hash_items
 from repro.errors import (
     InsufficientBalance,
@@ -71,7 +64,7 @@ class Receipt:
     error: str | None = None
     return_value: Any = None
     contract_address: str | None = None
-    logs: list = field(default_factory=list)
+    logs: tuple = ()
 
 
 def contract_address_for(sender: str, nonce: int) -> str:
@@ -113,8 +106,6 @@ class Executor:
 
         A failed receipt implies zero state transition (full rollback).
         """
-        from repro.core.validation import lazy_validate  # cycle-free at runtime
-
         outcome = lazy_validate(tx, self.state)
         if not outcome.ok:
             receipt = Receipt(
@@ -144,9 +135,6 @@ class Executor:
             return Receipt(tx_hash=tx.tx_hash, success=False, error=code)
 
     def _apply(self, tx: "Transaction", coinbase: str) -> Receipt:
-        from repro.core.transaction import TxType
-        from repro.core.validation import check_signature
-
         # Execution-time checks (i) signature and (ii) size — §IV-D.
         # A positive ``check_signature`` verdict stays on the transaction,
         # so one already eagerly validated skips the recovery here.
@@ -177,7 +165,7 @@ class Executor:
         gas_used = base_gas
         return_value: Any = None
         contract_address: str | None = None
-        logs: list = []
+        logs: tuple = ()
         exec_gas = tx.gas_limit - base_gas
 
         if tx.tx_type is TxType.TRANSFER:
@@ -188,6 +176,11 @@ class Executor:
             bytecode = tx.payload.get("bytecode", b"")
             if not isinstance(bytecode, bytes):
                 raise VMError("deploy payload must carry bytecode")
+            if (
+                self.state.account_exists(contract_address)
+                and self.state.get_account(contract_address).is_contract
+            ):
+                raise VMError(f"deploy target {contract_address!r} holds a contract")
             self.state.create_account(contract_address, code=bytecode)
             if tx.amount:
                 self.state.sub_balance(sender, tx.amount)
@@ -228,7 +221,7 @@ class Executor:
                 result = self.svm.execute(account.code or b"", context, exec_gas)
                 gas_used += result.gas_used
                 return_value = result.return_value
-                logs = result.logs
+                logs = tuple(result.logs)
         else:  # pragma: no cover - exhaustive over TxType
             raise VMError(f"unknown tx type {tx.tx_type!r}")
 
@@ -245,3 +238,12 @@ class Executor:
             contract_address=contract_address,
             logs=logs,
         )
+
+
+# Bound once, after ``Executor`` and ``Receipt`` exist, not per call:
+# repro.core.blockchain imports this module, so when the import starts
+# here (vm first) these lines load repro.core, which finds both names
+# already defined; when it starts in repro.core, the modules named here
+# are loaded before repro.core.blockchain asks for this one.
+from repro.core.transaction import Transaction, TxType  # noqa: E402
+from repro.core.validation import check_signature, lazy_validate  # noqa: E402

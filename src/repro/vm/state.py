@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import copy as _copymod
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from repro.crypto.hashing import hash_items
 from repro.errors import UnknownSender
+
+
+#: journal marker for "the key was not there": undoing an entry whose
+#: previous value is ``_ABSENT`` removes the key
+_ABSENT = object()
 
 
 def _clone_value(value: Any) -> Any:
@@ -46,16 +51,27 @@ class Account:
 class WorldState:
     """Mutable account/storage map with journaled snapshots.
 
-    Journaling records undo entries; ``snapshot()`` returns a journal
-    length and ``revert(snap)`` unwinds back to it.  This is O(writes)
-    per revert and O(1) per snapshot — the same strategy Geth uses.
+    Every write appends one undo entry ``(target, key, previous)`` to the
+    journal: ``target`` is the account (``key`` names its field) or one of
+    the two maps (``key`` is the address or storage slot, and ``previous``
+    may be ``_ABSENT``).  ``snapshot()`` returns the journal length and
+    ``revert(snap)`` unwinds back to it: O(writes) per revert, O(1) per
+    snapshot — the same strategy Geth uses.  Snapshots nest, and a caller
+    may revert any span of work it has not committed (a whole batch of
+    transactions, say).
+
+    The journal lives until ``commit()``.  The commit loop
+    (:meth:`repro.core.blockchain.Blockchain.commit_superblock`) commits
+    after every transaction, because nothing reverts across transactions:
+    the journal then holds one transaction's entries at most, and they die
+    young instead of being promoted into the collector's oldest generation.
     """
 
     def __init__(self) -> None:
         self._accounts: dict[str, Account] = {}
         # storage[(contract_address, key)] = value
         self._storage: dict[tuple[str, str], Any] = {}
-        self._journal: list[Callable[[], None]] = []
+        self._journal: list[tuple[Any, Any, Any]] = []
 
     # -- snapshots ----------------------------------------------------------
 
@@ -65,8 +81,16 @@ class WorldState:
 
     def revert(self, snap: int) -> None:
         """Undo every mutation recorded after ``snap``."""
-        while len(self._journal) > snap:
-            self._journal.pop()()
+        journal = self._journal
+        while len(journal) > snap:
+            target, key, previous = journal.pop()
+            if type(target) is dict:
+                if previous is _ABSENT:
+                    target.pop(key, None)
+                else:
+                    target[key] = previous
+            else:
+                setattr(target, key, previous)
 
     def commit(self) -> None:
         """Drop undo history (mutations become permanent)."""
@@ -84,30 +108,33 @@ class WorldState:
             raise UnknownSender(f"no account {address!r}") from None
 
     def get_or_create(self, address: str) -> Account:
-        if address not in self._accounts:
-            account = Account(address=address)
-            self._accounts[address] = account
-            self._journal.append(lambda: self._accounts.pop(address, None))
-        return self._accounts[address]
+        account = self._accounts.get(address)
+        if account is None:
+            account = self._accounts[address] = Account(address=address)
+            self._journal.append((self._accounts, address, _ABSENT))
+        return account
 
     def create_account(
         self,
         address: str,
-        balance: int = 0,
+        balance: int | None = None,
         *,
         code: bytes | None = None,
         native: str | None = None,
     ) -> Account:
+        """Create ``address`` (or reuse it) and install ``code``/``native``.
+
+        ``balance=None`` keeps whatever the address already holds (0 for a
+        new account): value sent to an address before a contract is
+        deployed there stays with the contract.
+        """
         account = self.get_or_create(address)
-        self.set_balance(address, balance)
+        if balance is not None:
+            self.set_balance(address, balance)
         if code is not None or native is not None:
-            prev_code, prev_native = account.code, account.native
+            self._journal.append((account, "code", account.code))
+            self._journal.append((account, "native", account.native))
             account.code, account.native = code, native
-
-            def undo(acc=account, c=prev_code, nat=prev_native) -> None:
-                acc.code, acc.native = c, nat
-
-            self._journal.append(undo)
         return account
 
     def balance_of(self, address: str) -> int:
@@ -122,9 +149,8 @@ class WorldState:
         if value < 0:
             raise ValueError(f"negative balance {value} for {address!r}")
         account = self.get_or_create(address)
-        prev = account.balance
+        self._journal.append((account, "balance", account.balance))
         account.balance = value
-        self._journal.append(lambda acc=account, p=prev: setattr(acc, "balance", p))
 
     def add_balance(self, address: str, delta: int) -> None:
         self.set_balance(address, self.balance_of(address) + delta)
@@ -134,9 +160,8 @@ class WorldState:
 
     def bump_nonce(self, address: str) -> None:
         account = self.get_or_create(address)
-        prev = account.nonce
-        account.nonce = prev + 1
-        self._journal.append(lambda acc=account, p=prev: setattr(acc, "nonce", p))
+        self._journal.append((account, "nonce", account.nonce))
+        account.nonce += 1
 
     # -- storage ------------------------------------------------------------
 
@@ -145,16 +170,9 @@ class WorldState:
 
     def storage_set(self, contract: str, key: str, value: Any) -> None:
         slot = (contract, key)
-        had, prev = (slot in self._storage), self._storage.get(slot)
-
-        def undo() -> None:
-            if had:
-                self._storage[slot] = prev
-            else:
-                self._storage.pop(slot, None)
-
-        self._storage[slot] = value
-        self._journal.append(undo)
+        storage = self._storage
+        self._journal.append((storage, slot, storage.get(slot, _ABSENT)))
+        storage[slot] = value
 
     def storage_items(self, contract: str) -> Iterator[tuple[str, Any]]:
         for (addr, key), value in self._storage.items():

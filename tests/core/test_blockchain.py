@@ -5,8 +5,9 @@ import pytest
 from repro import params
 from repro.core.block import SuperBlock, make_block
 from repro.core.blockchain import Blockchain
-from repro.core.transaction import make_transfer
+from repro.core.transaction import make_invoke, make_transfer
 from repro.crypto.keys import generate_keypair
+from repro.vm.executor import Executor
 from repro.vm.state import WorldState
 
 FUNDS = 10**9
@@ -101,6 +102,44 @@ class TestCommit:
         result = chain.commit_superblock(SuperBlock(index=1, blocks=(b1, b2)))
         assert [b.proposer_id for b in result.appended_blocks] == [0]
         assert chain.head().parent_hash == chain.chain[0].block_hash
+
+
+class TestJournalLifetime:
+    """Nothing reverts across transactions, so the commit loop drops each
+    transaction's undo entries once it has run."""
+
+    def test_journal_is_empty_when_each_transaction_starts(self, kp, monkeypatch):
+        chain = fresh_chain(kp)
+        seen = []
+        execute = Executor.execute
+
+        def spy(self, tx, **kwargs):
+            seen.append(self.state.snapshot())  # the journal's length
+            return execute(self, tx, **kwargs)
+
+        monkeypatch.setattr(Executor, "execute", spy)
+        kp2 = generate_keypair(2)
+        b1 = make_block(kp, 0, 1, [make_transfer(kp, "aa" * 20, 1, nonce=i) for i in range(3)])
+        b2 = make_block(kp2, 1, 1, [make_transfer(kp, "bb" * 20, 1, nonce=3)])
+        result = chain.commit_superblock(SuperBlock(index=1, blocks=(b1, b2)))
+        assert len(result.committed) == 4
+        assert seen == [0, 0, 0, 0]
+        assert chain.state.snapshot() == 0
+
+    def test_failed_transaction_after_successful_ones_changes_nothing(self, kp):
+        good = [make_transfer(kp, "aa" * 20, 1, nonce=i) for i in range(3)]
+        # Passes lazy validation, then writes (fee, nonce, value to a new
+        # account) before failing: the call target is not a contract.
+        bad = make_invoke(kp, "bb" * 20, "f", (), nonce=3, amount=5)
+        mixed, clean = fresh_chain(kp), fresh_chain(kp)
+        result = mixed.commit_superblock(
+            SuperBlock(index=1, blocks=(make_block(kp, 0, 1, good + [bad]),))
+        )
+        clean.commit_superblock(SuperBlock(index=1, blocks=(make_block(kp, 0, 1, good),)))
+        assert result.committed == good
+        assert result.discarded == [(bad, "vm-error")]
+        assert not mixed.state.account_exists("bb" * 20)
+        assert mixed.state.state_root() == clean.state.state_root()
 
 
 class TestSafetyRelations:

@@ -1,5 +1,7 @@
 """Receipts, inclusion proofs, checkpoints — the §VI receipt machinery."""
 
+import gc
+
 import pytest
 
 from repro import params
@@ -10,10 +12,11 @@ from repro.core.lightclient import (
     CheckpointVerifier,
     verify_inclusion,
 )
-from repro.core.receipts import InclusionProof, ReceiptStore
+from repro.core.receipts import CommitRecord, InclusionProof, ReceiptStore
 from repro.core.transaction import make_transfer
 from repro.crypto.keys import generate_keypair
 from repro.net.topology import single_region_topology
+from repro.vm.executor import Receipt
 
 
 @pytest.fixture
@@ -57,6 +60,44 @@ class TestReceiptStore:
         v0 = deployment.validators[0]
         assert len(v0.receipts) >= len(txs)
 
+    def test_stored_records_are_not_collector_containers(self, committed_deployment):
+        """A validator keeps every receipt for its whole life; the cyclic
+        collector must not have to walk them."""
+        deployment, txs = committed_deployment
+        gc.collect()
+        for validator in deployment.validators:
+            rows = list(validator.receipts._records.values())
+            assert len(rows) >= len(txs)
+            assert not any(gc.is_tracked(row) for row in rows)
+
+    def test_get_rebuilds_the_commit_record(self):
+        kp = generate_keypair(4243)
+        txs = [make_transfer(kp, "aa" * 20, 1, nonce=i) for i in range(3)]
+        block = make_block(kp, 0, 7, txs)
+        receipts = {
+            txs[0].tx_hash: Receipt(tx_hash=txs[0].tx_hash, success=True, gas_used=21_000),
+            txs[2].tx_hash: Receipt(
+                tx_hash=txs[2].tx_hash, success=True, gas_used=30_500,
+                return_value=12, contract_address="cc" * 20, logs=(1, 2),
+            ),
+        }
+        store = ReceiptStore()
+        store.record_block(block, receipts, commit_time=2.5)
+        for position in (0, 2):
+            tx_hash = txs[position].tx_hash
+            assert store.get(tx_hash) == CommitRecord(
+                receipt=receipts[tx_hash],
+                height=block.index,
+                block_hash=block.block_hash,
+                position=position,
+                commit_time=2.5,
+            )
+        assert store.get(txs[1].tx_hash) is None
+        assert not store.has_receipt(txs[1])
+        proof = store.inclusion_proof(txs[2].tx_hash)
+        assert proof.merkle_proof.index == 2
+        assert verify_inclusion(proof, {kp.address})
+
 
 class TestInclusionProofs:
     def test_proof_verifies_against_committee(self, committed_deployment):
@@ -91,8 +132,6 @@ class TestInclusionProofs:
         tx = make_transfer(outsider, "aa" * 20, 1, nonce=0)
         block = make_block(outsider, 0, 1, [tx])
         store = ReceiptStore()
-        from repro.vm.executor import Receipt
-
         store.record_block(
             block, {tx.tx_hash: Receipt(tx_hash=tx.tx_hash, success=True)},
             commit_time=1.0,

@@ -92,7 +92,8 @@ def _digest(deployment, **extra):
                     rec.receipt.gas_used,
                     rec.receipt.error,
                 )
-                for tx_hash, rec in v.receipts._records.items()
+                for tx_hash in v.receipts._records
+                for rec in [v.receipts.get(tx_hash)]
             )
             for v in validators
         ],

@@ -1,10 +1,16 @@
 """Executor: ApplyTransaction semantics, rollback, gas, receipts."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro import params
 from repro.core.transaction import Transaction, TxType, make_deploy, make_invoke, make_transfer
 from repro.crypto.keys import generate_keypair
+from repro.errors import VMError
 from repro.vm.executor import (
     Executor,
     contract_address_for,
@@ -111,6 +117,39 @@ class TestDeployAndInvoke:
         assert address == contract_address_for(keypair.address, 0)
         assert executor.state.get_account(address).code == code
 
+    def test_deploy_keeps_value_already_sent_to_its_address(self, executor, keypair):
+        """Funds sent to a contract's address before it is deployed there
+        stay with the contract: total supply is conserved."""
+        state, coinbase = executor.state, "f" * 40
+        target = contract_address_for(keypair.address, 1)
+        holders = (keypair.address, target, coinbase)
+        supply = sum(state.balance_of(a) for a in holders)
+        assert executor.execute(
+            make_transfer(keypair, target, 40, nonce=0), coinbase=coinbase
+        ).success
+        deploy = make_deploy(keypair, assemble([Op.STOP]), nonce=1)
+        receipt = executor.execute(deploy, coinbase=coinbase)
+        assert receipt.success
+        assert receipt.contract_address == target
+        assert state.balance_of(target) == 40
+        assert sum(state.balance_of(a) for a in holders) == supply
+
+    @pytest.mark.parametrize("existing", [{"code": b"\x00"}, {"native": "exchange"}])
+    def test_deploy_onto_a_contract_reverts(self, executor, keypair, existing):
+        state = executor.state
+        target = contract_address_for(keypair.address, 0)
+        state.create_account(target, 7, **existing)
+        state.commit()
+        root = state.state_root()
+        receipt = executor.execute(make_deploy(keypair, assemble([Op.STOP]), nonce=0))
+        assert not receipt.success
+        assert receipt.error == VMError.code
+        assert state.state_root() == root
+        account = state.get_account(target)
+        assert (account.code, account.native) == (
+            existing.get("code"), existing.get("native")
+        )
+
     def test_invoke_deployed_bytecode(self, executor, keypair):
         code = assemble([(Op.PUSH, 0), Op.CALLDATALOAD, (Op.PUSH, 1), Op.ADD, Op.RETURN])
         deploy = make_deploy(keypair, code, nonce=0)
@@ -190,3 +229,24 @@ def test_install_native_well_known_address():
     addr = install_native(state, "exchange")
     assert addr == native_address_for("exchange")
     assert state.get_account(addr).native == "exchange"
+
+
+@pytest.mark.parametrize(
+    "first", ["repro.vm.executor", "repro.vm", "repro.core.blockchain", "repro.core"]
+)
+def test_vm_core_import_cycle_resolves_from_either_side(first):
+    """The executor binds its repro.core names once at import; that must
+    work whichever package a fresh interpreter imports first."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    code = (
+        f"import {first}\n"
+        "import repro.core.validation as validation, repro.vm.executor as executor\n"
+        "from repro.core.blockchain import Blockchain\n"
+        "assert executor.lazy_validate is validation.lazy_validate\n"
+        "assert Blockchain().executor.__class__ is executor.Executor\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr[-2000:]

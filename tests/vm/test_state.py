@@ -163,6 +163,90 @@ class TestStateRoot:
         assert ws.state_root() == root
 
 
+ADDRESSES = ("a", "b", "c")
+KEYS = ("k1", "k2")
+_MISSING = object()
+
+_journal_ops = st.one_of(
+    st.tuples(
+        st.just("create"),
+        st.sampled_from(ADDRESSES),
+        st.none() | st.integers(min_value=0, max_value=50),
+        st.none() | st.sampled_from([b"", b"\x01"]),
+        st.none() | st.sampled_from(["exchange", "rpm"]),
+    ),
+    st.tuples(
+        st.just("balance"),
+        st.sampled_from(ADDRESSES),
+        st.integers(min_value=0, max_value=50),
+    ),
+    st.tuples(st.just("nonce"), st.sampled_from(ADDRESSES)),
+    st.tuples(
+        st.just("store"),
+        st.sampled_from(ADDRESSES),
+        st.sampled_from(KEYS),
+        st.none() | st.integers(min_value=0, max_value=3),
+    ),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("revert")),
+)
+
+
+def _membership(ws: WorldState) -> tuple:
+    accounts = tuple(a for a in ADDRESSES if ws.account_exists(a))
+    slots = tuple(
+        (c, k) for c in ADDRESSES for k in KEYS
+        if ws.storage_get(c, k, _MISSING) is not _MISSING
+    )
+    return accounts, slots
+
+
+class TestJournalProperty:
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(ADDRESSES),
+                st.sampled_from(KEYS),
+                st.none() | st.integers(min_value=0, max_value=3),
+            ),
+            max_size=4,
+        ),
+        st.lists(_journal_ops, max_size=40),
+    )
+    def test_revert_restores_the_copy_taken_at_the_snapshot(self, base, ops):
+        """Any interleaving of writes and nested snapshots: ``revert(s)``
+        restores exactly the state ``copy()`` saw at ``s`` — root, accounts
+        and storage slots, a ``None`` stored into an absent slot included."""
+        ws = WorldState()
+        for contract, key, value in base:
+            ws.storage_set(contract, key, value)
+        ws.commit()
+        open_snapshots = [(ws.snapshot(), ws.copy())]
+
+        def revert_last():
+            snap, saved = open_snapshots.pop()
+            ws.revert(snap)
+            assert ws.state_root() == saved.state_root()
+            assert _membership(ws) == _membership(saved)
+
+        for op, *args in ops:
+            if op == "create":
+                address, balance, code, native = args
+                ws.create_account(address, balance, code=code, native=native)
+            elif op == "balance":
+                ws.set_balance(*args)
+            elif op == "nonce":
+                ws.bump_nonce(*args)
+            elif op == "store":
+                ws.storage_set(*args)
+            elif op == "snapshot":
+                open_snapshots.append((ws.snapshot(), ws.copy()))
+            elif open_snapshots:
+                revert_last()
+        while open_snapshots:
+            revert_last()
+
+
 class TestCopyIsolation:
     def test_copy_deep_copies_mutable_storage_values(self):
         ws = WorldState()
