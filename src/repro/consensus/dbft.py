@@ -414,13 +414,15 @@ class BinaryConsensus:
             if v == coin and self.decided is None:
                 self.decided = v
                 self._decided_round = r
-                m = _metrics()
-                m.rounds.observe(r)
-                m.decisions[v].inc()
+                if telemetry.get_registry().enabled:
+                    m = _metrics()
+                    m.rounds.observe(r)
+                    m.decisions[v].inc()
                 self._on_decide(self.instance, v)
             self.est = v
         else:
-            _metrics().coin.inc()
+            if telemetry.get_registry().enabled:
+                _metrics().coin.inc()
             self.est = coin
         self.round = r + 1
         self._start_round()

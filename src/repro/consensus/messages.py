@@ -237,12 +237,17 @@ class ConsensusBatch:
 
     def standalone_size(self) -> int:
         """What the constituents would have cost sent individually."""
-        cached = self.__dict__.get("_standalone_size")
-        if cached is None:
-            cached = sum(m.approx_size() for m in self.messages)
-            object.__setattr__(self, "_standalone_size", cached)
-        return cached
+        return sum(m.approx_size() for m in self.messages)
 
     def bytes_saved(self) -> int:
-        """Wire bytes avoided by batching (never negative)."""
-        return max(0, self.standalone_size() - self.approx_size())
+        """Wire bytes avoided by batching (never negative).
+
+        Equal to ``standalone_size() - approx_size()`` floored at zero,
+        without walking the constituents: sent alone, each one pays the
+        full envelope plus its payload; batched, it pays the compact
+        record plus the same payload.  (A constituent is never itself a
+        batch — the batcher buffers vote kinds only — so its payload is
+        sized the same way in both.)
+        """
+        saved = len(self.messages) * (BASE_MESSAGE_BYTES - self.PER_MESSAGE_BYTES)
+        return max(0, saved - self.HEADER_BYTES)

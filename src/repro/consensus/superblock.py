@@ -70,7 +70,8 @@ def record_wire_kind(kind: MsgKind) -> None:
     constituents are not re-counted (that is precisely the reduction the
     batching headline measures).
     """
-    _metrics().by_kind[kind].inc()
+    if telemetry.get_registry().enabled:
+        _metrics().by_kind[kind].inc()
 
 
 class SuperBlockConsensus:
@@ -229,7 +230,8 @@ class SuperBlockConsensus:
         else:
             # Alg. 1 line 16: discard blocks with invalid headers.
             self.discarded_headers.append(instance_id)
-            _metrics().discarded.inc()
+            if telemetry.get_registry().enabled:
+                _metrics().discarded.inc()
             logger.warning(
                 "node %d discarding proposal for slot %d of index %d: "
                 "invalid header", self.my_id, instance_id, self.index,
@@ -271,9 +273,10 @@ class SuperBlockConsensus:
                     block.transactions, "decide",
                     node=self.my_id, index=self.index,
                 )
-        m = _metrics()
-        m.superblocks.inc()
-        m.blocks.observe(len(accepted))
+        if telemetry.get_registry().enabled:
+            m = _metrics()
+            m.superblocks.inc()
+            m.blocks.observe(len(accepted))
         telemetry.event(
             "consensus.superblock",
             node=self.my_id,

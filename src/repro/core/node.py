@@ -113,23 +113,34 @@ class NodeStats:
     A thin view over :mod:`repro.telemetry` counters: each field is a
     private always-on :class:`~repro.telemetry.Counter` (exact per-node
     counts, independent of global telemetry), mirrored into labeled
-    children of the process-global registry so ``--metrics-out`` exports
-    them.  The attribute API is unchanged — ``stats.txs_committed`` reads
-    an ``int`` and ``stats.txs_committed += 1`` still works.
+    children of the registry that was global at construction so
+    ``--metrics-out`` exports them.  The attribute API is unchanged —
+    ``stats.txs_committed`` reads an ``int`` and ``stats.txs_committed +=
+    1`` still works.
+
+    While that registry is disabled a write touches nothing in it: the
+    mirrors are bound on the first write that finds it enabled (at
+    construction when it already is, so a dump lists every node's
+    counters from the start).
     """
 
-    __slots__ = ("_local", "_mirrors")
+    __slots__ = ("_local", "_registry", "_node_id", "_mirrors")
 
     _fields = _STAT_FIELDS
 
     def __init__(self, node_id: "int | None" = None):
+        registry = telemetry.get_registry()
         object.__setattr__(
             self,
             "_local",
             {name: telemetry.Counter(f"srbb_node_{name}_total") for name in _STAT_FIELDS},
         )
+        object.__setattr__(self, "_registry", registry)
+        object.__setattr__(self, "_node_id", node_id)
         object.__setattr__(
-            self, "_mirrors", _mirror_counters(telemetry.get_registry(), node_id)
+            self,
+            "_mirrors",
+            _mirror_counters(registry, node_id) if registry.enabled else None,
         )
 
     def __getattr__(self, name: str) -> int:
@@ -145,8 +156,13 @@ class NodeStats:
         delta = value - local.value
         if delta < 0:
             raise ValueError(f"stat {name!r} cannot decrease")
-        local.inc(delta)
-        self._mirrors[name].inc(delta)
+        local.value += delta
+        if self._registry.enabled:
+            mirrors = self._mirrors
+            if mirrors is None:
+                mirrors = _mirror_counters(self._registry, self._node_id)
+                object.__setattr__(self, "_mirrors", mirrors)
+            mirrors[name].inc(delta)
 
     def as_dict(self) -> "dict[str, int]":
         return {name: int(self._local[name].value) for name in _STAT_FIELDS}

@@ -83,18 +83,18 @@ class TxPool:
 
     def add(self, tx: Transaction, now: float = 0.0) -> bool:
         """Admit ``tx``; returns False on duplicate or evicts oldest if full."""
-        m = _metrics()
         if tx.tx_hash in self._pending:
             self.stats.duplicates += 1
-            m.duplicates.inc()
+            if telemetry.get_registry().enabled:
+                _metrics().duplicates.inc()
             return False
-        if len(self._pending) >= self.capacity:
+        evicted = len(self._pending) >= self.capacity
+        if evicted:
             # FIFO eviction: congestion makes the pool drop the oldest tx —
             # precisely the "transaction loss" DIABLO observes.
             evicted_hash, _ = self._pending.popitem(last=False)
             self._entry_seq.pop(evicted_hash, None)
             self.stats.evicted += 1
-            m.evicted.inc()
         self._pending[tx.tx_hash] = (tx, now)
         seq = next(self._admission_seq)
         self._entry_seq[tx.tx_hash] = seq
@@ -102,9 +102,13 @@ class TxPool:
         if len(self._fee_heap) > 2 * len(self._pending) + 64:
             self._rebuild_fee_heap()
         self.stats.admitted += 1
-        m.admitted.inc()
-        m.occupancy.observe(len(self._pending))
-        m.size.set(len(self._pending))
+        if telemetry.get_registry().enabled:
+            m = _metrics()
+            if evicted:
+                m.evicted.inc()
+            m.admitted.inc()
+            m.occupancy.observe(len(self._pending))
+            m.size.set(len(self._pending))
         return True
 
     # -- expiry ----------------------------------------------------------------
@@ -119,7 +123,8 @@ class TxPool:
                 self._entry_seq.pop(tx_hash, None)
                 dropped.append(tx)
                 self.stats.expired += 1
-                _metrics().expired.inc()
+                if telemetry.get_registry().enabled:
+                    _metrics().expired.inc()
             else:
                 # OrderedDict is FIFO by admission time: first fresh entry
                 # means the rest are fresh too.
@@ -243,9 +248,7 @@ class TxPool:
         if by_fee:
             batch = self._take_batch_by_fee(max_txs, gas_limit, next_nonce)
             if batch:
-                m = _metrics()
-                m.taken.inc(len(batch))
-                m.size.set(len(self._pending))
+                self._count_taken(len(batch))
             return batch
 
         batch: list[Transaction] = []
@@ -283,10 +286,14 @@ class TxPool:
             if next_nonce is None:
                 break  # without nonce gating one sweep sees everything
         if batch:
-            m = _metrics()
-            m.taken.inc(len(batch))
-            m.size.set(len(self._pending))
+            self._count_taken(len(batch))
         return batch
+
+    def _count_taken(self, taken: int) -> None:
+        if telemetry.get_registry().enabled:
+            m = _metrics()
+            m.taken.inc(taken)
+            m.size.set(len(self._pending))
 
     def oldest_age(self, now: float) -> float:
         """Age in seconds of the oldest pending transaction (0.0 when

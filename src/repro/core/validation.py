@@ -75,11 +75,12 @@ def check_signature(tx: Transaction) -> bool:
     """
     if tx.signature is None or tx.public_key is None:
         return False
-    m = _metrics()
-    if tx.sig_verified:
-        m.sig_hits.inc()
+    hit = tx.sig_verified
+    if telemetry.get_registry().enabled:
+        m = _metrics()
+        (m.sig_hits if hit else m.sig_misses).inc()
+    if hit:
         return True
-    m.sig_misses.inc()
     ok = recover_check(tx.public_key, tx.signing_payload(), tx.signature, tx.sender)
     if ok:
         object.__setattr__(tx, "sig_verified", True)

@@ -106,16 +106,19 @@ class FaultController:
 
     def _fire(self, event: FaultEvent) -> None:
         self.applied.append((event.kind, event.node, self.sim.now))
-        m = _metrics()
-        m.injected.labels(kind=event.kind).inc()
+        if telemetry.get_registry().enabled:
+            m = _metrics()
+            m.injected.labels(kind=event.kind).inc()
+            if event.kind == "crash":
+                m.crashed.inc()
+            elif event.kind == "restart":
+                m.crashed.dec()
         telemetry.event(
             "fault.inject", kind=event.kind, node=event.node, sim_now=self.sim.now,
         )
         if event.kind == "crash":
-            m.crashed.inc()
             self.deployment.crash(event.node)
         elif event.kind == "restart":
-            m.crashed.dec()
             self.deployment.restart(event.node)
 
     def _toggle_byzantine(self, event: FaultEvent, active: bool) -> None:
@@ -131,9 +134,10 @@ class FaultController:
                 del self.byzantine_active[event.node]
         edge = "open" if active else "close"
         self.applied.append((f"{event.kind}-{edge}", event.node, self.sim.now))
-        m = _metrics()
-        m.injected.labels(kind=f"{event.kind}-{edge}").inc()
-        m.byzantine.set(self.byzantine_windows_open)
+        if telemetry.get_registry().enabled:
+            m = _metrics()
+            m.injected.labels(kind=f"{event.kind}-{edge}").inc()
+            m.byzantine.set(self.byzantine_windows_open)
         telemetry.event(
             "fault.inject", kind=f"{event.kind}-{edge}", node=event.node,
             sim_now=self.sim.now,
@@ -152,7 +156,8 @@ class FaultController:
 
     def _note_window(self, event: FaultEvent, edge: str) -> None:
         self.applied.append((f"{event.kind}-{edge}", event.node, self.sim.now))
-        _metrics().injected.labels(kind=f"{event.kind}-{edge}").inc()
+        if telemetry.get_registry().enabled:
+            _metrics().injected.labels(kind=f"{event.kind}-{edge}").inc()
         telemetry.event(
             "fault.inject", kind=f"{event.kind}-{edge}", node=event.node,
             link=event.link, p=event.p, sim_now=self.sim.now,

@@ -26,15 +26,18 @@ __all__ = ["LivenessWatchdog"]
 
 _metrics = telemetry.bind(
     lambda reg: SimpleNamespace(
-        wedged=reg.gauge(
-            "srbb_node_wedged",
-            "1 while a node's liveness watchdog considers it stalled",
-        ),
         stalls=reg.counter(
             "srbb_node_stalls_total", "liveness watchdog stall detections"
         ),
     )
 )
+
+
+def _wedged_gauge(registry: telemetry.MetricsRegistry, node_id: int) -> telemetry.Gauge:
+    return registry.gauge(
+        "srbb_node_wedged",
+        "1 while a node's liveness watchdog considers it stalled",
+    ).labels(node=str(node_id))
 
 
 class LivenessWatchdog:
@@ -77,6 +80,9 @@ class LivenessWatchdog:
         self.stalled = False
         self.stall_count = 0
         self._running = False
+        #: the registry global at ``start()``, and its wedged-gauge child
+        #: (bound once that registry is enabled)
+        self._registry: "telemetry.MetricsRegistry | None" = None
         self._gauge = None
 
     # -- lifecycle ----------------------------------------------------------------
@@ -86,16 +92,25 @@ class LivenessWatchdog:
             return
         self._running = True
         self.last_commit_at = self.sim.now
-        self._gauge = _metrics().wedged.labels(node=str(self.node_id))
+        self._registry = telemetry.get_registry()
+        if self._registry.enabled:
+            self._gauge = _wedged_gauge(self._registry, self.node_id)
         self.sim.schedule(self.check_interval_s, self._check)
+
+    def _set_wedged(self, value: int) -> None:
+        registry = self._registry
+        if registry is None or not registry.enabled:
+            return
+        if self._gauge is None:
+            self._gauge = _wedged_gauge(registry, self.node_id)
+        self._gauge.set(value)
 
     def stop(self) -> None:
         """Pause checks (crashed nodes are down, not wedged)."""
         self._running = False
         if self.stalled:
             self.stalled = False
-            if self._gauge is not None:
-                self._gauge.set(0)
+            self._set_wedged(0)
 
     def resume(self) -> None:
         """Re-arm after a restart with a fresh commit clock."""
@@ -111,7 +126,7 @@ class LivenessWatchdog:
         self.last_commit_at = self.sim.now
         if self.stalled:
             self.stalled = False
-            self._gauge.set(0)
+            self._set_wedged(0)
             telemetry.event(
                 "watchdog.recovered", node=self.node_id, sim_now=self.sim.now,
             )
@@ -125,9 +140,9 @@ class LivenessWatchdog:
         if idle >= self.stall_after_s and not self.stalled:
             self.stalled = True
             self.stall_count += 1
-            m = _metrics()
-            self._gauge.set(1)
-            m.stalls.labels(node=str(self.node_id)).inc()
+            self._set_wedged(1)
+            if telemetry.get_registry().enabled:
+                _metrics().stalls.labels(node=str(self.node_id)).inc()
             telemetry.event(
                 "watchdog.stall",
                 node=self.node_id, idle_s=round(idle, 4), sim_now=self.sim.now,

@@ -84,7 +84,8 @@ class GossipLayer:
             return
         self._seen.add(item_id)
         self.stats.originated += 1
-        _metrics().originated.inc()
+        if telemetry.get_registry().enabled:
+            _metrics().originated.inc()
         self._forward(item_id, payload, size_bytes, hops=0)
 
     def handle(self, msg: Message) -> bool:
@@ -97,11 +98,14 @@ class GossipLayer:
             return False
         item_id, payload, size_bytes, hops = msg.payload
         self.stats.received += 1
-        m = _metrics()
-        m.received.inc()
-        if item_id in self._seen:
+        fresh = item_id not in self._seen
+        if telemetry.get_registry().enabled:
+            m = _metrics()
+            m.received.inc()
+            if not fresh:
+                m.duplicates.inc()
+        if not fresh:
             self.stats.duplicates_suppressed += 1
-            m.duplicates.inc()
             return False
         self._seen.add(item_id)
         self.deliver(payload, msg.sender)
@@ -120,7 +124,8 @@ class GossipLayer:
         )
         sent = self.network.send_to_peers(self.node_id, msg)
         self.stats.forwarded += sent
-        _metrics().forwarded.inc(sent)
+        if telemetry.get_registry().enabled:
+            _metrics().forwarded.inc(sent)
 
     def reset(self) -> None:
         """Forget dedup state (a crashed node's RAM); stats survive as

@@ -207,13 +207,14 @@ class NetStats:
             region = self.by_region[(src_region, dst_region)] = [0, 0]
         region[0] += 1
         region[1] += size
-        m = _metrics()
-        m.logical.inc(msg.count)
-        msgs_child, bytes_child = _traffic_children(
-            m, msg.kind, src_region, dst_region
-        )
-        msgs_child.inc()
-        bytes_child.inc(msg.size_bytes)
+        if telemetry.get_registry().enabled:
+            m = _metrics()
+            m.logical.inc(msg.count)
+            msgs_child, bytes_child = _traffic_children(
+                m, msg.kind, src_region, dst_region
+            )
+            msgs_child.inc()
+            bytes_child.inc(size)
 
     def egress_bytes(self, sender: int) -> int:
         return self.by_sender.get(sender, [0, 0])[1]
@@ -391,6 +392,11 @@ class Network:
 
     # -- the (possibly lossy) channel ------------------------------------------------
 
+    def _count_dropped(self) -> None:
+        self.stats.dropped += 1
+        if telemetry.get_registry().enabled:
+            _rel_metrics().dropped.inc()
+
     def _channel_send(
         self, src: int, dst: int, msg: Message, *, seq: "int | None"
     ) -> None:
@@ -402,8 +408,7 @@ class Network:
             if p_drop >= 1.0 or (
                 p_drop > 0.0 and self._fault_rng.random() < p_drop
             ):
-                self.stats.dropped += 1
-                _rel_metrics().dropped.inc()
+                self._count_dropped()
                 return
             p_dup = self.faults.duplicate_probability(src, dst, now)
             if p_dup > 0.0 and self._fault_rng.random() < p_dup:
@@ -431,8 +436,7 @@ class Network:
     def _deliver(self, dst: int, msg: Message) -> None:
         if dst in self._down:
             # Arrived at a dead host: lost, like any in-flight traffic.
-            self.stats.dropped += 1
-            _rel_metrics().dropped.inc()
+            self._count_dropped()
             return
         endpoint = self._endpoints.get(dst)
         if endpoint is not None:
@@ -447,8 +451,8 @@ class Network:
         timeout = self.net.retransmit_timeout_s * (
             self.net.retransmit_backoff ** attempt
         )
-        # Almost every one of these timers is cancelled (the ack wins):
-        # they are what the simulator's lazy heap compaction is for.
+        # Almost every one of these timers is cancelled (the ack wins);
+        # a cancelled timer leaves the heap when it reaches the head.
         self._pending[(src, dst, seq)] = self.sim.schedule(
             timeout, self._retransmit, src, dst, msg, seq, attempt
         )
@@ -460,7 +464,8 @@ class Network:
         if self._pending.pop(key, None) is None:
             return  # acked (or the sender crashed) in the meantime
         if attempt >= self.net.retransmit_cap:
-            _rel_metrics().delivery_failures.inc()
+            if telemetry.get_registry().enabled:
+                _rel_metrics().delivery_failures.inc()
             telemetry.event(
                 "net.delivery_failure",
                 src=src, dst=dst, seq=seq,
@@ -469,9 +474,10 @@ class Network:
             return
         self.stats.retransmissions += 1
         _base, src_region, dst_region = self._link(src, dst)
-        _rel_metrics().retransmissions.labels(
-            src_region=src_region, dst_region=dst_region
-        ).inc()
+        if telemetry.get_registry().enabled:
+            _rel_metrics().retransmissions.labels(
+                src_region=src_region, dst_region=dst_region
+            ).inc()
         # Retransmitted copies are wire traffic but not new logical volume.
         self.stats.record(
             replace(msg, count=0),
@@ -481,18 +487,18 @@ class Network:
 
     def _deliver_seq(self, src: int, dst: int, msg: Message, seq: int) -> None:
         if dst in self._down:
-            self.stats.dropped += 1
-            _rel_metrics().dropped.inc()
+            self._count_dropped()
             return
         # Ack every copy — the ack for an earlier copy may have been lost.
         self._send_ack(src, dst, seq)
         tracker = self._rx_seen.setdefault((src, dst), _SeqTracker())
         if not tracker.mark(seq):
             self.stats.duplicates_dropped += 1
-            _base, src_region, dst_region = self._link(src, dst)
-            _rel_metrics().duplicates_dropped.labels(
-                src_region=src_region, dst_region=dst_region
-            ).inc()
+            if telemetry.get_registry().enabled:
+                _base, src_region, dst_region = self._link(src, dst)
+                _rel_metrics().duplicates_dropped.labels(
+                    src_region=src_region, dst_region=dst_region
+                ).inc()
             return
         endpoint = self._endpoints.get(dst)
         if endpoint is not None:
@@ -510,8 +516,7 @@ class Network:
             if p_drop >= 1.0 or (
                 p_drop > 0.0 and self._fault_rng.random() < p_drop
             ):
-                self.stats.dropped += 1
-                _rel_metrics().dropped.inc()
+                self._count_dropped()
                 return
         delay = self.delay_for(dst, src, self.net.ack_bytes)
         self.sim.schedule(delay, self._deliver_ack, src, dst, seq)

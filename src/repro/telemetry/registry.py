@@ -3,10 +3,13 @@
 Design goals, in order:
 
 1. **Cheap when off.** The process-global default registry starts
-   *disabled*; every mutation (``inc``/``set``/``observe``) is guarded by a
-   single attribute check, so instrumentation sprinkled through hot paths
-   (per-message consensus handlers, the tick engine) costs one branch per
-   call until someone opts in (``--metrics-out`` or :func:`enable`).
+   *disabled*.  Instrumented sites read their registry's ``enabled`` flag
+   once and, while it is off, skip the :func:`bind` lookup, the label
+   resolution and every ``inc``/``set``/``observe``, so instrumentation
+   on hot paths (per-transaction validation and execution, per-message
+   transport accounting) costs one branch per call until someone opts in
+   (``--metrics-out`` or :func:`enable`).  A call that does reach a
+   disabled metric still records nothing: each mutation checks the flag.
 2. **Standalone metrics stay live.** A metric constructed without a
    registry (``Counter("x")``) always records — that is how the per-node
    ``NodeStats`` / ``LatencySample`` views keep exact per-instance counts
@@ -111,13 +114,6 @@ class _Metric:
     def children(self) -> "list[_Metric]":
         return [self._children[k] for k in sorted(self._children)]
 
-    # -- enablement ------------------------------------------------------------
-
-    @property
-    def _on(self) -> bool:
-        reg = self._registry
-        return reg is None or reg.enabled
-
     def _reset(self) -> None:  # pragma: no cover - overridden
         raise NotImplementedError
 
@@ -134,7 +130,8 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters can only increase")
-        if self._on:
+        reg = self._registry
+        if reg is None or reg.enabled:
             self.value += amount
 
     def total(self) -> float:
@@ -157,15 +154,18 @@ class Gauge(_Metric):
         self.value: float = 0.0
 
     def set(self, value: float) -> None:
-        if self._on:
+        reg = self._registry
+        if reg is None or reg.enabled:
             self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        if self._on:
+        reg = self._registry
+        if reg is None or reg.enabled:
             self.value += amount
 
     def dec(self, amount: float = 1.0) -> None:
-        if self._on:
+        reg = self._registry
+        if reg is None or reg.enabled:
             self.value -= amount
 
     def _reset(self) -> None:
@@ -450,7 +450,11 @@ def bind(factory):
         _metrics = bind(lambda reg: SimpleNamespace(
             sent=reg.counter("srbb_sim_txs_sent_total")))
         ...
-        _metrics().sent.inc()
+        if get_registry().enabled:
+            _metrics().sent.inc()
+
+    The guard reads the flag of the registry ``get()`` would resolve, so
+    a disabled registry costs the caller one branch and no lookup.
     """
     cache: "dict[int, object]" = {}
 

@@ -113,13 +113,14 @@ class Executor:
             )
         else:
             receipt = self.apply_transaction(tx, coinbase=coinbase)
-        m = _metrics()
-        if receipt.success:
-            m.ok.inc()
-            m.gas.inc(receipt.gas_used)
-        else:
-            m.failed.inc()
-            m.failures.labels(error=receipt.error or "unknown").inc()
+        if telemetry.get_registry().enabled:
+            m = _metrics()
+            if receipt.success:
+                m.ok.inc()
+                m.gas.inc(receipt.gas_used)
+            else:
+                m.failed.inc()
+                m.failures.labels(error=receipt.error or "unknown").inc()
         return receipt
 
     # -- ApplyTransaction ------------------------------------------------------

@@ -7,6 +7,7 @@ was undercounted by orders of magnitude in the bandwidth evidence.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.consensus.messages import (
     BASE_MESSAGE_BYTES,
@@ -120,3 +121,52 @@ class TestConsensusBatch:
             ConsensusBatch.PER_MESSAGE_BYTES + 32 + 2_000
         ) + (ConsensusBatch.PER_MESSAGE_BYTES + 1)
         assert batch.approx_size() == expected
+
+
+_DIGESTS = st.binary(min_size=0, max_size=40)
+#: anything a (possibly Byzantine) emitter might put in a vote's value
+#: slot — everything except a nested batch, which no batch carries
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+    _DIGESTS,
+    st.builds(_Sized, st.integers(min_value=0, max_value=10_000)),
+    st.builds(object),
+    st.lists(st.one_of(st.none(), _DIGESTS, st.integers()), max_size=3),
+)
+_CONSTITUENTS = st.one_of(
+    st.builds(
+        _msg,
+        kind=st.sampled_from((MsgKind.BVAL, MsgKind.AUX, MsgKind.COORD)),
+        value=st.one_of(st.integers(min_value=0, max_value=1), _JUNK),
+        instance=st.integers(min_value=-1, max_value=64),
+        round=st.integers(min_value=0, max_value=9),
+    ),
+    st.builds(
+        _msg,
+        kind=st.sampled_from((MsgKind.RBC_ECHO, MsgKind.RBC_READY)),
+        value=st.one_of(
+            st.tuples(
+                _DIGESTS,
+                st.one_of(
+                    st.none(),
+                    st.builds(_Sized, st.integers(min_value=0, max_value=10_000)),
+                ),
+            ),
+            _JUNK,
+        ),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(messages=st.lists(_CONSTITUENTS, min_size=1, max_size=40))
+def test_bytes_saved_is_standalone_minus_batched(messages):
+    """The closed form equals the two walks it replaces, on mixed batches."""
+    batch = ConsensusBatch(messages=tuple(messages), sender=0)
+    assert batch.bytes_saved() == max(
+        0, batch.standalone_size() - batch.approx_size()
+    )

@@ -1,12 +1,12 @@
 """Discrete-event scheduler: ordering, cancellation, run_until, the live
-counter and heap compaction, and a fuzz against a sorted-list model."""
+counter, and a fuzz against a sorted-list model."""
 
 import random
 from dataclasses import dataclass
 
 import pytest
 
-from repro.net.simulator import _COMPACT_MIN_CANCELLED, Simulator
+from repro.net.simulator import Event, Simulator
 
 
 class TestScheduling:
@@ -133,6 +133,10 @@ class TestRunUntil:
 
 
 class TestPendingAndCompaction:
+    """The live counter and the cancelled events left in the heap (there
+    is no compaction: a cancelled event is dropped when it reaches the
+    head)."""
+
     def test_pending_is_live_counter(self):
         sim = Simulator()
         events = [sim.schedule(1.0, lambda: None) for _ in range(10)]
@@ -142,20 +146,20 @@ class TestPendingAndCompaction:
         assert sim.pending == 8
         assert sim.cancelled_in_heap == 2
 
-    def test_compaction_triggers_at_threshold(self):
-        assert _COMPACT_MIN_CANCELLED == 64  # the arithmetic below assumes it
+    def test_cancelled_events_leave_at_the_head(self):
         sim = Simulator()
-        events = [sim.schedule(1.0, lambda: None) for _ in range(300)]
-        for e in events[:200]:
+        events = [sim.schedule(1.0 + i, lambda: None) for i in range(300)]
+        for e in events[::2]:
             e.cancel()
-        # Compaction fires once cancelled >= 64 AND >= half the heap
-        # (at 150 of 300); the trailing 50 cancels stay below the floor.
-        assert sim.compactions == 1
-        assert sim.pending == 100
-        assert sim.cancelled_in_heap == 50
-        assert len(sim._heap) == 150
+        # No rebuild: every cancelled event keeps its slot until popped.
+        assert (sim.pending, sim.cancelled_in_heap, len(sim._heap)) == (150, 150, 300)
+        # Fires the 50 live events due by t=100.5 and drops the 51
+        # cancelled ones that reach the head on the way (t=1, 3, ..., 101).
+        sim.run_until(100.5)
+        assert (sim.pending, sim.cancelled_in_heap, len(sim._heap)) == (100, 99, 199)
         sim.run()
-        assert sim.events_processed == 100
+        assert sim.events_processed == 150
+        assert (sim.cancelled_in_heap, len(sim._heap)) == (0, 0)
 
     def test_popped_events_do_not_count_as_cancelled(self):
         sim = Simulator()
@@ -178,14 +182,12 @@ class _Entry:
 class _Model:
     """The scheduler written the slow, obvious way: a list of entries,
     re-sorted by ``(time, seq)`` whenever the next one is needed.  A
-    cancelled entry keeps its slot until it reaches the head or the
-    cancelled ones are swept (same rule as ``_note_cancel``)."""
+    cancelled entry keeps its slot until it reaches the head."""
 
     def __init__(self):
         self.now = 0.0
         self.fired = 0
         self.seq = 0
-        self.compactions = 0
         self.queue: list[_Entry] = []
 
     def push(self, time):
@@ -202,10 +204,6 @@ class _Model:
         if entry.cancelled or not entry.queued:
             return
         entry.cancelled = True
-        cancelled = self.cancelled
-        if cancelled >= _COMPACT_MIN_CANCELLED and 2 * cancelled >= len(self.queue):
-            self._drop([e for e in self.queue if e.cancelled])
-            self.compactions += 1
 
     def _drop(self, entries):
         for entry in entries:
@@ -234,9 +232,9 @@ class TestFuzzAgainstModel:
     schedule and cancel more while draining, driven by a random mix of
     ``step`` and ``run_until``: every callback the simulator fires must be
     the model's next live ``(time, seq)`` entry, and ``now``,
-    ``events_processed``, ``pending``, ``cancelled_in_heap`` and
-    ``compactions`` must match the model at every step.  Times are
-    multiples of 0.25, so float sums are exact and ties are plentiful."""
+    ``events_processed``, ``pending``, ``cancelled_in_heap`` and the heap
+    length must match the model at every step.  Times are multiples of
+    0.25, so float sums are exact and ties are plentiful."""
 
     def _trial(self, rnd, n_ops, cancel_p):
         sim, model = Simulator(), _Model()
@@ -248,7 +246,7 @@ class TestFuzzAgainstModel:
             assert sim.events_processed == model.fired
             assert sim.pending == len(model.queue) - model.cancelled
             assert sim.cancelled_in_heap == model.cancelled
-            assert sim.compactions == model.compactions
+            assert len(sim._heap) == len(model.queue)
 
         def add(depth):
             delay = rnd.choice([0.0, 0.5, 1.0, 1.0, 1.5, 2.0])
@@ -307,8 +305,23 @@ class TestFuzzAgainstModel:
         for _ in range(60):
             self._trial(rnd, n_ops=rnd.randint(5, 40), cancel_p=0.15)
 
-    def test_heavy_cancellation_compacts_without_losing_events(self):
+    def test_heavy_cancellation_loses_no_events(self):
         rnd = random.Random(0xC0A1)
         for _ in range(6):
             sim = self._trial(rnd, n_ops=rnd.randint(300, 500), cancel_p=0.7)
-            assert sim.compactions >= 3  # else this guards nothing
+            assert sim.events_processed > 0
+
+
+class TestHeapNeverComparesEvents(TestFuzzAgainstModel):
+    """The model fuzz again, with every comparison between two ``Event``s
+    raising: heap entries are ``(time, seq, event)`` with ``seq`` unique,
+    so sifting is settled in C by the first two fields and an event
+    comparison (a Python-level call per sift step) never happens."""
+
+    @pytest.fixture(autouse=True)
+    def _events_refuse_comparison(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("the scheduler heap compared two Events")
+
+        for name in ("__lt__", "__le__", "__gt__", "__ge__", "__eq__"):
+            monkeypatch.setattr(Event, name, refuse)
