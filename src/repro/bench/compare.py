@@ -157,7 +157,6 @@ DEFAULT_THRESHOLDS: "tuple[Threshold, ...]" = (
 _WALL_CLOCK_MARKERS = (
     "srbb_eager_validate_seconds",
     "srbb_commit_superblock_seconds",
-    "us_per_event",
     "events_per_sec",
     "wall_s_n",
     "wall_scaling_exponent_full",

@@ -11,7 +11,7 @@ simulated-time quantities (never wall-clock), so artifacts from
 different hosts stay comparable.  The one sanctioned exception is the
 ``engine_scaling`` scenario, whose *point* is wall-clock cost: its
 wall-derived keys (``wall_s_n*``, ``events_per_sec*``,
-``us_per_event:*``, ``peak_rss_mb``) are matched by
+``peak_rss_mb``) are matched by
 ``compare._WALL_CLOCK_MARKERS`` so the diff reports them without ever
 gating on them; only its event counts and the generously-bounded
 ``wall_scaling_exponent`` fit are enforced.
@@ -777,42 +777,39 @@ def run_engine_scaling(
     horizon_s: float = 6.0,
     repeats: int = 2,
 ) -> dict:
-    """Message-level engine cost vs committee size, under the profiler.
+    """Message-level engine cost vs committee size.
 
     Runs the same small transfer workload against single-region
-    deployments of ``n ∈ sizes`` validators with a wall-clock
-    :class:`~repro.telemetry.profiling.Profiler` attached to each event
-    loop, and fits power laws to both the deterministic event counts
-    (``event_scaling_exponent`` — gated tight) and the measured run time
+    deployments of ``n ∈ sizes`` validators and fits power laws to both
+    the deterministic event counts (``event_scaling_exponent`` — gated
+    tight) and the measured run time
     (``wall_scaling_exponent`` — gated generously; hosts differ in
     speed but not in asymptotics).  Each size is run ``repeats`` times
     and timed by **process CPU time, min-of-N** — scheduler contention
     on shared runners inflates wall clock but not CPU time, and the
     minimum is the least-noisy estimator of the true cost.  The repeats
     double as a free determinism check: every run of a size must process
-    the identical event count.  Per-subsystem ``us_per_event:*`` keys,
-    ``events_per_sec`` and ``peak_rss_mb`` are informational
-    (wall-clock markers, never gated).
+    the identical event count.  Nothing is attached to the event loop,
+    so the timing measures the engine alone.  ``events_per_sec`` and
+    ``peak_rss_mb`` are informational (wall-clock markers, never gated).
 
     CI's smoke job calls this directly with ``sizes=(4, 8)``.
     """
+    import resource
     import time as _time
 
     from repro import params
     from repro.core.deployment import Deployment, fund_clients
     from repro.core.transaction import make_transfer
     from repro.net.topology import single_region_topology
-    from repro.telemetry import profiling
 
     headline: dict = {}
     event_counts: "list[float]" = []
     wall_times: "list[float]" = []
-    subsystems: "dict[str, list[float]]" = {}
     for n in sizes:
         best_cpu = None
         first = None
         for rep in range(max(1, repeats)):
-            prof = profiling.Profiler()
             keypairs, balances = fund_clients(clients, seed=5000 + seed)
             deployment = Deployment(
                 protocol=params.ProtocolParams(n=n, tvpr=True, rpm=False),
@@ -820,9 +817,6 @@ def run_engine_scaling(
                 extra_balances=balances,
                 seed=seed,
             )
-            # Attach directly (no global use_profiler): each size gets
-            # its own profiler, and nothing has been scheduled yet.
-            deployment.sim.profiler = prof
             deployment.start()
             total = clients * nonces
             gap = send_window_s / total
@@ -837,28 +831,22 @@ def run_engine_scaling(
             c0 = _time.process_time()
             deployment.run_until(horizon_s)
             cpu = max(_time.process_time() - c0, 1e-9)
-            prof.phase(f"n={n}")
-            prof.finish()
             if first is None:
-                first = (deployment, prof)
+                first = deployment
             else:
                 # Same seed, same workload: any event-count drift between
                 # repeats is a determinism bug, not timing noise.
                 assert deployment.sim.events_processed == int(
-                    first[0].sim.events_processed
+                    first.sim.events_processed
                 ), (n, rep, deployment.sim.events_processed)
             if best_cpu is None or cpu < best_cpu:
                 best_cpu = cpu
-        deployment, prof = first
+        deployment = first
         wall = best_cpu
 
         events = float(deployment.sim.events_processed)
         event_counts.append(events)
         wall_times.append(wall)
-        for name, (count, total_ns) in prof.by_subsystem.items():
-            entry = subsystems.setdefault(name, [0.0, 0.0])
-            entry[0] += count
-            entry[1] += total_ns
         headline[f"events_n{n}"] = events
         headline[f"committed_n{n}"] = float(deployment.total_committed())
         headline[f"height_n{n}"] = float(
@@ -899,20 +887,18 @@ def run_engine_scaling(
     headline["events_per_sec"] = round(
         sum(event_counts) / sum(wall_times), 2
     )
-    headline["peak_rss_mb"] = round(profiling._peak_rss_mb(), 2)
-    for name, (count, total_ns) in sorted(subsystems.items()):
-        if count:
-            headline[f"us_per_event:{name}"] = round(
-                total_ns / 1_000.0 / count, 3
-            )
+    # ru_maxrss is in kilobytes on Linux
+    headline["peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 2
+    )
     return headline
 
 
 def _run_engine_scaling(reg: MetricsRegistry) -> dict:
-    """Wall-clock scaling gate (the profiler-PR tentpole evidence): event
-    counts must scale with committee size exactly as before (tight gate),
-    and measured wall time must not blow past the established scaling
-    exponent (generous gate; absolute speeds stay informational)."""
+    """Wall-clock scaling gate: event counts must scale with committee
+    size exactly as before (tight gate), and measured wall time must not
+    blow past the established scaling exponent (generous gate; absolute
+    speeds stay informational)."""
     return run_engine_scaling()
 
 
@@ -1165,13 +1151,12 @@ register_scenario(Scenario(
 register_scenario(Scenario(
     name="engine_scaling",
     description="Message-level engine wall-clock cost vs committee size "
-    "(n = 4..32) under the event-loop profiler: deterministic event "
-    "counts gated tight, wall-time scaling exponent gated generously, "
-    "per-subsystem µs/event informational",
+    "(n = 4..32): deterministic event counts gated tight, wall-time "
+    "scaling exponent gated generously",
     run=_run_engine_scaling,
     seed=9,
     cost_rank=5,
-    tags=("engine", "profiling", "scaling"),
+    tags=("engine", "scaling"),
 ))
 
 register_scenario(Scenario(

@@ -251,36 +251,29 @@ def _profile_scenario(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import json
+    import tracemalloc
 
     from repro.telemetry import profiling
 
-    slug = args.profile_slug(args)
-    prof = profiling.Profiler(track_memory=args.memory)
+    path = os.path.join(
+        args.out_dir, f"PROFILE_{args.profile_slug(args)}.collapsed"
+    )
+    start_tracing = args.memory and not tracemalloc.is_tracing()
+    if start_tracing:
+        tracemalloc.start()
     try:
-        with profiling.use_profiler(prof):
-            prof.phase("start")
+        with profiling.sample() as stacks:
             rc = args.profile_fn(args)
-            prof.phase("end")
-        prof.finish()
-        base = os.path.join(args.out_dir, f"PROFILE_{slug}")
-        with _open_output(base + ".json") as fh:
-            json.dump(
-                profiling.profile_doc(prof, target=slug),
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        with _open_output(base + ".collapsed") as fh:
-            fh.write(profiling.to_collapsed(prof))
-        with _open_output(base + ".speedscope.json") as fh:
-            json.dump(profiling.to_speedscope(prof, name=slug), fh)
-            fh.write("\n")
-        print(profiling.render_table(prof, top=args.top))
-        for suffix in (".json", ".collapsed", ".speedscope.json"):
-            print(f"profile written to {base}{suffix}", file=sys.stderr)
-        return rc
+        print(profiling.render_table(stacks, top=args.top))
+        if args.memory:
+            print(profiling.render_memory(top=args.top))
     finally:
-        prof.close()
+        if start_tracing:
+            tracemalloc.stop()
+    with _open_output(path) as fh:
+        fh.write(profiling.to_collapsed(stacks))
+    print(f"profile written to {path}", file=sys.stderr)
+    return rc
 
 
 def _telemetry_parent() -> argparse.ArgumentParser:
@@ -426,28 +419,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(
         "profile",
-        help="wall-clock profile a run (PROFILE_*.json + flamegraph)",
-        description="Wrap a run in the deterministic wall-clock profiler: "
-        "per-event-kind cost accounting, per-subsystem/per-node "
-        "attribution, collapsed-stack and speedscope flamegraphs, and "
-        "optional tracemalloc memory watermarks.",
+        help="sample a run's Python stacks (PROFILE_*.collapsed flamegraph)",
+        description="Run a target under a stack sampler that fires every "
+        "1 ms of CPU time: prints sample shares per repro/ module and the "
+        "top leaf functions, and writes collapsed stacks for flamegraph.pl "
+        "or speedscope.",
     )
     prof_sub = p.add_subparsers(dest="profile_command", required=True)
     prof_common = argparse.ArgumentParser(add_help=False)
     prof_group = prof_common.add_argument_group("profiling")
     prof_group.add_argument(
         "--out-dir", default=".",
-        help="directory for PROFILE_<target>.{json,collapsed,"
-        "speedscope.json} (default: .)",
+        help="directory for PROFILE_<target>.collapsed (default: .)",
     )
     prof_group.add_argument(
         "--memory", action="store_true",
-        help="also record tracemalloc memory watermarks at phase "
-        "boundaries (adds overhead; off by default)",
+        help="also trace allocations and print the top allocation sites "
+        "and peak RSS at the end (adds overhead; off by default)",
     )
     prof_group.add_argument(
         "--top", type=int, default=15,
-        help="event kinds to show in the terminal table (default 15)",
+        help="rows per terminal table (default 15)",
     )
 
     q = prof_sub.add_parser(

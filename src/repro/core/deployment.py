@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro import params
-from repro.telemetry import lifecycle, profiling
+from repro.telemetry import lifecycle
 from repro.core.node import ValidatorNode
 from repro.core.rpm import RPMContract
 from repro.core.transaction import Transaction
@@ -103,9 +103,6 @@ class Deployment:
         # deployment's simulated time whenever recording is on.
         if lifecycle.enabled():
             lifecycle.get_recorder().bind_clock(lambda: self.sim.now)
-        # An active wall-clock profiler attaches to this deployment's
-        # event loop (same enablement idiom as the lifecycle recorder).
-        self.sim.profiler = profiling.active()
         self.network = Network(
             self.sim, self.topology, seed=seed, timing=timing, net=net_params
         )

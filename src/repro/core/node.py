@@ -28,7 +28,7 @@ import logging
 from typing import Callable, Iterable
 
 from repro import params, telemetry
-from repro.telemetry import lifecycle, profiling
+from repro.telemetry import lifecycle
 from repro.core.block import Block, SuperBlock, make_block
 from repro.core.blockchain import Blockchain, CommitResult
 from repro.core.catchup import CatchupRequest, CatchupResponse, DecidedJournal
@@ -322,15 +322,7 @@ class ValidatorNode:
                 return
             callback(*args)
 
-        event = self.sim.schedule(delay, _guarded)
-        if self.sim.profiler is not None:
-            # Attribute the wrapped target (not the anonymous guard) and
-            # this node; the closure's code object is shared, so without
-            # this every scheduled callback would profile as "_guarded".
-            # Stamped on the event (existing dict) rather than the fresh
-            # closure, which would allocate a function __dict__ per call.
-            event.profile_info = profiling.describe(callback, self.node_id)
-        return event
+        return self.sim.schedule(delay, _guarded)
 
     # -- crash–recovery ------------------------------------------------------------
 

@@ -21,6 +21,10 @@ dropped there.  Rebuilding the heap once cancelled events dominate it
 (retransmission timers under reliable delivery almost always cancel)
 measured no faster, so the scheduler does not do it (docs/PROFILING.md,
 *What switched-off telemetry cost*).
+
+The drain loop carries no instrumentation: it calls each callback
+directly.  ``repro profile`` finds where the time goes by sampling the
+Python stack from outside (:mod:`repro.telemetry.profiling`).
 """
 
 from __future__ import annotations
@@ -45,10 +49,6 @@ class Event:
     callback: Callable[..., None]
     args: tuple = ()
     cancelled: bool = False
-    #: optional (name, subsystem, node) attribution the caller stamps on
-    #: the returned event (``Node._schedule``, the transport's deliveries)
-    #: so the profiler skips per-event classification
-    profile_info: tuple | None = None
     #: owning simulator while the event sits in its heap (cleared on pop)
     #: so ``cancel()`` can maintain the live/cancelled counters in O(1)
     owner: "Simulator | None" = field(default=None, repr=False)
@@ -70,9 +70,6 @@ class Simulator:
         self._seq = itertools.count()
         self.now = 0.0
         self.events_processed = 0
-        #: optional wall-clock profiler (repro.telemetry.profiling); None
-        #: keeps the hot path at a single attribute check per event
-        self.profiler = None
         # live/cancelled bookkeeping for O(1) ``pending``
         self._live = 0
         self._cancelled_in_heap = 0
@@ -135,11 +132,7 @@ class Simulator:
             self._live -= 1
             self.events_processed += 1
             fired += 1
-            profiler = self.profiler
-            if profiler is None:
-                event.callback(*event.args)
-            else:
-                profiler.record_event(event.callback, event.args, event.profile_info)
+            event.callback(*event.args)
         return fired
 
     def step(self) -> bool:

@@ -85,22 +85,6 @@ _rel_metrics = telemetry.bind(
 #: wire kind of the reliable-delivery acknowledgement control message
 ACK_KIND = "ack"
 
-#: per-(kind, dst) event attributions for the wall-clock profiler,
-#: stamped onto delivery events at schedule time and cached so the
-#: enabled path allocates no per-delivery strings or tuples
-_DELIVER_INFO: "dict[tuple[str, int], tuple]" = {}
-
-
-def _deliver_info(kind: str, dst: int) -> tuple:
-    key = (kind, dst)
-    entry = _DELIVER_INFO.get(key)
-    if entry is None:
-        from repro.telemetry.profiling import KIND_SUBSYSTEM
-
-        entry = (f"deliver:{kind}", KIND_SUBSYSTEM.get(kind, "net"), dst)
-        _DELIVER_INFO[key] = entry
-    return entry
-
 
 def _traffic_children(m: SimpleNamespace, kind: str, src_region: str, dst_region: str):
     key = (kind, src_region, dst_region)
@@ -374,9 +358,7 @@ class Network:
                 continue
             if dst == src:
                 # Local delivery is immediate-ish (loopback).
-                event = self.sim.schedule(0.0, self._deliver, dst, msg)
-                if self.sim.profiler is not None:
-                    event.profile_info = _deliver_info(msg.kind, dst)
+                self.sim.schedule(0.0, self._deliver, dst, msg)
                 region = self._link(src, src)[1]
                 self.stats.record(msg, src_region=region, dst_region=region)
             else:
@@ -422,16 +404,9 @@ class Network:
                     0.0, self.faults.extra_delay_s(src, dst, self.sim.now)
                 )
             if seq is None:
-                event = self.sim.schedule(delay, self._deliver, dst, msg)
+                self.sim.schedule(delay, self._deliver, dst, msg)
             else:
-                event = self.sim.schedule(
-                    delay, self._deliver_seq, src, dst, msg, seq
-                )
-            if self.sim.profiler is not None:
-                # Attribute the delivery event to its wire kind and the
-                # receiving node/subsystem; stamping at schedule time
-                # keeps the dispatch itself a single profiled frame.
-                event.profile_info = _deliver_info(msg.kind, dst)
+                self.sim.schedule(delay, self._deliver_seq, src, dst, msg, seq)
 
     def _deliver(self, dst: int, msg: Message) -> None:
         if dst in self._down:

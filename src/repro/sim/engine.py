@@ -24,7 +24,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro import telemetry
-from repro.telemetry import profiling
 from repro.sim.chains import ChainModel
 from repro.sim.metrics import LatencySample, SimResult
 from repro.workloads.trace import Trace
@@ -189,18 +188,10 @@ class CongestionSim:
         last_commit_time = 0.0
         telemetry_on = telemetry.get_registry().enabled
         m = _metrics() if telemetry_on else None
-        # Wall-clock profiler: each pipeline stage is one frame per tick
-        # (guarded pairs, not context managers, so the prof-off path stays
-        # allocation-free).
-        prof = profiling.active()
 
         for tick in range(horizon_ticks):
             now = tick * dt
-            if prof is not None and tick == send_ticks:
-                prof.phase(f"engine.send_window_end:{self.trace.name}")
             # 1. arrivals enter the validation queue
-            if prof is not None:
-                prof.push("tick.arrivals", "sim")
             if tick < send_ticks and arrivals[tick]:
                 validation_q.push(now, float(arrivals[tick]))
                 # An unbounded validation backlog is unrealistic: sockets and
@@ -213,9 +204,6 @@ class CongestionSim:
                     )
 
             # 2. validation → mempool (respecting total pool capacity)
-            if prof is not None:
-                prof.pop()
-                prof.push("tick.validation", "sim")
             room = pool_capacity - mempool.size
             budget = min(val_budget_per_tick, max(0.0, room))
             for send_time, count in validation_q.pop(budget):
@@ -228,9 +216,6 @@ class CongestionSim:
                 dropped_pool += sum(c for _, c in overflow)
 
             # 3. block production on round boundaries
-            if prof is not None:
-                prof.pop()
-                prof.push("tick.block_production", "sim")
             if tick % round_ticks == 0 and mempool.size > 0:
                 round_budget = min(float(model.round_capacity()), exec_per_round)
                 taken = mempool.pop(round_budget)
@@ -244,9 +229,6 @@ class CongestionSim:
                     rounds_produced += 1
 
             # 4. commits land
-            if prof is not None:
-                prof.pop()
-                prof.push("tick.commits", "sim")
             for send_time, taken_time, count in in_flight.pop(tick, ()):  # type: ignore[arg-type]
                 committed += count
                 commit_series[tick] += count
@@ -258,8 +240,6 @@ class CongestionSim:
 
             pool_series[tick] = mempool.size
             validation_series[tick] = validation_q.size
-            if prof is not None:
-                prof.pop()
             if telemetry_on:
                 m.mempool_depth.observe(mempool.size)
                 m.validation_depth.observe(validation_q.size)
@@ -278,8 +258,6 @@ class CongestionSim:
                     m.latency.observe(now - send_time, count)
                 last_commit_time = now
 
-        if prof is not None:
-            prof.phase(f"engine.horizon:{self.trace.name}")
         unfinished = validation_q.size + mempool.size
         duration = max(last_commit_time, self.trace.duration_s)
         # How execution-bound was the round cadence?  Each production

@@ -10,10 +10,11 @@ Three layers, all off by default and one-branch-cheap until enabled:
   buffered by a global :class:`Tracer` and dumped as JSONL
   (``--trace-out``).
 * **Exporters / timing** — Prometheus text + JSON snapshots, and the
-  :func:`timed` / :func:`stopwatch` wall-clock helpers for hot paths.
-* **Profiling** — :class:`Profiler` attributes real elapsed time per
-  event kind / subsystem / node across the event loops and exports
-  flamegraphs (``repro profile``, ``repro.telemetry.profiling``).
+  :func:`timed` wall-clock histogram decorator for hot paths.
+
+Where the simulator itself spends CPU is answered from outside the
+engines: ``repro profile`` runs its target under the stack sampler in
+:mod:`repro.telemetry.profiling`, which nothing in the engines calls.
 
 The metric catalogue (names, labels, units) lives in
 ``docs/OBSERVABILITY.md``.
@@ -36,13 +37,6 @@ from repro.telemetry.lifecycle import (
 )
 from repro.telemetry.logconfig import configure_logging, verbosity_to_level
 from repro.telemetry.observatory import CongestionObservatory
-from repro.telemetry.profiling import (
-    Profiler,
-    profile_doc,
-    set_profiler,
-    use_profiler,
-    validate_profile,
-)
 from repro.telemetry.registry import (
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
@@ -59,7 +53,7 @@ from repro.telemetry.registry import (
     set_registry,
     use_registry,
 )
-from repro.telemetry.timing import stopwatch, timed
+from repro.telemetry.timing import timed
 from repro.telemetry.trace_event import to_trace_events, validate_trace_event
 from repro.telemetry.tracing import (
     Tracer,
@@ -82,7 +76,6 @@ __all__ = [
     "Histogram",
     "LifecycleRecorder",
     "MetricsRegistry",
-    "Profiler",
     "QuantileSketch",
     "Tracer",
     "analyze_critical_path",
@@ -96,21 +89,16 @@ __all__ = [
     "get_registry",
     "get_tracer",
     "parse_prometheus",
-    "profile_doc",
-    "set_profiler",
     "set_recorder",
     "set_registry",
     "set_tracer",
     "span",
-    "stopwatch",
     "timed",
     "to_json",
     "to_prometheus",
     "to_trace_events",
-    "use_profiler",
     "use_recorder",
     "use_registry",
-    "validate_profile",
     "validate_trace_event",
     "verbosity_to_level",
     "write_metrics",

@@ -1,564 +1,120 @@
-"""Wall-clock profiler for the simulation engines (tentpole, PR 6).
+"""Stack sampler behind ``repro profile``: where the simulator spends CPU.
 
-The DES engine's own CPU cost is the ceiling on every scaling direction
-in the ROADMAP (200-validator committees, full-envelope trace replay),
-and until now it was a black box: PR 5 attributed *simulated* time, this
-module attributes *real* elapsed time.  A :class:`Profiler` is woven
-through the event loop — ``Simulator.step`` times every callback,
-``Network._deliver*`` opens a per-message-kind dispatch section, the
-tick engine marks its four pipeline stages — and accumulates, in
-``perf_counter_ns`` ticks:
+A ``SIGPROF`` interval timer fires every :data:`INTERVAL_S` of process CPU
+time (Linux checks it once per scheduler tick, which may be longer).  The
+handler counts the interrupted Python stack, as a root-first tuple of code
+objects, in a :class:`collections.Counter`; names are formatted only at
+export.  The engines carry no hook for it, so a sampled run executes
+exactly the code an unsampled one does.
 
-* **per event kind** (callback qualname or dispatch label): count and
-  inclusive nanoseconds, the ``µs/event`` table ``repro profile`` prints;
-* **per subsystem** (consensus / vm / net / crypto / txpool / …),
-  derived from the callback's module;
-* **per node**, so a hot validator stands out;
-* **per stack path** (self-time), the collapsed-stack data behind the
-  flamegraph exporters (:func:`to_collapsed` emits Brendan-Gregg
-  collapsed format, :func:`to_speedscope` the speedscope JSON schema —
-  both load in standard viewers, alongside PR 5's trace-event output).
+* :func:`to_collapsed` — collapsed stacks (``frame;frame;… <samples>``),
+  which both ``flamegraph.pl`` and speedscope load;
+* :func:`render_table` — sample shares per ``repro/`` module and the top
+  leaf functions;
+* :func:`render_memory` — tracemalloc's top allocation sites and peak RSS.
 
-Cost discipline mirrors the rest of ``repro.telemetry``:
-
-* **disabled is free** — the hot paths guard on ``sim.profiler is None``
-  (one attribute load per event, no allocation; a regression test pins
-  this down);
-* **enabled is cheap** — ``push``/``pop`` are list operations plus two
-  clock reads; classification is cached per code object so the
-  per-schedule ``_guarded`` closures of ``Node._schedule`` don't defeat
-  the cache (they carry a ``__profile_info__`` tuple instead).
-
-Memory watermarks ride along: :meth:`Profiler.phase` records the peak
-RSS (``resource.getrusage``) and — with ``track_memory=True`` — the
-``tracemalloc`` traced/peak sizes plus a top-allocator table, sampled at
-scenario phase boundaries rather than continuously (tracemalloc's
-overhead would otherwise dwarf the thing being measured).
-
-Like the registry/tracer/recorder, a process-global *active* profiler
-(default ``None``) scopes enablement: ``use_profiler`` installs one, and
-``Deployment``/``CongestionSim`` pick it up at construction.
+Unix only (``SIGPROF``) and main thread only (``signal.signal``).  A
+signal that lands inside one long C call is counted once, when it returns.
 """
 
 from __future__ import annotations
 
-import sys
-import time
+import collections
+import os
+import resource
+import signal
+import tracemalloc
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
+from typing import Iterator
 
-__all__ = [
-    "PROFILE_SCHEMA",
-    "Profiler",
-    "active",
-    "describe",
-    "profile_doc",
-    "render_table",
-    "set_profiler",
-    "subsystem_of",
-    "to_collapsed",
-    "to_speedscope",
-    "use_profiler",
-    "validate_profile",
-    "validate_speedscope",
-]
+__all__ = ["INTERVAL_S", "render_memory", "render_table", "sample", "to_collapsed"]
 
-#: schema tag stamped into ``PROFILE_*.json`` documents
-PROFILE_SCHEMA = "repro.profile/v1"
+#: sampling period, seconds of process CPU time
+INTERVAL_S = 0.001
 
-#: module prefix -> subsystem, most specific first (first match wins)
-_SUBSYSTEM_PREFIXES = (
-    ("repro.core.txpool", "txpool"),
-    ("repro.consensus", "consensus"),
-    ("repro.vm", "vm"),
-    ("repro.crypto", "crypto"),
-    ("repro.net", "net"),
-    ("repro.core", "core"),
-    ("repro.sim", "sim"),
-    ("repro.telemetry", "telemetry"),
-    ("repro.faults", "faults"),
-    ("repro.diablo", "diablo"),
-)
-
-#: wire message kind -> subsystem charged for its dispatch section
-KIND_SUBSYSTEM = {
-    "consensus": "consensus",
-    "tx": "txpool",
-    "gossip": "net",
-    "ack": "net",
-    "catchup-req": "consensus",
-    "catchup-resp": "consensus",
-}
-
-
-def subsystem_of(module: str) -> str:
-    """Map a module path to its accounting subsystem (``other`` fallback)."""
-    for prefix, subsystem in _SUBSYSTEM_PREFIXES:
-        if module.startswith(prefix):
-            return subsystem
-    return "other"
-
-
-#: classification cache for :func:`describe`, keyed by the callback's
-#: code object (stable and bounded) and node — ``Node._schedule`` calls
-#: this on every scheduled event when profiling is enabled
-_describe_cache: "dict[tuple, tuple]" = {}
-
-
-def describe(callback: Callable, node: "int | None" = None) -> tuple:
-    """``(name, subsystem, node)`` attribution for a callback.
-
-    ``Node._schedule`` stamps this onto the scheduled event so the
-    profiler attributes the *wrapped* target, not the anonymous
-    incarnation guard.  Results are cached by code object: bound methods
-    of the same function classify identically, so the prefix matching in
-    :func:`subsystem_of` runs once per (function, node) pair.
-    """
-    func = getattr(callback, "__func__", callback)
-    key = (getattr(func, "__code__", func), node)
-    info = _describe_cache.get(key)
-    if info is None:
-        name = getattr(func, "__qualname__", None) or repr(func)
-        module = getattr(func, "__module__", "") or ""
-        info = _describe_cache[key] = (name, subsystem_of(module), node)
-    return info
-
-
-def _peak_rss_mb() -> float:
-    """Process peak RSS in MB (0.0 where ``resource`` is unavailable)."""
-    try:
-        import resource
-    except ImportError:  # pragma: no cover - non-unix
-        return 0.0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is kilobytes on Linux, bytes on macOS
-    if sys.platform == "darwin":  # pragma: no cover - platform-specific
-        return round(peak / (1024.0 * 1024.0), 3)
-    return round(peak / 1024.0, 3)
-
-
-class Profiler:
-    """Accumulating wall-clock cost accountant for one (or more) runs.
-
-    All tables are plain dicts updated in place so the enabled hot path
-    allocates nothing beyond the stack frame list per event:
-
-    * :attr:`by_kind` / :attr:`by_subsystem` / :attr:`by_node` —
-      ``key -> [count, inclusive_ns]``;
-    * :attr:`stacks` — ``(name, ...) path -> self_ns`` (exclusive time,
-      the flamegraph weights);
-    * :attr:`events` — root events recorded via :meth:`record_event`.
-
-    Event *counts* and table keys are deterministic for a seeded run;
-    only the nanosecond columns vary with the host.
-    """
-
-    def __init__(
-        self,
-        *,
-        clock: Callable[[], int] = time.perf_counter_ns,
-        track_memory: bool = False,
-        top_allocators: int = 5,
-    ):
-        self._clock = clock
-        self.track_memory = track_memory
-        self.top_allocators = top_allocators
-        self.by_kind: "dict[str, list]" = {}
-        self.by_subsystem: "dict[str, list]" = {}
-        self.by_node: "dict[int, list]" = {}
-        self.stacks: "dict[tuple, int]" = {}
-        self.watermarks: "list[dict]" = []
-        self.events = 0
-        self._stack: "list[list]" = []
-        self._cache: "dict[Any, tuple]" = {}
-        self._started_ns = clock()
-        self._finished_ns: "int | None" = None
-        self._tracemalloc_started = False
-        if track_memory:
-            import tracemalloc
-
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._tracemalloc_started = True
-
-    # -- hot path ---------------------------------------------------------------
-
-    def push(self, name: str, subsystem: str = "other", node: "int | None" = None) -> None:
-        """Open a timed frame; every ``push`` must be paired with ``pop``.
-
-        The frame carries its full stack path (parent path + own name),
-        built by one small-tuple concat here so :meth:`pop` never walks
-        the stack.  The clock is read last, keeping the frame's own
-        bookkeeping out of the measured window.
-        """
-        stack = self._stack
-        path = stack[-1][3] + (name,) if stack else (name,)
-        stack.append([name, subsystem, node, path, self._clock(), 0])
-
-    def pop(self) -> None:
-        """Close the innermost frame, attributing inclusive + self time."""
-        end_ns = self._clock()
-        stack = self._stack
-        name, subsystem, node, path, start_ns, child_ns = stack.pop()
-        dt = end_ns - start_ns
-        if stack:
-            stack[-1][5] += dt
-        self_ns = dt - child_ns
-        if self_ns < 0:
-            self_ns = 0
-        stacks = self.stacks
-        stacks[path] = stacks.get(path, 0) + self_ns
-        entry = self.by_kind.get(name)
-        if entry is None:
-            entry = self.by_kind[name] = [0, 0]
-        entry[0] += 1
-        entry[1] += dt
-        entry = self.by_subsystem.get(subsystem)
-        if entry is None:
-            entry = self.by_subsystem[subsystem] = [0, 0]
-        entry[0] += 1
-        entry[1] += dt
-        if node is not None:
-            entry = self.by_node.get(node)
-            if entry is None:
-                entry = self.by_node[node] = [0, 0]
-            entry[0] += 1
-            entry[1] += dt
-
-    def record_event(
-        self, callback: Callable, args: tuple, info: "tuple | None" = None
-    ) -> None:
-        """Run one scheduler callback under timing (``Simulator.step``).
-
-        ``info`` is the event's pre-computed ``(name, subsystem, node)``
-        attribution (``Event.profile_info``); when absent the callback is
-        classified here — an attached ``__profile_info__`` wins, then a
-        cache keyed by code object.
-        """
-        if info is None:
-            info = getattr(callback, "__profile_info__", None)
-        if info is None:
-            func = getattr(callback, "__func__", callback)
-            key = getattr(func, "__code__", func)
-            pair = self._cache.get(key)
-            if pair is None:
-                name = getattr(func, "__qualname__", None) or repr(func)
-                module = getattr(func, "__module__", "") or ""
-                pair = (name, subsystem_of(module))
-                self._cache[key] = pair
-            name, subsystem = pair
-            node = getattr(getattr(callback, "__self__", None), "node_id", None)
-        else:
-            name, subsystem, node = info
-        self.events += 1
-        self.push(name, subsystem, node)
-        try:
-            callback(*args)
-        finally:
-            self.pop()
-
-    @contextmanager
-    def section(
-        self, name: str, *, subsystem: str = "other", node: "int | None" = None
-    ) -> Iterator[None]:
-        """Timed frame around a block (non-hot call sites and tests)."""
-        self.push(name, subsystem, node)
-        try:
-            yield
-        finally:
-            self.pop()
-
-    # -- memory watermarks -------------------------------------------------------
-
-    def phase(self, label: str) -> dict:
-        """Record a memory watermark at a scenario phase boundary."""
-        entry: dict = {
-            "label": label,
-            "wall_s": round((self._clock() - self._started_ns) / 1e9, 6),
-            "rss_mb": _peak_rss_mb(),
-        }
-        if self.track_memory:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                current, peak = tracemalloc.get_traced_memory()
-                entry["traced_mb"] = round(current / 1e6, 3)
-                entry["traced_peak_mb"] = round(peak / 1e6, 3)
-                stats = tracemalloc.take_snapshot().statistics("lineno")
-                entry["top_allocators"] = [
-                    {
-                        "site": f"{stat.traceback[0].filename}:"
-                        f"{stat.traceback[0].lineno}",
-                        "mb": round(stat.size / 1e6, 3),
-                        "blocks": stat.count,
-                    }
-                    for stat in stats[: self.top_allocators]
-                ]
-        self.watermarks.append(entry)
-        return entry
-
-    def close(self) -> None:
-        """Stop tracemalloc if this profiler started it."""
-        if self._tracemalloc_started:
-            import tracemalloc
-
-            tracemalloc.stop()
-            self._tracemalloc_started = False
-
-    # -- results -----------------------------------------------------------------
-
-    def finish(self) -> "Profiler":
-        """Freeze the total wall-clock span (idempotent); returns self."""
-        if self._finished_ns is None:
-            self._finished_ns = self._clock()
-        return self
-
-    @property
-    def wall_s(self) -> float:
-        end = self._finished_ns if self._finished_ns is not None else self._clock()
-        return (end - self._started_ns) / 1e9
-
-    def count_tables(self) -> dict:
-        """The deterministic slice of the accounting: counts and keys only
-        (no nanoseconds) — what the determinism tests compare."""
-        return {
-            "events": self.events,
-            "by_kind": {k: v[0] for k, v in sorted(self.by_kind.items())},
-            "by_subsystem": {
-                k: v[0] for k, v in sorted(self.by_subsystem.items())
-            },
-            "by_node": {k: v[0] for k, v in sorted(self.by_node.items())},
-            "stack_paths": sorted(self.stacks),
-        }
-
-
-# -- process-global active profiler (the enablement scope) ---------------------
-
-_active: "Profiler | None" = None
-
-
-def active() -> "Profiler | None":
-    """The currently-installed profiler, or None (profiling off)."""
-    return _active
-
-
-def set_profiler(profiler: "Profiler | None") -> "Profiler | None":
-    global _active
-    previous = _active
-    _active = profiler
-    return previous
+#: the directory holding the ``repro`` package, stripped from frame names
+_SRC = os.path.dirname(os.path.dirname(os.path.dirname(__file__))) + os.sep
 
 
 @contextmanager
-def use_profiler(profiler: Profiler) -> Iterator[Profiler]:
-    """Scope ``profiler`` as the active one; engines constructed inside
-    the block attach it to their event loops."""
-    previous = set_profiler(profiler)
+def sample() -> Iterator["collections.Counter[tuple]"]:
+    """Sample the Python stack while the block runs.
+
+    Yields the counter it fills: root-first tuples of code objects →
+    samples.  On exit, also when the block raises, the timer is disarmed
+    and the previous ``SIGPROF`` handler is restored.
+    """
+    stacks: "collections.Counter[tuple]" = collections.Counter()
+
+    def on_prof(signum, frame) -> None:
+        codes = []
+        while frame is not None:
+            codes.append(frame.f_code)
+            frame = frame.f_back
+        codes.reverse()
+        stacks[tuple(codes)] += 1
+
+    previous = signal.signal(signal.SIGPROF, on_prof)
     try:
-        yield profiler
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+        yield stacks
     finally:
-        set_profiler(previous)
+        # Disarm before restoring: SIGPROF under SIG_DFL ends the process.
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        signal.signal(signal.SIGPROF, previous)
 
 
-# -- exporters -----------------------------------------------------------------
+def _module(code) -> str:
+    """``repro/<path>.py`` for package code, else the file's base name."""
+    path = code.co_filename
+    return path[len(_SRC):] if path.startswith(_SRC) else os.path.basename(path)
 
 
-def _sorted_stacks(profiler: Profiler) -> "list[tuple[tuple, int]]":
-    return sorted(profiler.stacks.items())
+def _frame(code) -> str:
+    name = getattr(code, "co_qualname", code.co_name)
+    # collapsed format: ';' separates frames, the last ' ' starts the count
+    return f"{_module(code)}:{name}".replace(" ", "_").replace(";", ",")
 
 
-def to_collapsed(profiler: Profiler) -> str:
-    """Collapsed-stack format (``a;b;c <µs>`` per line) — the input both
-    ``flamegraph.pl`` and speedscope accept directly."""
-    lines = []
-    for path, self_ns in _sorted_stacks(profiler):
-        weight_us = self_ns // 1000
-        if weight_us <= 0:
-            continue
-        lines.append(";".join(path) + f" {weight_us}")
-    return "\n".join(lines) + ("\n" if lines else "")
+def to_collapsed(stacks: "collections.Counter[tuple]") -> str:
+    """One ``frame;frame;… <samples>`` line per distinct stack, sorted."""
+    merged: "collections.Counter[str]" = collections.Counter()
+    for stack, count in stacks.items():
+        merged[";".join(map(_frame, stack))] += count
+    return "".join(f"{stack} {count}\n" for stack, count in sorted(merged.items()))
 
 
-def to_speedscope(profiler: Profiler, *, name: str = "repro profile") -> dict:
-    """The profile as a speedscope ``sampled`` document: one weighted
-    sample per distinct stack path, weights in self-time microseconds."""
-    frames: "list[dict]" = []
-    index: "dict[str, int]" = {}
-    samples: "list[list[int]]" = []
-    weights: "list[float]" = []
-    for path, self_ns in _sorted_stacks(profiler):
-        weight_us = self_ns / 1000.0
-        if weight_us <= 0:
-            continue
-        stack = []
-        for part in path:
-            i = index.get(part)
-            if i is None:
-                index[part] = i = len(frames)
-                frames.append({"name": part})
-            stack.append(i)
-        samples.append(stack)
-        weights.append(round(weight_us, 3))
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": name,
-        "exporter": "repro.telemetry.profiling",
-        "activeProfileIndex": 0,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": name,
-                "unit": "microseconds",
-                "startValue": 0,
-                "endValue": round(sum(weights), 3),
-                "samples": samples,
-                "weights": weights,
-            }
-        ],
-    }
+def render_table(stacks: "collections.Counter[tuple]", *, top: int = 15) -> str:
+    """Shares per ``repro/`` module, then the ``top`` leaf functions.
 
-
-def validate_speedscope(doc) -> "list[str]":
-    """Structural checks on a speedscope document; empty list == valid."""
-    problems: "list[str]" = []
-    if not isinstance(doc, dict):
-        return [f"document is {type(doc).__name__}, not a dict"]
-    if "speedscope" not in str(doc.get("$schema", "")):
-        problems.append("missing/foreign $schema")
-    frames = doc.get("shared", {}).get("frames")
-    if not isinstance(frames, list):
-        problems.append("shared.frames is not a list")
-        frames = []
-    for i, frame in enumerate(frames):
-        if not isinstance(frame, dict) or "name" not in frame:
-            problems.append(f"frame {i} has no name")
-    profiles = doc.get("profiles")
-    if not isinstance(profiles, list) or not profiles:
-        return problems + ["no profiles"]
-    for p, profile in enumerate(profiles):
-        if profile.get("type") != "sampled":
-            problems.append(f"profile {p}: type != sampled")
-            continue
-        samples = profile.get("samples", [])
-        weights = profile.get("weights", [])
-        if len(samples) != len(weights):
-            problems.append(
-                f"profile {p}: {len(samples)} samples vs {len(weights)} weights"
-            )
-        for s, stack in enumerate(samples):
-            if any(not (0 <= i < len(frames)) for i in stack):
-                problems.append(f"profile {p} sample {s}: frame index range")
-                break
-        if any(w < 0 for w in weights):
-            problems.append(f"profile {p}: negative weight")
-    return problems
-
-
-def _table(table: "dict", *, key=str) -> dict:
-    out = {}
-    for k, (count, total_ns) in sorted(table.items(), key=lambda kv: str(kv[0])):
-        total_us = total_ns / 1000.0
-        out[key(k)] = {
-            "count": count,
-            "total_us": round(total_us, 3),
-            "us_per_event": round(total_us / count, 3) if count else 0.0,
-        }
-    return out
-
-
-def profile_doc(profiler: Profiler, *, target: str = "") -> dict:
-    """The full ``PROFILE_*.json`` document for one profiled run."""
-    return {
-        "schema": PROFILE_SCHEMA,
-        "target": target,
-        "wall_s": round(profiler.wall_s, 6),
-        "events": profiler.events,
-        "by_kind": _table(profiler.by_kind),
-        "by_subsystem": _table(profiler.by_subsystem),
-        "by_node": _table(profiler.by_node, key=lambda n: str(n)),
-        "watermarks": list(profiler.watermarks),
-        "stacks": [
-            {"stack": list(path), "self_us": round(self_ns / 1000.0, 3)}
-            for path, self_ns in _sorted_stacks(profiler)
-            if self_ns > 0
-        ],
-    }
-
-
-def validate_profile(doc) -> "list[str]":
-    """Structural checks on a ``PROFILE_*.json`` doc; empty list == valid."""
-    problems: "list[str]" = []
-    if not isinstance(doc, dict):
-        return [f"document is {type(doc).__name__}, not a dict"]
-    if doc.get("schema") != PROFILE_SCHEMA:
-        problems.append(f"schema is {doc.get('schema')!r}, not {PROFILE_SCHEMA!r}")
-    for field in ("wall_s", "events", "by_kind", "by_subsystem", "by_node",
-                  "watermarks", "stacks"):
-        if field not in doc:
-            problems.append(f"missing field {field!r}")
-    for table_name in ("by_kind", "by_subsystem", "by_node"):
-        table = doc.get(table_name, {})
-        if not isinstance(table, dict):
-            problems.append(f"{table_name} is not a mapping")
-            continue
-        for k, row in table.items():
-            if not isinstance(row, dict) or not {
-                "count", "total_us", "us_per_event"
-            } <= set(row):
-                problems.append(f"{table_name}[{k!r}] malformed")
-                break
-    for i, entry in enumerate(doc.get("stacks", [])):
-        if not isinstance(entry, dict) or "stack" not in entry or "self_us" not in entry:
-            problems.append(f"stacks[{i}] malformed")
-            break
-    return problems
-
-
-def render_table(profiler: Profiler, *, top: int = 15) -> str:
-    """Terminal µs/event table: the ``top`` costliest event kinds plus a
-    per-subsystem summary and any memory watermarks."""
-    lines = [
-        f"profile: {profiler.events} events in {profiler.wall_s:.3f}s wall"
-        + (
-            f" ({profiler.events / profiler.wall_s:,.0f} events/s)"
-            if profiler.wall_s > 0 and profiler.events
-            else ""
+    A sample counts for the module of its innermost ``repro/`` frame, so
+    library code (dataclass ``__init__``, ``heapq``, ``hashlib``) is
+    charged to the module that called it.
+    """
+    total = sum(stacks.values())
+    modules: "collections.Counter[str]" = collections.Counter()
+    leaves: "collections.Counter[str]" = collections.Counter()
+    for stack, count in stacks.items():
+        leaves[_frame(stack[-1])] += count
+        owner = next(
+            (m for m in map(_module, reversed(stack)) if m.startswith("repro/")),
+            "(outside repro/)",
         )
-    ]
-    header = f"{'event kind':<44} {'count':>9} {'total ms':>10} {'µs/event':>9}"
-    lines += [header, "-" * len(header)]
-    ranked = sorted(profiler.by_kind.items(), key=lambda kv: -kv[1][1])
-    for name, (count, total_ns) in ranked[:top]:
-        shown = name if len(name) <= 44 else name[:41] + "..."
-        lines.append(
-            f"{shown:<44} {count:>9} {total_ns / 1e6:>10.2f} "
-            f"{total_ns / 1000.0 / count:>9.2f}"
-        )
-    if len(ranked) > top:
-        lines.append(f"... and {len(ranked) - top} more kinds")
-    if profiler.by_subsystem:
-        lines.append("")
-        lines.append(f"{'subsystem':<44} {'count':>9} {'total ms':>10} {'µs/event':>9}")
-        for name, (count, total_ns) in sorted(
-            profiler.by_subsystem.items(), key=lambda kv: -kv[1][1]
-        ):
-            lines.append(
-                f"{name:<44} {count:>9} {total_ns / 1e6:>10.2f} "
-                f"{total_ns / 1000.0 / count:>9.2f}"
-            )
-    for mark in profiler.watermarks:
-        extra = (
-            f"  traced={mark['traced_mb']:.1f}MB peak={mark['traced_peak_mb']:.1f}MB"
-            if "traced_mb" in mark
-            else ""
-        )
-        lines.append(
-            f"watermark[{mark['label']}] t={mark['wall_s']:.2f}s "
-            f"rss={mark['rss_mb']:.1f}MB{extra}"
-        )
-        for site in mark.get("top_allocators", ()):
-            lines.append(
-                f"  ↳ {site['mb']:>8.2f}MB {site['blocks']:>8} blocks  {site['site']}"
-            )
+        modules[owner] += count
+    lines = [f"profile: {total} samples of the Python stack"]
+    for title, table in (("repro/ module", modules), ("leaf function", leaves)):
+        lines += ["", f"{title:<64} {'samples':>8} {'share':>7}"]
+        for name, count in table.most_common(top):
+            lines.append(f"{name[-64:]:<64} {count:>8} {100 * count / total:>6.1f}%")
     return "\n".join(lines)
+
+
+def render_memory(*, top: int = 15) -> str:
+    """The ``top`` live allocation sites (tracemalloc is on) and peak RSS."""
+    lines = [f"{'allocation site':<64} {'MB':>8} {'blocks':>8}"]
+    for stat in tracemalloc.take_snapshot().statistics("lineno")[:top]:
+        site = f"{stat.traceback[0].filename}:{stat.traceback[0].lineno}"
+        lines.append(f"{site[-64:]:<64} {stat.size / 1e6:>8.2f} {stat.count:>8}")
+    # ru_maxrss is in kilobytes on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return "\n".join(lines + [f"peak RSS {peak_mb:.1f} MB"])

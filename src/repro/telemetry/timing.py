@@ -1,21 +1,19 @@
-"""Wall-clock timing helpers for hot paths.
+"""Wall-clock timing helper for hot paths.
 
 ``@timed("name")`` wraps a function and records each call's duration into
 a histogram in the *current* default registry (resolved per call, so a
-test's ``use_registry`` swap is respected).  ``stopwatch("name")`` is the
-inline equivalent.  Both are one-branch no-ops while telemetry is
-disabled, so they can stay on hot paths permanently.
+test's ``use_registry`` swap is respected).  It is a one-branch no-op
+while telemetry is disabled, so it can stay on hot paths permanently.
 """
 
 from __future__ import annotations
 
 import functools
 import time
-from contextlib import contextmanager
 
 from repro.telemetry.registry import DEFAULT_BUCKETS, get_registry
 
-__all__ = ["timed", "stopwatch"]
+__all__ = ["timed"]
 
 #: sub-millisecond-capable buckets: hot paths live well under 1 s
 TIMING_BUCKETS = (1e-6, 1e-5, 1e-4, 5e-4) + DEFAULT_BUCKETS
@@ -54,20 +52,3 @@ def timed(name: "str | None" = None, help: str = ""):
         return wrapper
 
     return decorate
-
-
-@contextmanager
-def stopwatch(name: str, help: str = "", **labels):
-    """Record the duration of a ``with`` block into histogram ``name``."""
-    registry = get_registry()
-    if not registry.enabled:
-        yield
-        return
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        hist = registry.histogram(name, help, buckets=TIMING_BUCKETS)
-        if labels:
-            hist = hist.labels(**labels)
-        hist.observe(time.perf_counter() - start)

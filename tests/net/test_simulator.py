@@ -2,6 +2,7 @@
 counter, and a fuzz against a sorted-list model."""
 
 import random
+import tracemalloc
 from dataclasses import dataclass
 
 import pytest
@@ -130,6 +131,31 @@ class TestRunUntil:
         sim.schedule(0.0, respawn)
         sim.run(max_events=50)
         assert count[0] == 50
+
+
+class TestDrain:
+    def test_drain_allocates_nothing_per_event(self):
+        sim = Simulator()
+
+        def noop():
+            pass
+
+        for i in range(2200):
+            sim.schedule(i * 0.001, noop)
+        # warm-up: first steps may touch lazy imports/caches
+        for _ in range(200):
+            sim.step()
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            while sim.step():
+                pass
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2000 events must not allocate per-event state (small constant
+        # slack for interpreter incidentals)
+        assert current - base < 16_384
 
 
 class TestPendingAndCompaction:

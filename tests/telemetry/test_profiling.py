@@ -1,33 +1,14 @@
-"""Wall-clock profiler: attribution, determinism, zero-cost-when-off."""
+"""Stack sampler: it sees the code that runs, exports valid collapsed
+stacks, and leaves the simulation untouched."""
 
-import json
-import tracemalloc
-
-import pytest
+import collections
+import re
+import time
 
 from repro.telemetry import profiling
-from repro.telemetry.profiling import (
-    KIND_SUBSYSTEM,
-    Profiler,
-    describe,
-    profile_doc,
-    render_table,
-    subsystem_of,
-    to_collapsed,
-    to_speedscope,
-    use_profiler,
-    validate_profile,
-    validate_speedscope,
-)
 
 
-def _clock(values):
-    """A deterministic ns clock yielding ``values`` in order."""
-    it = iter(values)
-    return lambda: next(it)
-
-
-def _small_deployment(profiler=None, *, seed=3, txs=8, horizon_s=5.0):
+def _small_deployment(*, seed=3, txs=8, horizon_s=5.0):
     from repro import params
     from repro.core.deployment import Deployment, fund_clients
     from repro.core.transaction import make_transfer
@@ -38,8 +19,6 @@ def _small_deployment(profiler=None, *, seed=3, txs=8, horizon_s=5.0):
         extra_balances=balances,
         seed=seed,
     )
-    if profiler is not None:
-        deployment.sim.profiler = profiler
     deployment.start()
     for i in range(txs):
         keypair = clients[i % 2]
@@ -52,257 +31,58 @@ def _small_deployment(profiler=None, *, seed=3, txs=8, horizon_s=5.0):
     return deployment
 
 
-class TestAttribution:
-    def test_push_pop_inclusive_and_self_time(self):
-        # init=0; push outer@10; push inner@20; pop inner@30; pop outer@50
-        prof = Profiler(clock=_clock([0, 10, 20, 30, 50]))
-        prof.push("outer", "core", 1)
-        prof.push("inner", "vm", 1)
-        prof.pop()
-        prof.pop()
-        assert prof.by_kind["inner"] == [1, 10]
-        assert prof.by_kind["outer"] == [1, 40]  # inclusive
-        assert prof.stacks[("outer", "inner")] == 10
-        assert prof.stacks[("outer",)] == 30  # self = 40 - 10
-        assert prof.by_subsystem["vm"] == [1, 10]
-        assert prof.by_subsystem["core"] == [1, 40]
-        assert prof.by_node[1] == [2, 50]
+def _spin(cpu_s):
+    start = time.process_time()
+    while time.process_time() - start < cpu_s:
+        pass
 
-    def test_subsystem_mapping_most_specific_wins(self):
-        assert subsystem_of("repro.core.txpool") == "txpool"
-        assert subsystem_of("repro.core.node") == "core"
-        assert subsystem_of("repro.consensus.binary") == "consensus"
-        assert subsystem_of("repro.vm.executor") == "vm"
-        assert subsystem_of("repro.crypto.keys") == "crypto"
-        assert subsystem_of("repro.net.transport") == "net"
-        assert subsystem_of("repro.sim.engine") == "sim"
-        assert subsystem_of("somewhere.else") == "other"
-        assert KIND_SUBSYSTEM["tx"] == "txpool"
-        assert KIND_SUBSYSTEM["consensus"] == "consensus"
 
-    def test_record_event_classifies_bound_methods(self):
-        class Node:
-            node_id = 7
+class TestSampler:
+    def test_samples_the_running_code(self):
+        with profiling.sample() as stacks:
+            _spin(0.2)
+        assert sum(stacks.values()) > 0
+        assert any(_spin.__code__ in stack for stack in stacks)
+        # root-first: the spinning frame sits below this test's frame
+        stack = next(s for s in stacks if _spin.__code__ in s)
+        me = self.test_samples_the_running_code.__code__
+        assert stack.index(me) < stack.index(_spin.__code__)
 
-            def tick(self):
-                pass
-
-        Node.tick.__module__ = "repro.consensus.fake"
-        prof = Profiler()
-        node = Node()
-        prof.record_event(node.tick, ())
-        assert prof.events == 1
-        (name,) = prof.by_kind
-        assert name.endswith("Node.tick")
-        assert list(prof.by_subsystem) == ["consensus"]
-        assert list(prof.by_node) == [7]
-
-    def test_profile_info_overrides_classification(self):
-        # _guarded-style wrappers share one code object; the attached
-        # __profile_info__ must win over code-object classification
-        def wrapper():
-            pass
-
-        wrapper.__profile_info__ = ("Real.target", "vm", 3)
-        prof = Profiler()
-        prof.record_event(wrapper, ())
-        assert list(prof.by_kind) == ["Real.target"]
-        assert list(prof.by_subsystem) == ["vm"]
-        assert list(prof.by_node) == [3]
-
-    def test_describe_unwraps_bound_methods(self):
-        class Thing:
-            def go(self):
-                pass
-
-        Thing.go.__module__ = "repro.vm.fake"
-        name, subsystem, node = describe(Thing().go, 5)
-        assert name.endswith("Thing.go")
-        assert subsystem == "vm"
-        assert node == 5
-
-    def test_record_event_runs_callback_and_pops_on_error(self):
-        prof = Profiler()
-        with pytest.raises(RuntimeError):
-            prof.record_event(lambda: (_ for _ in ()).throw(RuntimeError()), ())
-        assert prof._stack == []  # frame closed despite the raise
-        assert prof.events == 1
-
-    def test_use_profiler_scopes_the_active_one(self):
-        assert profiling.active() is None
-        prof = Profiler()
-        with use_profiler(prof):
-            assert profiling.active() is prof
-            inner = Profiler()
-            with use_profiler(inner):
-                assert profiling.active() is inner
-            assert profiling.active() is prof
-        assert profiling.active() is None
+    def test_render_table_shares_per_module_and_leaf(self):
+        code = _spin.__code__
+        stacks = collections.Counter({(code,): 3, (code, code): 1})
+        text = profiling.render_table(stacks, top=5)
+        assert "4 samples" in text
+        assert "(outside repro/)" in text  # this file is not under repro/
+        assert "test_profiling.py:_spin" in text
+        assert "100.0%" in text
 
 
 class TestEngineIntegration:
-    def test_deployment_attribution_covers_subsystems_and_nodes(self):
-        prof = Profiler()
-        with use_profiler(prof):
-            deployment = _small_deployment()
-        assert deployment.sim.profiler is prof
-        prof.finish()
-        assert prof.events == deployment.sim.events_processed
-        # delivery events are labelled per wire kind and charged as a
-        # single frame to the receiving subsystem and node — the old
-        # Network._deliver wrapper frame is folded away
-        assert "deliver:consensus" in prof.by_kind
-        assert prof.by_subsystem["consensus"][0] > 0
-        assert "Network._deliver" not in prof.by_kind
-        assert sorted(prof.by_node) == [0, 1, 2, 3]
-
-    def test_count_tables_deterministic_across_same_seed_runs(self):
-        tables = []
-        for _ in range(2):
-            prof = Profiler()
-            _small_deployment(prof)
-            tables.append(prof.count_tables())
-        assert tables[0] == tables[1]
-        assert tables[0]["events"] > 0
-
     def test_profiling_does_not_change_the_chain(self):
-        plain = _small_deployment(None)
-        profiled = _small_deployment(Profiler())
+        plain = _small_deployment()
+        with profiling.sample():
+            sampled = _small_deployment()
         assert (
             tuple(plain.validators[0].blockchain.block_hashes())
-            == tuple(profiled.validators[0].blockchain.block_hashes())
+            == tuple(sampled.validators[0].blockchain.block_hashes())
         )
-        assert plain.sim.events_processed == profiled.sim.events_processed
-
-    def test_tick_engine_marks_pipeline_stages(self):
-        from repro.sim.chains import chain_model
-        from repro.sim.engine import simulate_chain
-        from repro.workloads import nasdaq_trace
-
-        trace = nasdaq_trace().scaled(0.001, name="nasdaq")
-        prof = Profiler()
-        with use_profiler(prof):
-            simulate_chain(chain_model("srbb"), trace)
-        for stage in (
-            "tick.arrivals", "tick.validation",
-            "tick.block_production", "tick.commits",
-        ):
-            assert stage in prof.by_kind, stage
-            assert prof.by_kind[stage][0] > 0
-        assert prof.by_subsystem["sim"][0] > 0
-        # phase watermarks at the send-window end and the horizon
-        labels = [m["label"] for m in prof.watermarks]
-        assert any(l.startswith("engine.send_window_end") for l in labels)
-        assert any(l.startswith("engine.horizon") for l in labels)
-
-    def test_disabled_path_allocates_nothing_per_event(self):
-        from repro.net.simulator import Simulator
-
-        sim = Simulator()
-
-        def noop():
-            pass
-
-        for i in range(2200):
-            sim.schedule(i * 0.001, noop)
-        # warm-up: first steps may touch lazy imports/caches
-        for _ in range(200):
-            sim.step()
-        tracemalloc.start()
-        try:
-            base, _ = tracemalloc.get_traced_memory()
-            while sim.step():
-                pass
-            current, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert sim.profiler is None
-        # 2000 events must not allocate per-event state (small constant
-        # slack for interpreter incidentals)
-        assert current - base < 16_384
+        assert plain.sim.events_processed == sampled.sim.events_processed
 
 
 class TestExporters:
-    def _profiled(self):
-        prof = Profiler(clock=_clock(range(0, 10_000_000, 50_000)))
-        with prof.section("outer", subsystem="core", node=0):
-            with prof.section("inner", subsystem="vm", node=0):
-                pass
-        prof.events = 2
-        return prof.finish()
-
     def test_collapsed_format(self):
-        text = to_collapsed(self._profiled())
-        lines = text.strip().splitlines()
-        assert lines
+        inner = _spin.__code__
+        outer = _small_deployment.__code__
+        stacks = collections.Counter({(outer, inner): 3, (outer,): 2})
+        # a distinct code object with the same file and name shares a line
+        twin = inner.replace(co_firstlineno=inner.co_firstlineno + 1)
+        assert twin != inner
+        stacks[(outer, twin)] += 1
+        lines = profiling.to_collapsed(stacks).splitlines()
+        assert lines == [
+            "test_profiling.py:_small_deployment 2",
+            "test_profiling.py:_small_deployment;test_profiling.py:_spin 4",
+        ]
         for line in lines:
-            stack, weight = line.rsplit(" ", 1)
-            assert int(weight) > 0
-            assert stack  # "outer" or "outer;inner"
-        assert any(line.startswith("outer;inner ") for line in lines)
-
-    def test_speedscope_document_validates(self):
-        doc = to_speedscope(self._profiled(), name="unit")
-        assert validate_speedscope(doc) == []
-        assert doc["profiles"][0]["unit"] == "microseconds"
-        names = {f["name"] for f in doc["shared"]["frames"]}
-        assert {"outer", "inner"} <= names
-        assert json.dumps(doc)  # JSON-serializable
-
-    def test_speedscope_validator_catches_malformed(self):
-        assert validate_speedscope([]) != []
-        assert validate_speedscope({}) != []
-        doc = to_speedscope(self._profiled())
-        doc["profiles"][0]["weights"] = []
-        assert validate_speedscope(doc) != []
-
-    def test_profile_doc_validates_and_round_trips(self):
-        prof = self._profiled()
-        prof.phase("unit")
-        doc = profile_doc(prof, target="unit-test")
-        assert validate_profile(doc) == []
-        assert doc["target"] == "unit-test"
-        assert doc["by_kind"]["inner"]["count"] == 1
-        assert doc["watermarks"][0]["label"] == "unit"
-        again = json.loads(json.dumps(doc))
-        assert validate_profile(again) == []
-
-    def test_profile_validator_catches_malformed(self):
-        assert validate_profile(None) != []
-        assert validate_profile({"schema": "wrong"}) != []
-        doc = profile_doc(self._profiled())
-        doc["by_kind"]["inner"] = {"count": 1}  # missing columns
-        assert validate_profile(doc) != []
-
-    def test_render_table_mentions_kinds_and_watermarks(self):
-        prof = self._profiled()
-        prof.phase("done")
-        text = render_table(prof, top=5)
-        assert "inner" in text and "outer" in text
-        assert "watermark[done]" in text
-        assert "events" in text
-
-
-class TestMemoryWatermarks:
-    def test_phase_records_rss_and_tracemalloc(self):
-        prof = Profiler(track_memory=True, top_allocators=3)
-        try:
-            ballast = [bytes(1000) for _ in range(200)]
-            mark = prof.phase("after-alloc")
-            assert mark["rss_mb"] >= 0.0
-            assert mark["traced_mb"] > 0.0
-            assert mark["traced_peak_mb"] >= mark["traced_mb"]
-            assert len(mark["top_allocators"]) <= 3
-            for site in mark["top_allocators"]:
-                assert ":" in site["site"]
-                assert site["mb"] >= 0.0
-            del ballast
-        finally:
-            prof.close()
-        assert not tracemalloc.is_tracing()
-
-    def test_phase_without_memory_tracking_is_rss_only(self):
-        prof = Profiler()
-        mark = prof.phase("plain")
-        assert "traced_mb" not in mark
-        assert prof.watermarks == [mark]
+            assert re.fullmatch(r"\S+ \d+", line)

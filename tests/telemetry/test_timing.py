@@ -1,6 +1,6 @@
-"""@timed decorator and stopwatch context manager."""
+"""@timed decorator."""
 
-from repro.telemetry import stopwatch, timed, use_registry
+from repro.telemetry import timed, use_registry
 
 
 class TestTimed:
@@ -46,25 +46,3 @@ class TestTimed:
                 pass
             assert reg.get("boom_seconds").count == 1
 
-
-class TestStopwatch:
-    def test_records(self):
-        with use_registry() as reg:
-            with stopwatch("block_seconds"):
-                pass
-            assert reg.get("block_seconds").count == 1
-
-    def test_labels(self):
-        with use_registry() as reg:
-            with stopwatch("block_seconds", stage="commit"):
-                pass
-            hist = reg.get("block_seconds")
-            assert hist.count == 0
-            assert hist.labels(stage="commit").count == 1
-
-    def test_noop_when_disabled(self):
-        with use_registry() as reg:
-            reg.disable()
-            with stopwatch("block_seconds"):
-                pass
-            assert reg.get("block_seconds") is None

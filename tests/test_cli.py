@@ -103,37 +103,49 @@ class TestProfileCommand:
             build_parser().parse_args(["profile"])  # target required
 
     def test_profile_simulate_writes_artifacts(self, tmp_path, capsys):
-        import json
+        import re
 
-        from repro.telemetry.profiling import (
-            validate_profile, validate_speedscope,
-        )
-
-        rc = main(["profile", "simulate", "srbb", "nasdaq",
+        rc = main(["profile", "simulate", "srbb", "nasdaq", "--memory",
                    "--scale", "0.001", "--out-dir", str(tmp_path)])
         assert rc == 0
-        base = tmp_path / "PROFILE_simulate_srbb_nasdaq"
-        doc = json.loads((tmp_path / "PROFILE_simulate_srbb_nasdaq.json")
-                         .read_text())
-        assert validate_profile(doc) == []
-        assert doc["events"] >= 0
-        assert "tick.arrivals" in doc["by_kind"]
-        speed = json.loads(
-            base.with_suffix(".speedscope.json").read_text()
-        )
-        assert validate_speedscope(speed) == []
-        collapsed = (tmp_path / "PROFILE_simulate_srbb_nasdaq.collapsed")
-        assert collapsed.exists()
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "PROFILE_simulate_srbb_nasdaq.collapsed"
+        ]
+        text = (tmp_path / "PROFILE_simulate_srbb_nasdaq.collapsed").read_text()
+        for line in text.splitlines():
+            assert re.fullmatch(r"\S+ \d+", line), line
         out = capsys.readouterr().out
-        assert "µs/event" in out
-        assert "tick." in out
+        assert "throughput_tps" in out  # the target's own output
+        assert "repro/ module" in out and "leaf function" in out
+        assert "allocation site" in out and "peak RSS" in out
 
     def test_profile_out_dir_is_created(self, tmp_path):
         nested = tmp_path / "a" / "b"
         rc = main(["profile", "simulate", "srbb", "nasdaq",
                    "--scale", "0.001", "--out-dir", str(nested)])
         assert rc == 0
-        assert (nested / "PROFILE_simulate_srbb_nasdaq.json").exists()
+        assert (nested / "PROFILE_simulate_srbb_nasdaq.collapsed").exists()
+
+    def test_sampler_state_is_restored(self, tmp_path):
+        import signal
+
+        def before(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGPROF, before)
+        try:
+            assert main(["profile", "simulate", "srbb", "nasdaq",
+                         "--scale", "0.001", "--out-dir", str(tmp_path)]) == 0
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is before
+            # ...and when the profiled target raises
+            with pytest.raises(KeyError):
+                main(["profile", "scenario", "no_such_scenario",
+                      "--out-dir", str(tmp_path)])
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is before
+        finally:
+            signal.signal(signal.SIGPROF, previous)
 
     def test_unwritable_out_dir_fails_cleanly(self, tmp_path, capsys):
         blocker = tmp_path / "file"
