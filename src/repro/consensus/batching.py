@@ -47,6 +47,9 @@ BATCHABLE_KINDS = frozenset(
         MsgKind.RBC_READY,
     }
 )
+#: the two kinds that are not, which ``submit`` tests by identity
+_RBC_SEND = MsgKind.RBC_SEND
+_BATCH = MsgKind.BATCH
 
 
 def _build_metrics(reg: telemetry.MetricsRegistry) -> SimpleNamespace:
@@ -119,7 +122,10 @@ class VoteBatcher:
 
     def submit(self, msg: ConsensusMessage) -> None:
         """Consensus-side entry point (the ``broadcast`` the instances see)."""
-        if not self.enabled or msg.kind not in BATCHABLE_KINDS:
+        # Identity against the two kinds outside BATCHABLE_KINDS: a set
+        # lookup would run the Python-level ``Enum.__hash__`` per vote.
+        kind = msg.kind
+        if not self.enabled or kind is _RBC_SEND or kind is _BATCH:
             self.sink(msg)
             return
         self._buffer.append(msg)
@@ -163,16 +169,8 @@ class VoteBatcher:
             m.batches.inc()
             m.votes.observe(len(buffered))
             m.bytes_saved.inc(saved)
-        self.sink(
-            ConsensusMessage(
-                kind=MsgKind.BATCH,
-                index=-1,  # spans chain indexes; constituents carry their own
-                instance=-1,
-                round=0,
-                value=batch,
-                sender=self.node_id,
-            )
-        )
+        # index -1: a batch spans chain indexes; constituents carry their own
+        self.sink(ConsensusMessage(_BATCH, -1, -1, 0, batch, self.node_id))
 
     def drop_pending(self) -> int:
         """Discard buffered votes (the owning node crashed); returns the

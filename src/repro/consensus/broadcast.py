@@ -80,14 +80,7 @@ class ReliableBroadcast:
 
     def _send(self, kind: MsgKind, instance: int, value: Any) -> None:
         self.sink(
-            ConsensusMessage(
-                kind=kind,
-                index=self.index,
-                instance=instance,
-                round=0,
-                value=value,
-                sender=self.my_id,
-            )
+            ConsensusMessage(kind, self.index, instance, 0, value, self.my_id)
         )
 
     # -- API --------------------------------------------------------------------

@@ -327,12 +327,7 @@ class BinaryConsensus:
     def _send(self, kind: MsgKind, round_: int, value: int) -> None:
         self.sink(
             ConsensusMessage(
-                kind=kind,
-                index=self.index,
-                instance=self.instance,
-                round=round_,
-                value=value,
-                sender=self.my_id,
+                kind, self.index, self.instance, round_, value, self.my_id
             )
         )
 

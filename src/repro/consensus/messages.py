@@ -1,4 +1,10 @@
-"""Wire messages exchanged by the consensus protocols."""
+"""Wire messages exchanged by the consensus protocols.
+
+:class:`ConsensusMessage` and :class:`VoteRun` are ``NamedTuple``\\ s: a
+vote is built once per emission on every node, and a positional tuple
+costs about a quarter of a frozen dataclass's generated keyword
+``__init__`` (docs/PROFILING.md, *The per-message constant*).
+"""
 
 from __future__ import annotations
 
@@ -53,14 +59,20 @@ def _payload_size(value: Any) -> int:
     return BASE_MESSAGE_BYTES  # unknown payloads: charge a full envelope
 
 
-@dataclass(frozen=True)
-class ConsensusMessage:
+class ConsensusMessage(NamedTuple):
     """One consensus protocol message.
 
     ``index`` is the chain index (consensus iteration k), ``instance`` the
     per-proposer binary instance id (or the RBC broadcaster id), ``round``
     the binary-consensus round, ``value`` the payload (0/1 estimate, the
     RBC payload/digest, or a :class:`ConsensusBatch` for ``BATCH``).
+
+    Emitters build one per vote, so construction cost is per-message cost.
+    The tuple keeps every property of the frozen record it replaces:
+    immutable, hashed as its field tuple (set and dict order unchanged),
+    the same ``repr``.  Being a tuple is invisible to payload sizing
+    because no message is ever another message's ``value`` (a batch's
+    constituents sit in a :class:`ConsensusBatch`).
     """
 
     kind: MsgKind

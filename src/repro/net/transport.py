@@ -21,11 +21,24 @@ byte-identical) let chaos runs step outside that contract:
   logical traffic; the split is exported via
   ``srbb_net_retransmissions_total`` / ``srbb_net_duplicates_dropped_total``
   with the same per-region labels as the existing traffic counters.
+
+**One fan-out.**  ``send`` and ``broadcast`` share one loop: a
+point-to-point send is a fan-out of one.  A broadcast's destinations
+and their base latencies, and the region pairs it crosses with their
+copy counts, are cached per ``(src, include_self)`` (``register``
+clears the cache), so its traffic is booked once — one
+:meth:`NetStats.record` call for k copies, enabled-registry children
+included — rather than once per destination.  On a plain link (no fault
+model, no reliable delivery) a copy costs one jitter draw, one clamp and
+one ``schedule``: serialization and the partial-synchrony bound are
+computed once per fan-out, adversarial delay per copy.  Reliable and
+faulty copies take the per-copy channel routine, in destination order,
+so sequence numbers and every RNG draw come out as a loop of ``send``
+would draw them (docs/PROFILING.md, *The per-message constant*).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Any, Callable, Protocol
@@ -110,7 +123,6 @@ class Message:
     sender: int
     size_bytes: int = 256
     count: int = 1
-    msg_id: int = field(default_factory=itertools.count().__next__)
 
 
 class Endpoint(Protocol):
@@ -147,6 +159,15 @@ class PartialSynchrony:
         return self.delta if now >= self.gst else self.pre_gst_max_delay
 
 
+#: ``((src_region, dst_region), copies)`` per region pair a fan-out crosses
+_Regions = tuple[tuple[tuple[str, str], int], ...]
+#: one copy within one region: the booking of a bare ``record(msg)``
+_LOCAL = ((("local", "local"), 1),)
+#: ``(targets, regions)``: ``(dst, base latency or None for loopback)``
+#: per copy, and the booking :meth:`NetStats.record` takes
+_FanOut = tuple[tuple[tuple[int, float | None], ...], _Regions]
+
+
 @dataclass
 class NetStats:
     """Traffic counters (bandwidth-consumption evidence for §III)."""
@@ -169,36 +190,43 @@ class NetStats:
     #: bandwidth asymmetry, the §V 10-region deployment evidence
     by_region: dict = field(default_factory=dict)
 
-    def record(
-        self, msg: Message, *, src_region: str = "local", dst_region: str = "local"
-    ) -> None:
+    def record(self, msg: Message, regions: _Regions = _LOCAL) -> None:
+        """Book ``msg`` sent as ``copies`` copies over each region pair in
+        ``regions`` (``((src_region, dst_region), copies)`` entries, in
+        first-use order) — the one booking routine for every send."""
         size = msg.size_bytes
-        self.messages += 1
-        self.bytes += size
-        self.logical_messages += msg.count
+        by_region = self.by_region
+        total = 0
+        for pair, copies in regions:
+            total += copies
+            region = by_region.get(pair)
+            if region is None:
+                region = by_region[pair] = [0, 0]
+            region[0] += copies
+            region[1] += size * copies
+        volume = size * total
+        self.messages += total
+        self.bytes += volume
+        self.logical_messages += msg.count * total
         kind = self.by_kind.get(msg.kind)
         if kind is None:
             kind = self.by_kind[msg.kind] = [0, 0]
-        kind[0] += 1
-        kind[1] += size
+        kind[0] += total
+        kind[1] += volume
         sender = self.by_sender.get(msg.sender)
         if sender is None:
             sender = self.by_sender[msg.sender] = [0, 0]
-        sender[0] += 1
-        sender[1] += size
-        region = self.by_region.get((src_region, dst_region))
-        if region is None:
-            region = self.by_region[(src_region, dst_region)] = [0, 0]
-        region[0] += 1
-        region[1] += size
+        sender[0] += total
+        sender[1] += volume
         if telemetry.get_registry().enabled:
             m = _metrics()
-            m.logical.inc(msg.count)
-            msgs_child, bytes_child = _traffic_children(
-                m, msg.kind, src_region, dst_region
-            )
-            msgs_child.inc()
-            bytes_child.inc(size)
+            m.logical.inc(msg.count * total)
+            for (src_region, dst_region), copies in regions:
+                msgs_child, bytes_child = _traffic_children(
+                    m, msg.kind, src_region, dst_region
+                )
+                msgs_child.inc(copies)
+                bytes_child.inc(size * copies)
 
     def egress_bytes(self, sender: int) -> int:
         return self.by_sender.get(sender, [0, 0])[1]
@@ -272,6 +300,11 @@ class Network:
         #: per-message lookups on the delivery hot path collapse to one
         #: dict hit
         self._links: dict[tuple[int, int], tuple[float, str, str]] = {}
+        #: (src, dst) -> that link as a fan-out of one (``send``)
+        self._unicasts: dict[tuple[int, int], _FanOut] = {}
+        #: (src, include_self) -> a broadcast's fan-out; ``register``
+        #: clears it, since the destinations are the registered endpoints
+        self._broadcasts: dict[tuple[int, bool], _FanOut] = {}
         self.stats = NetStats()
 
     def _link(self, src: int, dst: int) -> tuple[float, str, str]:
@@ -290,6 +323,7 @@ class Network:
         if node_id in self._endpoints:
             raise NetworkError(f"node {node_id} already registered")
         self._endpoints[node_id] = endpoint
+        self._broadcasts.clear()
 
     # -- crash bookkeeping ---------------------------------------------------------
 
@@ -342,27 +376,80 @@ class Network:
         """Point-to-point send; delivery scheduled on the simulator."""
         if dst not in self._endpoints:
             raise NetworkError(f"unknown destination node {dst}")
-        _base, src_region, dst_region = self._link(src, dst)
-        self.stats.record(msg, src_region=src_region, dst_region=dst_region)
-        if self.net.reliable_delivery and src != dst:
-            seq = self._next_seq.get((src, dst), 0)
-            self._next_seq[(src, dst)] = seq + 1
-            self._transmit(src, dst, msg, seq, attempt=0)
-        else:
-            self._channel_send(src, dst, msg, seq=None)
+        self._fan_out(src, msg, self._unicast(src, dst))
 
     def broadcast(self, src: int, msg: Message, *, include_self: bool = True) -> None:
         """Best-effort broadcast to every registered node."""
+        key = (src, include_self)
+        fan_out = self._broadcasts.get(key)
+        if fan_out is None:
+            fan_out = self._broadcasts[key] = self._broadcast_fan_out(*key)
+        if fan_out[0]:
+            self._fan_out(src, msg, fan_out)
+
+    def _unicast(self, src: int, dst: int) -> _FanOut:
+        """The link ``src -> dst`` as a fan-out of one (cached)."""
+        fan_out = self._unicasts.get((src, dst))
+        if fan_out is None:
+            base, src_region, dst_region = self._link(src, dst)
+            fan_out = self._unicasts[(src, dst)] = (
+                ((dst, base),), (((src_region, dst_region), 1),)
+            )
+        return fan_out
+
+    def _broadcast_fan_out(self, src: int, include_self: bool) -> _FanOut:
+        """A broadcast's destinations, in registration order, and the
+        region pairs its copies cross, in first-use order."""
+        targets: list[tuple[int, float | None]] = []
+        regions: dict[tuple[str, str], int] = {}
         for dst in self._endpoints:
-            if dst == src and not include_self:
-                continue
             if dst == src:
-                # Local delivery is immediate-ish (loopback).
-                self.sim.schedule(0.0, self._deliver, dst, msg)
+                if not include_self:
+                    continue
                 region = self._link(src, src)[1]
-                self.stats.record(msg, src_region=region, dst_region=region)
+                targets.append((dst, None))  # loopback
+                pair = (region, region)
             else:
-                self.send(src, dst, msg)
+                base, src_region, dst_region = self._link(src, dst)
+                targets.append((dst, base))
+                pair = (src_region, dst_region)
+            regions[pair] = regions.get(pair, 0) + 1
+        return tuple(targets), tuple(regions.items())
+
+    def _fan_out(self, src: int, msg: Message, fan_out: _FanOut) -> None:
+        """Book ``msg`` once and put one copy on the way to every target:
+        ``(dst, base latency)``, where a ``None`` latency is the sender's
+        own broadcast copy (loopback, delivered at once)."""
+        targets, regions = fan_out
+        self.stats.record(msg, regions)
+        sim = self.sim
+        schedule = sim.schedule
+        deliver = self._deliver
+        reliable = self.net.reliable_delivery
+        faults = self.faults
+        adversarial = self.adversarial_delay
+        now = sim.now
+        serialization = msg.size_bytes / self.bandwidth
+        cap = self.timing.bound(now) + serialization
+        draw = self.rng.exponential
+        jitter_s = self.jitter_s
+        for dst, base in targets:
+            if base is None:
+                schedule(0.0, deliver, dst, msg)
+            elif reliable and dst != src:
+                seq = self._next_seq.get((src, dst), 0)
+                self._next_seq[(src, dst)] = seq + 1
+                self._transmit(src, dst, msg, seq, attempt=0)
+            elif faults is not None:
+                self._channel_send(src, dst, msg, seq=None)
+            else:
+                # delay_for, with the per-fan-out terms hoisted
+                delay = base + serialization + float(draw(jitter_s))
+                if adversarial is not None:
+                    delay += max(0.0, adversarial(src, dst, now))
+                if delay > cap:
+                    delay = cap
+                schedule(delay, deliver, dst, msg)
 
     def send_to_peers(self, src: int, msg: Message) -> int:
         """Send to overlay neighbours only (gossip building block)."""
@@ -454,10 +541,7 @@ class Network:
                 src_region=src_region, dst_region=dst_region
             ).inc()
         # Retransmitted copies are wire traffic but not new logical volume.
-        self.stats.record(
-            replace(msg, count=0),
-            src_region=src_region, dst_region=dst_region,
-        )
+        self.stats.record(replace(msg, count=0), self._unicast(src, dst)[1])
         self._transmit(src, dst, msg, seq, attempt + 1)
 
     def _deliver_seq(self, src: int, dst: int, msg: Message, seq: int) -> None:
@@ -466,7 +550,9 @@ class Network:
             return
         # Ack every copy — the ack for an earlier copy may have been lost.
         self._send_ack(src, dst, seq)
-        tracker = self._rx_seen.setdefault((src, dst), _SeqTracker())
+        tracker = self._rx_seen.get((src, dst))
+        if tracker is None:
+            tracker = self._rx_seen[(src, dst)] = _SeqTracker()
         if not tracker.mark(seq):
             self.stats.duplicates_dropped += 1
             if telemetry.get_registry().enabled:
@@ -484,8 +570,7 @@ class Network:
         ack = Message(
             kind=ACK_KIND, payload=seq, sender=dst, size_bytes=self.net.ack_bytes
         )
-        _base, ack_src_region, ack_dst_region = self._link(dst, src)
-        self.stats.record(ack, src_region=ack_src_region, dst_region=ack_dst_region)
+        self.stats.record(ack, self._unicast(dst, src)[1])
         if self.faults is not None:
             p_drop = self.faults.drop_probability(dst, src, self.sim.now)
             if p_drop >= 1.0 or (

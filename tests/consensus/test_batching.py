@@ -31,6 +31,16 @@ class TestSubmit:
         assert sent == []
         assert batcher.pending == len(BATCHABLE_KINDS)
 
+    def test_every_kind_but_send_and_batch_is_batchable(self):
+        # submit() tests the two exceptions by identity, not set membership
+        assert BATCHABLE_KINDS == set(MsgKind) - {MsgKind.RBC_SEND, MsgKind.BATCH}
+
+    def test_a_batch_goes_direct(self, batcher, sent):
+        msg = _vote(kind=MsgKind.BATCH, value=ConsensusBatch((_vote(),), sender=0))
+        batcher.submit(msg)
+        assert sent == [msg]
+        assert batcher.pending == 0
+
     def test_rbc_send_goes_direct(self, batcher, sent):
         msg = _vote(kind=MsgKind.RBC_SEND, value=b"proposal")
         batcher.submit(msg)

@@ -70,6 +70,47 @@ class TestApproxSize:
         assert _msg(value=object()).approx_size() == 2 * BASE_MESSAGE_BYTES
 
 
+class TestMessageContract:
+    """A message is a NamedTuple; it must still behave as the frozen
+    record it replaced."""
+
+    def test_immutable(self):
+        msg = _msg()
+        with pytest.raises(AttributeError):
+            msg.value = 0
+
+    def test_hashes_as_its_field_tuple(self):
+        fields = (MsgKind.AUX, 3, 2, 1, (b"d", None), 5)
+        msg = ConsensusMessage(*fields)
+        assert hash(msg) == hash(fields)
+        assert msg == ConsensusMessage(**dict(zip(ConsensusMessage._fields, fields)))
+
+    def test_repr_unchanged(self):
+        assert repr(_msg(value=b"\x01")) == (
+            "ConsensusMessage(kind=<MsgKind.BVAL: 'bval'>, index=1, instance=0, "
+            "round=1, value=b'\\x01', sender=0)"
+        )
+
+    def test_ingest_tells_a_run_from_a_message_by_type(self):
+        from types import SimpleNamespace
+
+        from repro.consensus.messages import VoteRun
+        from repro.core.node import ValidatorNode
+
+        seen = []
+        consensus = SimpleNamespace(
+            on_run=lambda run: seen.append(("run", run)),
+            on_constituent=lambda msg: seen.append(("msg", msg)),
+        )
+        node = SimpleNamespace(
+            _consensus={1: consensus}, _catchup_floor=0, _recovering=False
+        )
+        lone = _msg(sender=2)
+        run = VoteRun(MsgKind.BVAL, 1, 2, (lone,), 1, 1, (0,), 1)
+        ValidatorNode._ingest_consensus(node, (lone, run, _msg(sender=3)), 2)
+        assert seen == [("msg", lone), ("run", run)]
+
+
 class TestConsensusBatch:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

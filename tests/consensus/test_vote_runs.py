@@ -188,7 +188,7 @@ def damaged_streams(draw):
             messages = batch()[1]
             at = int(draw(where) * len(messages))
             if messages[at].kind in VOTE_KINDS:
-                flipped = replace(messages[at], value=1 - messages[at].value)
+                flipped = messages[at]._replace(value=1 - messages[at].value)
                 messages.insert(at + draw(st.integers(0, 1)), flipped)
         elif edit == 5:  # one field of one vote turned to garbage
             messages = batch()[1]
@@ -199,7 +199,7 @@ def damaged_streams(draw):
                 ("index", (INDEX + 1,)),
                 ("round", (0, 65)),
             )))
-            messages[at] = replace(messages[at], **{field: draw(st.sampled_from(values))})
+            messages[at] = messages[at]._replace(**{field: draw(st.sampled_from(values))})
         else:  # anything at all pushed into the middle of a batch
             messages = batch()[1]
             messages.insert(int(draw(where) * (len(messages) + 1)), draw(garbage))
@@ -396,7 +396,7 @@ class TestRuns:
         for _ in range(data.draw(st.integers(0, 4))):
             base = data.draw(garbage_votes(n))
             stretch = [
-                replace(base, instance=i)
+                base._replace(instance=i)
                 for i in data.draw(st.lists(st.integers(0, n), max_size=n))
             ]
             if data.draw(st.booleans()):

@@ -1,6 +1,7 @@
 """Reliable delivery: ack/retransmit, dedup, retry cap, crash interplay."""
 
 from repro import params
+from repro.net import transport
 from repro.net.simulator import Simulator
 from repro.net.topology import single_region_topology
 from repro.net.transport import ACK_KIND, Message, Network, _SeqTracker
@@ -149,6 +150,25 @@ class TestReliableDelivery:
         sim.run_until(1.0)
         assert payloads(sinks[0]) == ["self"]
         assert not network._pending
+
+
+def test_one_tracker_per_link_not_per_delivery(monkeypatch):
+    built = []
+
+    class CountingTracker(_SeqTracker):
+        def __init__(self):
+            super().__init__()
+            built.append(self)
+
+    monkeypatch.setattr(transport, "_SeqTracker", CountingTracker)
+    faults = StaticFaults(duplicate={(0, 1): 0.5, (2, 1): 0.5})
+    sim, network, sinks = make_network(3, faults=faults)
+    for i in range(10):
+        for src, dst in ((0, 1), (2, 1), (1, 0)):
+            network.send(src, dst, Message(kind="tx", payload=i, sender=src))
+    sim.run_until(30.0)
+    assert len(payloads(sinks[1])) == 20 and network.stats.duplicates_dropped
+    assert len(built) == len(network._rx_seen) == 3
 
 
 class TestCrashInterplay:
