@@ -21,18 +21,25 @@ from repro.vm.state import WorldState
 
 @dataclass
 class CommitResult:
-    """Outcome of committing one superblock."""
+    """Outcome of committing one superblock.
+
+    ``appended_receipts[i]`` holds the receipts of ``appended_blocks[i]``
+    in transaction order, all successful: the receipt index
+    (:meth:`repro.core.receipts.ReceiptStore.record_block`) takes them as
+    they are.  A failed execution has no receipt here; its transaction
+    is in ``discarded``.
+    """
 
     index: int
     committed: list[Transaction] = field(default_factory=list)
     discarded: list[tuple[Transaction, str]] = field(default_factory=list)
-    receipts: list[Receipt] = field(default_factory=list)
     #: (proposer_id, invalid tx, error code) triples — the raw material for
     #: RPM ``report`` invocations
     invalid_by_proposer: list[tuple[int, Transaction, str]] = field(
         default_factory=list
     )
     appended_blocks: list[Block] = field(default_factory=list)
+    appended_receipts: list[tuple[Receipt, ...]] = field(default_factory=list)
 
 
 class Blockchain:
@@ -100,6 +107,7 @@ class Blockchain:
         step = 1.0 / exec_rate if exec_rate else 0.0
         for block in superblock.blocks:
             kept: list[Transaction] = []
+            kept_receipts: list[Receipt] = []
             coinbase = coinbase_of(block.proposer_id) if coinbase_of else ""
             for tx in block.transactions:
                 cursor += step
@@ -114,9 +122,9 @@ class Blockchain:
                 # collector's oldest generation, as a superblock-long
                 # journal's are.
                 self.state.commit()
-                result.receipts.append(receipt)
                 if receipt.success:
                     kept.append(tx)
+                    kept_receipts.append(receipt)
                     self._committed_hashes.add(tx.tx_hash)
                     self.commit_times[tx.tx_hash] = now + cursor
                     result.committed.append(tx)
@@ -127,16 +135,22 @@ class Blockchain:
                         (block.proposer_id, tx, receipt.error or "invalid")
                     )
             if kept:  # Alg. 1 line 24: only non-empty blocks are appended
+                whole = len(kept) == len(block.transactions)
                 filtered = Block(
                     proposer_id=block.proposer_id,
                     index=self.height + 1,
-                    transactions=tuple(kept),
+                    transactions=block.transactions if whole else tuple(kept),
                     parent_hash=self.head().block_hash,
                     certificate=block.certificate,
                     round=block.round,
                 )
+                if whole:
+                    # Same transactions, same root: the decided block's
+                    # (its proposer computed it to sign the block).
+                    filtered.__dict__["tx_root"] = block.tx_root
                 self.chain.append(filtered)
                 result.appended_blocks.append(filtered)
+                result.appended_receipts.append(tuple(kept_receipts))
         return result
 
     # -- safety helpers -----------------------------------------------------------

@@ -694,12 +694,12 @@ class ValidatorNode:
         self.stats.txs_discarded += len(result.discarded)
 
         # Index receipts for client confirmation queries (§VI receipts).
-        receipts_by_hash = {r.tx_hash: r for r in result.receipts if r.success}
-        for appended in result.appended_blocks:
-            self.receipts.record_block(
-                appended, receipts_by_hash, commit_time=self.sim.now
-            )
-        self._stamp_committed(superblock.index, result, receipts_by_hash)
+        now = self.sim.now
+        for appended, receipts in zip(
+            result.appended_blocks, result.appended_receipts
+        ):
+            self.receipts.record_block(appended, receipts, commit_time=now)
+        self._stamp_committed(superblock.index, result)
 
         # Drop any pool copies of committed transactions.
         self.pool.remove_hashes({tx.tx_hash for tx in result.committed})
@@ -753,10 +753,11 @@ class ValidatorNode:
             self.round_interval + execution_delay, self._start_round, next_index
         )
 
-    def _stamp_committed(self, index, result, receipts_by_hash) -> None:
+    def _stamp_committed(self, index, result) -> None:
         """Lifecycle stamps for one applied superblock: ``commit`` at the
         commit instant, ``execute`` at each tx's staggered VM-execution
-        time (the ``commit_times`` cursor), ``receipt`` once indexed."""
+        time (the ``commit_times`` cursor), ``receipt`` once indexed —
+        every committed transaction has a successful receipt."""
         if not lifecycle.enabled():
             return
         now = self.sim.now
@@ -769,10 +770,9 @@ class ValidatorNode:
             lifecycle.stamp(
                 tx.tx_hash, "execute", node=self.node_id, t=executed_at
             )
-            if tx.tx_hash in receipts_by_hash:
-                lifecycle.stamp(
-                    tx.tx_hash, "receipt", node=self.node_id, t=executed_at
-                )
+            lifecycle.stamp(
+                tx.tx_hash, "receipt", node=self.node_id, t=executed_at
+            )
 
     def _recycle_block(self, block: Block) -> None:
         """Re-admit valid transactions from an undecided block (line 31)."""
@@ -807,7 +807,7 @@ class ValidatorNode:
         resp = CatchupResponse(
             superblocks=superblocks,
             snapshot=snapshot,
-            state_root=self.blockchain.state.state_root(),
+            state_root=snapshot.root,
             next_index=self._next_commit_index,
             responder=self.node_id,
         )

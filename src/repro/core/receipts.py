@@ -12,8 +12,9 @@ verify without replaying the chain (see :mod:`repro.core.lightclient`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.core.block import Block, BlockCertificate, transactions_hash
+from repro.core.block import Block, BlockCertificate
 from repro.core.transaction import Transaction
 from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.vm.executor import Receipt
@@ -55,6 +56,12 @@ class ReceiptStore:
     strings, ``None``, the empty logs tuple) is untracked by CPython's
     cyclic collector, which then never walks the store.  :meth:`get`
     builds the :class:`CommitRecord`.
+
+    The commit loop hands each appended chain block over with its
+    receipts already in position order
+    (:attr:`repro.core.blockchain.CommitResult.appended_receipts`), so a
+    row is the receipt's fields after its hash plus four commit fields,
+    with no lookup by hash.
     """
 
     def __init__(self) -> None:
@@ -66,27 +73,24 @@ class ReceiptStore:
     def record_block(
         self,
         block: Block,
-        receipts_by_hash: dict[bytes, Receipt],
+        receipts: Sequence[Receipt],
         *,
         commit_time: float,
     ) -> None:
-        """Index a freshly appended chain block and its receipts."""
-        self._blocks_by_height[block.index] = block
-        for position, tx in enumerate(block.transactions):
-            receipt = receipts_by_hash.get(tx.tx_hash)
-            if receipt is None:
-                continue
-            self._records[tx.tx_hash] = (
-                receipt.success,
-                receipt.gas_used,
-                receipt.error,
-                receipt.return_value,
-                receipt.contract_address,
-                tuple(receipt.logs),
-                block.index,
-                block.block_hash,
-                position,
-                commit_time,
+        """Index a freshly appended chain block; ``receipts[i]`` is the
+        receipt of ``block.transactions[i]``."""
+        height = block.index
+        block_hash = block.block_hash
+        self._blocks_by_height[height] = block
+        records = self._records
+        # One tuple display per row: ``receipt[1:] + (...)`` builds two
+        # tuples and copies one, and costs twice as much.
+        for position, (
+            tx_hash, success, gas_used, error, return_value, contract_address, logs
+        ) in enumerate(receipts):
+            records[tx_hash] = (
+                success, gas_used, error, return_value, contract_address, logs,
+                height, block_hash, position, commit_time,
             )
 
     # -- queries ------------------------------------------------------------------
@@ -95,18 +99,9 @@ class ReceiptStore:
         row = self._records.get(tx_hash)
         if row is None:
             return None
-        (success, gas_used, error, return_value, contract_address, logs,
-         height, block_hash, position, commit_time) = row
+        height, block_hash, position, commit_time = row[6:]
         return CommitRecord(
-            receipt=Receipt(
-                tx_hash=tx_hash,
-                success=success,
-                gas_used=gas_used,
-                error=error,
-                return_value=return_value,
-                contract_address=contract_address,
-                logs=logs,
-            ),
+            receipt=Receipt(tx_hash, *row[:6]),
             height=height,
             block_hash=block_hash,
             position=position,

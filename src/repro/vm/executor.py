@@ -15,9 +15,8 @@ The executor realizes the paper's execution semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro import params, telemetry
 from repro.crypto.hashing import hash_items
@@ -54,9 +53,14 @@ def _build_metrics(reg: telemetry.MetricsRegistry) -> SimpleNamespace:
 _metrics = telemetry.bind(_build_metrics)
 
 
-@dataclass
-class Receipt:
-    """Execution outcome of one transaction."""
+class Receipt(NamedTuple):
+    """Execution outcome of one transaction.
+
+    A tuple: nothing mutates a receipt, and it is built once per executed
+    transaction on every node, positionally.  ``logs`` is always a tuple,
+    so :class:`~repro.core.receipts.ReceiptStore` stores the fields as
+    they are.
+    """
 
     tx_hash: bytes
     success: bool
@@ -108,9 +112,7 @@ class Executor:
         """
         outcome = lazy_validate(tx, self.state)
         if not outcome.ok:
-            receipt = Receipt(
-                tx_hash=tx.tx_hash, success=False, error=outcome.error_code
-            )
+            receipt = Receipt(tx.tx_hash, False, 0, outcome.error_code)
         else:
             receipt = self.apply_transaction(tx, coinbase=coinbase)
         if telemetry.get_registry().enabled:
@@ -133,7 +135,7 @@ class Executor:
         except ReproError as exc:
             self.state.revert(snap)
             code = getattr(exc, "code", "error")
-            return Receipt(tx_hash=tx.tx_hash, success=False, error=code)
+            return Receipt(tx.tx_hash, False, 0, code)
 
     def _apply(self, tx: "Transaction", coinbase: str) -> Receipt:
         # Execution-time checks (i) signature and (ii) size — §IV-D.
@@ -232,12 +234,7 @@ class Executor:
         if coinbase:
             self.state.add_balance(coinbase, gas_used * tx.gas_price)
         return Receipt(
-            tx_hash=tx.tx_hash,
-            success=True,
-            gas_used=gas_used,
-            return_value=return_value,
-            contract_address=contract_address,
-            logs=logs,
+            tx.tx_hash, True, gas_used, None, return_value, contract_address, logs
         )
 
 

@@ -145,21 +145,44 @@ class WorldState:
         account = self._accounts.get(address)
         return account.nonce if account else 0
 
+    # The four writers below run several times per transaction, so each
+    # is one frame: one ``_accounts.get``, and ``get_or_create`` only for
+    # an address that has no account yet.  A negative balance raises
+    # before an account is created or a journal entry is written.
+
     def set_balance(self, address: str, value: int) -> None:
         if value < 0:
             raise ValueError(f"negative balance {value} for {address!r}")
-        account = self.get_or_create(address)
+        account = self._accounts.get(address)
+        if account is None:
+            account = self.get_or_create(address)
         self._journal.append((account, "balance", account.balance))
         account.balance = value
 
     def add_balance(self, address: str, delta: int) -> None:
-        self.set_balance(address, self.balance_of(address) + delta)
+        account = self._accounts.get(address)
+        value = (0 if account is None else account.balance) + delta
+        if value < 0:
+            raise ValueError(f"negative balance {value} for {address!r}")
+        if account is None:
+            account = self.get_or_create(address)
+        self._journal.append((account, "balance", account.balance))
+        account.balance = value
 
     def sub_balance(self, address: str, delta: int) -> None:
-        self.set_balance(address, self.balance_of(address) - delta)
+        account = self._accounts.get(address)
+        value = (0 if account is None else account.balance) - delta
+        if value < 0:
+            raise ValueError(f"negative balance {value} for {address!r}")
+        if account is None:
+            account = self.get_or_create(address)
+        self._journal.append((account, "balance", account.balance))
+        account.balance = value
 
     def bump_nonce(self, address: str) -> None:
-        account = self.get_or_create(address)
+        account = self._accounts.get(address)
+        if account is None:
+            account = self.get_or_create(address)
         self._journal.append((account, "nonce", account.nonce))
         account.nonce += 1
 

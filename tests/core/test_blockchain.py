@@ -3,7 +3,7 @@
 import pytest
 
 from repro import params
-from repro.core.block import SuperBlock, make_block
+from repro.core.block import Block, SuperBlock, make_block, transactions_hash
 from repro.core.blockchain import Blockchain
 from repro.core.transaction import make_invoke, make_transfer
 from repro.crypto.keys import generate_keypair
@@ -140,6 +140,71 @@ class TestJournalLifetime:
         assert result.discarded == [(bad, "vm-error")]
         assert not mixed.state.account_exists("bb" * 20)
         assert mixed.state.state_root() == clean.state.state_root()
+
+
+class TestChainBlockRoot:
+    """A chain block that keeps every transaction of its decided block
+    inherits that block's root; one that dropped a transaction derives
+    its own.  Either way the root and hash are what a freshly built
+    block would compute."""
+
+    @staticmethod
+    def _assert_fresh(chain_block):
+        fresh = Block(
+            proposer_id=chain_block.proposer_id,
+            index=chain_block.index,
+            transactions=tuple(chain_block.transactions),
+            parent_hash=chain_block.parent_hash,
+            certificate=chain_block.certificate,
+            round=chain_block.round,
+        )
+        assert chain_block.tx_root == transactions_hash(chain_block.transactions)
+        assert chain_block.block_hash == fresh.block_hash
+
+    def test_whole_and_filtered_blocks(self, kp):
+        chain = fresh_chain(kp)
+        kp2 = generate_keypair(2)
+        broke = generate_keypair(99)
+        whole = make_block(
+            kp, 0, 1, [make_transfer(kp, "aa" * 20, 1, nonce=i) for i in range(3)]
+        )
+        good = make_transfer(kp, "bb" * 20, 1, nonce=3)
+        bad = make_transfer(broke, "aa" * 20, 1, nonce=0)
+        filtered = make_block(kp2, 1, 1, [good, bad])
+        result = chain.commit_superblock(SuperBlock(index=1, blocks=(whole, filtered)))
+        first, second = result.appended_blocks
+        assert first.transactions is whole.transactions
+        assert first.tx_root == whole.tx_root
+        assert second.transactions == (good,)
+        assert second.tx_root != filtered.tx_root
+        for chain_block in chain.chain[1:]:
+            self._assert_fresh(chain_block)
+
+    def test_duplicate_shortens_the_later_block(self, kp):
+        chain = fresh_chain(kp)
+        kp2 = generate_keypair(2)
+        t0 = make_transfer(kp, "aa" * 20, 1, nonce=0)
+        t1 = make_transfer(kp, "aa" * 20, 1, nonce=1)
+        b1 = make_block(kp, 0, 1, [t0])
+        b2 = make_block(kp2, 1, 1, [t0, t1])
+        result = chain.commit_superblock(SuperBlock(index=1, blocks=(b1, b2)))
+        assert [b.transactions for b in result.appended_blocks] == [(t0,), (t1,)]
+        for chain_block in chain.chain[1:]:
+            self._assert_fresh(chain_block)
+
+    def test_receipts_follow_their_block_in_position_order(self, kp):
+        chain = fresh_chain(kp)
+        broke = generate_keypair(99)
+        good = [make_transfer(kp, "aa" * 20, 1, nonce=i) for i in range(3)]
+        bad = make_transfer(broke, "aa" * 20, 1, nonce=0)
+        block = make_block(kp, 0, 1, [good[0], bad, good[1], good[2]])
+        result = chain.commit_superblock(SuperBlock(index=1, blocks=(block,)))
+        (appended,), (receipts,) = result.appended_blocks, result.appended_receipts
+        assert type(receipts) is tuple
+        assert [r.tx_hash for r in receipts] == [
+            tx.tx_hash for tx in appended.transactions
+        ]
+        assert all(r.success for r in receipts)
 
 
 class TestSafetyRelations:

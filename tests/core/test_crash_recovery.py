@@ -3,12 +3,13 @@
 from repro import params
 from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun
 from repro.core import node as node_module
-from repro.core.catchup import CatchupResponse, DecidedJournal
+from repro.core.catchup import CatchupRequest, CatchupResponse, DecidedJournal
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.rpm import RPMContract
 from repro.core.transaction import make_transfer
 from repro.net.topology import single_region_topology
 from repro.vm.executor import native_address_for
+from repro.vm.state import WorldState
 from repro.vm.sync import take_snapshot
 from tests.core.test_vote_authenticity import _batch, _wire
 
@@ -193,6 +194,31 @@ class TestCatchupHardening:
         assert list(node.blockchain.block_hashes()) == list(
             peer.blockchain.block_hashes()
         )
+
+    def test_serving_hashes_the_state_once(self, monkeypatch):
+        """The answer's ``state_root`` is its snapshot's root, so serving
+        one request hashes the state once."""
+        deployment, clients = make_deployment()
+        deployment.start()
+        submit_transfers(deployment, clients, count=6)
+        deployment.run_until(5.0)
+        peer = deployment.validators[0]
+        roots, sent = [], []
+        state_root = WorldState.state_root
+
+        def counting(self):
+            roots.append(self)
+            return state_root(self)
+
+        monkeypatch.setattr(WorldState, "state_root", counting)
+        monkeypatch.setattr(
+            peer.network, "send", lambda src, dst, msg: sent.append(msg.payload)
+        )
+        peer._serve_catchup(CatchupRequest(next_index=1, requester=3))
+        (resp,) = sent
+        assert roots == [peer.blockchain.state]
+        assert resp.state_root == resp.snapshot.root
+        assert resp.state_root == state_root(peer.blockchain.state)
 
     def test_consensus_traffic_buffered_while_recovering(self):
         deployment, clients = make_deployment()

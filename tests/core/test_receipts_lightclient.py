@@ -17,6 +17,7 @@ from repro.core.transaction import make_transfer
 from repro.crypto.keys import generate_keypair
 from repro.net.topology import single_region_topology
 from repro.vm.executor import Receipt
+from repro.vm.gas import intrinsic_gas
 
 
 @pytest.fixture
@@ -74,29 +75,81 @@ class TestReceiptStore:
         kp = generate_keypair(4243)
         txs = [make_transfer(kp, "aa" * 20, 1, nonce=i) for i in range(3)]
         block = make_block(kp, 0, 7, txs)
-        receipts = {
-            txs[0].tx_hash: Receipt(tx_hash=txs[0].tx_hash, success=True, gas_used=21_000),
-            txs[2].tx_hash: Receipt(
+        receipts = (
+            Receipt(tx_hash=txs[0].tx_hash, success=True, gas_used=21_000),
+            Receipt(tx_hash=txs[1].tx_hash, success=True, error=None),
+            Receipt(
                 tx_hash=txs[2].tx_hash, success=True, gas_used=30_500,
                 return_value=12, contract_address="cc" * 20, logs=(1, 2),
             ),
-        }
+        )
         store = ReceiptStore()
         store.record_block(block, receipts, commit_time=2.5)
-        for position in (0, 2):
-            tx_hash = txs[position].tx_hash
-            assert store.get(tx_hash) == CommitRecord(
-                receipt=receipts[tx_hash],
+        for position, tx in enumerate(txs):
+            assert store.get(tx.tx_hash) == CommitRecord(
+                receipt=receipts[position],
                 height=block.index,
                 block_hash=block.block_hash,
                 position=position,
                 commit_time=2.5,
             )
-        assert store.get(txs[1].tx_hash) is None
-        assert not store.has_receipt(txs[1])
+            assert store.has_receipt(tx)
+        stray = make_transfer(kp, "aa" * 20, 1, nonce=3)
+        assert store.get(stray.tx_hash) is None
+        assert not store.has_receipt(stray)
         proof = store.inclusion_proof(txs[2].tx_hash)
         assert proof.merkle_proof.index == 2
         assert verify_inclusion(proof, {kp.address})
+
+
+class TestReceiptContract:
+    def test_fields_and_defaults(self):
+        assert Receipt._fields == (
+            "tx_hash", "success", "gas_used", "error", "return_value",
+            "contract_address", "logs",
+        )
+        assert Receipt(b"h", False) == Receipt(
+            tx_hash=b"h", success=False, gas_used=0, error=None,
+            return_value=None, contract_address=None, logs=(),
+        )
+
+    def test_immutable(self):
+        receipt = Receipt(b"h", True, 21_000)
+        with pytest.raises(AttributeError):
+            receipt.success = False
+        with pytest.raises(AttributeError):
+            receipt.logs = (1,)
+
+    def test_store_records_where_each_tx_landed(self, committed_deployment):
+        """Every record equals the CommitRecord rebuilt from the chain
+        itself: the block, its hash and the tx's position, with a client
+        transfer's receipt pinned (intrinsic gas, nothing else)."""
+        deployment, txs = committed_deployment
+        transfers = {tx.tx_hash for tx in txs}
+        for validator in deployment.validators:
+            seen = 0
+            for block in validator.blockchain.chain[1:]:
+                for position, tx in enumerate(block.transactions):
+                    record = validator.receipts.get(tx.tx_hash)
+                    receipt = record.receipt
+                    if tx.tx_hash in transfers:
+                        assert receipt == Receipt(
+                            tx.tx_hash, True, intrinsic_gas(tx.data_size())
+                        )
+                    assert receipt.tx_hash == tx.tx_hash and receipt.success
+                    assert type(receipt.logs) is tuple
+                    assert record == CommitRecord(
+                        receipt=receipt,
+                        height=block.index,
+                        block_hash=block.block_hash,
+                        position=position,
+                        commit_time=record.commit_time,
+                    )
+                    assert 0 < record.commit_time <= (
+                        validator.blockchain.commit_times[tx.tx_hash]
+                    )
+                    seen += 1
+            assert seen == len(validator.receipts) >= len(txs)
 
 
 class TestInclusionProofs:
@@ -133,8 +186,7 @@ class TestInclusionProofs:
         block = make_block(outsider, 0, 1, [tx])
         store = ReceiptStore()
         store.record_block(
-            block, {tx.tx_hash: Receipt(tx_hash=tx.tx_hash, success=True)},
-            commit_time=1.0,
+            block, (Receipt(tx_hash=tx.tx_hash, success=True),), commit_time=1.0
         )
         proof = store.inclusion_proof(tx.tx_hash)
         assert verify_inclusion(proof, {outsider.address})  # self-consistent

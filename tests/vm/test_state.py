@@ -1,10 +1,10 @@
 """World state: accounts, balances, storage, journaled snapshot/revert."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.errors import UnknownSender
-from repro.vm.state import WorldState
+from repro.vm.state import _ABSENT, WorldState
 
 
 class TestAccounts:
@@ -245,6 +245,119 @@ class TestJournalProperty:
                 revert_last()
         while open_snapshots:
             revert_last()
+
+
+class _ThreeFrameState(WorldState):
+    """Reference writers: each composes ``balance_of`` / ``get_or_create``
+    / ``set_balance`` the way the one-frame writers must behave."""
+
+    def set_balance(self, address, value):
+        if value < 0:
+            raise ValueError(f"negative balance {value} for {address!r}")
+        account = self.get_or_create(address)
+        self._journal.append((account, "balance", account.balance))
+        account.balance = value
+
+    def add_balance(self, address, delta):
+        self.set_balance(address, self.balance_of(address) + delta)
+
+    def sub_balance(self, address, delta):
+        self.set_balance(address, self.balance_of(address) - delta)
+
+    def bump_nonce(self, address):
+        account = self.get_or_create(address)
+        self._journal.append((account, "nonce", account.nonce))
+        account.nonce += 1
+
+
+def _journal_view(ws: WorldState) -> list:
+    """The journal with each target named instead of by identity."""
+    view = []
+    for target, key, previous in ws._journal:
+        if target is ws._accounts:
+            name = "accounts"
+        elif target is ws._storage:
+            name = "storage"
+        else:
+            name = ("account", target.address)
+        view.append((name, key, "absent" if previous is _ABSENT else previous))
+    return view
+
+
+def _accounts_view(ws: WorldState) -> dict:
+    return {
+        a.address: (a.balance, a.nonce, a.code, a.native)
+        for a in ws._accounts.values()
+    }
+
+
+#: (op, address, amount); address and amount are ignored where unused
+_write_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "add", "sub", "nonce", "snapshot", "revert", "commit"]),
+        st.sampled_from(ADDRESSES),
+        st.integers(min_value=-5, max_value=5) | st.integers(min_value=0, max_value=40),
+    ),
+    max_size=50,
+)
+
+
+class TestOneFrameWriters:
+    @given(
+        st.dictionaries(
+            st.sampled_from(ADDRESSES), st.integers(min_value=0, max_value=30),
+            max_size=2,
+        ),
+        _write_ops,
+    )
+    # Each writer's ValueError on an address with no account, which must
+    # create nothing and journal nothing.
+    @example({}, [("add", "c", -3), ("sub", "c", 2), ("set", "c", -1)])
+    @example({"a": 4}, [("sub", "a", 5), ("add", "a", -5), ("nonce", "b", 0)])
+    def test_writers_match_the_three_frame_composition(self, funded, ops):
+        """Same journal entries in the same order, same accounts, the same
+        ``ValueError`` cases (no account created, no entry written) and
+        the same state after ``revert``."""
+        states = (WorldState(), _ThreeFrameState())
+        for ws in states:
+            for address, balance in funded.items():
+                ws.create_account(address, balance)
+            ws.commit()
+        snapshots = []
+        for op, address, amount in ops:
+            if op == "snapshot":
+                snapshots.append(states[0].snapshot())
+                assert states[1].snapshot() == snapshots[-1]
+            elif op == "revert":
+                snap = snapshots.pop() if snapshots else 0
+                for ws in states:
+                    ws.revert(snap)
+            elif op == "commit":
+                snapshots.clear()
+                for ws in states:
+                    ws.commit()
+            else:
+                outcomes = []
+                for ws in states:
+                    before = (len(ws), ws.snapshot())
+                    write = {
+                        "set": ws.set_balance, "add": ws.add_balance,
+                        "sub": ws.sub_balance,
+                        "nonce": lambda a, _: ws.bump_nonce(a),
+                    }[op]
+                    try:
+                        write(address, amount)
+                        outcomes.append(None)
+                    except ValueError as exc:
+                        assert (len(ws), ws.snapshot()) == before
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+            assert _journal_view(states[0]) == _journal_view(states[1])
+            assert _accounts_view(states[0]) == _accounts_view(states[1])
+        for ws in states:
+            ws.revert(0)
+        assert _accounts_view(states[0]) == _accounts_view(states[1])
+        assert states[0].state_root() == states[1].state_root()
 
 
 class TestCopyIsolation:
