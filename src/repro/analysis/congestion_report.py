@@ -7,11 +7,9 @@ the report combines whatever is present —
 
 * **critical path** — lifecycle records fed through
   :func:`repro.telemetry.critical_path.analyze` (with ``exec_share``
-  measured from the trace when one is supplied);
+  measured from the trace's ``node.commit`` events when one is supplied);
 * **observatory** — congestion sample series as sparklines (terminal) or
-  inline-SVG charts (HTML);
-* **trace spans** — the busiest span names by total duration, a quick
-  where-did-wall-time-go table.
+  inline-SVG charts (HTML).
 
 Output is a plain-text terminal report or one self-contained HTML page
 (zero external assets), chosen by the caller.
@@ -53,19 +51,6 @@ def load_trace(path: str) -> "list[dict]":
     return load_jsonl(path)
 
 
-def _span_rows(trace_records: "list[dict]", top: int = 10) -> "list[tuple]":
-    """(name, count, total_dur_s) for the ``top`` busiest span names."""
-    totals: "dict[str, list[float]]" = {}
-    for record in trace_records:
-        if record.get("type") != "span":
-            continue
-        entry = totals.setdefault(record.get("name", "?"), [0, 0.0])
-        entry[0] += 1
-        entry[1] += float(record.get("dur", 0.0))
-    rows = sorted(totals.items(), key=lambda kv: -kv[1][1])[:top]
-    return [(name, int(c), t) for name, (c, t) in rows]
-
-
 def _dropped_records(trace_records: "list[dict]") -> int:
     """Records the tracer's ring buffer shed, per the ``tracer.dropped``
     meta trailer stamped into truncated traces (0 when absent)."""
@@ -92,20 +77,19 @@ def build_congestion_report(
         from repro.telemetry.critical_path import analyze
 
         critical = analyze(lifecycle_records, trace_records=trace_records)
-    span_rows = _span_rows(trace_records) if trace_records else []
     dropped = _dropped_records(trace_records) if trace_records else 0
-    if html:
-        return _render_html(
-            samples=samples, critical=critical, span_rows=span_rows,
-            dropped=dropped, title=title,
-        )
-    return _render_text(
-        samples=samples, critical=critical, span_rows=span_rows,
-        dropped=dropped, title=title,
-    )
+    render = _render_html if html else _render_text
+    return render(samples=samples, critical=critical, dropped=dropped, title=title)
 
 
-def _render_text(*, samples, critical, span_rows, dropped=0, title) -> str:
+#: what a truncated trace costs the report: exec_share sees the late run only
+_TRUNCATED = (
+    "⚠ trace truncated: ring buffer dropped {dropped} oldest records — "
+    "exec_share above is measured on the late run only"
+)
+
+
+def _render_text(*, samples, critical, dropped=0, title) -> str:
     sections = [title, "=" * len(title)]
     if critical is not None:
         sections.append("")
@@ -115,33 +99,22 @@ def _render_text(*, samples, critical, span_rows, dropped=0, title) -> str:
 
         sections.append("")
         sections.append(render_samples_text(samples))
-    if span_rows:
-        sections.append("")
-        sections.append("busiest spans (wall time)")
-        sections.append(f"{'span':<24} {'count':>7} {'total':>10}")
-        for name, count, total in span_rows:
-            sections.append(f"{name:<24} {count:>7} {total:>9.3f}s")
     if dropped:
         sections.append("")
-        sections.append(
-            f"⚠ trace truncated: ring buffer dropped {dropped} oldest "
-            "records — span counts above under-count the early run"
-        )
+        sections.append(_TRUNCATED.format(dropped=dropped))
     if len(sections) == 2:
         sections.append("no inputs — pass --observatory/--lifecycle/--trace")
     return "\n".join(sections) + "\n"
 
 
-def _render_html(*, samples, critical, span_rows, dropped=0, title) -> str:
+def _render_html(*, samples, critical, dropped=0, title) -> str:
     body = [
         "<!doctype html><html><head><meta charset='utf-8'>",
         f"<title>{_html.escape(title)}</title>",
         "<style>body{font:13px monospace;background:#181818;color:#ddd;"
         "margin:2em}h1{font-size:16px}h2{font-size:14px;color:#9c9}"
         "pre{background:#111;border:1px solid #333;padding:1em}"
-        "figure{margin:1em 0}figcaption{margin-bottom:4px;color:#9c9}"
-        "table{border-collapse:collapse}td,th{border:1px solid #333;"
-        "padding:2px 8px;text-align:right}th{color:#9c9}</style>"
+        "figure{margin:1em 0}figcaption{margin-bottom:4px;color:#9c9}</style>"
         "</head><body>",
         f"<h1>{_html.escape(title)}</h1>",
     ]
@@ -153,22 +126,9 @@ def _render_html(*, samples, critical, span_rows, dropped=0, title) -> str:
 
         body.append("<h2>congestion observatory</h2>")
         body.append(render_samples_figures(samples))
-    if span_rows:
-        body.append("<h2>busiest spans (wall time)</h2>")
-        body.append("<table><tr><th>span</th><th>count</th>"
-                    "<th>total</th></tr>")
-        for name, count, total in span_rows:
-            body.append(
-                f"<tr><td>{_html.escape(name)}</td><td>{count}</td>"
-                f"<td>{total:.3f}s</td></tr>"
-            )
-        body.append("</table>")
     if dropped:
-        body.append(
-            f"<p>⚠ trace truncated: ring buffer dropped {dropped} oldest "
-            "records — span counts above under-count the early run</p>"
-        )
-    if critical is None and samples is None and not span_rows:
+        body.append(f"<p>{_TRUNCATED.format(dropped=dropped)}</p>")
+    if critical is None and samples is None:
         body.append("<p>no inputs — pass --observatory/--lifecycle/"
                     "--trace</p>")
     body.append("</body></html>")

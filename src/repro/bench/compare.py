@@ -14,9 +14,9 @@ text — into one flat ``key -> value`` mapping:
 A non-empty regression list maps to a non-zero exit code in the CLI, so
 CI can gate merges on ``repro metrics-diff baseline.json current.json``.
 
-Wall-clock metrics (``srbb_*_seconds`` timing histograms) are reported
-but never gated — only simulated-time and count metrics are stable
-enough across hosts to enforce.
+Wall-clock headline keys (``engine_scaling``'s absolute timings, peak
+RSS) are reported but never gated — only simulated-time and count
+metrics are stable enough across hosts to enforce.
 """
 
 from __future__ import annotations
@@ -151,12 +151,10 @@ DEFAULT_THRESHOLDS: "tuple[Threshold, ...]" = (
 )
 
 #: wall-clock quantities — never gated, whatever the patterns say
-#: (timing histograms plus the engine_scaling scenario's absolute keys;
+#: (the engine_scaling scenario's absolute keys and peak RSS;
 #: note "wall_s_n" deliberately does NOT match "wall_scaling_exponent",
 #: which stays gated under its own generous threshold)
 _WALL_CLOCK_MARKERS = (
-    "srbb_eager_validate_seconds",
-    "srbb_commit_superblock_seconds",
     "events_per_sec",
     "wall_s_n",
     "wall_scaling_exponent_full",
@@ -197,29 +195,6 @@ def _flatten_snapshot(snapshot: dict) -> "dict[str, float]":
                     out[f"{key}:{q}"] = float(sample[q])
             else:
                 out[key] = float(sample["value"])
-    return out
-
-
-def _exemplar_map(doc) -> "dict[str, list[dict]]":
-    """Histogram exemplars by flattened metric key (``name{labels}``).
-
-    Exemplars link an observation to the ``span_id`` that produced it
-    (see ``Histogram.observe``); surfacing them lets a failing p99 row in
-    the diff point straight at the matching spans in the trace dump.
-    Prometheus text inputs carry no exemplars — empty map.
-    """
-    if not isinstance(doc, dict):
-        return {}
-    snapshot = doc.get("metrics", doc) if doc.get("schema") == ARTIFACT_SCHEMA else doc
-    out: "dict[str, list[dict]]" = {}
-    for name, entry in snapshot.items():
-        if not isinstance(entry, dict) or "samples" not in entry:
-            continue
-        for sample in entry["samples"]:
-            if not isinstance(sample, dict) or not sample.get("exemplars"):
-                continue
-            key = name + _fmt_label_suffix(sample.get("labels", {}))
-            out[key] = list(sample["exemplars"])
     return out
 
 
@@ -267,9 +242,6 @@ class ComparisonResult:
     """Full diff of two flattened dumps."""
 
     deltas: "list[MetricDelta]" = field(default_factory=list)
-    #: metric key -> exemplars from the *new* document, so a failing row
-    #: links straight to the trace spans behind it
-    exemplars: "dict[str, list[dict]]" = field(default_factory=dict)
 
     @property
     def regressions(self) -> "list[MetricDelta]":
@@ -300,7 +272,7 @@ def diff_docs(
     """Compare two documents (any mix of artifact/snapshot/Prometheus)."""
     old_flat = flatten_doc(old_doc)
     new_flat = flatten_doc(new_doc)
-    result = ComparisonResult(exemplars=_exemplar_map(new_doc))
+    result = ComparisonResult()
     for key in sorted(old_flat.keys() | new_flat.keys()):
         old = old_flat.get(key)
         new = new_flat.get(key)
@@ -355,13 +327,6 @@ def _spark_cell(delta: MetricDelta) -> str:
     return sparkline(np.array([delta.old, delta.new], dtype=float), width=2)
 
 
-def _exemplars_for(key: str, exemplars: "dict[str, list[dict]]") -> "list[dict]":
-    """Exemplars behind one flattened key: a histogram's derived keys
-    (``...:p99``, ``...:count``, ``...:sum``) share its exemplar ring."""
-    base = key.rsplit(":", 1)[0] if ":" in key else key
-    return exemplars.get(key) or exemplars.get(base) or []
-
-
 def render_comparison(
     result: ComparisonResult,
     *,
@@ -385,18 +350,6 @@ def render_comparison(
             f"{key:<58} {_fmt_num(d.old):>12} {_fmt_num(d.new):>12} "
             f"{_delta_cell(d):>8} {_spark_cell(d)} {_STATUS_MARK.get(d.status, d.status)}"
         )
-        if d.status == "regression":
-            # Link the failing row to the spans that produced its worst
-            # recent observations — grep these IDs in the --trace-out file.
-            worst = sorted(
-                _exemplars_for(d.key, result.exemplars),
-                key=lambda e: -e.get("value", 0.0),
-            )[:3]
-            for ex in worst:
-                lines.append(
-                    f"  ↳ span {ex.get('span_id', '?')} observed "
-                    f"{_fmt_num(ex.get('value'))} at ts={ex.get('ts', '?')}"
-                )
     if hidden > 0:
         lines.append(f"... and {hidden} more changed metrics (truncated)")
     gated = [d for d in result.deltas if d.threshold is not None

@@ -1,12 +1,14 @@
 """Execute bench scenarios and write ``BENCH_<scenario>.json`` artifacts.
 
-Each scenario runs against a *fresh, scoped* metrics registry and tracer
-(telemetry enabled for the duration, restored afterwards), so:
+Each scenario runs against a *fresh, scoped* metrics registry (enabled
+for the duration, restored afterwards), so:
 
 * artifacts never mix counts from unrelated work in the same process;
 * two runs of the same scenario produce identical registries — the
-  determinism the regression gate relies on;
-* histogram exemplars link observations to this run's spans.
+  determinism the regression gate relies on.
+
+The harness times each scenario on the host's clock for the artifact's
+environment fingerprint; nothing inside the engines reads that clock.
 """
 
 from __future__ import annotations
@@ -29,16 +31,9 @@ def run_scenario(name: "str | Scenario") -> BenchArtifact:
     """Run one scenario with scoped telemetry; returns the artifact."""
     scenario = name if isinstance(name, Scenario) else get_scenario(name)
     registry = telemetry.MetricsRegistry(enabled=True)
-    tracer = telemetry.Tracer(enabled=True)
-    previous_tracer = telemetry.set_tracer(tracer)
     t0 = time.perf_counter()
-    try:
-        with telemetry.use_registry(registry):
-            with telemetry.span("bench.run", scenario=scenario.name) as attrs:
-                headline = scenario.run(registry)
-                attrs["headline_stats"] = len(headline)
-    finally:
-        telemetry.set_tracer(previous_tracer)
+    with telemetry.use_registry(registry):
+        headline = scenario.run(registry)
     wall = time.perf_counter() - t0
     return BenchArtifact(
         scenario=scenario.name,

@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "the critical-path latency attribution")
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="JSONL trace (from --trace-out); measures "
-                   "exec_share and summarizes the busiest spans")
+                   "exec_share for the critical path")
     p.set_defaults(fn=_cmd_report)
 
     return parser

@@ -277,13 +277,6 @@ class SuperBlockConsensus:
             m = _metrics()
             m.superblocks.inc()
             m.blocks.observe(len(accepted))
-        telemetry.event(
-            "consensus.superblock",
-            node=self.my_id,
-            index=self.index,
-            blocks=len(accepted),
-            discarded_headers=len(self.discarded_headers),
-        )
         logger.debug(
             "node %d decided superblock %d with %d block(s)",
             self.my_id, self.index, len(accepted),

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from repro import params
 from repro.core.block import GENESIS, Block, SuperBlock
 from repro.core.transaction import Transaction
-from repro.telemetry import timed
 from repro.vm.executor import Executor, Receipt
 from repro.vm.state import WorldState
 
@@ -84,7 +83,6 @@ class Blockchain:
 
     # -- commit loop ---------------------------------------------------------------
 
-    @timed("srbb_commit_superblock_seconds", "wall time per superblock commit")
     def commit_superblock(
         self,
         superblock: SuperBlock,

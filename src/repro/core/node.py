@@ -359,11 +359,10 @@ class ValidatorNode:
         if self.watchdog is not None:
             self.watchdog.stop()
         telemetry.event(
-            "node.crash",
+            "node.crash", self.sim.now,
             node=self.node_id,
             height=self.blockchain.height,
             next_index=self._next_commit_index,
-            sim_now=self.sim.now,
         )
         logger.info(
             "node %d crashed at t=%.3f (commit frontier %d)",
@@ -386,10 +385,9 @@ class ValidatorNode:
         self._catchup_floor = self._next_commit_index
         self._refresh_exclusions()
         telemetry.event(
-            "node.restart",
+            "node.restart", self.sim.now,
             node=self.node_id,
             next_index=self._next_commit_index,
-            sim_now=self.sim.now,
         )
         logger.info(
             "node %d restarting at t=%.3f (commit frontier %d)",
@@ -414,10 +412,9 @@ class ValidatorNode:
             next_index=self._next_commit_index, requester=self.node_id
         )
         telemetry.event(
-            "node.catchup_request",
+            "node.catchup_request", self.sim.now,
             node=self.node_id,
             next_index=req.next_index,
-            sim_now=self.sim.now,
         )
         self.network.broadcast(
             self.node_id,
@@ -668,6 +665,15 @@ class ValidatorNode:
     # -- decision & commit (Alg. 1 lines 18-31) ------------------------------------------------
 
     def _on_superblock(self, superblock: SuperBlock) -> None:
+        telemetry.event(
+            "consensus.superblock", self.sim.now,
+            node=self.node_id,
+            index=superblock.index,
+            blocks=len(superblock.blocks),
+            discarded_headers=len(
+                self._consensus[superblock.index].discarded_headers
+            ),
+        )
         self._pending_superblocks[superblock.index] = superblock
         while self._next_commit_index in self._pending_superblocks:
             sb = self._pending_superblocks[self._next_commit_index]
@@ -712,7 +718,7 @@ class ValidatorNode:
         result = self._apply_superblock(superblock)
         processed = len(result.committed) + len(result.discarded)
         telemetry.event(
-            "node.commit",
+            "node.commit", self.sim.now,
             node=self.node_id,
             index=superblock.index,
             committed=len(result.committed),
@@ -720,7 +726,6 @@ class ValidatorNode:
             # CPU seconds this commit spends in lazy validation + VM
             # execution — the critical-path analyzer's exec_share input
             exec_s=round(processed / self.execution_rate, 9),
-            sim_now=self.sim.now,
         )
         logger.debug(
             "node %d committed superblock %d: %d txs, %d discarded",
@@ -812,12 +817,11 @@ class ValidatorNode:
             responder=self.node_id,
         )
         telemetry.event(
-            "node.catchup_serve",
+            "node.catchup_serve", self.sim.now,
             node=self.node_id,
             requester=req.requester,
             superblocks=len(superblocks),
             next_index=resp.next_index,
-            sim_now=self.sim.now,
         )
         self.network.send(
             self.node_id,
@@ -853,11 +857,10 @@ class ValidatorNode:
                 restore_snapshot(resp.snapshot, expected_root=resp.state_root)
             except SyncError as exc:
                 telemetry.event(
-                    "node.catchup_rejected",
+                    "node.catchup_rejected", self.sim.now,
                     node=self.node_id,
                     responder=resp.responder,
                     reason=str(exc),
-                    sim_now=self.sim.now,
                 )
                 logger.warning(
                     "node %d rejecting catch-up from %d: %s",
@@ -875,11 +878,10 @@ class ValidatorNode:
             if self._next_commit_index == resp.next_index:
                 if self.blockchain.state.state_root() != resp.state_root:
                     telemetry.event(
-                        "node.catchup_root_mismatch",
+                        "node.catchup_root_mismatch", self.sim.now,
                         node=self.node_id,
                         responder=resp.responder,
                         index=self._next_commit_index,
-                        sim_now=self.sim.now,
                     )
                     logger.error(
                         "node %d: replayed to index %d but state root differs "
@@ -892,12 +894,11 @@ class ValidatorNode:
             # A stalled (but never-crashed) node caught up past rounds it
             # was starved out of; rejoin proposing at the new frontier.
             telemetry.event(
-                "node.catchup_absorbed",
+                "node.catchup_absorbed", self.sim.now,
                 node=self.node_id,
                 responder=resp.responder,
                 applied=applied,
                 next_index=self._next_commit_index,
-                sim_now=self.sim.now,
             )
             next_index = self._next_commit_index
             if next_index > self._next_propose_index:
@@ -919,11 +920,10 @@ class ValidatorNode:
         next_index = max(self._next_commit_index, self._next_propose_index)
         self._next_propose_index = next_index
         telemetry.event(
-            "node.recovered",
+            "node.recovered", self.sim.now,
             node=self.node_id,
             next_index=next_index,
             buffered_replayed=replayed,
-            sim_now=self.sim.now,
         )
         logger.info(
             "node %d recovered at t=%.3f: frontier %d, %d buffered messages "
@@ -998,12 +998,11 @@ class ValidatorNode:
             if self._receive(tx, from_peer=False):
                 self.stats.rpm_reports += 1
                 telemetry.event(
-                    "rpm.report",
+                    "rpm.report", self.sim.now,
                     node=self.node_id,
                     proposer=proposer_id,
                     error=error,
                     index=superblock.index,
-                    sim_now=self.sim.now,
                 )
                 logger.info(
                     "node %d filed RPM report against proposer %d (%s)",

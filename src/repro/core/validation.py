@@ -20,7 +20,6 @@ from types import SimpleNamespace
 from repro import params, telemetry
 from repro.core.transaction import Transaction
 from repro.crypto.keys import recover_check
-from repro.telemetry import timed
 
 #: How far ahead of the account nonce the pool accepts transactions
 #: (Geth tolerates gaps in the queued region; we use a simple window).
@@ -95,7 +94,6 @@ def clear_signature_cache() -> None:
     """
 
 
-@timed("srbb_eager_validate_seconds", "wall time per eager validation")
 def eager_validate(
     tx: Transaction,
     state,

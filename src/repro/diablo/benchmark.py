@@ -99,18 +99,18 @@ class DiabloBenchmark:
     ) -> BenchmarkResult:
         """Submit the schedule, run the simulator, collect client metrics."""
         deployment = self.deployment
-        with telemetry.span(
-            "diablo.run", schedule=schedule.name, n=deployment.protocol.n
-        ) as span_attrs:
-            deployment.start()
-            self.submitter.submit_all(deployment, schedule)
-            horizon = (
-                horizon_s if horizon_s is not None else schedule.duration_s + grace_s
-            )
-            deployment.run_until(horizon)
-            result = self.collect(schedule, horizon)
-            span_attrs["sent"] = result.sent
-            span_attrs["committed"] = result.committed
+        deployment.start()
+        self.submitter.submit_all(deployment, schedule)
+        horizon = (
+            horizon_s if horizon_s is not None else schedule.duration_s + grace_s
+        )
+        deployment.run_until(horizon)
+        result = self.collect(schedule, horizon)
+        telemetry.event(
+            "diablo.run", deployment.sim.now, schedule=schedule.name,
+            n=deployment.protocol.n, sent=result.sent,
+            committed=result.committed,
+        )
         logger.info(
             "diablo run %s: %d/%d committed, %.2f TPS, %.3f s avg latency",
             schedule.name, result.committed, result.sent,

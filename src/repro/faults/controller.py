@@ -114,7 +114,7 @@ class FaultController:
             elif event.kind == "restart":
                 m.crashed.dec()
         telemetry.event(
-            "fault.inject", kind=event.kind, node=event.node, sim_now=self.sim.now,
+            "fault.inject", self.sim.now, kind=event.kind, node=event.node,
         )
         if event.kind == "crash":
             self.deployment.crash(event.node)
@@ -139,8 +139,8 @@ class FaultController:
             m.injected.labels(kind=f"{event.kind}-{edge}").inc()
             m.byzantine.set(self.byzantine_windows_open)
         telemetry.event(
-            "fault.inject", kind=f"{event.kind}-{edge}", node=event.node,
-            sim_now=self.sim.now,
+            "fault.inject", self.sim.now, kind=f"{event.kind}-{edge}",
+            node=event.node,
         )
         # Let correct nodes' watchdogs know a declared misbehaviour window
         # is open, so a stall during it is classified before re-nudging.
@@ -159,8 +159,8 @@ class FaultController:
         if telemetry.get_registry().enabled:
             _metrics().injected.labels(kind=f"{event.kind}-{edge}").inc()
         telemetry.event(
-            "fault.inject", kind=f"{event.kind}-{edge}", node=event.node,
-            link=event.link, p=event.p, sim_now=self.sim.now,
+            "fault.inject", self.sim.now, kind=f"{event.kind}-{edge}",
+            node=event.node, link=event.link, p=event.p,
         )
 
     # -- LinkFaultModel ------------------------------------------------------------

@@ -128,7 +128,7 @@ class LivenessWatchdog:
             self.stalled = False
             self._set_wedged(0)
             telemetry.event(
-                "watchdog.recovered", node=self.node_id, sim_now=self.sim.now,
+                "watchdog.recovered", self.sim.now, node=self.node_id,
             )
 
     # -- the check loop -----------------------------------------------------------
@@ -144,8 +144,8 @@ class LivenessWatchdog:
             if telemetry.get_registry().enabled:
                 _metrics().stalls.labels(node=str(self.node_id)).inc()
             telemetry.event(
-                "watchdog.stall",
-                node=self.node_id, idle_s=round(idle, 4), sim_now=self.sim.now,
+                "watchdog.stall", self.sim.now,
+                node=self.node_id, idle_s=round(idle, 4),
             )
             self._nudge()
         elif self.stalled:
@@ -166,7 +166,7 @@ class LivenessWatchdog:
             # nothing newer to offer.
             self.withheld_checks += 1
             telemetry.event(
-                "watchdog.withheld", node=self.node_id, sim_now=self.sim.now,
+                "watchdog.withheld", self.sim.now, node=self.node_id,
             )
             return
         self.on_stall()

@@ -14,11 +14,12 @@ byte-identical) let chaos runs step outside that contract:
   partial-synchrony clamp (injected faults are not the GST adversary).
 * **Reliable delivery** (``NetParams.reliable_delivery``) — per-link
   monotonic sequence numbers with ack/retransmit (exponential backoff,
-  finite retry cap) on the sender and duplicate/reorder suppression on
-  the receiver, so hard loss and duplication degrade back to the
-  delay-only model the consensus layer already tolerates.  Retransmitted
-  copies are wire traffic (``srbb_net_messages_total`` grows) but not
-  logical traffic; the split is exported via
+  finite retry cap: the ``RETRANSMIT_*`` constants) on the sender and
+  duplicate/reorder suppression on the receiver, so hard loss and
+  duplication degrade back to the delay-only model the consensus layer
+  already tolerates.  Retransmitted copies are wire traffic
+  (``srbb_net_messages_total`` grows) but not logical traffic; the split
+  is exported via
   ``srbb_net_retransmissions_total`` / ``srbb_net_duplicates_dropped_total``
   with the same per-region labels as the existing traffic counters.
 
@@ -97,6 +98,17 @@ _rel_metrics = telemetry.bind(
 
 #: wire kind of the reliable-delivery acknowledgement control message
 ACK_KIND = "ack"
+#: wire size charged per ACK control message
+ACK_BYTES = 32
+#: first retransmission fires after this many simulated seconds
+RETRANSMIT_TIMEOUT_S = 0.6
+#: exponential backoff factor applied per retry
+RETRANSMIT_BACKOFF = 2.0
+#: retransmission attempts before the sender gives up.  A finite cap
+#: keeps the event queue bounded when the peer is crashed; the
+#: crash-recovery catch-up protocol (not the transport) is what
+#: guarantees a restarted node converges.
+RETRANSMIT_CAP = 6
 
 
 def _traffic_children(m: SimpleNamespace, kind: str, src_region: str, dst_region: str):
@@ -510,9 +522,7 @@ class Network:
         self, src: int, dst: int, msg: Message, seq: int, attempt: int
     ) -> None:
         self._channel_send(src, dst, msg, seq=seq)
-        timeout = self.net.retransmit_timeout_s * (
-            self.net.retransmit_backoff ** attempt
-        )
+        timeout = RETRANSMIT_TIMEOUT_S * (RETRANSMIT_BACKOFF ** attempt)
         # Almost every one of these timers is cancelled (the ack wins);
         # a cancelled timer leaves the heap when it reaches the head.
         self._pending[(src, dst, seq)] = self.sim.schedule(
@@ -525,13 +535,13 @@ class Network:
         key = (src, dst, seq)
         if self._pending.pop(key, None) is None:
             return  # acked (or the sender crashed) in the meantime
-        if attempt >= self.net.retransmit_cap:
+        if attempt >= RETRANSMIT_CAP:
             if telemetry.get_registry().enabled:
                 _rel_metrics().delivery_failures.inc()
             telemetry.event(
-                "net.delivery_failure",
+                "net.delivery_failure", self.sim.now,
                 src=src, dst=dst, seq=seq,
-                attempts=attempt + 1, sim_now=self.sim.now,
+                attempts=attempt + 1,
             )
             return
         self.stats.retransmissions += 1
@@ -568,7 +578,7 @@ class Network:
     def _send_ack(self, src: int, dst: int, seq: int) -> None:
         """Receiver ``dst`` acknowledges ``seq`` back to sender ``src``."""
         ack = Message(
-            kind=ACK_KIND, payload=seq, sender=dst, size_bytes=self.net.ack_bytes
+            kind=ACK_KIND, payload=seq, sender=dst, size_bytes=ACK_BYTES
         )
         self.stats.record(ack, self._unicast(dst, src)[1])
         if self.faults is not None:
@@ -578,7 +588,7 @@ class Network:
             ):
                 self._count_dropped()
                 return
-        delay = self.delay_for(dst, src, self.net.ack_bytes)
+        delay = self.delay_for(dst, src, ACK_BYTES)
         self.sim.schedule(delay, self._deliver_ack, src, dst, seq)
 
     def _deliver_ack(self, src: int, dst: int, seq: int) -> None:

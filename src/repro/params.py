@@ -137,33 +137,9 @@ class NetParams:
     duplicated one is suppressed by the per-link sequence dedup).
     """
 
-    #: per-link monotonic sequence numbers + ack/retransmit + dedup
+    #: per-link monotonic sequence numbers + ack/retransmit + dedup (its
+    #: timing constants live in :mod:`repro.net.transport`)
     reliable_delivery: bool = False
-    #: first retransmission fires after this many simulated seconds
-    retransmit_timeout_s: float = 0.6
-    #: exponential backoff factor applied per retry
-    retransmit_backoff: float = 2.0
-    #: retransmission attempts before the sender gives up.  A finite cap
-    #: keeps the event queue bounded when the peer is crashed; the
-    #: crash-recovery catch-up protocol (not the transport) is what
-    #: guarantees a restarted node converges.
-    retransmit_cap: int = 6
-    #: wire size charged per ACK control message
-    ack_bytes: int = 32
-
-    def __post_init__(self) -> None:
-        if self.retransmit_timeout_s <= 0:
-            raise ValueError(
-                f"retransmit_timeout_s must be > 0, got {self.retransmit_timeout_s}"
-            )
-        if self.retransmit_backoff < 1.0:
-            raise ValueError(
-                f"retransmit_backoff must be >= 1, got {self.retransmit_backoff}"
-            )
-        if self.retransmit_cap < 0:
-            raise ValueError(
-                f"retransmit_cap must be >= 0, got {self.retransmit_cap}"
-            )
 
     def with_(self, **changes) -> "NetParams":
         """Return a copy with the given fields replaced."""

@@ -144,12 +144,12 @@ class CongestionSim:
         self.grace_s = grace_s
 
     def run(self) -> SimResult:
-        with telemetry.span(
-            "sim.run", chain=self.model.name, workload=self.trace.name
-        ) as span_attrs:
-            result = self._run()
-            span_attrs["sent"] = result.sent
-            span_attrs["committed"] = result.committed
+        result = self._run()
+        telemetry.event(
+            "sim.run", result.duration_s, chain=self.model.name,
+            workload=self.trace.name, sent=result.sent,
+            committed=result.committed,
+        )
         return result
 
     def _run(self) -> SimResult:

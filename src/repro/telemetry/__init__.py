@@ -6,14 +6,15 @@ Three layers, all off by default and one-branch-cheap until enabled:
   in a :class:`MetricsRegistry` (labeled children, bounded streaming
   quantiles).  A process-global default registry backs the CLI's
   ``--metrics-out``; ``use_registry()`` scopes a fresh one for tests.
-* **Tracing** — :func:`span` context managers and point :func:`event` s
+* **Tracing** — point :func:`event` s stamped with the simulated clock,
   buffered by a global :class:`Tracer` and dumped as JSONL
-  (``--trace-out``).
-* **Exporters / timing** — Prometheus text + JSON snapshots, and the
-  :func:`timed` wall-clock histogram decorator for hot paths.
+  (``--trace-out``); a seeded run's trace is byte-identical run to run.
+* **Exporters** — Prometheus text + JSON snapshots, and the Chrome
+  trace-event (Perfetto) export of trace events plus lifecycle stamps.
 
-Where the simulator itself spends CPU is answered from outside the
-engines: ``repro profile`` runs its target under the stack sampler in
+Every record here is on the simulated clock.  Where the simulator itself
+spends host CPU is answered from outside the engines: ``repro profile``
+runs its target under the stack sampler in
 :mod:`repro.telemetry.profiling`, which nothing in the engines calls.
 
 The metric catalogue (names, labels, units) lives in
@@ -40,7 +41,6 @@ from repro.telemetry.observatory import CongestionObservatory
 from repro.telemetry.registry import (
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
-    EXEMPLAR_RING,
     Counter,
     Gauge,
     Histogram,
@@ -53,21 +53,12 @@ from repro.telemetry.registry import (
     set_registry,
     use_registry,
 )
-from repro.telemetry.timing import timed
 from repro.telemetry.trace_event import to_trace_events, validate_trace_event
-from repro.telemetry.tracing import (
-    Tracer,
-    current_span_id,
-    event,
-    get_tracer,
-    set_tracer,
-    span,
-)
+from repro.telemetry.tracing import Tracer, event, get_tracer, set_tracer
 
 __all__ = [
     "COUNT_BUCKETS",
     "DEFAULT_BUCKETS",
-    "EXEMPLAR_RING",
     "PHASES",
     "CongestionObservatory",
     "Counter",
@@ -81,7 +72,6 @@ __all__ = [
     "analyze_critical_path",
     "bind",
     "configure_logging",
-    "current_span_id",
     "disable",
     "enable",
     "event",
@@ -92,8 +82,6 @@ __all__ = [
     "set_recorder",
     "set_registry",
     "set_tracer",
-    "span",
-    "timed",
     "to_json",
     "to_prometheus",
     "to_trace_events",

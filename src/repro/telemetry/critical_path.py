@@ -1,7 +1,7 @@
 """Post-hoc critical-path attribution of end-to-end commit latency.
 
 Consumes the per-tx lifecycle stamps (:mod:`repro.telemetry.lifecycle`)
-plus the tracer's span/event records and answers *where the time goes*:
+plus the tracer's event records and answers *where the time goes*:
 for each committed transaction the resolved timeline is folded into six
 raw buckets that telescope exactly to the end-to-end latency,
 
@@ -19,9 +19,10 @@ bucket                  boundary (monotone resolved times)
 ``pool_wait`` and ``commit_wait`` are *queue* time: the tx sits behind
 the round cadence, and the cadence itself is split between ordering work
 and execution work.  The analyzer measures that split — ``exec_share``,
-the fraction of the busiest node's commit-loop span spent executing
-(``Σ exec_s`` from ``node.commit`` trace events) — and reattributes the
-queue buckets proportionally.  The **attributed** breakdown is therefore
+the fraction of the busiest node's commit loop spent executing
+(``Σ exec_s`` from ``node.commit`` trace events, over the simulated
+time between them) — and reattributes the queue buckets
+proportionally.  The **attributed** breakdown is therefore
 
 * ``execute``  = raw execute + exec_share · (pool_wait + commit_wait)
 * ``ordering`` = (1 − exec_share) · (pool_wait + commit_wait)
@@ -172,11 +173,11 @@ def exec_share_from_trace(trace_records: "list[dict]") -> "float | None":
         if record.get("type") != "event" or record.get("name") != "node.commit":
             continue
         attrs = record.get("attrs", {})
-        if "exec_s" not in attrs or "sim_now" not in attrs:
+        if "exec_s" not in attrs:
             continue
         node = attrs.get("node", -1)
         by_node.setdefault(node, []).append(
-            (float(attrs["sim_now"]), float(attrs["exec_s"]))
+            (float(record["ts"]), float(attrs["exec_s"]))
         )
     if not by_node:
         return None

@@ -127,7 +127,7 @@ def _scalar_json(target) -> dict:
 
 
 def _histogram_json(target: Histogram) -> dict:
-    out = {
+    return {
         "labels": dict(target._labels),
         "count": target.count,
         "sum": target.sum,
@@ -142,9 +142,6 @@ def _histogram_json(target: Histogram) -> dict:
             for b, c in target.cumulative_buckets()
         ],
     }
-    if target.exemplars:
-        out["exemplars"] = list(target.exemplars)
-    return out
 
 
 def to_json(registry: "MetricsRegistry | None" = None) -> dict:

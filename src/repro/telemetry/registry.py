@@ -29,11 +29,8 @@ from __future__ import annotations
 import bisect
 import math
 import threading
-from collections import deque
 from contextlib import contextmanager
 from typing import Iterator
-
-from repro.telemetry import tracing as _tracing
 
 __all__ = [
     "Counter",
@@ -64,12 +61,6 @@ COUNT_BUCKETS = (
 )
 
 _RESERVED_LABELS = frozenset({"le", "quantile"})
-
-#: exemplar ring size per histogram (child) — a handful of recent
-#: observations with their span IDs is enough to jump from a bad p99
-#: bucket to the offending superblock round in the trace
-EXEMPLAR_RING = 8
-
 
 def _label_key(labels: dict) -> tuple:
     return tuple(sorted(labels.items()))
@@ -282,9 +273,6 @@ class Histogram(_Metric):
         self.min: float = math.inf
         self.max: float = -math.inf
         self.sketch = QuantileSketch()
-        #: bounded ring of recent observations linked to the span that
-        #: produced them — only populated while the global tracer runs
-        self.exemplars: "deque[dict]" = deque(maxlen=EXEMPLAR_RING)
 
     def _new_child(self) -> "Histogram":
         return Histogram(self.name, self.help, self._registry, self.buckets)
@@ -306,15 +294,6 @@ class Histogram(_Metric):
         i = bisect.bisect_left(buckets, value)
         self.bucket_counts[i if i < len(buckets) else -1] += weight
         self.sketch.add(value, weight)
-        tracer = _tracing.get_tracer()
-        if tracer.enabled and tracer._stack:
-            self.exemplars.append(
-                {
-                    "value": value,
-                    "span_id": tracer._stack[-1],
-                    "ts": round(tracer.now(), 6),
-                }
-            )
 
     @property
     def mean(self) -> float:
@@ -345,7 +324,6 @@ class Histogram(_Metric):
         self.min = math.inf
         self.max = -math.inf
         self.sketch._reset()
-        self.exemplars.clear()
         for child in self._children.values():
             child._reset()
 

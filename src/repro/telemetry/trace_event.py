@@ -1,22 +1,20 @@
 """Chrome trace-event (Perfetto) export of tracer + lifecycle records.
 
-Converts the tracer's JSONL span/event records — and, optionally, the
-per-tx lifecycle stamps — into the Trace Event Format understood by
-``ui.perfetto.dev`` and ``chrome://tracing``:
+Converts the tracer's JSONL event records — and, optionally, the per-tx
+lifecycle stamps — into the Trace Event Format understood by
+``ui.perfetto.dev`` and ``chrome://tracing``.  Both are stamped with the
+simulated clock, so they share one process, **pid 1 "simulated clock"**,
+and one set of per-node tracks (``tid`` = node + 1; records without a
+node land on tid 0, the *driver* track):
 
-* **pid 1 "wall clock"** — every tracer span becomes a complete event
-  (``"ph": "X"``) and every point event an instant (``"ph": "i"``), on
-  a per-node track (``tid`` = the record's ``node`` attr + 1; records
-  without a node land on tid 0, the *driver* track).  Timestamps are
-  the tracer's wall-monotonic seconds, scaled to microseconds.
-* **pid 2 "simulated clock"** — each lifecycle phase crossing becomes a
-  small slice on the stamping node's track at its *simulated* time, and
-  the first ``max_flows`` transactions additionally get flow arrows
-  (``"ph": "s"/"t"/"f"``) threading their slices together, so a tx can
-  be followed across nodes through submit → pool → … → receipt.
+* every tracer event becomes a thread-scoped instant (``"ph": "i"``);
+* each lifecycle phase crossing becomes a small slice on the stamping
+  node's track, and the first ``max_flows`` transactions additionally get
+  flow arrows (``"ph": "s"/"t"/"f"``) threading their slices together,
+  so a tx can be followed across nodes through submit → pool → … →
+  receipt.
 
-The two clock domains live in separate processes because their time
-bases are unrelated; within each process timestamps are coherent.
+Timestamps are simulated seconds scaled to microseconds.
 
 :func:`validate_trace_event` checks the structural contract (required
 keys, non-negative µs timestamps and durations, globally sorted ``ts``,
@@ -61,30 +59,22 @@ def to_trace_events(
 ) -> dict:
     """Build the trace-event document (see module docstring)."""
     events: "list[dict]" = []
-    wall_tids: "set[int]" = set()
-    sim_tids: "set[int]" = set()
+    tids: "set[int]" = set()
 
-    for record in sorted(records, key=lambda r: r.get("ts", 0.0)):
+    for record in records:
         attrs = record.get("attrs", {})
         tid = _node_tid(attrs)
-        wall_tids.add(tid)
-        base = {
+        tids.add(tid)
+        events.append({
             "name": record.get("name", "?"),
             "cat": "trace",
+            "ph": "i",
+            "s": "t",  # thread-scoped instant
             "pid": 1,
             "tid": tid,
             "ts": round(float(record.get("ts", 0.0)) * _US, 3),
             "args": dict(attrs),
-        }
-        if record.get("type") == "span":
-            base["ph"] = "X"
-            base["dur"] = round(max(0.0, float(record.get("dur", 0.0))) * _US, 3)
-            if "span_id" in record:
-                base["args"]["span_id"] = record["span_id"]
-        else:
-            base["ph"] = "i"
-            base["s"] = "t"  # thread-scoped instant
-        events.append(base)
+        })
 
     flow_count = 0
     dropped_flows = 0
@@ -108,13 +98,13 @@ def to_trace_events(
             dropped_flows += 1
         for i, (t, node, phase) in enumerate(points):
             tid = node + 1 if node >= 0 else 0
-            sim_tids.add(tid)
+            tids.add(tid)
             ts = round(t * _US, 3)
             events.append({
                 "name": phase,
                 "cat": "lifecycle",
                 "ph": "X",
-                "pid": 2,
+                "pid": 1,
                 "tid": tid,
                 "ts": ts,
                 "dur": _STAMP_SLICE_US,
@@ -125,7 +115,7 @@ def to_trace_events(
             flow = {
                 "name": f"tx {short}",
                 "cat": "tx-flow",
-                "pid": 2,
+                "pid": 1,
                 "tid": tid,
                 "ts": ts,
                 "id": flow_id,
@@ -139,21 +129,17 @@ def to_trace_events(
                 flow["ph"] = "t"
             events.append(flow)
 
-    meta: "list[dict]" = []
-    for pid, name in ((1, "wall clock"), (2, "simulated clock")):
+    meta: "list[dict]" = [{
+        "name": "process_name", "ph": "M", "pid": 1, "tid": 0, "ts": 0,
+        "args": {"name": "simulated clock"},
+    }]
+    for tid in sorted(tids):
         meta.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0, "ts": 0,
-            "args": {"name": name},
+            "name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "ts": 0,
+            "args": {"name": "driver" if tid == 0 else f"node {tid - 1}"},
         })
-    for pid, tids in ((1, wall_tids), (2, sim_tids)):
-        for tid in sorted(tids):
-            meta.append({
-                "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-                "ts": 0,
-                "args": {"name": "driver" if tid == 0 else f"node {tid - 1}"},
-            })
 
-    events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"]))
+    events.sort(key=lambda e: (e["ts"], e["tid"]))
     doc = {
         "traceEvents": meta + events,
         "displayTimeUnit": "ms",

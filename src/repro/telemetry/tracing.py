@@ -1,17 +1,21 @@
-"""Structured tracing — spans and point events, dumped as JSONL.
+"""Structured tracing — point events on the simulated clock, dumped as JSONL.
 
-A trace is an append-only sequence of records with monotonic timestamps
-(``time.monotonic`` relative to tracer creation), so a whole DIABLO run
-can be replayed after the fact:
+A trace is an append-only sequence of records, each stamped with the
+simulated second at which it happened, so a whole DIABLO run can be
+replayed after the fact:
 
-* ``{"ts": 0.0123, "type": "event", "name": "node.commit", "attrs": {...}}``
-* ``{"ts": 0.0007, "type": "span", "name": "sim.run", "dur": 2.41, "attrs": {...}}``
+* ``{"ts": 0.6010534923978069, "type": "event", "name": "node.commit", "attrs": {...}}``
+
+Call sites pass their simulator's clock (``event(name, sim.now, ...)``);
+``ts`` is written unrounded, so a consumer reads back exactly the time
+the engine saw.  Nothing here reads the host's clock, which makes the
+trace of a seeded run byte-identical from one run to the next.  Within a
+run the simulator fires events in time order, so records are dumped in
+the order they were appended.
 
 Like the metrics registry, the process-global tracer starts *disabled*:
-``span``/``event`` are one-branch no-ops until the CLI's ``--trace-out``
-(or a test) enables it.  Simulation call-sites pass the simulated clock
-as an ordinary attribute (e.g. ``sim_now=...``) — ``ts`` is always wall
-monotonic time.
+:func:`event` is a one-branch no-op until the CLI's ``--trace-out`` (or a
+test) enables it.
 
 Memory stays bounded two ways (soak runs must not grow without limit):
 
@@ -25,45 +29,23 @@ Memory stays bounded two ways (soak runs must not grow without limit):
 
 from __future__ import annotations
 
-import itertools
 import json
-import time
 from collections import deque
-from contextlib import contextmanager, nullcontext
-from typing import Iterator
 
 __all__ = [
     "Tracer",
     "get_tracer",
     "set_tracer",
-    "span",
     "event",
-    "current_span_id",
 ]
 
 
 class Tracer:
-    """Buffering trace recorder; cheap no-op while disabled.
+    """Buffering trace recorder; cheap no-op while disabled."""
 
-    Every span gets a deterministic ID (``s1``, ``s2``, … in start order)
-    and the tracer keeps the stack of currently-open spans, so other
-    subsystems — histogram exemplars, notably — can link an observation
-    back to the span that produced it via :attr:`current_span_id`.
-    """
-
-    def __init__(
-        self,
-        *,
-        enabled: bool = True,
-        clock=time.monotonic,
-        max_records: "int | None" = None,
-    ):
+    def __init__(self, *, enabled: bool = True, max_records: "int | None" = None):
         self.enabled = enabled
-        self._clock = clock
-        self._t0 = clock()
         self._records: "deque[dict]" = deque(maxlen=max_records)
-        self._next_span = itertools.count(1)
-        self._stack: list[str] = []
         #: records shed by the ring buffer (max_records) since last clear
         self.dropped_records = 0
         self._stream = None
@@ -72,70 +54,16 @@ class Tracer:
 
     # -- recording -------------------------------------------------------------
 
-    def now(self) -> float:
-        return self._clock() - self._t0
-
-    @property
-    def current_span_id(self) -> "str | None":
-        """ID of the innermost open span, or None outside any span."""
-        return self._stack[-1] if self._stack else None
-
-    def _append(self, record: dict) -> None:
+    def event(self, name: str, t: float, **attrs) -> None:
+        """Record a point event at simulated time ``t`` (seconds)."""
+        if not self.enabled:
+            return
         records = self._records
         if records.maxlen is not None and len(records) == records.maxlen:
             self.dropped_records += 1  # deque sheds the oldest on append
-        records.append(record)
+        records.append({"ts": t, "type": "event", "name": name, "attrs": attrs})
         if self._stream is not None and len(records) >= self._flush_every:
             self.flush_stream()
-
-    def event(self, name: str, **attrs) -> None:
-        """Record a point event (tagged with the enclosing span, if any)."""
-        if not self.enabled:
-            return
-        record = {
-            "ts": round(self.now(), 6), "type": "event", "name": name, "attrs": attrs
-        }
-        if self._stack:
-            record["span_id"] = self._stack[-1]
-        self._append(record)
-
-    @contextmanager
-    def span(self, name: str, **attrs) -> Iterator[dict]:
-        """Record a timed span around a block; yields the mutable attrs
-        dict so the body can attach results (counts, outcomes)."""
-        if not self.enabled:
-            yield attrs
-            return
-        span_id = f"s{next(self._next_span)}"
-        parent_id = self._stack[-1] if self._stack else None
-        self._stack.append(span_id)
-        start = self.now()
-        try:
-            yield attrs
-        finally:
-            end = self.now()
-            # Pop *our own* frame even if clear() ran while we were open —
-            # popping blindly would corrupt a sibling span's stack entry.
-            if self._stack and self._stack[-1] == span_id:
-                self._stack.pop()
-            else:
-                try:
-                    self._stack.remove(span_id)
-                except ValueError:
-                    pass  # clear() dropped us; nothing left to unwind
-            record = {
-                "ts": round(start, 6),
-                "type": "span",
-                "name": name,
-                "span_id": span_id,
-                # a clear() mid-span resets t0; clamp instead of recording
-                # a negative duration from the incoherent clock bases
-                "dur": round(max(0.0, end - start), 6),
-                "attrs": attrs,
-            }
-            if parent_id is not None:
-                record["parent_id"] = parent_id
-            self._append(record)
 
     # -- access / export -------------------------------------------------------
 
@@ -144,35 +72,28 @@ class Tracer:
         return list(self._records)
 
     def clear(self) -> None:
-        """Drop buffered records; safe to call while spans are open."""
+        """Drop buffered records and the drop counter."""
         self._records.clear()
         self.dropped_records = 0
-        self._t0 = self._clock()
-        if not self._stack:
-            # Restart span IDs so repeated captured runs produce identical
-            # traces (and exemplar span references) for identical work.
-            # With spans still open the counter must keep running — a
-            # restart would hand a live span's ID to a new span.
-            self._next_span = itertools.count(1)
 
     def dumps(self) -> str:
-        """The whole buffered trace as JSONL (one record per line,
-        ts-ordered).  When streaming, this covers the un-flushed tail."""
-        ordered = sorted(self._records, key=lambda r: r["ts"])
-        lines = [json.dumps(r, default=str) + "\n" for r in ordered]
+        """The whole buffered trace as JSONL, one record per line in
+        append order.  When streaming, this covers the un-flushed tail."""
+        records = self._records
+        lines = [json.dumps(r, default=str) + "\n" for r in records]
         if self.dropped_records:
             # Stamp truncation into the artifact itself — a trace missing
             # its earliest records must say so, or analysis over it will
-            # silently under-count.  Consumers that iterate spans skip
-            # non-span records, so this trailer is backward compatible.
+            # silently under-count.  Consumers that iterate events skip
+            # non-event records, so this trailer is backward compatible.
             lines.append(
                 json.dumps(
                     {
                         "type": "meta",
                         "name": "tracer.dropped",
-                        "ts": ordered[-1]["ts"] if ordered else 0.0,
+                        "ts": records[-1]["ts"] if records else 0.0,
                         "dropped_records": self.dropped_records,
-                        "kept_records": len(ordered),
+                        "kept_records": len(records),
                     }
                 )
                 + "\n"
@@ -212,10 +133,8 @@ class Tracer:
 
         Every ``flush_every`` buffered records are appended to the file
         and dropped from memory, so arbitrarily long runs hold one chunk
-        at most.  Records are ts-ordered *within* each chunk (a span's
-        record lands at span end, so chunk boundaries may interleave a
-        long span behind later events — the trace-event exporter and any
-        serious consumer re-sort by ``ts``).
+        at most.  The file holds the same lines, in the same order, as
+        one :meth:`dumps` of an unbounded buffer.
         """
         self.close_stream()
         self._stream = open(path, "w")
@@ -226,10 +145,10 @@ class Tracer:
         """Write buffered records to the stream file and drop them."""
         if self._stream is None or not self._records:
             return
-        ordered = sorted(self._records, key=lambda r: r["ts"])
+        write = self._stream.write
+        for record in self._records:
+            write(json.dumps(record, default=str) + "\n")
         self._records.clear()
-        for record in ordered:
-            self._stream.write(json.dumps(record, default=str) + "\n")
         self._stream.flush()
 
     def close_stream(self) -> None:
@@ -257,22 +176,8 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
-def span(name: str, **attrs):
-    """Span on the global tracer (cheap nullcontext while disabled)."""
-    tracer = _default_tracer
-    if not tracer.enabled:
-        return nullcontext(attrs)
-    return tracer.span(name, **attrs)
-
-
-def event(name: str, **attrs) -> None:
-    """Point event on the global tracer."""
+def event(name: str, t: float, **attrs) -> None:
+    """Point event at simulated time ``t`` on the global tracer."""
     tracer = _default_tracer
     if tracer.enabled:
-        tracer.event(name, **attrs)
-
-
-def current_span_id() -> "str | None":
-    """ID of the global tracer's innermost open span (None when idle)."""
-    tracer = _default_tracer
-    return tracer._stack[-1] if (tracer.enabled and tracer._stack) else None
+        tracer.event(name, t, **attrs)

@@ -127,11 +127,13 @@ class TestDiff:
         assert diff_docs(to_json(reg_a), to_json(reg_b)).ok
 
     def test_wall_clock_metrics_never_gated(self):
-        reg_a = MetricsRegistry()
-        reg_a.histogram("srbb_eager_validate_seconds", buckets=(1.0,)).observe(0.001)
-        reg_b = MetricsRegistry()
-        reg_b.histogram("srbb_eager_validate_seconds", buckets=(1.0,)).observe(0.9)
-        result = diff_docs(to_json(reg_a), to_json(reg_b))
+        old = _artifact_doc(
+            {"wall_s_n8": 1.0, "events_per_sec_n8": 9e4, "peak_rss_mb": 80.0}
+        )
+        new = _artifact_doc(
+            {"wall_s_n8": 9.0, "events_per_sec_n8": 1e4, "peak_rss_mb": 900.0}
+        )
+        result = diff_docs(old, new)
         assert result.ok
         assert all(d.threshold is None for d in result.deltas)
 
@@ -177,43 +179,6 @@ class TestLatencyBreakdownGates:
         old = _artifact_doc({"srbb_phase_pool_wait_p99_s": 1.0})
         new = _artifact_doc({"srbb_phase_pool_wait_p99_s": 2.0})
         assert not diff_docs(old, new).ok
-
-
-def _snapshot_with_exemplars(latency: float) -> dict:
-    snap = _snapshot()
-    hist = snap["srbb_sim_commit_latency_seconds"]
-    hist["samples"][0]["p99"] = latency
-    hist["samples"][0]["exemplars"] = [
-        {"value": latency, "span_id": "s7", "ts": 12.5},
-        {"value": latency / 2, "span_id": "s3", "ts": 1.0},
-    ]
-    return snap
-
-
-class TestExemplarSurfacing:
-    def test_exemplars_collected_from_new_doc(self):
-        result = diff_docs(_snapshot(), _snapshot_with_exemplars(5.0))
-        exemplars = result.exemplars["srbb_sim_commit_latency_seconds"]
-        assert [e["span_id"] for e in exemplars] == ["s7", "s3"]
-
-    def test_regression_row_links_worst_spans(self):
-        text = render_comparison(
-            diff_docs(_snapshot(), _snapshot_with_exemplars(5.0))
-        )
-        assert "srbb_sim_commit_latency_seconds:p99" in text
-        # worst observation first, linked by span ID and timestamp
-        assert "↳ span s7 observed 5 at ts=12.5" in text
-
-    def test_no_exemplar_lines_without_regression(self):
-        snap = _snapshot_with_exemplars(0.5)
-        text = render_comparison(diff_docs(snap, snap))
-        assert "↳ span" not in text
-
-    def test_prometheus_input_yields_no_exemplars(self):
-        reg = MetricsRegistry()
-        reg.counter("srbb_sim_txs_sent_total").inc(7)
-        result = diff_docs(to_prometheus(reg), to_prometheus(reg))
-        assert result.exemplars == {}
 
 
 class TestRender:

@@ -52,7 +52,7 @@ class TestRegistry:
         """A ProtocolParams/NetParams field no ``src/`` module reads is a
         knob that silently changes nothing when set.  Readers hold the
         bundles as ``protocol`` / ``net`` (``self.protocol.tvpr``,
-        ``self.net.ack_bytes``); a same-named attribute of another class
+        ``self.net.reliable_delivery``); a same-named attribute of another class
         (``RPMContract.block_reward``) is not a read of the knob."""
         src = Path(__file__).resolve().parents[2] / "src"
         text = "".join(

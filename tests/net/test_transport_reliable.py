@@ -88,10 +88,11 @@ class TestReliableDelivery:
         assert network.stats.retransmissions == 0
         assert not network._pending  # every send acked
 
-    def test_lossy_link_still_delivers_exactly_once(self):
+    def test_lossy_link_still_delivers_exactly_once(self, monkeypatch):
         faults = StaticFaults(drop={(0, 1): 0.5})
         # cap=12 makes per-message abandonment odds ~0.01% at p=0.5
-        sim, network, sinks = make_network(faults=faults, retransmit_cap=12)
+        monkeypatch.setattr(transport, "RETRANSMIT_CAP", 12)
+        sim, network, sinks = make_network(faults=faults)
         for i in range(20):
             network.send(0, 1, Message(kind="tx", payload=i, sender=0))
         sim.run_until(120.0)
@@ -125,18 +126,20 @@ class TestReliableDelivery:
         assert network.stats.duplicates_dropped >= 1
         assert not network._pending
 
-    def test_severed_link_gives_up_after_retry_cap(self):
+    def test_severed_link_gives_up_after_retry_cap(self, monkeypatch):
         faults = StaticFaults(drop={(0, 1): 1.0})
-        sim, network, sinks = make_network(faults=faults, retransmit_cap=3)
+        monkeypatch.setattr(transport, "RETRANSMIT_CAP", 3)
+        sim, network, sinks = make_network(faults=faults)
         network.send(0, 1, Message(kind="tx", payload="x", sender=0))
         sim.run_until(600.0)
         assert payloads(sinks[1]) == []
         assert network.stats.retransmissions == 3  # capped, not forever
         assert not network._pending  # the abandoned send left no timer
 
-    def test_retransmissions_count_wire_but_not_logical_traffic(self):
+    def test_retransmissions_count_wire_but_not_logical_traffic(self, monkeypatch):
         faults = StaticFaults(drop={(0, 1): 1.0})
-        sim, network, _ = make_network(faults=faults, retransmit_cap=2)
+        monkeypatch.setattr(transport, "RETRANSMIT_CAP", 2)
+        sim, network, _ = make_network(faults=faults)
         network.send(0, 1, Message(kind="tx", payload="x", sender=0, count=4))
         before_logical = network.stats.logical_messages
         sim.run_until(60.0)

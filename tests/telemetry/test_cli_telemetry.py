@@ -105,7 +105,12 @@ class TestObservabilityOuts:
         out = capsys.readouterr().out
         assert "critical path" in out
         assert "congestion observatory" in out
-        assert "busiest spans" in out
+        # the trace's part in the report: exec_share from its commit events
+        from repro.telemetry.critical_path import exec_share_from_trace
+        from repro.telemetry.trace_event import load_jsonl
+
+        share = exec_share_from_trace(load_jsonl(str(trace))) or 0.0
+        assert f"exec_share={share:.2f}" in out
 
         html = tmp_path / "report.html"
         assert main(["report", "--lifecycle", str(lc),

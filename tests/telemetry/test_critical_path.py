@@ -101,7 +101,7 @@ class TestExecShareFromTrace:
     def _commit(t, exec_s, node=0):
         return {
             "type": "event", "name": "node.commit",
-            "ts": t, "attrs": {"node": node, "sim_now": t, "exec_s": exec_s},
+            "ts": t, "attrs": {"node": node, "exec_s": exec_s},
         }
 
     def test_share_over_busy_intervals(self):

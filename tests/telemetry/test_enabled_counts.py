@@ -5,7 +5,7 @@ Instrumented sites skip all metric work when their registry is disabled.
 A fault-heavy n = 4 run (loss, duplication, crash/restart, a Byzantine
 window, the watchdog, gossip) under the disabled default registry must
 make no call into it.  The same runs' enabled Prometheus dump is hashed
-and compared with a constant recorded before the guards existed.
+and compared with a pinned constant.
 ``NodeStats`` is shown to read the flag of the registry it was built
 under, not the global one.
 """
@@ -20,21 +20,10 @@ from repro.faults import FaultSchedule
 from repro.net.topology import single_region_topology
 from repro.telemetry import registry as registry_module
 
-#: wall-clock histograms (``@timed``): only their ``_count`` is deterministic
-_WALL_CLOCK = ("srbb_eager_validate_seconds", "srbb_commit_superblock_seconds")
-
-#: sha256 of the normalised dump, recorded before the disabled-path guards
-PINNED_DUMP = "b267a7f200c173c6b9db01e87cdcd7fae3616d83754a70233d028711eb635b44"
-
-
-def _normalised(dump: str) -> str:
-    kept = []
-    for line in dump.splitlines():
-        name = line.split("{", 1)[0].split(" ", 1)[0]
-        if name.startswith(_WALL_CLOCK) and not name.endswith("_count"):
-            continue
-        kept.append(line)
-    return "\n".join(kept)
+#: sha256 of the enabled dump; every metric in it is deterministic.  A
+#: change that moves what an enabled registry counts says so and
+#: re-records it.
+PINNED_DUMP = "bf351562a58c16051836714ce4a877c12670a07504051f130973ca120fe4d4c7"
 
 
 def _run(seed: int, *, tvpr: bool) -> None:
@@ -74,7 +63,7 @@ def test_enabled_dump_is_pinned():
         _run(3, tvpr=True)
         _run(5, tvpr=False)
         dump = telemetry.to_prometheus(reg)
-    digest = hashlib.sha256(_normalised(dump).encode()).hexdigest()
+    digest = hashlib.sha256(dump.encode()).hexdigest()
     assert digest == PINNED_DUMP
 
 

@@ -125,27 +125,6 @@ class TestJson:
         sample = to_json(reg)["h_seconds"]["samples"][0]
         assert sample["min"] is None and sample["max"] is None
 
-    def test_exemplars_exported_when_traced(self):
-        from repro.telemetry import Tracer, set_tracer
-
-        reg = MetricsRegistry()
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            with tracer.span("commit"):
-                reg.histogram("h_seconds").observe(0.7)
-        finally:
-            set_tracer(previous)
-        sample = to_json(reg)["h_seconds"]["samples"][0]
-        (ex,) = sample["exemplars"]
-        assert ex["value"] == 0.7 and ex["span_id"] == "s1"
-        json.dumps(sample)  # stays serializable
-
-    def test_no_exemplars_key_without_tracing(self):
-        reg = MetricsRegistry()
-        reg.histogram("h_seconds").observe(0.7)
-        assert "exemplars" not in to_json(reg)["h_seconds"]["samples"][0]
-
 
 class TestWriteMetrics:
     def test_prometheus_file(self, tmp_path):

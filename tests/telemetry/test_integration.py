@@ -45,16 +45,19 @@ class TestTickEngineReconciliation:
         assert (sent.value if sent is not None else 0.0) == before
 
     def test_trace_span_carries_result(self):
+        # the whole-run record is one sim.run event at the run's final
+        # simulated time
         tracer = telemetry.Tracer()
         previous = telemetry.set_tracer(tracer)
         try:
             result = simulate_chain(chain_model("srbb"), constant_trace(100, 5))
         finally:
             telemetry.set_tracer(previous)
-        spans = [r for r in tracer.records if r["name"] == "sim.run"]
-        assert len(spans) == 1
-        assert spans[0]["attrs"]["committed"] == result.committed
-        assert spans[0]["attrs"]["sent"] == result.sent
+        (run,) = [r for r in tracer.records if r["name"] == "sim.run"]
+        assert run["type"] == "event"
+        assert run["ts"] == result.duration_s
+        assert run["attrs"]["committed"] == result.committed
+        assert run["attrs"]["sent"] == result.sent
 
 
 class TestMessageEngineReconciliation:

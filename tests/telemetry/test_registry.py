@@ -7,16 +7,13 @@ import pytest
 
 from repro.telemetry import (
     COUNT_BUCKETS,
-    EXEMPLAR_RING,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     QuantileSketch,
-    Tracer,
     get_registry,
     set_registry,
-    set_tracer,
     use_registry,
 )
 
@@ -115,62 +112,6 @@ class TestHistogram:
         child.observe(1.5)
         assert child.count == 1
         assert h.count == 0
-
-
-class TestExemplars:
-    def _scoped_tracer(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        return tracer, previous
-
-    def test_observation_in_span_records_exemplar(self):
-        tracer, previous = self._scoped_tracer()
-        try:
-            h = Histogram("h_seconds")
-            with tracer.span("commit"):
-                h.observe(0.25)
-        finally:
-            set_tracer(previous)
-        (ex,) = h.exemplars
-        assert ex["value"] == 0.25
-        assert ex["span_id"] == "s1"
-        assert ex["ts"] >= 0.0
-
-    def test_no_exemplar_outside_span_or_when_disabled(self):
-        tracer, previous = self._scoped_tracer()
-        try:
-            h = Histogram("h_seconds")
-            h.observe(1.0)  # tracer enabled but no open span
-            tracer.enabled = False
-            with tracer.span("ignored"):
-                h.observe(2.0)
-        finally:
-            set_tracer(previous)
-        assert not h.exemplars
-
-    def test_ring_is_bounded_and_keeps_newest(self):
-        tracer, previous = self._scoped_tracer()
-        try:
-            h = Histogram("h_seconds")
-            with tracer.span("burst"):
-                for i in range(EXEMPLAR_RING + 5):
-                    h.observe(float(i))
-        finally:
-            set_tracer(previous)
-        assert len(h.exemplars) == EXEMPLAR_RING
-        assert h.exemplars[-1]["value"] == float(EXEMPLAR_RING + 4)
-
-    def test_reset_clears_exemplars(self):
-        tracer, previous = self._scoped_tracer()
-        try:
-            reg = MetricsRegistry()
-            h = reg.histogram("h_seconds")
-            with tracer.span("work"):
-                h.observe(1.0)
-            reg.reset()
-        finally:
-            set_tracer(previous)
-        assert not h.exemplars
 
 
 class TestQuantileSketch:

@@ -12,10 +12,9 @@ from repro.telemetry.trace_event import (
 
 
 def _tracer_records():
-    tracer = Tracer(clock=lambda: 0.0)
-    tracer.event("node.commit", node=0, sim_now=1.0)
-    with tracer.span("sim.run", chain="srbb"):
-        pass
+    tracer = Tracer()
+    tracer.event("node.commit", 1.0, node=0)
+    tracer.event("sim.run", 2.0, chain="srbb")
     return tracer.records
 
 
@@ -30,20 +29,36 @@ def _lifecycle_records(n=1):
 
 
 class TestToTraceEvents:
-    def test_spans_and_events_on_wall_clock_process(self):
+    def test_events_are_instants_on_simulated_clock(self):
         doc = to_trace_events(_tracer_records())
-        payload = [e for e in doc["traceEvents"] if e["ph"] in ("X", "i")]
-        assert {e["pid"] for e in payload} == {1}
+        payload = [e for e in doc["traceEvents"] if e["ph"] != "M"]
+        assert {(e["pid"], e["ph"]) for e in payload} == {(1, "i")}
         by_name = {e["name"]: e for e in payload}
-        assert by_name["node.commit"]["ph"] == "i"
         assert by_name["node.commit"]["tid"] == 1  # node 0 -> tid 1
-        assert by_name["sim.run"]["ph"] == "X"
+        assert by_name["node.commit"]["ts"] == 1_000_000  # simulated µs
         assert by_name["sim.run"]["tid"] == 0  # no node attr -> driver
-        assert by_name["sim.run"]["args"]["span_id"] == "s1"
+        assert by_name["sim.run"]["ts"] == 2_000_000
+
+    def test_events_and_lifecycle_share_one_clock_and_track(self):
+        doc = to_trace_events(
+            _tracer_records(), lifecycle_records=_lifecycle_records()
+        )
+        processes = [
+            (e["pid"], e["args"]["name"])
+            for e in doc["traceEvents"] if e["name"] == "process_name"
+        ]
+        assert processes == [(1, "simulated clock")]
+        node0 = [
+            (e["name"], e["ph"]) for e in doc["traceEvents"]
+            if e["ph"] in ("X", "i") and e["tid"] == 1
+        ]
+        # node 0's lifecycle slices at 0.0 s / 0.2 s, then its commit
+        # event at 1.0 s: one time base, one track
+        assert node0 == [("submit", "X"), ("pool", "X"), ("node.commit", "i")]
 
     def test_lifecycle_slices_and_flow_arrows(self):
         doc = to_trace_events([], lifecycle_records=_lifecycle_records())
-        sim = [e for e in doc["traceEvents"] if e.get("pid") == 2]
+        sim = [e for e in doc["traceEvents"] if e["ph"] != "M"]
         slices = [e for e in sim if e["ph"] == "X"]
         flows = [e for e in sim if e["ph"] in ("s", "t", "f")]
         assert [e["name"] for e in slices] == ["submit", "pool", "commit"]
@@ -61,7 +76,7 @@ class TestToTraceEvents:
         # capped txs keep their slices, just without arrows
         slices = [
             e for e in doc["traceEvents"]
-            if e.get("pid") == 2 and e["ph"] == "X"
+            if e["ph"] == "X"
         ]
         assert len(slices) == 15
 
@@ -84,7 +99,7 @@ class TestToTraceEvents:
         }
         assert (1, 0, "driver") in names
         assert (1, 1, "node 0") in names
-        assert (2, 2, "node 1") in names
+        assert (1, 2, "node 1") in names
 
     def test_output_validates_clean(self):
         doc = to_trace_events(
@@ -135,8 +150,8 @@ class TestLoadJsonl(object):
 
 class TestTracerDumpTraceEvent:
     def test_dump_writes_valid_document(self, tmp_path):
-        tracer = Tracer(clock=lambda: 0.0)
-        tracer.event("node.commit", node=0)
+        tracer = Tracer()
+        tracer.event("node.commit", 0.5, node=0)
         path = tmp_path / "te.json"
         tracer.dump_trace_event(str(path))
         doc = json.loads(path.read_text())

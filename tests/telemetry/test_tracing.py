@@ -1,4 +1,4 @@
-"""Tracer spans/events, JSONL dump, global no-op behavior."""
+"""Tracer events on the simulated clock, JSONL dump, global no-op behavior."""
 
 import json
 
@@ -6,20 +6,10 @@ from repro import telemetry
 from repro.telemetry import Tracer, get_tracer, set_tracer
 
 
-class FakeClock:
-    def __init__(self):
-        self.t = 100.0
-
-    def __call__(self):
-        return self.t
-
-
 class TestTracer:
-    def test_event_recorded_relative_to_creation(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        clock.t += 1.5
-        tracer.event("node.commit", node=0, committed=3)
+    def test_event_stamped_with_simulated_time(self):
+        tracer = Tracer()
+        tracer.event("node.commit", 1.5, node=0, committed=3)
         (rec,) = tracer.records
         assert rec == {
             "ts": 1.5,
@@ -28,72 +18,46 @@ class TestTracer:
             "attrs": {"node": 0, "committed": 3},
         }
 
-    def test_span_duration_and_result_attrs(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("sim.run", chain="srbb") as attrs:
-            clock.t += 2.0
-            attrs["committed"] = 10
-        (rec,) = tracer.records
-        assert rec["type"] == "span"
-        assert rec["dur"] == 2.0
-        assert rec["attrs"] == {"chain": "srbb", "committed": 10}
-
-    def test_span_records_on_exception(self):
+    def test_ts_written_unrounded(self):
         tracer = Tracer()
-        try:
-            with tracer.span("boom"):
-                raise RuntimeError()
-        except RuntimeError:
-            pass
-        assert tracer.records[0]["name"] == "boom"
+        t = 0.6010534923978069
+        tracer.event("node.commit", t)
+        assert json.loads(tracer.dumps())["ts"] == t
 
     def test_disabled_is_noop(self):
         tracer = Tracer(enabled=False)
-        tracer.event("x")
-        with tracer.span("y"):
-            pass
+        tracer.event("x", 0.0)
         assert tracer.records == []
 
-    def test_dumps_jsonl_sorted(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("outer"):  # recorded at exit, ts = start
-            clock.t += 1.0
-            tracer.event("inner")
+    def test_dumps_jsonl_in_append_order(self):
+        # Within a run records arrive in simulated-time order; the dump
+        # keeps that order and never re-sorts.
+        tracer = Tracer()
+        tracer.event("late", 2.0)
+        tracer.event("early", 1.0)
         lines = [json.loads(line) for line in tracer.dumps().splitlines()]
-        assert [r["name"] for r in lines] == ["outer", "inner"]
-        assert lines[0]["ts"] <= lines[1]["ts"]
+        assert [r["name"] for r in lines] == ["late", "early"]
 
     def test_dump_to_file(self, tmp_path):
         tracer = Tracer()
-        tracer.event("a", k="v")
+        tracer.event("a", 0.0, k="v")
         path = tmp_path / "trace.jsonl"
         tracer.dump(str(path))
         assert json.loads(path.read_text().splitlines()[0])["name"] == "a"
-
-    def test_clear_resets_clock(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        clock.t += 5.0
-        tracer.event("old")
-        tracer.clear()
-        tracer.event("new")
-        assert tracer.records[0]["ts"] == 0.0
 
 
 class TestBoundedMemory:
     def test_ring_buffer_sheds_oldest(self):
         tracer = Tracer(max_records=3)
         for i in range(5):
-            tracer.event(f"e{i}")
+            tracer.event(f"e{i}", float(i))
         assert [r["name"] for r in tracer.records] == ["e2", "e3", "e4"]
         assert tracer.dropped_records == 2
 
     def test_clear_resets_drop_counter(self):
         tracer = Tracer(max_records=1)
-        tracer.event("a")
-        tracer.event("b")
+        tracer.event("a", 0.0)
+        tracer.event("b", 0.0)
         tracer.clear()
         assert tracer.dropped_records == 0
 
@@ -101,122 +65,33 @@ class TestBoundedMemory:
         path = tmp_path / "stream.jsonl"
         tracer = Tracer()
         tracer.stream_to(str(path), flush_every=2)
-        tracer.event("a")
-        tracer.event("b")  # hits flush_every -> flushed to disk
+        tracer.event("a", 0.0)
+        tracer.event("b", 0.0)  # hits flush_every -> flushed to disk
         assert tracer.records == []
-        tracer.event("tail")
+        tracer.event("tail", 0.0)
         tracer.close_stream()
         names = [json.loads(l)["name"] for l in path.read_text().splitlines()]
         assert names == ["a", "b", "tail"]
         assert tracer.stream_path is None
 
+    def test_streamed_file_equals_buffered_dump(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        buffered, streamed = Tracer(), Tracer()
+        streamed.stream_to(str(path), flush_every=3)
+        for i in range(10):
+            for tracer in (buffered, streamed):
+                tracer.event("e", 0.1 * (i % 4), i=i)
+        streamed.close_stream()
+        assert path.read_text() == buffered.dumps()
+
     def test_dump_to_stream_path_closes_stream(self, tmp_path):
         path = tmp_path / "stream.jsonl"
         tracer = Tracer()
         tracer.stream_to(str(path))
-        tracer.event("only")
+        tracer.event("only", 0.0)
         tracer.dump(str(path))  # same path: finalize the stream, no rewrite
         assert tracer.stream_path is None
         assert json.loads(path.read_text())["name"] == "only"
-
-
-class TestClearWhileSpansOpen:
-    """clear() must not corrupt open spans (regression: satellite #3)."""
-
-    def test_open_span_survives_clear(self):
-        clock = FakeClock()
-        tracer = Tracer(clock=clock)
-        with tracer.span("outer"):
-            clock.t += 1.0
-            tracer.clear()
-            clock.t += 2.0
-        (rec,) = tracer.records
-        assert rec["name"] == "outer"
-        assert rec["dur"] >= 0.0  # clock rebased mid-span; never negative
-
-    def test_sibling_span_after_clear_keeps_own_frame(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            tracer.clear()
-            with tracer.span("inner"):
-                assert tracer.current_span_id == "s2"
-            # inner popped its own frame, outer's remains
-            assert tracer.current_span_id == "s1"
-        assert tracer.current_span_id is None
-
-    def test_span_ids_not_reused_while_open(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            tracer.clear()
-            # restart of the counter here would hand s1 (the live outer
-            # span's ID) to the new span
-            with tracer.span("inner"):
-                pass
-        ids = [r["span_id"] for r in tracer.records]
-        assert len(ids) == len(set(ids))
-
-    def test_clear_with_no_open_spans_restarts_ids(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        tracer.clear()
-        with tracer.span("b"):
-            pass
-        assert tracer.records[0]["span_id"] == "s1"
-
-
-class TestSpanIds:
-    def test_deterministic_ids_and_parent_links(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        with tracer.span("second"):
-            pass
-        by_name = {r["name"]: r for r in tracer.records}
-        assert by_name["outer"]["span_id"] == "s1"
-        assert by_name["inner"]["span_id"] == "s2"
-        assert by_name["inner"]["parent_id"] == "s1"
-        assert "parent_id" not in by_name["outer"]
-        assert by_name["second"]["span_id"] == "s3"
-
-    def test_events_tagged_with_enclosing_span(self):
-        tracer = Tracer()
-        tracer.event("orphan")
-        with tracer.span("work"):
-            tracer.event("child")
-        by_name = {r["name"]: r for r in tracer.records}
-        assert "span_id" not in by_name["orphan"]
-        assert by_name["child"]["span_id"] == "s1"
-
-    def test_current_span_id_tracks_stack(self):
-        tracer = Tracer()
-        assert tracer.current_span_id is None
-        with tracer.span("a"):
-            assert tracer.current_span_id == "s1"
-            with tracer.span("b"):
-                assert tracer.current_span_id == "s2"
-            assert tracer.current_span_id == "s1"
-        assert tracer.current_span_id is None
-
-    def test_clear_restarts_span_numbering(self):
-        tracer = Tracer()
-        with tracer.span("first"):
-            pass
-        tracer.clear()
-        with tracer.span("again"):
-            pass
-        assert tracer.records[0]["span_id"] == "s1"
-
-    def test_module_level_current_span_id(self):
-        fresh = Tracer()
-        previous = set_tracer(fresh)
-        try:
-            assert telemetry.current_span_id() is None
-            with telemetry.span("s"):
-                assert telemetry.current_span_id() == "s1"
-        finally:
-            set_tracer(previous)
 
 
 class TestGlobalTracer:
@@ -225,32 +100,30 @@ class TestGlobalTracer:
 
     def test_module_level_helpers_noop_when_disabled(self):
         before = len(get_tracer().records)
-        telemetry.event("ignored")
-        with telemetry.span("ignored") as attrs:
-            attrs["x"] = 1  # nullcontext still yields a dict
+        telemetry.event("ignored", 0.0)
         assert len(get_tracer().records) == before
 
     def test_module_level_helpers_record_when_swapped(self):
         fresh = Tracer()
         previous = set_tracer(fresh)
         try:
-            telemetry.event("e")
-            with telemetry.span("s"):
-                pass
+            telemetry.event("e", 3.25, node=1)
         finally:
             set_tracer(previous)
-        assert {r["name"] for r in fresh.records} == {"e", "s"}
+        (rec,) = fresh.records
+        assert (rec["name"], rec["ts"], rec["attrs"]) == ("e", 3.25, {"node": 1})
 
 
 class TestDroppedRecordsSurfacing:
     def test_dumps_appends_meta_trailer_when_truncated(self):
         tracer = Tracer(max_records=3)
         for i in range(5):
-            tracer.event(f"e{i}")
+            tracer.event(f"e{i}", float(i))
         lines = [json.loads(l) for l in tracer.dumps().splitlines()]
         meta = lines[-1]
         assert meta["type"] == "meta"
         assert meta["name"] == "tracer.dropped"
+        assert meta["ts"] == 4.0  # the newest kept record's time
         assert meta["dropped_records"] == 2
         assert meta["kept_records"] == 3
         # only the trailer; the kept records are unchanged
@@ -258,7 +131,7 @@ class TestDroppedRecordsSurfacing:
 
     def test_dumps_has_no_trailer_without_drops(self):
         tracer = Tracer()
-        tracer.event("only")
+        tracer.event("only", 0.0)
         lines = [json.loads(l) for l in tracer.dumps().splitlines()]
         assert [r.get("name") for r in lines] == ["only"]
 
@@ -266,8 +139,9 @@ class TestDroppedRecordsSurfacing:
         from repro.analysis.congestion_report import build_congestion_report
 
         records = [
-            {"type": "span", "name": "node.commit", "ts": 0.1, "dur": 0.05},
-            {"type": "meta", "name": "tracer.dropped", "ts": 0.2,
+            {"type": "event", "name": "node.commit", "ts": 0.1,
+             "attrs": {"node": 0, "exec_s": 0.05}},
+            {"type": "meta", "name": "tracer.dropped", "ts": 0.1,
              "dropped_records": 42, "kept_records": 1},
         ]
         text = build_congestion_report(trace_records=records)
