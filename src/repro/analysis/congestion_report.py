@@ -1,15 +1,13 @@
-"""Render saved observability artifacts into one congestion report.
+"""Render one saved trace into a congestion report.
 
-``repro report --observatory obs.json --lifecycle lc.json --trace t.jsonl``
-lands here: each input is optional, previously written by the CLI's
-``--observatory-out`` / ``--lifecycle-out`` / ``--trace-out`` flags, and
-the report combines whatever is present —
+``repro report --trace t.jsonl`` lands here.  The trace written by
+``--trace-out`` holds everything the report needs —
 
-* **critical path** — lifecycle records fed through
+* **critical path** — the ``tx.*`` lifecycle events fed through
   :func:`repro.telemetry.critical_path.analyze` (with ``exec_share``
-  measured from the trace's ``node.commit`` events when one is supplied);
-* **observatory** — congestion sample series as sparklines (terminal) or
-  inline-SVG charts (HTML).
+  measured from the same trace's ``node.commit`` events);
+* **congestion series** — the ``obs.sample`` events as sparklines
+  (terminal) or inline-SVG charts (HTML).
 
 Output is a plain-text terminal report or one self-contained HTML page
 (zero external assets), chosen by the caller.
@@ -18,75 +16,41 @@ Output is a plain-text terminal report or one self-contained HTML page
 from __future__ import annotations
 
 import html as _html
-import json
 
-__all__ = [
-    "load_observatory",
-    "load_lifecycle",
-    "load_trace",
-    "build_congestion_report",
-]
-
-
-def load_observatory(path: str) -> "list[dict]":
-    """Sample list from a ``CongestionObservatory.save`` file (or a bare
-    JSON list of samples)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return doc.get("samples", []) if isinstance(doc, dict) else doc
-
-
-def load_lifecycle(path: str) -> "list[dict]":
-    """Lifecycle records from a ``--lifecycle-out`` file (a JSON list, or
-    a mapping with a ``records`` key)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return doc.get("records", []) if isinstance(doc, dict) else doc
-
-
-def load_trace(path: str) -> "list[dict]":
-    """Tracer records from a ``--trace-out`` JSONL file."""
-    from repro.telemetry.trace_event import load_jsonl
-
-    return load_jsonl(path)
-
-
-def _dropped_records(trace_records: "list[dict]") -> int:
-    """Records the tracer's ring buffer shed, per the ``tracer.dropped``
-    meta trailer stamped into truncated traces (0 when absent)."""
-    for record in trace_records:
-        if (
-            record.get("type") == "meta"
-            and record.get("name") == "tracer.dropped"
-        ):
-            return int(record.get("dropped_records", 0))
-    return 0
+__all__ = ["build_congestion_report"]
 
 
 def build_congestion_report(
+    trace_records: "list[dict]",
     *,
-    samples: "list[dict] | None" = None,
-    lifecycle_records: "list[dict] | None" = None,
-    trace_records: "list[dict] | None" = None,
     html: bool = False,
     title: str = "SRBB congestion report",
 ) -> str:
-    """Assemble the report from whatever inputs are present."""
-    critical = None
-    if lifecycle_records:
-        from repro.telemetry.critical_path import analyze
+    """Assemble the report from whatever the trace holds."""
+    from repro.telemetry.critical_path import analyze, dropped_records
+    from repro.telemetry.observatory import samples_from_trace
 
-        critical = analyze(lifecycle_records, trace_records=trace_records)
-    dropped = _dropped_records(trace_records) if trace_records else 0
+    critical = None
+    if any(r.get("name", "").startswith("tx.") for r in trace_records):
+        critical = analyze(trace_records)
+    samples = samples_from_trace(trace_records) or None
+    dropped = dropped_records(trace_records)
     render = _render_html if html else _render_text
     return render(samples=samples, critical=critical, dropped=dropped, title=title)
 
 
-#: what a truncated trace costs the report: exec_share sees the late run only
+#: what a truncated trace costs the report
 _TRUNCATED = (
     "⚠ trace truncated: ring buffer dropped {dropped} oldest records — "
-    "exec_share above is measured on the late run only"
+    "exec_share above is measured on the late run only, and {excluded} "
+    "committed transactions that lost their submit stamp are left out of "
+    "the critical path"
 )
+
+
+def _truncated(critical, dropped) -> str:
+    excluded = critical.excluded if critical is not None else 0
+    return _TRUNCATED.format(dropped=dropped, excluded=excluded)
 
 
 def _render_text(*, samples, critical, dropped=0, title) -> str:
@@ -101,9 +65,9 @@ def _render_text(*, samples, critical, dropped=0, title) -> str:
         sections.append(render_samples_text(samples))
     if dropped:
         sections.append("")
-        sections.append(_TRUNCATED.format(dropped=dropped))
+        sections.append(_truncated(critical, dropped))
     if len(sections) == 2:
-        sections.append("no inputs — pass --observatory/--lifecycle/--trace")
+        sections.append("no tx.* or obs.sample events in the trace")
     return "\n".join(sections) + "\n"
 
 
@@ -127,9 +91,8 @@ def _render_html(*, samples, critical, dropped=0, title) -> str:
         body.append("<h2>congestion observatory</h2>")
         body.append(render_samples_figures(samples))
     if dropped:
-        body.append(f"<p>{_TRUNCATED.format(dropped=dropped)}</p>")
+        body.append(f"<p>{_truncated(critical, dropped)}</p>")
     if critical is None and samples is None:
-        body.append("<p>no inputs — pass --observatory/--lifecycle/"
-                    "--trace</p>")
+        body.append("<p>no tx.* or obs.sample events in the trace</p>")
     body.append("</body></html>")
     return "\n".join(body) + "\n"

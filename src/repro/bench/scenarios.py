@@ -159,53 +159,50 @@ def run_saturation_probe(
     not execution-bound.  This probe drives a real 4-validator deployment
     with a deliberately slow VM (``execution_rate`` txs/s, ~600-tx
     superblocks ⇒ each commit defers the next round by >1 s of execution)
-    well past capacity, with per-tx lifecycle recording on, and returns
-    ``(headline, CriticalPathReport)``: the critical-path attribution —
-    flat ``latency_breakdown:*`` keys — must pin ``execute`` as the
-    dominant phase at saturation.
+    well past capacity, with a private tracer recording every tx's
+    lifecycle, and returns ``(headline, CriticalPathReport)``: the
+    critical-path attribution — flat ``latency_breakdown:*`` keys — must
+    pin ``execute`` as the dominant phase at saturation.
     """
     from repro import params, telemetry
-    from repro.telemetry import lifecycle
     from repro.core.deployment import Deployment, fund_clients
     from repro.core.transaction import make_transfer
     from repro.net.topology import single_region_topology
     from repro.telemetry.critical_path import analyze
 
-    recorder = telemetry.LifecycleRecorder()
-    # Scope a private tracer too: the probe's exec_share comes from its
-    # own node.commit events, independent of whether the caller traces.
+    # A private tracer: the probe's lifecycle stamps and exec_share come
+    # from its own events, independent of whether the caller traces.
     tracer = telemetry.Tracer(enabled=True)
     previous_tracer = telemetry.set_tracer(tracer)
     try:
-        with lifecycle.use_recorder(recorder):
-            keypairs, balances = fund_clients(clients, seed=5000 + seed)
-            deployment = Deployment(
-                protocol=params.ProtocolParams(
-                    n=4, tvpr=True, rpm=False, max_block_txs=150
-                ),
-                topology=single_region_topology(4),
-                extra_balances=balances,
-                execution_rate=execution_rate,
-                seed=seed,
-            )
-            deployment.start()
-            total = clients * nonces
-            gap = send_window_s / total
-            sent = 0
-            for nonce in range(nonces):
-                for i, keypair in enumerate(keypairs):
-                    k = nonce * clients + i
-                    tx = make_transfer(
-                        keypair, keypairs[(i + 1) % clients].address, 1,
-                        nonce=nonce, created_at=k * gap,
-                    )
-                    deployment.submit(tx, validator_id=i % 4, at=k * gap)
-                    sent += 1
-            deployment.run_until(horizon_s)
+        keypairs, balances = fund_clients(clients, seed=5000 + seed)
+        deployment = Deployment(
+            protocol=params.ProtocolParams(
+                n=4, tvpr=True, rpm=False, max_block_txs=150
+            ),
+            topology=single_region_topology(4),
+            extra_balances=balances,
+            execution_rate=execution_rate,
+            seed=seed,
+        )
+        deployment.start()
+        total = clients * nonces
+        gap = send_window_s / total
+        sent = 0
+        for nonce in range(nonces):
+            for i, keypair in enumerate(keypairs):
+                k = nonce * clients + i
+                tx = make_transfer(
+                    keypair, keypairs[(i + 1) % clients].address, 1,
+                    nonce=nonce, created_at=k * gap,
+                )
+                deployment.submit(tx, validator_id=i % 4, at=k * gap)
+                sent += 1
+        deployment.run_until(horizon_s)
     finally:
         telemetry.set_tracer(previous_tracer)
 
-    report = analyze(recorder, trace_records=tracer.records)
+    report = analyze(tracer.records)
     committed_txs = report.committed
     headline = report.headline()
     headline["probe_sent"] = float(sent)

@@ -127,18 +127,11 @@ def _cmd_dapp(args) -> int:
     outcome = run_dapp_workload(
         args.workload, scale=args.scale, n=args.n,
         tvpr=not args.no_tvpr, rpm=args.rpm,
-        observatory_interval_s=(
-            args.observatory_interval if args.observatory_out else None
-        ),
     )
     for key, value in outcome.result.summary_row().items():
         print(f"{key:15s} {value}")
     print(f"{'safety':15s} {outcome.safety_holds}")
     print(f"{'states agree':15s} {outcome.states_agree}")
-    if args.observatory_out:
-        outcome.observatory.save(args.observatory_out)
-        print(f"observatory written to {args.observatory_out}",
-              file=sys.stderr)
     return 0
 
 
@@ -162,23 +155,12 @@ def _cmd_watch(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.observatory or args.lifecycle or args.trace:
-        from repro.analysis.congestion_report import (
-            build_congestion_report,
-            load_lifecycle,
-            load_observatory,
-            load_trace,
-        )
+    if args.trace:
+        from repro.analysis.congestion_report import build_congestion_report
+        from repro.telemetry.trace_event import load_jsonl
 
         text = build_congestion_report(
-            samples=(
-                load_observatory(args.observatory) if args.observatory
-                else None
-            ),
-            lifecycle_records=(
-                load_lifecycle(args.lifecycle) if args.lifecycle else None
-            ),
-            trace_records=load_trace(args.trace) if args.trace else None,
+            load_jsonl(args.trace),
             html=bool(args.output and args.output.endswith(".html")),
         )
     else:
@@ -296,11 +278,6 @@ def _telemetry_parent() -> argparse.ArgumentParser:
         "ui.perfetto.dev) with per-node tracks and per-tx flow arrows",
     )
     group.add_argument(
-        "--lifecycle-out", metavar="PATH", default=None,
-        help="dump per-transaction lifecycle stamps (phase boundaries on "
-        "the simulated clock) as JSON, for 'repro report --lifecycle'",
-    )
-    group.add_argument(
         "-v", "--verbose", action="count", default=0,
         help="log more (-v: info, -vv: debug) on the repro.* loggers",
     )
@@ -369,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-tvpr", action="store_true",
                    help="modern-blockchain mode (gossip everything)")
     p.add_argument("--rpm", action="store_true")
-    p.add_argument("--observatory-out", metavar="PATH", default=None,
-                   help="sample congestion signals during the run and "
-                   "save the series as JSON (see 'repro report')")
-    p.add_argument("--observatory-interval", type=float, default=1.0,
-                   help="observatory sampling cadence, simulated "
-                   "seconds (default 1.0)")
     p.set_defaults(fn=_cmd_dapp)
 
     p = add_parser("watch", help="sparkline congestion series for one run")
@@ -471,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(
         fn=_cmd_profile, profile_fn=_cmd_dapp,
         profile_slug=lambda a: f"dapp_{a.workload}",
-        observatory_out=None, observatory_interval=1.0,
     )
 
     q = prof_sub.add_parser(
@@ -501,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser(
         "report",
-        help="regenerate the full markdown report, or render saved "
-        "observability artifacts into a congestion report",
+        help="regenerate the full markdown report, or render a saved "
+        "trace (--trace) into a congestion report",
     )
     p.add_argument("--output", "-o", default=None,
                    help="write to a file (.html selects the HTML renderer "
@@ -510,33 +480,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-table1", action="store_true",
                    help="skip the (slow) message-level Table I run")
     p.add_argument("--table1-scale", type=float, default=1.0)
-    p.add_argument("--observatory", metavar="PATH", default=None,
-                   help="congestion-observatory samples (from "
-                   "'repro dapp --observatory-out')")
-    p.add_argument("--lifecycle", metavar="PATH", default=None,
-                   help="lifecycle stamps (from --lifecycle-out); renders "
-                   "the critical-path latency attribution")
     p.add_argument("--trace", metavar="PATH", default=None,
-                   help="JSONL trace (from --trace-out); measures "
-                   "exec_share for the critical path")
+                   help="JSONL trace (from --trace-out); renders its "
+                   "critical-path latency attribution and congestion "
+                   "series")
     p.set_defaults(fn=_cmd_report)
 
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    import json
-
     from repro import telemetry
-    from repro.telemetry import lifecycle
 
     args = build_parser().parse_args(argv)
     telemetry.configure_logging(args.verbose)
-    capture = bool(
-        args.metrics_out or args.trace_out
-        or args.trace_event_out or args.lifecycle_out
-    )
-    recorder = prev_recorder = None
+    capture = bool(args.metrics_out or args.trace_out or args.trace_event_out)
     if capture:
         # Fresh counts per invocation so the dump reconciles with this
         # run's results even when main() is called repeatedly in-process.
@@ -552,25 +510,6 @@ def main(argv: "list[str] | None" = None) -> int:
             # also requested the trace stays buffered and both dumps
             # happen at the end.
             tracer.stream_to(args.trace_out)
-        if args.trace_event_out or args.lifecycle_out:
-            # Lifecycle stamps feed both the lifecycle dump and the
-            # trace-event flow arrows.  Deployments bind their simulated
-            # clock to the recorder at construction when it is enabled.
-            recorder = lifecycle.LifecycleRecorder(enabled=True)
-            prev_recorder = lifecycle.set_recorder(recorder)
-
-    def _write_trace_event(path: str) -> None:
-        records = recorder.to_records() if recorder and len(recorder) else None
-        telemetry.get_tracer().dump_trace_event(path, lifecycle_records=records)
-
-    def _write_lifecycle(path: str) -> None:
-        doc = {
-            "phases": list(lifecycle.PHASES),
-            "records": recorder.to_records() if recorder else [],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
 
     from repro.errors import OutputWriteError
 
@@ -585,9 +524,9 @@ def main(argv: "list[str] | None" = None) -> int:
         # traceback — report it and fail the exit code instead.
         for path, write in (
             (args.metrics_out, lambda p: telemetry.write_metrics(p)),
-            (args.trace_event_out, _write_trace_event),
+            (args.trace_event_out,
+             lambda p: telemetry.get_tracer().dump_trace_event(p)),
             (args.trace_out, lambda p: telemetry.get_tracer().dump(p)),
-            (args.lifecycle_out, _write_lifecycle),
         ):
             if not path:
                 continue
@@ -617,8 +556,6 @@ def main(argv: "list[str] | None" = None) -> int:
             tracer = telemetry.get_tracer()
             tracer.close_stream()
             tracer.enabled = False
-            if prev_recorder is not None:
-                lifecycle.set_recorder(prev_recorder)
     return rc
 
 

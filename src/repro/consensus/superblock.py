@@ -27,7 +27,6 @@ from types import SimpleNamespace
 from typing import Any, Callable
 
 from repro import telemetry
-from repro.telemetry import lifecycle
 from repro.consensus.broadcast import ReliableBroadcast
 from repro.consensus.dbft import BinaryConsensus, VoteTable
 from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun
@@ -88,6 +87,7 @@ class SuperBlockConsensus:
         on_superblock: Callable[[SuperBlock], None],
         validate_header: Callable[[Block], bool] | None = None,
         on_undecided_block: Callable[[Block], None] | None = None,
+        on_block_delivered: Callable[[Block], None] | None = None,
     ):
         self.n = n
         self.f = f
@@ -101,6 +101,9 @@ class SuperBlockConsensus:
         #: too, else their transactions leak (RBC totality guarantees the
         #: delivery, but not before the decision)
         self._on_undecided_block = on_undecided_block
+        #: invoked for every RBC-delivered proposal, late ones included
+        #: (the node stamps its transactions' ``rbc`` phase)
+        self._on_block_delivered = on_block_delivered
 
         self.proposals: dict[int, Block] = {}
         self.decisions: dict[int, int] = {}
@@ -208,10 +211,8 @@ class SuperBlockConsensus:
             self._vote(instance_id, 0)
             return
         block = payload
-        # Lifecycle: the carrying block reached RBC echo/ready quorum
-        # here (simulated time via the recorder-bound deployment clock).
-        if block.transactions and lifecycle.enabled():
-            lifecycle.stamp_txs(block.transactions, "rbc", node=self.my_id)
+        if self._on_block_delivered is not None:
+            self._on_block_delivered(block)
         if self.finished:
             # Late delivery: the round is over.  If this slot was voted
             # out, hand the block to the recycler (Alg. 1 line 31).
@@ -267,12 +268,6 @@ class SuperBlockConsensus:
             index=self.index,
             blocks=tuple(self.proposals[i] for i in accepted),
         )
-        if lifecycle.enabled():
-            for block in self.superblock.blocks:
-                lifecycle.stamp_txs(
-                    block.transactions, "decide",
-                    node=self.my_id, index=self.index,
-                )
         if telemetry.get_registry().enabled:
             m = _metrics()
             m.superblocks.inc()

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro import params
-from repro.telemetry import lifecycle
 from repro.core.node import ValidatorNode
 from repro.core.rpm import RPMContract
 from repro.core.transaction import Transaction
@@ -98,11 +97,6 @@ class Deployment:
                 f"topology has {self.topology.n} nodes but protocol.n = {n}"
             )
         self.sim = Simulator()
-        # Lifecycle stamping sites without a sim in scope (the consensus
-        # layer) read the recorder's bound clock; point it at this
-        # deployment's simulated time whenever recording is on.
-        if lifecycle.enabled():
-            lifecycle.get_recorder().bind_clock(lambda: self.sim.now)
         self.network = Network(
             self.sim, self.topology, seed=seed, timing=timing, net=net_params
         )

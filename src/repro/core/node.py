@@ -28,7 +28,6 @@ import logging
 from typing import Callable, Iterable
 
 from repro import params, telemetry
-from repro.telemetry import lifecycle
 from repro.core.block import Block, SuperBlock, make_block
 from repro.core.blockchain import Blockchain, CommitResult
 from repro.core.catchup import CatchupRequest, CatchupResponse, DecidedJournal
@@ -358,12 +357,13 @@ class ValidatorNode:
         self._catchup_buffered_votes = 0
         if self.watchdog is not None:
             self.watchdog.stop()
-        telemetry.event(
-            "node.crash", self.sim.now,
-            node=self.node_id,
-            height=self.blockchain.height,
-            next_index=self._next_commit_index,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "node.crash", self.sim.now,
+                node=self.node_id,
+                height=self.blockchain.height,
+                next_index=self._next_commit_index,
+            )
         logger.info(
             "node %d crashed at t=%.3f (commit frontier %d)",
             self.node_id, self.sim.now, self._next_commit_index,
@@ -384,11 +384,12 @@ class ValidatorNode:
         self._recovering = True
         self._catchup_floor = self._next_commit_index
         self._refresh_exclusions()
-        telemetry.event(
-            "node.restart", self.sim.now,
-            node=self.node_id,
-            next_index=self._next_commit_index,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "node.restart", self.sim.now,
+                node=self.node_id,
+                next_index=self._next_commit_index,
+            )
         logger.info(
             "node %d restarting at t=%.3f (commit frontier %d)",
             self.node_id, self.sim.now, self._next_commit_index,
@@ -411,11 +412,12 @@ class ValidatorNode:
         req = CatchupRequest(
             next_index=self._next_commit_index, requester=self.node_id
         )
-        telemetry.event(
-            "node.catchup_request", self.sim.now,
-            node=self.node_id,
-            next_index=req.next_index,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "node.catchup_request", self.sim.now,
+                node=self.node_id,
+                next_index=req.next_index,
+            )
         self.network.broadcast(
             self.node_id,
             Message(
@@ -434,17 +436,15 @@ class ValidatorNode:
         if self.crashed:
             return False
         self.stats.txs_from_clients += 1
-        lifecycle.stamp(
-            tx.tx_hash, "submit", node=self.node_id, t=self.sim.now
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.stamp_txs("submit", self.sim.now, (tx,), node=self.node_id)
         return self._receive(tx, from_peer=False)
 
     def _deliver_gossiped_tx(self, tx: Transaction, sender: int) -> None:
         """A peer gossiped an individual transaction (non-TVPR mode only)."""
         self.stats.txs_from_peers += 1
-        lifecycle.stamp(
-            tx.tx_hash, "gossip", node=self.node_id, t=self.sim.now
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.stamp_txs("gossip", self.sim.now, (tx,), node=self.node_id)
         self._receive(tx, from_peer=True)
 
     def _receive(self, tx: Transaction, *, from_peer: bool) -> bool:
@@ -463,7 +463,8 @@ class ValidatorNode:
         if self.blockchain.contains_tx(tx) or tx in self.pool:
             return False
         self.pool.add(tx, now=self.sim.now)  # line 7
-        lifecycle.stamp(tx.tx_hash, "pool", node=self.node_id, t=self.sim.now)
+        if telemetry.get_tracer().enabled:
+            telemetry.stamp_txs("pool", self.sim.now, (tx,), node=self.node_id)
         if not self.protocol.tvpr and self.sim.now - tx.created_at < self.protocol.tx_ttl:
             # line 9 — modern blockchains gossip; SRBB (TVPR) does not.
             self.gossip.publish(tx.tx_hash, tx, tx.encoded_size())
@@ -498,9 +499,9 @@ class ValidatorNode:
             next_nonce=self.blockchain.state.nonce_of,
             by_fee=self.order_by_fee,
         )
-        if batch and lifecycle.enabled():
-            lifecycle.stamp_txs(
-                batch, "propose", node=self.node_id, t=self.sim.now
+        if batch and telemetry.get_tracer().enabled:
+            telemetry.stamp_txs(
+                "propose", self.sim.now, batch, node=self.node_id
             )
         return make_block(
             self.keypair, self.node_id, index, batch, round=index
@@ -548,6 +549,7 @@ class ValidatorNode:
                 on_superblock=self._on_superblock,
                 validate_header=self._validate_header,
                 on_undecided_block=self._recycle_block,
+                on_block_delivered=self._on_block_delivered,
             )
         return self._consensus[index]
 
@@ -664,16 +666,30 @@ class ValidatorNode:
 
     # -- decision & commit (Alg. 1 lines 18-31) ------------------------------------------------
 
+    def _on_block_delivered(self, block: Block) -> None:
+        """A proposal was RBC-delivered here: its txs reach ``rbc``."""
+        if block.transactions and telemetry.get_tracer().enabled:
+            telemetry.stamp_txs(
+                "rbc", self.sim.now, block.transactions, node=self.node_id
+            )
+
     def _on_superblock(self, superblock: SuperBlock) -> None:
-        telemetry.event(
-            "consensus.superblock", self.sim.now,
-            node=self.node_id,
-            index=superblock.index,
-            blocks=len(superblock.blocks),
-            discarded_headers=len(
-                self._consensus[superblock.index].discarded_headers
-            ),
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "consensus.superblock", self.sim.now,
+                node=self.node_id,
+                index=superblock.index,
+                blocks=len(superblock.blocks),
+                discarded_headers=len(
+                    self._consensus[superblock.index].discarded_headers
+                ),
+            )
+            txs = [tx for block in superblock.blocks for tx in block.transactions]
+            if txs:
+                telemetry.stamp_txs(
+                    "decide", self.sim.now, txs,
+                    node=self.node_id, index=superblock.index,
+                )
         self._pending_superblocks[superblock.index] = superblock
         while self._next_commit_index in self._pending_superblocks:
             sb = self._pending_superblocks[self._next_commit_index]
@@ -717,16 +733,17 @@ class ValidatorNode:
         refresh, recycling and the next round's scheduling."""
         result = self._apply_superblock(superblock)
         processed = len(result.committed) + len(result.discarded)
-        telemetry.event(
-            "node.commit", self.sim.now,
-            node=self.node_id,
-            index=superblock.index,
-            committed=len(result.committed),
-            discarded=len(result.discarded),
-            # CPU seconds this commit spends in lazy validation + VM
-            # execution — the critical-path analyzer's exec_share input
-            exec_s=round(processed / self.execution_rate, 9),
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "node.commit", self.sim.now,
+                node=self.node_id,
+                index=superblock.index,
+                committed=len(result.committed),
+                discarded=len(result.discarded),
+                # CPU seconds this commit spends in lazy validation + VM
+                # execution — the critical-path analyzer's exec_share input
+                exec_s=round(processed / self.execution_rate, 9),
+            )
         logger.debug(
             "node %d committed superblock %d: %d txs, %d discarded",
             self.node_id, superblock.index,
@@ -759,37 +776,35 @@ class ValidatorNode:
         )
 
     def _stamp_committed(self, index, result) -> None:
-        """Lifecycle stamps for one applied superblock: ``commit`` at the
-        commit instant, ``execute`` at each tx's staggered VM-execution
-        time (the ``commit_times`` cursor), ``receipt`` once indexed —
-        every committed transaction has a successful receipt."""
-        if not lifecycle.enabled():
+        """One ``tx.commit`` event for an applied superblock, carrying each
+        tx's staggered VM-execution time (the ``commit_times`` cursor) —
+        the ``execute`` and ``receipt`` stamps, since every committed
+        transaction has a successful receipt."""
+        if not result.committed or not telemetry.get_tracer().enabled:
             return
         now = self.sim.now
         commit_times = self.blockchain.commit_times
-        for tx in result.committed:
-            lifecycle.stamp(
-                tx.tx_hash, "commit", node=self.node_id, t=now, index=index
-            )
-            executed_at = commit_times.get(tx.tx_hash, now)
-            lifecycle.stamp(
-                tx.tx_hash, "execute", node=self.node_id, t=executed_at
-            )
-            lifecycle.stamp(
-                tx.tx_hash, "receipt", node=self.node_id, t=executed_at
-            )
+        telemetry.stamp_txs(
+            "commit", now, result.committed, node=self.node_id, index=index,
+            commit_times=[
+                commit_times.get(tx.tx_hash, now) for tx in result.committed
+            ],
+        )
 
     def _recycle_block(self, block: Block) -> None:
         """Re-admit valid transactions from an undecided block (line 31)."""
+        admitted = []
         for tx in block.transactions:
             if self.blockchain.contains_tx(tx) or tx in self.pool:
                 continue
             if eager_validate(tx, self.blockchain.state, self.protocol):
                 self.pool.add(tx, now=self.sim.now)
                 self.stats.recycled_from_undecided += 1
-                lifecycle.stamp(
-                    tx.tx_hash, "pool", node=self.node_id, t=self.sim.now
-                )
+                admitted.append(tx)
+        if admitted and telemetry.get_tracer().enabled:
+            telemetry.stamp_txs(
+                "pool", self.sim.now, admitted, node=self.node_id
+            )
 
     # -- catch-up protocol -------------------------------------------------------------------
 
@@ -816,13 +831,14 @@ class ValidatorNode:
             next_index=self._next_commit_index,
             responder=self.node_id,
         )
-        telemetry.event(
-            "node.catchup_serve", self.sim.now,
-            node=self.node_id,
-            requester=req.requester,
-            superblocks=len(superblocks),
-            next_index=resp.next_index,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "node.catchup_serve", self.sim.now,
+                node=self.node_id,
+                requester=req.requester,
+                superblocks=len(superblocks),
+                next_index=resp.next_index,
+            )
         self.network.send(
             self.node_id,
             req.requester,
@@ -856,12 +872,13 @@ class ValidatorNode:
             try:
                 restore_snapshot(resp.snapshot, expected_root=resp.state_root)
             except SyncError as exc:
-                telemetry.event(
-                    "node.catchup_rejected", self.sim.now,
-                    node=self.node_id,
-                    responder=resp.responder,
-                    reason=str(exc),
-                )
+                if telemetry.get_tracer().enabled:
+                    telemetry.event(
+                        "node.catchup_rejected", self.sim.now,
+                        node=self.node_id,
+                        responder=resp.responder,
+                        reason=str(exc),
+                    )
                 logger.warning(
                     "node %d rejecting catch-up from %d: %s",
                     self.node_id, resp.responder, exc,
@@ -877,12 +894,13 @@ class ValidatorNode:
         if self._recovering:
             if self._next_commit_index == resp.next_index:
                 if self.blockchain.state.state_root() != resp.state_root:
-                    telemetry.event(
-                        "node.catchup_root_mismatch", self.sim.now,
-                        node=self.node_id,
-                        responder=resp.responder,
-                        index=self._next_commit_index,
-                    )
+                    if telemetry.get_tracer().enabled:
+                        telemetry.event(
+                            "node.catchup_root_mismatch", self.sim.now,
+                            node=self.node_id,
+                            responder=resp.responder,
+                            index=self._next_commit_index,
+                        )
                     logger.error(
                         "node %d: replayed to index %d but state root differs "
                         "from responder %d — staying in recovery",
@@ -893,13 +911,14 @@ class ValidatorNode:
         elif applied:
             # A stalled (but never-crashed) node caught up past rounds it
             # was starved out of; rejoin proposing at the new frontier.
-            telemetry.event(
-                "node.catchup_absorbed", self.sim.now,
-                node=self.node_id,
-                responder=resp.responder,
-                applied=applied,
-                next_index=self._next_commit_index,
-            )
+            if telemetry.get_tracer().enabled:
+                telemetry.event(
+                    "node.catchup_absorbed", self.sim.now,
+                    node=self.node_id,
+                    responder=resp.responder,
+                    applied=applied,
+                    next_index=self._next_commit_index,
+                )
             next_index = self._next_commit_index
             if next_index > self._next_propose_index:
                 self._next_propose_index = next_index
@@ -919,12 +938,13 @@ class ValidatorNode:
             replayed += len(item.messages) if type(item) is VoteRun else 1
         next_index = max(self._next_commit_index, self._next_propose_index)
         self._next_propose_index = next_index
-        telemetry.event(
-            "node.recovered", self.sim.now,
-            node=self.node_id,
-            next_index=next_index,
-            buffered_replayed=replayed,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "node.recovered", self.sim.now,
+                node=self.node_id,
+                next_index=next_index,
+                buffered_replayed=replayed,
+            )
         logger.info(
             "node %d recovered at t=%.3f: frontier %d, %d buffered messages "
             "replayed", self.node_id, self.sim.now, self._next_commit_index,
@@ -997,13 +1017,14 @@ class ValidatorNode:
             )
             if self._receive(tx, from_peer=False):
                 self.stats.rpm_reports += 1
-                telemetry.event(
-                    "rpm.report", self.sim.now,
-                    node=self.node_id,
-                    proposer=proposer_id,
-                    error=error,
-                    index=superblock.index,
-                )
+                if telemetry.get_tracer().enabled:
+                    telemetry.event(
+                        "rpm.report", self.sim.now,
+                        node=self.node_id,
+                        proposer=proposer_id,
+                        error=error,
+                        index=superblock.index,
+                    )
                 logger.info(
                     "node %d filed RPM report against proposer %d (%s)",
                     self.node_id, proposer_id, error,

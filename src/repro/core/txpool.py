@@ -297,8 +297,8 @@ class TxPool:
 
     def oldest_age(self, now: float) -> float:
         """Age in seconds of the oldest pending transaction (0.0 when
-        empty) — the congestion observatory's queue-delay signal: a
-        growing oldest-age means arrivals outpace block inclusion."""
+        empty) — the queue-delay signal of ``obs.sample`` trace events:
+        a growing oldest-age means arrivals outpace block inclusion."""
         for _, admitted in self._pending.values():
             return max(0.0, now - admitted)
         return 0.0

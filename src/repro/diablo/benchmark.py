@@ -106,11 +106,12 @@ class DiabloBenchmark:
         )
         deployment.run_until(horizon)
         result = self.collect(schedule, horizon)
-        telemetry.event(
-            "diablo.run", deployment.sim.now, schedule=schedule.name,
-            n=deployment.protocol.n, sent=result.sent,
-            committed=result.committed,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "diablo.run", deployment.sim.now, schedule=schedule.name,
+                n=deployment.protocol.n, sent=result.sent,
+                committed=result.committed,
+            )
         logger.info(
             "diablo run %s: %d/%d committed, %.2f TPS, %.3f s avg latency",
             schedule.name, result.committed, result.sent,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import params
-from repro.telemetry import CongestionObservatory
+from repro import params, telemetry
 from repro.core.deployment import Deployment
 from repro.diablo.benchmark import BenchmarkResult, DiabloBenchmark
 from repro.diablo.client import LoadSchedule, RoundRobinSubmitter
 from repro.net.topology import Topology, single_region_topology
+from repro.telemetry.observatory import start_sampling
 from repro.workloads import (
     fifa_request_factory,
     fifa_trace,
@@ -45,9 +45,6 @@ class DappRunOutcome:
     result: BenchmarkResult
     deployment: Deployment
     schedule: LoadSchedule
-    #: congestion sample series, present when ``observatory_interval_s``
-    #: was passed to :func:`run_dapp_workload`
-    observatory: "CongestionObservatory | None" = None
 
     @property
     def safety_holds(self) -> bool:
@@ -69,13 +66,14 @@ def run_dapp_workload(
     topology: Topology | None = None,
     grace_s: float = 30.0,
     seed: int = 1,
-    observatory_interval_s: "float | None" = None,
 ) -> DappRunOutcome:
     """Run one DApp workload end to end on the engine.
 
     ``scale`` shrinks the paper-scale trace (1 % by default — engine runs
     are exact, so they pay per-transaction cost).  Returns the DIABLO
-    metrics plus the live deployment.
+    metrics plus the live deployment.  While the global tracer is on, the
+    run also emits one ``obs.sample`` congestion sample per simulated
+    second.
     """
     try:
         trace_fn, factory_fn, genesis_setup = _WORKLOADS[workload]
@@ -94,15 +92,11 @@ def run_dapp_workload(
         seed=seed,
         genesis_setup=genesis_setup,
     )
-    observatory = None
-    if observatory_interval_s is not None:
-        observatory = CongestionObservatory(
-            deployment, interval_s=observatory_interval_s
-        ).install()
+    if telemetry.get_tracer().enabled:
+        start_sampling(deployment)
     schedule = LoadSchedule.from_trace(trace, factory)
     bench = DiabloBenchmark(deployment, submitter=RoundRobinSubmitter())
     result = bench.run(schedule, grace_s=grace_s)
     return DappRunOutcome(
-        result=result, deployment=deployment, schedule=schedule,
-        observatory=observatory,
+        result=result, deployment=deployment, schedule=schedule
     )

@@ -113,9 +113,10 @@ class FaultController:
                 m.crashed.inc()
             elif event.kind == "restart":
                 m.crashed.dec()
-        telemetry.event(
-            "fault.inject", self.sim.now, kind=event.kind, node=event.node,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "fault.inject", self.sim.now, kind=event.kind, node=event.node,
+            )
         if event.kind == "crash":
             self.deployment.crash(event.node)
         elif event.kind == "restart":
@@ -138,10 +139,11 @@ class FaultController:
             m = _metrics()
             m.injected.labels(kind=f"{event.kind}-{edge}").inc()
             m.byzantine.set(self.byzantine_windows_open)
-        telemetry.event(
-            "fault.inject", self.sim.now, kind=f"{event.kind}-{edge}",
-            node=event.node,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "fault.inject", self.sim.now, kind=f"{event.kind}-{edge}",
+                node=event.node,
+            )
         # Let correct nodes' watchdogs know a declared misbehaviour window
         # is open, so a stall during it is classified before re-nudging.
         for validator in self.deployment.validators:
@@ -158,10 +160,11 @@ class FaultController:
         self.applied.append((f"{event.kind}-{edge}", event.node, self.sim.now))
         if telemetry.get_registry().enabled:
             _metrics().injected.labels(kind=f"{event.kind}-{edge}").inc()
-        telemetry.event(
-            "fault.inject", self.sim.now, kind=f"{event.kind}-{edge}",
-            node=event.node, link=event.link, p=event.p,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "fault.inject", self.sim.now, kind=f"{event.kind}-{edge}",
+                node=event.node, link=event.link, p=event.p,
+            )
 
     # -- LinkFaultModel ------------------------------------------------------------
 

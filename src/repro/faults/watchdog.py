@@ -127,9 +127,10 @@ class LivenessWatchdog:
         if self.stalled:
             self.stalled = False
             self._set_wedged(0)
-            telemetry.event(
-                "watchdog.recovered", self.sim.now, node=self.node_id,
-            )
+            if telemetry.get_tracer().enabled:
+                telemetry.event(
+                    "watchdog.recovered", self.sim.now, node=self.node_id,
+                )
 
     # -- the check loop -----------------------------------------------------------
 
@@ -143,10 +144,11 @@ class LivenessWatchdog:
             self._set_wedged(1)
             if telemetry.get_registry().enabled:
                 _metrics().stalls.labels(node=str(self.node_id)).inc()
-            telemetry.event(
-                "watchdog.stall", self.sim.now,
-                node=self.node_id, idle_s=round(idle, 4),
-            )
+            if telemetry.get_tracer().enabled:
+                telemetry.event(
+                    "watchdog.stall", self.sim.now,
+                    node=self.node_id, idle_s=round(idle, 4),
+                )
             self._nudge()
         elif self.stalled:
             # Still wedged on a later check: keep nudging recovery.
@@ -165,8 +167,9 @@ class LivenessWatchdog:
             # behind: a catch-up request would only spam peers that have
             # nothing newer to offer.
             self.withheld_checks += 1
-            telemetry.event(
-                "watchdog.withheld", self.sim.now, node=self.node_id,
-            )
+            if telemetry.get_tracer().enabled:
+                telemetry.event(
+                    "watchdog.withheld", self.sim.now, node=self.node_id,
+                )
             return
         self.on_stall()

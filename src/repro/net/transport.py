@@ -363,8 +363,8 @@ class Network:
 
     def inflight(self) -> int:
         """Un-acked reliable sends currently awaiting ack/retransmit —
-        the network-wide retransmission-queue depth sampled by the
-        congestion observatory (0 under fire-and-forget delivery)."""
+        the network-wide retransmission-queue depth that ``obs.sample``
+        trace events carry (0 under fire-and-forget delivery)."""
         return len(self._pending)
 
     # -- delay model ---------------------------------------------------------------
@@ -538,11 +538,12 @@ class Network:
         if attempt >= RETRANSMIT_CAP:
             if telemetry.get_registry().enabled:
                 _rel_metrics().delivery_failures.inc()
-            telemetry.event(
-                "net.delivery_failure", self.sim.now,
-                src=src, dst=dst, seq=seq,
-                attempts=attempt + 1,
-            )
+            if telemetry.get_tracer().enabled:
+                telemetry.event(
+                    "net.delivery_failure", self.sim.now,
+                    src=src, dst=dst, seq=seq,
+                    attempts=attempt + 1,
+                )
             return
         self.stats.retransmissions += 1
         _base, src_region, dst_region = self._link(src, dst)

@@ -145,11 +145,12 @@ class CongestionSim:
 
     def run(self) -> SimResult:
         result = self._run()
-        telemetry.event(
-            "sim.run", result.duration_s, chain=self.model.name,
-            workload=self.trace.name, sent=result.sent,
-            committed=result.committed,
-        )
+        if telemetry.get_tracer().enabled:
+            telemetry.event(
+                "sim.run", result.duration_s, chain=self.model.name,
+                workload=self.trace.name, sent=result.sent,
+                committed=result.committed,
+            )
         return result
 
     def _run(self) -> SimResult:

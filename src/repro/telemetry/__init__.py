@@ -9,8 +9,12 @@ Three layers, all off by default and one-branch-cheap until enabled:
 * **Tracing** — point :func:`event` s stamped with the simulated clock,
   buffered by a global :class:`Tracer` and dumped as JSONL
   (``--trace-out``); a seeded run's trace is byte-identical run to run.
+  The trace is the one per-run record: per-transaction lifecycle stamps
+  are ``tx.<phase>`` events (:func:`stamp_txs`) and congestion samples
+  are ``obs.sample`` events (:mod:`repro.telemetry.observatory`), read
+  back by :mod:`repro.telemetry.critical_path` and ``repro report``.
 * **Exporters** — Prometheus text + JSON snapshots, and the Chrome
-  trace-event (Perfetto) export of trace events plus lifecycle stamps.
+  trace-event (Perfetto) export of the trace, with per-tx flow arrows.
 
 Every record here is on the simulated clock.  Where the simulator itself
 spends host CPU is answered from outside the engines: ``repro profile``
@@ -21,7 +25,7 @@ The metric catalogue (names, labels, units) lives in
 ``docs/OBSERVABILITY.md``.
 """
 
-from repro.telemetry.critical_path import CriticalPathReport
+from repro.telemetry.critical_path import PHASES, CriticalPathReport
 from repro.telemetry.critical_path import analyze as analyze_critical_path
 from repro.telemetry.exporters import (
     parse_prometheus,
@@ -29,15 +33,7 @@ from repro.telemetry.exporters import (
     to_prometheus,
     write_metrics,
 )
-from repro.telemetry.lifecycle import (
-    PHASES,
-    LifecycleRecorder,
-    get_recorder,
-    set_recorder,
-    use_recorder,
-)
 from repro.telemetry.logconfig import configure_logging, verbosity_to_level
-from repro.telemetry.observatory import CongestionObservatory
 from repro.telemetry.registry import (
     COUNT_BUCKETS,
     DEFAULT_BUCKETS,
@@ -54,18 +50,22 @@ from repro.telemetry.registry import (
     use_registry,
 )
 from repro.telemetry.trace_event import to_trace_events, validate_trace_event
-from repro.telemetry.tracing import Tracer, event, get_tracer, set_tracer
+from repro.telemetry.tracing import (
+    Tracer,
+    event,
+    get_tracer,
+    set_tracer,
+    stamp_txs,
+)
 
 __all__ = [
     "COUNT_BUCKETS",
     "DEFAULT_BUCKETS",
     "PHASES",
-    "CongestionObservatory",
     "Counter",
     "CriticalPathReport",
     "Gauge",
     "Histogram",
-    "LifecycleRecorder",
     "MetricsRegistry",
     "QuantileSketch",
     "Tracer",
@@ -75,17 +75,15 @@ __all__ = [
     "disable",
     "enable",
     "event",
-    "get_recorder",
     "get_registry",
     "get_tracer",
     "parse_prometheus",
-    "set_recorder",
     "set_registry",
     "set_tracer",
+    "stamp_txs",
     "to_json",
     "to_prometheus",
     "to_trace_events",
-    "use_recorder",
     "use_registry",
     "validate_trace_event",
     "verbosity_to_level",

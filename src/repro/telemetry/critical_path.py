@@ -1,9 +1,31 @@
 """Post-hoc critical-path attribution of end-to-end commit latency.
 
-Consumes the per-tx lifecycle stamps (:mod:`repro.telemetry.lifecycle`)
-plus the tracer's event records and answers *where the time goes*:
-for each committed transaction the resolved timeline is folded into six
-raw buckets that telescope exactly to the end-to-end latency,
+Reads one trace (:mod:`repro.telemetry.tracing`) and answers *where the
+time goes*.  Every transaction on the message-level engine is stamped by
+``tx.<phase>`` events at each phase boundary it crosses (simulated
+clock, per node):
+
+    submit → gossip → pool → propose → rbc → decide → commit → execute → receipt
+
+* ``submit``  — client submission reached a validator (§IV-C Reception);
+* ``gossip``  — a peer's gossiped copy arrived (non-TVPR mode only);
+* ``pool``    — admitted to a transaction pool (Alg. 1 line 7);
+* ``propose`` — taken into a block proposal (Alg. 1 lines 11-12);
+* ``rbc``     — the carrying block was RBC-delivered at a node;
+* ``decide``  — the superblock containing it was DBFT-decided;
+* ``commit``  — applied by the ordered commit loop;
+* ``execute`` / ``receipt`` — VM execution done and receipt indexed, at
+  the per-tx execution time ``tx.commit`` carries in ``commit_times``.
+
+A transaction is stamped for the same phase on many nodes (every replica
+commits it) and, after crash/recycle, more than once per node.
+:func:`resolve` therefore reconstructs one *monotone* timeline per tx:
+phases are walked in canonical order and each resolves to the earliest
+stamp not before the previous resolved phase.  Every phase duration is
+non-negative and the durations telescope exactly to ``last − first``.
+
+Each committed timeline is folded into six raw buckets that telescope
+exactly to the end-to-end latency,
 
 ======================  ======================================
 bucket                  boundary (monotone resolved times)
@@ -40,16 +62,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.telemetry.lifecycle import LifecycleRecorder, TxLifecycle
-
 __all__ = [
+    "PHASES",
     "RAW_BUCKETS",
     "ATTRIBUTED_BUCKETS",
+    "TxLifecycle",
     "PhaseStats",
     "CriticalPathReport",
+    "stamps_from_trace",
+    "dropped_records",
+    "resolve",
     "analyze",
     "exec_share_from_trace",
 ]
+
+#: canonical phase order (the resolve() walk and every report follow it)
+PHASES = (
+    "submit",
+    "gossip",
+    "pool",
+    "propose",
+    "rbc",
+    "decide",
+    "commit",
+    "execute",
+    "receipt",
+)
 
 #: raw buckets, pipeline order (telescoping: they sum to e2e)
 RAW_BUCKETS = (
@@ -70,6 +108,101 @@ _PHASE_BUCKET = {
     "execute": "execute",
     "receipt": "execute",
 }
+
+
+@dataclass
+class TxLifecycle:
+    """One transaction's resolved (monotone) timeline.
+
+    ``times`` maps each *present* phase to its resolved simulated time;
+    ``durations`` maps each present phase (except the first) to the
+    non-negative time since the previous present phase.  The durations
+    sum exactly to ``e2e`` (``last − first``).
+    """
+
+    tx: str
+    index: "int | None"
+    times: "dict[str, float]" = field(default_factory=dict)
+    durations: "dict[str, float]" = field(default_factory=dict)
+
+    @property
+    def e2e(self) -> float:
+        if not self.times:
+            return 0.0
+        return max(self.times.values()) - min(self.times.values())
+
+    @property
+    def committed(self) -> bool:
+        return "commit" in self.times
+
+
+def stamps_from_trace(trace_records: "list[dict]"):
+    """Per-tx raw stamps rebuilt from the trace's ``tx.*`` events.
+
+    Returns ``(stamps, index)``: ``stamps`` maps a hex tx hash to
+    ``{phase: [(t, node), ...]}`` in record order (txs in first-stamp
+    order), ``index`` maps it to the superblock index of the first event
+    that named one.  A ``tx.commit`` also stamps ``execute`` and
+    ``receipt`` at each tx's ``commit_times`` entry.
+    """
+    stamps: "dict[str, dict[str, list[tuple[float, int]]]]" = {}
+    index: "dict[str, int]" = {}
+    for record in trace_records:
+        name = record.get("name", "")
+        if record.get("type") != "event" or not name.startswith("tx."):
+            continue
+        phase = name[3:]
+        if phase not in PHASES:
+            raise ValueError(f"unknown lifecycle phase {phase!r}")
+        attrs = record["attrs"]
+        t, node, at = record["ts"], attrs["node"], attrs.get("index")
+        executed = attrs.get("commit_times")
+        for i, tx in enumerate(attrs["txs"]):
+            phases = stamps.setdefault(tx, {})
+            phases.setdefault(phase, []).append((t, node))
+            if executed is not None:
+                phases.setdefault("execute", []).append((executed[i], node))
+                phases.setdefault("receipt", []).append((executed[i], node))
+            if at is not None and tx not in index:
+                index[tx] = at
+    return stamps, index
+
+
+def resolve(trace_records: "list[dict]") -> "list[TxLifecycle]":
+    """Every stamped tx's monotone timeline (see module docstring), in
+    first-stamp order."""
+    stamps, index = stamps_from_trace(trace_records)
+    out = []
+    for tx, raw in stamps.items():
+        lc = TxLifecycle(tx=tx, index=index.get(tx))
+        prev: "float | None" = None
+        for phase in PHASES:
+            phase_stamps = raw.get(phase)
+            if not phase_stamps:
+                continue
+            if prev is None:
+                resolved = min(t for t, _ in phase_stamps)
+            else:
+                onward = [t for t, _ in phase_stamps if t >= prev]
+                # All stamps predate the previous phase (e.g. the origin
+                # node's pool admit precedes a peer's gossip arrival and
+                # no later re-admission exists): clamp to zero duration
+                # rather than produce a negative one.
+                resolved = min(onward) if onward else prev
+                lc.durations[phase] = resolved - prev
+            lc.times[phase] = resolved
+            prev = resolved
+        out.append(lc)
+    return out
+
+
+def dropped_records(trace_records: "list[dict]") -> int:
+    """Records the tracer's ring buffer shed, per the ``tracer.dropped``
+    meta trailer stamped into truncated traces (0 when absent)."""
+    for record in trace_records:
+        if record.get("type") == "meta" and record.get("name") == "tracer.dropped":
+            return int(record.get("dropped_records", 0))
+    return 0
 
 
 @dataclass
@@ -99,6 +232,8 @@ class CriticalPathReport:
 
     txs: int = 0
     committed: int = 0
+    #: committed txs left out because a truncated trace lost their submit
+    excluded: int = 0
     exec_share: float = 0.0
     e2e: PhaseStats = field(default_factory=PhaseStats)
     raw: "dict[str, PhaseStats]" = field(default_factory=dict)
@@ -206,29 +341,35 @@ def _bucketize(lifecycle: TxLifecycle) -> "dict[str, float]":
 
 
 def analyze(
-    recorder,
+    trace_records: "list[dict]",
     *,
-    trace_records: "list[dict] | None" = None,
     exec_share: "float | None" = None,
 ) -> CriticalPathReport:
-    """Build the attribution report from a :class:`LifecycleRecorder`
-    (or the raw record list produced by its ``to_records()``).
+    """Build the attribution report from one trace's records.
 
     ``exec_share`` overrides the trace-derived measurement; when neither
-    is available, queue wait is charged entirely to ``ordering``.
+    is available, queue wait is charged entirely to ``ordering``.  On a
+    truncated trace the ring buffer may have shed a committed tx's early
+    stamps, which would make it look faster than it was, so committed
+    txs without a ``submit`` stamp are left out (and counted in
+    ``excluded``).
     """
-    if isinstance(recorder, list):
-        recorder = LifecycleRecorder.from_records(recorder)
-    lifecycles = recorder.resolve_all()
+    lifecycles = resolve(trace_records)
     committed = [lc for lc in lifecycles if lc.committed]
+    excluded = 0
+    if dropped_records(trace_records):
+        kept = [lc for lc in committed if "submit" in lc.times]
+        excluded = len(committed) - len(kept)
+        committed = kept
 
-    if exec_share is None and trace_records is not None:
+    if exec_share is None:
         exec_share = exec_share_from_trace(trace_records)
     if exec_share is None:
         exec_share = 0.0
 
     report = CriticalPathReport(
-        txs=len(lifecycles), committed=len(committed), exec_share=exec_share
+        txs=len(lifecycles), committed=len(committed), excluded=excluded,
+        exec_share=exec_share,
     )
     if not committed:
         report.raw = {bucket: PhaseStats() for bucket in RAW_BUCKETS}

@@ -1,67 +1,42 @@
-"""Periodic congestion observatory for message-level deployments.
+"""Congestion samples on the simulated clock, and their renderers.
 
-Samples the queues where congestion actually accumulates — on the
-simulated clock, every ``interval_s`` — and keeps the time series for
-the ``repro report`` CLI:
+:func:`start_sampling` makes a deployment emit one ``obs.sample`` trace
+event every simulated second (``SAMPLE_INTERVAL_S``), reading the queues
+where congestion accumulates:
 
-* per node: txpool depth and oldest-tx age, vote-batcher backlog,
-  open consensus instances, crashed flag;
-* network-wide: un-acked reliable sends in flight (retransmit queue),
-  cumulative messages / bytes / retransmissions / drops.
+* ``nodes`` — per node: txpool depth and oldest-tx age, vote-batcher
+  backlog, open (unfinished) consensus instances, crashed flag;
+* ``net`` — network-wide: un-acked reliable sends in flight (retransmit
+  queue), cumulative messages / bytes / retransmissions / drops, open
+  Byzantine windows.
 
-Each sample also updates ``srbb_obs_*`` gauges on the global metrics
-registry (no-ops while it is disabled), so ``--metrics-out`` snapshots
-carry the *latest* congestion state and the saved sample series carries
-the full history.  Sampling only reads state — installing the
-observatory never changes simulation results.
+Sampling only reads state, so a traced run decides the same chain as an
+untraced one.  The trace holds the whole series; :func:`samples_from_trace`
+reads it back for ``repro report``.
 
-Rendering is dependency-free: :meth:`render_text` draws unicode
-sparklines per signal, :meth:`render_html` emits one self-contained
-HTML file with inline SVG charts.
+Rendering is dependency-free: :func:`render_samples_text` draws unicode
+sparklines per signal, :func:`render_samples_figures` inline SVG charts.
 """
 
 from __future__ import annotations
 
 import html
-import json
-from types import SimpleNamespace
 
 import numpy as np
 
-from repro.telemetry.registry import bind
+from repro.telemetry import tracing
 
 __all__ = [
-    "CongestionObservatory",
+    "SAMPLE_INTERVAL_S",
+    "start_sampling",
+    "sample",
+    "samples_from_trace",
     "render_samples_text",
-    "render_samples_html",
     "render_samples_figures",
 ]
 
-_metrics = bind(
-    lambda reg: SimpleNamespace(
-        pool_depth=reg.gauge(
-            "srbb_obs_pool_depth", "txpool depth at last observatory sample"
-        ),
-        pool_age=reg.gauge(
-            "srbb_obs_pool_oldest_age_seconds",
-            "age of the oldest pooled tx at last observatory sample",
-        ),
-        vote_buffer=reg.gauge(
-            "srbb_obs_vote_buffer", "vote-batcher backlog at last sample"
-        ),
-        consensus_open=reg.gauge(
-            "srbb_obs_consensus_open", "open consensus instances at last sample"
-        ),
-        inflight=reg.gauge(
-            "srbb_obs_net_inflight",
-            "un-acked reliable sends in flight at last sample",
-        ),
-        byzantine_active=reg.gauge(
-            "srbb_faults_byzantine_active",
-            "schedule-driven Byzantine misbehaviour windows currently open",
-        ),
-    )
-)
+#: simulated seconds between two ``obs.sample`` events
+SAMPLE_INTERVAL_S = 1.0
 
 #: node signals captured per sample (key -> how to read it off a node)
 _NODE_SIGNALS = (
@@ -75,102 +50,60 @@ _NODE_SIGNALS = (
 _MAX_AGGREGATED = frozenset({"pool_age_s"})
 
 
-class CongestionObservatory:
-    """Self-rescheduling sampler attached to one :class:`Deployment`."""
+def start_sampling(deployment) -> None:
+    """Sample ``deployment`` at t = 0 and every ``SAMPLE_INTERVAL_S`` on."""
+    sim = deployment.sim
 
-    def __init__(
-        self,
-        deployment,
-        *,
-        interval_s: float = 1.0,
-        horizon_s: "float | None" = None,
-    ):
-        if interval_s <= 0:
-            raise ValueError("interval_s must be positive")
-        self.deployment = deployment
-        self.interval_s = interval_s
-        self.horizon_s = horizon_s
-        self.samples: "list[dict]" = []
-        self._installed = False
+    def tick() -> None:
+        sample(deployment)
+        sim.schedule(SAMPLE_INTERVAL_S, tick)
 
-    def install(self) -> "CongestionObservatory":
-        """Schedule the first sample (t=0) and the periodic cadence."""
-        if not self._installed:
-            self._installed = True
-            self.deployment.sim.schedule(0.0, self._tick)
-        return self
+    sim.schedule(0.0, tick)
 
-    def _tick(self) -> None:
-        self.sample()
-        now = self.deployment.sim.now
-        if self.horizon_s is None or now + self.interval_s <= self.horizon_s:
-            self.deployment.sim.schedule(self.interval_s, self._tick)
 
-    def sample(self) -> dict:
-        """Take one sample now; appended to :attr:`samples` and returned."""
-        deployment = self.deployment
-        now = deployment.sim.now
-        m = _metrics()
-        nodes: "dict[int, dict]" = {}
-        for node in deployment.validators:
-            row = {
-                "pool_depth": len(node.pool),
-                "pool_age_s": round(node.pool.oldest_age(now), 6),
-                "vote_buffer": node.vote_batcher.pending,
-                "consensus_open": len(node._consensus),
-                "crashed": bool(node.crashed),
-            }
-            nodes[node.node_id] = row
-            labels = {"node": str(node.node_id)}
-            m.pool_depth.labels(**labels).set(row["pool_depth"])
-            m.pool_age.labels(**labels).set(row["pool_age_s"])
-            m.vote_buffer.labels(**labels).set(row["vote_buffer"])
-            m.consensus_open.labels(**labels).set(row["consensus_open"])
-
-        network = deployment.network
-        stats = network.stats
-        fault_controller = getattr(deployment, "fault_controller", None)
-        byzantine_active = (
+def sample(deployment) -> None:
+    """Emit one ``obs.sample`` event for ``deployment`` now."""
+    now = deployment.sim.now
+    nodes = {
+        node.node_id: {
+            "pool_depth": len(node.pool),
+            "pool_age_s": round(node.pool.oldest_age(now), 6),
+            "vote_buffer": node.vote_batcher.pending,
+            # finished rounds are kept until a crash clears them
+            "consensus_open": sum(
+                1 for c in node._consensus.values() if not c.finished
+            ),
+            "crashed": bool(node.crashed),
+        }
+        for node in deployment.validators
+    }
+    network = deployment.network
+    stats = network.stats
+    fault_controller = deployment.fault_controller
+    net = {
+        "inflight": network.inflight(),
+        "messages": stats.messages,
+        "bytes": stats.bytes,
+        "retransmissions": stats.retransmissions,
+        "dropped": stats.dropped,
+        "byzantine_active": (
             fault_controller.byzantine_windows_open
-            if fault_controller is not None
-            and hasattr(fault_controller, "byzantine_windows_open")
-            else 0
-        )
-        net = {
-            "inflight": network.inflight(),
-            "messages": stats.messages,
-            "bytes": stats.bytes,
-            "retransmissions": stats.retransmissions,
-            "dropped": stats.dropped,
-            "byzantine_active": byzantine_active,
-        }
-        m.inflight.set(net["inflight"])
-        m.byzantine_active.set(byzantine_active)
-        sample = {"t": round(now, 6), "nodes": nodes, "net": net}
-        self.samples.append(sample)
-        return sample
-
-    # -- export / rendering -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "interval_s": self.interval_s,
-            "samples": self.samples,
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-    def render_text(self) -> str:
-        return render_samples_text(self.samples)
-
-    def render_html(self, title: str = "congestion observatory") -> str:
-        return render_samples_html(self.samples, title=title)
+            if fault_controller is not None else 0
+        ),
+    }
+    tracing.event("obs.sample", now, nodes=nodes, net=net)
 
 
-# -- pure rendering over sample lists (also used on re-loaded JSON) -------------
+def samples_from_trace(trace_records: "list[dict]") -> "list[dict]":
+    """The ``obs.sample`` series of a trace as ``{t, nodes, net}`` dicts."""
+    return [
+        {"t": record["ts"], **record["attrs"]}
+        for record in trace_records
+        if record.get("type") == "event" and record.get("name") == "obs.sample"
+    ]
+
+
+# -- rendering over sample lists ---------------------------------------------------
 
 
 def _series(samples: "list[dict]") -> "dict[str, np.ndarray]":
@@ -182,7 +115,6 @@ def _series(samples: "list[dict]") -> "dict[str, np.ndarray]":
     for sample in samples:
         rows = list(sample.get("nodes", {}).values())
         for sig in _NODE_SIGNALS:
-            # row.get: samples saved by older builds lack newer signals
             values = [
                 row.get(sig, 0.0) for row in rows if not row.get("crashed")
             ]
@@ -274,19 +206,3 @@ def render_samples_figures(samples: "list[dict]") -> str:
             f"</figcaption>{_svg_polyline(values)}</figure>"
         )
     return "\n".join(body)
-
-
-def render_samples_html(
-    samples: "list[dict]", *, title: str = "congestion observatory"
-) -> str:
-    """One self-contained HTML page, inline SVG charts, zero deps."""
-    return "\n".join([
-        "<!doctype html><html><head><meta charset='utf-8'>",
-        f"<title>{html.escape(title)}</title>",
-        "<style>body{font:13px monospace;background:#181818;color:#ddd;"
-        "margin:2em}h1{font-size:16px}figure{margin:1em 0}"
-        "figcaption{margin-bottom:4px;color:#9c9}</style></head><body>",
-        f"<h1>{html.escape(title)}</h1>",
-        render_samples_figures(samples),
-        "</body></html>",
-    ])

@@ -1,18 +1,19 @@
-"""Chrome trace-event (Perfetto) export of tracer + lifecycle records.
+"""Chrome trace-event (Perfetto) export of tracer records.
 
-Converts the tracer's JSONL event records — and, optionally, the per-tx
-lifecycle stamps — into the Trace Event Format understood by
-``ui.perfetto.dev`` and ``chrome://tracing``.  Both are stamped with the
-simulated clock, so they share one process, **pid 1 "simulated clock"**,
-and one set of per-node tracks (``tid`` = node + 1; records without a
-node land on tid 0, the *driver* track):
+Converts the tracer's JSONL event records into the Trace Event Format
+understood by ``ui.perfetto.dev`` and ``chrome://tracing``.  Everything
+is stamped with the simulated clock, so it shares one process, **pid 1
+"simulated clock"**, and one set of per-node tracks (``tid`` = node + 1;
+records without a node land on tid 0, the *driver* track):
 
-* every tracer event becomes a thread-scoped instant (``"ph": "i"``);
-* each lifecycle phase crossing becomes a small slice on the stamping
-  node's track, and the first ``max_flows`` transactions additionally get
-  flow arrows (``"ph": "s"/"t"/"f"``) threading their slices together,
-  so a tx can be followed across nodes through submit → pool → … →
-  receipt.
+* every tracer event except ``tx.*`` becomes a thread-scoped instant
+  (``"ph": "i"``);
+* ``tx.*`` events are per-transaction lifecycle stamps: each tx's
+  earliest stamp per phase becomes a small slice on the stamping node's
+  track, and the first ``max_flows`` transactions with two or more
+  stamps additionally get flow arrows (``"ph": "s"/"t"/"f"``) threading
+  their slices together, so a tx can be followed across nodes through
+  submit → pool → … → receipt.
 
 Timestamps are simulated seconds scaled to microseconds.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import json
 
-from repro.telemetry.lifecycle import PHASES
+from repro.telemetry.critical_path import PHASES, stamps_from_trace
 
 __all__ = ["to_trace_events", "validate_trace_event", "load_jsonl"]
 
@@ -51,17 +52,14 @@ def _node_tid(attrs: dict) -> int:
     return int(node) + 1 if isinstance(node, (int, float)) else 0
 
 
-def to_trace_events(
-    records: "list[dict]",
-    *,
-    lifecycle_records: "list[dict] | None" = None,
-    max_flows: int = 200,
-) -> dict:
+def to_trace_events(records: "list[dict]", *, max_flows: int = 200) -> dict:
     """Build the trace-event document (see module docstring)."""
     events: "list[dict]" = []
     tids: "set[int]" = set()
 
     for record in records:
+        if record.get("name", "").startswith("tx."):
+            continue
         attrs = record.get("attrs", {})
         tid = _node_tid(attrs)
         tids.add(tid)
@@ -78,23 +76,22 @@ def to_trace_events(
 
     flow_count = 0
     dropped_flows = 0
-    for flow_id, record in enumerate(lifecycle_records or (), start=1):
+    stamps, _ = stamps_from_trace(records)
+    for flow_id, (tx, phases) in enumerate(stamps.items(), start=1):
         # earliest stamp per phase, pipeline order, then time-sorted so
         # the flow arrows always run forward
         points = []
         for phase in PHASES:
-            stamps = record.get("stamps", {}).get(phase)
-            if stamps:
-                t, node = min(stamps, key=lambda s: s[0])
+            if phase in phases:
+                t, node = min(phases[phase], key=lambda s: s[0])
                 points.append((float(t), int(node), phase))
         points.sort(key=lambda p: p[0])
-        if not points:
-            continue
-        short = record.get("tx", "")[:12]
-        with_flow = flow_count < max_flows
+        short = tx[:12]
+        # a single stamp draws no arrow, so it takes no flow slot
+        with_flow = len(points) > 1 and flow_count < max_flows
         if with_flow:
             flow_count += 1
-        else:
+        elif len(points) > 1:
             dropped_flows += 1
         for i, (t, node, phase) in enumerate(points):
             tid = node + 1 if node >= 0 else 0
@@ -110,7 +107,7 @@ def to_trace_events(
                 "dur": _STAMP_SLICE_US,
                 "args": {"tx": short, "phase": phase},
             })
-            if not with_flow or len(points) < 2:
+            if not with_flow:
                 continue
             flow = {
                 "name": f"tx {short}",

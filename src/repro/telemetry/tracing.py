@@ -6,6 +6,15 @@ replayed after the fact:
 
 * ``{"ts": 0.6010534923978069, "type": "event", "name": "node.commit", "attrs": {...}}``
 
+Two event families carry the per-transaction and per-queue view that
+``repro report`` and the critical path read back:
+
+* ``tx.<phase>`` (:func:`stamp_txs`) — a batch of transactions crossing
+  one lifecycle phase together on one node (``node``, hex ``txs``, and
+  ``index`` / ``commit_times`` where known);
+* ``obs.sample`` — one congestion sample per simulated second
+  (:mod:`repro.telemetry.observatory`).
+
 Call sites pass their simulator's clock (``event(name, sim.now, ...)``);
 ``ts`` is written unrounded, so a consumer reads back exactly the time
 the engine saw.  Nothing here reads the host's clock, which makes the
@@ -13,9 +22,10 @@ trace of a seeded run byte-identical from one run to the next.  Within a
 run the simulator fires events in time order, so records are dumped in
 the order they were appended.
 
-Like the metrics registry, the process-global tracer starts *disabled*:
-:func:`event` is a one-branch no-op until the CLI's ``--trace-out`` (or a
-test) enables it.
+Like the metrics registry, the process-global tracer starts *disabled*.
+Call sites read ``get_tracer().enabled`` once and, while it is off, make
+no call into :func:`event` or :func:`stamp_txs` at all; the CLI's
+``--trace-out`` (or a test) enables it.
 
 Memory stays bounded two ways (soak runs must not grow without limit):
 
@@ -37,6 +47,7 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "event",
+    "stamp_txs",
 ]
 
 
@@ -107,16 +118,14 @@ class Tracer:
         with open(path, "w") as fh:
             fh.write(self.dumps())
 
-    def dump_trace_event(self, path: str, *, lifecycle_records=None) -> None:
+    def dump_trace_event(self, path: str) -> None:
         """Export the buffered trace as Chrome trace-event JSON (loadable
         at ``ui.perfetto.dev`` / ``chrome://tracing``): per-node tracks,
-        plus — when per-tx ``lifecycle_records`` are given — flow arrows
-        following each transaction across nodes on the simulated clock."""
+        with flow arrows following each transaction's ``tx.*`` events
+        across nodes on the simulated clock."""
         from repro.telemetry.trace_event import to_trace_events
 
-        doc = to_trace_events(
-            self.records, lifecycle_records=lifecycle_records
-        )
+        doc = to_trace_events(self.records)
         with open(path, "w") as fh:
             json.dump(doc, fh, default=str)
             fh.write("\n")
@@ -181,3 +190,13 @@ def event(name: str, t: float, **attrs) -> None:
     tracer = _default_tracer
     if tracer.enabled:
         tracer.event(name, t, **attrs)
+
+
+def stamp_txs(phase: str, t: float, txs, **attrs) -> None:
+    """One ``tx.<phase>`` event on the global tracer for every transaction
+    in ``txs`` (objects with ``tx_hash``) crossing ``phase`` together at
+    simulated time ``t``.  Hashes are written as hex: the JSONL dump
+    stringifies anything else with ``str()``."""
+    _default_tracer.event(
+        "tx." + phase, t, txs=[tx.tx_hash.hex() for tx in txs], **attrs
+    )

@@ -2,9 +2,11 @@
 
 import json
 
+import pytest
+
 from repro import telemetry
 from repro.cli import main
-from repro.telemetry import lifecycle, validate_trace_event
+from repro.telemetry import validate_trace_event
 
 
 class TestMetricsOut:
@@ -65,20 +67,44 @@ class TestObservabilityOuts:
         assert rc == 0
         doc = json.loads(path.read_text())
         assert validate_trace_event(doc) == []
-        assert doc["otherData"]["flows"] > 0  # lifecycle fed flow arrows
+        assert doc["otherData"]["flows"] > 0  # tx.* events fed flow arrows
 
-    def test_lifecycle_out_records_phases(self, tmp_path):
-        path = tmp_path / "lc.json"
-        rc = main(_DAPP + ["--lifecycle-out", str(path)])
+    def test_trace_out_records_tx_phases(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        rc = main(_DAPP + ["--trace-out", str(path)])
         assert rc == 0
-        doc = json.loads(path.read_text())
-        assert doc["phases"] == list(lifecycle.PHASES)
-        assert doc["records"], "no transactions were lifecycle-tracked"
-        assert all("commit" in r["stamps"] for r in doc["records"][:5])
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        stamps = [r for r in records if r["name"].startswith("tx.")]
+        assert {r["name"] for r in stamps} >= {
+            "tx.submit", "tx.pool", "tx.propose", "tx.rbc", "tx.decide",
+            "tx.commit",
+        }
+        for record in stamps:
+            attrs = record["attrs"]
+            assert isinstance(attrs["node"], int)
+            # hashes are hex strings, not str(bytes)
+            assert all(bytes.fromhex(tx) for tx in attrs["txs"])
+        for record in stamps:
+            if record["name"] == "tx.commit":
+                attrs = record["attrs"]
+                assert len(attrs["commit_times"]) == len(attrs["txs"])
+                assert "index" in attrs
+        samples = [r for r in records if r["name"] == "obs.sample"]
+        assert [r["ts"] for r in samples[:3]] == [0.0, 1.0, 2.0]
 
     def test_lifecycle_recorder_disabled_again_after_run(self, tmp_path):
-        main(_DAPP + ["--lifecycle-out", str(tmp_path / "lc.json")])
-        assert not lifecycle.enabled()
+        # lifecycle stamps are tracer events: off again once the run ends
+        main(_DAPP + ["--trace-out", str(tmp_path / "t.jsonl")])
+        tracer = telemetry.get_tracer()
+        assert not tracer.enabled
+        assert tracer.stream_path is None
+
+    def test_removed_side_recorder_flags_rejected(self, tmp_path):
+        for flag in ("--lifecycle-out", "--observatory-out"):
+            with pytest.raises(SystemExit):
+                main(_DAPP + [flag, str(tmp_path / "x.json")])
+        with pytest.raises(SystemExit):
+            main(["report", "--lifecycle", str(tmp_path / "lc.json")])
 
     def test_trace_out_streams_when_trace_event_not_requested(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -88,24 +114,17 @@ class TestObservabilityOuts:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert any(r["name"] == "node.commit" for r in records)
 
-    def test_observatory_out_and_report_rendering(self, tmp_path, capsys):
-        obs = tmp_path / "obs.json"
-        lc = tmp_path / "lc.json"
+    def test_report_renders_one_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.jsonl"
-        rc = main(_DAPP + [
-            "--observatory-out", str(obs), "--lifecycle-out", str(lc),
-            "--trace-out", str(trace),
-        ])
+        rc = main(_DAPP + ["--trace-out", str(trace)])
         assert rc == 0
-        assert json.loads(obs.read_text())["samples"]
         capsys.readouterr()
 
-        assert main(["report", "--observatory", str(obs),
-                     "--lifecycle", str(lc), "--trace", str(trace)]) == 0
+        assert main(["report", "--trace", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "critical path" in out
-        assert "congestion observatory" in out
-        # the trace's part in the report: exec_share from its commit events
+        assert "critical path — 42/42 txs committed" in out
+        assert "congestion observatory — 141 samples" in out
+        # exec_share from the same trace's commit events
         from repro.telemetry.critical_path import exec_share_from_trace
         from repro.telemetry.trace_event import load_jsonl
 
@@ -113,6 +132,8 @@ class TestObservabilityOuts:
         assert f"exec_share={share:.2f}" in out
 
         html = tmp_path / "report.html"
-        assert main(["report", "--lifecycle", str(lc),
-                     "-o", str(html)]) == 0
-        assert "<svg" in html.read_text() or "critical path" in html.read_text()
+        assert main(["report", "--trace", str(trace), "-o", str(html)]) == 0
+        page = html.read_text()
+        assert "<h2>critical path</h2>" in page
+        assert "<h2>congestion observatory</h2>" in page
+        assert "<svg" in page

@@ -1,45 +1,62 @@
-"""Critical-path analyzer: buckets, attribution, exec_share, headline."""
+"""Critical-path analyzer: buckets, attribution, exec_share, headline,
+truncated traces."""
 
 import pytest
 
+from repro import telemetry
 from repro.telemetry.critical_path import (
     ATTRIBUTED_BUCKETS,
+    PHASES,
     RAW_BUCKETS,
     analyze,
     exec_share_from_trace,
 )
-from repro.telemetry.lifecycle import LifecycleRecorder
+from repro.telemetry.trace_event import load_jsonl
+
+
+class _Tx:
+    def __init__(self, tx_hash):
+        self.tx_hash = tx_hash
+
+
+def _stamp(rec, tx, phase, t, **attrs):
+    """One ``tx.<phase>`` event for ``tx`` on ``rec`` (a Tracer)."""
+    previous = telemetry.set_tracer(rec)
+    try:
+        telemetry.stamp_txs(phase, t, [_Tx(tx)], **attrs)
+    finally:
+        telemetry.set_tracer(previous)
 
 
 def _committed_tx(rec, tx, *, base=0.0, index=0):
     """One tx crossing every phase, 1s apart, starting at ``base``."""
-    from repro.telemetry.lifecycle import PHASES
-
-    for i, phase in enumerate(PHASES):
-        rec.stamp(tx, phase, node=0, t=base + float(i), index=index)
+    for i, phase in enumerate(PHASES[:6]):
+        _stamp(rec, tx, phase, base + float(i), node=0, index=index)
+    _stamp(rec, tx, "commit", base + 6.0, node=0, index=index,
+           commit_times=[base + 7.0])
 
 
 class TestAnalyze:
     def test_raw_buckets_telescope_to_e2e(self):
-        rec = LifecycleRecorder()
+        rec = telemetry.Tracer()
         _committed_tx(rec, b"a")
-        report = analyze(rec)
+        report = analyze(rec.records)
         assert report.committed == 1
         total = sum(report.raw[b].mean for b in RAW_BUCKETS)
         assert total == pytest.approx(report.e2e.mean)
 
     def test_attributed_buckets_telescope_too(self):
-        rec = LifecycleRecorder()
+        rec = telemetry.Tracer()
         _committed_tx(rec, b"a")
-        report = analyze(rec, exec_share=0.7)
+        report = analyze(rec.records, exec_share=0.7)
         total = sum(report.attributed[b].mean for b in ATTRIBUTED_BUCKETS)
         assert total == pytest.approx(report.e2e.mean)
 
     def test_exec_share_reattributes_queue_wait(self):
-        rec = LifecycleRecorder()
+        rec = telemetry.Tracer()
         _committed_tx(rec, b"a")
-        zero = analyze(rec, exec_share=0.0)
-        full = analyze(rec, exec_share=1.0)
+        zero = analyze(rec.records, exec_share=0.0)
+        full = analyze(rec.records, exec_share=1.0)
         queue_wait = (
             zero.raw["pool_wait"].mean + zero.raw["commit_wait"].mean
         )
@@ -50,38 +67,41 @@ class TestAnalyze:
         )
 
     def test_uncommitted_txs_excluded(self):
-        rec = LifecycleRecorder()
+        rec = telemetry.Tracer()
         _committed_tx(rec, b"a")
-        rec.stamp(b"pending", "submit", t=0.0)
-        rec.stamp(b"pending", "pool", t=1.0)
-        report = analyze(rec)
+        _stamp(rec, b"pending", "submit", 0.0, node=0)
+        _stamp(rec, b"pending", "pool", 1.0, node=0)
+        report = analyze(rec.records)
         assert report.txs == 2
         assert report.committed == 1
 
-    def test_accepts_record_list(self):
-        rec = LifecycleRecorder()
+    def test_accepts_record_list(self, tmp_path):
+        rec = telemetry.Tracer()
         _committed_tx(rec, b"a")
-        report = analyze(rec.to_records())
+        path = tmp_path / "trace.jsonl"
+        rec.dump(str(path))
+        report = analyze(load_jsonl(str(path)))
         assert report.committed == 1
+        assert report.e2e.mean == analyze(rec.records).e2e.mean
 
     def test_empty_recorder(self):
-        report = analyze(LifecycleRecorder())
+        report = analyze([])
         assert report.committed == 0
         assert set(report.attributed) == set(ATTRIBUTED_BUCKETS)
 
     def test_superblock_summaries_grouped_by_index(self):
-        rec = LifecycleRecorder()
+        rec = telemetry.Tracer()
         _committed_tx(rec, b"a", base=0.0, index=1)
         _committed_tx(rec, b"b", base=0.5, index=1)
         _committed_tx(rec, b"c", base=5.0, index=2)
-        report = analyze(rec)
+        report = analyze(rec.records)
         assert [sb["index"] for sb in report.superblocks] == [1, 2]
         assert report.superblocks[0]["txs"] == 2
 
     def test_headline_keys_flat_numeric(self):
-        rec = LifecycleRecorder()
+        rec = telemetry.Tracer()
         _committed_tx(rec, b"a")
-        head = analyze(rec, exec_share=0.9).headline()
+        head = analyze(rec.records, exec_share=0.9).headline()
         assert head["latency_breakdown:txs"] == 1.0
         assert head["latency_breakdown:dominant_execute"] in (0.0, 1.0)
         for bucket in ATTRIBUTED_BUCKETS:
@@ -89,11 +109,56 @@ class TestAnalyze:
         assert all(isinstance(v, float) for v in head.values())
 
     def test_render_text_marks_dominant(self):
-        rec = LifecycleRecorder()
+        rec = telemetry.Tracer()
         _committed_tx(rec, b"a")
-        report = analyze(rec, exec_share=1.0)
+        report = analyze(rec.records, exec_share=1.0)
         assert report.dominant_phase == "execute"
         assert "◀ dominant" in report.render_text()
+
+
+class TestTruncatedTrace:
+    """A ring buffer that shed early records also shed early ``tx.*``
+    stamps: a committed tx without its submit would look faster than it
+    was, so a truncated trace leaves it out and says how many."""
+
+    def _trace(self, max_records):
+        rec = telemetry.Tracer(max_records=max_records)
+        _committed_tx(rec, b"early", base=0.0, index=1)  # 7 events
+        _committed_tx(rec, b"late", base=10.0, index=2)  # 7 events
+        return rec
+
+    def test_truncated_trace_excludes_txs_without_submit(self, tmp_path):
+        rec = self._trace(max_records=10)  # sheds 4: early's first stamps
+        assert rec.dropped_records == 4
+        path = tmp_path / "trace.jsonl"
+        rec.dump(str(path))
+        report = analyze(load_jsonl(str(path)))
+        assert report.txs == 2
+        assert report.committed == 1
+        assert report.excluded == 1
+        assert [sb["index"] for sb in report.superblocks] == [2]
+        assert report.e2e.mean == pytest.approx(7.0)
+
+    def test_untruncated_trace_keeps_txs_without_submit(self):
+        rec = self._trace(max_records=None)
+        records = [
+            r for r in rec.records
+            if not (r["name"] == "tx.submit" and r["ts"] == 0.0)
+        ]
+        report = analyze(records)
+        assert report.committed == 2
+        assert report.excluded == 0
+
+    def test_report_states_how_many_were_excluded(self, tmp_path):
+        from repro.analysis.congestion_report import build_congestion_report
+
+        rec = self._trace(max_records=10)
+        path = tmp_path / "trace.jsonl"
+        rec.dump(str(path))
+        text = build_congestion_report(load_jsonl(str(path)))
+        assert "dropped 4 oldest records" in text
+        assert "1 committed transactions that lost their submit stamp" in text
+        assert "critical path — 1/2 txs committed" in text
 
 
 class TestExecShareFromTrace:

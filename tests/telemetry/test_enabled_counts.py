@@ -1,10 +1,11 @@
-"""Telemetry that is off makes no metric call; switched on, it counts
-exactly what it always counted.
+"""Telemetry that is off makes no metric or trace call; switched on, it
+counts exactly what it always counted.
 
-Instrumented sites skip all metric work when their registry is disabled.
-A fault-heavy n = 4 run (loss, duplication, crash/restart, a Byzantine
-window, the watchdog, gossip) under the disabled default registry must
-make no call into it.  The same runs' enabled Prometheus dump is hashed
+Instrumented sites skip all metric work when their registry is disabled,
+and all trace work (events and ``tx.*`` lifecycle stamps) when the tracer
+is.  A fault-heavy n = 4 run (loss, duplication, crash/restart, a
+Byzantine window, the watchdog, gossip) under the disabled defaults must
+make no call into either.  The same runs' enabled Prometheus dump is hashed
 and compared with a pinned constant.
 ``NodeStats`` is shown to read the flag of the registry it was built
 under, not the global one.
@@ -19,6 +20,7 @@ from repro.core.transaction import make_transfer
 from repro.faults import FaultSchedule
 from repro.net.topology import single_region_topology
 from repro.telemetry import registry as registry_module
+from repro.telemetry import tracing
 
 #: sha256 of the enabled dump; every metric in it is deterministic.  A
 #: change that moves what an enabled registry counts says so and
@@ -96,6 +98,38 @@ def test_disabled_default_makes_no_metric_call(monkeypatch):
     _run(3, tvpr=True)
     _run(5, tvpr=False)
     assert calls == []
+
+
+def test_disabled_default_makes_no_trace_call(monkeypatch):
+    assert not telemetry.get_tracer().enabled
+    calls = []
+
+    def spy(name):
+        return lambda *args, **kwargs: calls.append(name)
+
+    for module in (telemetry, tracing):
+        monkeypatch.setattr(module, "event", spy("event"))
+        monkeypatch.setattr(module, "stamp_txs", spy("stamp_txs"))
+    monkeypatch.setattr(tracing.Tracer, "event", spy("Tracer.event"))
+    _run(3, tvpr=True)
+    _run(5, tvpr=False)
+    assert calls == []
+
+
+def test_enabled_tracer_sees_every_stamp_site():
+    # the same runs traced: the spy above watched live call sites
+    tracer = telemetry.Tracer()
+    previous = telemetry.set_tracer(tracer)
+    try:
+        _run(3, tvpr=True)
+        _run(5, tvpr=False)
+    finally:
+        telemetry.set_tracer(previous)
+    names = {r["name"] for r in tracer.records}
+    assert {
+        "tx.submit", "tx.gossip", "tx.pool", "tx.propose", "tx.rbc",
+        "tx.decide", "tx.commit", "node.crash", "fault.inject",
+    } <= names
 
 
 class TestNodeStatsReadsItsOwnRegistry:

@@ -1,19 +1,22 @@
-"""Congestion observatory: sampling, scheduling, gauges, rendering."""
+"""Congestion samples: the ``obs.sample`` sampler, its schedule, and the
+renderers over samples read back from a trace."""
 
 import json
 from types import SimpleNamespace
 
 from repro import params, telemetry
+from repro.analysis.congestion_report import build_congestion_report
 from repro.core.deployment import Deployment
 from repro.net.topology import single_region_topology
-from repro.telemetry import CongestionObservatory
 from repro.telemetry.observatory import (
+    SAMPLE_INTERVAL_S,
     render_samples_figures,
-    render_samples_html,
     render_samples_text,
+    sample,
+    samples_from_trace,
+    start_sampling,
 )
-
-import pytest
+from repro.telemetry.trace_event import load_jsonl
 
 
 def _fake_deployment(n=2):
@@ -33,7 +36,11 @@ def _fake_deployment(n=2):
             node_id=i,
             pool=Pool(),
             vote_batcher=SimpleNamespace(pending=2),
-            _consensus={7: object()},
+            # one round still open, one finished (kept until a crash)
+            _consensus={
+                6: SimpleNamespace(finished=True),
+                7: SimpleNamespace(finished=False),
+            },
             crashed=(i == 1),
         )
         for i in range(n)
@@ -46,114 +53,171 @@ def _fake_deployment(n=2):
             messages=10, bytes=1000, retransmissions=1, dropped=0
         ),
     )
-    return SimpleNamespace(sim=sim, validators=nodes, network=network)
+    return SimpleNamespace(
+        sim=sim, validators=nodes, network=network, fault_controller=None
+    )
+
+
+class _Traced:
+    """Scope a fresh enabled global tracer."""
+
+    def __enter__(self):
+        self.tracer = telemetry.Tracer()
+        self._previous = telemetry.set_tracer(self.tracer)
+        return self.tracer
+
+    def __exit__(self, *exc):
+        telemetry.set_tracer(self._previous)
 
 
 class TestSampling:
     def test_sample_reads_node_and_net_signals(self):
-        obs = CongestionObservatory(_fake_deployment())
-        sample = obs.sample()
-        assert sample["t"] == 0.0
-        assert sample["nodes"][0] == {
+        with _Traced() as tracer:
+            sample(_fake_deployment())
+        (record,) = tracer.records
+        assert record["name"] == "obs.sample" and record["ts"] == 0.0
+        attrs = record["attrs"]
+        assert attrs["nodes"][0] == {
             "pool_depth": 3, "pool_age_s": 1.25, "vote_buffer": 2,
             "consensus_open": 1, "crashed": False,
         }
-        assert sample["nodes"][1]["crashed"] is True
-        assert sample["net"]["inflight"] == 4
-        assert sample["net"]["retransmissions"] == 1
-        assert obs.samples == [sample]
+        assert attrs["nodes"][1]["crashed"] is True
+        assert attrs["net"]["inflight"] == 4
+        assert attrs["net"]["retransmissions"] == 1
+        assert attrs["net"]["byzantine_active"] == 0
+        (read_back,) = samples_from_trace(tracer.records)
+        assert read_back == {"t": 0.0, **attrs}
 
     def test_install_schedules_and_reschedules(self):
         deployment = _fake_deployment()
-        obs = CongestionObservatory(deployment, interval_s=0.5).install()
-        obs.install()  # idempotent
-        assert len(deployment.sim.scheduled) == 1
-        delay, tick = deployment.sim.scheduled.pop()
-        assert delay == 0.0
-        tick()  # samples, then schedules the next tick
-        assert len(obs.samples) == 1
-        assert deployment.sim.scheduled[0][0] == 0.5
+        with _Traced() as tracer:
+            start_sampling(deployment)
+            assert len(deployment.sim.scheduled) == 1
+            delay, tick = deployment.sim.scheduled.pop()
+            assert delay == 0.0
+            tick()  # samples, then schedules the next tick
+        assert len(tracer.records) == 1
+        assert deployment.sim.scheduled[0][0] == SAMPLE_INTERVAL_S == 1.0
 
     def test_horizon_stops_rescheduling(self):
-        deployment = _fake_deployment()
-        obs = CongestionObservatory(
-            deployment, interval_s=1.0, horizon_s=0.5
-        ).install()
-        _, tick = deployment.sim.scheduled.pop()
-        tick()
-        assert deployment.sim.scheduled == []  # past horizon: no next tick
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError):
-            CongestionObservatory(_fake_deployment(), interval_s=0.0)
-
-    def test_gauges_updated_when_registry_enabled(self):
-        with telemetry.use_registry() as registry:
-            CongestionObservatory(_fake_deployment()).sample()
-            dump = telemetry.to_json(registry)
-        assert "srbb_obs_pool_depth" in dump
-        assert "srbb_obs_net_inflight" in dump
-        (sample,) = dump["srbb_obs_net_inflight"]["samples"]
-        assert sample["value"] == 4
-
-    def test_sampling_on_live_deployment_is_pure(self):
         deployment = Deployment(
             protocol=params.ProtocolParams(n=4),
             topology=single_region_topology(4),
             seed=11,
         )
-        obs = CongestionObservatory(deployment, interval_s=0.5).install()
-        deployment.run_until(2.0)
-        assert len(obs.samples) >= 4
-        assert all(set(s["nodes"]) == {0, 1, 2, 3} for s in obs.samples)
-        # observations only: times strictly increasing on the sim clock
-        times = [s["t"] for s in obs.samples]
-        assert times == sorted(times)
+        with _Traced() as tracer:
+            start_sampling(deployment)
+            deployment.run_until(2.5)  # the run's horizon ends sampling
+        samples = samples_from_trace(tracer.records)
+        assert [s["t"] for s in samples] == [0.0, 1.0, 2.0]
+
+    def test_sampling_on_live_deployment_is_pure(self):
+        def run(traced):
+            deployment = Deployment(
+                protocol=params.ProtocolParams(n=4),
+                topology=single_region_topology(4),
+                seed=11,
+            )
+            deployment.start()
+            if traced:
+                start_sampling(deployment)
+            deployment.run_until(4.0)
+            return deployment
+
+        with _Traced() as tracer:
+            traced = run(True)
+        plain = run(False)
+        samples = samples_from_trace(tracer.records)
+        assert len(samples) == 5
+        assert all(set(s["nodes"]) == {0, 1, 2, 3} for s in samples)
+        # observations only: same chains with and without the sampler
+        assert traced.validators[0].stats.superblocks_committed > 3
+        assert [v.blockchain.block_hashes() for v in traced.validators] == [
+            v.blockchain.block_hashes() for v in plain.validators
+        ]
+
+    def test_open_instances_count_unfinished_rounds(self):
+        # Finished rounds stay in node._consensus until a crash; a sample
+        # counts only the rounds still running, so the sum over nodes is
+        # at most n per height in flight, however long the run.
+        deployment = Deployment(
+            protocol=params.ProtocolParams(n=4),
+            topology=single_region_topology(4),
+            seed=11,
+        )
+        deployment.start()
+        n = deployment.protocol.n
+        with _Traced() as tracer:
+            for second in range(1, 21):
+                deployment.run_until(float(second))
+                sample(deployment)
+                in_flight = {
+                    index
+                    for node in deployment.validators
+                    for index, c in node._consensus.items() if not c.finished
+                }
+                (last,) = samples_from_trace(tracer.records[-1:])
+                open_sum = sum(
+                    row["consensus_open"] for row in last["nodes"].values()
+                )
+                assert open_sum <= n * len(in_flight)
+        kept = sum(len(node._consensus) for node in deployment.validators)
+        assert kept > 10 * n * 2  # what len(node._consensus) would read
+        assert open_sum <= 2 * n
 
 
 class TestRendering:
     def _samples(self):
-        obs = CongestionObservatory(_fake_deployment())
-        obs.sample()
-        obs.deployment.sim.now = 1.0
-        obs.sample()
-        return obs
+        deployment = _fake_deployment()
+        with _Traced() as tracer:
+            sample(deployment)
+            deployment.sim.now = 1.0
+            sample(deployment)
+        return samples_from_trace(tracer.records)
 
     def test_text_report_has_sparkline_rows(self):
-        text = self._samples().render_text()
+        text = render_samples_text(self._samples())
         assert "congestion observatory — 2 samples" in text
         assert "txpool depth" in text
         assert "crashed at some sample: nodes [1]" in text
 
     def test_crashed_nodes_excluded_from_sums(self):
-        obs = self._samples()
-        text = render_samples_text(obs.samples)
+        text = render_samples_text(self._samples())
         # only node 0 counts: depth 3, not 6
         assert "last=     3.0" in text
 
     def test_empty_samples(self):
         assert render_samples_text([]) == "observatory: no samples"
-        assert "no samples" in render_samples_html([])
+        assert "no samples" in render_samples_figures([])
 
     def test_html_is_self_contained(self):
-        doc = self._samples().render_html(title="t & t")
+        records = [
+            {"ts": s["t"], "type": "event", "name": "obs.sample",
+             "attrs": {"nodes": s["nodes"], "net": s["net"]}}
+            for s in self._samples()
+        ]
+        doc = build_congestion_report(records, html=True, title="t & t")
         assert doc.startswith("<!doctype html>")
         assert "t &amp; t" in doc
         assert "<svg" in doc
         assert "</html>" in doc
 
     def test_figures_fragment_embeddable(self):
-        frag = render_samples_figures(self._samples().samples)
+        frag = render_samples_figures(self._samples())
         assert "<figure>" in frag and "<html>" not in frag
 
     def test_save_roundtrip(self, tmp_path):
-        obs = self._samples()
-        path = tmp_path / "obs.json"
-        obs.save(str(path))
-        doc = json.loads(path.read_text())
-        assert doc["interval_s"] == 1.0
-        assert len(doc["samples"]) == 2
-        assert doc["samples"][0]["net"] == obs.samples[0]["net"]
+        deployment = _fake_deployment()
+        with _Traced() as tracer:
+            sample(deployment)
+            deployment.sim.now = 1.0
+            sample(deployment)
+        path = tmp_path / "trace.jsonl"
+        tracer.dump(str(path))
+        samples = samples_from_trace(load_jsonl(str(path)))
+        assert len(samples) == 2
+        assert samples[0]["net"] == tracer.records[0]["attrs"]["net"]
         # JSON stringifies node-id keys; the renderers only read values
-        assert set(doc["samples"][0]["nodes"]) == {"0", "1"}
-        assert "txpool depth" in render_samples_text(doc["samples"])
+        assert set(samples[0]["nodes"]) == {"0", "1"}
+        assert "txpool depth" in render_samples_text(samples)
+        assert json.loads(path.read_text().splitlines()[1])["ts"] == 1.0

@@ -2,8 +2,8 @@
 
 import json
 
+from repro import telemetry
 from repro.telemetry import Tracer
-from repro.telemetry.lifecycle import LifecycleRecorder
 from repro.telemetry.trace_event import (
     load_jsonl,
     to_trace_events,
@@ -18,14 +18,34 @@ def _tracer_records():
     return tracer.records
 
 
+class _Tx:
+    def __init__(self, tx_hash):
+        self.tx_hash = tx_hash
+
+
+def _stamps(stamps):
+    """``tx.*`` records for ``(tx_hash, phase, node, t)`` stamps."""
+    tracer = Tracer()
+    previous = telemetry.set_tracer(tracer)
+    try:
+        for tx, phase, node, t in stamps:
+            telemetry.stamp_txs(phase, t, [_Tx(tx)], node=node)
+    finally:
+        telemetry.set_tracer(previous)
+    return tracer.records
+
+
 def _lifecycle_records(n=1):
-    rec = LifecycleRecorder()
+    stamps = []
     for i in range(n):
         tx = bytes([i]) * 4
-        rec.stamp(tx, "submit", node=0, t=0.1 * i)
-        rec.stamp(tx, "pool", node=0, t=0.1 * i + 0.2)
-        rec.stamp(tx, "commit", node=1, t=0.1 * i + 1.0)
-    return rec.to_records()
+        stamps += [
+            (tx, "submit", 0, 0.1 * i),
+            (tx, "pool", 0, 0.1 * i + 0.2),
+            (tx, "commit", 1, 0.1 * i + 1.0),
+        ]
+    # record order is simulated-time order, as a run appends them
+    return _stamps(sorted(stamps, key=lambda s: s[3]))
 
 
 class TestToTraceEvents:
@@ -40,9 +60,7 @@ class TestToTraceEvents:
         assert by_name["sim.run"]["ts"] == 2_000_000
 
     def test_events_and_lifecycle_share_one_clock_and_track(self):
-        doc = to_trace_events(
-            _tracer_records(), lifecycle_records=_lifecycle_records()
-        )
+        doc = to_trace_events(_tracer_records() + _lifecycle_records())
         processes = [
             (e["pid"], e["args"]["name"])
             for e in doc["traceEvents"] if e["name"] == "process_name"
@@ -57,7 +75,7 @@ class TestToTraceEvents:
         assert node0 == [("submit", "X"), ("pool", "X"), ("node.commit", "i")]
 
     def test_lifecycle_slices_and_flow_arrows(self):
-        doc = to_trace_events([], lifecycle_records=_lifecycle_records())
+        doc = to_trace_events(_lifecycle_records())
         sim = [e for e in doc["traceEvents"] if e["ph"] != "M"]
         slices = [e for e in sim if e["ph"] == "X"]
         flows = [e for e in sim if e["ph"] in ("s", "t", "f")]
@@ -68,9 +86,7 @@ class TestToTraceEvents:
         assert doc["otherData"]["flows"] == 1
 
     def test_max_flows_cap_counts_dropped(self):
-        doc = to_trace_events(
-            [], lifecycle_records=_lifecycle_records(5), max_flows=2
-        )
+        doc = to_trace_events(_lifecycle_records(5), max_flows=2)
         assert doc["otherData"]["flows"] == 2
         assert doc["otherData"]["flows_dropped"] == 3
         # capped txs keep their slices, just without arrows
@@ -81,17 +97,35 @@ class TestToTraceEvents:
         assert len(slices) == 15
 
     def test_single_point_tx_gets_no_flow(self):
-        rec = LifecycleRecorder()
-        rec.stamp(b"solo", "submit", node=0, t=0.0)
-        doc = to_trace_events([], lifecycle_records=rec.to_records())
+        doc = to_trace_events(_stamps([(b"solo", "submit", 0, 0.0)]))
         assert not [
             e for e in doc["traceEvents"] if e["ph"] in ("s", "t", "f")
         ]
+        assert doc["otherData"]["flows"] == 0
+        assert doc["otherData"]["flows_dropped"] == 0
+
+    def test_single_point_tx_takes_no_flow_slot(self):
+        # submitted, then eager-rejected: one stamp, no arrow to draw
+        records = _stamps([
+            (b"solo", "submit", 0, 0.0),
+            (b"full", "submit", 0, 0.1),
+            (b"full", "pool", 0, 0.2),
+            (b"full", "commit", 1, 1.0),
+        ])
+        doc = to_trace_events(records, max_flows=1)
+        starts = [e for e in doc["traceEvents"] if e["ph"] == "s"]
+        assert doc["otherData"]["flows"] == len(starts) == 1
+        assert doc["otherData"]["flows_dropped"] == 0
+        assert starts[0]["name"] == "tx " + b"full".hex()
+        assert validate_trace_event(doc) == []
+
+    def test_tx_events_are_slices_not_instants(self):
+        doc = to_trace_events(_tracer_records() + _lifecycle_records())
+        instants = {e["name"] for e in doc["traceEvents"] if e["ph"] == "i"}
+        assert instants == {"node.commit", "sim.run"}
 
     def test_metadata_names_processes_and_threads(self):
-        doc = to_trace_events(
-            _tracer_records(), lifecycle_records=_lifecycle_records()
-        )
+        doc = to_trace_events(_tracer_records() + _lifecycle_records())
         meta = [e for e in doc["traceEvents"] if e["ph"] == "M"]
         names = {
             (e["pid"], e["tid"], e["args"]["name"])
@@ -102,9 +136,7 @@ class TestToTraceEvents:
         assert (1, 2, "node 1") in names
 
     def test_output_validates_clean(self):
-        doc = to_trace_events(
-            _tracer_records(), lifecycle_records=_lifecycle_records(3)
-        )
+        doc = to_trace_events(_tracer_records() + _lifecycle_records(3))
         assert validate_trace_event(doc) == []
 
 
