@@ -11,14 +11,37 @@ Guarantees with f < n/3 Byzantine:
 ECHO and READY carry the payload alongside its digest so a node that never
 received the original SEND (Byzantine broadcaster) can still assemble the
 message — a simplification over hash-then-fetch that suits a simulator.
+A vote is only as good as its digest, so a payload is kept for digest
+``d`` only if it hashes to ``d``: the first such payload wins, and one
+that does not hash to ``d`` (or no payload at all) never stands in for
+it.  The hash is taken while the digest has no payload yet, never once
+it has one.
+
+Tallies are column-wise, one column per broadcaster slot of the chain
+index, like DBFT's :class:`~repro.consensus.dbft.VoteTable`:
+
+* per slot, its *column digest* (the first digest seen for it), that
+  digest's payload, and ECHO and READY counters;
+* per (sender, kind), one slot bitmask — the column-digest votes already
+  counted, so the double-vote rule is ``new = mask & ~seen``;
+* bitmasks of the slots ECHOed, READY-sent and delivered.
+
+A run of votes (:class:`~repro.consensus.messages.VoteRun`) whose digests
+all equal their slots' column digests, for slots that hold a payload, is
+tallied in one pass over its instances.  Votes for any other digest keep
+a per-digest sender bitmask each; only an equivocating broadcaster or a
+slot seen for the first time produces them, and a run that mixes them in
+takes the per-vote routine (:meth:`ReliableBroadcast._vote`) in order.
+Either way a slot is woken on the vote that lands exactly on 2f+1 ECHOs
+or f+1 READYs (``_check_ready``), or on any READY at or past 2f+1 while
+undelivered (``_check_deliver``), in the run's emission order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
-from repro.consensus.messages import ConsensusMessage, MsgKind
+from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun, _run_key
 from repro.crypto.hashing import hash_items
 
 _ECHO = MsgKind.RBC_ECHO
@@ -31,19 +54,6 @@ def _digest(payload: Any) -> bytes:
     if isinstance(payload, bytes):
         return hash_items([payload])
     return hash_items([repr(payload)])
-
-
-@dataclass(slots=True)
-class _SlotState:
-    """State for one broadcaster slot.  Who voted is one bitmask of
-    sender ids per digest (a repeated vote finds its bit already set)."""
-
-    echoes: dict[bytes, int] = field(default_factory=dict)
-    readies: dict[bytes, int] = field(default_factory=dict)
-    payloads: dict[bytes, Any] = field(default_factory=dict)
-    echoed: bool = False
-    ready_sent: bool = False
-    delivered: bool = False
 
 
 class ReliableBroadcast:
@@ -67,16 +77,24 @@ class ReliableBroadcast:
         #: batches votes (ECHO/READY coalesce; SEND always goes direct).
         self.sink = broadcast
         self._on_deliver = on_deliver
-        self._slots: dict[int, _SlotState] = {}
-
-    def _slot(self, instance: int) -> _SlotState | None:
-        """The slot's state, or ``None`` for an instance no seat owns."""
-        slot = self._slots.get(instance)
-        if slot is None:
-            if type(instance) is not int or not 0 <= instance < self.n:
-                return None
-            slot = self._slots[instance] = _SlotState()
-        return slot
+        self._all = (1 << n) - 1
+        self._quorum = 2 * f + 1
+        # per slot: column digest, its payload, its ECHO / READY counts
+        self._digests: list[bytes | None] = [None] * n
+        self._payloads: list[Any] = [None] * n
+        self._echoes = [0] * n
+        self._readies = [0] * n
+        # per sender: the slots whose column digest it ECHOed / READYed
+        self._echoed_by = [0] * n
+        self._readied_by = [0] * n
+        #: (slot, any other digest) -> [ECHO senders, READY senders, payload]
+        self._others: dict[tuple[int, bytes], list] = {}
+        self._unpaid = self._all  # slots whose column digest has no payload
+        self._echoed = 0
+        self._ready_sent = 0
+        #: delivered slots; delivering implies READY-sent, so these are
+        #: the slots no vote can change anything for
+        self._delivered = 0
 
     def _send(self, kind: MsgKind, instance: int, value: Any) -> None:
         self.sink(
@@ -92,83 +110,157 @@ class ReliableBroadcast:
     def on_message(self, msg: ConsensusMessage) -> None:
         kind = msg.kind
         if kind is _ECHO or kind is _READY:
-            self.on_votes((msg,), msg.sender)  # a run of one
+            sender = msg.sender
+            if _run_key(msg) is not None and 0 <= sender < self.n:  # well-formed
+                self._vote(kind, msg.instance, msg.value, sender)
             return
-        if kind is not MsgKind.RBC_SEND:
-            return
-        slot = self._slot(msg.instance)
+        instance = msg.instance
         # Only the slot owner's SEND counts (others are Byzantine noise).
-        if slot is None or msg.sender != msg.instance or slot.echoed:
+        if (
+            kind is not MsgKind.RBC_SEND
+            or type(instance) is not int
+            or not 0 <= instance < self.n
+            or msg.sender != instance
+            or self._echoed >> instance & 1
+        ):
             return
-        slot.echoed = True
+        self._echoed |= 1 << instance
         digest = _digest(msg.value)
-        slot.payloads[digest] = msg.value
-        self._send(MsgKind.RBC_ECHO, msg.instance, (digest, msg.value))
+        if self._digests[instance] is None:
+            self._digests[instance] = digest
+        self._keep(instance, digest, msg.value)
+        self._send(MsgKind.RBC_ECHO, instance, (digest, msg.value))
         # Count our own echo implicitly via loopback delivery.
 
-    def on_votes(self, messages: Iterable[ConsensusMessage], sender: int) -> None:
-        """Tally a stretch of ECHO/READY votes, all sent by ``sender``, in
-        emission order.  Votes from outside ``range(n)`` are nobody's."""
-        if type(sender) is not int or not 0 <= sender < self.n:
+    def on_run(self, run: VoteRun) -> None:
+        """Tally a run of ECHO or READY votes, all sent by ``run.sender``,
+        in emission order.  Votes from outside ``range(n)`` are nobody's."""
+        sender = run.sender
+        if not 0 <= sender < self.n:
             return
-        bit = 1 << sender
-        quorum = 2 * self.f + 1
-        for msg in messages:
-            instance = msg.instance
-            slot = self._slots.get(instance) or self._slot(instance)
-            if slot is None or (slot.delivered and slot.ready_sent):
-                continue  # unknown slot, or one with nothing left to trigger
-            digest, payload = msg.value
-            # A digest's count moves by one per vote, and _check_ready
-            # latches ready_sent the first time it finds a threshold met:
-            # only the vote landing exactly on one can change anything.
-            if msg.kind is _ECHO:
-                seen = slot.echoes.get(digest, 0)
-                if seen & bit:
+        mask = run.mask
+        columns = self._digests
+        if (
+            mask > self._all
+            or mask & self._unpaid
+            or tuple(map(columns.__getitem__, run.instances)) != run.digests
+        ):
+            for msg in run.messages:
+                self._vote(run.kind, msg.instance, msg.value, sender)
+            return
+        echo = run.kind is _ECHO
+        seen = self._echoed_by if echo else self._readied_by
+        new = mask & ~seen[sender] & ~self._delivered
+        if not new:
+            return
+        seen[sender] |= new
+        partial = new != mask
+        quorum = self._quorum
+        if echo:
+            counts = self._echoes
+            for i in run.instances:
+                if partial and not new >> i & 1:
                     continue
-                seen = slot.echoes[digest] = seen | bit
-                slot.payloads.setdefault(digest, payload)
-                if seen.bit_count() == quorum:
-                    self._check_ready(instance, digest, slot)
-            else:
-                seen = slot.readies.get(digest, 0)
-                if seen & bit:
-                    continue
-                seen = slot.readies[digest] = seen | bit
-                if payload is not None:
-                    slot.payloads.setdefault(digest, payload)
-                count = seen.bit_count()
-                if count == self.f + 1:
-                    self._check_ready(instance, digest, slot)
-                # ≥, not ==: delivery may be waiting for a READY that
-                # carries the payload
-                if count >= quorum and not slot.delivered:
-                    self._check_deliver(instance, digest, slot)
+                count = counts[i] = counts[i] + 1
+                if count == quorum:
+                    self._check_ready(i, columns[i])
+            return
+        counts = self._readies
+        amplify = self.f + 1
+        for i in run.instances:
+            if partial and not new >> i & 1:
+                continue
+            count = counts[i] = counts[i] + 1
+            if count == amplify:
+                self._check_ready(i, columns[i])
+            if count >= quorum and not self._delivered >> i & 1:
+                self._check_deliver(i, columns[i])
+
+    def delivered(self, instance: int) -> bool:
+        return type(instance) is int and 0 <= instance < self.n and bool(
+            self._delivered >> instance & 1
+        )
+
+    # -- one vote ------------------------------------------------------------------
+
+    def _vote(self, kind: MsgKind, instance: int, value: tuple, sender: int) -> None:
+        """Tally one ECHO/READY ``value = (digest, payload)`` from a seat."""
+        if instance >= self.n or self._delivered >> instance & 1:
+            return  # unknown slot, or one with nothing left to trigger
+        digest, payload = value
+        bit = 1 << instance
+        column = self._digests[instance]
+        if column is None:
+            column = self._digests[instance] = digest
+        echo = kind is _ECHO
+        if digest == column:
+            seen = self._echoed_by if echo else self._readied_by
+            if seen[sender] & bit:
+                return
+            seen[sender] |= bit
+            counts = self._echoes if echo else self._readies
+            count = counts[instance] = counts[instance] + 1
+        else:
+            other = self._others.setdefault((instance, digest), [0, 0, None])
+            field = 0 if echo else 1
+            if other[field] >> sender & 1:
+                return
+            other[field] |= 1 << sender
+            count = other[field].bit_count()
+        self._keep(instance, digest, payload)
+        # A digest's count moves by one per vote, and _check_ready latches
+        # ready_sent the first time it finds a threshold met: only the vote
+        # landing exactly on one can change anything.
+        quorum = self._quorum
+        if echo:
+            if count == quorum:
+                self._check_ready(instance, digest)
+        else:
+            if count == self.f + 1:
+                self._check_ready(instance, digest)
+            # ≥, not ==: delivery may be waiting for a READY that carries
+            # the payload
+            if count >= quorum and not self._delivered >> instance & 1:
+                self._check_deliver(instance, digest)
+
+    def _keep(self, instance: int, digest: bytes, payload: Any) -> None:
+        """Keep ``payload`` for ``digest`` in ``instance`` if the digest has
+        none yet and the payload hashes to it."""
+        if payload is None:
+            return
+        if digest == self._digests[instance]:
+            if self._unpaid >> instance & 1 and _digest(payload) == digest:
+                self._payloads[instance] = payload
+                self._unpaid &= ~(1 << instance)
+            return
+        other = self._others.setdefault((instance, digest), [0, 0, None])
+        if other[2] is None and _digest(payload) == digest:
+            other[2] = payload
+
+    def _tally(self, instance: int, digest: bytes) -> tuple[int, int, Any]:
+        """ECHO count, READY count and payload of ``digest`` in ``instance``."""
+        if digest == self._digests[instance]:
+            payload = self._payloads[instance]
+            return self._echoes[instance], self._readies[instance], payload
+        other = self._others[instance, digest]  # made by the vote that woke it
+        return other[0].bit_count(), other[1].bit_count(), other[2]
 
     # -- thresholds ----------------------------------------------------------------
 
-    def _check_ready(self, instance: int, digest: bytes, slot: _SlotState) -> None:
-        if slot.ready_sent:
+    def _check_ready(self, instance: int, digest: bytes) -> None:
+        if self._ready_sent >> instance & 1:
             return
-        echoes = slot.echoes.get(digest, 0).bit_count()
-        readys = slot.readies.get(digest, 0).bit_count()
-        if echoes >= 2 * self.f + 1 or readys >= self.f + 1:
-            slot.ready_sent = True
-            payload = slot.payloads.get(digest)
+        echoes, readies, payload = self._tally(instance, digest)
+        if echoes >= self._quorum or readies >= self.f + 1:
+            self._ready_sent |= 1 << instance
             self._send(MsgKind.RBC_READY, instance, (digest, payload))
-            self._check_deliver(instance, digest, slot)
+            self._check_deliver(instance, digest)
 
-    def _check_deliver(self, instance: int, digest: bytes, slot: _SlotState) -> None:
-        if slot.delivered:
+    def _check_deliver(self, instance: int, digest: bytes) -> None:
+        if self._delivered >> instance & 1:
             return
-        readys = slot.readies.get(digest, 0).bit_count()
-        if readys >= 2 * self.f + 1 and digest in slot.payloads:
-            payload = slot.payloads[digest]
-            if payload is None:
-                return  # wait until someone forwards the payload
-            slot.delivered = True
+        _, readies, payload = self._tally(instance, digest)
+        # a missing payload waits until someone forwards it
+        if readies >= self._quorum and payload is not None:
+            self._delivered |= 1 << instance
             self._on_deliver(instance, payload)
-
-    def delivered(self, instance: int) -> bool:
-        slot = self._slots.get(instance)
-        return slot is not None and slot.delivered

@@ -100,22 +100,20 @@ RUN_INSTANCE_LIMIT = 4096
 class VoteRun(NamedTuple):
     """A stretch of consecutive batch constituents a receiver tallies at once.
 
-    Two shapes, told apart by ``kind``:
-
-    * ``BVAL`` / ``AUX`` — constituents equal in (kind, index, round,
-      value, sender) that differ only in their binary instance.
-      ``instances`` lists the instances in emission order, each at most
-      once, ``mask`` has bit ``i`` set for every instance ``i``, and
-      ``value`` is exactly ``0`` or ``1``.
-    * ``None`` — RBC ``ECHO`` / ``READY`` constituents of one (index,
-      sender), kinds and slots mixed as emitted; the receiver walks
-      ``messages``.
+    Constituents equal in their run key that differ only in their
+    instance: ``BVAL`` / ``AUX`` votes equal in (kind, index, round,
+    value, sender) with ``value`` exactly ``0`` or ``1``, or ``RBC_ECHO``
+    / ``RBC_READY`` votes equal in (kind, index, sender) whose value is a
+    ``(digest, payload)`` pair with a ``bytes`` digest.  ``instances``
+    lists the instances in emission order, each at most once, ``mask``
+    has bit ``i`` set for every instance ``i``, and for an RBC run
+    ``digests`` lists each vote's digest, aligned with ``instances``.
 
     ``messages`` is the stretch itself, so flattening a batch's runs
     gives back its constituents exactly and in order.
     """
 
-    kind: "MsgKind | None"
+    kind: MsgKind
     index: int
     sender: int
     messages: "tuple[ConsensusMessage, ...]"
@@ -123,6 +121,7 @@ class VoteRun(NamedTuple):
     value: int = 0
     instances: "tuple[int, ...]" = ()
     mask: int = 0
+    digests: "tuple[bytes, ...]" = ()
 
 
 def _run_key(msg: ConsensusMessage) -> "tuple | None":
@@ -130,21 +129,20 @@ def _run_key(msg: ConsensusMessage) -> "tuple | None":
     ``None`` for a constituent that stays single.  Exact ``int`` types
     only: ``1 == 1.0 == True`` must not merge votes that the tallies and
     the echoed messages would tell apart."""
-    kind = msg.kind
-    if type(msg.index) is not int or type(msg.sender) is not int:
+    kind, value, instance = msg.kind, msg.value, msg.instance
+    if (
+        type(msg.index) is not int
+        or type(msg.sender) is not int
+        or type(instance) is not int
+        or not 0 <= instance < RUN_INSTANCE_LIMIT
+    ):
         return None
     if kind is MsgKind.BVAL or kind is MsgKind.AUX:
-        value, instance = msg.value, msg.instance
-        if (
-            type(value) is int
-            and (value == 0 or value == 1)
-            and type(msg.round) is int
-            and type(instance) is int
-            and 0 <= instance < RUN_INSTANCE_LIMIT
-        ):
+        if type(value) is int and (value == 0 or value == 1) and type(msg.round) is int:
             return (kind, msg.index, msg.round, value, msg.sender)
     elif kind is MsgKind.RBC_ECHO or kind is MsgKind.RBC_READY:
-        return (None, msg.index, msg.sender)
+        if type(value) is tuple and len(value) == 2 and type(value[0]) is bytes:
+            return (kind, msg.index, msg.sender)
     return None
 
 
@@ -168,26 +166,29 @@ def _fold_runs(
         end = start + 1
         if key is None:
             out.append(first)
-        elif key[0] is None:
-            while end < total and keys[end] == key:
-                end += 1
-            out.append(VoteRun(None, first.index, first.sender, messages[start:end]))
-        else:
-            instances = [first.instance]
-            mask = 1 << first.instance
-            while end < total and keys[end] == key:
-                instance = messages[end].instance
-                if mask >> instance & 1:
-                    break  # a run holds one vote per instance
-                instances.append(instance)
-                mask |= 1 << instance
-                end += 1
-            out.append(
-                VoteRun(
-                    first.kind, first.index, first.sender, messages[start:end],
-                    first.round, first.value, tuple(instances), mask,
-                )
+            start = end
+            continue
+        instances = [first.instance]
+        mask = 1 << first.instance
+        while end < total and keys[end] == key:
+            instance = messages[end].instance
+            if mask >> instance & 1:
+                break  # a run holds one vote per instance
+            instances.append(instance)
+            mask |= 1 << instance
+            end += 1
+        stretch = messages[start:end]
+        if first.kind is MsgKind.BVAL or first.kind is MsgKind.AUX:
+            run = VoteRun(
+                first.kind, first.index, first.sender, stretch,
+                first.round, first.value, tuple(instances), mask,
             )
+        else:
+            run = VoteRun(
+                first.kind, first.index, first.sender, stretch, 0, 0,
+                tuple(instances), mask, tuple([m.value[0] for m in stretch]),
+            )
+        out.append(run)
         start = end
     return tuple(out)
 

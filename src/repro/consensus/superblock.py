@@ -195,7 +195,7 @@ class SuperBlockConsensus:
         elif kind is MsgKind.AUX:
             self.votes.aux(run.round, run.value, run.sender, run.instances, run.mask)
         else:
-            self.rbc.on_votes(run.messages, run.sender)
+            self.rbc.on_run(run)
 
     # -- callbacks -----------------------------------------------------------------
 

@@ -4,8 +4,13 @@ import random
 
 import pytest
 
-from repro.consensus.broadcast import ReliableBroadcast
+from repro import params
+from repro.consensus.broadcast import ReliableBroadcast, _digest
 from repro.consensus.messages import ConsensusMessage, MsgKind
+from repro.core.deployment import Deployment
+from repro.net.topology import single_region_topology
+from tests.consensus.test_vote_runs import _rbc_untouched
+from tests.core.test_vote_authenticity import _batch, _wire
 
 
 class RBCCluster:
@@ -124,3 +129,81 @@ class TestThresholds:
                 value=(b"\x02" * 32, b"p"), sender=1,
             ))
         assert not cluster.queue
+
+
+class TestPayloadMatchesDigest:
+    """A vote is only as good as its digest: the payload a node keeps,
+    forwards and delivers for digest ``d`` is the first one that hashes
+    to ``d`` — not the first one that arrives."""
+
+    BLOCK = b"block-1"
+
+    def _node(self):
+        out, delivered = [], []
+        node = ReliableBroadcast(
+            n=4, f=1, my_id=0, index=0, broadcast=out.append,
+            on_deliver=lambda slot, payload: delivered.append((slot, payload)),
+        )
+        return node, out, delivered
+
+    def _vote(self, node, kind, payload, sender):
+        node.on_message(ConsensusMessage(
+            kind=kind, index=0, instance=1, round=0,
+            value=(_digest(self.BLOCK), payload), sender=sender,
+        ))
+
+    @pytest.mark.parametrize("first", [b"forged", None, "absent"])
+    def test_first_payload_that_hashes_wins(self, first):
+        """Byzantine seat 3 ECHOs slot 1's digest first, with a forged
+        payload or none, before the SEND reaches node 0; the honest votes
+        carry the real block.  (Before the digest rule node 0 delivered
+        ``b"forged"``; a payload-less first ECHO left it forwarding
+        ``READY(d, None)`` and never delivering.)"""
+        node, out, delivered = self._node()
+        if first != "absent":
+            self._vote(node, MsgKind.RBC_ECHO, first, sender=3)
+        for sender in (1, 2, 0):
+            self._vote(node, MsgKind.RBC_ECHO, self.BLOCK, sender)
+        for sender in (1, 2, 3):
+            self._vote(node, MsgKind.RBC_READY, self.BLOCK, sender)
+        assert [m.value[1] for m in out] == [self.BLOCK]  # its READY carries it
+        assert delivered == [(1, self.BLOCK)]
+
+    def test_forged_payload_alone_never_delivers(self):
+        node, out, delivered = self._node()
+        for sender in (1, 2, 3):
+            self._vote(node, MsgKind.RBC_READY, b"forged", sender)
+        assert [m.value for m in out] == [(_digest(self.BLOCK), None)]
+        assert not delivered and not node.delivered(1)
+        self._vote(node, MsgKind.RBC_READY, self.BLOCK, 0)  # a READY that carries it
+        assert delivered == [(1, self.BLOCK)]
+
+
+class TestMalformedVotes:
+    """An ECHO/READY whose value is not a ``(bytes digest, payload)`` pair
+    is nobody's vote: a node drops it, batched or alone, tallies nothing
+    and keeps serving."""
+
+    @pytest.mark.parametrize("value", [5, None, (b"d",), (b"d", b"p", 3), "xy", ("d", b"p")])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_dropped_not_raised(self, value, batched):
+        deployment = Deployment(
+            protocol=params.ProtocolParams(n=4), topology=single_region_topology(4)
+        )
+        node = deployment.validators[3]
+        votes = [
+            ConsensusMessage(kind=kind, index=1, instance=slot, round=0, value=value, sender=0)
+            for kind in (MsgKind.RBC_ECHO, MsgKind.RBC_READY)
+            for slot in (1, 2)
+        ]
+        if batched:
+            node.on_message(_batch(votes, wire_sender=0))
+        else:
+            for vote in votes:
+                node.on_message(_wire(vote, 0))
+        rbc = node._consensus[1].rbc
+        assert _rbc_untouched(rbc)
+        assert node.vote_batcher.pending == 0
+        # a well-formed vote from the same seat still counts
+        node.on_message(_wire(votes[0]._replace(value=(b"d", b"p")), 0))
+        assert rbc._echoes[1] == 1

@@ -15,6 +15,10 @@ actually reached), cut into batches at random points and then damaged:
 batches and votes duplicated, dropped and reordered, both values from one
 sender, foreign and garbage constituents pushed into the middle of
 stretches, garbage senders, values, rounds, indexes and instances.
+
+RBC ECHO/READY runs are tallied column-wise, so they are also diffed
+against ``PerVoteRBC``, Bracha's rules walked one vote at a time on sets,
+over RBC traffic with twin digests, forged and missing payloads.
 """
 
 import random
@@ -25,7 +29,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.consensus.broadcast import ReliableBroadcast
+from repro.consensus.broadcast import ReliableBroadcast, _digest as rbc_digest
 from repro.consensus.dbft import VoteTable
 from repro.consensus.messages import (
     RUN_INSTANCE_LIMIT,
@@ -323,7 +327,7 @@ def test_regrouping_across_a_constituent_would_be_observable():
     ]
     runs = ConsensusBatch(messages=batches[2][1], sender=3).runs()
     assert [(r.kind, r.instances) for r in runs] == [
-        (MsgKind.BVAL, (0,)), (None, ()), (MsgKind.BVAL, (1,)),
+        (MsgKind.BVAL, (0,)), (MsgKind.RBC_READY, (3,)), (MsgKind.BVAL, (1,)),
     ]
 
 
@@ -413,16 +417,20 @@ class TestRuns:
                 continue
             first = run.messages[0]
             assert (run.index, run.sender) == (first.index, first.sender)
-            if run.kind is None:
-                assert {m.kind for m in run.messages} <= set(RBC_VOTE_KINDS)
-                assert {(m.index, m.sender) for m in run.messages} == {
-                    (run.index, run.sender)
-                }
-                continue
-            assert run.kind in VOTE_KINDS and type(run.value) is int
             assert run.instances == tuple(m.instance for m in run.messages)
             assert len(set(run.instances)) == len(run.instances)
             assert run.mask == sum(1 << i for i in run.instances)
+            if run.kind in RBC_VOTE_KINDS:
+                assert {(m.kind, m.index, m.sender) for m in run.messages} == {
+                    (run.kind, run.index, run.sender)
+                }
+                assert all(
+                    type(m.value) is tuple and len(m.value) == 2 for m in run.messages
+                )
+                assert run.digests == tuple(m.value[0] for m in run.messages)
+                assert all(type(d) is bytes for d in run.digests)
+                continue
+            assert run.kind in VOTE_KINDS and type(run.value) is int
             assert {
                 (m.kind, m.index, m.round, m.value, m.sender, type(m.value))
                 for m in run.messages
@@ -442,21 +450,28 @@ class TestRuns:
             _vote(instance=-1), _vote(instance=RUN_INSTANCE_LIMIT),
             _vote(kind=MsgKind.RBC_SEND, instance=0, value=b"p"),
             _vote(kind=MsgKind.RBC_ECHO, instance=0, value=(b"d", b"p")),
-            _vote(kind=MsgKind.RBC_READY, instance=0, value=(b"d", b"p")),
-            _vote(kind=MsgKind.RBC_ECHO, instance=1, value=(b"d", b"p")),
-            _vote(kind=MsgKind.RBC_ECHO, instance=1, value=(b"d", b"p"), sender=2),
+            _vote(kind=MsgKind.RBC_ECHO, instance=1, value=(b"e", None)),
+            _vote(kind=MsgKind.RBC_ECHO, instance=1, value=(b"d", b"p")),  # repeated
+            _vote(kind=MsgKind.RBC_READY, instance=0, value=(b"d", None)),
+            _vote(kind=MsgKind.RBC_READY, instance=2, value=(b"d", b"p")),
+            _vote(kind=MsgKind.RBC_ECHO, instance=2, value=(b"d", b"p"), sender=2),
+            _vote(kind=MsgKind.RBC_ECHO, instance=3, value="xy"),  # malformed
+            _vote(kind=MsgKind.RBC_ECHO, instance=3, value=(b"d",)),
+            _vote(kind=MsgKind.RBC_ECHO, instance=3, value=("d", b"p")),
+            _vote(kind=MsgKind.RBC_READY, instance=-1, value=(b"d", b"p")),
         )
-        shape = [
-            (r.kind, r.instances or len(r.messages)) if type(r) is VoteRun else r.kind
-            for r in ConsensusBatch(messages=messages, sender=0).runs()
-        ]
+        runs = ConsensusBatch(messages=messages, sender=0).runs()
+        shape = [(r.kind, r.instances) if type(r) is VoteRun else r.kind for r in runs]
         assert shape == [
             (MsgKind.BVAL, (0, 1, 2)), (MsgKind.BVAL, (1,)), (MsgKind.BVAL, (3,)),
             (MsgKind.BVAL, (4,)), MsgKind.COORD, (MsgKind.AUX, (0, 5)),
             (MsgKind.AUX, (6,)), (MsgKind.AUX, (7,)),
             MsgKind.BVAL, MsgKind.BVAL, MsgKind.BVAL, MsgKind.BVAL,
-            MsgKind.RBC_SEND, (None, 3), (None, 1),
+            MsgKind.RBC_SEND, (MsgKind.RBC_ECHO, (0, 1)), (MsgKind.RBC_ECHO, (1,)),
+            (MsgKind.RBC_READY, (0, 2)), (MsgKind.RBC_ECHO, (2,)),
+            MsgKind.RBC_ECHO, MsgKind.RBC_ECHO, MsgKind.RBC_ECHO, MsgKind.RBC_READY,
         ]
+        assert runs[shape.index((MsgKind.RBC_ECHO, (0, 1)))].digests == (b"d", b"e")
 
     def test_memoised_and_invisible_to_eq_and_hash(self):
         messages = tuple(_vote(instance=i) for i in range(4))
@@ -495,6 +510,18 @@ def _table(n):
     return table
 
 
+def _rbc_untouched(rbc):
+    """Nothing tallied, kept or latched, and no per-digest entry made."""
+    return (
+        not any(rbc._echoes) and not any(rbc._readies)
+        and not any(rbc._echoed_by) and not any(rbc._readied_by)
+        and rbc._digests == rbc._payloads == [None] * rbc.n
+        and not rbc._others
+        and rbc._unpaid == (1 << rbc.n) - 1
+        and not (rbc._echoed or rbc._ready_sent or rbc._delivered)
+    )
+
+
 def _stored_ints(table):
     yield from table._seen.values()
     for counts in table._counts.values():
@@ -522,7 +549,7 @@ class TestRangeChecks:
         for kind in RBC_VOTE_KINDS:
             rbc.on_message(_vote(kind=kind, instance=1, value=(b"d", b"p"), sender=sender))
         assert not delivered
-        assert all(not s.echoes and not s.readies for s in rbc._slots.values())
+        assert _rbc_untouched(rbc)
 
     @pytest.mark.parametrize("instance", [N, N + 100, RUN_INSTANCE_LIMIT - 1])
     def test_unknown_instances_move_no_tally(self, instance):
@@ -541,7 +568,7 @@ class TestRangeChecks:
         for kind in (MsgKind.RBC_SEND, *RBC_VOTE_KINDS):
             for bad in (instance, -1, 10**9, "1", None):
                 rbc.on_message(_vote(kind=kind, instance=bad, value=(b"d", b"p"), sender=1))
-        assert not rbc._slots
+        assert _rbc_untouched(rbc)
         assert not rbc.delivered(instance)
 
     def test_ghosts_in_a_batch_neither_raise_nor_allocate(self):
@@ -564,7 +591,7 @@ class TestRangeChecks:
             node.on_message(m)
         assert not out and not superblocks
         assert not any(_stored_ints(node.votes))
-        assert not node.rbc._slots
+        assert _rbc_untouched(node.rbc)
         word = sys.getsizeof(1 << (n + 64))
         assert all(sys.getsizeof(v) <= word for v in _stored_ints(node.votes))
         for run in ConsensusBatch(messages=messages, sender=0).runs():
@@ -602,3 +629,318 @@ class TestThresholds:
         assert [table.bval_count(1, 0, c) for c in range(4)] == [1, 2, 1, 2]
         assert table.owners[1].woken == [("bval", 1, 0)]  # f + 1 = 2
         assert table.bval_count(9, 0, 0) == 0 and table.aux_counts(9, 0) == (0, 0)
+
+
+# -- RBC: the run tally against a per-vote walk --------------------------------
+
+
+class PerVoteRBC:
+    """Bracha's ECHO/READY rules walked one vote at a time, on sets — the
+    reference the column-wise run tally of :class:`ReliableBroadcast` must
+    equal.  A seat's vote counts once per (slot, digest, kind); a payload
+    is kept for a digest only if it hashes to it, the first such one
+    winning; a slot is woken only by the vote that lands on 2f+1 ECHOs or
+    f+1 READYs, or by any READY at or past 2f+1 while undelivered; a
+    delivered slot takes no more votes."""
+
+    def __init__(self, n, my_id, out, deliveries):
+        self.n, self.f, self.my_id = n, (n - 1) // 3, my_id
+        self.out, self.deliveries = out, deliveries
+        self.voters = {}  # (kind, slot, digest) -> senders
+        self.payloads = {}  # (slot, digest) -> payload
+        self.echoed, self.ready_sent, self.delivered = set(), set(), set()
+
+    def _send(self, kind, slot, value):
+        self.out.append(
+            ConsensusMessage(kind, INDEX, slot, 0, value, self.my_id)
+        )
+
+    def _keep(self, slot, digest, payload):
+        if (
+            payload is not None
+            and (slot, digest) not in self.payloads
+            and rbc_digest(payload) == digest
+        ):
+            self.payloads[slot, digest] = payload
+
+    def _count(self, kind, slot, digest):
+        return len(self.voters.get((kind, slot, digest), ()))
+
+    def on_message(self, m):
+        slot, sender, value = m.instance, m.sender, m.value
+        if type(slot) is not int or not 0 <= slot < self.n:
+            return
+        if m.kind is MsgKind.RBC_SEND:
+            if sender == slot and slot not in self.echoed:
+                self.echoed.add(slot)
+                digest = rbc_digest(value)
+                self._keep(slot, digest, value)
+                self._send(MsgKind.RBC_ECHO, slot, (digest, value))
+            return
+        if (
+            m.kind not in RBC_VOTE_KINDS
+            or type(sender) is not int
+            or not 0 <= sender < self.n
+            or type(value) is not tuple
+            or len(value) != 2
+            or type(value[0]) is not bytes
+            or slot in self.delivered
+        ):
+            return
+        digest, payload = value
+        voters = self.voters.setdefault((m.kind, slot, digest), set())
+        if sender in voters:
+            return
+        voters.add(sender)
+        self._keep(slot, digest, payload)
+        count, quorum = len(voters), 2 * self.f + 1
+        if m.kind is MsgKind.RBC_ECHO:
+            if count == quorum:
+                self._check_ready(slot, digest)
+        else:
+            if count == self.f + 1:
+                self._check_ready(slot, digest)
+            if count >= quorum:
+                self._check_deliver(slot, digest)
+
+    def _check_ready(self, slot, digest):
+        if slot in self.ready_sent:
+            return
+        if (
+            self._count(MsgKind.RBC_ECHO, slot, digest) >= 2 * self.f + 1
+            or self._count(MsgKind.RBC_READY, slot, digest) >= self.f + 1
+        ):
+            self.ready_sent.add(slot)
+            self._send(MsgKind.RBC_READY, slot, (digest, self.payloads.get((slot, digest))))
+            self._check_deliver(slot, digest)
+
+    def _check_deliver(self, slot, digest):
+        payload = self.payloads.get((slot, digest))
+        if (
+            slot not in self.delivered
+            and self._count(MsgKind.RBC_READY, slot, digest) >= 2 * self.f + 1
+            and payload is not None
+        ):
+            self.delivered.add(slot)
+            self.deliveries.append((slot, payload))
+
+
+MALFORMED_RBC_VALUES = (5, None, (b"d",), (b"d", b"p", 3), "xy", ("d", b"p"))
+
+
+def _rbc_payloads(slot):
+    """Slot ``slot``'s genuine payload and an equivocating twin."""
+    return b"block-%d" % slot, b"twin-%d" % slot
+
+
+@st.composite
+def rbc_streams(draw):
+    """Batches of RBC traffic as one node receives it: every seat ECHOs and
+    READYs the genuine payloads of some slots, the owners' SENDs arrive
+    or not, and the stream is then damaged — votes repeated, dropped and
+    swapped, payloads dropped or forged, a twin digest arriving first,
+    ghost senders and instances, malformed values."""
+    n = draw(st.sampled_from((4, 4, 7, 10)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    slots = range(n)
+    genuine, twins = zip(*map(_rbc_payloads, slots))
+    # an equivocating broadcaster: about half the seats vote for its twin
+    equivocator = rng.choice(slots) if rng.random() < 0.5 else None
+    # slots whose READYs mostly come from seats that never got the payload
+    hollow = {i for i in slots if rng.random() < 0.3}
+    stream = [
+        _vote(kind=MsgKind.RBC_SEND, instance=i, round=0, value=genuine[i], sender=i)
+        for i in slots if rng.random() < 0.7
+    ]
+    chunks = []
+    for sender in slots:
+        for kind in RBC_VOTE_KINDS:
+            chosen = [i for i in slots if rng.random() < 0.85]
+            rng.shuffle(chosen)
+            chunk = []
+            for i in chosen:
+                payload = twins[i] if i == equivocator and rng.random() < 0.5 else genuine[i]
+                carried = payload
+                if kind is MsgKind.RBC_READY and i in hollow and rng.random() < 0.8:
+                    carried = None
+                elif rng.random() < 0.2:  # an equal payload, another object
+                    carried = bytes(bytearray(payload))
+                chunk.append(_vote(kind=kind, instance=i, round=0, sender=sender,
+                                   value=(rbc_digest(payload), carried)))
+            chunks.append(chunk)
+    rng.shuffle(chunks)
+    if rng.random() < 0.3:  # a late node: READYs first, one of them last
+        chunks.sort(key=lambda chunk: chunk[:1] != [] and chunk[0].kind is MsgKind.RBC_ECHO)
+        chunks.append(chunks.pop(0))
+    stream += [m for chunk in chunks for m in chunk]
+    where = st.floats(0, 1, exclude_max=True)
+    for edit in draw(st.lists(st.integers(0, 10), max_size=20)):
+        if not stream:
+            break
+        at = int(draw(where) * len(stream))
+        m = stream[at]
+        paired = m.kind in RBC_VOTE_KINDS and type(m.value) is tuple and len(m.value) == 2
+        if edit == 0:  # repeated, inside its own stretch or anywhere
+            near = draw(st.booleans())
+            to = at + draw(st.integers(1, 3)) if near else int(draw(where) * len(stream))
+            stream.insert(to, m)
+        elif edit == 10:  # repeated inside a later stretch of its sender's
+            later = [
+                j for j in range(at + 1, len(stream))
+                if stream[j].kind is m.kind and stream[j].sender == m.sender
+            ]
+            if later:
+                stream.insert(draw(st.sampled_from(later)) + 1, m)
+        elif edit == 1:  # lost
+            del stream[at]
+        elif edit == 2 and at + 1 < len(stream):  # two votes swapped
+            stream[at], stream[at + 1] = stream[at + 1], m
+        elif edit == 3 and paired:  # payload-less
+            stream[at] = m._replace(value=(m.value[0], None))
+        elif edit == 4 and paired:  # forged payload
+            stream[at] = m._replace(value=(m.value[0], b"forged"))
+        elif edit in (5, 6):  # a twin digest, arriving before the genuine one
+            slot = draw(st.integers(0, n - 1))
+            twin = twins[slot]
+            kind = draw(st.sampled_from(RBC_VOTE_KINDS + (MsgKind.RBC_SEND,)))
+            payload = draw(st.sampled_from((twin, twin, None, b"forged")))
+            value = twin if kind is MsgKind.RBC_SEND else (rbc_digest(twin), payload)
+            sender = slot if kind is MsgKind.RBC_SEND else draw(st.integers(0, n - 1))
+            stream.insert(at, _vote(kind=kind, instance=slot, round=0, value=value, sender=sender))
+        elif edit == 7:  # ghost sender
+            stream[at] = m._replace(sender=draw(st.sampled_from(GHOST_SENDERS + (n,))))
+        elif edit == 8:  # ghost instance
+            ghost = draw(st.sampled_from((n, n + 3, RUN_INSTANCE_LIMIT - 1, RUN_INSTANCE_LIMIT, -1)))
+            stream[at] = m._replace(instance=ghost)
+        elif edit == 9 and m.kind in RBC_VOTE_KINDS:  # malformed
+            stream[at] = m._replace(value=draw(st.sampled_from(MALFORMED_RBC_VALUES)))
+    cuts = sorted(draw(st.lists(st.integers(0, len(stream)), max_size=12)))
+    batches = [stream[a:b] for a, b in zip([0] + cuts, cuts + [len(stream)]) if a < b]
+    lone = draw(st.lists(st.booleans(), min_size=len(batches), max_size=len(batches)))
+    return n, draw(st.integers(0, n - 1)), list(zip(batches, lone))
+
+
+def _rbc_trace(out, deliveries):
+    return (
+        [(m.kind, m.index, m.instance, m.value[0], id(m.value[1]), m.sender) for m in out],
+        [(slot, id(payload)) for slot, payload in deliveries],
+    )
+
+
+def _feed_rbc(n, my_id, batches):
+    """One node's ReliableBroadcast fed ``batches`` by the run (a batch
+    marked lone arrives one message at a time), and the per-vote walk."""
+    out, deliveries = [], []
+    rbc = ReliableBroadcast(
+        n=n, f=(n - 1) // 3, my_id=my_id, index=INDEX,
+        broadcast=out.append, on_deliver=lambda *a: deliveries.append(a),
+    )
+    ref_out, ref_deliveries = [], []
+    reference = PerVoteRBC(n, my_id, ref_out, ref_deliveries)
+    for messages, lone in batches:
+        if lone:
+            for m in messages:
+                rbc.on_message(m)
+        else:
+            for item in ConsensusBatch(messages=tuple(messages), sender=0).runs():
+                if type(item) is VoteRun:
+                    rbc.on_run(item)
+                else:
+                    rbc.on_message(item)
+        for m in messages:
+            reference.on_message(m)
+    return (rbc, out, deliveries), (reference, ref_out, ref_deliveries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rbc_streams())
+def test_rbc_run_tally_equals_the_per_vote_walk(case):
+    n, my_id, batches = case
+    (rbc, out, deliveries), (reference, ref_out, ref_deliveries) = _feed_rbc(
+        n, my_id, batches
+    )
+    assert _rbc_trace(out, deliveries) == _rbc_trace(ref_out, ref_deliveries)
+    slots = (*range(n + 2), -1, "1", None)
+    assert [rbc.delivered(i) for i in slots] == [i in reference.delivered for i in slots]
+    # whatever was delivered is what the broadcaster's digest names
+    assert all(
+        rbc_digest(payload) == rbc_digest(_rbc_payloads(slot)[0])
+        or rbc_digest(payload) == rbc_digest(_rbc_payloads(slot)[1])
+        for slot, payload in deliveries
+    )
+
+
+def test_rbc_streams_are_not_trivial():
+    """Undamaged, the generated traffic folds into long runs, delivers
+    every slot and takes the per-vote routine only for slots seen first
+    by a vote."""
+    n = 7
+    rng = random.Random(1)
+    genuine = [_rbc_payloads(i)[0] for i in range(n)]
+    batches = [
+        ([_vote(kind=kind, instance=i, round=0, sender=sender,
+                value=(rbc_digest(genuine[i]), genuine[i])) for i in range(n)], False)
+        for kind in RBC_VOTE_KINDS for sender in rng.sample(range(n), n)
+    ]
+    (rbc, out, deliveries), (reference, ref_out, _) = _feed_rbc(n, 0, batches)
+    assert sorted(slot for slot, _ in deliveries) == list(range(n))
+    assert _rbc_trace(out, deliveries)[0] == _rbc_trace(ref_out, [])[0]
+    runs = ConsensusBatch(messages=tuple(batches[0][0]), sender=0).runs()
+    assert [len(run.instances) for run in runs] == [n]
+
+
+class TestRbcRuns:
+    N = 4  # f = 1: READY at 3 ECHOs or 2 READYs, delivery at 3 READYs
+
+    def _paid(self, monkeypatch):
+        """An RBC whose slots all hold their SENDs' payloads, with the
+        per-vote routine counted."""
+        out, deliveries, slow = [], [], []
+        rbc = ReliableBroadcast(
+            n=self.N, f=1, my_id=0, index=INDEX,
+            broadcast=out.append, on_deliver=lambda *a: deliveries.append(a),
+        )
+        for slot in range(self.N):
+            rbc.on_message(_vote(kind=MsgKind.RBC_SEND, instance=slot, round=0,
+                                 value=_rbc_payloads(slot)[0], sender=slot))
+        out.clear()  # the ECHOs those SENDs made
+        vote = ReliableBroadcast._vote
+        monkeypatch.setattr(
+            ReliableBroadcast, "_vote", lambda self, *a: slow.append(a) or vote(self, *a)
+        )
+        return rbc, out, deliveries, slow
+
+    def _run(self, rbc, kind, sender, slots):
+        (run,) = ConsensusBatch(messages=tuple(
+            _vote(kind=kind, instance=i, round=0, sender=sender,
+                  value=(rbc_digest(_rbc_payloads(i)[0]), _rbc_payloads(i)[0]))
+            for i in slots
+        ), sender=sender).runs()
+        rbc.on_run(run)
+
+    def test_a_partly_counted_run_bumps_only_what_is_new(self, monkeypatch):
+        rbc, out, deliveries, slow = self._paid(monkeypatch)
+        echo = MsgKind.RBC_ECHO
+        self._run(rbc, echo, 2, (1,))
+        self._run(rbc, echo, 2, (0, 1, 2, 3))
+        assert rbc._echoes == [1, 1, 1, 1]
+        self._run(rbc, echo, 3, (3, 1))
+        assert rbc._echoes == [1, 2, 1, 2]
+        self._run(rbc, echo, 1, (2, 1, 3))  # third ECHO for 1 and 3
+        assert [(m.kind, m.instance) for m in out] == [
+            (MsgKind.RBC_READY, 1), (MsgKind.RBC_READY, 3),
+        ]
+        assert not slow and not deliveries
+
+    def test_delivery_wakes_in_run_order_and_stops_the_tally(self, monkeypatch):
+        rbc, out, deliveries, slow = self._paid(monkeypatch)
+        ready = MsgKind.RBC_READY
+        for sender in (1, 2):
+            self._run(rbc, ready, sender, (3, 0, 2))
+        assert [m.instance for m in out] == [3, 0, 2]  # f + 1 READYs each
+        self._run(rbc, ready, 3, (2, 1, 0, 3))
+        assert [slot for slot, _ in deliveries] == [2, 0, 3]
+        assert [rbc.delivered(i) for i in range(self.N)] == [True, False, True, True]
+        self._run(rbc, ready, 0, (0, 1, 2, 3))  # delivered slots take no vote
+        assert rbc._readies == [3, 2, 3, 3]
+        assert not slow
