@@ -13,10 +13,10 @@ Run:  python examples/censorship_mitigation.py
 import numpy as np
 
 from repro import params
-from repro.adversary import CensoringValidator
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.loadbalancer import RandomLoadBalancer, censorship_probability
 from repro.core.transaction import make_transfer
+from repro.faults import FaultSchedule
 from repro.net.topology import single_region_topology
 
 
@@ -25,7 +25,7 @@ def direct_submission_is_censored() -> None:
     deployment = Deployment(
         protocol=params.ProtocolParams(n=4),
         topology=single_region_topology(4),
-        byzantine={2: CensoringValidator},
+        fault_schedule=FaultSchedule().byzantine_censor(2, at=0.0),
         extra_balances=balances,
     )
     deployment.start()
@@ -44,7 +44,7 @@ def load_balancer_recovers() -> None:
     deployment = Deployment(
         protocol=params.ProtocolParams(n=4),
         topology=single_region_topology(4),
-        byzantine={2: CensoringValidator},
+        fault_schedule=FaultSchedule().byzantine_censor(2, at=0.0),
         extra_balances=balances,
     )
     lb = RandomLoadBalancer(deployment, receipt_timeout_s=1.5, seed=13)

@@ -11,9 +11,9 @@ Run:  python examples/flooding_attack.py
 """
 
 from repro import params
-from repro.adversary import FloodingValidator
 from repro.core.deployment import Deployment
 from repro.core.transaction import make_transfer
+from repro.faults import FaultSchedule
 from repro.net.topology import single_region_topology
 from repro.vm.executor import native_address_for
 from repro.workloads.synthetic import factory_balances, transfer_request_factory
@@ -24,8 +24,10 @@ def run(rpm: bool) -> None:
     deployment = Deployment(
         protocol=params.ProtocolParams(n=4, rpm=rpm),
         topology=single_region_topology(4),
-        byzantine={3: FloodingValidator},
-        byzantine_kwargs={3: {"flood_per_block": 50, "flood_total": 500}},
+        # seat 3 floods from t = 0 on: 50 invalid txs a block, 500 in all
+        fault_schedule=FaultSchedule().byzantine_flood(
+            3, at=0.0, per_block=50, total=500
+        ),
         extra_balances=factory_balances(factory),
     )
     deployment.start()

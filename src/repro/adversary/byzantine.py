@@ -1,8 +1,7 @@
-"""Byzantine validator implementations (subclasses of ValidatorNode)."""
+"""The one Byzantine validator: a :class:`ValidatorNode` whose misbehaviour
+``byzantine_*`` schedule windows toggle at runtime."""
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from repro.core.block import Block, make_block
 from repro.core.node import ValidatorNode
@@ -51,25 +50,19 @@ class CampaignValidator(ValidatorNode):
     flags here through :meth:`set_misbehaviour` (see
     :class:`~repro.faults.controller.FaultController`).  With every flag
     off the node is byte-identical to a correct :class:`ValidatorNode`;
-    the always-on adversaries below are thin subclasses that pre-arm one
-    flag, so a campaign can sequence several behaviours on one node while
-    staying inside the ≤ f fault budget.
+    a window opened at ``at=0.0`` and never closed is the always-on
+    adversary, and a campaign can sequence several behaviours on one node
+    while staying inside the ≤ f fault budget.
     """
 
-    def __init__(
-        self,
-        *args,
-        flood_per_block: int = 100,
-        flood_total: int | None = None,
-        flood_seed: int = 99,
-        **kwargs,
-    ):
+    def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.flood_per_block = flood_per_block
+        #: flood intensity; a ``byzantine_flood`` window's knobs set these
+        self.flood_per_block = 100
         #: total invalid transactions the attacker sends (None = unbounded);
         #: Table I fixes this at 10 000
-        self.flood_total = flood_total
-        self._flood_seed = flood_seed
+        self.flood_total: int | None = None
+        self._flood_seed = 99
         self._flood_batch = 0
         self.invalid_txs_proposed = 0
         self.censored = 0
@@ -188,66 +181,4 @@ class CampaignValidator(ValidatorNode):
                 consensus.on_message(cmsg)
             else:
                 self.network.send(self.node_id, dst, msg)
-        self.sim.schedule(self.proposer_timeout, self._round_timeout, index)
-
-
-class FloodingValidator(CampaignValidator):
-    """Skips eager validation and floods blocks with invalid transactions.
-
-    Every proposal it makes carries ``flood_per_block`` invalid
-    transactions in addition to whatever legitimate transactions it
-    received (a rational attacker still wants its fees).
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.flood_active = True
-
-
-class CensoringValidator(CampaignValidator):
-    """Accepts client transactions but never includes them in blocks.
-
-    Matching §VI: under TVPR, a transaction sent only to this validator is
-    censored until the client resubmits elsewhere.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.censor_active = True
-
-
-class CrashValidator(ValidatorNode):
-    """Participates normally until ``crash_at`` then goes silent forever."""
-
-    def __init__(self, *args, crash_at: float = 0.0, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.crash_at = crash_at
-
-    @property
-    def crashed(self) -> bool:
-        return self.sim.now >= self.crash_at
-
-    def on_message(self, msg: Message) -> None:
-        if self.crashed:
-            return
-        super().on_message(msg)
-
-    def _start_round(self, index: int) -> None:
-        if self.crashed:
-            return
-        super()._start_round(index)
-
-    def submit_transaction(self, tx: Transaction) -> bool:
-        if self.crashed:
-            return False
-        return super().submit_transaction(tx)
-
-
-class EquivocatingProposer(CampaignValidator):
-    """Sends one proposal to even-numbered peers and a different one to
-    odd-numbered peers.  Bracha's echo quorum ensures at most one of the
-    two can gather 2f+1 echoes, so correct nodes never deliver both."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.equivocate_active = True
+        self._schedule(self.proposer_timeout, self._round_timeout, index)

@@ -193,8 +193,8 @@ def flooding_deployment(
     deployment — same seeds, same pre-signed transactions — and drive it
     themselves.  Returns ``(deployment, schedule)``.
     """
-    from repro.adversary import FloodingValidator
     from repro.core.deployment import Deployment
+    from repro.faults import FaultSchedule
     from repro.diablo.client import LoadSchedule
     from repro.net.topology import single_region_topology
     from repro.workloads.synthetic import factory_balances, transfer_request_factory
@@ -204,14 +204,10 @@ def flooding_deployment(
     deployment = Deployment(
         protocol=protocol,
         topology=single_region_topology(4),
-        byzantine={3: FloodingValidator},
-        byzantine_kwargs={
-            3: {
-                "flood_per_block": flood_per_block,
-                "flood_total": invalid_count,
-                "flood_seed": seed + 99,
-            }
-        },
+        fault_schedule=FaultSchedule().byzantine_flood(
+            3, at=0.0, per_block=flood_per_block, total=invalid_count,
+            seed=seed + 99,
+        ),
         extra_balances=factory_balances(factory),
         seed=seed,
         # c5.2xlarge-class VM throughput: at 15 000 TPS send the system is
@@ -257,8 +253,7 @@ def _run_flooding(
         deployment, submitter=RoundRobinSubmitter(targets=(0, 1, 2))
     )
     result = bench.run(schedule, horizon_s=horizon_s)
-    flooder = deployment.validators[3]
-    invalid_sent = getattr(flooder, "invalid_txs_proposed", 0)
+    invalid_sent = deployment.validators[3].invalid_txs_proposed
     observer = deployment.validators[0]
     attacker_address = deployment.keypairs[3].address
     return Table1Row(

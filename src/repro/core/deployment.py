@@ -3,7 +3,8 @@
 ``Deployment`` is the message-level engine's top-level object: it builds
 the simulator, the region topology, the shared genesis state (funded
 accounts, native DApp contracts, the RPM contract pre-seeded with the
-committee), and the validator set — including Byzantine members — then
+committee), and the validator set — a seat a fault schedule's
+``byzantine_*`` window names is a campaign validator — then
 drives client submissions and exposes cross-node correctness checks
 (safety/liveness assertions used by the property tests).
 """
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro import params
+from repro.adversary.byzantine import CampaignValidator
 from repro.core.node import ValidatorNode
 from repro.core.rpm import RPMContract
 from repro.core.transaction import Transaction
@@ -77,8 +79,6 @@ class Deployment:
         *,
         protocol: params.ProtocolParams | None = None,
         topology: Topology | None = None,
-        byzantine: dict[int, Callable[..., ValidatorNode]] | None = None,
-        byzantine_kwargs: dict[int, dict] | None = None,
         extra_balances: dict[str, int] | None = None,
         round_interval: float = 0.25,
         proposer_timeout: float = 2.0,
@@ -120,23 +120,13 @@ class Deployment:
         self.registry.register(TicketingContract())
         self.registry.register(RPMContract(n=n, f=self.protocol.f))
 
-        byzantine = dict(byzantine or {})
-        byzantine_kwargs = byzantine_kwargs or {}
-        # Nodes named by byzantine_* schedule windows become campaign
-        # validators automatically (correct until the controller toggles
-        # a behaviour on) unless an explicit class was given for them.
-        campaign_ids: frozenset[int] = frozenset()
-        if fault_schedule is not None:
-            campaign_ids = fault_schedule.byzantine_nodes()
-        if campaign_ids - set(byzantine):
-            from repro.adversary.byzantine import CampaignValidator
-
-            for i in campaign_ids - set(byzantine):
-                byzantine[i] = CampaignValidator
+        # Seats named by byzantine_* schedule windows are campaign
+        # validators (correct until the controller toggles a behaviour on).
+        schedule = fault_schedule or FaultSchedule()
+        campaign_ids = schedule.byzantine_nodes()
         self.validators: list[ValidatorNode] = []
         for i in range(n):
-            cls = byzantine.get(i, ValidatorNode)
-            kwargs = byzantine_kwargs.get(i, {})
+            cls = CampaignValidator if i in campaign_ids else ValidatorNode
             node = cls(
                 node_id=i,
                 keypair=self.keypairs[i],
@@ -149,10 +139,11 @@ class Deployment:
                 proposer_timeout=proposer_timeout,
                 registry=self.registry,
                 execution_rate=execution_rate,
-                **kwargs,
             )
             self.validators.append(node)
-        self.byzantine_ids = frozenset(byzantine)
+        #: faulty seats: every Byzantine seat, and every crash never
+        #: followed by a restart (a crash-stop seat is not correct)
+        self.byzantine_ids = campaign_ids | schedule.crash_stopped_nodes()
 
         #: armed chaos engine (None unless a fault schedule was given)
         self.fault_controller: FaultController | None = None

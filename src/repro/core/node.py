@@ -245,7 +245,8 @@ class ValidatorNode:
         # -- crash–recovery state ------------------------------------------------
         #: durable record of decided superblocks + RPM nonce high-water mark
         self.journal = DecidedJournal()
-        self._crashed = False
+        #: is the node down?  Read on every message, so a plain attribute
+        self.crashed = False
         #: bumped on every crash/restart; scheduled callbacks from an older
         #: incarnation are silently invalidated
         self._incarnation = 0
@@ -325,12 +326,6 @@ class ValidatorNode:
 
     # -- crash–recovery ------------------------------------------------------------
 
-    @property
-    def crashed(self) -> bool:
-        """Is the node down?  A property so crash-*stop* adversaries (the
-        legacy ``CrashValidator``) can override it with a time predicate."""
-        return self._crashed
-
     def crash(self) -> None:
         """Halt the node: volatile state is lost, durable state survives.
 
@@ -341,7 +336,7 @@ class ValidatorNode:
         """
         if self.crashed:
             return
-        self._crashed = True
+        self.crashed = True
         self._incarnation += 1
         self.pool = TxPool(
             capacity=self.protocol.txpool_capacity, ttl=self.protocol.tx_ttl
@@ -379,7 +374,7 @@ class ValidatorNode:
         """
         if not self.crashed:
             return
-        self._crashed = False
+        self.crashed = False
         self._incarnation += 1
         self._recovering = True
         self._catchup_floor = self._next_commit_index

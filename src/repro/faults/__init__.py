@@ -10,9 +10,11 @@
 * :class:`LivenessWatchdog` — per-node stall detector separating "slow"
   from "wedged" in chaos runs.
 
-Which fault *model* (delay-only, lossy-link, crash–recovery) preserves
-which protocol guarantee is documented in ``docs/FAULTS.md`` and in the
-:mod:`repro.net.faults` module docstring.
+Every injected fault is a schedule entry; the one other fault is a
+delay function in ``Network.adversarial_delay`` (see
+:func:`repro.net.faults.slow_nodes`).  ``docs/FAULTS.md`` documents which
+fault *model* (delay-only, lossy-link, crash–recovery) preserves which
+protocol guarantee.
 """
 
 from repro.faults.controller import FaultController

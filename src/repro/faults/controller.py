@@ -86,16 +86,9 @@ class FaultController:
             if event.until != float("inf"):
                 self.sim.schedule_at(event.until, self._note_window, event, "close")
         # Byzantine campaign windows toggle misbehaviour on the target
-        # node at their edges; the target must speak set_misbehaviour
-        # (Deployment auto-constructs a CampaignValidator for scheduled
-        # nodes, so this only trips on explicit class overrides).
+        # node (a CampaignValidator, as Deployment builds every seat a
+        # window names) at their edges.
         for event in self._byzantine:
-            target = self.deployment.validators[event.node]
-            if not hasattr(target, "set_misbehaviour"):
-                raise RuntimeError(
-                    f"node {event.node} is a {type(target).__name__}; "
-                    f"{event.kind} windows need a CampaignValidator"
-                )
             self.sim.schedule_at(event.at, self._toggle_byzantine, event, True)
             if event.until != float("inf"):
                 self.sim.schedule_at(

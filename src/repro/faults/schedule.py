@@ -194,8 +194,10 @@ class FaultSchedule:
     ) -> "FaultSchedule":
         """``node`` floods blocks with invalid txs on ``at <= now < until``.
 
-        ``per_block``/``total``/``seed`` mirror the
-        :class:`~repro.adversary.byzantine.FloodingValidator` knobs.
+        ``per_block`` invalid transactions ride in each proposal until
+        ``total`` are spent (None = unbounded); ``seed`` keys their senders
+        (None keeps :class:`~repro.adversary.byzantine.CampaignValidator`'s
+        default).
         """
         knobs = (("per_block", int(per_block)), ("seed", seed), ("total", total))
         return self._add(FaultEvent(
@@ -254,6 +256,11 @@ class FaultSchedule:
             e.node for e in self.events if e.kind == "crash" and e.node is not None
         )
 
+    def crash_stopped_nodes(self) -> "frozenset[int]":
+        """Nodes whose last crash is never followed by a restart."""
+        last = {e.node: e.kind for e in self.point_events()}
+        return frozenset(node for node, kind in last.items() if kind == "crash")
+
     @property
     def horizon(self) -> float:
         """Last finite instant any event fires or any window closes."""
@@ -265,7 +272,9 @@ class FaultSchedule:
         """Sanity-check the timeline.
 
         Every restart must follow a crash of the same node; with ``n``
-        given, node ids must be in range; with ``f`` given, the number of
+        given, every node id an event names — its ``node``, both ``link``
+        endpoints, every partition group member — must be in range; with
+        ``f`` given, the number of
         nodes *simultaneously* faulty — crashed or inside a Byzantine
         misbehaviour window, counting each node once however many ways it
         misbehaves — must never exceed ``f`` (DBFT tolerates at most f
@@ -275,18 +284,22 @@ class FaultSchedule:
         # (start, end, node) spans during which a node is faulty
         faulty_spans: list[tuple[float, float, int]] = []
         for event in self.events:
+            if n is not None:
+                named = [] if event.node is None else [event.node]
+                named += list(event.link or ())
+                named += [i for group in event.groups for i in group]
+                for node in named:
+                    if not 0 <= node < n:
+                        raise ValueError(
+                            f"{event.kind} fault names node {node}, "
+                            f"committee has {n}"
+                        )
             if event.kind in BYZANTINE_KINDS:
-                if n is not None and not 0 <= event.node < n:
-                    raise ValueError(
-                        f"fault names node {event.node}, committee has {n}"
-                    )
                 faulty_spans.append((event.at, event.until, event.node))
                 continue
             if event.kind not in ("crash", "restart"):
                 continue
             node = event.node
-            if n is not None and not 0 <= node < n:
-                raise ValueError(f"fault names node {node}, committee has {n}")
             if event.kind == "crash":
                 if node in downtime:
                     raise ValueError(f"node {node} crashed twice without restart")

@@ -1,80 +1,20 @@
-"""Fault strategies for the simulated network — three fault models.
+"""Delay faults for the simulated network: :func:`slow_nodes`.
 
-This module provides the per-link hooks the transport consults; which
-hooks are legal depends on the fault model a deployment runs under:
-
-1. **Delay-only partial synchrony** (the seed model, and the only model
-   the paper's §VI evaluation exercises).  Messages are *never* lost —
-   the adversary can only stretch delays, and the transport clamps every
-   delay at the current partial-synchrony bound (pre-GST cap before GST,
-   δ after).  Use the *delay* factories: :func:`uniform_jitter`,
-   :func:`slow_nodes`, :func:`soft_partition`,
-   :func:`targeted_proposer_lag`.  DBFT is safe and live here with no
-   transport support.
-
-2. **Lossy-link**.  Messages can be dropped, duplicated or reordered
-   with some probability.  Use the *drop* factories — :func:`drop_rate`,
-   :func:`duplicate_rate`, :func:`hard_partition` — which return
-   functions from ``(src, dst, now)`` to a probability in ``[0, 1]``.
-   This model only preserves DBFT's guarantees when the transport runs
-   reliable delivery (``NetParams.reliable_delivery``): ack/retransmit
-   turns hard loss back into bounded-ish delay and per-link sequence
-   numbers suppress duplicates, so the protocol above observes model 1.
-
-3. **Crash–recovery**.  Nodes halt (all their traffic is lost, in *and*
-   out) and later restart with only durable state.  Crashes are not
-   expressible as a link function — they are scheduled through
-   :class:`repro.faults.FaultSchedule` and applied by the
-   ``FaultController``, which marks nodes down at the transport and
-   drives :meth:`ValidatorNode.crash` / ``restart`` (snapshot catch-up).
-
-Delay functions (``DelayFn``) return extra *seconds* and compose by
-summation; drop functions (``DropFn``) return *probabilities* and
-compose as independent losses, ``1 - Π(1 - pᵢ)``.  The two algebras must
-never be mixed silently — :func:`combine` sums and therefore accepts
-only delay functions (it rejects anything tagged as a drop function),
-while :func:`combine_drops` composes probabilities and clamps to 1.
+A delay function ``(src, dst, now) -> extra seconds`` goes in
+``Network.adversarial_delay``; the transport clamps every delay at the
+partial-synchrony bound, so such a fault stretches messages but never
+loses one.  Every other injected fault — crash, restart, drop,
+duplicate, reorder, partition and the Byzantine windows — is a
+:class:`repro.faults.FaultSchedule` entry.  ``docs/FAULTS.md`` describes
+the fault models and which protocol guarantee each preserves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from typing import Callable, Iterable
 
 #: extra delivery delay in seconds for one message
 DelayFn = Callable[[int, int, float], float]
-#: probability in [0, 1] that one message is affected
-DropFn = Callable[[int, int, float], float]
-
-
-def _tag_drop(fn: DropFn) -> DropFn:
-    """Mark ``fn`` as probability-valued so :func:`combine` can reject it."""
-    fn.fault_kind = "drop"  # type: ignore[attr-defined]
-    return fn
-
-
-def is_drop_fn(fn: Callable) -> bool:
-    return getattr(fn, "fault_kind", None) == "drop"
-
-
-# ---------------------------------------------------------------------------
-# Model 1 — delay-only strategies (partial synchrony, never lossy)
-# ---------------------------------------------------------------------------
-
-
-def no_delay() -> DelayFn:
-    return lambda src, dst, now: 0.0
-
-
-def uniform_jitter(max_extra_s: float, *, seed: int = 17) -> DelayFn:
-    """Random extra delay on every message (deterministic per call order)."""
-    rng = np.random.default_rng(seed)
-
-    def fn(src: int, dst: int, now: float) -> float:
-        return float(rng.uniform(0.0, max_extra_s))
-
-    return fn
 
 
 def slow_nodes(nodes: Iterable[int], extra_s: float) -> DelayFn:
@@ -86,175 +26,3 @@ def slow_nodes(nodes: Iterable[int], extra_s: float) -> DelayFn:
         return extra_s if (src in slow or dst in slow) else 0.0
 
     return fn
-
-
-def soft_partition(
-    group_a: Iterable[int], group_b: Iterable[int], extra_s: float,
-    *, heal_at: float = float("inf"),
-) -> DelayFn:
-    """Cross-group traffic is delayed by ``extra_s`` until ``heal_at``.
-
-    A *soft* partition: messages still flow (partial synchrony forbids
-    loss), they are just slow — the classic pre-GST stress for consensus.
-    For a partition that actually severs links, see
-    :func:`hard_partition` (model 2; requires reliable delivery or a
-    crash-recovery-aware protocol above it).
-    """
-    a, b = frozenset(group_a), frozenset(group_b)
-
-    def fn(src: int, dst: int, now: float) -> float:
-        if now >= heal_at:
-            return 0.0
-        crosses = (src in a and dst in b) or (src in b and dst in a)
-        return extra_s if crosses else 0.0
-
-    return fn
-
-
-def targeted_proposer_lag(
-    victim: int, extra_s: float, *, until: float = float("inf")
-) -> DelayFn:
-    """Delay only the victim's *outgoing* messages — models an adversary
-    trying to get one correct proposer's blocks voted out of superblocks."""
-
-    def fn(src: int, dst: int, now: float) -> float:
-        return extra_s if src == victim and now < until else 0.0
-
-    return fn
-
-
-# ---------------------------------------------------------------------------
-# Model 2 — lossy-link strategies (probability-valued)
-# ---------------------------------------------------------------------------
-
-
-def drop_rate(
-    p: float,
-    *,
-    nodes: "Iterable[int] | None" = None,
-    links: "Iterable[tuple[int, int]] | None" = None,
-    start: float = 0.0,
-    until: float = float("inf"),
-) -> DropFn:
-    """Each matching message is lost with probability ``p``.
-
-    ``nodes`` scopes the loss to traffic touching any listed node;
-    ``links`` to specific directed ``(src, dst)`` pairs; with neither,
-    every link is lossy.  Active on ``start <= now < until``.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"drop probability must be in [0, 1], got {p}")
-    node_set = frozenset(nodes) if nodes is not None else None
-    link_set = frozenset(links) if links is not None else None
-
-    def fn(src: int, dst: int, now: float) -> float:
-        if not start <= now < until:
-            return 0.0
-        if node_set is not None and src not in node_set and dst not in node_set:
-            return 0.0
-        if link_set is not None and (src, dst) not in link_set:
-            return 0.0
-        return p
-
-    return _tag_drop(fn)
-
-
-def duplicate_rate(
-    p: float, *, start: float = 0.0, until: float = float("inf")
-) -> DropFn:
-    """Each message is delivered twice with probability ``p`` (the second
-    copy takes an independently sampled delay, so copies also reorder)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"duplicate probability must be in [0, 1], got {p}")
-
-    def fn(src: int, dst: int, now: float) -> float:
-        return p if start <= now < until else 0.0
-
-    return _tag_drop(fn)
-
-
-def hard_partition(
-    groups: "Sequence[Iterable[int]]",
-    *,
-    at: float = 0.0,
-    heal_at: float = float("inf"),
-) -> DropFn:
-    """Sever every link between different groups until ``heal_at``.
-
-    Unlike :func:`soft_partition` this *loses* cross-group messages
-    (probability 1), which is outside the partial-synchrony contract:
-    only run it under reliable delivery (retransmission carries messages
-    across the heal) or with crash-recovery catch-up above it.  Nodes in
-    no group communicate only with themselves.
-    """
-    sets = tuple(frozenset(g) for g in groups)
-    seen: set[int] = set()
-    for g in sets:
-        if g & seen:
-            raise ValueError("hard_partition groups must be disjoint")
-        seen |= g
-    if heal_at < at:
-        raise ValueError(f"heal_at {heal_at} precedes partition start {at}")
-
-    def group_of(node: int) -> int:
-        for i, g in enumerate(sets):
-            if node in g:
-                return i
-        return -1 - node  # ungrouped nodes are singleton islands
-
-    def fn(src: int, dst: int, now: float) -> float:
-        if not at <= now < heal_at:
-            return 0.0
-        return 1.0 if group_of(src) != group_of(dst) else 0.0
-
-    return _tag_drop(fn)
-
-
-# ---------------------------------------------------------------------------
-# Composition — one algebra per model, never mixed silently
-# ---------------------------------------------------------------------------
-
-
-def combine(*fns: DelayFn) -> DelayFn:
-    """Sum of several *delay* strategies (the transport clamps the total).
-
-    Probability-valued functions (anything from :func:`drop_rate`,
-    :func:`duplicate_rate`, :func:`hard_partition`) are rejected:
-    summing probabilities is meaningless (two 60% losses are not a 120%
-    loss) — compose those with :func:`combine_drops` instead.
-    """
-    for fn in fns:
-        if is_drop_fn(fn):
-            raise TypeError(
-                "combine() sums extra delays; drop/duplicate/partition "
-                "functions are probabilities — compose them with "
-                "combine_drops()"
-            )
-
-    def fn(src: int, dst: int, now: float) -> float:
-        return sum(f(src, dst, now) for f in fns)
-
-    return fn
-
-
-def combine_drops(*fns: DropFn) -> DropFn:
-    """Independent-loss composition: ``1 - Π(1 - pᵢ)``, clamped to [0, 1].
-
-    Accepts any probability-valued function, tagged or not; passing a
-    delay function here would silently treat seconds as probabilities,
-    so any value outside [0, 1] raises at evaluation time.
-    """
-
-    def fn(src: int, dst: int, now: float) -> float:
-        keep = 1.0
-        for f in fns:
-            p = f(src, dst, now)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(
-                    f"combine_drops expected a probability in [0, 1], got {p} "
-                    "(did you pass a delay function?)"
-                )
-            keep *= 1.0 - p
-        return 1.0 - keep
-
-    return _tag_drop(fn)

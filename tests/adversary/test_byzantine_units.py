@@ -37,18 +37,30 @@ class TestInvalidTransactionFactory:
         assert make_invalid_transactions(0) == []
 
 
+def campaign_deployment(schedule):
+    from repro import params
+    from repro.core.deployment import Deployment
+
+    return Deployment(
+        protocol=params.ProtocolParams(n=4, rpm=False),
+        fault_schedule=schedule,
+        seed=3,
+    )
+
+
 class TestCampaignToggles:
     def make_campaign_node(self):
-        from repro import params
         from repro.adversary import CampaignValidator
-        from repro.core.deployment import Deployment
+        from repro.faults import FaultSchedule
 
-        deployment = Deployment(
-            protocol=params.ProtocolParams(n=4, rpm=False),
-            byzantine={3: CampaignValidator},
-            seed=3,
+        # the window names seat 3; the clock never runs, so every flag
+        # stays under the test's control
+        deployment = campaign_deployment(
+            FaultSchedule().byzantine_censor(3, at=1.0, until=2.0)
         )
-        return deployment, deployment.validators[3]
+        node = deployment.validators[3]
+        assert isinstance(node, CampaignValidator)
+        return deployment, node
 
     def test_all_behaviours_default_off(self):
         _, node = self.make_campaign_node()
@@ -97,27 +109,56 @@ class TestCampaignToggles:
         assert node.withheld_msgs == 1
         assert deployment.network.stats.messages == before  # nothing sent
 
-    def test_legacy_subclasses_preset_their_behaviour(self):
-        from repro.adversary import (
-            CensoringValidator,
-            EquivocatingProposer,
-            FloodingValidator,
+    def test_window_at_zero_on_before_proposing(self):
+        from repro.adversary import CAMPAIGN_BEHAVIOURS
+        from repro.faults import FaultSchedule
+
+        for behaviour in CAMPAIGN_BEHAVIOURS:
+            build = getattr(FaultSchedule(), f"byzantine_{behaviour}")
+            deployment = campaign_deployment(build(3, at=0.0))
+            node = deployment.validators[3]
+            flags_at_proposal = []
+            start_round = node._start_round
+
+            def spy(index, node=node, start_round=start_round):
+                flags_at_proposal.append({
+                    b for b in CAMPAIGN_BEHAVIOURS if getattr(node, f"{b}_active")
+                })
+                start_round(index)
+
+            node._start_round = spy
+            deployment.start()
+            deployment.run_until(node.round_interval + 0.01)
+            assert flags_at_proposal[0] == {behaviour}, behaviour
+
+
+class TestEquivocationTimeout:
+    def test_timeout_armed_before_a_crash_dies_with_its_incarnation(self):
+        """The equivocating proposal arms its round timeout through the
+        incarnation guard, as a correct proposal does: a timeout armed
+        before the crash never fires in the restarted node."""
+        from repro.faults import FaultSchedule
+
+        restart_at = 1.5
+        deployment = campaign_deployment(
+            FaultSchedule()
+            .byzantine_equivocate(3, at=0.0, until=10.0)
+            .crash(3, at=1.0)
+            .restart(3, at=restart_at)
         )
+        node = deployment.validators[3]
+        fired = []
+        round_timeout = node._round_timeout
 
-        for cls, flag in (
-            (FloodingValidator, "flood_active"),
-            (CensoringValidator, "censor_active"),
-            (EquivocatingProposer, "equivocate_active"),
-        ):
-            from repro import params
-            from repro.core.deployment import Deployment
+        def spy(index):
+            fired.append(deployment.sim.now)
+            round_timeout(index)
 
-            deployment = Deployment(
-                protocol=params.ProtocolParams(n=4, rpm=False),
-                byzantine={3: cls},
-                seed=3,
-            )
-            assert getattr(deployment.validators[3], flag) is True
+        node._round_timeout = spy
+        deployment.start()
+        deployment.run_until(4.0)
+        armed_at = [now - node.proposer_timeout for now in fired if now >= 1.0]
+        assert all(t >= restart_at for t in armed_at), fired
 
 
 class TestParams:

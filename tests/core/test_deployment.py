@@ -70,16 +70,24 @@ class TestDeploymentWiring:
         assert balances_a == balances_b
 
     def test_correct_validators_excludes_byzantine(self):
-        from repro.adversary import CrashValidator
+        from repro.faults import FaultSchedule
 
-        deployment = Deployment(
-            protocol=params.ProtocolParams(n=4),
-            topology=single_region_topology(4),
-            byzantine={2: CrashValidator},
-            byzantine_kwargs={2: {"crash_at": 0.0}},
-        )
-        ids = {v.node_id for v in deployment.correct_validators}
-        assert ids == {0, 1, 3}
+        def correct_ids(schedule):
+            deployment = Deployment(
+                protocol=params.ProtocolParams(n=4),
+                topology=single_region_topology(4),
+                fault_schedule=schedule,
+            )
+            return {v.node_id for v in deployment.correct_validators}
+
+        # a crash-stop seat is faulty, a crashed seat that restarts is not
+        assert correct_ids(FaultSchedule().crash(2, at=0.0)) == {0, 1, 3}
+        assert correct_ids(
+            FaultSchedule().crash(2, at=1.0).restart(2, at=2.0)
+        ) == {0, 1, 2, 3}
+        assert correct_ids(FaultSchedule().byzantine_withhold(1, at=0.0)) == {
+            0, 2, 3,
+        }
 
 
 class TestProbes:

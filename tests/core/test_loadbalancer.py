@@ -3,19 +3,22 @@
 import pytest
 
 from repro import params
-from repro.adversary import CensoringValidator
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.loadbalancer import RandomLoadBalancer, censorship_probability
 from repro.core.transaction import make_transfer
+from repro.faults import FaultSchedule
 from repro.net.topology import single_region_topology
 
 
 def deployment_with_censor(censor_ids=(2,)):
     clients, balances = fund_clients(2)
+    schedule = FaultSchedule()
+    for i in censor_ids:
+        schedule = schedule.byzantine_censor(i, at=0.0)
     deployment = Deployment(
         protocol=params.ProtocolParams(n=4),
         topology=single_region_topology(4),
-        byzantine={i: CensoringValidator for i in censor_ids},
+        fault_schedule=schedule,
         extra_balances=balances,
     )
     return deployment, clients

@@ -103,13 +103,6 @@ class TestByzantineWindows:
         assert isinstance(deployment.validators[3], CampaignValidator)
         assert 3 in deployment.byzantine_ids
 
-    def test_target_without_misbehaviour_api_rejected(self):
-        from repro.adversary import CrashValidator
-
-        schedule = FaultSchedule().byzantine_flood(3, at=1.0, until=2.0)
-        with pytest.raises(RuntimeError, match="CampaignValidator"):
-            make_deployment(schedule, byzantine={3: CrashValidator})
-
     def test_overlapping_windows_count_separately(self):
         schedule = (
             FaultSchedule()

@@ -77,6 +77,7 @@ class TestBuilders:
         assert len(schedule.window_events()) == 4
         assert {e.kind for e in schedule.byzantine_events()} == set(BYZANTINE_KINDS)
         assert schedule.crashed_nodes() == {0}
+        assert schedule.crash_stopped_nodes() == frozenset()  # 0 restarts
         assert schedule.byzantine_nodes() == {1}
 
     def test_byzantine_windows_require_a_node(self):
@@ -95,6 +96,15 @@ class TestBuilders:
         schedule = FaultSchedule().crash(0, at=3.0).drop_rate(0.1, until=25.0)
         assert schedule.horizon == 25.0
         assert FaultSchedule().drop_rate(0.1).horizon == 0.0  # open window
+
+    def test_crash_stopped_nodes_are_crashes_never_restarted(self):
+        schedule = (
+            FaultSchedule()
+            .crash(0, at=1.0).restart(0, at=2.0).crash(0, at=4.0)
+            .crash(1, at=3.0)
+        )
+        assert schedule.crash_stopped_nodes() == {0, 1}
+        assert schedule.restart(1, at=5.0).crash_stopped_nodes() == {0}
 
     def test_reorder_rejects_negative_spread(self):
         with pytest.raises(ValueError, match="spread"):
@@ -194,6 +204,21 @@ class TestValidate:
     def test_byzantine_node_range_checked(self):
         with pytest.raises(ValueError, match="committee has 4"):
             FaultSchedule().byzantine_censor(9, at=1.0, until=2.0).validate(n=4)
+
+    @pytest.mark.parametrize("schedule", [
+        FaultSchedule().drop_rate(0.5, node=9),
+        FaultSchedule().drop_rate(0.5, link=(9, 0)),
+        FaultSchedule().duplicate(0.5, link=(0, 9)),
+        FaultSchedule().duplicate(0.5, node=4),
+        FaultSchedule().reorder(0.5, spread=0.1, node=-2),
+        FaultSchedule().hard_partition([[0, 1], [2, 9]], at=1.0, heal_at=2.0),
+    ], ids=["drop-node", "drop-link", "dup-link", "dup-node", "reorder-node",
+            "partition-member"])
+    def test_link_fault_node_ids_range_checked(self, schedule):
+        # an out-of-range id would silently inject nothing
+        with pytest.raises(ValueError, match="committee has 4"):
+            schedule.validate(n=4)
+        schedule.validate()  # without n there is nothing to check against
 
     def test_open_ended_byzantine_window_holds_budget_forever(self):
         schedule = (

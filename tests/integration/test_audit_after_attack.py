@@ -7,10 +7,10 @@ from genesis — the commit loop's discard step leaves no trace.
 """
 
 from repro import params
-from repro.adversary import FloodingValidator
 from repro.core.audit import audit_chain
 from repro.core.deployment import Deployment
 from repro.core.transaction import make_transfer
+from repro.faults import FaultSchedule
 from repro.net.topology import single_region_topology
 from repro.workloads.synthetic import factory_balances, transfer_request_factory
 
@@ -20,8 +20,9 @@ def test_flooded_chain_audits_clean():
     deployment = Deployment(
         protocol=params.ProtocolParams(n=4, rpm=True),
         topology=single_region_topology(4),
-        byzantine={3: FloodingValidator},
-        byzantine_kwargs={3: {"flood_per_block": 25, "flood_total": 150}},
+        fault_schedule=FaultSchedule().byzantine_flood(
+            3, at=0.0, per_block=25, total=150
+        ),
         extra_balances=factory_balances(factory),
     )
     deployment.start()

@@ -4,13 +4,8 @@ censorship, equivocation."""
 import pytest
 
 from repro import params
-from repro.adversary import (
-    CensoringValidator,
-    CrashValidator,
-    EquivocatingProposer,
-    FloodingValidator,
-)
 from repro.core.deployment import Deployment, fund_clients
+from repro.faults import FaultSchedule
 from repro.core.transaction import make_transfer
 from repro.net.topology import single_region_topology
 from repro.vm.executor import native_address_for
@@ -21,11 +16,9 @@ def flooding_deployment(*, rpm: bool, flood_per_block=20, flood_total=None):
     deployment = Deployment(
         protocol=params.ProtocolParams(n=4, rpm=rpm),
         topology=single_region_topology(4),
-        byzantine={3: FloodingValidator},
-        byzantine_kwargs={3: {
-            "flood_per_block": flood_per_block,
-            "flood_total": flood_total,
-        }},
+        fault_schedule=FaultSchedule().byzantine_flood(
+            3, at=0.0, per_block=flood_per_block, total=flood_total
+        ),
         extra_balances=balances,
     )
     return deployment, clients
@@ -106,8 +99,7 @@ class TestCrash:
         deployment = Deployment(
             protocol=params.ProtocolParams(n=4),
             topology=single_region_topology(4),
-            byzantine={3: CrashValidator},
-            byzantine_kwargs={3: {"crash_at": 1.0}},
+            fault_schedule=FaultSchedule().crash(3, at=1.0),
             extra_balances=balances,
         )
         deployment.start()
@@ -122,11 +114,12 @@ class TestCrash:
         deployment = Deployment(
             protocol=params.ProtocolParams(n=4),
             topology=single_region_topology(4),
-            byzantine={3: CrashValidator},
-            byzantine_kwargs={3: {"crash_at": 0.0}},
+            fault_schedule=FaultSchedule().crash(3, at=0.0),
             extra_balances=balances,
         )
         deployment.start()
+        deployment.run_until(0.1)  # the crash fires on the clock at t = 0
+        assert deployment.network.is_down(3)
         tx = make_transfer(clients[0], clients[1].address, 1, nonce=0)
         assert not deployment.validators[3].submit_transaction(tx)
 
@@ -139,7 +132,7 @@ class TestCensorship:
         deployment = Deployment(
             protocol=params.ProtocolParams(n=4),
             topology=single_region_topology(4),
-            byzantine={2: CensoringValidator},
+            fault_schedule=FaultSchedule().byzantine_censor(2, at=0.0),
             extra_balances=balances,
         )
         deployment.start()
@@ -159,7 +152,7 @@ class TestCensorship:
         deployment = Deployment(
             protocol=params.ProtocolParams(n=4),
             topology=single_region_topology(4),
-            byzantine={2: CensoringValidator},
+            fault_schedule=FaultSchedule().byzantine_censor(2, at=0.0),
             extra_balances=balances,
         )
         deployment.start()
@@ -175,7 +168,7 @@ class TestEquivocation:
         deployment = Deployment(
             protocol=params.ProtocolParams(n=4),
             topology=single_region_topology(4),
-            byzantine={3: EquivocatingProposer},
+            fault_schedule=FaultSchedule().byzantine_equivocate(3, at=0.0),
             extra_balances=balances,
         )
         deployment.start()

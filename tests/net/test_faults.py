@@ -1,137 +1,95 @@
-"""Delay strategies + their effect on live deployments."""
+"""Network faults: the ``slow_nodes`` delay, the schedule's loss windows as
+the transport queries them, and delay faults on live deployments."""
 
 import pytest
 
 from repro import params
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.transaction import make_transfer
-from repro.net.faults import (
-    combine,
-    combine_drops,
-    drop_rate,
-    duplicate_rate,
-    hard_partition,
-    is_drop_fn,
-    no_delay,
-    slow_nodes,
-    soft_partition,
-    targeted_proposer_lag,
-    uniform_jitter,
-)
+from repro.faults import FaultController, FaultSchedule
+from repro.net.faults import slow_nodes
 from repro.net.topology import single_region_topology
 from repro.net.transport import PartialSynchrony
 
 
 class TestStrategies:
-    def test_no_delay(self):
-        assert no_delay()(0, 1, 5.0) == 0.0
-
-    def test_uniform_jitter_bounded(self):
-        fn = uniform_jitter(0.5, seed=1)
-        samples = [fn(0, 1, 0.0) for _ in range(100)]
-        assert all(0.0 <= s <= 0.5 for s in samples)
-        assert max(samples) > 0.1
-
     def test_slow_nodes(self):
         fn = slow_nodes([2], 1.5)
         assert fn(2, 0, 0.0) == 1.5
         assert fn(0, 2, 0.0) == 1.5
         assert fn(0, 1, 0.0) == 0.0
 
-    def test_soft_partition_heals(self):
-        fn = soft_partition([0, 1], [2, 3], 2.0, heal_at=10.0)
-        assert fn(0, 2, 5.0) == 2.0
-        assert fn(0, 1, 5.0) == 0.0
-        assert fn(0, 2, 10.0) == 0.0
-
-    def test_targeted_lag(self):
-        fn = targeted_proposer_lag(1, 3.0, until=5.0)
-        assert fn(1, 0, 1.0) == 3.0
-        assert fn(0, 1, 1.0) == 0.0  # only outgoing
-        assert fn(1, 0, 6.0) == 0.0
-
-    def test_combine(self):
-        fn = combine(slow_nodes([0], 1.0), targeted_proposer_lag(0, 2.0))
-        assert fn(0, 1, 0.0) == 3.0
-
 
 class TestDropStrategies:
-    """Model-2 (lossy-link) factories are probability-valued."""
+    """Lossy-link windows answer the transport's per-message queries
+    (through the :class:`FaultController` a schedule installs)."""
+
+    @staticmethod
+    def model(schedule):
+        deployment = Deployment(protocol=params.ProtocolParams(n=4, rpm=False))
+        return FaultController(deployment, schedule)
 
     def test_drop_rate_window_and_scope(self):
-        fn = drop_rate(0.3, nodes=[2], start=1.0, until=5.0)
-        assert fn(2, 0, 2.0) == 0.3
-        assert fn(0, 2, 2.0) == 0.3
-        assert fn(0, 1, 2.0) == 0.0  # doesn't touch node 2
-        assert fn(2, 0, 0.5) == 0.0  # before the window
-        assert fn(2, 0, 5.0) == 0.0  # window end is exclusive
+        c = self.model(FaultSchedule().drop_rate(0.3, node=2, at=1.0, until=5.0))
+        assert c.drop_probability(2, 0, 2.0) == pytest.approx(0.3)
+        assert c.drop_probability(0, 2, 2.0) == pytest.approx(0.3)
+        assert c.drop_probability(0, 1, 2.0) == 0.0  # doesn't touch node 2
+        assert c.drop_probability(2, 0, 0.5) == 0.0  # before the window
+        assert c.drop_probability(2, 0, 5.0) == 0.0  # window end is exclusive
 
     def test_drop_rate_link_scope(self):
-        fn = drop_rate(0.5, links=[(0, 1)])
-        assert fn(0, 1, 0.0) == 0.5
-        assert fn(1, 0, 0.0) == 0.0  # directed
+        c = self.model(FaultSchedule().drop_rate(0.5, link=(0, 1)))
+        assert c.drop_probability(0, 1, 0.0) == pytest.approx(0.5)
+        assert c.drop_probability(1, 0, 0.0) == 0.0  # directed
 
     def test_drop_rate_rejects_bad_probability(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            drop_rate(1.5)
+            FaultSchedule().drop_rate(1.5)
 
     def test_duplicate_rate_window(self):
-        fn = duplicate_rate(0.2, until=3.0)
-        assert fn(0, 1, 1.0) == 0.2
-        assert fn(0, 1, 3.0) == 0.0
+        c = self.model(FaultSchedule().duplicate(0.2, until=3.0))
+        assert c.duplicate_probability(0, 1, 1.0) == pytest.approx(0.2)
+        assert c.duplicate_probability(0, 1, 3.0) == 0.0
 
     def test_hard_partition_severs_cross_group_until_heal(self):
-        fn = hard_partition([[0, 1], [2, 3]], at=2.0, heal_at=8.0)
-        assert fn(0, 2, 4.0) == 1.0
-        assert fn(0, 1, 4.0) == 0.0  # same island
-        assert fn(0, 2, 1.0) == 0.0  # before the partition
-        assert fn(0, 2, 8.0) == 0.0  # healed
+        c = self.model(
+            FaultSchedule().hard_partition([[0, 1], [2, 3]], at=2.0, heal_at=8.0)
+        )
+        assert c.drop_probability(0, 2, 4.0) == 1.0
+        assert c.drop_probability(0, 1, 4.0) == 0.0  # same island
+        assert c.drop_probability(0, 2, 1.0) == 0.0  # before the partition
+        assert c.drop_probability(0, 2, 8.0) == 0.0  # healed
 
     def test_hard_partition_ungrouped_nodes_are_islands(self):
-        fn = hard_partition([[0, 1]], at=0.0)
-        assert fn(2, 3, 1.0) == 1.0  # two singleton islands
-        assert fn(0, 2, 1.0) == 1.0
-        assert fn(2, 2, 1.0) == 0.0  # loopback stays up
+        c = self.model(FaultSchedule().hard_partition([[0, 1]], at=0.0, heal_at=9.0))
+        assert c.drop_probability(2, 3, 1.0) == 1.0  # two singleton islands
+        assert c.drop_probability(0, 2, 1.0) == 1.0
+        assert c.drop_probability(2, 2, 1.0) == 0.0  # loopback stays up
 
     def test_hard_partition_validates_groups(self):
         with pytest.raises(ValueError, match="disjoint"):
-            hard_partition([[0, 1], [1, 2]])
-        with pytest.raises(ValueError, match="heal_at"):
-            hard_partition([[0], [1]], at=5.0, heal_at=2.0)
-
-    def test_drop_fns_are_tagged(self):
-        assert is_drop_fn(drop_rate(0.1))
-        assert is_drop_fn(duplicate_rate(0.1))
-        assert is_drop_fn(hard_partition([[0], [1]]))
-        assert not is_drop_fn(slow_nodes([0], 1.0))
+            FaultSchedule().hard_partition([[0, 1], [1, 2]], at=0.0, heal_at=1.0)
+        with pytest.raises(ValueError, match="before it starts"):
+            FaultSchedule().hard_partition([[0], [1]], at=5.0, heal_at=2.0)
 
 
 class TestComposition:
-    """One algebra per fault model — never mixed silently."""
+    """Overlapping loss windows compose as independent losses, never summed."""
 
-    def test_combine_rejects_drop_functions(self):
-        # Summing probabilities is meaningless (60% + 60% != 120% loss);
-        # the delay combinator must refuse rather than corrupt.
-        with pytest.raises(TypeError, match="combine_drops"):
-            combine(slow_nodes([0], 1.0), drop_rate(0.6))
+    model = staticmethod(TestDropStrategies.model)
 
-    def test_combine_drops_independent_losses(self):
-        fn = combine_drops(drop_rate(0.5), drop_rate(0.5))
-        assert fn(0, 1, 0.0) == pytest.approx(0.75)  # 1 - 0.5 * 0.5
+    def test_drop_windows_compose_independently(self):
+        c = self.model(FaultSchedule().drop_rate(0.5).drop_rate(0.5))
+        assert c.drop_probability(0, 1, 0.0) == pytest.approx(0.75)  # 1 - 0.5 * 0.5
 
-    def test_combine_drops_clamps_at_certain_loss(self):
-        fn = combine_drops(drop_rate(0.4), hard_partition([[0], [1]]))
-        assert fn(0, 1, 0.0) == 1.0
-
-    def test_combine_drops_result_is_itself_a_drop_fn(self):
-        assert is_drop_fn(combine_drops(drop_rate(0.1)))
-
-    def test_combine_drops_rejects_delay_values(self):
-        # A delay function sneaks past the tag check but returns seconds;
-        # any value outside [0, 1] must raise at evaluation time.
-        fn = combine_drops(slow_nodes([0], 3.0))
-        with pytest.raises(ValueError, match="probability"):
-            fn(0, 1, 0.0)
+    def test_partition_clamps_composed_loss_at_one(self):
+        c = self.model(
+            FaultSchedule()
+            .drop_rate(0.4)
+            .hard_partition([[0], [1]], at=0.0, heal_at=9.0)
+        )
+        assert c.drop_probability(0, 1, 1.0) == 1.0
+        assert c.drop_probability(0, 1, 9.0) == pytest.approx(0.4)  # healed
 
 
 class TestLiveEffects:
@@ -147,10 +105,14 @@ class TestLiveEffects:
         deployment.network.adversarial_delay = delay_fn
         return deployment, clients
 
-    def test_soft_partition_recovers_after_heal(self):
-        deployment, clients = self._deployment(
-            soft_partition([0, 1], [2, 3], 3.5, heal_at=6.0), gst=6.0
-        )
+    def test_cross_group_lag_recovers_after_heal(self):
+        """A 2|2 split that only slows cross-group traffic (no loss) until
+        t = 6: every message still arrives, and consensus converges."""
+
+        def cross_group_lag(src, dst, now):
+            return 3.5 if now < 6.0 and (src < 2) != (dst < 2) else 0.0
+
+        deployment, clients = self._deployment(cross_group_lag, gst=6.0)
         deployment.start()
         tx = make_transfer(clients[0], clients[1].address, 1, nonce=0)
         deployment.submit(tx, validator_id=0, at=0.1)
@@ -162,9 +124,11 @@ class TestLiveEffects:
     def test_targeted_lag_cannot_lose_transactions(self):
         """Delaying one correct proposer may get its blocks voted out, but
         recycling (and eventually GST) commits its transactions anyway."""
-        deployment, clients = self._deployment(
-            targeted_proposer_lag(0, 3.5, until=8.0), gst=8.0
-        )
+
+        def proposer_lag(src, dst, now):
+            return 3.5 if src == 0 and now < 8.0 else 0.0
+
+        deployment, clients = self._deployment(proposer_lag, gst=8.0)
         deployment.start()
         tx = make_transfer(clients[0], clients[1].address, 1, nonce=0)
         deployment.submit(tx, validator_id=0, at=0.1)  # to the lagged node!

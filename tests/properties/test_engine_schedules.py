@@ -73,15 +73,16 @@ def test_convergence_after_gst(seed, gst, delay_scale, submit_jitter):
 )
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_flooding_never_breaks_safety_random_seeds(seed):
-    from repro.adversary import FloodingValidator
+    from repro.faults import FaultSchedule
     from repro.workloads.synthetic import factory_balances, transfer_request_factory
 
     factory = transfer_request_factory(clients=4, seed=seed % 1000 + 1)
     deployment = Deployment(
         protocol=params.ProtocolParams(n=4, rpm=True),
         topology=single_region_topology(4),
-        byzantine={3: FloodingValidator},
-        byzantine_kwargs={3: {"flood_per_block": 10, "flood_total": 50}},
+        fault_schedule=FaultSchedule().byzantine_flood(
+            3, at=0.0, per_block=10, total=50
+        ),
         extra_balances=factory_balances(factory),
         seed=seed,
     )
