@@ -12,10 +12,10 @@ Run:  python examples/flooding_attack.py
 
 from repro import params
 from repro.core.deployment import Deployment
+from repro.core.rpm import read_events
 from repro.core.transaction import make_transfer
 from repro.faults import FaultSchedule
 from repro.net.topology import single_region_topology
-from repro.vm.executor import native_address_for
 from repro.workloads.synthetic import factory_balances, transfer_request_factory
 
 
@@ -38,8 +38,7 @@ def run(rpm: bool) -> None:
 
     v0 = deployment.validators[0]
     flooder = deployment.keypairs[3].address
-    rpm_addr = native_address_for("rpm")
-    events = v0.blockchain.state.storage_get(rpm_addr, "events", ())
+    events = read_events(v0.blockchain.state)
 
     print(f"\n== SRBB {'with' if rpm else 'without'} RPM ==")
     print(f"  committed valid txs : "

@@ -2,7 +2,7 @@
 
 This package is the paper's primary contribution — Algorithm 1 (the SRBB
 protocol with TVPR) and Algorithm 2 (the Reward-Penalty Mechanism) — plus
-the membership/committee layer and the Section VI load-balancer mitigation.
+the Section VI load-balancer mitigation.
 """
 
 from repro.core.transaction import (

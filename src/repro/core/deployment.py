@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from repro import params
 from repro.adversary.byzantine import CampaignValidator
 from repro.core.node import ValidatorNode
-from repro.core.rpm import RPMContract
+from repro.core.rpm import RPMContract, seed_genesis
 from repro.core.transaction import Transaction
 from repro.crypto.keys import KeyPair, generate_keypair
 from repro.faults import FaultController, FaultSchedule
@@ -60,13 +60,7 @@ class GenesisSpec:
             install_native(state, name)
         for address, balance in self.balances.items():
             state.create_account(address, balance)
-        # Pre-seed the RPM committee: validators joined at genesis.
-        from repro.vm.executor import native_address_for
-
-        rpm_addr = native_address_for(RPMContract.name)
-        state.storage_set(rpm_addr, "validators", tuple(self.validator_addresses))
-        for address in self.validator_addresses:
-            state.storage_set(rpm_addr, f"deposit:{address}", self.validator_deposit)
+        seed_genesis(state, self.validator_addresses, self.validator_deposit)
         if self.extra_setup is not None:
             self.extra_setup(state)
 

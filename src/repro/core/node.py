@@ -32,7 +32,13 @@ from repro.core.block import Block, SuperBlock, make_block
 from repro.core.blockchain import Blockchain, CommitResult
 from repro.core.catchup import CatchupRequest, CatchupResponse, DecidedJournal
 from repro.core.receipts import ReceiptStore
-from repro.core.rpm import RPMContract, certificate_payload, report_payload
+from repro.core.rpm import (
+    RPM_ADDRESS,
+    certificate_payload,
+    read_deposit,
+    read_excluded,
+    report_payload,
+)
 from repro.core.transaction import Transaction, make_invoke
 from repro.core.txpool import TxPool
 from repro.core.validation import eager_validate
@@ -44,7 +50,6 @@ from repro.faults.watchdog import LivenessWatchdog
 from repro.net.gossip import GossipLayer
 from repro.net.simulator import Simulator
 from repro.net.transport import Message, Network
-from repro.vm.executor import install_native, native_address_for
 from repro.vm.state import WorldState
 from repro.vm.sync import SyncError, restore_snapshot, take_snapshot
 
@@ -968,7 +973,6 @@ class ValidatorNode:
         superblock: SuperBlock,
         invalid_by_proposer: list[tuple[int, Transaction, str]],
     ) -> None:
-        rpm_address = native_address_for(RPMContract.name)
         # propReceived for every block in the decided superblock.
         for slot, block in enumerate(superblock.blocks):
             if block.certificate is None or len(block) == 0:
@@ -976,7 +980,7 @@ class ValidatorNode:
             cert, h_t_hex, tx_count = certificate_payload(block)
             tx = make_invoke(
                 self.keypair,
-                rpm_address,
+                RPM_ADDRESS,
                 "prop_received",
                 (cert, h_t_hex, tx_count, slot, superblock.index),
                 self._rpm_next_nonce(),
@@ -1003,7 +1007,7 @@ class ValidatorNode:
             )
             tx = make_invoke(
                 self.keypair,
-                rpm_address,
+                RPM_ADDRESS,
                 "report",
                 (cert, superblock.index, bad_hex, h_t_hex, proof_index, siblings),
                 self._rpm_next_nonce(),
@@ -1027,9 +1031,7 @@ class ValidatorNode:
 
     def _refresh_exclusions(self) -> None:
         """Listen for Byzantine-validator events (Alg. 2 line 42)."""
-        excluded = self.blockchain.state.storage_get(
-            native_address_for(RPMContract.name), "excluded", ()
-        )
+        excluded = read_excluded(self.blockchain.state)
         self.excluded_validators = set(excluded)
         if self.protocol.rpm_exclude_comms and excluded:
             # Drop the excluded address from gossip/consensus entirely:
@@ -1071,8 +1073,4 @@ class ValidatorNode:
         return self.blockchain.height
 
     def rpm_deposit_of(self, address: str) -> int:
-        return int(
-            self.blockchain.state.storage_get(
-                native_address_for(RPMContract.name), f"deposit:{address}", 0
-            )
-        )
+        return read_deposit(self.blockchain.state, address)

@@ -1,17 +1,12 @@
-"""Reward design and the block-proposal game (§IV-F).
+"""The block-proposal game of §IV-F on the RPM contract's own rules.
 
-Implements the paper's payoff algebra —
-
-* ``I = r_b + Σ Txfees``  (incentive)
-* ``C = |T| · c``         (eager-validation cost for the block)
-* ``R = I − C − P``       (cumulative reward; ``P`` is the slash amount)
-
-— and the game ``G = (V, S, U)`` per consensus round, where each validator
-picks the CORRECT strategy (eagerly validate everything, propose only valid
-transactions) or a BYZANTINE strategy (skip eager validation, include
-invalid transactions to save cost ``C' < C``).  :func:`best_response`
-evaluates the payoffs and shows the correct strategy dominates whenever
-RPM's slashing is active — the computational counterpart of Theorem 1.
+A validator plays CORRECT (eagerly validate, propose only valid
+transactions) or BYZANTINE (skip validation, include invalid ones).  Its
+deposit moves only by :func:`~repro.core.rpm.policy_attestation_reward`
+and :func:`~repro.core.rpm.policy_slash` with the contract's ``r_b`` and
+``c``.  Two terms are off the deposit book and are explicit inputs:
+``tx_fees`` (paid to the coinbase balance) and the compute a deviator
+saves off-chain (``skipped_validations · c``).
 """
 
 from __future__ import annotations
@@ -19,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from repro import params
+from repro.core.rpm import (
+    RPMContract,
+    policy_attestation_reward,
+    policy_slash,
+    read_deposit,
+    read_events,
+    read_excluded,
+)
 
 
 class Strategy(Enum):
@@ -28,121 +30,90 @@ class Strategy(Enum):
 
 
 @dataclass(frozen=True)
-class RewardDesign:
-    """Constants of the reward equations."""
-
-    block_reward: int = params.BLOCK_REWARD  # r_b
-    validation_cost: float = params.EAGER_VALIDATION_COST  # c
-
-    def incentive(self, tx_fees: float) -> float:
-        """``I = r_b + Σ Txfees``."""
-        return self.block_reward + tx_fees
-
-    def validation_cost_for(self, tx_count: int) -> float:
-        """``C = |T| · c``."""
-        return tx_count * self.validation_cost
-
-    def reward(self, tx_count: int, tx_fees: float, penalty: float = 0.0) -> float:
-        """``R = I − C − P``."""
-        return self.incentive(tx_fees) - self.validation_cost_for(tx_count) - penalty
-
-
-@dataclass(frozen=True)
 class PayoffOutcome:
-    """Per-strategy payoff for one round of the block-proposal game."""
+    """One round's payoff: ``payoff`` is the change of the deposit (what
+    the contract pays or slashes), ``off_book`` the fees and saved compute
+    that no slash reaches."""
 
-    strategy: Strategy
-    payoff: float
-    deposit_after: float
+    payoff: int
+    deposit_after: int
     slashed: bool
+    off_book: float
+
+    @property
+    def utility(self) -> float:
+        return self.payoff + self.off_book
 
 
 def correct_payoff(
-    design: RewardDesign, tx_count: int, tx_fees: float, deposit: float
+    rpm: RPMContract, tx_count: int, tx_fees: float, deposit: int
 ) -> PayoffOutcome:
     """Reward of the correct strategy: validate all, never slashed."""
-    r = design.reward(tx_count, tx_fees)
-    return PayoffOutcome(Strategy.CORRECT, r, deposit + r, slashed=False)
+    r = policy_attestation_reward(rpm.block_reward, rpm.validation_cost, tx_count)
+    return PayoffOutcome(r, deposit + r, False, tx_fees)
 
 
 def byzantine_payoff(
-    design: RewardDesign,
+    rpm: RPMContract,
     tx_count: int,
     tx_fees: float,
-    deposit: float,
+    deposit: int,
     *,
     skipped_validations: int,
     reported: bool = True,
 ) -> PayoffOutcome:
-    """Reward of a Byzantine proposer that skipped eager validation.
-
-    The proposer saves ``skipped_validations · c`` (so pays ``C' < C``), but
-    once n−f validators report an invalid transaction, the slash takes the
-    *entire* current deposit ``P = D' = D + I − C'`` (Theorem 1 proof),
-    leaving ``D_end = 0``.
-    """
+    """Reward of a Byzantine proposer that skipped ``skipped_validations``
+    eager checks.  Its block is credited like any other; once n−f
+    validators report it, the slash takes the whole deposit ``D + R``
+    (Theorem 1 proof): ``D_end = 0`` and the payoff is ``−D``."""
     skipped = min(skipped_validations, tx_count)
-    c_prime = design.validation_cost_for(tx_count - skipped)
-    gain = design.incentive(tx_fees) - c_prime
-    deposit_after_reward = deposit + gain
-    if not reported:
-        return PayoffOutcome(Strategy.BYZANTINE, gain, deposit_after_reward, False)
-    penalty = deposit_after_reward  # P = D + I − C'
-    return PayoffOutcome(
-        Strategy.BYZANTINE,
-        gain - penalty,  # = −D  (loses the entire starting deposit)
-        deposit_after_reward - penalty,  # = 0
-        slashed=True,
+    off_book = tx_fees + skipped * rpm.validation_cost
+    held = deposit + policy_attestation_reward(
+        rpm.block_reward, rpm.validation_cost, tx_count
     )
+    if reported:
+        held -= policy_slash(held, (), "deviator")[0]
+    return PayoffOutcome(held - deposit, held, reported, off_book)
 
 
 def best_response(
-    design: RewardDesign,
+    rpm: RPMContract,
     tx_count: int,
     tx_fees: float,
-    deposit: float,
+    deposit: int,
     *,
     report_probability: float = 1.0,
 ) -> Strategy:
     """Rational validator's strategy choice given expected reporting.
 
-    With any positive deposit and report probability high enough that the
-    expected slash exceeds the validation savings, CORRECT dominates —
+    CORRECT dominates once the expected slash exceeds the saved compute;
     Theorem 1 is the ``report_probability == 1`` case.
     """
-    correct = correct_payoff(design, tx_count, tx_fees, deposit).payoff
-    caught = byzantine_payoff(
-        design, tx_count, tx_fees, deposit,
-        skipped_validations=tx_count, reported=True,
-    ).payoff
-    free = byzantine_payoff(
-        design, tx_count, tx_fees, deposit,
-        skipped_validations=tx_count, reported=False,
-    ).payoff
+    correct = correct_payoff(rpm, tx_count, tx_fees, deposit).utility
+    caught, free = (
+        byzantine_payoff(
+            rpm, tx_count, tx_fees, deposit,
+            skipped_validations=tx_count, reported=reported,
+        ).utility
+        for reported in (True, False)
+    )
     expected_byz = report_probability * caught + (1 - report_probability) * free
     return Strategy.CORRECT if correct >= expected_byz else Strategy.BYZANTINE
 
 
 def theorem1_holds(
-    design: RewardDesign, tx_count: int, tx_fees: float, deposit: float
+    rpm: RPMContract, tx_count: int, tx_fees: float, deposit: int
 ) -> bool:
-    """Theorem 1: a reported Byzantine proposer's reward is negative
-    (it loses its whole starting deposit) whenever the deposit is positive."""
+    """Theorem 1: a reported Byzantine proposer ends at deposit 0, a
+    negative payoff, whenever its deposit is positive."""
     outcome = byzantine_payoff(
-        design, tx_count, tx_fees, deposit,
+        rpm, tx_count, tx_fees, deposit,
         skipped_validations=tx_count, reported=True,
     )
     return outcome.payoff < 0 and outcome.deposit_after == 0 if deposit > 0 else True
 
 
-# -- deposit dynamics over live runs ---------------------------------------------------
-#
-# The algebra above is the single-round game; campaigns need the ledger
-# view — per-epoch deposit trajectories of every committee seat while the
-# RPM contract pays rewards and slashes, in the style of the
-# ethereum-economic-model reward/penalty policies: sample state on a
-# cadence, then summarize attacker payoff, honest yield and
-# time-to-exclusion as headline stats.
+# -- the deposit book over live runs ---------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -156,21 +127,14 @@ class DepositSample:
     slash_events: int
 
     def deposit_of(self, address: str) -> int:
-        for addr, deposit in self.deposits:
-            if addr == address:
-                return deposit
-        return 0
+        return dict(self.deposits).get(address, 0)
 
 
 class DepositLedger:
-    """Samples the RPM contract's deposit book off one observer node.
-
-    Drive :meth:`sample` on a deterministic cadence during a run (the
-    ``byzantine_campaign`` scenario uses a 0.5 s grid), then ask
-    :meth:`stats` for the validator-economics headline: attacker net
-    payoff (final − initial deposit), honest-validator yield, and
-    time-to-exclusion of each attacker address.
-    """
+    """Samples the RPM deposit book off one observer node on a
+    deterministic cadence (``byzantine_campaign``: a 0.5 s grid);
+    :meth:`stats` gives attacker net payoff (final − initial deposit),
+    honest-validator yield and time-to-exclusion."""
 
     def __init__(self, addresses: "tuple[str, ...]"):
         self.addresses = tuple(addresses)
@@ -178,30 +142,20 @@ class DepositLedger:
 
     def sample(self, node) -> DepositSample:
         """Read deposits/exclusions from ``node``'s executed state."""
-        from repro.core.rpm import RPMContract
-        from repro.vm.executor import native_address_for
-
-        rpm_addr = native_address_for(RPMContract.name)
         state = node.blockchain.state
         row = DepositSample(
             t=node.sim.now,
             height=node.blockchain.height,
-            deposits=tuple(
-                (address, int(state.storage_get(rpm_addr, f"deposit:{address}", 0)))
-                for address in self.addresses
-            ),
-            excluded=tuple(state.storage_get(rpm_addr, "excluded", ())),
-            slash_events=len(state.storage_get(rpm_addr, "events", ())),
+            deposits=tuple((a, read_deposit(state, a)) for a in self.addresses),
+            excluded=read_excluded(state),
+            slash_events=len(read_events(state)),
         )
         self.samples.append(row)
         return row
 
     def time_to_exclusion(self, address: str) -> "float | None":
         """First sampling instant at which ``address`` was excluded."""
-        for row in self.samples:
-            if address in row.excluded:
-                return row.t
-        return None
+        return next((row.t for row in self.samples if address in row.excluded), None)
 
     def stats(self, *, attacker: "str | None" = None) -> dict:
         """Headline validator-economics stats over the sampled window."""
@@ -226,9 +180,8 @@ class DepositLedger:
             out.update(
                 attacker_initial_deposit=first.deposit_of(attacker),
                 attacker_final_deposit=last.deposit_of(attacker),
-                attacker_net_payoff=(
-                    last.deposit_of(attacker) - first.deposit_of(attacker)
-                ),
+                attacker_net_payoff=last.deposit_of(attacker)
+                - first.deposit_of(attacker),
                 attacker_excluded=1.0 if attacker in last.excluded else 0.0,
                 time_to_exclusion_s=tte if tte is not None else float("inf"),
             )

@@ -3,8 +3,8 @@
 ``propReceived`` — validators attest each block of a decided superblock by
 submitting the proposer's certificate ``Cert_B = {P_k, (h_t)_{S_k}}``;
 once ``n − f`` distinct validators attest the same (proposer, tx-set,
-superblock slot, round), the proposer's deposit is credited the reward
-``R = I − C`` with ``I = r_b`` and ``C = |T| · c``.
+superblock slot, round), the proposer's deposit is credited ``R = I − C``
+with ``I = r_b`` and ``C = ⌊|T| · c⌋`` (deposits are integers).
 
 ``report`` — validators report an invalid transaction ``t ∈ T`` found in a
 committed block; once ``n − f`` distinct validators file the same report
@@ -12,22 +12,86 @@ the proposer's **entire deposit** is slashed, redistributed equally among
 the other committee members, and a Byzantine-validator event is emitted
 (correct validators exclude the address from future communication).
 
-The contract is deliberately state-machine pure: it can be driven through
-consensus (as INVOKE transactions executed on every replica) or directly by
-the simulator — both paths produce identical storage.
+The deposit rules are the pure functions :func:`policy_attestation_reward`
+and :func:`policy_slash`: the contract applies them and the Theorem 1 model
+(:mod:`repro.core.rewards`) is built from them.  The contract's storage is
+the one deposit book, and only this module knows its layout: genesis seeds
+it with :func:`seed_genesis`, everything else reads it with ``read_*``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Any, Callable
 
 from repro import params
 from repro.core.block import Block, BlockCertificate
 from repro.crypto.hashing import hash_items
-from repro.crypto.keys import PublicKey, Signature, derive_address, verify
+from repro.crypto.keys import PublicKey, Signature, verify
+from repro.crypto.merkle import MerkleProof, MerkleTree
 from repro.errors import VMRevert
 from repro.vm.contracts.base import CallInfo, MeteredState, NativeContract, method
+from repro.vm.executor import native_address_for
+from repro.vm.state import WorldState
+
+# -- storage layout: the deposit book ------------------------------------------------
+VALIDATORS = "validators"  # committee addresses, in join order
+EXCLUDED = "excluded"  # slashed addresses, sorted (Alg. 2 line 42 listeners)
+EVENTS = "events"  # ByzantineEvent records, in slash order
+
+
+def deposit_key(address: str) -> str:
+    return f"deposit:{address}"
+
+
+def _seat(put: Callable[[str, Any], None], validators: tuple, joined, deposit: int):
+    """Write the committee ``validators`` and ``deposit`` for each of
+    ``joined``: the one write of a seat, at genesis and in ``join``."""
+    put(VALIDATORS, validators)
+    for address in joined:
+        put(deposit_key(address), deposit)
+
+
+def seed_genesis(state: WorldState, validators: tuple, deposit: int) -> None:
+    """Pre-seed the committee: every validator joined at genesis."""
+    validators = tuple(validators)
+    _seat(partial(state.storage_set, RPM_ADDRESS), validators, validators, deposit)
+
+
+def read_deposit(state: WorldState, address: str) -> int:
+    return int(state.storage_get(RPM_ADDRESS, deposit_key(address), 0))
+
+
+def read_excluded(state: WorldState) -> tuple:
+    return tuple(state.storage_get(RPM_ADDRESS, EXCLUDED, ()))
+
+
+def read_events(state: WorldState) -> tuple:
+    return tuple(state.storage_get(RPM_ADDRESS, EVENTS, ()))
+
+
+# -- economics: Alg. 2's deposit rules as pure functions ------------------------------
+
+
+def policy_attestation_reward(block_reward: int, cost: Fraction, tx_count: int) -> int:
+    """Alg. 2 lines 23-27: ``R = r_b − ⌊|T|·c⌋``, the credit to the
+    proposer's deposit once ``n − f`` validators attest its block."""
+    return block_reward - int(tx_count * cost)
+
+
+def policy_slash(
+    deposit: int, validators: tuple, offender: str
+) -> "tuple[int, list[tuple[str, int]]]":
+    """Alg. 2 lines 38-41: ``(penalty, shares)``.  The offender's whole
+    deposit is the penalty, split equally among the other validators in
+    committee order; the first ``penalty mod (n − 1)`` get one token more."""
+    others = [v for v in validators if v != offender]
+    if not others or deposit <= 0:
+        return deposit, []
+    share, remainder = divmod(deposit, len(others))
+    return deposit, [(v, share + (i < remainder)) for i, v in enumerate(others)]
 
 
 def encode_certificate(cert: BlockCertificate) -> tuple[str, str, str, str]:
@@ -74,8 +138,7 @@ class RPMContract(NativeContract):
         self.n = n
         self.f = f
         self.block_reward = block_reward
-        # Fraction keeps reward arithmetic exact (deposits are integers;
-        # fractional remainders accumulate in a rounding bucket).
+        # Exact c, so |T|·c rounds once (deposits are integers).
         self.validation_cost = Fraction(validation_cost).limit_denominator(10**9)
 
     # -- committee management ----------------------------------------------------
@@ -87,29 +150,27 @@ class RPMContract(NativeContract):
             raise VMRevert("deposit must be positive")
         if info.value < deposit:
             raise VMRevert("call value does not cover the deposit")
-        validators = list(storage.get("validators", ()))
+        validators = tuple(storage.get(VALIDATORS, ()))
         if info.caller in validators:
             raise VMRevert(f"{info.caller} already a validator")
-        validators.append(info.caller)
-        storage.set("validators", tuple(validators))
-        storage.set(f"deposit:{info.caller}", deposit)
+        _seat(storage.set, validators + (info.caller,), (info.caller,), deposit)
         return deposit
 
     @method
     def deposit_of(self, storage: MeteredState, info: CallInfo, address: str) -> int:
-        return int(storage.get(f"deposit:{address}", 0))
+        return int(storage.get(deposit_key(address), 0))
 
     @method
     def validators(self, storage: MeteredState, info: CallInfo) -> tuple:
-        return tuple(storage.get("validators", ()))
+        return tuple(storage.get(VALIDATORS, ()))
 
     @method
     def excluded(self, storage: MeteredState, info: CallInfo) -> tuple:
-        return tuple(storage.get("excluded", ()))
+        return tuple(storage.get(EXCLUDED, ()))
 
     @method
     def events(self, storage: MeteredState, info: CallInfo) -> tuple:
-        return tuple(storage.get("events", ()))
+        return tuple(storage.get(EVENTS, ()))
 
     # -- Alg. 2 propReceived --------------------------------------------------------
 
@@ -127,15 +188,12 @@ class RPMContract(NativeContract):
         """Attest one block of a decided superblock (Alg. 2 lines 10-28).
 
         ``cert`` is an encoded :class:`BlockCertificate`; ``h_t_hex`` the
-        Merkle root of the block's transactions (Alg. 2 transmits the full
-        set ``T`` and recomputes the hash — sending the root instead keeps
-        attestations O(1) in block size, with the binding to ``T``
-        enforced by the certificate's signature over ``h_t``); ``slot`` is
-        the block's index *i* in the superblock and ``round_`` the round
-        *r*.  Returns True when this attestation crossed the n−f threshold
-        and credited the reward ``R = r_b − |T|·c``.
+        block's Merkle root (Alg. 2 ships ``T``; the root keeps attestations
+        O(1), bound to ``T`` by the certificate's signature over ``h_t``);
+        ``slot`` is the index *i* in the superblock, ``round_`` the round
+        *r*.  True when this attestation crossed n−f and paid the reward.
         """
-        validators = tuple(storage.get("validators", ()))
+        validators = tuple(storage.get(VALIDATORS, ()))
         if info.caller not in validators:
             raise VMRevert("only committee validators may attest")
         # line 11: one invocation per (caller, i, round)
@@ -164,11 +222,11 @@ class RPMContract(NativeContract):
             return False
 
         # lines 23-27: R = I − C credited to the proposer's deposit
-        incentive = self.block_reward
-        cost_frac = tx_count * self.validation_cost
-        reward = incentive - int(cost_frac)  # integer token ledger
-        deposit = int(storage.get(f"deposit:{proposer}", 0))
-        storage.set(f"deposit:{proposer}", deposit + reward)
+        reward = policy_attestation_reward(
+            self.block_reward, self.validation_cost, tx_count
+        )
+        key = deposit_key(proposer)
+        storage.set(key, int(storage.get(key, 0)) + reward)
         storage.set(count_key, 0)  # line 28: reset count
         return True
 
@@ -193,7 +251,7 @@ class RPMContract(NativeContract):
         instead of shipping ``T``).  Returns True when this report crossed
         the n−f threshold and slashed the proposer.
         """
-        validators = tuple(storage.get("validators", ()))
+        validators = tuple(storage.get(VALIDATORS, ()))
         if info.caller not in validators:
             raise VMRevert("only committee validators may report")
         certificate = decode_certificate(tuple(cert))
@@ -204,8 +262,6 @@ class RPMContract(NativeContract):
             return False
         if not verify(certificate.public_key, h_t, certificate.signed_tx_hash):
             return False
-        from repro.crypto.merkle import MerkleProof, MerkleTree
-
         proof = MerkleProof(
             index=int(proof_index),
             siblings=tuple(bytes.fromhex(s) for s in proof_siblings),
@@ -228,29 +284,23 @@ class RPMContract(NativeContract):
             return False
 
         # lines 38-41: slash the full deposit, redistribute equally
-        penalty = int(storage.get(f"deposit:{proposer}", 0))
-        storage.set(f"deposit:{proposer}", 0)
-        others = [v for v in validators if v != proposer]
-        if others and penalty > 0:
-            share, remainder = divmod(penalty, len(others))
-            for i, v in enumerate(others):
-                bonus = share + (1 if i < remainder else 0)
-                storage.set(f"deposit:{v}", int(storage.get(f"deposit:{v}", 0)) + bonus)
+        key = deposit_key(proposer)
+        deposit = int(storage.get(key, 0))
+        penalty, shares = policy_slash(deposit, validators, proposer)
+        storage.set(key, deposit - penalty)
+        for v, share in shares:
+            key = deposit_key(v)
+            storage.set(key, int(storage.get(key, 0)) + share)
         # line 42: emit the Byzantine-validator event
-        events = list(storage.get("events", ()))
-        events.append(
-            ByzantineEvent(
-                address=proposer,
-                block_number=block_number,
-                tx_hash_hex=invalid_tx_hash,
-                penalty=penalty,
-            )
-        )
-        storage.set("events", tuple(events))
-        excluded = set(storage.get("excluded", ()))
-        excluded.add(proposer)
-        storage.set("excluded", tuple(sorted(excluded)))
+        event = ByzantineEvent(proposer, block_number, invalid_tx_hash, penalty)
+        storage.set(EVENTS, tuple(storage.get(EVENTS, ())) + (event,))
+        excluded = {*storage.get(EXCLUDED, ()), proposer}
+        storage.set(EXCLUDED, tuple(sorted(excluded)))
         return True
+
+
+#: Well-known address of the RPM contract on every replica.
+RPM_ADDRESS = native_address_for(RPMContract.name)
 
 
 def certificate_payload(block: Block) -> tuple[tuple, str, int]:
@@ -267,17 +317,13 @@ def certificate_payload(block: Block) -> tuple[tuple, str, int]:
 def report_payload(block: Block, bad_tx_hash: bytes) -> tuple:
     """Arguments for ``report``: cert, h_t, and the Merkle inclusion proof
     of ``bad_tx_hash`` inside the block."""
-    from repro.crypto.merkle import MerkleTree
-
     if block.certificate is None:
         raise ValueError("block has no certificate")
     leaves = [tx.tx_hash for tx in block.transactions]
-    try:
-        index = leaves.index(bad_tx_hash)
-    except ValueError:
-        raise ValueError("transaction not in block") from None
+    if bad_tx_hash not in leaves:
+        raise ValueError("transaction not in block")
     tree = MerkleTree(leaves)
-    proof = tree.proof(index)
+    proof = tree.proof(leaves.index(bad_tx_hash))
     return (
         encode_certificate(block.certificate),
         bad_tx_hash.hex(),

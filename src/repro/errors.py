@@ -117,10 +117,6 @@ class NetworkError(ReproError):
     """Misuse of the discrete-event network simulator."""
 
 
-class MembershipError(ReproError):
-    """Invalid committee/membership operation (e.g. deposit too small)."""
-
-
 # ---------------------------------------------------------------------------
 # Tooling errors
 # ---------------------------------------------------------------------------

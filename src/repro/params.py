@@ -34,7 +34,7 @@ TX_TTL = 600.0
 #: chains differ and the chain models override this).
 TXPOOL_CAPACITY = 16_384
 
-# -- RPM / membership ----------------------------------------------------------
+# -- RPM ----------------------------------------------------------------------
 
 #: Validator deposit required for candidacy (in the native token).
 VALIDATOR_DEPOSIT = 1_000_000

@@ -4,7 +4,7 @@ import pytest
 
 from repro import params
 from repro.core.deployment import Deployment, GenesisSpec, fund_clients
-from repro.core.rpm import RPMContract
+from repro.core.rpm import RPM_ADDRESS, VALIDATORS, read_deposit
 from repro.core.transaction import make_transfer
 from repro.net.topology import single_region_topology
 from repro.vm.executor import native_address_for
@@ -23,9 +23,8 @@ class TestGenesisSpec:
         assert state.balance_of("aa" * 20) == 123
         for name in spec.natives:
             assert state.get_account(native_address_for(name)).native == name
-        rpm_addr = native_address_for(RPMContract.name)
-        assert state.storage_get(rpm_addr, "validators") == ("v1" * 20, "v2" * 20)
-        assert state.storage_get(rpm_addr, f"deposit:{'v1' * 20}") == 777
+        assert state.storage_get(RPM_ADDRESS, VALIDATORS) == ("v1" * 20, "v2" * 20)
+        assert read_deposit(state, "v1" * 20) == 777
 
     def test_identical_builds_identical_roots(self):
         spec = GenesisSpec(balances={"aa" * 20: 5}, validator_addresses=("bb" * 20,))

@@ -1,38 +1,64 @@
-"""Reward design and the block-proposal game (§IV-F, Theorem 1)."""
+"""The block-proposal game (§IV-F, Theorem 1) on the RPM contract's rules."""
 
-from hypothesis import given, strategies as st
+from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
+
+from repro import params
+from repro.core.block import make_block
 from repro.core.rewards import (
-    PayoffOutcome,
-    RewardDesign,
     Strategy,
     best_response,
     byzantine_payoff,
     correct_payoff,
     theorem1_holds,
 )
+from repro.core.rpm import (
+    RPM_ADDRESS,
+    RPMContract,
+    certificate_payload,
+    policy_attestation_reward,
+    policy_slash,
+    read_deposit,
+    seed_genesis,
+)
+from repro.core.transaction import make_transfer
+from repro.crypto.keys import generate_keypair
+from repro.vm.state import WorldState
 
 
-DESIGN = RewardDesign(block_reward=100, validation_cost=0.01)
+DESIGN = RPMContract(n=4, f=1, block_reward=100, validation_cost=0.01)
 
 
 class TestRewardAlgebra:
     def test_incentive(self):
-        assert DESIGN.incentive(tx_fees=25) == 125  # I = r_b + Σ fees
+        # I = r_b is what the book pays; fees are off the book
+        outcome = correct_payoff(DESIGN, 0, tx_fees=25, deposit=0)
+        assert (outcome.payoff, outcome.off_book) == (100, 25)
 
     def test_validation_cost(self):
-        assert DESIGN.validation_cost_for(1000) == 10.0  # C = |T|·c
+        # C = ⌊|T|·c⌋ on the integer ledger
+        assert policy_attestation_reward(100, Fraction(1, 100), 1000) == 100 - 10
+        assert policy_attestation_reward(100, Fraction(1, 1000), 300) == 100
+        assert policy_attestation_reward(100, Fraction(1, 1000), 1999) == 99
 
     def test_reward_equation(self):
-        # R = I − C − P
-        assert DESIGN.reward(1000, tx_fees=25, penalty=5) == 125 - 10 - 5
+        # R = I − C − P, with P the whole deposit once reported
+        assert policy_slash(1_000, ("a", "b", "c"), "a") == (
+            1_000, [("b", 500), ("c", 500)]
+        )
+        assert policy_slash(7, ("a", "b", "c", "d"), "b") == (
+            7, [("a", 3), ("c", 2), ("d", 2)]
+        )
+        assert policy_slash(0, ("a", "b"), "a") == (0, [])
 
 
 class TestPayoffs:
     def test_correct_strategy_gains(self):
         outcome = correct_payoff(DESIGN, 1000, tx_fees=50, deposit=10_000)
-        assert outcome.payoff == 150 - 10
-        assert outcome.deposit_after == 10_000 + 140
+        assert outcome.payoff == 100 - 10
+        assert outcome.utility == 150 - 10
+        assert outcome.deposit_after == 10_000 + 90  # fees go to the coinbase
         assert not outcome.slashed
 
     def test_byzantine_saves_cost_if_unreported(self):
@@ -40,7 +66,8 @@ class TestPayoffs:
             DESIGN, 1000, tx_fees=50, deposit=10_000,
             skipped_validations=1000, reported=False,
         )
-        assert outcome.payoff == 150  # C' = 0, pockets the savings
+        assert outcome.utility == 150  # pockets the saved compute C = 10
+        assert outcome.payoff == 90  # the book credits it like any block
         assert not outcome.slashed
 
     def test_byzantine_reported_loses_whole_deposit(self):
@@ -50,6 +77,7 @@ class TestPayoffs:
         )
         assert outcome.payoff == -10_000  # −D, Theorem 1
         assert outcome.deposit_after == 0
+        assert outcome.off_book == 60  # fees and saved compute: no slash reaches
         assert outcome.slashed
 
     def test_partial_skip(self):
@@ -57,8 +85,8 @@ class TestPayoffs:
             DESIGN, 1000, tx_fees=0, deposit=0,
             skipped_validations=400, reported=False,
         )
-        # C' = (1000−400)·0.01 = 6
-        assert outcome.payoff == 100 - 6
+        # credit 100 − ⌊1000·0.01⌋ = 90, plus 400·0.01 = 4 of saved compute
+        assert outcome.utility == 100 - 6
 
 
 class TestBestResponse:
@@ -78,9 +106,9 @@ class TestBestResponse:
     def test_threshold_probability(self):
         """Correct dominates once p · (D + gain) ≥ savings."""
         deposit = 10_000
-        # savings = C = 10; caught payoff = −10000; free payoff = 150
-        # correct payoff = 140. Indifference: 140 = p(−10000) + (1−p)150
-        # → p* ≈ 0.000985; any p above flips to CORRECT.
+        # savings = C = 10; caught utility = −10000 + 60; free utility = 150;
+        # correct utility = 140. Indifference: 140 = p(−9940) + (1−p)150
+        # → p* ≈ 0.00099; any p above flips to CORRECT.
         assert (
             best_response(DESIGN, 1000, 50, deposit, report_probability=0.01)
             is Strategy.CORRECT
@@ -111,6 +139,41 @@ class TestBestResponse:
             skipped_validations=tx_count, reported=True,
         ).payoff
         assert correct > byz
+
+
+_ATTESTERS = [generate_keypair(7700 + i) for i in range(4)]
+_BLOCK = make_block(
+    _ATTESTERS[0], 0, 1,
+    [make_transfer(generate_keypair(7790), "cc" * 20, 1, nonce=0)],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(300, params.EAGER_VALIDATION_COST, params.VALIDATOR_DEPOSIT)
+@given(
+    st.integers(min_value=0, max_value=params.MAX_BLOCK_TXS),
+    st.sampled_from([params.EAGER_VALIDATION_COST, 0.01, 0.003, 0.25]),
+    st.integers(min_value=0, max_value=10**7),
+)
+def test_closed_form_credit_is_the_contract_credit(tx_count, cost, deposit):
+    """What :func:`correct_payoff` books equals what one ``prop_received``
+    that crosses n − f adds to the proposer's deposit."""
+    rpm = RPMContract(n=4, f=1, validation_cost=cost)
+    state = WorldState()
+    state.get_or_create(RPM_ADDRESS)
+    seed_genesis(state, tuple(kp.address for kp in _ATTESTERS), deposit)
+    cert, h_t, _ = certificate_payload(_BLOCK)
+    paid = [
+        rpm.call(
+            state, RPM_ADDRESS, kp.address, "prop_received",
+            (cert, h_t, tx_count, 0, 1), 0, 10**8,
+        )[0]
+        for kp in _ATTESTERS[: rpm.n - rpm.f]
+    ]
+    assert paid == [False, False, True]  # the last call crosses n − f
+    outcome = correct_payoff(rpm, tx_count, 0.0, deposit)
+    assert read_deposit(state, _ATTESTERS[0].address) == outcome.deposit_after
+    assert outcome.deposit_after - deposit == outcome.payoff
 
 
 class TestDepositLedger:

@@ -4,11 +4,16 @@ import pytest
 
 from repro.core.block import make_block
 from repro.core.rpm import (
+    RPM_ADDRESS,
     RPMContract,
     certificate_payload,
     decode_certificate,
     encode_certificate,
+    read_deposit,
+    read_events,
+    read_excluded,
     report_payload,
+    seed_genesis,
 )
 from repro.core.transaction import make_transfer
 from repro.crypto.keys import generate_keypair
@@ -18,7 +23,7 @@ from repro.vm.state import WorldState
 GAS = 50_000_000
 N, F = 4, 1
 DEPOSIT = 1_000_000
-RPM_ADDR = "aa" * 20
+RPM_ADDR = RPM_ADDRESS
 
 
 @pytest.fixture
@@ -35,9 +40,7 @@ def rpm():
 def state(validators):
     ws = WorldState()
     ws.get_or_create(RPM_ADDR)
-    ws.storage_set(RPM_ADDR, "validators", tuple(kp.address for kp in validators))
-    for kp in validators:
-        ws.storage_set(RPM_ADDR, f"deposit:{kp.address}", DEPOSIT)
+    seed_genesis(ws, tuple(kp.address for kp in validators), DEPOSIT)
     return ws
 
 
@@ -228,6 +231,28 @@ class TestReport:
         events = call(rpm, state, validators[0].address, "events")
         assert len(events) == 2
         assert events[1].penalty == 0
+        # a replayed slash names the offender once
+        assert read_excluded(state) == (validators[0].address,)
+
+    def test_readers_see_the_contract_book(self, rpm, state, validators):
+        block = _block(validators[0])
+        self.report(rpm, state, validators, block, block.transactions[0])
+        for kp in validators:
+            assert read_deposit(state, kp.address) == call(
+                rpm, state, kp.address, "deposit_of", kp.address
+            )
+        assert read_excluded(state) == call(rpm, state, kp.address, "excluded")
+        assert read_events(state) == call(rpm, state, kp.address, "events")
+
+    def test_slashed_validator_cannot_rejoin(self, rpm, state, validators):
+        """The committee list keeps a slashed address: it stays excluded
+        and cannot buy its seat back under the same address."""
+        block = _block(validators[0])
+        self.report(rpm, state, validators, block, block.transactions[0])
+        proposer = validators[0].address
+        with pytest.raises(VMRevert):
+            call(rpm, state, proposer, "join", DEPOSIT, value=DEPOSIT)
+        assert proposer in read_excluded(state)
 
 
 class TestJoin:
@@ -245,6 +270,26 @@ class TestJoin:
         ws.get_or_create(RPM_ADDR)
         with pytest.raises(VMRevert):
             call(rpm, ws, "ab" * 20, "join", 5000, value=10)
+
+    def test_join_requires_positive_deposit(self, rpm):
+        ws = WorldState()
+        ws.get_or_create(RPM_ADDR)
+        with pytest.raises(VMRevert):
+            call(rpm, ws, "ab" * 20, "join", 0, value=0)
+
+    def test_genesis_seeds_what_joins_write(self, rpm, validators):
+        """Genesis and ``join`` share one write, so a committee seeded at
+        genesis is the committee that joined one by one."""
+        addresses = tuple(kp.address for kp in validators)
+        seeded, joined = WorldState(), WorldState()
+        for ws in (seeded, joined):
+            ws.get_or_create(RPM_ADDR)
+        seed_genesis(seeded, addresses, DEPOSIT)
+        for address in addresses:
+            call(rpm, joined, address, "join", DEPOSIT, value=DEPOSIT)
+        assert dict(seeded.storage_items(RPM_ADDR)) == dict(
+            joined.storage_items(RPM_ADDR)
+        )
 
     def test_double_join_reverts(self, rpm):
         ws = WorldState()

@@ -12,11 +12,10 @@ import pytest
 from repro import params
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.rewards import DepositLedger
-from repro.core.rpm import RPMContract
+from repro.core.rpm import read_events
 from repro.core.transaction import make_transfer
 from repro.faults import FaultSchedule
 from repro.net.topology import single_region_topology
-from repro.vm.executor import native_address_for
 
 
 def run_campaign(
@@ -77,8 +76,7 @@ class TestSlashingBites:
         assert attacker in observer.excluded_validators
 
         # Exclusion event recorded on-chain (Alg. 2 line 42).
-        rpm_addr = native_address_for(RPMContract.name)
-        events = observer.blockchain.state.storage_get(rpm_addr, "events", ())
+        events = read_events(observer.blockchain.state)
         assert events, "no ByzantineEvent recorded"
 
         # No-further-proposals: once excluded, correct nodes vote the

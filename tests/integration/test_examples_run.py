@@ -17,7 +17,6 @@ EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 FAST_EXAMPLES = [
     "quickstart.py",
     "light_client.py",
-    "committee_rotation.py",
     "parallel_execution.py",
 ]
 
@@ -37,7 +36,7 @@ def test_example_runs_clean(script):
 def test_all_examples_present():
     expected = {
         "quickstart.py", "nasdaq_dapp.py", "flooding_attack.py",
-        "censorship_mitigation.py", "committee_rotation.py",
+        "censorship_mitigation.py",
         "blockchain_comparison.py", "light_client.py",
         "parallel_execution.py",
         "read_api_and_audit.py",

@@ -4,7 +4,9 @@ Invariants that must survive any interleaving of attestations and
 reports, honest or duplicated:
 
 * token conservation — total deposits only grow by paid block rewards
-  (minus validation costs); slashing redistributes, never burns or mints;
+  (minus validation costs, summed with the contract's own
+  :func:`policy_attestation_reward`); slashing redistributes, never burns
+  or mints;
 * at-most-once payment per (proposer, block, slot, round);
 * slashing zeroes the offender and never drives any deposit negative.
 """
@@ -12,14 +14,22 @@ reports, honest or duplicated:
 from hypothesis import given, settings, strategies as st
 
 from repro.core.block import make_block
-from repro.core.rpm import RPMContract, certificate_payload, report_payload
+from repro.core.rpm import (
+    RPM_ADDRESS,
+    RPMContract,
+    certificate_payload,
+    policy_attestation_reward,
+    read_deposit,
+    report_payload,
+    seed_genesis,
+)
 from repro.core.transaction import make_transfer
 from repro.crypto.keys import generate_keypair
 from repro.vm.state import WorldState
 
 N, F = 4, 1
 DEPOSIT = 1_000_000
-RPM_ADDR = "ee" * 20
+RPM_ADDR = RPM_ADDRESS
 VALIDATORS = [generate_keypair(8800 + i) for i in range(N)]
 BLOCKS = [
     make_block(
@@ -39,18 +49,12 @@ BLOCK_REWARD = 100
 def fresh_state() -> WorldState:
     state = WorldState()
     state.get_or_create(RPM_ADDR)
-    state.storage_set(RPM_ADDR, "validators", tuple(k.address for k in VALIDATORS))
-    for kp in VALIDATORS:
-        state.storage_set(RPM_ADDR, f"deposit:{kp.address}", DEPOSIT)
+    seed_genesis(state, tuple(kp.address for kp in VALIDATORS), DEPOSIT)
     return state
 
 
-def total_deposits(rpm, state) -> int:
-    return sum(
-        rpm.call(state, RPM_ADDR, VALIDATORS[0].address, "deposit_of",
-                 (kp.address,), 0, GAS)[0]
-        for kp in VALIDATORS
-    )
+def total_deposits(state) -> int:
+    return sum(read_deposit(state, kp.address) for kp in VALIDATORS)
 
 
 # action: (kind, caller_idx, block_idx, slot, round)
@@ -64,9 +68,15 @@ action = st.tuples(
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(action, max_size=30))
-def test_rpm_invariants_under_random_calls(actions):
-    rpm = RPMContract(n=N, f=F, block_reward=BLOCK_REWARD, validation_cost=0.001)
+@given(
+    st.lists(action, max_size=30),
+    # 3 transactions per block: ⌊3·c⌋ is 0, 1 and 21 tokens
+    st.sampled_from([0.001, 0.4, 7.0]),
+)
+def test_rpm_invariants_under_random_calls(actions, validation_cost):
+    rpm = RPMContract(
+        n=N, f=F, block_reward=BLOCK_REWARD, validation_cost=validation_cost
+    )
     state = fresh_state()
     rewards_paid = 0
     for kind, caller_idx, block_idx, slot, round_ in actions:
@@ -79,7 +89,9 @@ def test_rpm_invariants_under_random_calls(actions):
                 (cert, h_t, count, slot, round_), 0, GAS,
             )
             if paid:
-                rewards_paid += BLOCK_REWARD  # ⌊3·0.001⌋ = 0 cost
+                rewards_paid += policy_attestation_reward(
+                    rpm.block_reward, rpm.validation_cost, count
+                )
         else:
             bad = block.transactions[0]
             payload = report_payload(block, bad.tx_hash)
@@ -89,7 +101,7 @@ def test_rpm_invariants_under_random_calls(actions):
                 (cert, 1, bad_hex, h_t, index, siblings), 0, GAS,
             )
         # conservation after every single step
-        assert total_deposits(rpm, state) == N * DEPOSIT + rewards_paid
+        assert total_deposits(state) == N * DEPOSIT + rewards_paid
         for kp in VALIDATORS:
             deposit, _ = rpm.call(
                 state, RPM_ADDR, caller, "deposit_of", (kp.address,), 0, GAS

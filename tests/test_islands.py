@@ -18,7 +18,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ENTRY_POINTS = {"repro.__main__", "repro.cli"}
 
 ALLOWED = {
-    "repro.core.membership": "§IV-E committee draw; ROADMAP: wire into Deployment",
     "repro.core.loadbalancer": "§VI mitigation, leaf; ROADMAP: move to examples/",
     "repro.core.audit": "ROADMAP: becomes the one post-run invariant oracle",
     "repro.core.queries": "read API, leaf; ROADMAP: move to examples/",
