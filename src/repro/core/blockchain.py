@@ -103,32 +103,38 @@ class Blockchain:
         result = CommitResult(index=superblock.index)
         cursor = 0.0
         step = 1.0 / exec_rate if exec_rate else 0.0
+        # Bound once per superblock: the loop below runs once per
+        # transaction on every node.
+        committed_hashes, commit_times = self._committed_hashes, self.commit_times
+        execute, commit_state = self.executor.execute, self.state.commit
+        committed, discarded = result.committed, result.discarded
         for block in superblock.blocks:
             kept: list[Transaction] = []
             kept_receipts: list[Receipt] = []
             coinbase = coinbase_of(block.proposer_id) if coinbase_of else ""
             for tx in block.transactions:
                 cursor += step
-                if tx.tx_hash in self._committed_hashes:
+                tx_hash = tx.tx_hash
+                if tx_hash in committed_hashes:
                     # Same tx decided via two proposers: keep first only.
-                    result.discarded.append((tx, "duplicate"))
+                    discarded.append((tx, "duplicate"))
                     continue
-                receipt = self.executor.execute(tx, coinbase=coinbase)
+                receipt = execute(tx, coinbase=coinbase)
                 # Nothing reverts across transactions (``apply_transaction``
-                # takes its own snapshot), so this one's undo entries go
+                # snapshots what can fail), so this one's undo entries go
                 # now: they die young instead of being promoted into the
                 # collector's oldest generation, as a superblock-long
                 # journal's are.
-                self.state.commit()
+                commit_state()
                 if receipt.success:
                     kept.append(tx)
                     kept_receipts.append(receipt)
-                    self._committed_hashes.add(tx.tx_hash)
-                    self.commit_times[tx.tx_hash] = now + cursor
-                    result.committed.append(tx)
+                    committed_hashes.add(tx_hash)
+                    commit_times[tx_hash] = now + cursor
+                    committed.append(tx)
                 else:
                     # Alg. 1 line 23: remove invalid t from b_i.
-                    result.discarded.append((tx, receipt.error or "invalid"))
+                    discarded.append((tx, receipt.error or "invalid"))
                     result.invalid_by_proposer.append(
                         (block.proposer_id, tx, receipt.error or "invalid")
                     )

@@ -74,6 +74,7 @@ class Transaction:
         memo["_signing_payload"] = None
         memo["_encoded_size"] = None
         memo["_data_size"] = None
+        memo["_intrinsic_gas"] = None
         #: set by ``core.validation.check_signature`` on a positive verdict
         memo["sig_verified"] = False
 
@@ -150,6 +151,16 @@ class Transaction:
                     size += len(repr(value))
             self.__dict__["_data_size"] = size
         return size
+
+    def intrinsic_gas(self) -> int:
+        """Gas charged before any execution: G_TX, plus G_TXDATA_BYTE per
+        byte of :meth:`data_size`, plus G_CREATE for a deployment."""
+        gas = self._intrinsic_gas
+        if gas is None:
+            gas = self.__dict__["_intrinsic_gas"] = _intrinsic_gas(
+                self.data_size(), is_create=self.tx_type is TxType.DEPLOY
+            )
+        return gas
 
     def max_cost(self) -> int:
         """Worst-case debit: transferred amount plus full gas budget."""
@@ -267,3 +278,8 @@ def make_invoke(
         payload={"contract": contract, "function": function, "args": tuple(args)},
         created_at=created_at,
     ).signed_by(keypair)
+
+
+# Bound after ``Transaction`` exists: repro.vm's package import reaches
+# repro.vm.executor, which imports this module's names back.
+from repro.vm.gas import intrinsic_gas as _intrinsic_gas  # noqa: E402

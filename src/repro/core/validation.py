@@ -141,13 +141,20 @@ def lazy_validate(tx: Transaction, state) -> ValidationOutcome:
 
     Deliberately weaker than eager validation — no signature or size check
     (§IV-D: "lazy validation checks (iii), (iv), (v) whereas the execution
-    checks (i) and (ii)").
+    checks (i) and (ii)").  It runs once per transaction on every node, so
+    it reads the sender's account once (``state.accounts``, a read-only
+    view) and prices the gas inline.
     """
-    if tx.nonce != state.nonce_of(tx.sender):
+    account = state.accounts.get(tx.sender)
+    if account is None:
+        nonce = balance = 0
+    else:
+        nonce, balance = account.nonce, account.balance
+    if tx.nonce != nonce:
         return _fail("bad-nonce")
-    balance = state.balance_of(tx.sender)
-    if balance < tx.fee_cap():
+    fee_cap = tx.gas_limit * tx.gas_price
+    if balance < fee_cap:
         return _fail("insufficient-gas")
-    if balance < tx.max_cost():
+    if balance < fee_cap + tx.amount:
         return _fail("insufficient-balance")
     return _OK

@@ -1,10 +1,15 @@
 """Native contract framework.
 
 A native contract exposes ``@method``-decorated functions.  Calls are gas
-metered: a flat dispatch charge plus per-storage-access charges applied via
-the :class:`MeteredState` wrapper (SLOAD/SSTORE-equivalent costs), so
-native execution and bytecode execution burn comparable gas for comparable
-work.
+metered: a flat dispatch charge plus per-storage-access charges applied by
+the :class:`MeteredState` the method gets (SLOAD/SSTORE-equivalent costs),
+so native execution and bytecode execution burn comparable gas for
+comparable work.
+
+A method runs on call inputs that nothing validated: the transaction's
+arguments reach it as they were signed.  A fault those inputs raise while
+the method is bound or run is a revert of that call, never an exception
+out of the executor.
 """
 
 from __future__ import annotations
@@ -19,6 +24,12 @@ from repro.vm.state import WorldState
 
 _SLOAD_COST = GAS_TABLE[Op.SLOAD]
 _SSTORE_COST = GAS_TABLE[Op.SSTORE]
+_BALANCE_COST = GAS_TABLE[Op.BALANCE]
+_TRANSFER_COST = GAS_TABLE[Op.TRANSFER]
+
+#: what malformed call inputs raise inside a method: wrong arity or type,
+#: a bad literal (``bytes.fromhex``), a missing key or index, an overflow
+_INPUT_FAULTS = (TypeError, ValueError, LookupError, ArithmeticError)
 
 
 def method(fn: Callable) -> Callable:
@@ -27,7 +38,7 @@ def method(fn: Callable) -> Callable:
     return fn
 
 
-@dataclass
+@dataclass(slots=True)
 class CallInfo:
     """Call environment passed to native methods."""
 
@@ -37,7 +48,9 @@ class CallInfo:
 
 
 class GasMeter:
-    """Mutable gas counter shared between dispatcher and state wrapper."""
+    """Mutable gas counter: ``charge`` raises :class:`OutOfGas` on overdraw."""
+
+    __slots__ = ("limit", "remaining")
 
     def __init__(self, limit: int):
         self.limit = limit
@@ -53,28 +66,39 @@ class GasMeter:
         return self.limit - self.remaining
 
 
-class MeteredState:
-    """Storage facade that charges gas per read/write."""
+class MeteredState(GasMeter):
+    """Storage facade that is also the call's gas meter.
 
-    def __init__(self, state: WorldState, contract: str, meter: GasMeter):
+    Each accessor charges its cost before it touches the state.  ``get``
+    and ``set``, which every contract method runs, charge inline: a
+    storage access is one frame here plus the state's own.
+    """
+
+    __slots__ = ("_state", "_contract")
+
+    def __init__(self, state: WorldState, contract: str, limit: int):
+        self.limit = self.remaining = limit
         self._state = state
         self._contract = contract
-        self._meter = meter
 
     def get(self, key: str, default: Any = None) -> Any:
-        self._meter.charge(_SLOAD_COST, "sload")
+        if _SLOAD_COST > self.remaining:
+            raise OutOfGas("native call out of gas (sload)")
+        self.remaining -= _SLOAD_COST
         return self._state.storage_get(self._contract, key, default)
 
     def set(self, key: str, value: Any) -> None:
-        self._meter.charge(_SSTORE_COST, "sstore")
+        if _SSTORE_COST > self.remaining:
+            raise OutOfGas("native call out of gas (sstore)")
+        self.remaining -= _SSTORE_COST
         self._state.storage_set(self._contract, key, value)
 
     def balance_of(self, address: str) -> int:
-        self._meter.charge(GAS_TABLE[Op.BALANCE], "balance")
+        self.charge(_BALANCE_COST, "balance")
         return self._state.balance_of(address)
 
     def transfer(self, frm: str, to: str, amount: int) -> None:
-        self._meter.charge(GAS_TABLE[Op.TRANSFER], "transfer")
+        self.charge(_TRANSFER_COST, "transfer")
         if self._state.balance_of(frm) < amount:
             raise VMRevert(f"transfer of {amount} exceeds balance of {frm!r}")
         self._state.sub_balance(frm, amount)
@@ -86,6 +110,23 @@ class NativeContract:
 
     #: registry key; subclasses must override
     name: str = ""
+    #: ``@method`` functions by name, inherited ones included; built once
+    #: per class by ``__init_subclass__``
+    _methods: "dict[str, Callable]" = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Walk the MRO base-first, so a subclass's attribute of the same
+        # name wins (and a non-method one hides an inherited method), as
+        # attribute lookup on an instance would resolve it.
+        methods: "dict[str, Callable]" = {}
+        for klass in reversed(cls.__mro__):
+            for attr, value in vars(klass).items():
+                if getattr(value, "__native_method__", False):
+                    methods[attr] = value
+                else:
+                    methods.pop(attr, None)
+        cls._methods = methods
 
     def call(
         self,
@@ -100,16 +141,20 @@ class NativeContract:
         """Dispatch ``function(*args)``; returns (result, gas_used).
 
         Raises VMError subclasses on failure; the executor reverts state.
+        ``args`` is any iterable; one that cannot be bound to the method's
+        parameters, or whose values make it fault, reverts the call with
+        the fault as the ``VMRevert``'s cause.
         """
-        meter = GasMeter(gas_limit)
-        meter.charge(G_NATIVE_CALL, "dispatch")
-        fn = getattr(self, function, None)
-        if fn is None or not getattr(fn, "__native_method__", False):
+        storage = MeteredState(state, contract_address, gas_limit)
+        storage.charge(G_NATIVE_CALL, "dispatch")
+        fn = self._methods.get(function)
+        if fn is None:
             raise VMRevert(f"{self.name}: no such method {function!r}")
-        storage = MeteredState(state, contract_address, meter)
-        info = CallInfo(caller=caller, value=value, contract=contract_address)
-        result = fn(storage, info, *args)
-        return result, meter.used
+        try:
+            result = fn(self, storage, CallInfo(caller, value, contract_address), *args)
+        except _INPUT_FAULTS as exc:
+            raise VMRevert(f"{self.name}.{function}: {exc!r}") from exc
+        return result, gas_limit - storage.remaining
 
 
 class NativeRegistry:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import copy as _copymod
 from dataclasses import dataclass
-from typing import Any, Iterator
+from types import MappingProxyType
+from typing import Any, Iterator, Mapping
 
 from repro.crypto.hashing import hash_items
 from repro.errors import UnknownSender
@@ -69,6 +70,10 @@ class WorldState:
 
     def __init__(self) -> None:
         self._accounts: dict[str, Account] = {}
+        #: read-only live view of the accounts by address: a hot reader
+        #: (lazy validation, the executor) gets an account or ``None`` with
+        #: one C-level ``.get`` and no Python frame
+        self.accounts: Mapping[str, Account] = MappingProxyType(self._accounts)
         # storage[(contract_address, key)] = value
         self._storage: dict[tuple[str, str], Any] = {}
         self._journal: list[tuple[Any, Any, Any]] = []
@@ -145,7 +150,7 @@ class WorldState:
         account = self._accounts.get(address)
         return account.nonce if account else 0
 
-    # The four writers below run several times per transaction, so each
+    # The five writers below run several times per transaction, so each
     # is one frame: one ``_accounts.get``, and ``get_or_create`` only for
     # an address that has no account yet.  A negative balance raises
     # before an account is created or a journal entry is written.
@@ -184,6 +189,21 @@ class WorldState:
         if account is None:
             account = self.get_or_create(address)
         self._journal.append((account, "nonce", account.nonce))
+        account.nonce += 1
+
+    def spend(self, address: str, delta: int) -> None:
+        """``sub_balance`` then ``bump_nonce``, in one frame: what a
+        transaction takes from its sender before it runs."""
+        account = self._accounts.get(address)
+        value = (0 if account is None else account.balance) - delta
+        if value < 0:
+            raise ValueError(f"negative balance {value} for {address!r}")
+        if account is None:
+            account = self.get_or_create(address)
+        journal = self._journal
+        journal.append((account, "balance", account.balance))
+        journal.append((account, "nonce", account.nonce))
+        account.balance = value
         account.nonce += 1
 
     # -- storage ------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from repro import params
 from repro.core.deployment import Deployment, GenesisSpec, fund_clients
 from repro.core.rpm import RPM_ADDRESS, VALIDATORS, read_deposit
-from repro.core.transaction import make_transfer
+from repro.core.transaction import Transaction, TxType, make_invoke, make_transfer
 from repro.net.topology import single_region_topology
 from repro.vm.executor import native_address_for
 from repro.vm.state import WorldState
@@ -126,3 +126,66 @@ class TestProbes:
         deployment.submit(tx, validator_id=1, at=0.05)
         deployment.run_until(3.0)
         assert deployment.total_committed() == 1
+
+
+def _malformed_calls(deployment, clients):
+    """(sender keypair, signed call) pairs that pass eager validation but
+    cannot bind to, or fault inside, the native method they name."""
+    exchange = native_address_for("exchange")
+    member = deployment.validators[2].keypair
+    non_iterable = Transaction(
+        tx_type=TxType.INVOKE,
+        sender=clients[1].address,
+        receiver=exchange,
+        amount=0,
+        nonce=0,
+        gas_limit=200_000,
+        gas_price=1,
+        payload={"contract": exchange, "function": "trade", "args": 5},
+    ).signed_by(clients[1])
+    return {
+        "missing-arguments": (
+            clients[0],
+            make_invoke(clients[0], exchange, "trade", ("AAPL",), nonce=0),
+        ),
+        "non-iterable-args": (clients[1], non_iterable),
+        "non-hex-certificate": (
+            member,
+            make_invoke(
+                member, RPM_ADDRESS, "prop_received",
+                (("zz", "zz", "zz", "zz"), "00" * 32, 1, 0, 1), nonce=0,
+            ),
+        ),
+    }
+
+
+class TestMalformedContractCall:
+    """A call whose inputs fault inside the native method is a failed
+    receipt on every node — discarded, fully reverted — not an exception
+    that ends the run."""
+
+    @pytest.mark.parametrize(
+        "case", ["missing-arguments", "non-iterable-args", "non-hex-certificate"]
+    )
+    def test_run_completes_and_every_node_discards_the_call(self, case):
+        clients, balances = fund_clients(3)
+        deployment = Deployment(
+            # rpm off: the member's own attestations would take nonce 0
+            protocol=params.ProtocolParams(n=4, rpm=False),
+            topology=single_region_topology(4),
+            extra_balances=balances,
+        )
+        deployment.start()
+        sender, bad = _malformed_calls(deployment, clients)[case]
+        before = deployment.validators[0].blockchain.state.balance_of(sender.address)
+        good = make_transfer(clients[2], "aa" * 20, 1, nonce=0)
+        deployment.submit(bad, validator_id=0, at=0.05)
+        deployment.submit(good, validator_id=1, at=0.05)
+        deployment.run_until(3.0)
+        assert deployment.safety_holds()
+        for validator in deployment.validators:
+            chain = validator.blockchain
+            assert chain.contains_tx(good)
+            assert not chain.contains_tx(bad)
+            assert chain.state.nonce_of(sender.address) == 0
+            assert chain.state.balance_of(sender.address) == before

@@ -171,3 +171,51 @@ class TestFramework:
         with pytest.raises(VMRevert):
             # `name` exists as an attribute but is not @method-decorated
             ex.call(state, "cc" * 20, "11" * 20, "name", (), 0, GAS)
+
+
+class TestMethodTable:
+    """``__init_subclass__`` builds each class's ``@method`` table once;
+    dispatch is one lookup in it."""
+
+    @pytest.mark.parametrize("name", ["call", "name", "__init__", "_methods", "nope"])
+    def test_only_method_names_dispatch(self, state, name):
+        with pytest.raises(VMRevert, match="no such method"):
+            ExchangeContract().call(state, "cc" * 20, "11" * 20, name, (), 0, GAS)
+
+    def test_inherited_method_dispatches_and_an_override_hides_it(self, state):
+        class Base(NativeContract):
+            name = "base"
+
+            @method
+            def echo(self, storage, info, x):
+                return ("base", x)
+
+            @method
+            def hidden(self, storage, info):
+                return "reachable"
+
+        class Child(Base):
+            name = "child"
+
+            hidden = None  # not a method any more
+
+            @method
+            def own(self, storage, info):
+                return info.caller
+
+        child = Child()
+        assert call(child, state, "echo", 5) == ("base", 5)
+        assert call(child, state, "own") == "11" * 20
+        assert call(Base(), state, "hidden") == "reachable"
+        with pytest.raises(VMRevert, match="no such method"):
+            call(child, state, "hidden")
+        assert set(Child._methods) == {"echo", "own"}
+
+    def test_dispatch_charge_comes_before_the_lookup(self, state):
+        from repro.errors import OutOfGas
+        from repro.vm.gas import G_NATIVE_CALL
+
+        with pytest.raises(OutOfGas):
+            ExchangeContract().call(
+                state, "cc" * 20, "11" * 20, "nope", (), 0, G_NATIVE_CALL - 1
+            )

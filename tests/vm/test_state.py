@@ -269,6 +269,10 @@ class _ThreeFrameState(WorldState):
         self._journal.append((account, "nonce", account.nonce))
         account.nonce += 1
 
+    def spend(self, address, delta):
+        self.sub_balance(address, delta)
+        self.bump_nonce(address)
+
 
 def _journal_view(ws: WorldState) -> list:
     """The journal with each target named instead of by identity."""
@@ -294,7 +298,9 @@ def _accounts_view(ws: WorldState) -> dict:
 #: (op, address, amount); address and amount are ignored where unused
 _write_ops = st.lists(
     st.tuples(
-        st.sampled_from(["set", "add", "sub", "nonce", "snapshot", "revert", "commit"]),
+        st.sampled_from(
+            ["set", "add", "sub", "spend", "nonce", "snapshot", "revert", "commit"]
+        ),
         st.sampled_from(ADDRESSES),
         st.integers(min_value=-5, max_value=5) | st.integers(min_value=0, max_value=40),
     ),
@@ -342,7 +348,7 @@ class TestOneFrameWriters:
                     before = (len(ws), ws.snapshot())
                     write = {
                         "set": ws.set_balance, "add": ws.add_balance,
-                        "sub": ws.sub_balance,
+                        "sub": ws.sub_balance, "spend": ws.spend,
                         "nonce": lambda a, _: ws.bump_nonce(a),
                     }[op]
                     try:
