@@ -1,7 +1,8 @@
 """Chain auditing: full offline re-verification of a replica.
 
-The trust-nothing counterpart of :mod:`repro.vm.sync`'s fast-sync — an
-auditor takes another node's chain and replays it from genesis:
+The trust-nothing counterpart of :mod:`repro.vm.sync`'s root-verified
+snapshots — an auditor takes another node's chain and replays it from
+genesis:
 
 * structural checks — parent-hash linkage, per-block certificate over the
   exact transaction set, proposer membership in the committee;

@@ -56,10 +56,10 @@ class Blockchain:
         self.chain: list[Block] = [GENESIS]
         #: hashes of every committed transaction (dedup against re-inclusion)
         self._committed_hashes: set[bytes] = set()
-        #: committed tx -> commit info for client confirmation queries
+        #: committed tx -> commit time, for client confirmation
         self.commit_times: dict[bytes, float] = {}
 
-    # -- queries -----------------------------------------------------------------
+    # -- lookups -----------------------------------------------------------------
 
     @property
     def height(self) -> int:

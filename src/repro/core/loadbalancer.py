@@ -7,6 +7,13 @@ client resend when no receipt arrives within a timeout — each retry lands
 on an independently random validator, so the probability of hitting only
 censors decays geometrically (with c censors out of n, P[still censored
 after k tries] = (c/n)^k).
+
+Honest pools release a sender's nonces in order, so a transaction whose
+lower-nonce predecessor is still unconfirmed waits in an honest pool for
+that predecessor, not for a censor.  The resend loop therefore forwards a
+sender's lowest unconfirmed nonce first; a higher nonce that times out
+behind an unconfirmed predecessor re-arms its timer without counting a
+new attempt, so the attempt counts measure censorship alone.
 """
 
 from __future__ import annotations
@@ -51,9 +58,12 @@ class RandomLoadBalancer:
         )
         self.rng = np.random.default_rng(seed)
         self.stats = LoadBalancerStats()
+        #: sender -> nonce -> submitted transaction not yet confirmed
+        self._unconfirmed: dict[str, dict[int, Transaction]] = {}
 
     def submit(self, tx: Transaction, *, at: float = 0.0) -> None:
         """Client entry point: forward now (or at a scheduled time)."""
+        self._unconfirmed.setdefault(tx.sender, {})[tx.nonce] = tx
         self.deployment.sim.schedule_at(at, self._attempt, tx, 1)
 
     # -- internals -----------------------------------------------------------------
@@ -75,12 +85,31 @@ class RandomLoadBalancer:
         )
         return count >= self.confirmations
 
-    def _check_receipt(self, tx: Transaction, attempt: int) -> None:
+    def _waits_on_predecessor(self, tx: Transaction) -> bool:
+        return any(
+            nonce < tx.nonce and not self._confirmed(other)
+            for nonce, other in self._unconfirmed[tx.sender].items()
+        )
+
+    def _check_receipt(
+        self, tx: Transaction, attempt: int, waited: bool = False
+    ) -> None:
         if self._confirmed(tx):
             self.stats.confirmed += 1
+            self._unconfirmed[tx.sender].pop(tx.nonce, None)
+            return
+        waiting = self._waits_on_predecessor(tx)
+        if waiting or waited:
+            # Re-armed, not resent.  One more period after the predecessor
+            # is first seen confirmed: it confirmed somewhere inside the
+            # last one, and the pool holding ``tx`` needs a full period.
+            self.deployment.sim.schedule(
+                self.receipt_timeout_s, self._check_receipt, tx, attempt, waiting
+            )
             return
         if attempt >= self.max_attempts:
             self.stats.gave_up += 1
+            self._unconfirmed[tx.sender].pop(tx.nonce, None)
             return
         # No receipt within the period: automated resend (§VI).
         self.stats.resends += 1

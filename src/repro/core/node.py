@@ -41,7 +41,7 @@ from repro.core.rpm import (
 )
 from repro.core.transaction import Transaction, make_invoke
 from repro.core.txpool import TxPool
-from repro.core.validation import eager_validate
+from repro.core.validation import FIELD_RANGE, eager_validate
 from repro.consensus.batching import VoteBatcher
 from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun
 from repro.consensus.superblock import SuperBlockConsensus, record_wire_kind
@@ -61,6 +61,7 @@ REPORTABLE_ERRORS = frozenset(
         "insufficient-balance",
         "insufficient-gas",
         "exceeds-block-gas",
+        FIELD_RANGE,
     }
 )
 
@@ -715,7 +716,7 @@ class ValidatorNode:
         self.stats.txs_committed += len(result.committed)
         self.stats.txs_discarded += len(result.discarded)
 
-        # Index receipts for client confirmation queries (§VI receipts).
+        # Index receipts for client confirmation lookups (§VI receipts).
         now = self.sim.now
         for appended, receipts in zip(
             result.appended_blocks, result.appended_receipts

@@ -1,12 +1,9 @@
-"""Transaction receipts and client-facing confirmation queries.
+"""Transaction receipts: where and when each transaction committed.
 
 §VI's censorship mitigation assumes a client can obtain "a transaction
-receipt as proof of its execution within a period".  This module provides
-that: each validator records, per committed transaction, the receipt plus
-where it landed (chain height, block hash, position), and can produce a
-self-contained :class:`InclusionProof` — the block's proposer certificate
-plus a Merkle inclusion path to the transaction — that a light client can
-verify without replaying the chain (see :mod:`repro.core.lightclient`).
+receipt as proof of its execution within a period".  Each validator
+records, per committed transaction, the receipt plus where it landed
+(chain height, block hash, position) and when.
 """
 
 from __future__ import annotations
@@ -14,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.block import Block, BlockCertificate
-from repro.core.transaction import Transaction
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.core.block import Block
 from repro.vm.executor import Receipt
 
 
@@ -29,22 +24,6 @@ class CommitRecord:
     block_hash: bytes
     position: int  # index of the tx within its chain block
     commit_time: float
-
-
-@dataclass(frozen=True)
-class InclusionProof:
-    """Self-contained proof that a transaction is inside a certified block.
-
-    Verifiable with only the committee's addresses: the certificate binds
-    the transaction root to a committee member's key, and the Merkle path
-    binds the transaction hash to that root.
-    """
-
-    tx_hash: bytes
-    tx_root: bytes
-    certificate: BlockCertificate
-    merkle_proof: MerkleProof
-    height: int
 
 
 class ReceiptStore:
@@ -68,7 +47,6 @@ class ReceiptStore:
         #: tx hash -> (success, gas_used, error, return_value,
         #: contract_address, logs, height, block_hash, position, commit_time)
         self._records: dict[bytes, tuple] = {}
-        self._blocks_by_height: dict[int, Block] = {}
 
     def record_block(
         self,
@@ -81,7 +59,6 @@ class ReceiptStore:
         receipt of ``block.transactions[i]``."""
         height = block.index
         block_hash = block.block_hash
-        self._blocks_by_height[height] = block
         records = self._records
         # One tuple display per row: ``receipt[1:] + (...)`` builds two
         # tuples and copies one, and costs twice as much.
@@ -93,7 +70,7 @@ class ReceiptStore:
                 height, block_hash, position, commit_time,
             )
 
-    # -- queries ------------------------------------------------------------------
+    # -- lookup -------------------------------------------------------------------
 
     def get(self, tx_hash: bytes) -> CommitRecord | None:
         row = self._records.get(tx_hash)
@@ -108,26 +85,5 @@ class ReceiptStore:
             commit_time=commit_time,
         )
 
-    def has_receipt(self, tx: Transaction) -> bool:
-        return tx.tx_hash in self._records
-
     def __len__(self) -> int:
         return len(self._records)
-
-    def inclusion_proof(self, tx_hash: bytes) -> InclusionProof:
-        """Build the Merkle inclusion proof for a committed transaction."""
-        record = self.get(tx_hash)
-        if record is None:
-            raise KeyError(f"no receipt for {tx_hash.hex()}")
-        block = self._blocks_by_height[record.height]
-        if block.certificate is None:
-            raise ValueError("block lacks a proposer certificate")
-        leaves = [tx.tx_hash for tx in block.transactions]
-        tree = MerkleTree(leaves)
-        return InclusionProof(
-            tx_hash=tx_hash,
-            tx_root=tree.root,
-            certificate=block.certificate,
-            merkle_proof=tree.proof(record.position),
-            height=record.height,
-        )

@@ -25,6 +25,27 @@ from repro.crypto import (
 
 _tx_counter = itertools.count()
 
+#: Exclusive upper bound on ``amount``, ``nonce``, ``gas_limit``,
+#: ``gas_price`` and ``padding``: an unsigned 64-bit word, Ethereum's
+#: range for a nonce and a gas limit (EIP-2681).  Genesis balances are
+#: 10**15, so no honest transaction comes near it.
+FIELD_CAP = 2**64
+
+
+def fields_in_range(*values: Any) -> bool:
+    """True when each value is an ``int`` (a ``bool`` is not) in
+    ``[0, FIELD_CAP)``.
+
+    Validation compares a balance against ``gas_limit * gas_price +
+    amount`` and prices ``padding`` as data; a negative term passes those
+    tests while moving value the wrong way, so both validation passes
+    check this first.
+    """
+    for value in values:
+        if type(value) is not int or not 0 <= value < FIELD_CAP:
+            return False
+    return True
+
 
 class TxType(Enum):
     """The three transaction kinds of §II-A."""
@@ -77,6 +98,11 @@ class Transaction:
         memo["_intrinsic_gas"] = None
         #: set by ``core.validation.check_signature`` on a positive verdict
         memo["sig_verified"] = False
+        #: :func:`fields_in_range` of the frozen fields, computed here so
+        #: validation reads an attribute instead of calling a method
+        memo["fields_ok"] = fields_in_range(
+            self.amount, self.nonce, self.gas_limit, self.gas_price, self.padding
+        )
 
     # -- identity ----------------------------------------------------------
     # Equality and hashing follow the transaction hash (the network-level

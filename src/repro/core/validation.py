@@ -8,8 +8,10 @@
   gas affordability, balance coverage.  No signature check (that happens at
   execution, raising ``ErrInvalidSig``-equivalent errors), so it is cheap.
 
-Both return a :class:`ValidationOutcome` rather than raising, because
-validators *count* failures (they feed RPM reports and DIABLO loss metrics).
+Both first check that every integer field is in range
+(:data:`FIELD_RANGE`).  Both return a :class:`ValidationOutcome` rather
+than raising, because validators *count* failures (they feed RPM reports
+and DIABLO loss metrics).
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from repro.crypto.keys import recover_check
 #: How far ahead of the account nonce the pool accepts transactions
 #: (Geth tolerates gaps in the queued region; we use a simple window).
 NONCE_WINDOW = 1024
+
+#: error code of a transaction whose ``amount``, ``nonce``, ``gas_limit``,
+#: ``gas_price`` or ``padding`` is not an ``int`` in ``[0, FIELD_CAP)``
+#: (:func:`repro.core.transaction.fields_in_range`)
+FIELD_RANGE = "field-out-of-range"
 
 _metrics = telemetry.bind(
     lambda reg: SimpleNamespace(
@@ -102,9 +109,12 @@ def eager_validate(
     """Full admission check for a transaction entering the pool.
 
     ``state`` is a :class:`~repro.vm.state.WorldState` (duck-typed to avoid
-    an import cycle).  Checks, in the paper's order: (i) signature,
-    (ii) size, (iii) nonce window, (iv) gas affordability, (v) balance.
+    an import cycle).  Checks, after the field range, in the paper's
+    order: (i) signature, (ii) size, (iii) nonce window, (iv) gas
+    affordability, (v) balance.
     """
+    if not tx.fields_ok:
+        return _fail(FIELD_RANGE)
     protocol = protocol or params.ProtocolParams()
     # (i) properly signed
     if tx.signature is None or tx.public_key is None:
@@ -137,14 +147,19 @@ def eager_validate(
 
 
 def lazy_validate(tx: Transaction, state) -> ValidationOutcome:
-    """Pre-execution check: (iii) exact nonce, (iv) gas, (v) balance.
+    """Pre-execution check: field range, (iii) exact nonce, (iv) gas,
+    (v) balance.
 
     Deliberately weaker than eager validation — no signature or size check
     (§IV-D: "lazy validation checks (iii), (iv), (v) whereas the execution
-    checks (i) and (ii)").  It runs once per transaction on every node, so
-    it reads the sender's account once (``state.accounts``, a read-only
-    view) and prices the gas inline.
+    checks (i) and (ii)").  The field range comes first because a
+    Byzantine proposer's block reaches this check without an eager one,
+    and the balance tests below assume non-negative terms.  It runs once
+    per transaction on every node, so it reads the sender's account once
+    (``state.accounts``, a read-only view) and prices the gas inline.
     """
+    if not tx.fields_ok:
+        return _fail(FIELD_RANGE)
     account = state.accounts.get(tx.sender)
     if account is None:
         nonce = balance = 0

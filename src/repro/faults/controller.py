@@ -8,7 +8,7 @@ The controller is both halves of the chaos engine:
   :meth:`ValidatorNode.crash` / :meth:`ValidatorNode.restart`.
 * **Transport side** — the controller implements the
   :class:`~repro.net.transport.LinkFaultModel` protocol, answering the
-  network's per-transmission drop/duplicate/reorder queries from the
+  network's per-transmission drop/duplicate/reorder questions from the
   schedule's window events (partitions included).
 
 Every injected event is emitted as a telemetry trace event

@@ -17,7 +17,7 @@ Nothing happens until a :class:`~repro.faults.controller.FaultController`
 applies it to a deployment: crash/restart events fire at their scheduled
 instants on the deployment clock, and the window-based link faults
 (drop/duplicate/reorder/partition) answer the transport's per-message
-queries.  The schedule's ``seed`` feeds the controller's RNG, so the
+questions.  The schedule's ``seed`` feeds the controller's RNG, so the
 same schedule on the same deployment seed reproduces the same run.
 """
 
@@ -228,7 +228,7 @@ class FaultSchedule:
             kind="byzantine_censor", at=at, until=until, node=node,
         ))
 
-    # -- queries -------------------------------------------------------------------
+    # -- lookups -------------------------------------------------------------------
 
     def point_events(self) -> "tuple[FaultEvent, ...]":
         """Crash/restart events, in time order."""

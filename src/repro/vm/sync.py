@@ -1,10 +1,9 @@
-"""State snapshots and fast-sync for joining validators.
+"""State snapshots for catch-up.
 
-A candidate selected into the committee (§IV-E) must hold the full state
-before participating.  Rather than replaying every block, it fetches a
-serialized snapshot from any peer and verifies the state root — one
-honest peer (or a root signed by f+1, via the light-client checkpoints)
-suffices because the root is a binding commitment.
+A restarted validator must hold the full state before it participates
+again.  Rather than replaying every block, it restores a serialized
+snapshot from a peer and verifies the state root — the root is a binding
+commitment, so a snapshot that does not rebuild it is rejected.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def restore_snapshot(
 ) -> WorldState:
     """Rebuild a WorldState from a snapshot and verify its root.
 
-    ``expected_root`` is the trust anchor (e.g. from an f+1 checkpoint);
+    ``expected_root`` is the trust anchor (e.g. a root f+1 peers agree on);
     when omitted the snapshot's own embedded root is used, which still
     detects in-flight corruption.
     """
@@ -78,11 +77,3 @@ def restore_snapshot(
         )
     return state
 
-
-def fast_sync(
-    peer_state: WorldState, *, expected_root: bytes | None = None, height: int = 0
-) -> WorldState:
-    """One-call snapshot-and-restore from a peer's live state."""
-    return restore_snapshot(
-        take_snapshot(peer_state, height=height), expected_root=expected_root
-    )

@@ -89,3 +89,22 @@ class TestLoadBalancer:
         deployment.run_until(10.0)
         assert lb.stats.forwarded >= 1
         assert lb.stats.attempts[tx.tx_hash] == 1  # no censor → first try wins
+
+    def test_wait_behind_unconfirmed_predecessor_is_not_an_attempt(self):
+        """Nonce 0 lands on the censor, nonce 1 on an honest seat whose
+        pool holds it until nonce 0 commits.  Only nonce 0 is resent."""
+        deployment, clients = deployment_with_censor(censor_ids=(2,))
+        lb = RandomLoadBalancer(deployment, receipt_timeout_s=1.0)
+        targets = iter([2, 0, 1])  # nonce 0, nonce 1, nonce 0's resend
+        lb.rng = type("R", (), {"integers": staticmethod(lambda n: next(targets))})()
+        deployment.start()
+        txs = [
+            make_transfer(clients[0], clients[1].address, 1, nonce=i)
+            for i in range(2)
+        ]
+        for i, tx in enumerate(txs):
+            lb.submit(tx, at=0.05 + 0.01 * i)
+        deployment.run_until(15.0)
+        assert all(deployment.committed_everywhere(tx) for tx in txs)
+        assert [lb.stats.attempts[tx.tx_hash] for tx in txs] == [2, 1]
+        assert lb.stats.resends == 1 and lb.stats.confirmed == 2

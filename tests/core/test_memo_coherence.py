@@ -1,8 +1,8 @@
 """Derived values kept on transactions and blocks equal a fresh derivation.
 
 ``Transaction`` and ``Block`` are frozen, and each keeps what is derived
-from its fields (signing payload, hash, sizes, positive signature / header
-verdict) after the first computation.  These tests re-derive every such
+from its fields (signing payload, hash, sizes, field range, positive
+signature / header verdict) after the first computation.  These tests re-derive every such
 value from the fields with reference code that shares nothing with the
 memoising methods, and check that a copy with any field changed starts
 from nothing.
@@ -35,7 +35,7 @@ def transactions(draw, signed=None):
         tx_type=draw(st.sampled_from(list(TxType))),
         sender=keypair.address,
         receiver=draw(st.sampled_from(["", "aa" * 20, KEYS[0].address])),
-        amount=draw(st.integers(0, 10**9)),
+        amount=draw(st.integers(-(10**3), 10**9)),
         nonce=draw(st.integers(0, 50)),
         gas_limit=draw(st.integers(21_000, 300_000)),
         gas_price=draw(st.integers(0, 5)),
@@ -82,6 +82,13 @@ def ref_signature_ok(tx: Transaction) -> bool:
     )
 
 
+def ref_fields_ok(tx: Transaction) -> bool:
+    return all(
+        type(v) is int and 0 <= v < 2**64
+        for v in (tx.amount, tx.nonce, tx.gas_limit, tx.gas_price, tx.padding)
+    )
+
+
 def assert_coherent(tx: Transaction) -> None:
     for _ in range(2):  # first call derives, second reads the memo
         assert tx.signing_payload() == ref_signing_payload(tx)
@@ -90,6 +97,7 @@ def assert_coherent(tx: Transaction) -> None:
         assert tx.encoded_size() == ref_encoded_size(tx)
         assert check_signature(tx) is ref_signature_ok(tx)
     assert tx.sig_verified is ref_signature_ok(tx)
+    assert tx.fields_ok is ref_fields_ok(tx)
 
 
 FIELD_CHANGES = {

@@ -3,8 +3,9 @@
 import pytest
 
 from repro import params
-from repro.core.transaction import Transaction, TxType, make_transfer
+from repro.core.transaction import FIELD_CAP, Transaction, TxType, make_transfer
 from repro.core.validation import (
+    FIELD_RANGE,
     NONCE_WINDOW,
     check_signature,
     eager_validate,
@@ -93,6 +94,39 @@ class TestEagerValidation:
         tx = make_transfer(broke, "aa" * 20, 1, nonce=0,
                            gas_limit=params.BLOCK_GAS_LIMIT + 1)
         assert eager_validate(tx, state).error_code == "exceeds-block-gas"
+
+
+class TestFieldRange:
+    """Both passes check every integer field's range before anything
+    else; a ``bool`` is not an ``int`` here, and the cap is exclusive."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("amount", -1), ("nonce", -1), ("gas_limit", -1), ("gas_price", -1),
+            ("padding", -1), ("amount", FIELD_CAP), ("nonce", FIELD_CAP),
+            ("amount", True), ("gas_price", 1.0),
+        ],
+    )
+    def test_out_of_range_field_fails_first(self, kp, state, field, value):
+        fields = dict(
+            tx_type=TxType.TRANSFER, sender=kp.address, receiver="aa" * 20,
+            amount=1, nonce=0, gas_limit=21_000, gas_price=1,
+        )
+        fields[field] = value
+        unsigned = Transaction(**fields)
+        assert not unsigned.fields_ok
+        assert eager_validate(unsigned, state).error_code == FIELD_RANGE
+        assert lazy_validate(unsigned, state).error_code == FIELD_RANGE
+        signed = unsigned.signed_by(kp)
+        assert eager_validate(signed, state).error_code == FIELD_RANGE
+        assert lazy_validate(signed, state).error_code == FIELD_RANGE
+
+    def test_largest_in_range_value_passes_the_range_check(self, kp, state):
+        tx = make_transfer(kp, "aa" * 20, FIELD_CAP - 1, nonce=0)
+        assert tx.fields_ok
+        assert eager_validate(tx, state).error_code == "insufficient-balance"
+        assert lazy_validate(tx, state).error_code == "insufficient-balance"
 
 
 class TestLazyValidation:

@@ -16,8 +16,7 @@ EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
 
 FAST_EXAMPLES = [
     "quickstart.py",
-    "light_client.py",
-    "parallel_execution.py",
+    "chain_audit.py",
 ]
 
 
@@ -37,8 +36,6 @@ def test_all_examples_present():
     expected = {
         "quickstart.py", "nasdaq_dapp.py", "flooding_attack.py",
         "censorship_mitigation.py",
-        "blockchain_comparison.py", "light_client.py",
-        "parallel_execution.py",
-        "read_api_and_audit.py",
+        "blockchain_comparison.py", "chain_audit.py",
     }
     assert expected <= {p.name for p in EXAMPLES.glob("*.py")}

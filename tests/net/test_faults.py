@@ -1,5 +1,5 @@
 """Network faults: the ``slow_nodes`` delay, the schedule's loss windows as
-the transport queries them, and delay faults on live deployments."""
+the transport asks them, and delay faults on live deployments."""
 
 import pytest
 
@@ -21,7 +21,7 @@ class TestStrategies:
 
 
 class TestDropStrategies:
-    """Lossy-link windows answer the transport's per-message queries
+    """Lossy-link windows answer the transport's per-message questions
     (through the :class:`FaultController` a schedule installs)."""
 
     @staticmethod

@@ -18,13 +18,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ENTRY_POINTS = {"repro.__main__", "repro.cli"}
 
 ALLOWED = {
-    "repro.core.loadbalancer": "§VI mitigation, leaf; ROADMAP: move to examples/",
+    "repro.core.loadbalancer": "§VI mitigation, leaf; ABL-CENSOR's subject",
     "repro.core.audit": "ROADMAP: becomes the one post-run invariant oracle",
-    "repro.core.queries": "read API, leaf; ROADMAP: move to examples/",
-    "repro.core.lightclient": "receipt proofs, leaf; ROADMAP: move to examples/",
     "repro.analysis.crossfidelity": "ROADMAP: becomes a gated two-engine scenario",
     "repro.sim.calibration": "ROADMAP: wired together with crossfidelity",
-    "repro.vm.conflicts": "PR 13 kept the conflict analysis as a tested leaf",
 }
 
 

@@ -339,14 +339,17 @@ class TestMalformedCalls:
 
 def reference_execute(state, registry, tx, coinbase=""):
     """The executor as a sequence of single writes, each through the
-    state's public API: lazy validation (``nonce_of``, ``balance_of``, fee
-    cap, max cost) → snapshot → signature, size, intrinsic gas, balance →
+    state's public API: lazy validation (field range, ``nonce_of``,
+    ``balance_of``, fee cap, max cost) → snapshot → signature, size, intrinsic gas, balance →
     debit the fee cap → bump the nonce → move the value → run the call →
     refund unused gas → pay the coinbase; any ``ReproError`` reverts to
     the snapshot.  Call inputs that fault while binding to a native method
     revert it (the native dispatch's rule, which it shares)."""
     sender, price = tx.sender, tx.gas_price
     fee_cap = tx.gas_limit * price
+    fields = (tx.amount, tx.nonce, tx.gas_limit, tx.gas_price, tx.padding)
+    if not all(type(v) is int and 0 <= v < 2**64 for v in fields):
+        return Receipt(tx.tx_hash, False, 0, "field-out-of-range")
     if tx.nonce != state.nonce_of(sender):
         return Receipt(tx.tx_hash, False, 0, "bad-nonce")
     if state.balance_of(sender) < fee_cap:

@@ -1,9 +1,9 @@
-"""State snapshots and fast-sync."""
+"""State snapshots."""
 
 import pytest
 
 from repro.vm.state import WorldState
-from repro.vm.sync import SyncError, fast_sync, restore_snapshot, take_snapshot
+from repro.vm.sync import SyncError, restore_snapshot, take_snapshot
 
 
 def populated_state() -> WorldState:
@@ -32,7 +32,7 @@ class TestSnapshot:
 
     def test_restored_state_is_independent(self):
         state = populated_state()
-        restored = fast_sync(state)
+        restored = restore_snapshot(take_snapshot(state))
         restored.set_balance("aa" * 20, 9)
         assert state.balance_of("aa" * 20) == 1_000
 
@@ -58,12 +58,12 @@ class TestSnapshot:
 
     def test_empty_state(self):
         state = WorldState()
-        restored = fast_sync(state)
+        restored = restore_snapshot(take_snapshot(state))
         assert restored.state_root() == state.state_root()
 
     def test_sync_from_live_validator(self):
-        """A joining node fast-syncs from a running validator and lands on
-        the same root the committee agrees on."""
+        """A snapshot of a running validator restores onto the same root
+        the committee agrees on."""
         from repro import params
         from repro.core.deployment import Deployment, fund_clients
         from repro.core.transaction import make_transfer
@@ -80,10 +80,9 @@ class TestSnapshot:
         deployment.submit(tx, validator_id=0, at=0.05)
         deployment.run_until(3.0)
         peer = deployment.validators[1]
-        synced = fast_sync(
-            peer.blockchain.state,
+        synced = restore_snapshot(
+            take_snapshot(peer.blockchain.state, height=peer.blockchain.height),
             expected_root=peer.blockchain.state.state_root(),
-            height=peer.blockchain.height,
         )
         assert synced.state_root() == deployment.validators[0].blockchain.state.state_root()
 
