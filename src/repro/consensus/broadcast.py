@@ -17,21 +17,30 @@ that does not hash to ``d`` (or no payload at all) never stands in for
 it.  The hash is taken while the digest has no payload yet, never once
 it has one.
 
+Bracha's rule is one ECHO and one READY per sender and slot: a sender's
+first ECHO (READY) for a slot counts, whatever its digest, and any later
+one does not.  Correct senders never vote twice; a Byzantine sender
+spraying fresh digests at an undelivered slot opens one digest entry
+per vote kind, not one per digest.
+
 Tallies are column-wise, one column per broadcaster slot of the chain
 index, like DBFT's :class:`~repro.consensus.dbft.VoteTable`:
 
 * per slot, its *column digest* (the first digest seen for it), that
   digest's payload, and ECHO and READY counters;
-* per (sender, kind), one slot bitmask — the column-digest votes already
-  counted, so the double-vote rule is ``new = mask & ~seen``;
+* per (sender, kind), one slot bitmask — the slots whose vote of that
+  kind was already counted, so the double-vote rule is
+  ``new = mask & ~seen``;
 * bitmasks of the slots ECHOed, READY-sent and delivered.
 
 A run of votes (:class:`~repro.consensus.messages.VoteRun`) whose digests
 all equal their slots' column digests, for slots that hold a payload, is
-tallied in one pass over its instances.  Votes for any other digest keep
-a per-digest sender bitmask each; only an equivocating broadcaster or a
-slot seen for the first time produces them, and a run that mixes them in
-takes the per-vote routine (:meth:`ReliableBroadcast._vote`) in order.
+tallied in one pass over its instances.  A vote for any other digest is
+counted in a per-digest entry; only an equivocating broadcaster or a slot
+seen for the first time produces them, and a run that mixes them in takes
+the per-vote routine (:meth:`ReliableBroadcast._vote`) in order.  Each
+sender opens at most one entry per kind and slot, so a slot holds at most
+2n of them (and one for a SEND whose digest lost the column).
 Either way a slot is woken on the vote that lands exactly on 2f+1 ECHOs
 or f+1 READYs (``_check_ready``), or on any READY at or past 2f+1 while
 undelivered (``_check_deliver``), in the run's emission order.
@@ -84,10 +93,10 @@ class ReliableBroadcast:
         self._payloads: list[Any] = [None] * n
         self._echoes = [0] * n
         self._readies = [0] * n
-        # per sender: the slots whose column digest it ECHOed / READYed
+        # per sender: the slots whose ECHO / READY it already cast
         self._echoed_by = [0] * n
         self._readied_by = [0] * n
-        #: (slot, any other digest) -> [ECHO senders, READY senders, payload]
+        #: (slot, any other digest) -> [ECHO count, READY count, payload]
         self._others: dict[tuple[int, bytes], list] = {}
         self._unpaid = self._all  # slots whose column digest has no payload
         self._echoed = 0
@@ -187,26 +196,23 @@ class ReliableBroadcast:
         """Tally one ECHO/READY ``value = (digest, payload)`` from a seat."""
         if instance >= self.n or self._delivered >> instance & 1:
             return  # unknown slot, or one with nothing left to trigger
-        digest, payload = value
         bit = 1 << instance
+        echo = kind is _ECHO
+        seen = self._echoed_by if echo else self._readied_by
+        if seen[sender] & bit:
+            return  # the sender's first vote of this kind for the slot stood
+        seen[sender] |= bit
+        digest, payload = value
         column = self._digests[instance]
         if column is None:
             column = self._digests[instance] = digest
-        echo = kind is _ECHO
         if digest == column:
-            seen = self._echoed_by if echo else self._readied_by
-            if seen[sender] & bit:
-                return
-            seen[sender] |= bit
             counts = self._echoes if echo else self._readies
             count = counts[instance] = counts[instance] + 1
         else:
             other = self._others.setdefault((instance, digest), [0, 0, None])
             field = 0 if echo else 1
-            if other[field] >> sender & 1:
-                return
-            other[field] |= 1 << sender
-            count = other[field].bit_count()
+            count = other[field] = other[field] + 1
         self._keep(instance, digest, payload)
         # A digest's count moves by one per vote, and _check_ready latches
         # ready_sent the first time it finds a threshold met: only the vote
@@ -243,7 +249,7 @@ class ReliableBroadcast:
             payload = self._payloads[instance]
             return self._echoes[instance], self._readies[instance], payload
         other = self._others[instance, digest]  # made by the vote that woke it
-        return other[0].bit_count(), other[1].bit_count(), other[2]
+        return other[0], other[1], other[2]
 
     # -- thresholds ----------------------------------------------------------------
 

@@ -83,6 +83,19 @@ class _RoundState:
     coord_value: int | None = None
 
 
+class _Released:
+    """Stands in for every instance of a released :class:`VoteTable`."""
+
+    __slots__ = ()
+    round = -1  # no AUX tally wakes it
+
+    def _check_bval(self, r: int, value: int) -> None:
+        pass
+
+
+_RELEASED = _Released()
+
+
 class VoteTable:
     """Column-wise BVAL/AUX quorum tallies: one column per binary instance.
 
@@ -198,6 +211,15 @@ class VoteTable:
                 if owner.round == r:
                     owner._try_advance(r)
 
+    def release(self) -> None:
+        """Forget every tally and detach the instances: with ``n = 0``
+        every later vote fails the seat check, and a run still being
+        tallied (the one that quiesced the owning index) wakes no one."""
+        self.n = 0
+        self.owners = [_RELEASED] * self.columns
+        self._counts = {}
+        self._seen = {}
+
     def bval_count(self, r: int, value: int, col: int) -> int:
         """Distinct senders whose ``BVAL(r, value)`` column ``col`` counted."""
         counts = self._counts.get(r)
@@ -227,6 +249,7 @@ class BinaryConsensus:
         on_decide: Callable[[int, int], None],
         coin: str = "parity",
         table: VoteTable | None = None,
+        on_quiet: Callable[[], None] | None = None,
     ):
         if not f < n / 3:
             raise ConsensusError(f"requires f < n/3 (n={n}, f={f})")
@@ -248,6 +271,9 @@ class BinaryConsensus:
         #: one BATCH wire message per tick instead of going out one by one.
         self.sink = broadcast
         self._on_decide = on_decide
+        #: called once, when the instance leaves its last grace round: from
+        #: then on it sends nothing, whatever it hears
+        self._on_quiet = on_quiet
 
         self.est: int | None = None
         self.round = 0
@@ -333,6 +359,12 @@ class BinaryConsensus:
 
     def _start_round(self) -> None:
         if not self._participating():
+            # Rounds move up one at a time, so this holds exactly once.
+            if (
+                self._on_quiet is not None
+                and self.round == self._decided_round + GRACE_ROUNDS + 1
+            ):
+                self._on_quiet()
             return
         if self.round > MAX_ROUNDS:
             logger.error(

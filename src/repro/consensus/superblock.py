@@ -13,7 +13,13 @@ superblock.  Protocol per correct node:
   trigger fires);
 * when **all** slots have decided and every decided-1 slot's proposal has
   been RBC-delivered (totality guarantees it will be), the superblock —
-  the decided-1 proposals ordered by proposer id — is final.
+  the decided-1 proposals ordered by proposer id — is final;
+* once, besides, every binary instance has left its grace rounds, the
+  index is *quiescent*: no instance will send again, whatever it hears,
+  so the owner may drop them (:meth:`SuperBlockConsensus.quiesce`) and
+  keep only the RBC endpoint, which can still ECHO a late SEND and
+  deliver — and recycle — a late proposal (docs/PROTOCOL.md, *Bounded
+  consensus state*).
 
 Binary validity gives the key property: a slot decides 1 only if some
 correct node input 1, i.e. some correct node RBC-delivered a valid
@@ -88,6 +94,7 @@ class SuperBlockConsensus:
         validate_header: Callable[[Block], bool] | None = None,
         on_undecided_block: Callable[[Block], None] | None = None,
         on_block_delivered: Callable[[Block], None] | None = None,
+        on_quiescent: Callable[[int], None] | None = None,
     ):
         self.n = n
         self.f = f
@@ -104,6 +111,8 @@ class SuperBlockConsensus:
         #: invoked for every RBC-delivered proposal, late ones included
         #: (the node stamps its transactions' ``rbc`` phase)
         self._on_block_delivered = on_block_delivered
+        #: invoked with the index once it is quiescent
+        self._on_quiescent = on_quiescent
 
         self.proposals: dict[int, Block] = {}
         self.decisions: dict[int, int] = {}
@@ -115,6 +124,8 @@ class SuperBlockConsensus:
         self.superblock: SuperBlock | None = None
         #: proposals RBC-delivered but with invalid headers (discarded)
         self.discarded_headers: list[int] = []
+        #: binary instances still inside their grace rounds
+        self._loud = n
 
         self.rbc = ReliableBroadcast(
             n=n, f=f, my_id=my_id, index=index,
@@ -126,12 +137,25 @@ class SuperBlockConsensus:
             i: BinaryConsensus(
                 n=n, f=f, my_id=my_id, index=index, instance=i,
                 broadcast=broadcast, on_decide=self._on_decide,
-                table=self.votes,
+                table=self.votes, on_quiet=self._on_quiet,
             )
             for i in range(n)
         }
 
     # -- inputs -------------------------------------------------------------------
+
+    @property
+    def quiescent(self) -> bool:
+        """Finished, and every binary instance past its grace rounds."""
+        return self.finished and not self._loud
+
+    def quiesce(self) -> None:
+        """Drop the binary instances and their vote table — the bulk of an
+        index's memory — once quiescent: from then on BVAL/AUX/COORD
+        traffic for the index moves nothing, as it would not have."""
+        if self.instances:
+            self.votes.release()
+            self.instances = {}
 
     def propose(self, block: Block) -> None:
         """Submit this node's own proposal for the round."""
@@ -147,9 +171,7 @@ class SuperBlockConsensus:
         """Input 0 for one slot right away, without waiting for the round
         timeout — used for RPM-excluded proposers whose traffic correct
         nodes no longer accept (``ProtocolParams.rpm_exclude_comms``)."""
-        instance = self.instances.get(instance_id)
-        if instance is not None and not instance.has_input:
-            instance.propose(0)
+        self._vote(instance_id, 0)
 
     def on_message(self, msg: ConsensusMessage) -> None:
         """Feed one consensus *wire* message (a vote batch included) to
@@ -201,9 +223,17 @@ class SuperBlockConsensus:
 
     def _vote(self, instance_id: int, value: int) -> None:
         """Input a vote unless already input."""
-        instance = self.instances[instance_id]
-        if not instance.has_input:
+        instance = self.instances.get(instance_id)
+        if instance is not None and not instance.has_input:
             instance.propose(value)
+
+    def _on_quiet(self) -> None:
+        self._loud -= 1
+        self._report_quiescence()
+
+    def _report_quiescence(self) -> None:
+        if self._on_quiescent is not None and self.quiescent:
+            self._on_quiescent(self.index)
 
     def _on_rbc_deliver(self, instance_id: int, payload: Any) -> None:
         if not isinstance(payload, Block):
@@ -277,3 +307,4 @@ class SuperBlockConsensus:
             self.my_id, self.index, len(accepted),
         )
         self._on_superblock(self.superblock)
+        self._report_quiescence()

@@ -74,6 +74,19 @@ CATCHUP_RESP_KIND = "catchup-resp"
 #: cap on consensus votes buffered while a restarted node catches up
 CATCHUP_BUFFER_LIMIT = 10_000
 
+#: W_ahead — chain indices past the commit frontier a node opens consensus
+#: state for.  At the default cadence a live node waits on one index at most
+#: one proposer timeout (2 s), during which its peers commit at most one
+#: index per round interval (0.25 s): 8.  Traffic further ahead is dropped,
+#: counted, and answered by catch-up (docs/PROTOCOL.md, *Bounded consensus
+#: state*).
+AHEAD_WINDOW = 8
+#: W — committed chain indices whose consensus state a node may still hold.
+#: A quiescent index is dropped at once; one that is not is dropped when the
+#: frontier is W past it: W_ahead for a peer still deciding it by consensus,
+#: and W_ahead more for the traffic backlog a restart replays.
+RETIRE_WINDOW = 2 * AHEAD_WINDOW
+
 logger = logging.getLogger("repro.core.node")
 
 #: NodeStats fields, in declaration order (drives properties + mirrors)
@@ -89,6 +102,7 @@ _STAT_FIELDS = (
     "rpm_attestations",
     "rpm_reports",
     "recycled_from_undecided",
+    "votes_dropped_ahead",
 )
 
 #: fields folded into one labeled metric in the global registry
@@ -231,11 +245,25 @@ class ValidatorNode:
         self.receipts = ReceiptStore()
         self.stats = NodeStats(node_id)
 
+        #: consensus state per chain index, for at most RETIRE_WINDOW
+        #: committed indices and AHEAD_WINDOW indices past the frontier
         self._consensus: dict[int, SuperBlockConsensus] = {}
+        #: decided superblocks waiting for a lower index to commit
         self._pending_superblocks: dict[int, SuperBlock] = {}
         self._next_commit_index = 1
         self._next_propose_index = 1
+        #: indices this node proposed at, from the catch-up floor up
         self._proposed: set[int] = set()
+        #: consensus traffic below this index is dropped: all of it is
+        #: committed, and reaches a node that lacks it by catch-up.  It
+        #: trails the frontier by RETIRE_WINDOW, and a restart lifts it to
+        #: the frontier (the journal replay covers what the pre-crash
+        #: incarnation committed)
+        self._catchup_floor = 1
+        #: seats heard past the ahead window since the last catch-up request
+        #: it prompted, as a bitmask, and when that request went out
+        self._ahead_seats = 0
+        self._ahead_asked_s = float("-inf")
         self._rpm_nonce: int | None = None
         #: addresses excluded after RPM slashing (Alg. 2 line 42 listeners)
         self.excluded_validators: set[str] = set()
@@ -258,10 +286,6 @@ class ValidatorNode:
         self._incarnation = 0
         #: restarted and waiting for a catch-up response to converge
         self._recovering = False
-        #: consensus indices below this were decided before the crash; the
-        #: catch-up replay covers them (0 for never-crashed nodes, so the
-        #: deliberate no-staleness-filter below is untouched)
-        self._catchup_floor = 0
         #: consensus traffic received mid-recovery — (item, wire sender)
         #: pairs, replayed once converged — and the votes it holds
         self._catchup_buffer: "list[tuple[ConsensusMessage | VoteRun, int]]" = []
@@ -350,6 +374,7 @@ class ValidatorNode:
         self._consensus.clear()
         self._pending_superblocks.clear()
         self._proposed.clear()
+        self._ahead_seats = 0
         self.vote_batcher.drop_pending()
         self.gossip.reset()
         self._rpm_nonce = None
@@ -474,7 +499,7 @@ class ValidatorNode:
     # -- proposal (Alg. 1 propose(p)) ----------------------------------------------------
 
     def _start_round(self, index: int) -> None:
-        if index in self._proposed:
+        if index in self._proposed or index < self._catchup_floor:
             return
         self._proposed.add(index)
         block = self._create_block(index)
@@ -551,6 +576,7 @@ class ValidatorNode:
                 validate_header=self._validate_header,
                 on_undecided_block=self._recycle_block,
                 on_block_delivered=self._on_block_delivered,
+                on_quiescent=self._on_quiescent,
             )
         return self._consensus[index]
 
@@ -624,46 +650,85 @@ class ValidatorNode:
 
         * the seat check — a seat's logical id is its node id, so a vote
           speaks only for the seat whose link (``wire_sender``) carried it;
-        * the restart floor — indices the pre-crash incarnation already
-          committed are covered by the journal replay and dropped.  For a
-          never-crashed node the floor is 0: NO staleness filter,
-          deliberately.  A node that already committed index k must keep
-          serving k's traffic — RBC totality needs the ECHO/READY exchange
-          to finish (late undecided blocks recycle), and laggards still
-          deciding k need the grace-round BVAL/AUX help of early deciders.
-          Filtering either class deadlocks a lagging replica (see
-          tests/integration/test_late_delivery.py and
-          tests/diablo/test_runner.py histories);
-        * the recovery buffer — while a restarted node is still catching
-          up it must not open fresh consensus instances for indices that
-          are mid-flight (it would first have to decide where its chain
-          ends, which is exactly what the catch-up is determining), so
-          items are held, up to ``CATCHUP_BUFFER_LIMIT`` votes, and come
-          back through here once recovery converges.
+        * the index's consensus state, if it has some — the hot path.  A
+          committed index keeps it for ``RETIRE_WINDOW`` more indices: RBC
+          totality needs the ECHO/READY exchange to finish (late undecided
+          blocks recycle), and laggards still deciding the index need the
+          grace-round BVAL/AUX of early deciders (see
+          tests/integration/test_late_delivery.py).  Only its binary
+          instances go earlier, once past their grace rounds: from then on
+          they send nothing, whatever they hear;
+        * otherwise :meth:`_admit`, which opens state only for an index
+          inside the window — not below the catch-up floor, not more than
+          ``AHEAD_WINDOW`` past the frontier (docs/PROTOCOL.md, *Bounded
+          consensus state*) — and not while a restarted node is still
+          catching up, which holds the item instead.
         """
         consensus_map = self._consensus
-        floor = self._catchup_floor
-        recovering = self._recovering
         for item in items:
             if item.sender != wire_sender:
                 continue
-            index = item.index
-            if floor and index < floor:
-                continue
-            is_run = type(item) is VoteRun
-            if recovering:
-                votes = len(item.messages) if is_run else 1
-                if self._catchup_buffered_votes + votes <= CATCHUP_BUFFER_LIMIT:
-                    self._catchup_buffered_votes += votes
-                    self._catchup_buffer.append((item, wire_sender))
-                continue
-            consensus = consensus_map.get(index)
+            consensus = consensus_map.get(item.index)
             if consensus is None:
-                consensus = self._consensus_for(index)
-            if is_run:
+                consensus = self._admit(item, wire_sender)
+                if consensus is None:
+                    continue
+            if type(item) is VoteRun:
                 consensus.on_run(item)
             else:
                 consensus.on_constituent(item)
+
+    def _admit(
+        self, item: "ConsensusMessage | VoteRun", wire_sender: int
+    ) -> "SuperBlockConsensus | None":
+        """Consensus state for an item whose index has none open, or
+        ``None`` when the item is dropped or held.
+
+        * Below the catch-up floor: dropped.  After a restart the floor is
+          the pre-crash frontier, which the journal replay covers.
+        * While a restarted node is still catching up it must not open
+          fresh state for indices that are mid-flight (it would first have
+          to decide where its chain ends, which is exactly what the
+          catch-up is determining), so items are held, up to
+          ``CATCHUP_BUFFER_LIMIT`` votes, and come back through
+          :meth:`_ingest_consensus` once recovery converges.
+        * Past the ahead window: dropped and counted (:meth:`_drop_ahead`).
+        """
+        index = item.index
+        if type(index) is not int or index < self._catchup_floor:
+            return None
+        if self._recovering:
+            votes = len(item.messages) if type(item) is VoteRun else 1
+            if self._catchup_buffered_votes + votes <= CATCHUP_BUFFER_LIMIT:
+                self._catchup_buffered_votes += votes
+                self._catchup_buffer.append((item, wire_sender))
+            return None
+        if index > self._next_commit_index + AHEAD_WINDOW:
+            self._drop_ahead(item, wire_sender)
+            return None
+        return self._consensus_for(index)
+
+    def _drop_ahead(self, item: "ConsensusMessage | VoteRun", wire_sender: int) -> None:
+        """Count an item past the ahead window, and ask for catch-up once
+        f+1 seats have spoken past it — at least one of them correct, so
+        this node really is behind — at most once per proposer timeout.
+
+        A node more than ``AHEAD_WINDOW`` behind always ends up asking,
+        with or without a watchdog: n−f seats commit the indices it lacks
+        and broadcast traffic for the next one.  One Byzantine seat naming
+        far indices moves only the count.
+        """
+        self.stats.votes_dropped_ahead += (
+            len(item.messages) if type(item) is VoteRun else 1
+        )
+        self._ahead_seats |= 1 << wire_sender
+        if (
+            self._ahead_seats.bit_count() > self.protocol.f
+            and self.sim.now - self._ahead_asked_s >= self.proposer_timeout
+        ):
+            self._ahead_seats = 0
+            self._ahead_asked_s = self.sim.now
+            self._send_catchup_request()
 
     # -- decision & commit (Alg. 1 lines 18-31) ------------------------------------------------
 
@@ -691,11 +756,37 @@ class ValidatorNode:
                     "decide", self.sim.now, txs,
                     node=self.node_id, index=superblock.index,
                 )
-        self._pending_superblocks[superblock.index] = superblock
-        while self._next_commit_index in self._pending_superblocks:
-            sb = self._pending_superblocks[self._next_commit_index]
-            self._commit(sb)
-            self._next_commit_index += 1
+        if superblock.index >= self._next_commit_index:
+            # (an index the catch-up replay already applied is not kept)
+            self._pending_superblocks[superblock.index] = superblock
+        pending = self._pending_superblocks
+        while self._next_commit_index in pending:
+            self._commit(pending[self._next_commit_index])
+            self._advance_frontier()
+
+    def _advance_frontier(self) -> None:
+        """The frontier index is committed: move past it and let the window
+        go — the index's binary instances at once if they are quiescent,
+        and all that is left at frontier − W.  O(1) per committed index."""
+        index = self._next_commit_index
+        self._next_commit_index = index + 1
+        self._pending_superblocks.pop(index, None)
+        consensus = self._consensus.get(index)
+        if consensus is not None and consensus.quiescent:
+            consensus.quiesce()
+        floor = index + 1 - RETIRE_WINDOW
+        while self._catchup_floor < floor:
+            stale = self._catchup_floor
+            self._catchup_floor = stale + 1
+            self._proposed.discard(stale)
+            self._consensus.pop(stale, None)
+
+    def _on_quiescent(self, index: int) -> None:
+        """An index turned quiescent: drop its binary instances once it is
+        committed (until then :meth:`_advance_frontier` will)."""
+        consensus = self._consensus.get(index)
+        if consensus is not None and index < self._next_commit_index:
+            consensus.quiesce()
 
     def _apply_superblock(self, superblock: SuperBlock) -> CommitResult:
         """Apply one decided superblock to the durable state — commit,
@@ -890,7 +981,7 @@ class ValidatorNode:
             if superblock.index != self._next_commit_index:
                 continue  # already applied (racing responses) or future gap
             self._apply_superblock(superblock)
-            self._next_commit_index += 1
+            self._advance_frontier()
             applied += 1
         if self._recovering:
             if self._next_commit_index == resp.next_index:

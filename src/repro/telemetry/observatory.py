@@ -69,7 +69,7 @@ def sample(deployment) -> None:
             "pool_depth": len(node.pool),
             "pool_age_s": round(node.pool.oldest_age(now), 6),
             "vote_buffer": node.vote_batcher.pending,
-            # finished rounds are kept until a crash clears them
+            # finished rounds stay for RETIRE_WINDOW more committed indices
             "consensus_open": sum(
                 1 for c in node._consensus.values() if not c.finished
             ),

@@ -179,6 +179,48 @@ class TestPayloadMatchesDigest:
         assert delivered == [(1, self.BLOCK)]
 
 
+class TestOneVotePerSender:
+    """Bracha's rule: a sender's first ECHO and first READY for a slot
+    count, whatever their digest, and no later one does.  A Byzantine
+    sender voting a fresh digest each time on an undelivered slot opens
+    at most one other-digest entry per kind (before the rule, one per
+    digest, each keeping the payload that hashes to it)."""
+
+    GENUINE = b"block-1"
+
+    def _vote(self, node, kind, payload, sender):
+        node.on_message(ConsensusMessage(
+            kind=kind, index=0, instance=1, round=0,
+            value=(_digest(payload), payload), sender=sender,
+        ))
+
+    def test_fresh_digests_open_one_entry_per_kind(self):
+        out, delivered = [], []
+        node = ReliableBroadcast(
+            n=4, f=1, my_id=0, index=0, broadcast=out.append,
+            on_deliver=lambda slot, payload: delivered.append((slot, payload)),
+        )
+        node.on_message(ConsensusMessage(
+            kind=MsgKind.RBC_SEND, index=0, instance=1, round=0,
+            value=self.GENUINE, sender=1,
+        ))
+        for k in range(50):
+            self._vote(node, MsgKind.RBC_ECHO, b"echo-%d" % k, sender=3)
+            self._vote(node, MsgKind.RBC_READY, b"ready-%d" % k, sender=3)
+        assert sorted(node._others) == sorted(
+            [(1, _digest(b"echo-0")), (1, _digest(b"ready-0"))]
+        )
+        # seat 3 has cast both votes: the genuine digest gets neither
+        self._vote(node, MsgKind.RBC_ECHO, self.GENUINE, sender=3)
+        self._vote(node, MsgKind.RBC_READY, self.GENUINE, sender=3)
+        assert (node._echoes[1], node._readies[1]) == (0, 0)
+        # the honest seats still deliver the genuine block
+        for kind in (MsgKind.RBC_ECHO, MsgKind.RBC_READY):
+            for sender in (0, 1, 2):
+                self._vote(node, kind, self.GENUINE, sender)
+        assert delivered == [(1, self.GENUINE)]
+
+
 class TestMalformedVotes:
     """An ECHO/READY whose value is not a ``(bytes digest, payload)`` pair
     is nobody's vote: a node drops it, batched or alone, tallies nothing

@@ -102,9 +102,8 @@ class TestMessageContract:
             on_run=lambda run: seen.append(("run", run)),
             on_constituent=lambda msg: seen.append(("msg", msg)),
         )
-        node = SimpleNamespace(
-            _consensus={1: consensus}, _catchup_floor=0, _recovering=False
-        )
+        # what _ingest_consensus reads when the index has consensus state
+        node = SimpleNamespace(_consensus={1: consensus})
         lone = _msg(sender=2)
         run = VoteRun(MsgKind.BVAL, 1, 2, (lone,), 1, 1, (0,), 1)
         ValidatorNode._ingest_consensus(node, (lone, run, _msg(sender=3)), 2)

@@ -637,7 +637,8 @@ class TestThresholds:
 class PerVoteRBC:
     """Bracha's ECHO/READY rules walked one vote at a time, on sets — the
     reference the column-wise run tally of :class:`ReliableBroadcast` must
-    equal.  A seat's vote counts once per (slot, digest, kind); a payload
+    equal.  A seat's first vote per (slot, kind) counts, whatever its
+    digest, and no later one does (one ECHO, one READY); a payload
     is kept for a digest only if it hashes to it, the first such one
     winning; a slot is woken only by the vote that lands on 2f+1 ECHOs or
     f+1 READYs, or by any READY at or past 2f+1 while undelivered; a
@@ -647,6 +648,7 @@ class PerVoteRBC:
         self.n, self.f, self.my_id = n, (n - 1) // 3, my_id
         self.out, self.deliveries = out, deliveries
         self.voters = {}  # (kind, slot, digest) -> senders
+        self.cast = set()  # (kind, slot, sender) whose vote counted
         self.payloads = {}  # (slot, digest) -> payload
         self.echoed, self.ready_sent, self.delivered = set(), set(), set()
 
@@ -688,9 +690,10 @@ class PerVoteRBC:
         ):
             return
         digest, payload = value
-        voters = self.voters.setdefault((m.kind, slot, digest), set())
-        if sender in voters:
+        if (m.kind, slot, sender) in self.cast:
             return
+        self.cast.add((m.kind, slot, sender))
+        voters = self.voters.setdefault((m.kind, slot, digest), set())
         voters.add(sender)
         self._keep(slot, digest, payload)
         count, quorum = len(voters), 2 * self.f + 1

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 from repro import params, telemetry
 from repro.analysis.congestion_report import build_congestion_report
 from repro.core.deployment import Deployment
+from repro.core.node import AHEAD_WINDOW, RETIRE_WINDOW
 from repro.net.topology import single_region_topology
 from repro.telemetry.observatory import (
     SAMPLE_INTERVAL_S,
@@ -36,7 +37,7 @@ def _fake_deployment(n=2):
             node_id=i,
             pool=Pool(),
             vote_batcher=SimpleNamespace(pending=2),
-            # one round still open, one finished (kept until a crash)
+            # one round still open, one finished (kept within the window)
             _consensus={
                 6: SimpleNamespace(finished=True),
                 7: SimpleNamespace(finished=False),
@@ -137,9 +138,10 @@ class TestSampling:
         ]
 
     def test_open_instances_count_unfinished_rounds(self):
-        # Finished rounds stay in node._consensus until a crash; a sample
-        # counts only the rounds still running, so the sum over nodes is
-        # at most n per height in flight, however long the run.
+        # Finished rounds stay in node._consensus for RETIRE_WINDOW
+        # committed indices; a sample counts only the rounds still running,
+        # so the sum over nodes is at most n per height in flight, however
+        # long the run.
         deployment = Deployment(
             protocol=params.ProtocolParams(n=4),
             topology=single_region_topology(4),
@@ -162,7 +164,8 @@ class TestSampling:
                 )
                 assert open_sum <= n * len(in_flight)
         kept = sum(len(node._consensus) for node in deployment.validators)
-        assert kept > 10 * n * 2  # what len(node._consensus) would read
+        # what len(node._consensus) would read: the window, not the height
+        assert 2 * n < kept <= n * (RETIRE_WINDOW + AHEAD_WINDOW + 1)
         assert open_sum <= 2 * n
 
 
