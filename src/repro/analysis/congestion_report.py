@@ -27,33 +27,18 @@ def build_congestion_report(
     title: str = "SRBB congestion report",
 ) -> str:
     """Assemble the report from whatever the trace holds."""
-    from repro.telemetry.critical_path import analyze, dropped_records
+    from repro.telemetry.critical_path import analyze
     from repro.telemetry.observatory import samples_from_trace
 
     critical = None
     if any(r.get("name", "").startswith("tx.") for r in trace_records):
         critical = analyze(trace_records)
     samples = samples_from_trace(trace_records) or None
-    dropped = dropped_records(trace_records)
     render = _render_html if html else _render_text
-    return render(samples=samples, critical=critical, dropped=dropped, title=title)
+    return render(samples=samples, critical=critical, title=title)
 
 
-#: what a truncated trace costs the report
-_TRUNCATED = (
-    "⚠ trace truncated: ring buffer dropped {dropped} oldest records — "
-    "exec_share above is measured on the late run only, and {excluded} "
-    "committed transactions that lost their submit stamp are left out of "
-    "the critical path"
-)
-
-
-def _truncated(critical, dropped) -> str:
-    excluded = critical.excluded if critical is not None else 0
-    return _TRUNCATED.format(dropped=dropped, excluded=excluded)
-
-
-def _render_text(*, samples, critical, dropped=0, title) -> str:
+def _render_text(*, samples, critical, title) -> str:
     sections = [title, "=" * len(title)]
     if critical is not None:
         sections.append("")
@@ -63,15 +48,12 @@ def _render_text(*, samples, critical, dropped=0, title) -> str:
 
         sections.append("")
         sections.append(render_samples_text(samples))
-    if dropped:
-        sections.append("")
-        sections.append(_truncated(critical, dropped))
     if len(sections) == 2:
         sections.append("no tx.* or obs.sample events in the trace")
     return "\n".join(sections) + "\n"
 
 
-def _render_html(*, samples, critical, dropped=0, title) -> str:
+def _render_html(*, samples, critical, title) -> str:
     body = [
         "<!doctype html><html><head><meta charset='utf-8'>",
         f"<title>{_html.escape(title)}</title>",
@@ -90,8 +72,6 @@ def _render_html(*, samples, critical, dropped=0, title) -> str:
 
         body.append("<h2>congestion observatory</h2>")
         body.append(render_samples_figures(samples))
-    if dropped:
-        body.append(f"<p>{_truncated(critical, dropped)}</p>")
     if critical is None and samples is None:
         body.append("<p>no tx.* or obs.sample events in the trace</p>")
     body.append("</body></html>")

@@ -541,15 +541,6 @@ def main(argv: "list[str] | None" = None) -> int:
             else:
                 print(f"telemetry written to {path}", file=sys.stderr)
         if capture:
-            dropped = telemetry.get_tracer().dropped_records
-            if dropped:
-                import logging
-
-                logging.getLogger("repro.telemetry").warning(
-                    "trace ring buffer dropped %d records (oldest shed); "
-                    "stream with --trace-out or raise Tracer(max_records=…)",
-                    dropped,
-                )
             # Scope the enablement to this invocation: library-style
             # callers of main() must not keep paying for telemetry.
             telemetry.disable()

@@ -65,6 +65,10 @@ REPORTABLE_ERRORS = frozenset(
     }
 )
 
+#: reports filed per (proposer, block): one successful report slashes the
+#: entire deposit, so rational reporters cap their overhead
+MAX_REPORTS_PER_BLOCK = 2
+
 #: wire kinds
 TX_KIND = "tx"
 CONSENSUS_KIND = "consensus"
@@ -208,8 +212,6 @@ class ValidatorNode:
         proposer_timeout: float = 2.0,
         registry=None,
         execution_rate: float = 20_000.0,
-        max_reports_per_block: int = 2,
-        order_by_fee: bool = False,
     ):
         self.node_id = node_id
         self.keypair = keypair
@@ -225,12 +227,6 @@ class ValidatorNode:
         #: round by k/execution_rate, which is how flooded invalid
         #: transactions steal throughput (§V-B)
         self.execution_rate = execution_rate
-        #: reports filed per (proposer, block): one successful report slashes
-        #: the entire deposit, so rational reporters cap their overhead
-        self.max_reports_per_block = max_reports_per_block
-        #: fee market: proposers maximizing Σ Txfees (the RPM incentive
-        #: term) pack blocks by gas price instead of FIFO
-        self.order_by_fee = order_by_fee
 
         state = WorldState()
         if genesis is not None:
@@ -523,7 +519,6 @@ class ValidatorNode:
             self.protocol.max_block_txs,
             gas_limit=self.protocol.block_gas_limit,
             next_nonce=self.blockchain.state.nonce_of,
-            by_fee=self.order_by_fee,
         )
         if batch and telemetry.get_tracer().enabled:
             telemetry.stamp_txs(
@@ -1088,7 +1083,7 @@ class ValidatorNode:
         for proposer_id, bad_tx, error in invalid_by_proposer:
             if error not in REPORTABLE_ERRORS:
                 continue
-            if reports_filed.get(proposer_id, 0) >= self.max_reports_per_block:
+            if reports_filed.get(proposer_id, 0) >= MAX_REPORTS_PER_BLOCK:
                 continue
             reports_filed[proposer_id] = reports_filed.get(proposer_id, 0) + 1
             block = blocks_by_proposer.get(proposer_id)

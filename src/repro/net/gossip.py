@@ -5,13 +5,14 @@ validated transaction to their overlay peers; each peer that has not seen
 the transaction validates it again and pushes it onward (Alg. 1 line 9),
 so one client transaction costs O(edges) messages and n eager validations.
 ``GossipLayer`` implements exactly that, with per-message dedup and an
-optional hop-count TTL, and counts everything so tests can assert the
-redundancy factor that motivates §III-A.
+optional hop-count TTL.  The redundancy factor that motivates §III-A is
+counted by the process-wide ``srbb_gossip_*`` metrics (while the
+registry is enabled) and by the ``gossip`` kind of ``NetStats.by_kind``;
+the layer keeps no counters of its own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
 
@@ -36,17 +37,6 @@ _metrics = telemetry.bind(
         ),
     )
 )
-
-
-@dataclass
-class GossipStats:
-    """Redundancy accounting for the §III-A analysis."""
-
-    originated: int = 0
-    forwarded: int = 0
-    received: int = 0
-    duplicates_suppressed: int = 0
-    dropped_excluded: int = 0
 
 
 class GossipLayer:
@@ -76,14 +66,12 @@ class GossipLayer:
         #: this to the RPM-excluded committee seats under
         #: ``ProtocolParams.rpm_exclude_comms``
         self.blocked: set[int] = set()
-        self.stats = GossipStats()
 
     def publish(self, item_id: object, payload: object, size_bytes: int) -> None:
         """Originate a gossip item from this node."""
         if item_id in self._seen:
             return
         self._seen.add(item_id)
-        self.stats.originated += 1
         if telemetry.get_registry().enabled:
             _metrics().originated.inc()
         self._forward(item_id, payload, size_bytes, hops=0)
@@ -94,10 +82,8 @@ class GossipLayer:
         On a fresh item: deliver locally, then forward to peers.
         """
         if msg.sender in self.blocked:
-            self.stats.dropped_excluded += 1
             return False
         item_id, payload, size_bytes, hops = msg.payload
-        self.stats.received += 1
         fresh = item_id not in self._seen
         if telemetry.get_registry().enabled:
             m = _metrics()
@@ -105,7 +91,6 @@ class GossipLayer:
             if not fresh:
                 m.duplicates.inc()
         if not fresh:
-            self.stats.duplicates_suppressed += 1
             return False
         self._seen.add(item_id)
         self.deliver(payload, msg.sender)
@@ -123,11 +108,9 @@ class GossipLayer:
             size_bytes=size_bytes,
         )
         sent = self.network.send_to_peers(self.node_id, msg)
-        self.stats.forwarded += sent
         if telemetry.get_registry().enabled:
             _metrics().forwarded.inc(sent)
 
     def reset(self) -> None:
-        """Forget dedup state (a crashed node's RAM); stats survive as
-        they model the analysis side, not the node."""
+        """Forget dedup state (a crashed node's RAM)."""
         self._seen.clear()

@@ -36,6 +36,11 @@ computed once per fan-out, adversarial delay per copy.  Reliable and
 faulty copies take the per-copy channel routine, in destination order,
 so sequence numbers and every RNG draw come out as a loop of ``send``
 would draw them (docs/PROFILING.md, *The per-message constant*).
+
+**One book per fact.**  ``NetStats`` holds the run's traffic totals and
+their per-kind split, nothing per sender or per region pair: the
+per-region book is the registry's ``srbb_net_*{kind,src_region,dst_region}``
+children, kept only while the registry is enabled.
 """
 
 from __future__ import annotations
@@ -182,7 +187,8 @@ _FanOut = tuple[tuple[tuple[int, float | None], ...], _Regions]
 
 @dataclass
 class NetStats:
-    """Traffic counters (bandwidth-consumption evidence for §III)."""
+    """Traffic totals and their per-kind split (bandwidth-consumption
+    evidence for §III)."""
 
     messages: int = 0
     bytes: int = 0
@@ -195,27 +201,17 @@ class NetStats:
     duplicates_dropped: int = 0
     #: transmissions lost to injected faults or down destinations
     dropped: int = 0
+    #: per-kind [messages, bytes]; ``messages`` and ``bytes`` are its sums
     by_kind: dict = field(default_factory=dict)
-    #: per-sender [messages, bytes] — who is spending the network
-    by_sender: dict = field(default_factory=dict)
-    #: per-(src_region, dst_region) [messages, bytes] — cross-region
-    #: bandwidth asymmetry, the §V 10-region deployment evidence
-    by_region: dict = field(default_factory=dict)
 
     def record(self, msg: Message, regions: _Regions = _LOCAL) -> None:
         """Book ``msg`` sent as ``copies`` copies over each region pair in
         ``regions`` (``((src_region, dst_region), copies)`` entries, in
         first-use order) — the one booking routine for every send."""
         size = msg.size_bytes
-        by_region = self.by_region
         total = 0
-        for pair, copies in regions:
+        for _pair, copies in regions:
             total += copies
-            region = by_region.get(pair)
-            if region is None:
-                region = by_region[pair] = [0, 0]
-            region[0] += copies
-            region[1] += size * copies
         volume = size * total
         self.messages += total
         self.bytes += volume
@@ -225,11 +221,6 @@ class NetStats:
             kind = self.by_kind[msg.kind] = [0, 0]
         kind[0] += total
         kind[1] += volume
-        sender = self.by_sender.get(msg.sender)
-        if sender is None:
-            sender = self.by_sender[msg.sender] = [0, 0]
-        sender[0] += total
-        sender[1] += volume
         if telemetry.get_registry().enabled:
             m = _metrics()
             m.logical.inc(msg.count * total)
@@ -239,9 +230,6 @@ class NetStats:
                 )
                 msgs_child.inc(copies)
                 bytes_child.inc(size * copies)
-
-    def egress_bytes(self, sender: int) -> int:
-        return self.by_sender.get(sender, [0, 0])[1]
 
 
 class _SeqTracker:
@@ -280,7 +268,7 @@ class Network:
         topology: Topology,
         *,
         timing: PartialSynchrony | None = None,
-        bandwidth_bytes_per_s: float = params.DEFAULT_RESOURCES.egress_bytes_per_s,
+        bandwidth_bytes_per_s: float = params.LINK_BANDWIDTH_BYTES_PER_S,
         jitter_s: float = 0.002,
         seed: int = 11,
         adversarial_delay: Callable[[int, int, float], float] | None = None,

@@ -255,22 +255,6 @@ NASDAQ_ENVELOPE = WorkloadEnvelope("nasdaq", 180.0, 168.0, 19_800.0)
 UBER_ENVELOPE = WorkloadEnvelope("uber", 120.0, 852.0, 900.0)
 FIFA_ENVELOPE = WorkloadEnvelope("fifa", 180.0, 3_483.0, 5_305.0)
 
-#: c5.2xlarge-equivalent node capability used by the congestion model.
-@dataclass(frozen=True)
-class NodeResources:
-    """CPU / network budget of one validator machine (c5.2xlarge-like)."""
-
-    #: eager (signature) validations per second a node can perform
-    eager_validations_per_s: float = 20_000.0
-    #: lazy validations per second (cheaper: nonce/gas/balance lookups)
-    lazy_validations_per_s: float = 200_000.0
-    #: transaction executions per second on the VM
-    executions_per_s: float = 40_000.0
-    #: network egress budget, bytes per second (~1.2 GiB/s burst on c5.2xlarge,
-    #: sustained cross-region far lower; we use a conservative WAN figure)
-    egress_bytes_per_s: float = 150e6
-    #: ingress budget, bytes per second
-    ingress_bytes_per_s: float = 150e6
-
-
-DEFAULT_RESOURCES = NodeResources()
+#: a validator's network egress, bytes per second: a conservative WAN figure
+#: for a c5.2xlarge (~1.2 GiB/s burst, sustained cross-region far lower)
+LINK_BANDWIDTH_BYTES_PER_S = 150e6

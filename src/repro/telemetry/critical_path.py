@@ -70,7 +70,6 @@ __all__ = [
     "PhaseStats",
     "CriticalPathReport",
     "stamps_from_trace",
-    "dropped_records",
     "resolve",
     "analyze",
     "exec_share_from_trace",
@@ -196,15 +195,6 @@ def resolve(trace_records: "list[dict]") -> "list[TxLifecycle]":
     return out
 
 
-def dropped_records(trace_records: "list[dict]") -> int:
-    """Records the tracer's ring buffer shed, per the ``tracer.dropped``
-    meta trailer stamped into truncated traces (0 when absent)."""
-    for record in trace_records:
-        if record.get("type") == "meta" and record.get("name") == "tracer.dropped":
-            return int(record.get("dropped_records", 0))
-    return 0
-
-
 @dataclass
 class PhaseStats:
     """Aggregate seconds for one bucket across committed transactions."""
@@ -232,8 +222,6 @@ class CriticalPathReport:
 
     txs: int = 0
     committed: int = 0
-    #: committed txs left out because a truncated trace lost their submit
-    excluded: int = 0
     exec_share: float = 0.0
     e2e: PhaseStats = field(default_factory=PhaseStats)
     raw: "dict[str, PhaseStats]" = field(default_factory=dict)
@@ -348,19 +336,10 @@ def analyze(
     """Build the attribution report from one trace's records.
 
     ``exec_share`` overrides the trace-derived measurement; when neither
-    is available, queue wait is charged entirely to ``ordering``.  On a
-    truncated trace the ring buffer may have shed a committed tx's early
-    stamps, which would make it look faster than it was, so committed
-    txs without a ``submit`` stamp are left out (and counted in
-    ``excluded``).
+    is available, queue wait is charged entirely to ``ordering``.
     """
     lifecycles = resolve(trace_records)
     committed = [lc for lc in lifecycles if lc.committed]
-    excluded = 0
-    if dropped_records(trace_records):
-        kept = [lc for lc in committed if "submit" in lc.times]
-        excluded = len(committed) - len(kept)
-        committed = kept
 
     if exec_share is None:
         exec_share = exec_share_from_trace(trace_records)
@@ -368,8 +347,7 @@ def analyze(
         exec_share = 0.0
 
     report = CriticalPathReport(
-        txs=len(lifecycles), committed=len(committed), excluded=excluded,
-        exec_share=exec_share,
+        txs=len(lifecycles), committed=len(committed), exec_share=exec_share,
     )
     if not committed:
         report.raw = {bucket: PhaseStats() for bucket in RAW_BUCKETS}

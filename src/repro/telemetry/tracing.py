@@ -27,20 +27,17 @@ Call sites read ``get_tracer().enabled`` once and, while it is off, make
 no call into :func:`event` or :func:`stamp_txs` at all; the CLI's
 ``--trace-out`` (or a test) enables it.
 
-Memory stays bounded two ways (soak runs must not grow without limit):
-
-* ``Tracer(max_records=N)`` keeps a ring buffer of the newest N records
-  (``dropped_records`` counts what fell off the front);
-* ``stream_to(path)`` flushes the buffer to a JSONL file every
-  ``flush_every`` records, so an hours-long run holds at most one chunk
-  in memory.  ``dumps()`` still returns the whole (buffered) trace for
-  small runs.
+A trace never sheds a record.  Memory stays bounded one way:
+``stream_to(path)`` flushes the buffer to a JSONL file every
+``flush_every`` records, so an hours-long run holds at most one chunk in
+memory, and the file holds the same bytes as one ``dumps()`` of the whole
+buffered trace (the CLI streams ``--trace-out`` unless the Perfetto
+export, which needs every record, is also asked for).
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 
 __all__ = [
     "Tracer",
@@ -54,11 +51,9 @@ __all__ = [
 class Tracer:
     """Buffering trace recorder; cheap no-op while disabled."""
 
-    def __init__(self, *, enabled: bool = True, max_records: "int | None" = None):
+    def __init__(self, *, enabled: bool = True):
         self.enabled = enabled
-        self._records: "deque[dict]" = deque(maxlen=max_records)
-        #: records shed by the ring buffer (max_records) since last clear
-        self.dropped_records = 0
+        self._records: "list[dict]" = []
         self._stream = None
         self._stream_path: "str | None" = None
         self._flush_every = 10_000
@@ -70,8 +65,6 @@ class Tracer:
         if not self.enabled:
             return
         records = self._records
-        if records.maxlen is not None and len(records) == records.maxlen:
-            self.dropped_records += 1  # deque sheds the oldest on append
         records.append({"ts": t, "type": "event", "name": name, "attrs": attrs})
         if self._stream is not None and len(records) >= self._flush_every:
             self.flush_stream()
@@ -83,33 +76,13 @@ class Tracer:
         return list(self._records)
 
     def clear(self) -> None:
-        """Drop buffered records and the drop counter."""
+        """Drop buffered records."""
         self._records.clear()
-        self.dropped_records = 0
 
     def dumps(self) -> str:
         """The whole buffered trace as JSONL, one record per line in
         append order.  When streaming, this covers the un-flushed tail."""
-        records = self._records
-        lines = [json.dumps(r, default=str) + "\n" for r in records]
-        if self.dropped_records:
-            # Stamp truncation into the artifact itself — a trace missing
-            # its earliest records must say so, or analysis over it will
-            # silently under-count.  Consumers that iterate events skip
-            # non-event records, so this trailer is backward compatible.
-            lines.append(
-                json.dumps(
-                    {
-                        "type": "meta",
-                        "name": "tracer.dropped",
-                        "ts": records[-1]["ts"] if records else 0.0,
-                        "dropped_records": self.dropped_records,
-                        "kept_records": len(records),
-                    }
-                )
-                + "\n"
-            )
-        return "".join(lines)
+        return "".join(json.dumps(r, default=str) + "\n" for r in self._records)
 
     def dump(self, path: str) -> None:
         if self._stream is not None and path == self._stream_path:

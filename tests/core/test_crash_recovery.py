@@ -1,13 +1,17 @@
 """Crash–recovery: volatile/durable split, catch-up, RPM survival."""
 
+import pytest
+
 from repro import params
 from repro.consensus.messages import ConsensusMessage, MsgKind, VoteRun
 from repro.core import node as node_module
+from repro.core.block import Block, SuperBlock
 from repro.core.catchup import CatchupRequest, CatchupResponse, DecidedJournal
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.rpm import RPMContract
 from repro.core.transaction import make_transfer
 from repro.net.topology import single_region_topology
+from repro.net.transport import Message
 from repro.vm.executor import native_address_for
 from repro.vm.state import WorldState
 from repro.vm.sync import take_snapshot
@@ -194,6 +198,42 @@ class TestCatchupHardening:
         assert list(node.blockchain.block_hashes()) == list(
             peer.blockchain.block_hashes()
         )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a never-crashed node applies an unsolicited CATCHUP_RESP "
+        "without checking it against anyone but its sender (ROADMAP 4(c))",
+    )
+    def test_unsolicited_forged_response_is_not_applied(self):
+        deployment, clients = make_deployment(clients=2)
+        deployment.start()
+        seat = deployment.validators[3]
+        # seat 3's own transfer, as the only block of node 0's next index
+        forged_tx = make_transfer(
+            deployment.keypairs[3], clients[1].address, 1, nonce=0
+        )
+        forged = SuperBlock(
+            index=1,
+            blocks=(Block(proposer_id=3, index=1, transactions=(forged_tx,)),),
+        )
+        snapshot = take_snapshot(seat.blockchain.state)
+        resp = CatchupResponse(
+            superblocks=(forged,),
+            snapshot=snapshot,
+            state_root=snapshot.root,
+            next_index=2,
+            responder=3,
+        )
+        deployment.network.send(3, 0, Message(
+            kind=node_module.CATCHUP_RESP_KIND, payload=resp, sender=3,
+            size_bytes=resp.approx_size(),
+        ))
+        real = make_transfer(clients[0], clients[1].address, 1, nonce=0)
+        deployment.submit(real, validator_id=1, at=0.1)
+        deployment.run_until(5.0)
+        assert deployment.safety_holds()
+        assert not deployment.validators[0].blockchain.contains_tx(forged_tx)
+        assert deployment.committed_everywhere(real)
 
     def test_serving_hashes_the_state_once(self, monkeypatch):
         """The answer's ``state_root`` is its snapshot's root, so serving

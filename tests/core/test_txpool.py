@@ -1,50 +1,19 @@
 """Transaction pool: dedup, TTL, capacity, batching."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.transaction import make_transfer
 from repro.core.txpool import TxPool
 from repro.crypto.keys import generate_keypair
+from repro.telemetry import use_registry
 
 
 def _tx(nonce, seed=1, **kw):
     return make_transfer(generate_keypair(seed), "aa" * 20, 1, nonce=nonce, **kw)
 
 
-def _reference_take_by_fee(pool_txs, max_txs, gas_limit, next_nonce):
-    """Spec for ``take_batch(by_fee=True)``: stable sort of the FIFO queue
-    by (gas_price desc, nonce asc) — ties FIFO — with the same sweep rules
-    (nonce gating, gas-limit early stop, multi-sweep unlock) as the pool.
-    ``pool_txs`` is the pending list in admission (FIFO) order."""
-    pending = list(pool_txs)
-    batch, gas, taken_nonces = [], 0, {}
-
-    def one_pass():
-        nonlocal gas
-        candidates = sorted(pending, key=lambda t: (-t.gas_price, t.nonce))
-        progress = False
-        for tx in candidates:
-            if len(batch) >= max_txs:
-                return progress
-            if gas_limit is not None and gas + tx.gas_limit > gas_limit:
-                return progress
-            if next_nonce is not None:
-                expected = taken_nonces.get(tx.sender)
-                if expected is None:
-                    expected = next_nonce(tx.sender)
-                if tx.nonce != expected:
-                    continue
-                taken_nonces[tx.sender] = expected + 1
-            batch.append(tx)
-            gas += tx.gas_limit
-            pending.remove(tx)
-            progress = True
-        return progress
-
-    while len(batch) < max_txs and one_pass():
-        if next_nonce is None:
-            break
-    return batch
+def _count(reg, name):
+    return reg.get(f"srbb_txpool_{name}_total").value
 
 
 class TestAdmission:
@@ -57,34 +26,37 @@ class TestAdmission:
         assert len(pool) == 1
 
     def test_duplicate_rejected(self):
-        pool = TxPool()
-        tx = _tx(0)
-        pool.add(tx)
-        assert not pool.add(tx)
-        assert pool.stats.duplicates == 1
+        with use_registry() as reg:
+            pool = TxPool()
+            tx = _tx(0)
+            pool.add(tx)
+            assert not pool.add(tx)
+        assert _count(reg, "duplicates") == 1
         assert len(pool) == 1
 
     def test_capacity_evicts_oldest(self):
-        pool = TxPool(capacity=2)
-        txs = [_tx(i) for i in range(3)]
-        for tx in txs:
-            pool.add(tx)
+        with use_registry() as reg:
+            pool = TxPool(capacity=2)
+            txs = [_tx(i) for i in range(3)]
+            for tx in txs:
+                pool.add(tx)
         assert len(pool) == 2
         assert txs[0] not in pool  # FIFO eviction
         assert txs[2] in pool
-        assert pool.stats.evicted == 1
+        assert _count(reg, "evicted") == 1
 
 
 class TestExpiry:
     def test_ttl_expiry(self):
-        pool = TxPool(ttl=10.0)
-        a, b = _tx(0), _tx(1)
-        pool.add(a, now=0.0)
-        pool.add(b, now=8.0)
-        dropped = pool.expire(now=11.0)
+        with use_registry() as reg:
+            pool = TxPool(ttl=10.0)
+            a, b = _tx(0), _tx(1)
+            pool.add(a, now=0.0)
+            pool.add(b, now=8.0)
+            dropped = pool.expire(now=11.0)
         assert dropped == [a]
         assert b in pool
-        assert pool.stats.expired == 1
+        assert _count(reg, "expired") == 1
 
     def test_no_expiry_before_ttl(self):
         pool = TxPool(ttl=10.0)
@@ -157,6 +129,36 @@ class TestBatching:
         pool.clear()
         assert len(pool) == 0
 
+    def test_gapped_nonce_left_pending_across_takes(self):
+        pool = TxPool()
+        n2 = _tx(2)  # first in, but gapped
+        n0 = _tx(0)
+        pool.add(n2)
+        pool.add(n0)
+        assert pool.take_batch(1, next_nonce=lambda s: 0) == [n0]
+        assert n2 in pool
+        # still gapped (nonce 1 never arrives): later takes keep skipping it
+        assert pool.take_batch(1, next_nonce=lambda s: 1) == []
+        assert n2 in pool
+
+    def test_multi_sweep_unlocks_same_sender_chain(self):
+        pool = TxPool()
+        # nonce 1 is admitted before nonce 0, so only a second sweep can
+        # take it once nonce 0 unlocks it
+        n1, n0 = _tx(1), _tx(0)
+        pool.add(n1)
+        pool.add(n0)
+        assert pool.take_batch(10, next_nonce=lambda s: 0) == [n0, n1]
+
+    def test_readmission_uses_fresh_position(self):
+        pool = TxPool()
+        a, b = _tx(0, seed=1), _tx(0, seed=2)
+        pool.add(a)
+        pool.add(b)
+        pool.remove_hashes({a.tx_hash})
+        pool.add(a)  # re-admitted: now behind b
+        assert pool.take_batch(10) == [b, a]
+
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=10))
     def test_property_batch_never_exceeds_request(self, n_txs, batch_size):
         pool = TxPool()
@@ -165,117 +167,3 @@ class TestBatching:
         batch = pool.take_batch(batch_size)
         assert len(batch) == min(n_txs, batch_size)
         assert len(pool) == n_txs - len(batch)
-
-
-class TestByFeeHeap:
-    """The fee-indexed heap must select exactly what the sort-based spec
-    selects — order included — while staying O(k log n) per take."""
-
-    def test_descending_gas_price(self):
-        pool = TxPool()
-        prices = [3, 9, 1, 7, 5]
-        txs = [_tx(i, gas_price=p) for i, p in enumerate(prices)]
-        for tx in txs:
-            pool.add(tx)
-        batch = pool.take_batch(10, by_fee=True)
-        assert [tx.gas_price for tx in batch] == sorted(prices, reverse=True)
-
-    def test_ties_break_by_nonce_then_fifo(self):
-        pool = TxPool()
-        # same price everywhere: nonce asc decides; same (price, nonce)
-        # across senders: admission (FIFO) order decides
-        b5 = _tx(5, seed=2, gas_price=4)
-        a5 = _tx(5, seed=1, gas_price=4)
-        a7 = _tx(7, seed=1, gas_price=4)
-        for tx in (b5, a5, a7):
-            pool.add(tx)
-        assert pool.take_batch(10, by_fee=True) == [b5, a5, a7]
-
-    def test_stale_entries_skipped_after_removal(self):
-        pool = TxPool()
-        hi = _tx(0, seed=1, gas_price=100)
-        lo = _tx(0, seed=2, gas_price=1)
-        pool.add(hi)
-        pool.add(lo)
-        pool.remove_hashes({hi.tx_hash})  # heap entry goes stale
-        assert pool.take_batch(10, by_fee=True) == [lo]
-
-    def test_readmission_uses_fresh_position(self):
-        pool = TxPool()
-        a = _tx(0, seed=1, gas_price=5)
-        b = _tx(0, seed=2, gas_price=5)
-        pool.add(a)
-        pool.add(b)
-        pool.remove_hashes({a.tx_hash})
-        pool.add(a)  # re-admitted: now FIFO-after b at the same price
-        assert pool.take_batch(10, by_fee=True) == [b, a]
-
-    def test_gapped_nonce_left_pending_across_takes(self):
-        pool = TxPool()
-        n0 = _tx(0, gas_price=1)
-        n2 = _tx(2, gas_price=100)  # top fee but gapped
-        pool.add(n2)
-        pool.add(n0)
-        assert pool.take_batch(1, by_fee=True, next_nonce=lambda s: 0) == [n0]
-        assert n2 in pool
-        # still gapped (nonce 1 never arrives): later takes keep skipping it
-        assert pool.take_batch(1, by_fee=True, next_nonce=lambda s: 1) == []
-        assert n2 in pool
-
-    def test_multi_sweep_unlocks_same_sender_chain(self):
-        pool = TxPool()
-        # nonce 1 prices higher than nonce 0, so fee order is 1 before 0 —
-        # only a second sweep can take nonce 1 after nonce 0 unlocks it
-        n1 = _tx(1, gas_price=9)
-        n0 = _tx(0, gas_price=1)
-        pool.add(n1)
-        pool.add(n0)
-        assert pool.take_batch(10, by_fee=True, next_nonce=lambda s: 0) == [n0, n1]
-
-    @settings(deadline=None, max_examples=40)
-    @given(st.data())
-    def test_equivalent_to_sorted_reference(self, data):
-        n_txs = data.draw(st.integers(min_value=0, max_value=25))
-        specs = [
-            (
-                data.draw(st.integers(min_value=1, max_value=4), label="seed"),
-                data.draw(st.integers(min_value=0, max_value=5), label="nonce"),
-                data.draw(st.integers(min_value=1, max_value=6), label="price"),
-            )
-            for _ in range(n_txs)
-        ]
-        max_txs = data.draw(st.integers(min_value=1, max_value=12))
-        gas_limit = data.draw(
-            st.one_of(st.none(), st.integers(min_value=1, max_value=8))
-        )
-        gate = data.draw(st.booleans())
-
-        pool = TxPool()
-        txs = []
-        seen = set()
-        for seed, nonce, price in specs:
-            tx = _tx(nonce, seed=seed, gas_price=price)
-            if tx.tx_hash in seen:
-                continue  # pool dedups; keep the reference list aligned
-            seen.add(tx.tx_hash)
-            pool.add(tx)
-            txs.append(tx)
-        # drop a random subset to leave stale heap entries behind
-        removed = {
-            tx.tx_hash for tx in txs if data.draw(st.booleans(), label="drop")
-        }
-        pool.remove_hashes(removed)
-        live = [tx for tx in txs if tx.tx_hash not in removed]
-
-        next_nonce = (lambda s: 0) if gate else None
-        limit = gas_limit * 21_000 if gas_limit is not None else None
-        expected = _reference_take_by_fee(live, max_txs, limit, next_nonce)
-        got = pool.take_batch(max_txs, by_fee=True,
-                              gas_limit=limit, next_nonce=next_nonce)
-        assert got == expected
-        assert len(pool) == len(live) - len(expected)
-        # a second take continues correctly from the leftover state
-        rest = [tx for tx in live if tx not in expected]
-        expected2 = _reference_take_by_fee(rest, max_txs, limit, next_nonce)
-        assert pool.take_batch(max_txs, by_fee=True,
-                               gas_limit=limit, next_nonce=next_nonce) == expected2

@@ -115,50 +115,15 @@ class TestAnalyze:
         assert report.dominant_phase == "execute"
         assert "◀ dominant" in report.render_text()
 
-
-class TestTruncatedTrace:
-    """A ring buffer that shed early records also shed early ``tx.*``
-    stamps: a committed tx without its submit would look faster than it
-    was, so a truncated trace leaves it out and says how many."""
-
-    def _trace(self, max_records):
-        rec = telemetry.Tracer(max_records=max_records)
-        _committed_tx(rec, b"early", base=0.0, index=1)  # 7 events
-        _committed_tx(rec, b"late", base=10.0, index=2)  # 7 events
-        return rec
-
-    def test_truncated_trace_excludes_txs_without_submit(self, tmp_path):
-        rec = self._trace(max_records=10)  # sheds 4: early's first stamps
-        assert rec.dropped_records == 4
-        path = tmp_path / "trace.jsonl"
-        rec.dump(str(path))
-        report = analyze(load_jsonl(str(path)))
-        assert report.txs == 2
-        assert report.committed == 1
-        assert report.excluded == 1
-        assert [sb["index"] for sb in report.superblocks] == [2]
-        assert report.e2e.mean == pytest.approx(7.0)
-
-    def test_untruncated_trace_keeps_txs_without_submit(self):
-        rec = self._trace(max_records=None)
+    def test_committed_tx_without_submit_stamp_still_counts(self):
+        rec = telemetry.Tracer()
+        _committed_tx(rec, b"early", base=0.0, index=1)
+        _committed_tx(rec, b"late", base=10.0, index=2)
         records = [
             r for r in rec.records
             if not (r["name"] == "tx.submit" and r["ts"] == 0.0)
         ]
-        report = analyze(records)
-        assert report.committed == 2
-        assert report.excluded == 0
-
-    def test_report_states_how_many_were_excluded(self, tmp_path):
-        from repro.analysis.congestion_report import build_congestion_report
-
-        rec = self._trace(max_records=10)
-        path = tmp_path / "trace.jsonl"
-        rec.dump(str(path))
-        text = build_congestion_report(load_jsonl(str(path)))
-        assert "dropped 4 oldest records" in text
-        assert "1 committed transactions that lost their submit stamp" in text
-        assert "critical path — 1/2 txs committed" in text
+        assert analyze(records).committed == 2
 
 
 class TestExecShareFromTrace:

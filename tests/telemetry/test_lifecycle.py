@@ -143,11 +143,10 @@ class TestGlobals:
         assert rec.tracer.records == []
 
     def test_clear(self):
-        rec = Stamper(max_records=1)
+        rec = Stamper()
         rec.stamp(b"a", "submit", t=0.0)
         rec.stamp(b"b", "submit", t=0.0)
-        assert rec.tracer.dropped_records == 1
         rec.tracer.clear()
-        assert rec.tracer.records == [] and rec.tracer.dropped_records == 0
+        assert rec.tracer.records == []
         rec.stamp(b"c", "submit", t=0.0)
         assert rec.resolve(b"c") is not None

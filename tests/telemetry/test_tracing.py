@@ -47,20 +47,6 @@ class TestTracer:
 
 
 class TestBoundedMemory:
-    def test_ring_buffer_sheds_oldest(self):
-        tracer = Tracer(max_records=3)
-        for i in range(5):
-            tracer.event(f"e{i}", float(i))
-        assert [r["name"] for r in tracer.records] == ["e2", "e3", "e4"]
-        assert tracer.dropped_records == 2
-
-    def test_clear_resets_drop_counter(self):
-        tracer = Tracer(max_records=1)
-        tracer.event("a", 0.0)
-        tracer.event("b", 0.0)
-        tracer.clear()
-        assert tracer.dropped_records == 0
-
     def test_stream_to_flushes_and_empties_buffer(self, tmp_path):
         path = tmp_path / "stream.jsonl"
         tracer = Tracer()
@@ -112,43 +98,3 @@ class TestGlobalTracer:
             set_tracer(previous)
         (rec,) = fresh.records
         assert (rec["name"], rec["ts"], rec["attrs"]) == ("e", 3.25, {"node": 1})
-
-
-class TestDroppedRecordsSurfacing:
-    def test_dumps_appends_meta_trailer_when_truncated(self):
-        tracer = Tracer(max_records=3)
-        for i in range(5):
-            tracer.event(f"e{i}", float(i))
-        lines = [json.loads(l) for l in tracer.dumps().splitlines()]
-        meta = lines[-1]
-        assert meta["type"] == "meta"
-        assert meta["name"] == "tracer.dropped"
-        assert meta["ts"] == 4.0  # the newest kept record's time
-        assert meta["dropped_records"] == 2
-        assert meta["kept_records"] == 3
-        # only the trailer; the kept records are unchanged
-        assert [r["name"] for r in lines[:-1]] == ["e2", "e3", "e4"]
-
-    def test_dumps_has_no_trailer_without_drops(self):
-        tracer = Tracer()
-        tracer.event("only", 0.0)
-        lines = [json.loads(l) for l in tracer.dumps().splitlines()]
-        assert [r.get("name") for r in lines] == ["only"]
-
-    def test_congestion_report_prints_truncation_line(self):
-        from repro.analysis.congestion_report import build_congestion_report
-
-        records = [
-            {"type": "event", "name": "node.commit", "ts": 0.1,
-             "attrs": {"node": 0, "exec_s": 0.05}},
-            {"type": "meta", "name": "tracer.dropped", "ts": 0.1,
-             "dropped_records": 42, "kept_records": 1},
-        ]
-        text = build_congestion_report(trace_records=records)
-        assert "dropped 42" in text
-        assert "trace truncated" in text
-        html = build_congestion_report(trace_records=records, html=True)
-        assert "dropped 42" in html
-        # no truncation -> no warning line
-        clean = build_congestion_report(trace_records=records[:1])
-        assert "truncated" not in clean
