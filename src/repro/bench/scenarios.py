@@ -19,7 +19,7 @@ gating on them; only its event counts and the generously-bounded
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -52,7 +52,6 @@ class Scenario:
     seed: int = 1
     #: relative cost rank — lower is cheaper; CI runs the cheapest ones
     cost_rank: int = 0
-    tags: tuple = field(default_factory=tuple)
 
 
 _SCENARIOS: "dict[str, Scenario]" = {}
@@ -92,6 +91,11 @@ def cheapest_scenarios(k: int = 2) -> "list[str]":
 def _counter_total(reg: MetricsRegistry, name: str) -> float:
     metric = reg.get(name)
     return float(metric.total()) if metric is not None else 0.0
+
+
+def _histogram_sum(reg: MetricsRegistry, name: str) -> float:
+    metric = reg.get(name)
+    return float(metric.sum) if metric is not None else 0.0
 
 
 def _ratio(num: float, den: float) -> float:
@@ -322,9 +326,15 @@ def _run_vote_batching_ablation(reg: MetricsRegistry) -> dict:
     from repro.diablo.client import RoundRobinSubmitter
 
     arms: dict = {}
+    batch_series = (
+        ("batches", _counter_total, "srbb_consensus_batches_total"),
+        ("votes_batched", _histogram_sum, "srbb_consensus_batch_votes"),
+        ("bytes_saved", _counter_total, "srbb_consensus_batch_bytes_saved_total"),
+    )
     for label, batching in (("unbatched", False), ("batched", True)):
         consensus_before = _counter_total(reg, "srbb_consensus_messages_total")
         bytes_before = _counter_total(reg, "srbb_net_bytes_total")
+        batch_before = {key: read(reg, name) for key, read, name in batch_series}
         deployment, schedule = flooding_deployment(
             valid_count=2_000,
             invalid_count=1_000,
@@ -338,7 +348,6 @@ def _run_vote_batching_ablation(reg: MetricsRegistry) -> dict:
             deployment, submitter=RoundRobinSubmitter(targets=(0, 1, 2))
         )
         result = bench.run(schedule, horizon_s=30.0)
-        batchers = [v.vote_batcher for v in deployment.validators]
         arms[label] = {
             "consensus_msgs": (
                 _counter_total(reg, "srbb_consensus_messages_total")
@@ -349,9 +358,10 @@ def _run_vote_batching_ablation(reg: MetricsRegistry) -> dict:
             "height": float(deployment.validators[0].blockchain.height),
             "throughput_tps": result.throughput_tps,
             "committed": float(result.committed),
-            "batches": float(sum(b.batches_sent for b in batchers)),
-            "votes_batched": float(sum(b.votes_batched for b in batchers)),
-            "bytes_saved": float(sum(b.bytes_saved for b in batchers)),
+            **{
+                key: read(reg, name) - batch_before[key]
+                for key, read, name in batch_series
+            },
         }
     un, ba = arms["unbatched"], arms["batched"]
     common = int(min(un["height"], ba["height"]))
@@ -523,7 +533,7 @@ def run_chaos_soak(
 
 def _run_chaos_soak(reg: MetricsRegistry) -> dict:
     """Crash-recovery chaos soak (the robustness-PR tentpole evidence):
-    deterministic chaos — one crash+restart with snapshot catch-up, 5%
+    deterministic chaos — one crash+restart with journal-replay catch-up, 5%
     link loss absorbed by reliable delivery, a healing 2|2 partition —
     must leave every correct chain byte-identical with every client
     transaction committed."""
@@ -609,7 +619,6 @@ def run_byzantine_campaign(
     econ = ledger.stats(attacker=attacker)
     if econ["time_to_exclusion_s"] == float("inf"):
         econ["time_to_exclusion_s"] = horizon_s  # JSON-safe "never" cap
-    watchdogs = [v.watchdog for v in honest if v.watchdog is not None]
     return {
         "throughput_tps": round(result.throughput_tps, 4),
         "committed": float(result.committed),
@@ -623,9 +632,6 @@ def run_byzantine_campaign(
         "safety_holds": float(deployment.safety_holds()),
         "height": float(max(heights)),
         "faults_injected_total": float(len(deployment.fault_controller.applied)),
-        "watchdog_withheld_checks": float(
-            sum(w.withheld_checks for w in watchdogs)
-        ),
         "excluded_msgs_dropped": float(
             sum(v.excluded_msgs_dropped for v in honest)
         ),
@@ -675,10 +681,6 @@ def _run_byzantine_campaign(reg: MetricsRegistry) -> dict:
         "withheld_msgs_no_rpm": no_rpm["withheld_msgs"],
         "withheld_msgs_with_rpm": with_rpm["withheld_msgs"],
         "excluded_msgs_dropped": with_rpm["excluded_msgs_dropped"],
-        "watchdog_withheld_checks": (
-            no_rpm["watchdog_withheld_checks"]
-            + with_rpm["watchdog_withheld_checks"]
-        ),
         "faults_injected_total": (
             no_rpm["faults_injected_total"] + with_rpm["faults_injected_total"]
         ),
@@ -1101,7 +1103,6 @@ register_scenario(Scenario(
     run=_run_tvpr_ablation,
     seed=11,
     cost_rank=0,
-    tags=("tick", "ablation"),
 ))
 
 register_scenario(Scenario(
@@ -1111,7 +1112,6 @@ register_scenario(Scenario(
     run=_run_saturation_sweep,
     seed=11,
     cost_rank=1,
-    tags=("tick", "sweep"),
 ))
 
 register_scenario(Scenario(
@@ -1121,7 +1121,6 @@ register_scenario(Scenario(
     run=_run_table1_dapp,
     seed=1,
     cost_rank=2,
-    tags=("engine", "rpm", "adversary"),
 ))
 
 register_scenario(Scenario(
@@ -1132,7 +1131,6 @@ register_scenario(Scenario(
     run=_run_vote_batching_ablation,
     seed=1,
     cost_rank=4,
-    tags=("engine", "ablation", "batching"),
 ))
 
 register_scenario(Scenario(
@@ -1142,7 +1140,6 @@ register_scenario(Scenario(
     run=_run_weak_validator,
     seed=7,
     cost_rank=3,
-    tags=("engine", "faults", "regions"),
 ))
 
 register_scenario(Scenario(
@@ -1153,7 +1150,6 @@ register_scenario(Scenario(
     run=_run_engine_scaling,
     seed=9,
     cost_rank=5,
-    tags=("engine", "scaling"),
 ))
 
 register_scenario(Scenario(
@@ -1164,7 +1160,6 @@ register_scenario(Scenario(
     run=_run_trace_replay_nasdaq,
     seed=17,
     cost_rank=5,
-    tags=("engine", "replay", "workloads"),
 ))
 
 register_scenario(Scenario(
@@ -1175,7 +1170,6 @@ register_scenario(Scenario(
     run=_run_trace_replay_uber,
     seed=17,
     cost_rank=7,
-    tags=("engine", "replay", "workloads"),
 ))
 
 register_scenario(Scenario(
@@ -1186,7 +1180,6 @@ register_scenario(Scenario(
     run=_run_trace_replay_fifa,
     seed=17,
     cost_rank=8,
-    tags=("engine", "replay", "workloads"),
 ))
 
 register_scenario(Scenario(
@@ -1198,7 +1191,6 @@ register_scenario(Scenario(
     run=_run_table1_scale_200,
     seed=7,
     cost_rank=9,
-    tags=("engine", "scale", "faults", "regions"),
 ))
 
 register_scenario(Scenario(
@@ -1212,17 +1204,15 @@ register_scenario(Scenario(
     run=_run_byzantine_campaign,
     seed=21,
     cost_rank=4,
-    tags=("engine", "faults", "rpm", "adversary", "economics"),
 ))
 
 register_scenario(Scenario(
     name="chaos_soak",
     description="4 validators under a seeded chaos schedule: crash+restart "
-    "of one node with snapshot catch-up, 5% link loss behind reliable "
+    "of one node with journal-replay catch-up, 5% link loss behind reliable "
     "delivery, one healing hard partition; every client tx must commit and "
     "all chains converge byte-identically (message-level engine)",
     run=_run_chaos_soak,
     seed=13,
     cost_rank=3,
-    tags=("engine", "faults", "chaos", "recovery"),
 ))

@@ -285,6 +285,9 @@ def _telemetry_parent() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.sim.chains import CHAIN_MODELS
+
+    chains = sorted(CHAIN_MODELS)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Smart Redbelly Blockchain reproduction — regenerate "
@@ -318,19 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_fig1)
 
     p = add_parser("simulate", help="one chain × one workload")
-    p.add_argument("chain", choices=[
-        "srbb", "evm+dbft", "algorand", "avalanche", "diem",
-        "ethereum", "quorum", "solana",
-    ])
+    p.add_argument("chain", choices=chains)
     p.add_argument("workload", choices=["nasdaq", "uber", "fifa"])
     p.add_argument("--scale", type=float, default=1.0)
     p.set_defaults(fn=_cmd_simulate)
 
     p = add_parser("saturate", help="max sustainable TPS (bisection)")
-    p.add_argument("chain", choices=[
-        "srbb", "evm+dbft", "algorand", "avalanche", "diem",
-        "ethereum", "quorum", "solana",
-    ])
+    p.add_argument("chain", choices=chains)
     p.add_argument("--duration", type=int, default=30)
     p.set_defaults(fn=_cmd_saturate)
 
@@ -349,10 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dapp)
 
     p = add_parser("watch", help="sparkline congestion series for one run")
-    p.add_argument("chain", choices=[
-        "srbb", "evm+dbft", "algorand", "avalanche", "diem",
-        "ethereum", "quorum", "solana",
-    ])
+    p.add_argument("chain", choices=chains)
     p.add_argument("workload", choices=["nasdaq", "uber", "fifa"])
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--width", type=int, default=60)
@@ -417,10 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", parents=[common, prof_common],
         help="profile one chain × one workload (tick-level engine)",
     )
-    q.add_argument("chain", choices=[
-        "srbb", "evm+dbft", "algorand", "avalanche", "diem",
-        "ethereum", "quorum", "solana",
-    ])
+    q.add_argument("chain", choices=chains)
     q.add_argument("workload", choices=["nasdaq", "uber", "fifa"])
     q.add_argument("--scale", type=float, default=1.0)
     q.set_defaults(

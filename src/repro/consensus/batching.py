@@ -112,11 +112,6 @@ class VoteBatcher:
         self.enabled = enabled
         self._buffer: "list[ConsensusMessage]" = []
         self._flush_scheduled = False
-        #: lifetime counters (cheap, always on — the bench comparisons read
-        #: them without enabling global telemetry)
-        self.batches_sent = 0
-        self.votes_batched = 0
-        self.bytes_saved = 0
 
     # -- emit path ---------------------------------------------------------------
 
@@ -160,15 +155,11 @@ class VoteBatcher:
         buffered = tuple(self._buffer)
         self._buffer.clear()
         batch = ConsensusBatch(messages=buffered, sender=self.node_id)
-        saved = batch.bytes_saved()
-        self.batches_sent += 1
-        self.votes_batched += len(buffered)
-        self.bytes_saved += saved
         if telemetry.get_registry().enabled:
             m = _metrics()
             m.batches.inc()
             m.votes.observe(len(buffered))
-            m.bytes_saved.inc(saved)
+            m.bytes_saved.inc(batch.bytes_saved())
         # index -1: a batch spans chain indexes; constituents carry their own
         self.sink(ConsensusMessage(_BATCH, -1, -1, 0, batch, self.node_id))
 

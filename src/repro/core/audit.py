@@ -1,8 +1,8 @@
 """Chain auditing: full offline re-verification of a replica.
 
-The trust-nothing counterpart of :mod:`repro.vm.sync`'s root-verified
-snapshots — an auditor takes another node's chain and replays it from
-genesis:
+The trust-nothing counterpart of catch-up's root check (which trusts
+the responder's root) — an auditor takes another node's chain and
+replays it from genesis:
 
 * structural checks — parent-hash linkage, per-block certificate over the
   exact transaction set, proposer membership in the committee;

@@ -54,9 +54,8 @@ class Blockchain:
         self.state = state if state is not None else WorldState()
         self.executor = Executor(self.state, protocol=self.protocol)
         self.chain: list[Block] = [GENESIS]
-        #: hashes of every committed transaction (dedup against re-inclusion)
-        self._committed_hashes: set[bytes] = set()
-        #: committed tx -> commit time, for client confirmation
+        #: committed tx hash -> commit time: client confirmation, and the
+        #: dedup against re-inclusion
         self.commit_times: dict[bytes, float] = {}
 
     # -- lookups -----------------------------------------------------------------
@@ -70,13 +69,10 @@ class Blockchain:
 
     def contains_tx(self, tx: Transaction) -> bool:
         """The ``t ∈ blockchain`` test of Alg. 1 line 6."""
-        return tx.tx_hash in self._committed_hashes
-
-    def contains_hash(self, tx_hash: bytes) -> bool:
-        return tx_hash in self._committed_hashes
+        return tx.tx_hash in self.commit_times
 
     def committed_count(self) -> int:
-        return len(self._committed_hashes)
+        return len(self.commit_times)
 
     def block_hashes(self) -> list[bytes]:
         return [b.block_hash for b in self.chain]
@@ -105,7 +101,7 @@ class Blockchain:
         step = 1.0 / exec_rate if exec_rate else 0.0
         # Bound once per superblock: the loop below runs once per
         # transaction on every node.
-        committed_hashes, commit_times = self._committed_hashes, self.commit_times
+        commit_times = self.commit_times
         execute, commit_state = self.executor.execute, self.state.commit
         committed, discarded = result.committed, result.discarded
         for block in superblock.blocks:
@@ -115,7 +111,7 @@ class Blockchain:
             for tx in block.transactions:
                 cursor += step
                 tx_hash = tx.tx_hash
-                if tx_hash in committed_hashes:
+                if tx_hash in commit_times:
                     # Same tx decided via two proposers: keep first only.
                     discarded.append((tx, "duplicate"))
                     continue
@@ -129,7 +125,6 @@ class Blockchain:
                 if receipt.success:
                     kept.append(tx)
                     kept_receipts.append(receipt)
-                    committed_hashes.add(tx_hash)
                     commit_times[tx_hash] = now + cursor
                     committed.append(tx)
                 else:

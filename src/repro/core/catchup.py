@@ -6,11 +6,12 @@ decided superblocks it committed, the durable write-ahead record a real
 node would have fsync'd before applying.  On restart the node broadcasts
 a :class:`CatchupRequest`; live peers answer with a
 :class:`CatchupResponse` carrying the decided superblocks the requester
-missed plus a :class:`~repro.vm.sync.StateSnapshot` of their current
-state.  The requester *replays* the superblocks through its deterministic
-commit loop (so its chain keeps the exact block hashes the safety checks
-compare) and uses the snapshot's root as the cross-check that the replay
-converged on the peer's state.
+missed plus the root of their current state.  The requester *replays*
+the superblocks through its deterministic commit loop (so its chain
+keeps the exact block hashes the safety checks compare) and checks that
+the replay reached that root.  It carries no state image: a requester
+can check the root only against its own replay, so an image would add
+bytes and no check.
 
 The journal also persists the node's RPM attestation nonce high-water
 mark, so a recovered validator can prove which attestation nonces it had
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.block import SuperBlock
-from repro.vm.sync import StateSnapshot
 
 __all__ = ["DecidedJournal", "CatchupRequest", "CatchupResponse"]
 
@@ -53,11 +53,6 @@ class DecidedJournal:
             self.superblocks[i] for i in range(start, stop) if i in self.superblocks
         )
 
-    @property
-    def highest(self) -> int:
-        """Highest journalled chain index (0 when empty)."""
-        return max(self.superblocks, default=0)
-
     def __len__(self) -> int:
         return len(self.superblocks)
 
@@ -82,27 +77,21 @@ class CatchupRequest:
 
 @dataclass(frozen=True)
 class CatchupResponse:
-    """``CATCHUP_RESP``: the responder's journal tail plus a state anchor.
+    """``CATCHUP_RESP``: the responder's journal tail plus its state root.
 
     ``superblocks`` covers ``[request.next_index, next_index)`` of the
-    responder's chain; ``snapshot``/``state_root`` image the responder's
-    state *at* ``next_index`` so the requester can verify its replay
-    converged (the snapshot root is binding — one honest responder
-    suffices, and a tampered snapshot fails
-    :func:`repro.vm.sync.restore_snapshot`).
+    responder's chain; ``state_root`` is the responder's state root *at*
+    ``next_index``, which a recovering requester's replay must reach.
+    The responder picks both, so the check catches a tail that does not
+    replay to the root it came with, not a responder that lies about
+    both (ROADMAP 4(c)).
     """
 
     superblocks: "tuple[SuperBlock, ...]"
-    snapshot: StateSnapshot
     state_root: bytes
     next_index: int
     responder: int
 
     def approx_size(self) -> int:
         blocks = sum(_superblock_size(sb) for sb in self.superblocks)
-        snapshot = (
-            96 * len(self.snapshot.accounts)
-            + 64 * len(self.snapshot.storage)
-            + 32
-        )
-        return 128 + blocks + snapshot
+        return 128 + blocks + 32  # header, journal tail, root

@@ -51,7 +51,6 @@ from repro.net.gossip import GossipLayer
 from repro.net.simulator import Simulator
 from repro.net.transport import Message, Network
 from repro.vm.state import WorldState
-from repro.vm.sync import SyncError, restore_snapshot, take_snapshot
 
 #: error codes whose presence in a committed block indicts the proposer
 REPORTABLE_ERRORS = frozenset(
@@ -286,7 +285,6 @@ class ValidatorNode:
         #: pairs, replayed once converged — and the votes it holds
         self._catchup_buffer: "list[tuple[ConsensusMessage | VoteRun, int]]" = []
         self._catchup_buffered_votes = 0
-        self.last_commit_time = 0.0
         #: stall detector (chaos runs only): flags a wedged node and nudges
         #: recovery by re-broadcasting the catch-up request
         self.watchdog: "LivenessWatchdog | None" = None
@@ -296,13 +294,7 @@ class ValidatorNode:
                 sim=sim,
                 stall_after_s=protocol.watchdog_stall_rounds * round_interval,
                 on_stall=self._send_catchup_request,
-                classify=self._stall_classification,
             )
-        #: consensus-traffic markers the watchdog's classifier reads
-        #: (tracked only while a watchdog exists — zero hot-path cost
-        #: in default deployments)
-        self._last_consensus_rx_s = 0.0
-        self._max_consensus_index_seen = 0
 
         self.gossip = GossipLayer(
             node_id, network, self._deliver_gossiped_tx
@@ -606,16 +598,6 @@ class ValidatorNode:
                 self.excluded_msgs_dropped += 1
                 return
             cmsg: ConsensusMessage = msg.payload
-            if self.watchdog is not None:
-                # stall-classification markers: consensus traffic is
-                # flowing, and the highest chain index peers talk about
-                # tells "behind" (someone is ahead) from "withheld"
-                self._last_consensus_rx_s = self.sim.now
-                probe = (
-                    cmsg.value.messages[-1] if cmsg.kind is MsgKind.BATCH else cmsg
-                )
-                if probe.index > self._max_consensus_index_seen:
-                    self._max_consensus_index_seen = probe.index
             # One wire message, however many votes it carries, counts
             # once; a batch is fed by the run, a lone message as itself.
             record_wire_kind(cmsg.kind)
@@ -795,7 +777,6 @@ class ValidatorNode:
             exec_rate=self.execution_rate,
         )
         self.journal.record(superblock)
-        self.last_commit_time = self.sim.now
         if self.watchdog is not None:
             self.watchdog.notify_commit()
         self.stats.superblocks_committed += 1
@@ -900,7 +881,7 @@ class ValidatorNode:
 
         A node that is itself recovering is not a sync source; a request
         at or past our own frontier still gets an (empty) response — its
-        snapshot root lets a requester that missed nothing confirm
+        state root lets a requester that missed nothing confirm
         convergence immediately.
         """
         if self._recovering or req.requester == self.node_id:
@@ -908,13 +889,9 @@ class ValidatorNode:
         if req.next_index > self._next_commit_index:
             return  # the requester is ahead of us; nothing useful to say
         superblocks = self.journal.range(req.next_index, self._next_commit_index)
-        snapshot = take_snapshot(
-            self.blockchain.state, height=self.blockchain.height
-        )
         resp = CatchupResponse(
             superblocks=superblocks,
-            snapshot=snapshot,
-            state_root=snapshot.root,
+            state_root=self.blockchain.state.state_root(),
             next_index=self._next_commit_index,
             responder=self.node_id,
         )
@@ -946,31 +923,12 @@ class ValidatorNode:
         skipped (done once at the end of recovery) — the node must not
         re-attest blocks its peers attested while it was down.  A
         recovering node finishes recovery once its frontier reaches the
-        responder's and the responder's snapshot-verified state root
-        matches its own; a tampered snapshot or diverging root rejects the
-        response (one honest responder eventually converges us).
+        responder's and its replayed state root equals the responder's
+        ``state_root``; otherwise it stays recovering, and the next
+        response (the watchdog keeps asking) can finish it.
         """
         if self.crashed:
             return
-        if self._recovering:
-            # Verify the snapshot anchor *before* replaying anything from
-            # this responder: restore_snapshot raises on a root mismatch,
-            # which catches in-flight tampering.
-            try:
-                restore_snapshot(resp.snapshot, expected_root=resp.state_root)
-            except SyncError as exc:
-                if telemetry.get_tracer().enabled:
-                    telemetry.event(
-                        "node.catchup_rejected", self.sim.now,
-                        node=self.node_id,
-                        responder=resp.responder,
-                        reason=str(exc),
-                    )
-                logger.warning(
-                    "node %d rejecting catch-up from %d: %s",
-                    self.node_id, resp.responder, exc,
-                )
-                return
         applied = 0
         for superblock in resp.superblocks:
             if superblock.index != self._next_commit_index:
@@ -1136,22 +1094,6 @@ class ValidatorNode:
                 if not consensus.finished:
                     for seat in ids:
                         consensus.vote_zero(seat)
-
-    def _stall_classification(self) -> str:
-        """Tell a withholding wedge from genuinely being behind.
-
-        ``"withheld"``: consensus traffic arrived within the stall window
-        and nobody is talking about a chain index past our commit
-        frontier — peers are stuck at the same height (a declared
-        Byzantine withholder), so a catch-up request cannot help.
-        ``"behind"``: silence, or a peer is ahead; re-nudge catch-up.
-        """
-        recent = (
-            self.sim.now - self._last_consensus_rx_s
-        ) <= self.watchdog.stall_after_s
-        if recent and self._max_consensus_index_seen <= self._next_commit_index:
-            return "withheld"
-        return "behind"
 
     # -- convenience -------------------------------------------------------------------------
 

@@ -58,9 +58,6 @@ class TxPool:
     def __contains__(self, tx: Transaction) -> bool:
         return tx.tx_hash in self._pending
 
-    def contains_hash(self, tx_hash: bytes) -> bool:
-        return tx_hash in self._pending
-
     # -- admission ------------------------------------------------------------
 
     def add(self, tx: Transaction, now: float = 0.0) -> bool:

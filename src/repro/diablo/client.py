@@ -9,25 +9,6 @@ from repro.core.deployment import Deployment
 from repro.core.transaction import Transaction
 from repro.workloads.trace import RequestFactory, Trace
 
-#: materialized schedules keyed (trace fingerprint, factory cache key).
-#: Signing dominates schedule construction (every transaction is signed up
-#: front, DIABLO-style), so repeated runs of the same workload — bench
-#: repeats, baseline refreshes, scenario sweeps — reuse the signed set.
-_SCHEDULE_CACHE: "dict[tuple, LoadSchedule]" = {}
-
-
-def schedule_cache_info() -> dict:
-    """Cache occupancy, for tests and diagnostics."""
-    return {
-        "entries": len(_SCHEDULE_CACHE),
-        "transactions": sum(len(s) for s in _SCHEDULE_CACHE.values()),
-    }
-
-
-def schedule_cache_clear() -> None:
-    """Drop every cached schedule (tests / memory pressure)."""
-    _SCHEDULE_CACHE.clear()
-
 
 @dataclass(frozen=True)
 class LoadSchedule:
@@ -38,34 +19,12 @@ class LoadSchedule:
 
     @classmethod
     def from_trace(cls, trace: Trace, factory: RequestFactory) -> "LoadSchedule":
-        """Materialize (and sign) the trace's transactions via ``factory``.
-
-        Factories advertising a ``cache_key`` attribute promise that a
-        *fresh* instance built with the same key yields byte-identical
-        transactions, so the materialized schedule is memoized under
-        ``(trace.fingerprint(), cache_key)``.  A factory that has already
-        materialized one schedule carries advanced nonce/RNG state and
-        bypasses the cache entirely.
-        """
-        key = None
-        factory_key = getattr(factory, "cache_key", None)
-        if factory_key is not None and not getattr(factory, "_materialized", False):
-            key = (trace.fingerprint(), factory_key)
-            cached = _SCHEDULE_CACHE.get(key)
-            if cached is not None:
-                return cached
+        """Materialize (and sign) the trace's transactions via ``factory``."""
         entries = tuple(
             (float(t), factory(i, float(t)))
             for i, t in enumerate(trace.send_times())
         )
-        try:
-            factory._materialized = True  # type: ignore[attr-defined]
-        except AttributeError:
-            pass  # callables without a __dict__ simply skip the guard
-        schedule = cls(name=trace.name, entries=entries)
-        if key is not None:
-            _SCHEDULE_CACHE[key] = schedule
-        return schedule
+        return cls(name=trace.name, entries=entries)
 
     @classmethod
     def from_transactions(

@@ -39,12 +39,6 @@ class OversizedTransaction(ValidationError):
     code = "oversized"
 
 
-class InsufficientGas(ValidationError):
-    """Sender balance cannot cover ``gas_limit * gas_price``."""
-
-    code = "insufficient-gas"
-
-
 class InsufficientBalance(ValidationError):
     """Sender balance cannot cover the transferred amount (+ gas)."""
 

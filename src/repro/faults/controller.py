@@ -137,12 +137,6 @@ class FaultController:
                 "fault.inject", self.sim.now, kind=f"{event.kind}-{edge}",
                 node=event.node,
             )
-        # Let correct nodes' watchdogs know a declared misbehaviour window
-        # is open, so a stall during it is classified before re-nudging.
-        for validator in self.deployment.validators:
-            watchdog = getattr(validator, "watchdog", None)
-            if watchdog is not None:
-                watchdog.byzantine_windows += 1 if active else -1
 
     @property
     def byzantine_windows_open(self) -> int:

@@ -56,7 +56,6 @@ class LivenessWatchdog:
         stall_after_s: float,
         check_interval_s: "float | None" = None,
         on_stall: "Callable[[], None] | None" = None,
-        classify: "Callable[[], str] | None" = None,
     ):
         if stall_after_s <= 0:
             raise ValueError(f"stall_after_s must be > 0, got {stall_after_s}")
@@ -65,17 +64,6 @@ class LivenessWatchdog:
         self.stall_after_s = stall_after_s
         self.check_interval_s = check_interval_s or stall_after_s / 2.0
         self.on_stall = on_stall
-        #: optional stall classifier, consulted only while a declared
-        #: Byzantine window is open (``byzantine_windows > 0``): returns
-        #: ``"withheld"`` when consensus traffic is flowing and no peer is
-        #: ahead — a catch-up request cannot help there, so the watchdog
-        #: logs the wedge instead of re-nudging — or ``"behind"``
-        self.classify = classify
-        #: open schedule-driven misbehaviour windows, maintained by the
-        #: FaultController so the watchdog knows an adversary is declared
-        self.byzantine_windows = 0
-        #: checks suppressed because the stall looked like vote withholding
-        self.withheld_checks = 0
         self.last_commit_at = 0.0
         self.stalled = False
         self.stall_count = 0
@@ -156,20 +144,8 @@ class LivenessWatchdog:
         self.sim.schedule(self.check_interval_s, self._check)
 
     def _nudge(self) -> None:
-        if self.on_stall is None:
-            return
-        if (
-            self.byzantine_windows > 0
-            and self.classify is not None
-            and self.classify() == "withheld"
-        ):
-            # Wedged by a declared withholding adversary, not by being
-            # behind: a catch-up request would only spam peers that have
-            # nothing newer to offer.
-            self.withheld_checks += 1
-            if telemetry.get_tracer().enabled:
-                telemetry.event(
-                    "watchdog.withheld", self.sim.now, node=self.node_id,
-                )
-            return
-        self.on_stall()
+        # Always nudge: a node cannot tell a peer that withholds votes
+        # from being behind, and a response to a node that missed nothing
+        # is one empty journal tail and a root.
+        if self.on_stall is not None:
+            self.on_stall()

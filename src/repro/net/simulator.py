@@ -14,13 +14,13 @@ into shared heap entries measures slower than this on every benchmark
 workload and committee size (docs/PROFILING.md, *What the scheduler does
 not do, and why*).
 
-Beyond the heap there is one piece of bookkeeping: **O(1) ``pending``**,
-a live-event counter maintained on push, pop and ``Event.cancel``.  A
-cancelled event keeps its heap slot until it reaches the head and is
+Beyond the heap there is no bookkeeping.  A cancelled event only sets
+its flag: it keeps its heap slot until it reaches the head and is
 dropped there.  Rebuilding the heap once cancelled events dominate it
 (retransmission timers under reliable delivery almost always cancel)
 measured no faster, so the scheduler does not do it (docs/PROFILING.md,
-*What switched-off telemetry cost*).
+*What switched-off telemetry cost*).  ``pending`` counts the live
+entries when asked; nothing on the event path reads it.
 
 The drain loop carries no instrumentation: it calls each callback
 directly.  ``repro profile`` finds where the time goes by sampling the
@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 
@@ -49,17 +49,9 @@ class Event:
     callback: Callable[..., None]
     args: tuple = ()
     cancelled: bool = False
-    #: owning simulator while the event sits in its heap (cleared on pop)
-    #: so ``cancel()`` can maintain the live/cancelled counters in O(1)
-    owner: "Simulator | None" = field(default=None, repr=False)
 
     def cancel(self) -> None:
-        if self.cancelled:
-            return
         self.cancelled = True
-        owner = self.owner
-        if owner is not None:
-            owner._note_cancel()
 
 
 class Simulator:
@@ -70,9 +62,6 @@ class Simulator:
         self._seq = itertools.count()
         self.now = 0.0
         self.events_processed = 0
-        # live/cancelled bookkeeping for O(1) ``pending``
-        self._live = 0
-        self._cancelled_in_heap = 0
 
     # -- scheduling --------------------------------------------------------------
 
@@ -84,9 +73,8 @@ class Simulator:
             raise ValueError(f"negative delay {delay}")
         time = self.now + delay
         seq = next(self._seq)
-        event = Event(time, seq, callback, args, owner=self)
+        event = Event(time, seq, callback, args)
         heapq.heappush(self._heap, (time, seq, event))
-        self._live += 1
         return event
 
     def schedule_at(
@@ -103,12 +91,6 @@ class Simulator:
         names it as a span target (ROADMAP, benchmark-only ride-alongs)."""
         return self.schedule(delay, callback, *args)
 
-    # -- cancellation ---------------------------------------------------------------
-
-    def _note_cancel(self) -> None:
-        self._live -= 1
-        self._cancelled_in_heap += 1
-
     # -- draining ----------------------------------------------------------------
 
     def _drain(self, until: float, budget: "int | None") -> int:
@@ -122,14 +104,11 @@ class Simulator:
             time, _seq, event = heap[0]
             if event.cancelled:
                 pop(heap)
-                self._cancelled_in_heap -= 1
                 continue
             if time > until:
                 break
             pop(heap)
-            event.owner = None
             self.now = time
-            self._live -= 1
             self.events_processed += 1
             fired += 1
             event.callback(*event.args)
@@ -150,10 +129,5 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Live (non-cancelled) scheduled callbacks — O(1)."""
-        return self._live
-
-    @property
-    def cancelled_in_heap(self) -> int:
-        """Cancelled events still occupying heap slots."""
-        return self._cancelled_in_heap
+        """Live (non-cancelled) scheduled callbacks, counted over the heap."""
+        return sum(1 for _time, _seq, event in self._heap if not event.cancelled)

@@ -69,7 +69,6 @@ def fifa_request_factory(
         )
 
     build.keypairs = keypairs  # type: ignore[attr-defined]
-    build.cache_key = ("fifa", clients, seed, gas_price)  # type: ignore[attr-defined]
     return build
 
 

@@ -69,7 +69,4 @@ def nasdaq_request_factory(
         )
 
     build.keypairs = keypairs  # type: ignore[attr-defined]
-    # Deterministic from these inputs alone → pre-signed schedules built
-    # from a fresh factory with this key are cacheable (diablo.client).
-    build.cache_key = ("nasdaq", clients, seed, gas_price)  # type: ignore[attr-defined]
     return build

@@ -72,7 +72,6 @@ def transfer_request_factory(
         )
 
     build.keypairs = keypairs  # type: ignore[attr-defined]
-    build.cache_key = ("transfer", clients, seed, amount)  # type: ignore[attr-defined]
     return build
 
 

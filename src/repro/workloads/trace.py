@@ -84,15 +84,6 @@ class Trace:
         )
         return np.repeat(nz, c) + within / np.repeat(c, c)
 
-    def fingerprint(self) -> str:
-        """Stable content hash (schedule-cache key component)."""
-        import hashlib
-
-        h = hashlib.sha256()
-        h.update(self.name.encode())
-        h.update(self.counts_per_second.tobytes())
-        return h.hexdigest()
-
     def transactions(self, factory: RequestFactory) -> Iterator[Transaction]:
         """Materialize signed transactions (message-level engine input)."""
         for i, send_time in enumerate(self.send_times()):

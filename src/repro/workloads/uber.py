@@ -67,5 +67,4 @@ def uber_request_factory(
         )
 
     build.keypairs = keypairs  # type: ignore[attr-defined]
-    build.cache_key = ("uber", clients, seed, gas_price)  # type: ignore[attr-defined]
     return build

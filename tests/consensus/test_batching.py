@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.consensus.batching import BATCHABLE_KINDS, VoteBatcher
 from repro.consensus.messages import ConsensusBatch, ConsensusMessage, MsgKind
 from repro.net.simulator import Simulator
@@ -79,14 +80,15 @@ class TestFlush:
         assert sent == []
 
     def test_counters(self, batcher):
-        for i in range(4):
-            batcher.submit(_vote(instance=i))
-        batcher.flush()
-        batcher.submit(_vote())
-        batcher.flush()
-        assert batcher.batches_sent == 2
-        assert batcher.votes_batched == 5
-        assert batcher.bytes_saved > 0
+        with telemetry.use_registry() as reg:
+            for i in range(4):
+                batcher.submit(_vote(instance=i))
+            batcher.flush()
+            batcher.submit(_vote())
+            batcher.flush()
+        assert reg.get("srbb_consensus_batches_total").total() == 2
+        assert reg.get("srbb_consensus_batch_votes").sum == 5
+        assert reg.get("srbb_consensus_batch_bytes_saved_total").total() > 0
 
 
 class TestScheduling:

@@ -14,7 +14,6 @@ from repro.net.topology import single_region_topology
 from repro.net.transport import Message
 from repro.vm.executor import native_address_for
 from repro.vm.state import WorldState
-from repro.vm.sync import take_snapshot
 from tests.core.test_vote_authenticity import _batch, _wire
 
 
@@ -152,36 +151,37 @@ class TestCatchupHardening:
         assert node._recovering
         return node
 
-    def test_tampered_snapshot_rejected(self):
+    def test_wrong_state_root_keeps_node_recovering(self):
+        """A genuine journal tail that comes with a root the replay does not
+        reach leaves the node recovering; the next genuine response, now
+        an empty tail at the new frontier, finishes recovery."""
         deployment, clients = make_deployment()
         deployment.start()
         submit_transfers(deployment, clients, count=6)
         deployment.run_until(5.0)
-        node = self._recovering_node(deployment)
-        peer = deployment.validators[0]
-
-        snapshot = take_snapshot(peer.blockchain.state)
-        tampered = type(snapshot)(
-            accounts=tuple(
-                (a, b + 10**6, n, c, nat) for a, b, n, c, nat in snapshot.accounts
-            ),
-            storage=snapshot.storage,
-            root=snapshot.root,
-        )
-        resp = CatchupResponse(
-            superblocks=peer.journal.range(
-                node._next_commit_index, peer._next_commit_index
-            ),
-            snapshot=tampered,
-            state_root=snapshot.root,
-            next_index=peer._next_commit_index,
-            responder=0,
-        )
-        height_before = node.blockchain.height
-        node._absorb_catchup(resp)
-        # rejected wholesale: nothing applied, still recovering
+        deployment.crash(3)
+        deployment.run_until(8.0)  # seat 3 misses what the others commit
+        deployment.restart(3)
+        node, peer = deployment.validators[3], deployment.validators[0]
         assert node._recovering
-        assert node.blockchain.height == height_before
+
+        genuine = _genuine_response(node, peer)
+        assert genuine.superblocks
+        wrong = CatchupResponse(
+            superblocks=genuine.superblocks,
+            state_root=b"\x00" * 32,
+            next_index=genuine.next_index,
+            responder=genuine.responder,
+        )
+        node._absorb_catchup(wrong)
+        assert node._recovering
+        assert node._next_commit_index == genuine.next_index
+
+        retry = _genuine_response(node, peer)
+        assert retry.superblocks == ()
+        node._absorb_catchup(retry)
+        assert not node._recovering
+        assert node.blockchain.state.state_root() == retry.state_root
 
     def test_genuine_response_finishes_recovery(self):
         deployment, clients = make_deployment()
@@ -216,11 +216,9 @@ class TestCatchupHardening:
             index=1,
             blocks=(Block(proposer_id=3, index=1, transactions=(forged_tx,)),),
         )
-        snapshot = take_snapshot(seat.blockchain.state)
         resp = CatchupResponse(
             superblocks=(forged,),
-            snapshot=snapshot,
-            state_root=snapshot.root,
+            state_root=seat.blockchain.state.state_root(),
             next_index=2,
             responder=3,
         )
@@ -236,8 +234,8 @@ class TestCatchupHardening:
         assert deployment.committed_everywhere(real)
 
     def test_serving_hashes_the_state_once(self, monkeypatch):
-        """The answer's ``state_root`` is its snapshot's root, so serving
-        one request hashes the state once."""
+        """Serving one request hashes the state once: the answer carries
+        its root and no state image."""
         deployment, clients = make_deployment()
         deployment.start()
         submit_transfers(deployment, clients, count=6)
@@ -257,7 +255,6 @@ class TestCatchupHardening:
         peer._serve_catchup(CatchupRequest(next_index=1, requester=3))
         (resp,) = sent
         assert roots == [peer.blockchain.state]
-        assert resp.state_root == resp.snapshot.root
         assert resp.state_root == state_root(peer.blockchain.state)
 
     def test_consensus_traffic_buffered_while_recovering(self):
@@ -317,7 +314,6 @@ def _genuine_response(node, peer):
         superblocks=peer.journal.range(
             node._next_commit_index, peer._next_commit_index
         ),
-        snapshot=take_snapshot(peer.blockchain.state),
         state_root=peer.blockchain.state.state_root(),
         next_index=peer._next_commit_index,
         responder=peer.node_id,
@@ -334,7 +330,6 @@ class TestDecidedJournal:
         for i in (1, 2, 3):
             journal.record(FakeSB(i))
         assert len(journal) == 3
-        assert journal.highest == 3
         assert 2 in journal and 7 not in journal
         assert [sb.index for sb in journal.range(2, 4)] == [2, 3]
         assert journal.range(5, 9) == ()

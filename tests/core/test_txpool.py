@@ -22,7 +22,6 @@ class TestAdmission:
         tx = _tx(0)
         assert pool.add(tx)
         assert tx in pool
-        assert pool.contains_hash(tx.tx_hash)
         assert len(pool) == 1
 
     def test_duplicate_rejected(self):

@@ -136,21 +136,12 @@ class TestReports:
         assert "none" in text
 
 
-class TestScheduleCache:
-    """Pre-signed schedule memoization (keyed trace fingerprint +
-    factory cache key): fresh equal factories hit, stateful reuse and
-    keyless factories bypass."""
+class TestScheduleSigning:
+    """A schedule is signed per build: equal fresh factories sign the same
+    bytes (so a fresh process repeats a run), and a reused factory keeps
+    its advanced nonces."""
 
-    def setup_method(self):
-        from repro.diablo.client import schedule_cache_clear
-
-        schedule_cache_clear()
-
-    teardown_method = setup_method
-
-    def test_fresh_equal_factories_share_one_schedule(self):
-        from repro.diablo.client import schedule_cache_info
-
+    def test_fresh_equal_factories_sign_the_same_bytes(self):
         trace = constant_trace(5, 3)
         first = LoadSchedule.from_trace(
             trace, transfer_request_factory(clients=4, seed=31)
@@ -158,27 +149,12 @@ class TestScheduleCache:
         second = LoadSchedule.from_trace(
             trace, transfer_request_factory(clients=4, seed=31)
         )
-        assert second is first
-        assert schedule_cache_info()["entries"] == 1
-
-    def test_cached_schedule_equals_fresh_signing(self):
-        trace = constant_trace(5, 3)
-        cached = LoadSchedule.from_trace(
-            trace, transfer_request_factory(clients=4, seed=31)
-        )
-        from repro.diablo.client import schedule_cache_clear
-
-        schedule_cache_clear()
-        fresh = LoadSchedule.from_trace(
-            trace, transfer_request_factory(clients=4, seed=31)
-        )
+        assert second is not first
         assert [
-            (t, tx.tx_hash, tx.signature) for t, tx in cached.entries
-        ] == [(t, tx.tx_hash, tx.signature) for t, tx in fresh.entries]
+            (t, tx.tx_hash, tx.signature) for t, tx in first.entries
+        ] == [(t, tx.tx_hash, tx.signature) for t, tx in second.entries]
 
-    def test_different_seed_or_trace_misses(self):
-        from repro.diablo.client import schedule_cache_info
-
+    def test_different_seed_or_trace_signs_differently(self):
         trace = constant_trace(5, 3)
         a = LoadSchedule.from_trace(
             trace, transfer_request_factory(clients=4, seed=31)
@@ -189,25 +165,12 @@ class TestScheduleCache:
         c = LoadSchedule.from_trace(
             constant_trace(6, 3), transfer_request_factory(clients=4, seed=31)
         )
-        assert a is not b and a is not c
-        assert schedule_cache_info()["entries"] == 3
+        hashes = [tuple(tx.tx_hash for _, tx in s.entries) for s in (a, b, c)]
+        assert hashes[0] != hashes[1] and hashes[0] != hashes[2]
 
-    def test_reused_factory_bypasses_cache(self):
-        # A factory that already materialized a schedule carries advanced
-        # nonce/RNG state; reusing it must re-sign, not replay the cache.
+    def test_reused_factory_continues_its_nonces(self):
         trace = constant_trace(5, 3)
         factory = transfer_request_factory(clients=4, seed=31)
         first = LoadSchedule.from_trace(trace, factory)
         second = LoadSchedule.from_trace(trace, factory)
-        assert second is not first
         assert second.entries[0][1].nonce > first.entries[0][1].nonce
-
-    def test_keyless_factory_never_cached(self):
-        from repro.diablo.client import schedule_cache_info
-
-        def keyless(i, send_time):
-            return transfer_request_factory(clients=2, seed=77 + i)(0, send_time)
-
-        trace = constant_trace(2, 2)
-        LoadSchedule.from_trace(trace, keyless)
-        assert schedule_cache_info()["entries"] == 0

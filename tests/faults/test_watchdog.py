@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.faults import LivenessWatchdog
+from repro import params
+from repro.core.deployment import Deployment
+from repro.core.node import CATCHUP_REQ_KIND
+from repro.faults import FaultSchedule, LivenessWatchdog
 from repro.net.simulator import Simulator
+from repro.net.topology import single_region_topology
 
 
 def make_watchdog(**kwargs):
@@ -66,43 +70,6 @@ class TestStallDetection:
         assert dog.stall_count == 2
 
 
-class TestWithheldClassification:
-    def test_withheld_wedge_suppresses_the_nudge(self):
-        # A declared Byzantine withholder wedges everyone at the same
-        # height: catch-up cannot help, so no re-nudge spam.
-        sim, dog, calls = make_watchdog(classify=lambda: "withheld")
-        dog.start()
-        dog.byzantine_windows = 1
-        sim.run_until(10.0)
-        assert dog.stalled
-        assert calls == []
-        assert dog.withheld_checks >= 1
-
-    def test_genuinely_behind_still_nudges_during_a_window(self):
-        sim, dog, calls = make_watchdog(classify=lambda: "behind")
-        dog.start()
-        dog.byzantine_windows = 1
-        sim.run_until(10.0)
-        assert len(calls) >= 1
-        assert dog.withheld_checks == 0
-
-    def test_classifier_ignored_outside_byzantine_windows(self):
-        # With no declared window the stall is never attributed to
-        # withholding — defaults behave exactly as before.
-        sim, dog, calls = make_watchdog(classify=lambda: "withheld")
-        dog.start()
-        sim.run_until(10.0)
-        assert len(calls) >= 1
-        assert dog.withheld_checks == 0
-
-    def test_no_classifier_means_always_nudge(self):
-        sim, dog, calls = make_watchdog()
-        dog.start()
-        dog.byzantine_windows = 1
-        sim.run_until(10.0)
-        assert len(calls) >= 1
-
-
 class TestLifecycle:
     def test_stop_pauses_checks_and_clears_the_flag(self):
         sim, dog, calls = make_watchdog()
@@ -136,3 +103,38 @@ class TestLifecycle:
         sim.run_until(0.9)
         # one check loop scheduled, not two
         assert sim.pending == 1
+
+
+def test_stall_inside_a_withhold_window_sends_catchup_req():
+    """Seat 3 withholds its votes and seat 2 is cut off, so seats 0 and 1
+    lack a quorum while their votes still flow and no peer is ahead.  A
+    correct node cannot tell that from being behind, and it does not read
+    the fault schedule: its stalled watchdog sends a catch-up request at
+    every check."""
+    schedule = (
+        FaultSchedule(seed=1)
+        .byzantine_withhold(3, at=2.0, until=12.0)
+        .hard_partition([(0, 1, 3), (2,)], at=4.0, heal_at=10.0)
+    )
+    deployment = Deployment(
+        protocol=params.ProtocolParams(n=4, watchdog_stall_rounds=4),
+        topology=single_region_topology(4),
+        fault_schedule=schedule,
+        seed=3,
+    )
+    sent = []
+    broadcast = deployment.network.broadcast
+
+    def spy(src, msg, **kwargs):
+        if src == 0 and msg.kind == CATCHUP_REQ_KIND:
+            sent.append(deployment.sim.now)
+        return broadcast(src, msg, **kwargs)
+
+    deployment.network.broadcast = spy
+    deployment.start()
+    deployment.run_until(12.0)
+    dog = deployment.validators[0].watchdog
+    assert dog.stalled and dog.stall_count == 1
+    assert sent and 4.0 < sent[0] < 12.0
+    step = dog.check_interval_s
+    assert sent == [sent[0] + k * step for k in range(len(sent))]

@@ -3,7 +3,7 @@
 The full chaos_soak bench scenario (and its CI seed matrix) lives in
 ``repro.bench``; this is the tier-1 version — one seeded schedule that
 exercises every chaos layer at once: reliable delivery under 5% loss,
-a crash–restart with snapshot catch-up, a 2|2 hard partition that heals,
+a crash–restart with journal-replay catch-up, a 2|2 hard partition that heals,
 and the liveness watchdog, with vote batching on so batched constituents
 hit the mid-recovery buffering path.
 """

@@ -10,6 +10,11 @@ constants and ``test_golden_run``'s are the only guard on it.  A scheduler
 or transport change that claims to move no event must leave every one of
 them untouched; re-record only for a change that means to alter the
 stream, and say so.
+
+The six ``faulty=True`` constants were re-recorded once when a catch-up
+response stopped carrying a state image: every event, message count,
+chain and root stayed the same, while ``catchup-resp`` bytes fell and
+the restarted node's replayed commit times moved earlier.
 """
 
 import hashlib
@@ -28,37 +33,37 @@ PINNED = {
         "28847e413e920f5b7cbf5117d6ec00b9b18f72adb34ebcb7641b99ab04c45f03"
     ),
     (3, False, True): (
-        "137ec3a0f7dd0dfc22c9d3cc31575e6b227ba806a5869ec369875d6f9e4a7ccd"
+        "0fb1bb5becb71a679d2d520fe011eb327abf2a43c8e0814707d8f996ba1abf9d"
     ),
     (3, True, False): (
         "c524df7afaa47928b8a39e71908674eb82cdfc721df738499924c02b9becdb7a"
     ),
     (3, True, True): (
-        "c24e06d54e91adf3feb81853e05a1b146e757db566211226a0c73931eb6c3d0d"
+        "53d9bf1cd2a8bb7474829269067ed04829b1df04acb4ad04f25d362d175df4b2"
     ),
     (1717, False, False): (
         "0f0230b039f25d2bb659ed648c2085216f33ce88fa5e1ca1b433a143fcc52e94"
     ),
     (1717, False, True): (
-        "2b299cfd3cf720c3923415290f14e55843436fdbfacdf3d90185737f6bb33418"
+        "da9bca1e9d285076de1f9521093c7ee358c074c7b97168bae26d97baca034c9f"
     ),
     (1717, True, False): (
         "6d1c94ff2b6eeeb381a6ed7c3d3e1f140aa4f716b0910887775651cb7ba203c4"
     ),
     (1717, True, True): (
-        "42be8b32e71aaa30d07bdedd313fd59ffbc5241af54f0a5664605a79bd29d271"
+        "84d3198d5ecd28557133a07d977334168640e569d263ea14110385e957903e99"
     ),
     (2**31 - 1, False, False): (
         "da3675183d6d584ec2abf4495cbcadad1bf8bbbe7f3bcb829a5b3df0fc437d89"
     ),
     (2**31 - 1, False, True): (
-        "e869e409b8346bcadcdfee4b932c0bcef09eb4e8f57fe66ede25bef4515d9afd"
+        "a4b86e0096e45a72078fb18cb4e9106981e5be9da62ba2db1529b047388f26c2"
     ),
     (2**31 - 1, True, False): (
         "0ab735b94db67d9646d228996c9ee1fbbd129404deb596d83916f4d01c3b44de"
     ),
     (2**31 - 1, True, True): (
-        "1f79049289e7ef1ecccd2fca121939baf3da30e816b4aabb92136b64d4515341"
+        "55d2ef8420b28789103b40dc51f23127062d171a5a85afecfa3b9710af451233"
     ),
 }
 #: 10 regions, n = 8, one +400 ms validator, NASDAQ-derived load
@@ -159,7 +164,6 @@ def _run_multi_region_slow_node():
 
     trace = nasdaq_trace().scaled(0.002, name="nasdaq")
     factory = nasdaq_request_factory(clients=8, seed=321)
-    factory._materialized = True  # force per-run signing: no cache
     deployment = Deployment(
         protocol=params.ProtocolParams(n=8, tvpr=True),
         topology=global_topology(8, degree=4, seed=7),

@@ -2,7 +2,7 @@
 
 Every phase boundary on every replica is a ``tx.<phase>`` trace event —
 including re-admissions after a crash recycles a block and duplicate
-commits during snapshot catch-up — and ``resolve()`` over the trace must
+commits during journal-replay catch-up — and ``resolve()`` over the trace must
 still produce, per tx, a monotone timeline whose phase durations are
 non-negative and telescope exactly to the end-to-end commit latency.
 Tracing must also be a pure observation: the same run traced and

@@ -6,7 +6,7 @@ how votes travel, never what gets decided — while cutting the consensus
 wire-message count substantially.
 """
 
-from repro import params
+from repro import params, telemetry
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.node import CONSENSUS_KIND
 from repro.core.transaction import make_transfer
@@ -64,11 +64,13 @@ class TestBatchingAblation:
         assert wire_b * 3 < wire_a
 
     def test_batchers_active_only_when_enabled(self):
-        unbatched, _ = _run_arm(vote_batching=False, horizon_s=4.0)
-        batched, _ = _run_arm(vote_batching=True, horizon_s=4.0)
-        assert sum(v.vote_batcher.batches_sent for v in unbatched.validators) == 0
-        assert sum(v.vote_batcher.batches_sent for v in batched.validators) > 0
-        assert sum(v.vote_batcher.votes_batched for v in batched.validators) > 0
+        with telemetry.use_registry() as off:
+            _run_arm(vote_batching=False, horizon_s=4.0)
+        with telemetry.use_registry() as on:
+            batched, _ = _run_arm(vote_batching=True, horizon_s=4.0)
+        assert off.get("srbb_consensus_batches_total") is None
+        assert on.get("srbb_consensus_batches_total").total() > 0
+        assert on.get("srbb_consensus_batch_votes").sum > 0
         # logical volume is conserved: the network counted every batched
         # vote even though far fewer wire messages carried them
         assert batched.network.stats.logical_messages > wire_count(batched)

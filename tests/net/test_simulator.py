@@ -1,5 +1,5 @@
-"""Discrete-event scheduler: ordering, cancellation, run_until, the live
-counter, and a fuzz against a sorted-list model."""
+"""Discrete-event scheduler: ordering, cancellation, run_until, ``pending``,
+and a fuzz against a sorted-list model."""
 
 import random
 import tracemalloc
@@ -8,6 +8,11 @@ from dataclasses import dataclass
 import pytest
 
 from repro.net.simulator import Event, Simulator
+
+
+def _cancelled_in_heap(sim):
+    """Cancelled events still holding a heap slot."""
+    return sum(1 for _time, _seq, event in sim._heap if event.cancelled)
 
 
 class TestScheduling:
@@ -118,7 +123,7 @@ class TestRunUntil:
         sim.run_until(3.0)
         assert fired == []
         assert sim.now == 3.0
-        assert (sim.pending, sim.cancelled_in_heap) == (1, 0)
+        assert (sim.pending, _cancelled_in_heap(sim)) == (1, 0)
 
     def test_max_events_bound(self):
         sim = Simulator()
@@ -159,9 +164,8 @@ class TestDrain:
 
 
 class TestPendingAndCompaction:
-    """The live counter and the cancelled events left in the heap (there
-    is no compaction: a cancelled event is dropped when it reaches the
-    head)."""
+    """``pending`` and the cancelled events left in the heap (there is no
+    compaction: a cancelled event is dropped when it reaches the head)."""
 
     def test_pending_is_live_counter(self):
         sim = Simulator()
@@ -170,7 +174,7 @@ class TestPendingAndCompaction:
         events[0].cancel()
         events[1].cancel()
         assert sim.pending == 8
-        assert sim.cancelled_in_heap == 2
+        assert _cancelled_in_heap(sim) == 2
 
     def test_cancelled_events_leave_at_the_head(self):
         sim = Simulator()
@@ -178,14 +182,14 @@ class TestPendingAndCompaction:
         for e in events[::2]:
             e.cancel()
         # No rebuild: every cancelled event keeps its slot until popped.
-        assert (sim.pending, sim.cancelled_in_heap, len(sim._heap)) == (150, 150, 300)
+        assert (sim.pending, _cancelled_in_heap(sim), len(sim._heap)) == (150, 150, 300)
         # Fires the 50 live events due by t=100.5 and drops the 51
         # cancelled ones that reach the head on the way (t=1, 3, ..., 101).
         sim.run_until(100.5)
-        assert (sim.pending, sim.cancelled_in_heap, len(sim._heap)) == (100, 99, 199)
+        assert (sim.pending, _cancelled_in_heap(sim), len(sim._heap)) == (100, 99, 199)
         sim.run()
         assert sim.events_processed == 150
-        assert (sim.cancelled_in_heap, len(sim._heap)) == (0, 0)
+        assert (_cancelled_in_heap(sim), len(sim._heap)) == (0, 0)
 
     def test_popped_events_do_not_count_as_cancelled(self):
         sim = Simulator()
@@ -193,7 +197,7 @@ class TestPendingAndCompaction:
         sim.run()
         event = sim.schedule(1.0, lambda: None)
         event.cancel()
-        assert sim.cancelled_in_heap == 1
+        assert _cancelled_in_heap(sim) == 1
         assert sim.pending == 0
 
 
@@ -258,7 +262,7 @@ class TestFuzzAgainstModel:
     schedule and cancel more while draining, driven by a random mix of
     ``step`` and ``run_until``: every callback the simulator fires must be
     the model's next live ``(time, seq)`` entry, and ``now``,
-    ``events_processed``, ``pending``, ``cancelled_in_heap`` and the heap
+    ``events_processed``, ``pending``, the cancelled entries and the heap
     length must match the model at every step.  Times are multiples of
     0.25, so float sums are exact and ties are plentiful."""
 
@@ -271,7 +275,7 @@ class TestFuzzAgainstModel:
             assert sim.now == model.now
             assert sim.events_processed == model.fired
             assert sim.pending == len(model.queue) - model.cancelled
-            assert sim.cancelled_in_heap == model.cancelled
+            assert _cancelled_in_heap(sim) == model.cancelled
             assert len(sim._heap) == len(model.queue)
 
         def add(depth):

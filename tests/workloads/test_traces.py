@@ -143,18 +143,10 @@ class TestFactories:
         factory = nasdaq_request_factory(clients=3)
         assert len(factory.keypairs) == 3
 
-    def test_factories_expose_cache_keys(self):
-        a = nasdaq_request_factory(clients=3, seed=5)
-        b = nasdaq_request_factory(clients=3, seed=5)
-        c = nasdaq_request_factory(clients=3, seed=6)
-        assert a.cache_key == b.cache_key
-        assert a.cache_key != c.cache_key
-        assert a.cache_key != uber_request_factory(clients=3, seed=5).cache_key
-
 
 class TestSendTimesVectorized:
     """The vectorized expansion must be bitwise-identical to the
-    per-second reference construction (schedule caches key on it)."""
+    per-second reference construction."""
 
     @staticmethod
     def _reference(trace: Trace) -> np.ndarray:
@@ -185,12 +177,3 @@ class TestSendTimesVectorized:
     def test_empty_trace(self):
         trace = Trace(name="empty", counts_per_second=np.zeros(4, dtype=np.int64))
         assert trace.send_times().shape == (0,)
-
-    def test_fingerprint_tracks_content(self):
-        a = constant_trace(5, 3, name="x")
-        b = constant_trace(5, 3, name="x")
-        c = constant_trace(6, 3, name="x")
-        d = constant_trace(5, 3, name="y")
-        assert a.fingerprint() == b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
-        assert a.fingerprint() != d.fingerprint()
