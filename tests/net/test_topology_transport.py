@@ -1,6 +1,5 @@
 """Topologies, latency model, transport, partial synchrony, gossip."""
 
-import numpy as np
 import pytest
 
 from repro import params
@@ -28,10 +27,13 @@ class TestTopology:
         assert topo.region_of(1) == params.AWS_REGIONS[1]
 
     def test_overlay_connected(self):
-        import networkx as nx
-
         topo = global_topology(50, degree=4)
-        assert nx.is_connected(topo.graph)
+        reached, frontier = {0}, [0]
+        while frontier:
+            frontier = [w for v in frontier for w in topo.peers[v] if w not in reached]
+            reached.update(frontier)
+        assert reached == set(range(50))
+        assert all(v in topo.peers[w] for v in range(50) for w in topo.peers[v])
 
     def test_single_region_full_mesh(self):
         topo = single_region_topology(4)
@@ -42,12 +44,6 @@ class TestTopology:
         topo = global_topology(20)
         for a, b in ((0, 5), (3, 17), (2, 9)):
             assert topo.latency_s(a, b) == topo.latency_s(b, a)
-
-    def test_latency_matrix_matches_pairwise(self):
-        topo = global_topology(10)
-        matrix = topo.latency_matrix_s()
-        assert matrix.shape == (10, 10)
-        assert matrix[2, 7] == topo.latency_s(2, 7)
 
     def test_intra_region_cheaper_than_cross(self):
         assert params.region_latency_ms("sydney", "sydney") < params.region_latency_ms(
