@@ -3,16 +3,10 @@
 Turns the per-tick series the congestion simulator records into
 presentation-ready data — per-second resampling, peak/onset detection and
 terminal sparklines (the text-mode stand-in for the paper's figures).
-
-The dump-side entry points (:func:`load_metrics_dump`,
-:func:`queue_depth_profiles`) work from a saved ``--metrics-out`` JSON
-snapshot instead of a live run, so figure scripts can plot queue growth
-without re-running the simulation.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +66,6 @@ class CongestionSeries:
         above = np.nonzero(series > threshold)[0]
         return float(above[0]) if above.size else None
 
-    def drain_time_s(self, *, threshold: float = 1.0) -> float | None:
-        """Last second the pool still held more than ``threshold`` txs."""
-        above = np.nonzero(self.pool_occupancy > threshold)[0]
-        return float(above[-1]) if above.size else None
-
     def render(self, *, width: int = 60) -> str:
         lines = [
             f"{self.chain} × {self.workload}",
@@ -100,99 +89,6 @@ def _per_second(series: np.ndarray, dt: float, *, how: str) -> np.ndarray:
         return np.zeros(0)
     shaped = series[:usable].reshape(-1, ticks_per_s)
     return shaped.sum(axis=1) if how == "sum" else shaped.max(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Metrics-dump views — the tick engine's depth histograms without a re-run
-# ---------------------------------------------------------------------------
-
-#: tick-engine depth histograms the analysis layer knows how to read
-DEPTH_METRICS = (
-    "srbb_sim_validation_queue_depth",
-    "srbb_sim_mempool_depth",
-)
-
-
-@dataclass
-class DepthProfile:
-    """One queue-depth histogram recovered from a metrics dump.
-
-    ``bounds``/``bucket_counts`` are the per-bucket (non-cumulative)
-    occupancy distribution over ticks — a log-x view of how deep the
-    queue ran for how long, which is exactly the queue-growth evidence
-    the paper's congestion figures carry.
-    """
-
-    metric: str
-    bounds: np.ndarray        # bucket upper bounds; trailing +Inf slot
-    bucket_counts: np.ndarray  # ticks whose depth fell in each bucket
-    count: float              # total ticks observed
-    mean: float
-    p50: float
-    p90: float
-    p99: float
-    max_depth: float
-
-    @classmethod
-    def from_sample(cls, metric: str, sample: dict) -> "DepthProfile":
-        cumulative = np.array([b["count"] for b in sample["buckets"]], dtype=float)
-        bounds = np.array(
-            [np.inf if b["le"] == "+Inf" else float(b["le"]) for b in sample["buckets"]]
-        )
-        return cls(
-            metric=metric,
-            bounds=bounds,
-            bucket_counts=np.diff(cumulative, prepend=0.0),
-            count=float(sample["count"]),
-            mean=float(sample["mean"]),
-            p50=float(sample["p50"]),
-            p90=float(sample["p90"]),
-            p99=float(sample["p99"]),
-            max_depth=float(sample["max"] or 0.0),
-        )
-
-    def render(self, *, width: int = 60) -> str:
-        """Sparkline over the occupancy distribution plus headline stats."""
-        return (
-            f"{self.metric}\n"
-            f"  depth dist {sparkline(self.bucket_counts, width=width)} "
-            f"(ticks per bucket, le={self.bounds[-2]:g}..+Inf)\n"
-            f"  p50 {self.p50:.0f}  p90 {self.p90:.0f}  p99 {self.p99:.0f}  "
-            f"max {self.max_depth:.0f}  over {self.count:.0f} ticks"
-        )
-
-
-def load_metrics_dump(path: str) -> dict:
-    """Load a ``--metrics-out`` / bench-artifact JSON file as a snapshot.
-
-    Accepts either a raw ``telemetry.to_json`` snapshot or a
-    ``BENCH_*.json`` artifact (whose snapshot lives under ``"metrics"``).
-    """
-    with open(path) as fh:
-        doc = json.load(fh)
-    if isinstance(doc.get("metrics"), dict) and "schema" in doc:
-        return doc["metrics"]
-    return doc
-
-
-def queue_depth_profiles(
-    dump: dict, *, metrics: "tuple[str, ...]" = DEPTH_METRICS
-) -> "dict[str, DepthProfile]":
-    """Extract the tick engine's depth histograms from a JSON snapshot.
-
-    Returns one :class:`DepthProfile` per requested metric present in the
-    dump (unlabeled parent sample), keyed by metric name.
-    """
-    out: dict[str, DepthProfile] = {}
-    for name in metrics:
-        entry = dump.get(name)
-        if not entry or entry.get("type") != "histogram":
-            continue
-        for sample in entry["samples"]:
-            if not sample.get("labels") and sample.get("count"):
-                out[name] = DepthProfile.from_sample(name, sample)
-                break
-    return out
 
 
 def congestion_series(

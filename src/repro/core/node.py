@@ -92,106 +92,59 @@ RETIRE_WINDOW = 2 * AHEAD_WINDOW
 
 logger = logging.getLogger("repro.core.node")
 
-#: NodeStats fields, in declaration order (drives properties + mirrors)
-_STAT_FIELDS = (
-    "eager_validations",
-    "eager_failures",
-    "txs_from_clients",
-    "txs_from_peers",
-    "blocks_proposed",
-    "superblocks_committed",
-    "txs_committed",
-    "txs_discarded",
-    "rpm_attestations",
-    "rpm_reports",
-    "recycled_from_undecided",
-    "votes_dropped_ahead",
-)
-
-#: fields folded into one labeled metric in the global registry
-_MIRROR_OVERRIDES = {
+#: stats exported under another name than ``srbb_node_<field>_total``:
+#: both receive counts fold into one metric labeled by source
+_EXPORT_OVERRIDES = {
     "txs_from_clients": ("srbb_node_txs_received_total", {"source": "client"}),
     "txs_from_peers": ("srbb_node_txs_received_total", {"source": "peer"}),
 }
 
 
-def _mirror_counters(registry: telemetry.MetricsRegistry, node_id: "int | None"):
-    """Global-registry children for one node's stats (aggregated export)."""
-    label = {"node": str(node_id)} if node_id is not None else {}
-    mirrors = {}
-    for name in _STAT_FIELDS:
-        metric_name, extra = _MIRROR_OVERRIDES.get(
-            name, (f"srbb_node_{name}_total", {})
-        )
-        mirrors[name] = registry.counter(
-            metric_name, f"per-validator {name.replace('_', ' ')}"
-        ).labels(**label, **extra)
-    return mirrors
-
-
 class NodeStats:
-    """Per-node counters feeding the congestion analysis.
+    """Per-node counters feeding the congestion analysis: plain ints.
 
-    A thin view over :mod:`repro.telemetry` counters: each field is a
-    private always-on :class:`~repro.telemetry.Counter` (exact per-node
-    counts, independent of global telemetry), mirrored into labeled
-    children of the registry that was global at construction so
-    ``--metrics-out`` exports them.  The attribute API is unchanged —
-    ``stats.txs_committed`` reads an ``int`` and ``stats.txs_committed +=
-    1`` still works.
-
-    While that registry is disabled a write touches nothing in it: the
-    mirrors are bound on the first write that finds it enabled (at
-    construction when it already is, so a dump lists every node's
-    counters from the start).
+    They are the one book of these counts.  A ``NodeStats`` built under an
+    enabled registry registers with it, and every read of that registry
+    exports the sum of its registered stats per node as
+    ``srbb_node_*{node=}`` (:meth:`MetricsRegistry.add_source`).  One
+    built under a disabled registry is never exported and costs that
+    registry nothing.
     """
 
-    __slots__ = ("_local", "_registry", "_node_id", "_mirrors")
-
-    _fields = _STAT_FIELDS
+    __slots__ = (
+        "eager_validations",
+        "eager_failures",
+        "txs_from_clients",
+        "txs_from_peers",
+        "blocks_proposed",
+        "superblocks_committed",
+        "txs_committed",
+        "txs_discarded",
+        "rpm_attestations",
+        "rpm_reports",
+        "recycled_from_undecided",
+        "votes_dropped_ahead",
+    )
 
     def __init__(self, node_id: "int | None" = None):
+        for name in self.__slots__:
+            setattr(self, name, 0)
         registry = telemetry.get_registry()
-        object.__setattr__(
-            self,
-            "_local",
-            {name: telemetry.Counter(f"srbb_node_{name}_total") for name in _STAT_FIELDS},
+        if registry.enabled:
+            registry.add_source(lambda: _export(self, node_id))
+
+
+def _export(stats: NodeStats, node_id: "int | None"):
+    """``(metric, help, labels, value)`` of each of ``stats``' fields."""
+    label = {"node": str(node_id)} if node_id is not None else {}
+    for name in NodeStats.__slots__:
+        metric, extra = _EXPORT_OVERRIDES.get(name, (f"srbb_node_{name}_total", {}))
+        yield (
+            metric,
+            f"per-validator {name.replace('_', ' ')}",
+            {**label, **extra},
+            getattr(stats, name),
         )
-        object.__setattr__(self, "_registry", registry)
-        object.__setattr__(self, "_node_id", node_id)
-        object.__setattr__(
-            self,
-            "_mirrors",
-            _mirror_counters(registry, node_id) if registry.enabled else None,
-        )
-
-    def __getattr__(self, name: str) -> int:
-        try:
-            return int(self._local[name].value)
-        except KeyError:
-            raise AttributeError(name) from None
-
-    def __setattr__(self, name: str, value: int) -> None:
-        local = self._local.get(name)
-        if local is None:
-            raise AttributeError(f"unknown stat {name!r}")
-        delta = value - local.value
-        if delta < 0:
-            raise ValueError(f"stat {name!r} cannot decrease")
-        local.value += delta
-        if self._registry.enabled:
-            mirrors = self._mirrors
-            if mirrors is None:
-                mirrors = _mirror_counters(self._registry, self._node_id)
-                object.__setattr__(self, "_mirrors", mirrors)
-            mirrors[name].inc(delta)
-
-    def as_dict(self) -> "dict[str, int]":
-        return {name: int(self._local[name].value) for name in _STAT_FIELDS}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        inner = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"NodeStats({inner})"
 
 
 class ValidatorNode:
@@ -792,7 +745,7 @@ class ValidatorNode:
         self._stamp_committed(superblock.index, result)
 
         # Drop any pool copies of committed transactions.
-        self.pool.remove_hashes({tx.tx_hash for tx in result.committed})
+        self.pool.remove_hashes(tx.tx_hash for tx in result.committed)
         return result
 
     def _commit(self, superblock: SuperBlock) -> None:

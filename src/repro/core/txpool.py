@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from types import SimpleNamespace
+from typing import Iterable
 
 from repro import params, telemetry
 from repro.core.transaction import Transaction
@@ -86,17 +87,17 @@ class TxPool:
     def expire(self, now: float) -> list[Transaction]:
         """Drop transactions whose TTL lapsed; returns them."""
         dropped = []
-        for tx_hash in list(self._pending):
-            tx, admitted = self._pending[tx_hash]
-            if now - admitted > self.ttl:
-                del self._pending[tx_hash]
-                dropped.append(tx)
-                if telemetry.get_registry().enabled:
-                    _metrics().expired.inc()
-            else:
-                # OrderedDict is FIFO by admission time: first fresh entry
-                # means the rest are fresh too.
+        pending = self._pending
+        # OrderedDict is FIFO by admission time: the first fresh entry
+        # means the rest are fresh too, so only the expired prefix is walked.
+        while pending:
+            tx, admitted = next(iter(pending.values()))
+            if now - admitted <= self.ttl:
                 break
+            pending.popitem(last=False)
+            dropped.append(tx)
+        if dropped and telemetry.get_registry().enabled:
+            _metrics().expired.inc(len(dropped))
         return dropped
 
     # -- block building ----------------------------------------------------------
@@ -168,22 +169,13 @@ class TxPool:
             return max(0.0, now - admitted)
         return 0.0
 
-    def peek(self, count: int) -> list[Transaction]:
-        """First ``count`` pending transactions without removing them."""
-        out = []
-        for tx, _ in self._pending.values():
-            if len(out) >= count:
-                break
-            out.append(tx)
-        return out
-
-    def remove_hashes(self, tx_hashes: "set[bytes] | frozenset[bytes]") -> int:
+    def remove_hashes(self, tx_hashes: "Iterable[bytes]") -> int:
         """Remove any pending transaction whose hash is in ``tx_hashes``
         (used when a decided superblock contains txs we also hold)."""
+        pop = self._pending.pop
         removed = 0
-        for tx_hash in list(self._pending):
-            if tx_hash in tx_hashes:
-                del self._pending[tx_hash]
+        for tx_hash in tx_hashes:
+            if pop(tx_hash, None) is not None:
                 removed += 1
         return removed
 

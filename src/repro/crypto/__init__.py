@@ -8,7 +8,7 @@ separately).  We therefore implement keyed-hash (HMAC-SHA256) signatures:
 deterministic, collision-resistant in practice for tests, and fast.
 """
 
-from repro.crypto.hashing import sha256, sha256_hex, hash_items
+from repro.crypto.hashing import sha256, hash_items
 from repro.crypto.keys import (
     KeyPair,
     PrivateKey,
@@ -34,7 +34,6 @@ __all__ = [
     "merkle_root",
     "recover_check",
     "sha256",
-    "sha256_hex",
     "sign",
     "verify",
 ]

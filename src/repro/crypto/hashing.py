@@ -11,11 +11,6 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def sha256_hex(data: bytes) -> str:
-    """Hex-encoded SHA-256 digest."""
-    return hashlib.sha256(data).hexdigest()
-
-
 #: ``tag + 8-byte length`` headers for the lengths nearly every item has
 _SHORT = 256
 _STR_HEAD = tuple(b"s" + n.to_bytes(8, "big") for n in range(_SHORT))

@@ -10,7 +10,6 @@ are hashable, comparable and printable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 # -- transaction / block level ------------------------------------------------
 
@@ -228,15 +227,6 @@ def region_latency_ms(a: str, b: str) -> float:
     if (b, a) in _LAT:
         return float(_LAT[(b, a)])
     raise KeyError(f"unknown region pair ({a!r}, {b!r})")
-
-
-def region_latency_matrix() -> "Mapping[tuple[str, str], float]":
-    """Full symmetric latency mapping over :data:`AWS_REGIONS`."""
-    out = {}
-    for a in AWS_REGIONS:
-        for b in AWS_REGIONS:
-            out[(a, b)] = region_latency_ms(a, b)
-    return out
 
 
 # -- DIABLO workload envelopes (paper §V) ---------------------------------------

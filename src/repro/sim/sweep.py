@@ -7,10 +7,8 @@ Tools the ablation benches and downstream users share:
   "claimed performance" a vendor would quote — contrast it with the
   DApp-workload numbers of Figure 2 (§V: "much lower compared to their
   claimed performances").
-* :func:`latency_curve` — average latency as a function of offered load.
-* :func:`loss_curve` — commit rate as a function of offered load.
-* :func:`crossover_rate` — the load at which one chain starts beating
-  another on commit rate.
+* :func:`latency_curve` — average latency, throughput and commit rate as
+  a function of offered load.
 """
 
 from __future__ import annotations
@@ -90,32 +88,3 @@ def latency_curve(
         _probe(model, int(rate), duration_s=duration_s, grace_s=grace_s)
         for rate in rates
     ]
-
-
-def loss_curve(
-    model: ChainModel,
-    rates: "list[int] | np.ndarray",
-    **kwargs,
-) -> list[tuple[int, float]]:
-    """(rate, commit_rate) pairs — the loss onset made visible."""
-    return [(p.rate_tps, p.commit_rate) for p in latency_curve(model, rates, **kwargs)]
-
-
-def crossover_rate(
-    better: ChainModel,
-    worse: ChainModel,
-    *,
-    rates: "list[int] | None" = None,
-    duration_s: int = 60,
-) -> int | None:
-    """First offered load where ``better`` commits more than ``worse``.
-
-    Returns None if they never diverge over the probed range.
-    """
-    rates = rates or [10, 30, 100, 300, 1_000, 3_000, 10_000]
-    for rate in rates:
-        a = _probe(better, rate, duration_s=duration_s, grace_s=60.0)
-        b = _probe(worse, rate, duration_s=duration_s, grace_s=60.0)
-        if a.commit_rate > b.commit_rate + 1e-9:
-            return rate
-    return None

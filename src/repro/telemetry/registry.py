@@ -11,9 +11,11 @@ Design goals, in order:
    (``--metrics-out`` or :func:`enable`).  A call that does reach a
    disabled metric still records nothing: each mutation checks the flag.
 2. **Standalone metrics stay live.** A metric constructed without a
-   registry (``Counter("x")``) always records — that is how the per-node
-   ``NodeStats`` / ``LatencySample`` views keep exact per-instance counts
-   independently of whether global telemetry is on.
+   registry (``Counter("x")``) always records — that is how the
+   ``LatencySample`` view keeps exact per-instance counts independently
+   of whether global telemetry is on.  Counts kept as plain ints outside
+   the registry (``NodeStats``) are read into it when it is read
+   (:meth:`MetricsRegistry.add_source`).
 3. **Bounded memory.** ``Histogram`` keeps fixed cumulative buckets for
    Prometheus exposition plus a DDSketch-style log-bucket sketch for
    streaming quantiles — O(bins), never O(observations) (the
@@ -335,6 +337,7 @@ class MetricsRegistry:
         self.enabled = enabled
         self._metrics: "dict[str, _Metric]" = {}
         self._lock = threading.Lock()
+        self._sources: list = []
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs) -> _Metric:
         with self._lock:
@@ -359,16 +362,40 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help, buckets=buckets)  # type: ignore[return-value]
 
+    def add_source(self, source) -> None:
+        """Read ``source`` into this registry at every read.
+
+        ``source()`` yields ``(name, help, labels, value)`` counter
+        samples.  :meth:`get` and :meth:`collect` first set each counter
+        child named by a sample to the sum of the values every source
+        gives it: each count is kept once, in its owner's int, and copied
+        into the registry only when the registry is read.
+        """
+        self._sources.append(source)
+
+    def _read_sources(self) -> None:
+        totals: "dict[_Metric, int]" = {}
+        for source in self._sources:
+            for name, help, labels, value in source():
+                child = self.counter(name, help).labels(**labels)
+                totals[child] = totals.get(child, 0) + value
+        for child, total in totals.items():
+            child.value = float(total)
+
     def get(self, name: str) -> "_Metric | None":
+        self._read_sources()
         return self._metrics.get(name)
 
     def collect(self) -> "list[_Metric]":
+        self._read_sources()
         return [self._metrics[name] for name in sorted(self._metrics)]
 
     def reset(self) -> None:
-        """Zero every metric (keeps registrations); for fresh runs/tests."""
+        """Zero every metric (keeps registrations) and forget every
+        source; for fresh runs/tests."""
         for metric in self._metrics.values():
             metric._reset()
+        self._sources.clear()
 
     def enable(self) -> None:
         self.enabled = True

@@ -16,8 +16,6 @@ from repro.workloads.synthetic import (
     burst_trace,
     constant_trace,
     flooding_mix,
-    poisson_trace,
-    ramp_trace,
 )
 
 __all__ = [
@@ -30,8 +28,6 @@ __all__ = [
     "flooding_mix",
     "nasdaq_request_factory",
     "nasdaq_trace",
-    "poisson_trace",
-    "ramp_trace",
     "uber_request_factory",
     "uber_trace",
 ]

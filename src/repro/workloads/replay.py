@@ -1,66 +1,13 @@
-"""Trace persistence and statistics.
-
-Traces serialize to a two-column CSV (``second,count``) so experiments
-are reproducible from artifacts rather than seeds, and a summary gives
-the envelope and burstiness numbers used throughout the evaluation text.
-"""
+"""Trace statistics: the envelope and burstiness numbers used throughout
+the evaluation text."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.workloads.trace import Trace
-
-
-def trace_to_csv(trace: Trace) -> str:
-    """Render a trace as ``second,count`` CSV with a name header."""
-    out = io.StringIO()
-    out.write(f"# trace: {trace.name}\n")
-    out.write("second,count\n")
-    for second, count in enumerate(trace.counts_per_second):
-        out.write(f"{second},{int(count)}\n")
-    return out.getvalue()
-
-
-def trace_from_csv(text: str, *, name: str | None = None) -> Trace:
-    """Parse a trace produced by :func:`trace_to_csv`."""
-    parsed_name = "trace"
-    counts: list[int] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if "trace:" in line:
-                parsed_name = line.split("trace:", 1)[1].strip()
-            continue
-        if line.startswith("second"):
-            continue
-        second_str, count_str = line.split(",")
-        second = int(second_str)
-        if second != len(counts):
-            raise ValueError(
-                f"non-contiguous seconds: expected {len(counts)}, got {second}"
-            )
-        counts.append(int(count_str))
-    return Trace(
-        name=name or parsed_name,
-        counts_per_second=np.array(counts, dtype=np.int64),
-    )
-
-
-def save_trace(trace: Trace, path: "str | Path") -> Path:
-    path = Path(path)
-    path.write_text(trace_to_csv(trace))
-    return path
-
-
-def load_trace(path: "str | Path") -> Trace:
-    return trace_from_csv(Path(path).read_text())
 
 
 @dataclass(frozen=True)

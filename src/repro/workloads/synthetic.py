@@ -1,4 +1,4 @@
-"""Synthetic traces: constants, Poisson, bursts, ramps, flooding mixes."""
+"""Synthetic traces: constants, bursts, flooding mixes."""
 
 from __future__ import annotations
 
@@ -18,17 +18,6 @@ def constant_trace(tps: int, duration_s: int, *, name: str | None = None) -> Tra
     )
 
 
-def poisson_trace(
-    mean_tps: float, duration_s: int, *, seed: int = 1, name: str | None = None
-) -> Trace:
-    """Poisson arrivals with the given mean rate."""
-    rng = np.random.default_rng(seed)
-    return Trace(
-        name=name or f"poisson-{mean_tps:g}",
-        counts_per_second=rng.poisson(mean_tps, size=duration_s).astype(np.int64),
-    )
-
-
 def burst_trace(
     base_tps: int,
     burst_tps: int,
@@ -42,14 +31,6 @@ def burst_trace(
     counts = np.full(duration_s, base_tps, dtype=np.int64)
     counts[burst_at : burst_at + burst_len] = burst_tps
     return Trace(name=name or f"burst-{base_tps}-{burst_tps}", counts_per_second=counts)
-
-
-def ramp_trace(
-    start_tps: int, end_tps: int, duration_s: int, *, name: str | None = None
-) -> Trace:
-    """Linear ramp from ``start_tps`` to ``end_tps`` (saturation sweeps)."""
-    counts = np.linspace(start_tps, end_tps, duration_s).round().astype(np.int64)
-    return Trace(name=name or f"ramp-{start_tps}-{end_tps}", counts_per_second=counts)
 
 
 def transfer_request_factory(

@@ -2,15 +2,7 @@
 
 import numpy as np
 
-from repro.analysis.timeseries import (
-    DEPTH_METRICS,
-    CongestionSeries,
-    DepthProfile,
-    congestion_series,
-    load_metrics_dump,
-    queue_depth_profiles,
-    sparkline,
-)
+from repro.analysis.timeseries import congestion_series, sparkline
 from repro.sim.chains import SRBB
 from repro.workloads import burst_trace, constant_trace
 
@@ -43,8 +35,6 @@ class TestCongestionSeries:
         onset = series.congestion_onset_s(threshold=1000.0)
         assert onset is not None
         assert 4 <= onset <= 7  # the burst second
-        drain = series.drain_time_s()
-        assert drain is not None and drain > onset
 
     def test_render_contains_both_rows(self):
         _, series = congestion_series(SRBB, constant_trace(50, 10), grace_s=10)
@@ -52,62 +42,3 @@ class TestCongestionSeries:
         assert "commits/s" in text and "pool" in text
         assert "srbb" in text
 
-
-class TestDepthProfiles:
-    def _sample(self):
-        # cumulative bucket counts: 3 ticks <=10, 8 <=100, 10 total
-        return {
-            "labels": {},
-            "count": 10,
-            "sum": 400.0,
-            "min": 1.0,
-            "max": 500.0,
-            "mean": 40.0,
-            "p50": 30.0,
-            "p90": 120.0,
-            "p99": 480.0,
-            "buckets": [
-                {"le": 10, "count": 3},
-                {"le": 100, "count": 8},
-                {"le": "+Inf", "count": 10},
-            ],
-        }
-
-    def test_from_sample_decumulates_buckets(self):
-        profile = DepthProfile.from_sample("srbb_sim_mempool_depth", self._sample())
-        assert profile.bucket_counts.tolist() == [3.0, 5.0, 2.0]
-        assert profile.bounds[-1] == np.inf
-        assert profile.count == 10 and profile.max_depth == 500.0
-        text = profile.render()
-        assert "srbb_sim_mempool_depth" in text and "p99 480" in text
-
-    def test_profiles_from_live_sim_dump(self, tmp_path):
-        import json
-
-        from repro.sim.engine import simulate_chain
-        from repro.telemetry import MetricsRegistry, to_json, use_registry
-
-        with use_registry(MetricsRegistry(enabled=True)) as reg:
-            simulate_chain(SRBB, constant_trace(100, 10), grace_s=10)
-            dump = to_json(reg)
-        path = tmp_path / "metrics.json"
-        path.write_text(json.dumps(dump))
-        profiles = queue_depth_profiles(load_metrics_dump(str(path)))
-        for name in DEPTH_METRICS:
-            assert name in profiles
-            assert profiles[name].count > 0
-
-    def test_bench_artifact_unwrapped(self, tmp_path):
-        import json
-
-        dump = {"srbb_sim_mempool_depth": {
-            "type": "histogram", "help": "", "samples": [self._sample()],
-        }}
-        artifact = {"schema": "repro.bench/v1", "metrics": dump}
-        path = tmp_path / "BENCH_x.json"
-        path.write_text(json.dumps(artifact))
-        profiles = queue_depth_profiles(load_metrics_dump(str(path)))
-        assert "srbb_sim_mempool_depth" in profiles
-
-    def test_missing_metrics_skipped(self):
-        assert queue_depth_profiles({}) == {}

@@ -106,13 +106,6 @@ class TestBatching:
         batch = pool.take_batch(10, next_nonce=nonces.__getitem__)
         assert set(batch) >= {a1, b0}
 
-    def test_peek_does_not_remove(self):
-        pool = TxPool()
-        tx = _tx(0)
-        pool.add(tx)
-        assert pool.peek(5) == [tx]
-        assert len(pool) == 1
-
     def test_remove_hashes(self):
         pool = TxPool()
         txs = [_tx(i) for i in range(3)]
@@ -120,7 +113,7 @@ class TestBatching:
             pool.add(tx)
         removed = pool.remove_hashes({txs[0].tx_hash, txs[2].tx_hash})
         assert removed == 2
-        assert list(pool.peek(5)) == [txs[1]]
+        assert pool.take_batch(5) == [txs[1]]
 
     def test_clear(self):
         pool = TxPool()

@@ -3,12 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.crypto.hashing import hash_items, sha256, sha256_hex
+from repro.crypto.hashing import hash_items, sha256
 
 
 def test_sha256_known_vector():
     assert (
-        sha256_hex(b"")
+        sha256(b"").hex()
         == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     )
 

@@ -52,7 +52,7 @@ class TestSubmitters:
         # each sender's txs went to exactly one validator's pool
         sender_pools = {}
         for v in deployment.validators:
-            for tx in v.pool.peek(100):
+            for tx in v.pool.take_batch(100):
                 sender_pools.setdefault(tx.sender, set()).add(v.node_id)
         assert all(len(pools) == 1 for pools in sender_pools.values())
 

@@ -55,8 +55,9 @@ class TestTopology:
             params.region_latency_ms("sydney", "atlantis")
 
     def test_region_latency_matrix_complete(self):
-        matrix = params.region_latency_matrix()
-        assert len(matrix) == len(params.AWS_REGIONS) ** 2
+        for a in params.AWS_REGIONS:
+            for b in params.AWS_REGIONS:
+                assert params.region_latency_ms(a, b) > 0
 
 
 class TestNetwork:

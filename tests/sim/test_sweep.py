@@ -1,14 +1,7 @@
-"""Sweep utilities: saturation bisection, curves, crossovers."""
-
-import pytest
+"""Sweep utilities: saturation bisection and latency curves."""
 
 from repro.sim.chains import ChainModel, EVM_DBFT, SRBB
-from repro.sim.sweep import (
-    crossover_rate,
-    latency_curve,
-    loss_curve,
-    saturation_throughput,
-)
+from repro.sim.sweep import latency_curve, saturation_throughput
 
 #: cheap toy model so bisection runs fast in unit tests
 TOY = ChainModel(
@@ -36,15 +29,3 @@ class TestCurves:
         latencies = [p.avg_latency_s for p in points]
         assert latencies[0] <= latencies[-1]
 
-    def test_loss_curve_onset(self):
-        pairs = loss_curve(TOY, [100, 2_000], duration_s=30)
-        assert pairs[0][1] == pytest.approx(1.0)
-        assert pairs[1][1] < 1.0
-
-    def test_crossover_detects_divergence(self):
-        rate = crossover_rate(SRBB, EVM_DBFT, rates=[10, 100, 1_000], duration_s=30)
-        assert rate is not None
-        assert rate <= 1_000
-
-    def test_crossover_none_for_identical(self):
-        assert crossover_rate(TOY, TOY, rates=[100], duration_s=10) is None

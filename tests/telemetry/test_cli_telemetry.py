@@ -137,3 +137,35 @@ class TestObservabilityOuts:
         assert "<h2>critical path</h2>" in page
         assert "<h2>congestion observatory</h2>" in page
         assert "<svg" in page
+
+
+class TestPerInvocationCounts:
+    def test_second_dump_counts_only_its_own_run(self, tmp_path, monkeypatch):
+        # Two runs in one process: each --metrics-out dump must reconcile
+        # with its own run's nodes, not carry the first run's counts.
+        from repro.diablo import runner
+
+        outcomes = []
+        run = runner.run_dapp_workload
+
+        def keep(*args, **kwargs):
+            outcomes.append(run(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(runner, "run_dapp_workload", keep)
+        # main() buffers trace records even for --metrics-out alone: keep
+        # them out of the global tracer other tests read
+        previous = telemetry.set_tracer(telemetry.Tracer())
+        try:
+            for attempt in range(2):
+                path = tmp_path / f"m{attempt}.prom"
+                assert main(_DAPP + ["--metrics-out", str(path)]) == 0
+                samples = telemetry.parse_prometheus(path.read_text())
+                for node in outcomes[attempt].deployment.validators:
+                    committed = node.blockchain.committed_count()
+                    assert committed > 0
+                    assert node.stats.txs_committed == committed
+                    label = (("node", str(node.node_id)),)
+                    assert samples[("srbb_node_txs_committed_total", label)] == committed
+        finally:
+            telemetry.set_tracer(previous)

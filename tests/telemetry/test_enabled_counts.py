@@ -7,8 +7,8 @@ is.  A fault-heavy n = 4 run (loss, duplication, crash/restart, a
 Byzantine window, the watchdog, gossip) under the disabled defaults must
 make no call into either.  The same runs' enabled Prometheus dump is hashed
 and compared with a pinned constant.
-``NodeStats`` is shown to read the flag of the registry it was built
-under, not the global one.
+``NodeStats`` is shown to be exported only by the registry it was built
+under, and only when that registry was enabled then.
 """
 
 import hashlib
@@ -138,8 +138,8 @@ class TestNodeStatsReadsItsOwnRegistry:
         with telemetry.use_registry() as reg:
             stats = NodeStats(node_id=2)
             stats.txs_committed += 1
-        # The global registry is the disabled default again; the mirrors
-        # were bound to ``reg`` at construction and keep counting there.
+        # The global registry is the disabled default again; the stats
+        # registered with ``reg`` at construction, and ``reg`` reads them.
         stats.txs_committed += 4
         stats.txs_from_peers += 3
         committed = reg.get("srbb_node_txs_committed_total")
@@ -165,7 +165,7 @@ class TestNodeStatsReadsItsOwnRegistry:
         assert stats.txs_committed == 3
         assert reg.get("srbb_node_txs_committed_total") is None
 
-    def test_registry_enabled_later_starts_mirroring(self):
+    def test_registry_enabled_later_still_exports_nothing(self):
         reg = telemetry.MetricsRegistry(enabled=False)
         with telemetry.use_registry(reg):
             stats = NodeStats(node_id=0)
@@ -173,4 +173,21 @@ class TestNodeStatsReadsItsOwnRegistry:
         assert reg.get("srbb_node_txs_committed_total") is None
         reg.enable()
         stats.txs_committed += 3
-        assert reg.get("srbb_node_txs_committed_total").labels(node="0").value == 3
+        assert reg.get("srbb_node_txs_committed_total") is None
+        assert "srbb_node_" not in telemetry.to_prometheus(reg)
+        assert stats.txs_committed == 5
+
+    def test_read_sums_one_label_and_reset_forgets(self):
+        with telemetry.use_registry() as reg:
+            first, second, other = NodeStats(1), NodeStats(1), NodeStats(2)
+        first.txs_committed += 3
+        second.txs_committed += 4
+        other.txs_committed += 1
+        committed = reg.get("srbb_node_txs_committed_total")
+        assert committed.labels(node="1").value == 7.0
+        assert committed.labels(node="2").value == 1.0
+        # every read sets the export from the stats: no double counting
+        assert reg.get("srbb_node_txs_committed_total").labels(node="1").value == 7.0
+        reg.reset()
+        first.txs_committed += 5
+        assert reg.get("srbb_node_txs_committed_total").labels(node="1").value == 0.0

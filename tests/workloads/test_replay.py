@@ -1,41 +1,9 @@
-"""Trace persistence + statistics."""
+"""Trace statistics."""
 
-import numpy as np
 import pytest
 
 from repro.workloads import constant_trace, nasdaq_trace
-from repro.workloads.replay import (
-    load_trace,
-    save_trace,
-    trace_from_csv,
-    trace_stats,
-    trace_to_csv,
-)
-
-
-class TestCsvRoundtrip:
-    def test_roundtrip_preserves_counts_and_name(self):
-        trace = nasdaq_trace()
-        text = trace_to_csv(trace)
-        back = trace_from_csv(text)
-        assert back.name == trace.name
-        assert np.array_equal(back.counts_per_second, trace.counts_per_second)
-
-    def test_file_roundtrip(self, tmp_path):
-        trace = constant_trace(7, 5, name="sevens")
-        path = save_trace(trace, tmp_path / "t.csv")
-        back = load_trace(path)
-        assert back.name == "sevens"
-        assert back.total == 35
-
-    def test_non_contiguous_seconds_rejected(self):
-        with pytest.raises(ValueError):
-            trace_from_csv("second,count\n0,5\n2,5\n")
-
-    def test_name_override(self):
-        trace = constant_trace(1, 2)
-        back = trace_from_csv(trace_to_csv(trace), name="renamed")
-        assert back.name == "renamed"
+from repro.workloads.replay import trace_stats
 
 
 class TestStats:

@@ -10,8 +10,6 @@ from repro.workloads import (
     constant_trace,
     fifa_trace,
     nasdaq_trace,
-    poisson_trace,
-    ramp_trace,
     uber_trace,
 )
 from repro.workloads.fifa import fifa_request_factory
@@ -86,15 +84,6 @@ class TestTraceMechanics:
         trace = constant_trace(100, 10)
         half = trace.scaled(0.5)
         assert half.avg_tps == pytest.approx(50, rel=0.01)
-
-    def test_ramp(self):
-        trace = ramp_trace(0, 100, 11)
-        assert trace.counts_per_second[0] == 0
-        assert trace.counts_per_second[-1] == 100
-
-    def test_poisson_mean(self):
-        trace = poisson_trace(200, 300, seed=1)
-        assert trace.avg_tps == pytest.approx(200, rel=0.1)
 
     @given(
         st.floats(min_value=10, max_value=500),
