@@ -24,12 +24,13 @@ def make_invalid_transactions(
     resources without being trivially filterable by signature checks.
     """
     txs = []
+    receiver = generate_keypair(seed + 1).address
     for i in range(count):
         broke = generate_keypair(seed * 1_000_003 + i)
         txs.append(
             make_transfer(
                 broke,
-                receiver=generate_keypair(seed + 1).address,
+                receiver=receiver,
                 amount=amount,
                 nonce=0,
                 created_at=created_at,

@@ -485,13 +485,15 @@ def main(argv: "list[str] | None" = None) -> int:
 
     args = build_parser().parse_args(argv)
     telemetry.configure_logging(args.verbose)
-    capture = bool(args.metrics_out or args.trace_out or args.trace_event_out)
+    tracing = bool(args.trace_out or args.trace_event_out)
+    capture = bool(args.metrics_out or tracing)
     if capture:
         # Fresh counts per invocation so the dump reconciles with this
         # run's results even when main() is called repeatedly in-process.
         registry = telemetry.get_registry()
         registry.reset()
         registry.enable()
+    if tracing:
         tracer = telemetry.get_tracer()
         tracer.clear()
         tracer.enabled = True
@@ -531,13 +533,14 @@ def main(argv: "list[str] | None" = None) -> int:
                 rc = 1
             else:
                 print(f"telemetry written to {path}", file=sys.stderr)
+        # Scope telemetry to this invocation: library-style callers of
+        # main() must not keep paying for it, nor keep its records.
         if capture:
-            # Scope the enablement to this invocation: library-style
-            # callers of main() must not keep paying for telemetry.
             telemetry.disable()
-            tracer = telemetry.get_tracer()
+        if tracing:
             tracer.close_stream()
             tracer.enabled = False
+            tracer.clear()
     return rc
 
 

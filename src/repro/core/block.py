@@ -25,7 +25,6 @@ from repro.crypto import (
     sign,
     verify,
 )
-from repro.crypto.keys import derive_address
 
 
 def transactions_hash(txs: Sequence[Transaction]) -> bytes:
@@ -42,7 +41,7 @@ class BlockCertificate:
 
     def proposer_address(self) -> str:
         """``derive(P_k)`` of Alg. 2."""
-        return derive_address(self.public_key)
+        return self.public_key.address
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,9 @@ from typing import Sequence
 from repro.core.block import Block
 from repro.vm.executor import Receipt
 
+#: return-value types whose equal values are indistinguishable
+_EXACT = frozenset({type(None), bool, int, str, bytes})
+
 
 @dataclass(frozen=True)
 class CommitRecord:
@@ -29,46 +32,37 @@ class CommitRecord:
 class ReceiptStore:
     """Per-validator receipt index built from commit results.
 
-    A record lives as long as the validator, so it is kept as one flat
-    tuple of the receipt's and the commit's fields, not as a
-    :class:`CommitRecord`: a tuple of atomic values (bytes, numbers,
-    strings, ``None``, the empty logs tuple) is untracked by CPython's
-    cyclic collector, which then never walks the store.  :meth:`get`
-    builds the :class:`CommitRecord`.
-
-    The commit loop hands each appended chain block over with its
-    receipts already in position order
-    (:attr:`repro.core.blockchain.CommitResult.appended_receipts`), so a
-    row is the receipt's fields after its hash plus four commit fields,
-    with no lookup by hash.
+    A record lives as long as the validator, so a transaction costs one
+    index entry: its hash maps to a row that a run of consecutive
+    receipts of its block with equal bodies (all fields but the hash)
+    shares.  A row is one flat tuple of atomic values — body, height,
+    block hash, commit time — that CPython's collector untracks.  Return
+    values share only within one type of ``_EXACT`` (``1 == True``).
+    Per height, the block's tx hashes give positions.
     """
 
     def __init__(self) -> None:
         #: tx hash -> (success, gas_used, error, return_value,
-        #: contract_address, logs, height, block_hash, position, commit_time)
+        #: contract_address, logs, height, block_hash, commit_time)
         self._records: dict[bytes, tuple] = {}
+        #: height -> the block's tx hashes in position order
+        self._positions: dict[int, tuple[bytes, ...]] = {}
 
     def record_block(
-        self,
-        block: Block,
-        receipts: Sequence[Receipt],
-        *,
-        commit_time: float,
+        self, block: Block, receipts: Sequence[Receipt], *, commit_time: float
     ) -> None:
         """Index a freshly appended chain block; ``receipts[i]`` is the
         receipt of ``block.transactions[i]``."""
-        height = block.index
-        block_hash = block.block_hash
+        tail = (block.index, block.block_hash, commit_time)
+        self._positions[block.index] = tuple([receipt[0] for receipt in receipts])
         records = self._records
-        # One tuple display per row: ``receipt[1:] + (...)`` builds two
-        # tuples and copies one, and costs twice as much.
-        for position, (
-            tx_hash, success, gas_used, error, return_value, contract_address, logs
-        ) in enumerate(receipts):
-            records[tx_hash] = (
-                success, gas_used, error, return_value, contract_address, logs,
-                height, block_hash, position, commit_time,
-            )
+        body = kind = None  # kind: the return-value type the row can share
+        for receipt in receipts:
+            if type(receipt[4]) is not kind or receipt[1:] != body:
+                body = receipt[1:]
+                row = body + tail
+                kind = type(body[3]) if type(body[3]) in _EXACT else None
+            records[receipt[0]] = row
 
     # -- lookup -------------------------------------------------------------------
 
@@ -76,12 +70,12 @@ class ReceiptStore:
         row = self._records.get(tx_hash)
         if row is None:
             return None
-        height, block_hash, position, commit_time = row[6:]
+        height, block_hash, commit_time = row[6:]
         return CommitRecord(
             receipt=Receipt(tx_hash, *row[:6]),
             height=height,
             block_hash=block_hash,
-            position=position,
+            position=self._positions[height].index(tx_hash),
             commit_time=commit_time,
         )
 

@@ -23,10 +23,10 @@ self-contained) while costing only a few hash invocations.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.crypto.hashing import sha256
 
@@ -43,9 +43,9 @@ class PrivateKey:
         if len(self.raw) != 32:
             raise ValueError("private key must be 32 bytes")
 
-    @property
+    @cached_property
     def verification_key(self) -> bytes:
-        """Key used for the publicly checkable HMAC tag."""
+        """Key used for the publicly checkable HMAC tag, derived once."""
         return sha256(b"link|" + self.raw)
 
 
@@ -63,8 +63,13 @@ class PublicKey:
     def hex(self) -> str:
         return self.raw.hex()
 
+    @cached_property
+    def address(self) -> str:
+        """:func:`derive_address` of this key, derived once."""
+        return derive_address(self)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Signature:
     """Self-contained signature: HMAC tag + the verification key used."""
 
@@ -84,9 +89,9 @@ class KeyPair:
     private: PrivateKey
     public: PublicKey
 
-    @property
+    @cached_property
     def address(self) -> str:
-        return derive_address(self.public)
+        return self.public.address
 
 
 def generate_keypair(seed: bytes | int | None = None) -> KeyPair:
@@ -107,8 +112,8 @@ def generate_keypair(seed: bytes | int | None = None) -> KeyPair:
 
 def sign(private: PrivateKey, message: bytes) -> Signature:
     """Sign a message; deterministic (same key + message → same signature)."""
-    tag = hmac.new(private.verification_key, message, hashlib.sha256).digest()
-    return Signature(tag=tag, vk=private.verification_key)
+    vk = private.verification_key
+    return Signature(hmac.digest(vk, message, "sha256"), vk)
 
 
 def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
@@ -119,7 +124,7 @@ def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
     """
     if sha256(b"bind|" + signature.vk) != public.binding:
         return False
-    expected = hmac.new(signature.vk, message, hashlib.sha256).digest()
+    expected = hmac.digest(signature.vk, message, "sha256")
     return hmac.compare_digest(expected, signature.tag)
 
 
@@ -137,4 +142,4 @@ def recover_check(
     only if the signature verifies and the recovered address equals the
     claimed sender.
     """
-    return derive_address(public) == address and verify(public, message, signature)
+    return public.address == address and verify(public, message, signature)

@@ -1,10 +1,16 @@
 """Signature scheme tests: sign/verify/forge-resistance/address recovery."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.crypto import keys
+from repro.crypto.hashing import sha256
 from repro.crypto.keys import (
     PrivateKey,
+    PublicKey,
     Signature,
     derive_address,
     generate_keypair,
@@ -93,3 +99,58 @@ class TestAddressRecovery:
     def test_derive_address_stable(self):
         kp = generate_keypair(32)
         assert derive_address(kp.public) == derive_address(kp.public)
+
+
+class TestDerivedOnce:
+    """Key material is derived once per key object, and the one-shot
+    ``hmac.digest`` signs and verifies exactly as an ``hmac.new`` object."""
+
+    @given(st.binary(min_size=32, max_size=32), st.binary(max_size=256))
+    def test_sign_and_verify_equal_the_hmac_object_construction(self, raw, message):
+        private = PrivateKey(raw)
+        vk = sha256(b"link|" + raw)
+        public = PublicKey(sha256(b"pub|" + raw), sha256(b"bind|" + vk))
+        tag = hmac.new(vk, message, hashlib.sha256).digest()
+        sig = sign(private, message)
+        assert (sig.tag, sig.vk) == (tag, vk)
+        assert verify(public, message, sig)
+        forged = Signature(hmac.new(vk, message + b"!", hashlib.sha256).digest(), vk)
+        assert not verify(public, message, forged)
+
+    @given(st.integers(min_value=-(2**100), max_value=2**100))
+    def test_cached_material_equals_fresh_derivation(self, seed):
+        kp = generate_keypair(seed)
+        fresh = PublicKey(kp.public.raw, kp.public.binding)
+        assert kp.address == kp.public.address == derive_address(fresh)
+        assert kp.private.verification_key == sha256(b"link|" + kp.private.raw)
+        assert kp.address is kp.public.address  # one string per key pair
+        assert sign(kp.private, b"m").vk is kp.private.verification_key
+
+    def test_cached_material_leaves_equality_and_hash_alone(self):
+        kp = generate_keypair(5)
+        kp.address, kp.private.verification_key  # fill the caches
+        twin = generate_keypair(5)
+        assert kp == twin and hash(kp) == hash(twin)
+        assert kp.public == PublicKey(kp.public.raw, kp.public.binding)
+
+    def test_building_transfers_derives_each_address_once(self, monkeypatch):
+        from repro.core.transaction import make_transfer
+
+        calls = []
+        derive = keys.derive_address
+        monkeypatch.setattr(
+            keys, "derive_address", lambda public: calls.append(public) or derive(public)
+        )
+        pairs = [generate_keypair(seed) for seed in range(4)]
+        txs = [
+            make_transfer(pairs[k % 4], pairs[(k + 1) % 4].address, 1, nonce=k // 4)
+            for k in range(400)
+        ]
+        assert {tx.sender for tx in txs} == {kp.address for kp in pairs}
+        assert len(calls) <= 2 * len(pairs)  # 2 per transfer before
+
+    def test_signature_is_slotted_and_frozen(self):
+        sig = sign(generate_keypair(6).private, b"m")
+        assert not hasattr(sig, "__dict__")
+        with pytest.raises(AttributeError):
+            sig.tag = bytes(32)

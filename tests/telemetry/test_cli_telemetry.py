@@ -153,19 +153,26 @@ class TestPerInvocationCounts:
             return outcomes[-1]
 
         monkeypatch.setattr(runner, "run_dapp_workload", keep)
-        # main() buffers trace records even for --metrics-out alone: keep
-        # them out of the global tracer other tests read
-        previous = telemetry.set_tracer(telemetry.Tracer())
-        try:
-            for attempt in range(2):
-                path = tmp_path / f"m{attempt}.prom"
-                assert main(_DAPP + ["--metrics-out", str(path)]) == 0
-                samples = telemetry.parse_prometheus(path.read_text())
-                for node in outcomes[attempt].deployment.validators:
-                    committed = node.blockchain.committed_count()
-                    assert committed > 0
-                    assert node.stats.txs_committed == committed
-                    label = (("node", str(node.node_id)),)
-                    assert samples[("srbb_node_txs_committed_total", label)] == committed
-        finally:
-            telemetry.set_tracer(previous)
+        for attempt in range(2):
+            path = tmp_path / f"m{attempt}.prom"
+            assert main(_DAPP + ["--metrics-out", str(path)]) == 0
+            samples = telemetry.parse_prometheus(path.read_text())
+            for node in outcomes[attempt].deployment.validators:
+                committed = node.blockchain.committed_count()
+                assert committed > 0
+                assert node.stats.txs_committed == committed
+                label = (("node", str(node.node_id)),)
+                assert samples[("srbb_node_txs_committed_total", label)] == committed
+
+    def test_metrics_out_alone_leaves_no_trace(self, tmp_path):
+        """--metrics-out asks for no trace: the global tracer is left off
+        and empty, and a run that writes a trace leaves no record behind
+        either."""
+        tracer = telemetry.get_tracer()
+        assert main(_DAPP + ["--metrics-out", str(tmp_path / "m.prom")]) == 0
+        assert not tracer.enabled and tracer.records == []
+        trace = tmp_path / "t.jsonl"
+        assert main(_DAPP + ["--trace-out", str(trace),
+                             "--trace-event-out", str(tmp_path / "t.json")]) == 0
+        assert trace.read_text() and tracer.records == []
+        assert not tracer.enabled
