@@ -65,6 +65,8 @@ class Block:
         memo = self.__dict__
         memo["_encoded_size"] = None
         memo["_header_ok"] = False
+        memo["_tree"] = None  # the MerkleTree RPM reports prove against
+        memo["_kept_root"] = ((), b"")  # (kept tx hashes, root) of its last cut copy
 
     @cached_property
     def tx_root(self) -> bytes:
@@ -150,25 +152,11 @@ class SuperBlock:
     blocks: tuple[Block, ...]
     round: int = 0
 
-    @cached_property
-    def superblock_hash(self) -> bytes:
-        return hash_items(
-            ["superblock", self.index, self.round]
-            + [b.block_hash for b in self.blocks]
-        )
-
     def __len__(self) -> int:
         return len(self.blocks)
 
     def __iter__(self) -> Iterator[Block]:
         return iter(self.blocks)
-
-    def transaction_count(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def all_transactions(self) -> Iterator[Transaction]:
-        for block in self.blocks:
-            yield from block.transactions
 
 
 GENESIS = Block(proposer_id=-1, index=0, transactions=())

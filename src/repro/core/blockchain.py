@@ -147,6 +147,12 @@ class Blockchain:
                     # Same transactions, same root: the decided block's
                     # (its proposer computed it to sign the block).
                     filtered.__dict__["tx_root"] = block.tx_root
+                else:  # every replica cuts the same txs: one derives the root
+                    hashes = tuple([tx.tx_hash for tx in kept])
+                    if block._kept_root[0] == hashes:
+                        filtered.__dict__["tx_root"] = block._kept_root[1]
+                    else:
+                        block.__dict__["_kept_root"] = (hashes, filtered.tx_root)
                 self.chain.append(filtered)
                 result.appended_blocks.append(filtered)
                 result.appended_receipts.append(tuple(kept_receipts))

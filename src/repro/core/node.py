@@ -975,15 +975,10 @@ class ValidatorNode:
         for slot, block in enumerate(superblock.blocks):
             if block.certificate is None or len(block) == 0:
                 continue
-            cert, h_t_hex, tx_count = certificate_payload(block)
             tx = make_invoke(
-                self.keypair,
-                RPM_ADDRESS,
-                "prop_received",
-                (cert, h_t_hex, tx_count, slot, superblock.index),
-                self._rpm_next_nonce(),
-                gas_limit=2_000_000,
-                created_at=self.sim.now,
+                self.keypair, RPM_ADDRESS, "prop_received",
+                (*certificate_payload(block), slot, superblock.index),
+                self._rpm_next_nonce(), gas_limit=2_000_000, created_at=self.sim.now,
             )
             if self._receive(tx, from_peer=False):
                 self.stats.rpm_attestations += 1
@@ -992,25 +987,17 @@ class ValidatorNode:
         blocks_by_proposer = {b.proposer_id: b for b in superblock.blocks}
         reports_filed: dict[int, int] = {}
         for proposer_id, bad_tx, error in invalid_by_proposer:
-            if error not in REPORTABLE_ERRORS:
+            filed = reports_filed.get(proposer_id, 0)
+            if error not in REPORTABLE_ERRORS or filed >= MAX_REPORTS_PER_BLOCK:
                 continue
-            if reports_filed.get(proposer_id, 0) >= MAX_REPORTS_PER_BLOCK:
-                continue
-            reports_filed[proposer_id] = reports_filed.get(proposer_id, 0) + 1
+            reports_filed[proposer_id] = filed + 1
             block = blocks_by_proposer.get(proposer_id)
             if block is None or block.certificate is None:
                 continue
-            cert, bad_hex, h_t_hex, proof_index, siblings = report_payload(
-                block, bad_tx.tx_hash
-            )
+            cert, *proof = report_payload(block, bad_tx.tx_hash)
             tx = make_invoke(
-                self.keypair,
-                RPM_ADDRESS,
-                "report",
-                (cert, superblock.index, bad_hex, h_t_hex, proof_index, siblings),
-                self._rpm_next_nonce(),
-                gas_limit=2_000_000,
-                created_at=self.sim.now,
+                self.keypair, RPM_ADDRESS, "report", (cert, superblock.index, *proof),
+                self._rpm_next_nonce(), gas_limit=2_000_000, created_at=self.sim.now,
             )
             if self._receive(tx, from_peer=False):
                 self.stats.rpm_reports += 1

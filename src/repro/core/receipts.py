@@ -8,6 +8,8 @@ records, per committed transaction, the receipt plus where it landed
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,8 +47,9 @@ class ReceiptStore:
         #: tx hash -> (success, gas_used, error, return_value,
         #: contract_address, logs, height, block_hash, commit_time)
         self._records: dict[bytes, tuple] = {}
-        #: height -> the block's tx hashes in position order
-        self._positions: dict[int, tuple[bytes, ...]] = {}
+        #: height -> the block's tx hashes; after a lookup there, their positions in _sorted order
+        self._positions: dict[int, "tuple[bytes, ...] | bytes | array"] = {}
+        self._sorted: dict[int, tuple[bytes, ...]] = {}  # height -> those hashes, sorted
 
     def record_block(
         self, block: Block, receipts: Sequence[Receipt], *, commit_time: float
@@ -71,11 +74,17 @@ class ReceiptStore:
         if row is None:
             return None
         height, block_hash, commit_time = row[6:]
+        hashes = self._sorted.get(height)
+        if hashes is None:  # the first lookup at this height sorts it, once
+            hashes = self._positions[height]
+            order = sorted(range(len(hashes)), key=hashes.__getitem__)
+            self._positions[height] = bytes(order) if len(order) <= 256 else array("I", order)
+            hashes = self._sorted[height] = tuple([hashes[i] for i in order])
         return CommitRecord(
             receipt=Receipt(tx_hash, *row[:6]),
             height=height,
             block_hash=block_hash,
-            position=self._positions[height].index(tx_hash),
+            position=self._positions[height][bisect_left(hashes, tx_hash)],
             commit_time=commit_time,
         )
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 from repro import params
@@ -110,6 +110,42 @@ def decode_certificate(enc: tuple[str, str, str, str]) -> BlockCertificate:
         public_key=PublicKey(raw=bytes.fromhex(pub_raw), binding=bytes.fromhex(binding)),
         signed_tx_hash=Signature(tag=bytes.fromhex(tag), vk=bytes.fromhex(vk)),
     )
+
+
+#: entries per check memo (DESIGN.md rule 8: geo_flood_n16 checks 61 certificates n² times)
+CHECK_MEMO_SIZE = 1024
+_EXACT = frozenset({str, int, bytes})  # hash_items tags 1, True and 1.0 apart
+
+
+def _memoised(fn: Callable) -> Callable:
+    """``fn`` behind an ``lru_cache`` of its whole arguments (no exception is
+    kept) that only exact ``str``/``int``/``bytes`` arguments reach."""
+    cached = lru_cache(maxsize=CHECK_MEMO_SIZE)(fn)
+
+    def call(*args):
+        return cached(*args) if _EXACT.issuperset(map(type, args)) else fn(*args)
+
+    call.cached = cached
+    return call
+
+
+@_memoised
+def _proposer(*cert: str) -> tuple[str, bytes]:
+    """``derive(P_k)`` and ``P_k``'s raw bytes of an encoded ``Cert_B``."""
+    public_key = decode_certificate(cert).public_key
+    return public_key.address, public_key.raw
+
+
+@_memoised
+def _signs(h_t: bytes, *cert: str) -> bool:
+    """Whether an encoded ``Cert_B`` signs ``h_t``."""
+    certificate = decode_certificate(cert)
+    return verify(certificate.public_key, h_t, certificate.signed_tx_hash)
+
+
+@_memoised
+def _count_key(prefix: str, *items: Any) -> str:
+    return prefix + hash_items(items).hex()
 
 
 @dataclass(frozen=True)
@@ -202,20 +238,18 @@ class RPMContract(NativeContract):
             return False
         storage.set(invoked_key, True)
 
-        certificate = decode_certificate(tuple(cert))
-        proposer = certificate.proposer_address()  # line 15: derive(P_k)
+        cert = tuple(cert)
+        proposer, public_raw = _proposer(*cert)  # line 15: derive(P_k)
         if proposer not in validators:  # line 16: invalid Cert_B
             return False
         # lines 19-20: the signature over h_t replaces hash(T) == h_t
         h_t = bytes.fromhex(h_t_hex)
-        if not verify(certificate.public_key, h_t, certificate.signed_tx_hash):
+        if not _signs(h_t, *cert):
             return False
 
         # line 21: increment count for hash(P_k, T, i, r); tx_count is part
         # of the key, so n−f validators vouch for the same |T|.
-        count_key = "propcount:" + hash_items(
-            [certificate.public_key.raw, h_t, tx_count, slot, round_]
-        ).hex()
+        count_key = _count_key("propcount:", public_raw, h_t, tx_count, slot, round_)
         count = int(storage.get(count_key, 0)) + 1
         storage.set(count_key, count)
         if count != self.n - self.f:  # line 22 threshold (== so pays once)
@@ -254,13 +288,11 @@ class RPMContract(NativeContract):
         validators = tuple(storage.get(VALIDATORS, ()))
         if info.caller not in validators:
             raise VMRevert("only committee validators may report")
-        certificate = decode_certificate(tuple(cert))
-        proposer = certificate.proposer_address()
+        cert = tuple(cert)
+        proposer, public_raw = _proposer(*cert)
         h_t = bytes.fromhex(h_t_hex)
         # line 32: invalid Cert_B or false report → exit
-        if proposer not in validators:
-            return False
-        if not verify(certificate.public_key, h_t, certificate.signed_tx_hash):
+        if proposer not in validators or not _signs(h_t, *cert):
             return False
         proof = MerkleProof(
             index=int(proof_index),
@@ -275,9 +307,7 @@ class RPMContract(NativeContract):
         storage.set(dedup_key, True)
 
         # line 36: count identical reports
-        count_key = "repcount:" + hash_items(
-            [certificate.public_key.raw, block_number, invalid_tx_hash]
-        ).hex()
+        count_key = _count_key("repcount:", public_raw, block_number, invalid_tx_hash)
         count = int(storage.get(count_key, 0)) + 1
         storage.set(count_key, count)
         if count != self.n - self.f:  # line 37 threshold
@@ -322,7 +352,9 @@ def report_payload(block: Block, bad_tx_hash: bytes) -> tuple:
     leaves = [tx.tx_hash for tx in block.transactions]
     if bad_tx_hash not in leaves:
         raise ValueError("transaction not in block")
-    tree = MerkleTree(leaves)
+    tree = block._tree  # every node reports against this same decided block
+    if tree is None:
+        tree = block.__dict__["_tree"] = MerkleTree(leaves)
     proof = tree.proof(leaves.index(bad_tx_hash))
     return (
         encode_certificate(block.certificate),

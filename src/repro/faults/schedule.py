@@ -251,11 +251,6 @@ class FaultSchedule:
             if e.kind in BYZANTINE_KINDS and e.node is not None
         )
 
-    def crashed_nodes(self) -> "frozenset[int]":
-        return frozenset(
-            e.node for e in self.events if e.kind == "crash" and e.node is not None
-        )
-
     def crash_stopped_nodes(self) -> "frozenset[int]":
         """Nodes whose last crash is never followed by a restart."""
         last = {e.node: e.kind for e in self.point_events()}

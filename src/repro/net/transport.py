@@ -344,9 +344,6 @@ class Network:
         else:
             self._down.discard(node_id)
 
-    def is_down(self, node_id: int) -> bool:
-        return node_id in self._down
-
     # -- congestion observability ----------------------------------------------
 
     def inflight(self) -> int:

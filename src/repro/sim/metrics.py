@@ -60,11 +60,6 @@ class LatencySample:
         return self._hist.count
 
     @property
-    def max_latency(self) -> float:
-        self._flush()
-        return self._hist.max if self._hist.count else 0.0
-
-    @property
     def mean(self) -> float:
         self._flush()
         return self._hist.mean

@@ -105,11 +105,6 @@ class Tracer:
 
     # -- streaming flush (bounded-memory soak runs) ----------------------------
 
-    @property
-    def stream_path(self) -> "str | None":
-        """Path of the active streaming target (None when buffering)."""
-        return self._stream_path
-
     def stream_to(self, path: str, *, flush_every: int = 10_000) -> None:
         """Flush the trace incrementally to ``path`` as JSONL.
 

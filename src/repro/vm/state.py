@@ -10,7 +10,7 @@ from __future__ import annotations
 import copy as _copymod
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 from repro.crypto.hashing import hash_items
 from repro.errors import UnknownSender
@@ -102,9 +102,6 @@ class WorldState:
         self._journal.clear()
 
     # -- accounts -----------------------------------------------------------
-
-    def account_exists(self, address: str) -> bool:
-        return address in self._accounts
 
     def get_account(self, address: str) -> Account:
         try:
@@ -216,11 +213,6 @@ class WorldState:
         storage = self._storage
         self._journal.append((storage, slot, storage.get(slot, _ABSENT)))
         storage[slot] = value
-
-    def storage_items(self, contract: str) -> Iterator[tuple[str, Any]]:
-        for (addr, key), value in self._storage.items():
-            if addr == contract:
-                yield key, value
 
     # -- digests ------------------------------------------------------------
 

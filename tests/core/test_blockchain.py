@@ -3,6 +3,7 @@
 import pytest
 
 from repro import params
+from repro.core import block as block_module
 from repro.core.block import Block, SuperBlock, make_block, transactions_hash
 from repro.core.blockchain import Blockchain
 from repro.core.transaction import make_invoke, make_transfer
@@ -138,7 +139,7 @@ class TestJournalLifetime:
         clean.commit_superblock(SuperBlock(index=1, blocks=(make_block(kp, 0, 1, good),)))
         assert result.committed == good
         assert result.discarded == [(bad, "vm-error")]
-        assert not mixed.state.account_exists("bb" * 20)
+        assert "bb" * 20 not in mixed.state._accounts
         assert mixed.state.state_root() == clean.state.state_root()
 
 
@@ -191,6 +192,58 @@ class TestChainBlockRoot:
         assert [b.transactions for b in result.appended_blocks] == [(t0,), (t1,)]
         for chain_block in chain.chain[1:]:
             self._assert_fresh(chain_block)
+
+    def test_replicas_share_a_shortened_root_only_for_equal_kept_sets(
+        self, kp, monkeypatch
+    ):
+        """Replicas that keep the same transactions of a decided block
+        derive its shortened root once between them; a replica that keeps
+        others derives its own.  Every root is ``transactions_hash(kept)``:
+        for a whole block, a partial one, and a flooder's (Byzantine)
+        block that is mostly junk."""
+        roots = []
+        real = block_module.transactions_hash
+
+        def counting(txs):
+            roots.append(tuple(tx.tx_hash for tx in txs))
+            return real(txs)
+
+        monkeypatch.setattr(block_module, "transactions_hash", counting)
+        kp2, broke = generate_keypair(2), generate_keypair(99)
+        rich = [generate_keypair(3), generate_keypair(4)]
+        whole = make_block(
+            kp, 0, 1, [make_transfer(kp, "aa" * 20, 1, nonce=i) for i in range(3)]
+        )
+        partial = make_block(kp2, 1, 1, [
+            make_transfer(rich[0], "bb" * 20, 1, nonce=0),
+            make_transfer(broke, "aa" * 20, 1, nonce=0),
+            make_transfer(rich[1], "aa" * 20, 1, nonce=0),
+        ])
+        junk = [
+            make_transfer(generate_keypair(200 + i), "cc" * 20, 1, nonce=0) for i in range(6)
+        ]
+        honest = make_transfer(kp, "dd" * 20, 1, nonce=3)
+        flooded = make_block(kp2, 2, 1, junk[:3] + [honest] + junk[3:])
+        superblock = SuperBlock(index=1, blocks=(whole, partial, flooded))
+        replicas = [fresh_chain(kp) for _ in range(3)]
+        for chain, funded in zip(replicas, (rich[0], rich[0], rich[1])):
+            chain.state.create_account(funded.address, FUNDS)  # the one it keeps
+            chain.state.commit()
+        del roots[:]  # the proposals' roots
+        for chain in replicas:
+            chain.commit_superblock(superblock)
+        derived = list(roots)
+        kept = {
+            tuple(tx.tx_hash for tx in chain.chain[i].transactions)
+            for chain in replicas for i in (2, 3)
+        }
+        assert len(kept) == 3  # two partial sets, one flooded set
+        assert sorted(derived) == sorted(kept)  # once per distinct kept set
+        for chain in replicas:
+            for chain_block in chain.chain[1:]:
+                self._assert_fresh(chain_block)
+        assert replicas[0].chain[2].tx_root != replicas[2].chain[2].tx_root
+        assert all([len(b) for b in chain.chain[1:]] == [3, 1, 1] for chain in replicas)
 
     def test_receipts_follow_their_block_in_position_order(self, kp):
         chain = fresh_chain(kp)

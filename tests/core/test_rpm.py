@@ -287,9 +287,7 @@ class TestJoin:
         seed_genesis(seeded, addresses, DEPOSIT)
         for address in addresses:
             call(rpm, joined, address, "join", DEPOSIT, value=DEPOSIT)
-        assert dict(seeded.storage_items(RPM_ADDR)) == dict(
-            joined.storage_items(RPM_ADDR)
-        )
+        assert seeded._storage == joined._storage
 
     def test_double_join_reverts(self, rpm):
         ws = WorldState()

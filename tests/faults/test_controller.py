@@ -53,10 +53,10 @@ class TestInstall:
         deployment.start()
         deployment.run_until(3.0)
         assert deployment.validators[3].crashed
-        assert deployment.network.is_down(3)
+        assert 3 in deployment.network._down
         deployment.run_until(6.0)
         assert not deployment.validators[3].crashed
-        assert not deployment.network.is_down(3)
+        assert 3 not in deployment.network._down
         assert [(k, n) for k, n, _ in deployment.fault_controller.applied] == [
             ("crash", 3), ("restart", 3),
         ]

@@ -119,7 +119,7 @@ class TestCrash:
         )
         deployment.start()
         deployment.run_until(0.1)  # the crash fires on the clock at t = 0
-        assert deployment.network.is_down(3)
+        assert 3 in deployment.network._down
         tx = make_transfer(clients[0], clients[1].address, 1, nonce=0)
         assert not deployment.validators[3].submit_transaction(tx)
 

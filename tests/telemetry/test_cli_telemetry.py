@@ -97,7 +97,7 @@ class TestObservabilityOuts:
         main(_DAPP + ["--trace-out", str(tmp_path / "t.jsonl")])
         tracer = telemetry.get_tracer()
         assert not tracer.enabled
-        assert tracer.stream_path is None
+        assert tracer._stream_path is None
 
     def test_removed_side_recorder_flags_rejected(self, tmp_path):
         for flag in ("--lifecycle-out", "--observatory-out"):
@@ -110,7 +110,7 @@ class TestObservabilityOuts:
         path = tmp_path / "trace.jsonl"
         rc = main(_DAPP + ["--trace-out", str(path)])
         assert rc == 0
-        assert telemetry.get_tracer().stream_path is None  # closed again
+        assert telemetry.get_tracer()._stream_path is None  # closed again
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert any(r["name"] == "node.commit" for r in records)
 

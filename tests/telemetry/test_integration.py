@@ -124,7 +124,7 @@ class TestLatencySample:
         for i in range(10_000):
             sample.add(0.001 * (i + 1), weight=2.0)
         assert sample.total_weight == 20_000
-        assert sample.max_latency == 10.0
+        assert sample.histogram.max == 10.0
         assert 0 < sample.mean < 10.0
         assert sample.percentile(50.0) <= sample.percentile(99.0) <= 10.0
         # memory is bounded by the sketch bins, not the observation count
@@ -133,5 +133,5 @@ class TestLatencySample:
     def test_empty(self):
         sample = LatencySample()
         assert sample.mean == 0.0
-        assert sample.max_latency == 0.0
+        assert sample.histogram.count == 0
         assert sample.percentile(99.0) == 0.0

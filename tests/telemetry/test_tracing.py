@@ -58,7 +58,7 @@ class TestBoundedMemory:
         tracer.close_stream()
         names = [json.loads(l)["name"] for l in path.read_text().splitlines()]
         assert names == ["a", "b", "tail"]
-        assert tracer.stream_path is None
+        assert tracer._stream_path is None
 
     def test_streamed_file_equals_buffered_dump(self, tmp_path):
         path = tmp_path / "stream.jsonl"
@@ -76,7 +76,7 @@ class TestBoundedMemory:
         tracer.stream_to(str(path))
         tracer.event("only", 0.0)
         tracer.dump(str(path))  # same path: finalize the stream, no rewrite
-        assert tracer.stream_path is None
+        assert tracer._stream_path is None
         assert json.loads(path.read_text())["name"] == "only"
 
 

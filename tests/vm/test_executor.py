@@ -380,7 +380,7 @@ def reference_execute(state, registry, tx, coinbase=""):
             bytecode = tx.payload.get("bytecode", b"")
             if not isinstance(bytecode, bytes):
                 raise VMError("bytecode")
-            if state.account_exists(address) and state.get_account(address).is_contract:
+            if address in state._accounts and state.get_account(address).is_contract:
                 raise VMError("occupied")
             state.create_account(address, code=bytecode)
             if tx.amount:
@@ -391,7 +391,7 @@ def reference_execute(state, registry, tx, coinbase=""):
             if tx.amount:
                 state.sub_balance(sender, tx.amount)
                 state.add_balance(target, tx.amount)
-            account = state.get_account(target) if state.account_exists(target) else None
+            account = state._accounts.get(target)
             if account is None or not account.is_contract:
                 raise VMError("not a contract")
             try:

@@ -65,7 +65,7 @@ class TestSnapshots:
         snap = ws.snapshot()
         ws.create_account("a1", 100)
         ws.revert(snap)
-        assert not ws.account_exists("a1")
+        assert "a1" not in ws._accounts
 
     def test_revert_nonce(self):
         ws = WorldState()
@@ -193,7 +193,7 @@ _journal_ops = st.one_of(
 
 
 def _membership(ws: WorldState) -> tuple:
-    accounts = tuple(a for a in ADDRESSES if ws.account_exists(a))
+    accounts = tuple(a for a in ADDRESSES if a in ws._accounts)
     slots = tuple(
         (c, k) for c in ADDRESSES for k in KEYS
         if ws.storage_get(c, k, _MISSING) is not _MISSING
