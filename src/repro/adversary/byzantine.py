@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.block import Block, make_block
 from repro.core.node import ValidatorNode
 from repro.core.transaction import Transaction, make_transfer
@@ -23,20 +25,21 @@ def make_invalid_transactions(
     exactly the class of junk a flooding validator injects to waste peer
     resources without being trivially filterable by signature checks.
     """
-    txs = []
+    return invalid_transactions_at([created_at] * count, seed=seed, amount=amount)
+
+
+def invalid_transactions_at(
+    times: Sequence[float], *, seed: int = 99, amount: int = 1
+) -> list[Transaction]:
+    """:func:`make_invalid_transactions`, the ``i``-th sent at ``times[i]``."""
     receiver = generate_keypair(seed + 1).address
-    for i in range(count):
-        broke = generate_keypair(seed * 1_000_003 + i)
-        txs.append(
-            make_transfer(
-                broke,
-                receiver=receiver,
-                amount=amount,
-                nonce=0,
-                created_at=created_at,
-            )
+    return [
+        make_transfer(
+            generate_keypair(seed * 1_000_003 + i), receiver=receiver,
+            amount=amount, nonce=0, created_at=t,
         )
-    return txs
+        for i, t in enumerate(times)
+    ]
 
 
 #: behaviours a campaign can toggle, mirroring the ``byzantine_*``

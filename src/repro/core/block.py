@@ -61,7 +61,7 @@ class Block:
     round: int = 0
 
     def __post_init__(self) -> None:
-        # memo slots (see Transaction.__post_init__)
+        # memo slots (see Transaction.__init__)
         memo = self.__dict__
         memo["_encoded_size"] = None
         memo["_header_ok"] = False

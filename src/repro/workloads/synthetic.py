@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adversary.byzantine import make_invalid_transactions
+from repro.adversary.byzantine import invalid_transactions_at
 from repro.core.transaction import Transaction, make_transfer
 from repro.crypto.keys import generate_keypair
 from repro.workloads.trace import RequestFactory, Trace
@@ -70,53 +70,26 @@ def flooding_mix(
     transfers are interleaved proportionally and timestamped at the given
     open-loop send rate (paper: 20 K valid + 10 K invalid at 15 000 TPS).
     """
-    factory = transfer_request_factory(clients=clients, seed=seed)
-    valid = [factory(i, 0.0) for i in range(valid_count)]
-    invalid = make_invalid_transactions(invalid_count, seed=seed + 1)
-    mixed: list[Transaction] = []
+    # Work the interleaving out first (True = the next valid transfer),
+    # then build each transaction once, stamped with its send time.
+    order: list[bool] = []
     ratio = invalid_count / valid_count if valid_count else 1.0
-    vi = ii = 0
-    credit = 0.0
-    while vi < len(valid) or ii < len(invalid):
-        if vi < len(valid):
-            mixed.append(valid[vi])
-            vi += 1
-            credit += ratio
-        while credit >= 1.0 and ii < len(invalid):
-            mixed.append(invalid[ii])
-            ii += 1
+    credit, junk = 0.0, 0
+    for _ in range(valid_count):
+        order.append(True)
+        credit += ratio
+        while credit >= 1.0 and junk < invalid_count:
+            order.append(False)
+            junk += 1
             credit -= 1.0
-        if vi >= len(valid):
-            while ii < len(invalid):
-                mixed.append(invalid[ii])
-                ii += 1
-    # Stamp open-loop send times.
-    out = []
-    for i, tx in enumerate(mixed):
-        send_time = i / send_rate_tps
-        out.append(_restamp(tx, send_time))
-    return out
-
-
-def _restamp(tx: Transaction, created_at: float) -> Transaction:
-    """Copy a transaction with a new client timestamp (keeps signature:
-    created_at is not part of the signed payload, matching DIABLO's
-    pre-signed schedules)."""
-    return Transaction(
-        tx_type=tx.tx_type,
-        sender=tx.sender,
-        receiver=tx.receiver,
-        amount=tx.amount,
-        nonce=tx.nonce,
-        gas_limit=tx.gas_limit,
-        gas_price=tx.gas_price,
-        payload=tx.payload,
-        public_key=tx.public_key,
-        signature=tx.signature,
-        padding=tx.padding,
-        created_at=created_at,
-        uid=tx.uid,
-    )
+    order += [False] * (invalid_count - junk)
+    times = [i / send_rate_tps for i in range(len(order))]
+    factory = transfer_request_factory(clients=clients, seed=seed)
+    valid_times = [t for t, v in zip(times, order) if v]
+    junk_times = [t for t, v in zip(times, order) if not v]
+    valid = iter([factory(k, t) for k, t in enumerate(valid_times)])
+    invalid = iter(invalid_transactions_at(junk_times, seed=seed + 1))
+    return [next(valid) if v else next(invalid) for v in order]
 
 
 def factory_balances(factory: RequestFactory, balance: int = 10**15) -> dict[str, int]:

@@ -9,6 +9,7 @@ from repro.core.transaction import Transaction, TxType, make_invoke, make_transf
 from repro.net.topology import single_region_topology
 from repro.vm.executor import native_address_for
 from repro.vm.state import WorldState
+from tests.core.test_transaction import signed_by
 
 
 class TestGenesisSpec:
@@ -133,7 +134,7 @@ def _malformed_calls(deployment, clients):
     cannot bind to, or fault inside, the native method they name."""
     exchange = native_address_for("exchange")
     member = deployment.validators[2].keypair
-    non_iterable = Transaction(
+    non_iterable = signed_by(Transaction(
         tx_type=TxType.INVOKE,
         sender=clients[1].address,
         receiver=exchange,
@@ -142,7 +143,7 @@ def _malformed_calls(deployment, clients):
         gas_limit=200_000,
         gas_price=1,
         payload={"contract": exchange, "function": "trade", "args": 5},
-    ).signed_by(clients[1])
+    ), clients[1])
     return {
         "missing-arguments": (
             clients[0],

@@ -17,6 +17,7 @@ from repro.core.transaction import Transaction, TxType, make_transfer
 from repro.core.validation import check_signature
 from repro.crypto import hash_items, merkle_root, verify
 from repro.crypto.keys import generate_keypair, recover_check
+from tests.core.test_transaction import signed_by
 
 KEYS = [generate_keypair(4100 + i) for i in range(3)]
 
@@ -43,7 +44,7 @@ def transactions(draw, signed=None):
         padding=draw(st.integers(0, 2_000)),
     )
     if draw(st.booleans()) if signed is None else signed:
-        tx = tx.signed_by(keypair)
+        tx = signed_by(tx, keypair)
     return tx
 
 
@@ -143,7 +144,7 @@ class TestTransactionMemos:
     @given(transactions(signed=False))
     def test_signing_hands_over_a_correct_payload(self, unsigned):
         keypair = next(kp for kp in KEYS if kp.address == unsigned.sender)
-        signed = unsigned.signed_by(keypair)
+        signed = signed_by(unsigned, keypair)
         assert signed.__dict__["_signing_payload"] == ref_signing_payload(signed)
         assert not signed.sig_verified  # signing is not verifying
         assert_coherent(signed)

@@ -13,6 +13,7 @@ from repro.core.validation import (
 )
 from repro.crypto.keys import generate_keypair
 from repro.vm.state import WorldState
+from tests.core.test_transaction import signed_by
 
 FUNDS = 10**9
 
@@ -118,7 +119,7 @@ class TestFieldRange:
         assert not unsigned.fields_ok
         assert eager_validate(unsigned, state).error_code == FIELD_RANGE
         assert lazy_validate(unsigned, state).error_code == FIELD_RANGE
-        signed = unsigned.signed_by(kp)
+        signed = signed_by(unsigned, kp)
         assert eager_validate(signed, state).error_code == FIELD_RANGE
         assert lazy_validate(signed, state).error_code == FIELD_RANGE
 

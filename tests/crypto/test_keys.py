@@ -102,8 +102,9 @@ class TestAddressRecovery:
 
 
 class TestDerivedOnce:
-    """Key material is derived once per key object, and the one-shot
-    ``hmac.digest`` signs and verifies exactly as an ``hmac.new`` object."""
+    """Key material is derived once per key object; ``sign`` computes the
+    tag from the key's two keyed SHA-256 states and ``verify`` with the
+    one-shot ``hmac.digest``, each exactly as an ``hmac.new`` object."""
 
     @given(st.binary(min_size=32, max_size=32), st.binary(max_size=256))
     def test_sign_and_verify_equal_the_hmac_object_construction(self, raw, message):
@@ -154,3 +155,35 @@ class TestDerivedOnce:
         assert not hasattr(sig, "__dict__")
         with pytest.raises(AttributeError):
             sig.tag = bytes(32)
+
+
+# -- the keyed-state HMAC against the one-shot construction --------------------
+
+
+#: messages from empty to over two SHA-256 blocks
+MESSAGES = st.binary(max_size=200)
+
+
+class TestKeyedStateHmac:
+    """The signer's HMAC from kept keyed states equals ``hmac.new``, and a
+    tag it makes checks under the one-shot ``verify``."""
+
+    @given(st.one_of(st.binary(min_size=32, max_size=32), st.binary(max_size=64)), MESSAGES)
+    def test_kernel_equals_hmac_new(self, key, message):
+        """The 32-byte verification keys, and every length up to one block."""
+        expected = hmac.new(key, message, hashlib.sha256).digest()
+        assert keys._hmac(keys._keyed_states(key), message) == expected
+
+    @given(st.binary(min_size=32, max_size=32), MESSAGES, MESSAGES)
+    def test_sign_equals_hmac_new(self, raw, message, other):
+        private = PrivateKey(raw)
+        vk = sha256(b"link|" + raw)
+        for m in (message, other, message):  # the kept states are copied, never advanced
+            assert sign(private, m).tag == hmac.new(vk, m, hashlib.sha256).digest()
+
+    @given(st.integers(0, 2**32), st.integers(0, 2**32), MESSAGES)
+    def test_tags_verify_under_their_own_key_only(self, a, b, message):
+        kp, other = generate_keypair(a), generate_keypair(b)
+        assert verify(kp.public, message, sign(kp.private, message))
+        assert not verify(kp.public, message + b"!", sign(kp.private, message))
+        assert verify(kp.public, message, sign(other.private, message)) == (a == b)

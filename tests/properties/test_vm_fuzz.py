@@ -19,6 +19,7 @@ from repro.vm.executor import Executor, install_native, native_address_for
 from repro.vm.opcodes import Op, assemble
 from repro.vm.state import WorldState
 from repro.vm.svm import SVM, CallContext
+from tests.core.test_transaction import signed_by
 
 ADDRESS = "c" * 40
 
@@ -115,7 +116,7 @@ def test_executor_never_raises_on_any_integer_field(
             "contract": EXCHANGE, "function": "trade", "args": ("GOOG", 1, 1, "buy"),
         },
     }[kind]
-    tx = Transaction(
+    tx = signed_by(Transaction(
         tx_type=kind,
         sender=SENDER.address,
         receiver=EXCHANGE if kind is TxType.INVOKE else "ab" * 20,
@@ -125,7 +126,7 @@ def test_executor_never_raises_on_any_integer_field(
         gas_price=gas_price,
         payload=payload,
         padding=padding,
-    ).signed_by(SENDER)
+    ), SENDER)
     receipt = Executor(state).execute(tx, coinbase="cb" * 20)
     state.commit()
     if not tx.fields_ok:

@@ -37,6 +37,7 @@ from repro.vm.gas import intrinsic_gas
 from repro.vm.opcodes import Op, assemble
 from repro.vm.state import WorldState
 from repro.vm.svm import SVM, CallContext
+from tests.core.test_transaction import signed_by
 
 FUNDS = 10**12
 
@@ -294,20 +295,20 @@ class TestMalformedCalls:
             deploy = make_deploy(keypair, assemble([Op.STOP]), nonce=0)
             target = executor.execute(deploy).contract_address
             executor.state.commit()
-        tx = Transaction(
+        tx = signed_by(Transaction(
             tx_type=TxType.INVOKE, sender=keypair.address, receiver=target,
             amount=3, nonce=executor.state.nonce_of(keypair.address),
             gas_limit=200_000, gas_price=1,
             payload={"contract": target, "function": "trade", "args": 5},
-        ).signed_by(keypair)
+        ), keypair)
         self._assert_reverts(executor, tx)
 
     def test_unhashable_call_target(self, executor, keypair):
-        tx = Transaction(
+        tx = signed_by(Transaction(
             tx_type=TxType.INVOKE, sender=keypair.address, receiver="",
             amount=3, nonce=0, gas_limit=200_000, gas_price=1,
             payload={"contract": ["not", "an", "address"], "function": "f"},
-        ).signed_by(keypair)
+        ), keypair)
         self._assert_reverts(executor, tx, VMError.code)
 
     def test_the_revert_chains_the_fault(self, state):
@@ -500,11 +501,11 @@ def _draw_transaction(data, state, deployed):
     elif kind == "malformed-arity":
         tx = make_invoke(kp, exchange, "trade", ("AAPL",), nonce, amount=amount, **gas)
     elif kind == "malformed-args":
-        tx = Transaction(
+        tx = signed_by(Transaction(
             tx_type=TxType.INVOKE, sender=kp.address, receiver=exchange,
             amount=amount, nonce=nonce, gas_limit=200_000, gas_price=price,
             payload={"contract": exchange, "function": "trade", "args": 5},
-        ).signed_by(kp)
+        ), kp)
     else:
         tx = make_invoke(kp, RPM_ADDRESS, "prop_received",
                          (("zz",) * 4, "00" * 32, 1, 0, 1), nonce,
