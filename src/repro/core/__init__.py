@@ -8,7 +8,6 @@ the Section VI load-balancer mitigation.
 from repro.core.transaction import (
     Transaction,
     TxType,
-    make_deploy,
     make_invoke,
     make_transfer,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ValidationOutcome",
     "eager_validate",
     "lazy_validate",
-    "make_deploy",
     "make_invoke",
     "make_transfer",
 ]

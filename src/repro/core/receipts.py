@@ -45,7 +45,7 @@ class ReceiptStore:
 
     def __init__(self) -> None:
         #: tx hash -> (success, gas_used, error, return_value,
-        #: contract_address, logs, height, block_hash, commit_time)
+        #: height, block_hash, commit_time)
         self._records: dict[bytes, tuple] = {}
         #: height -> the block's tx hashes; after a lookup there, their positions in _sorted order
         self._positions: dict[int, "tuple[bytes, ...] | bytes | array"] = {}
@@ -73,7 +73,7 @@ class ReceiptStore:
         row = self._records.get(tx_hash)
         if row is None:
             return None
-        height, block_hash, commit_time = row[6:]
+        height, block_hash, commit_time = row[4:]
         hashes = self._sorted.get(height)
         if hashes is None:  # the first lookup at this height sorts it, once
             hashes = self._positions[height]
@@ -81,7 +81,7 @@ class ReceiptStore:
             self._positions[height] = bytes(order) if len(order) <= 256 else array("I", order)
             hashes = self._sorted[height] = tuple([hashes[i] for i in order])
         return CommitRecord(
-            receipt=Receipt(tx_hash, *row[:6]),
+            receipt=Receipt(tx_hash, *row[:4]),
             height=height,
             block_hash=block_hash,
             position=self._positions[height][bisect_left(hashes, tx_hash)],

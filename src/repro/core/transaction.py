@@ -1,4 +1,4 @@
-"""Transactions: native transfers, contract deployments, contract calls.
+"""Transactions: native transfers and contract calls.
 
 A transaction carries the fields the paper's validity definition needs
 (§IV-D): a signature (check i), a bounded encoded size (check ii), a nonce
@@ -48,10 +48,10 @@ def fields_in_range(*values: Any) -> bool:
 
 
 class TxType(Enum):
-    """The three transaction kinds of §II-A."""
+    """Two of §II-A's three transaction kinds: contract deployment is not
+    modelled, because every contract is installed at genesis."""
 
     TRANSFER = "transfer"
-    DEPLOY = "deploy"
     INVOKE = "invoke"
 
 
@@ -59,10 +59,10 @@ class TxType(Enum):
 class Transaction:
     """A signed client write request.
 
-    ``payload`` holds type-specific data: the contract bytecode for DEPLOY,
-    or ``{"contract", "function", "args"}`` for INVOKE.  ``padding`` inflates
-    the encoded size to model realistic byte footprints (and to build
-    oversized transactions in tests).
+    ``payload`` holds ``{"contract", "function", "args"}`` for INVOKE and
+    is empty for a transfer.  ``padding`` inflates the encoded size to
+    model realistic byte footprints (and to build oversized transactions
+    in tests).
 
     The fields are frozen, so everything derived from them — signing
     payload, hash, sizes, a positive signature verdict — is computed at
@@ -198,12 +198,10 @@ class Transaction:
 
     def intrinsic_gas(self) -> int:
         """Gas charged before any execution: G_TX, plus G_TXDATA_BYTE per
-        byte of :meth:`data_size`, plus G_CREATE for a deployment."""
+        byte of :meth:`data_size`."""
         gas = self._intrinsic_gas
         if gas is None:
-            gas = self.__dict__["_intrinsic_gas"] = _intrinsic_gas(
-                self.data_size(), is_create=self.tx_type is TxType.DEPLOY
-            )
+            gas = self.__dict__["_intrinsic_gas"] = _intrinsic_gas(self.data_size())
         return gas
 
     def max_cost(self) -> int:
@@ -251,22 +249,6 @@ def make_transfer(
     return _signed(keypair, Transaction(
         TxType.TRANSFER, keypair.address, receiver, amount, nonce, gas_limit,
         gas_price, {}, keypair.public, None, padding, created_at,
-    ))
-
-
-def make_deploy(
-    keypair: KeyPair,
-    bytecode: bytes,
-    nonce: int,
-    *,
-    gas_limit: int = 1_000_000,
-    gas_price: int = 1,
-    created_at: float = 0.0,
-) -> Transaction:
-    """A signed smart-contract deployment transaction."""
-    return _signed(keypair, Transaction(
-        TxType.DEPLOY, keypair.address, "", 0, nonce, gas_limit, gas_price,
-        {"bytecode": bytecode}, keypair.public, None, 0, created_at,
     ))
 
 

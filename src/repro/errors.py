@@ -57,7 +57,7 @@ class UnknownSender(ValidationError):
 
 
 class VMError(ReproError):
-    """Base class for SVM execution failures (state is rolled back)."""
+    """Base class for contract-call failures (state is rolled back)."""
 
     code = "vm-error"
 
@@ -66,32 +66,10 @@ class OutOfGas(VMError):
     code = "out-of-gas"
 
 
-class StackUnderflow(VMError):
-    code = "stack-underflow"
-
-
-class StackOverflow(VMError):
-    code = "stack-overflow"
-
-
-class InvalidOpcode(VMError):
-    code = "invalid-opcode"
-
-
-class InvalidJump(VMError):
-    code = "invalid-jump"
-
-
 class VMRevert(VMError):
-    """Explicit REVERT by contract code."""
+    """A contract call reverted (a contract's check or a malformed input)."""
 
     code = "revert"
-
-
-class ArithmeticOverflow(VMError):
-    """Checked-arithmetic overflow (paper: 'Overflow ... exceptions')."""
-
-    code = "overflow"
 
 
 class ContractNotFound(VMError):

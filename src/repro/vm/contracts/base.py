@@ -2,9 +2,8 @@
 
 A native contract exposes ``@method``-decorated functions.  Calls are gas
 metered: a flat dispatch charge plus per-storage-access charges applied by
-the :class:`MeteredState` the method gets (SLOAD/SSTORE-equivalent costs),
-so native execution and bytecode execution burn comparable gas for
-comparable work.
+the :class:`MeteredState` the method gets (the EVM's SLOAD/SSTORE prices),
+so a call burns gas in proportion to the storage work it does.
 
 A method runs on call inputs that nothing validated: the transaction's
 arguments reach it as they were signed.  A fault those inputs raise while
@@ -18,14 +17,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ContractNotFound, OutOfGas, VMRevert
-from repro.vm.gas import G_NATIVE_CALL, GAS_TABLE
-from repro.vm.opcodes import Op
+from repro.vm.gas import G_BALANCE, G_NATIVE_CALL, G_SLOAD, G_SSTORE, G_TRANSFER
 from repro.vm.state import WorldState
-
-_SLOAD_COST = GAS_TABLE[Op.SLOAD]
-_SSTORE_COST = GAS_TABLE[Op.SSTORE]
-_BALANCE_COST = GAS_TABLE[Op.BALANCE]
-_TRANSFER_COST = GAS_TABLE[Op.TRANSFER]
 
 #: what malformed call inputs raise inside a method: wrong arity or type,
 #: a bad literal (``bytes.fromhex``), a missing key or index, an overflow
@@ -82,23 +75,23 @@ class MeteredState(GasMeter):
         self._contract = contract
 
     def get(self, key: str, default: Any = None) -> Any:
-        if _SLOAD_COST > self.remaining:
+        if G_SLOAD > self.remaining:
             raise OutOfGas("native call out of gas (sload)")
-        self.remaining -= _SLOAD_COST
+        self.remaining -= G_SLOAD
         return self._state.storage_get(self._contract, key, default)
 
     def set(self, key: str, value: Any) -> None:
-        if _SSTORE_COST > self.remaining:
+        if G_SSTORE > self.remaining:
             raise OutOfGas("native call out of gas (sstore)")
-        self.remaining -= _SSTORE_COST
+        self.remaining -= G_SSTORE
         self._state.storage_set(self._contract, key, value)
 
     def balance_of(self, address: str) -> int:
-        self.charge(_BALANCE_COST, "balance")
+        self.charge(G_BALANCE, "balance")
         return self._state.balance_of(address)
 
     def transfer(self, frm: str, to: str, amount: int) -> None:
-        self.charge(_TRANSFER_COST, "transfer")
+        self.charge(G_TRANSFER, "transfer")
         if self._state.balance_of(frm) < amount:
             raise VMRevert(f"transfer of {amount} exceeds balance of {frm!r}")
         self._state.sub_balance(frm, amount)

@@ -8,11 +8,14 @@ The executor realizes the paper's execution semantics:
   Geth raising ``ErrInvalidSig`` / overflow exceptions at execution.
 * A failure leaves the state as it was: an invalid transaction "has no
   impact on the blockchain state" and is discarded from its block by the
-  commit loop.  Every check runs before the first write; only a
-  deployment or a contract call can fail after it, and those run under a
-  snapshot that the failure reverts.
+  commit loop.  Every check runs before the first write; only a contract
+  call can fail after it, and it runs under a snapshot that the failure
+  reverts.
 * On success: nonce bump, value transfer / contract call, gas fee paid to
   the block proposer (coinbase).
+
+Every contract is a native one, installed at genesis
+(:func:`install_native`); contract deployment is not modelled.
 
 Every validator executes every decided transaction, so the transfer path
 is kept to one frame here plus the state's writers: one debit-and-bump of
@@ -34,11 +37,9 @@ from repro.errors import (
     OversizedTransaction,
     ReproError,
     VMError,
-    VMRevert,
 )
 from repro.vm.contracts.base import NativeRegistry, native_registry
 from repro.vm.state import WorldState
-from repro.vm.svm import SVM, CallContext
 
 
 def _build_metrics(reg: telemetry.MetricsRegistry) -> SimpleNamespace:
@@ -62,9 +63,7 @@ class Receipt(NamedTuple):
     """Execution outcome of one transaction.
 
     A tuple: nothing mutates a receipt, and it is built once per executed
-    transaction on every node, positionally.  ``logs`` is always a tuple,
-    so :class:`~repro.core.receipts.ReceiptStore` stores the fields as
-    they are.
+    transaction on every node, positionally.
     """
 
     tx_hash: bytes
@@ -72,19 +71,12 @@ class Receipt(NamedTuple):
     gas_used: int = 0
     error: str | None = None
     return_value: Any = None
-    contract_address: str | None = None
-    logs: tuple = ()
 
 
-#: ``Receipt`` from all seven fields, without the Python frame of the
+#: ``Receipt`` from all five fields, without the Python frame of the
 #: NamedTuple's generated ``__new__``: every node builds one per
 #: committed transaction
 _receipt = partial(tuple.__new__, Receipt)
-
-
-def contract_address_for(sender: str, nonce: int) -> str:
-    """Deterministic deployed-contract address (Ethereum-style)."""
-    return hash_items(["create", sender, nonce])[-20:].hex()
 
 
 def native_address_for(name: str) -> str:
@@ -112,7 +104,6 @@ class Executor:
         self.state = state
         self.registry = registry if registry is not None else native_registry
         self.protocol = protocol or params.ProtocolParams()
-        self.svm = SVM(state)
 
     # -- Alg. 1 execute(t) ---------------------------------------------------
 
@@ -144,8 +135,8 @@ class Executor:
         Never raises, and every write is journaled.  The checks, intrinsic
         gas and the balance test come before the first write, so they
         return their failed receipt as they are.  A transfer cannot fail
-        after them; a deployment or a call runs under a snapshot and a
-        failure reverts everything it wrote.
+        after them; a call runs under a snapshot and a failure reverts
+        everything it wrote.
         """
         # Execution-time checks (i) signature and (ii) size — §IV-D.
         # A positive ``check_signature`` verdict stays on the transaction,
@@ -170,47 +161,26 @@ class Executor:
             state.add_balance(tx.receiver, tx.amount)
             if coinbase:
                 state.add_balance(coinbase, fee)
-            return _receipt((tx.tx_hash, True, base_gas, None, None, None, ()))
+            return _receipt((tx.tx_hash, True, base_gas, None, None))
 
         snap = state.snapshot()
         try:
             # Buy the whole gas budget up front; the unused part is
-            # refunded once the code has run.
+            # refunded once the call has run.
             state.spend(sender, fee_cap + tx.amount)
-            if tx.tx_type is _DEPLOY:
-                gas_used, return_value, logs = base_gas, None, ()
-                contract_address = self._deploy(tx)
-            else:
-                used, return_value, logs = self._invoke(tx, tx.gas_limit - base_gas)
-                gas_used, contract_address = base_gas + used, None
+            return_value, used = self._invoke(tx, tx.gas_limit - base_gas)
         except ReproError as exc:
             state.revert(snap)
             return Receipt(tx.tx_hash, False, 0, getattr(exc, "code", "error"))
+        gas_used = base_gas + used
         state.add_balance(sender, (tx.gas_limit - gas_used) * price)
         if coinbase:
             state.add_balance(coinbase, gas_used * price)
-        return _receipt(
-            (tx.tx_hash, True, gas_used, None, return_value, contract_address, logs)
-        )
+        return _receipt((tx.tx_hash, True, gas_used, None, return_value))
 
-    def _deploy(self, tx: Transaction) -> str:
-        """Install ``tx``'s bytecode at its contract address, with its value."""
-        state = self.state
-        address = contract_address_for(tx.sender, tx.nonce)
-        bytecode = tx.payload.get("bytecode", b"")
-        if not isinstance(bytecode, bytes):
-            raise VMError("deploy payload must carry bytecode")
-        existing = state.accounts.get(address)
-        if existing is not None and existing.is_contract:
-            raise VMError(f"deploy target {address!r} holds a contract")
-        state.create_account(address, code=bytecode)
-        if tx.amount:
-            state.add_balance(address, tx.amount)
-        return address
-
-    def _invoke(self, tx: Transaction, exec_gas: int) -> tuple[int, Any, tuple]:
+    def _invoke(self, tx: Transaction, exec_gas: int) -> tuple[Any, int]:
         """Send ``tx``'s value to its target and run the call there;
-        returns (gas used beyond intrinsic, return value, logs)."""
+        returns (return value, gas used beyond intrinsic)."""
         state = self.state
         target = tx.payload.get("contract", tx.receiver)
         if not isinstance(target, str):
@@ -218,29 +188,17 @@ class Executor:
         if tx.amount:
             state.add_balance(target, tx.amount)
         account = state.accounts.get(target)
-        if account is None or not account.is_contract:
+        if account is None or account.native is None:
             raise VMError(f"call target {target!r} is not a contract")
-        args = tx.payload.get("args", ())
-        if account.native is not None:
-            return_value, used = self.registry.get(account.native).call(
-                state,
-                target,
-                tx.sender,
-                str(tx.payload.get("function", "")),
-                args,
-                tx.amount,
-                exec_gas,
-            )
-            return used, return_value, ()
-        try:
-            calldata = tuple(a for a in args if isinstance(a, int))
-        except TypeError as exc:
-            raise VMRevert(f"call arguments {args!r} are not a sequence") from exc
-        context = CallContext(
-            address=target, caller=tx.sender, value=tx.amount, calldata=calldata
+        return self.registry.get(account.native).call(
+            state,
+            target,
+            tx.sender,
+            str(tx.payload.get("function", "")),
+            tx.payload.get("args", ()),
+            tx.amount,
+            exec_gas,
         )
-        result = self.svm.execute(account.code or b"", context, exec_gas)
-        return result.gas_used, result.return_value, tuple(result.logs)
 
 
 # Bound once, after ``Executor`` and ``Receipt`` exist, not per call:
@@ -254,4 +212,4 @@ from repro.core.validation import check_signature, lazy_validate  # noqa: E402
 # A member read off an Enum class goes through ``EnumType``'s attribute
 # hook, about four times the cost of a module global; every execution
 # tests its transaction's type.
-_TRANSFER, _DEPLOY = TxType.TRANSFER, TxType.DEPLOY
+_TRANSFER = TxType.TRANSFER

@@ -1,70 +1,30 @@
-"""Gas schedule for the SVM.
+"""Gas schedule of the execution layer.
 
-Costs follow the EVM's relative ordering (storage writes ≫ storage reads ≫
-arithmetic) so workloads exhibit realistic execution-cost distributions.
+Costs follow the EVM's relative ordering (storage writes ≫ storage reads)
+so workloads exhibit realistic execution-cost distributions.  A native
+contract pays a flat call charge plus the storage and balance prices
+below, metered by :class:`~repro.vm.contracts.base.MeteredState`.
 """
 
 from __future__ import annotations
-
-from repro.vm.opcodes import Op
 
 #: Intrinsic cost charged before executing any transaction (EVM: 21000).
 G_TX = 21_000
 #: Extra intrinsic cost per payload byte (EVM non-zero calldata byte: 16).
 G_TXDATA_BYTE = 16
-#: Extra intrinsic cost for contract creation (EVM: 32000).
-G_CREATE = 32_000
-
-GAS_TABLE: dict[Op, int] = {
-    Op.STOP: 0,
-    Op.ADD: 3,
-    Op.MUL: 5,
-    Op.SUB: 3,
-    Op.DIV: 5,
-    Op.MOD: 5,
-    Op.ADDMOD: 8,
-    Op.EXP: 10,
-    Op.LT: 3,
-    Op.GT: 3,
-    Op.EQ: 3,
-    Op.ISZERO: 3,
-    Op.AND: 3,
-    Op.OR: 3,
-    Op.XOR: 3,
-    Op.NOT: 3,
-    Op.SHA3: 30,
-    Op.ADDRESS: 2,
-    Op.BALANCE: 100,
-    Op.CALLER: 2,
-    Op.CALLVALUE: 2,
-    Op.CALLDATALOAD: 3,
-    Op.CALLDATASIZE: 2,
-    Op.POP: 2,
-    Op.MLOAD: 3,
-    Op.MSTORE: 3,
-    Op.SLOAD: 100,
-    Op.SSTORE: 5_000,
-    Op.JUMP: 8,
-    Op.JUMPI: 10,
-    Op.PC: 2,
-    Op.GAS: 2,
-    Op.JUMPDEST: 1,
-    Op.PUSH: 3,
-    Op.DUP: 3,
-    Op.SWAP: 3,
-    Op.LOG: 375,
-    Op.RETURN: 0,
-    Op.REVERT: 0,
-    Op.TRANSFER: 9_000,
-}
+#: Storage read (EVM warm SLOAD: 100).
+G_SLOAD = 100
+#: Storage write (EVM SSTORE to a non-zero slot: 5000).
+G_SSTORE = 5_000
+#: Balance read (EVM warm BALANCE: 100).
+G_BALANCE = 100
+#: Value transfer from inside a call (EVM CALL with value: 9000).
+G_TRANSFER = 9_000
 
 #: Flat charge for a native-contract call, plus per-op costs metered inside.
 G_NATIVE_CALL = 700
 
 
-def intrinsic_gas(payload_bytes: int, *, is_create: bool = False) -> int:
+def intrinsic_gas(payload_bytes: int) -> int:
     """Intrinsic gas for a transaction with ``payload_bytes`` of data."""
-    gas = G_TX + payload_bytes * G_TXDATA_BYTE
-    if is_create:
-        gas += G_CREATE
-    return gas
+    return G_TX + payload_bytes * G_TXDATA_BYTE

@@ -1,4 +1,4 @@
-"""World state: accounts, balances, nonces, contract code and storage.
+"""World state: accounts, balances, nonces and contract storage.
 
 The state supports cheap snapshot/revert (journaling) so a failed
 transaction rolls back completely — the mechanism behind the paper's
@@ -35,18 +35,17 @@ def _clone_value(value: Any) -> Any:
 
 @dataclass
 class Account:
-    """One account: externally owned (code is None) or contract."""
+    """One account: externally owned (``native`` is None) or contract."""
 
     address: str
     balance: int = 0
     nonce: int = 0
-    code: bytes | None = None
     #: native contract name when this account hosts a built-in contract
     native: str | None = None
 
     @property
     def is_contract(self) -> bool:
-        return self.code is not None or self.native is not None
+        return self.native is not None
 
 
 class WorldState:
@@ -121,22 +120,20 @@ class WorldState:
         address: str,
         balance: int | None = None,
         *,
-        code: bytes | None = None,
         native: str | None = None,
     ) -> Account:
-        """Create ``address`` (or reuse it) and install ``code``/``native``.
+        """Create ``address`` (or reuse it) and install contract ``native``.
 
         ``balance=None`` keeps whatever the address already holds (0 for a
         new account): value sent to an address before a contract is
-        deployed there stays with the contract.
+        installed there stays with the contract.
         """
         account = self.get_or_create(address)
         if balance is not None:
             self.set_balance(address, balance)
-        if code is not None or native is not None:
-            self._journal.append((account, "code", account.code))
+        if native is not None:
             self._journal.append((account, "native", account.native))
-            account.code, account.native = code, native
+            account.native = native
         return account
 
     def balance_of(self, address: str) -> int:
@@ -226,8 +223,9 @@ class WorldState:
         items: list[object] = []
         for address in sorted(self._accounts):
             account = self._accounts[address]
+            # b"" fills the root format's code field, which pinned roots include
             items.extend([address, account.balance, account.nonce,
-                          account.code or b"", account.native or ""])
+                          b"", account.native or ""])
         for (addr, key) in sorted(self._storage, key=lambda s: (s[0], s[1])):
             items.extend([addr, key, repr(self._storage[(addr, key)])])
         return hash_items(items)
@@ -245,7 +243,6 @@ class WorldState:
                 address=address,
                 balance=account.balance,
                 nonce=account.nonce,
-                code=account.code,
                 native=account.native,
             )
         clone._storage = {

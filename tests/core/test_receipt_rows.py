@@ -18,7 +18,7 @@ from repro.vm.executor import Receipt, install_native, native_address_for
 
 
 class ReferenceStore:
-    """The per-transaction layout: one 10-field row per receipt."""
+    """The per-transaction layout: one 8-field row per receipt."""
 
     def __init__(self):
         self.rows = {}
@@ -33,9 +33,9 @@ class ReferenceStore:
         row = self.rows.get(tx_hash)
         if row is None:
             return None
-        height, block_hash, position, commit_time = row[6:]
+        height, block_hash, position, commit_time = row[4:]
         return CommitRecord(
-            Receipt(tx_hash, *row[:6]), height, block_hash, position, commit_time
+            Receipt(tx_hash, *row[:4]), height, block_hash, position, commit_time
         )
 
 
@@ -162,14 +162,13 @@ class TestAgainstThePerTransactionLayout:
                 st.tuples(
                     st.sampled_from([21_000, 21_000, 21_001]),
                     st.sampled_from(CONFUSABLE),
-                    st.sampled_from([(), (), (1,)]),
                 ),
                 max_size=12,
             ),
             max_size=6,
         )
     )
-    @example([[(21_000, value, ()) for value in CONFUSABLE + CONFUSABLE[::-1]]])
+    @example([[(21_000, value) for value in CONFUSABLE + CONFUSABLE[::-1]]])
     def test_any_receipt_sequence(self, blocks):
         kp = generate_keypair(77)
         store, reference = ReceiptStore(), ReferenceStore()
@@ -181,8 +180,8 @@ class TestAgainstThePerTransactionLayout:
                 nonce += 1
             block = make_block(kp, 0, height, txs)
             receipts = [
-                Receipt(tx.tx_hash, True, gas, None, value, None, logs)
-                for tx, (gas, value, logs) in zip(txs, bodies)
+                Receipt(tx.tx_hash, True, gas, None, value)
+                for tx, (gas, value) in zip(txs, bodies)
             ]
             for target in (store, reference):
                 target.record_block(block, receipts, commit_time=height / 4)

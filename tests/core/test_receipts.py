@@ -72,7 +72,7 @@ class TestReceiptStore:
             Receipt(tx_hash=txs[1].tx_hash, success=True, error=None),
             Receipt(
                 tx_hash=txs[2].tx_hash, success=True, gas_used=30_500,
-                return_value=12, contract_address="cc" * 20, logs=(1, 2),
+                return_value=12,
             ),
         )
         store = ReceiptStore()
@@ -93,11 +93,9 @@ class TestReceiptContract:
     def test_fields_and_defaults(self):
         assert Receipt._fields == (
             "tx_hash", "success", "gas_used", "error", "return_value",
-            "contract_address", "logs",
         )
         assert Receipt(b"h", False) == Receipt(
-            tx_hash=b"h", success=False, gas_used=0, error=None,
-            return_value=None, contract_address=None, logs=(),
+            tx_hash=b"h", success=False, gas_used=0, error=None, return_value=None,
         )
 
     def test_immutable(self):
@@ -105,7 +103,7 @@ class TestReceiptContract:
         with pytest.raises(AttributeError):
             receipt.success = False
         with pytest.raises(AttributeError):
-            receipt.logs = (1,)
+            receipt.return_value = 1
 
     def test_store_records_where_each_tx_landed(self, committed_deployment):
         """Every record equals the CommitRecord rebuilt from the chain
@@ -124,7 +122,7 @@ class TestReceiptContract:
                             tx.tx_hash, True, intrinsic_gas(tx.data_size())
                         )
                     assert receipt.tx_hash == tx.tx_hash and receipt.success
-                    assert type(receipt.logs) is tuple
+                    assert type(receipt) is Receipt and receipt.error is None
                     assert record == CommitRecord(
                         receipt=receipt,
                         height=block.index,

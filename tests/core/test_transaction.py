@@ -4,7 +4,7 @@ from dataclasses import replace
 
 from hypothesis import given, strategies as st
 
-from repro.core.transaction import TxType, _signed, make_deploy, make_invoke, make_transfer
+from repro.core.transaction import TxType, _signed, make_invoke, make_transfer
 from repro.crypto.keys import generate_keypair, recover_check
 
 
@@ -77,13 +77,6 @@ class TestSizesAndCosts:
 
 
 class TestConstructors:
-    def test_deploy(self):
-        kp = generate_keypair(1)
-        tx = make_deploy(kp, b"\x00\x01", nonce=3)
-        assert tx.tx_type is TxType.DEPLOY
-        assert tx.payload["bytecode"] == b"\x00\x01"
-        assert tx.nonce == 3
-
     def test_invoke(self):
         kp = generate_keypair(1)
         tx = make_invoke(kp, "cc" * 20, "trade", ("AAPL", 1), nonce=0, amount=9)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.transaction import Transaction, make_deploy, make_invoke, make_transfer
+from repro.core.transaction import Transaction, make_invoke, make_transfer
 from repro.crypto import keys
 from repro.crypto.keys import generate_keypair
 from repro.workloads.synthetic import flooding_mix
@@ -62,9 +62,7 @@ def test_each_constructor_runs_one_init(counts):
     assert counts["init"] == 1
     make_invoke(kp, other.address, "f", (1, "a"), nonce=1)
     assert counts["init"] == 2
-    make_deploy(kp, b"\x00", nonce=2)
-    assert counts["init"] == 3
-    assert counts[kp.private.raw] == 1  # three signatures, one derivation
+    assert counts[kp.private.raw] == 1  # two signatures, one derivation
     assert counts["hmac.digest"] == 0
 
 

@@ -1,4 +1,4 @@
-"""Two known holes, pinned as strict xfails until their fixes land.
+"""Three known holes, pinned as strict xfails until their fixes land.
 
 (a) Eager validation checks each transaction alone against the current
 state, so two transfers that are each valid but together overdraw their
@@ -10,6 +10,11 @@ proposer that included it is slashed and excluded.
 changes, its nonce among them.  Every later transaction of that sender
 then carries a nonce gap and never commits; a revert also costs no gas.
 
+(c) A client's address is derived from ``PublicKey.raw`` alone, and
+nothing ties the ``binding`` (which pins the verification key) to
+``raw``.  Pairing a victim's public ``raw`` with one's own binding signs
+for the victim's address.
+
 ROADMAP.md names the fix direction of each.  Each xfail turns into a
 failure once its fix lands.
 """
@@ -20,7 +25,8 @@ from repro import params
 from repro.core.deployment import Deployment, fund_clients
 from repro.core.rpm import RPM_ADDRESS, read_deposit, read_excluded
 from repro.core.transaction import make_invoke, make_transfer
-from repro.crypto.keys import generate_keypair
+from repro.core.validation import check_signature
+from repro.crypto.keys import KeyPair, PublicKey, generate_keypair
 from repro.net.topology import single_region_topology
 
 
@@ -75,3 +81,17 @@ def test_a_reverted_call_does_not_strand_its_senders_later_transactions():
     chain = deployment.validators[0].blockchain
     assert chain.contains_tx(txs[0])
     assert chain.contains_tx(txs[2]) and chain.contains_tx(txs[3])
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="an address is derived from PublicKey.raw alone, which the binding does not pin",
+)
+def test_a_borrowed_public_key_does_not_sign_for_its_address():
+    victim, attacker = generate_keypair(b"victim"), generate_keypair(b"attacker")
+    borrowed = PublicKey(victim.public.raw, attacker.public.binding)
+    forger = KeyPair(private=attacker.private, public=borrowed)
+    assert forger.address == victim.address
+    tx = make_transfer(forger, attacker.address, 12_345, 0)
+    assert tx.sender == victim.address
+    assert not check_signature(tx)

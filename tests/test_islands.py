@@ -82,8 +82,6 @@ ALLOWED_DEFS = {
     "repro.core.rewards.theorem1_holds": "ROADMAP item 5: the RPM client moves out",
     "repro.workloads.synthetic.burst_trace": "input of the engine tests",
     "repro.diablo.client.SingleNodeSubmitter": "input of the engine tests",
-    "repro.core.transaction.make_deploy": "no workload deploys bytecode (ROADMAP)",
-    "repro.vm.opcodes.assemble": "no workload deploys bytecode (ROADMAP)",
 }
 
 

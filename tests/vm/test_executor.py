@@ -12,7 +12,7 @@ from repro import params, telemetry
 from repro.core.block import SuperBlock, make_block
 from repro.core.blockchain import Blockchain
 from repro.core.rpm import RPM_ADDRESS, RPMContract, certificate_payload, seed_genesis
-from repro.core.transaction import Transaction, TxType, make_deploy, make_invoke, make_transfer
+from repro.core.transaction import Transaction, TxType, make_invoke, make_transfer
 from repro.core.validation import check_signature
 from repro.crypto.keys import generate_keypair, recover_check
 from repro.errors import (
@@ -25,18 +25,10 @@ from repro.errors import (
     VMRevert,
 )
 from repro.vm.contracts import ExchangeContract, MobilityContract, TicketingContract
-from repro.vm.contracts.base import NativeRegistry
-from repro.vm.executor import (
-    Executor,
-    Receipt,
-    contract_address_for,
-    install_native,
-    native_address_for,
-)
+from repro.vm.contracts.base import NativeContract, NativeRegistry, method
+from repro.vm.executor import Executor, Receipt, install_native, native_address_for
 from repro.vm.gas import intrinsic_gas
-from repro.vm.opcodes import Op, assemble
 from repro.vm.state import WorldState
-from repro.vm.svm import SVM, CallContext
 from tests.core.test_transaction import signed_by
 
 FUNDS = 10**12
@@ -126,58 +118,18 @@ class TestTransfers:
         assert receipt.error == "insufficient-balance"
 
 
-class TestDeployAndInvoke:
-    def test_deploy_creates_contract(self, executor, keypair):
-        code = assemble([(Op.PUSH, 42), Op.RETURN])
-        tx = make_deploy(keypair, code, nonce=0)
-        receipt = executor.execute(tx)
-        assert receipt.success
-        address = receipt.contract_address
-        assert address == contract_address_for(keypair.address, 0)
-        assert executor.state.get_account(address).code == code
+class WriteThenFault(NativeContract):
+    """Writes a storage slot, then faults on its input."""
 
-    def test_deploy_keeps_value_already_sent_to_its_address(self, executor, keypair):
-        """Funds sent to a contract's address before it is deployed there
-        stay with the contract: total supply is conserved."""
-        state, coinbase = executor.state, "f" * 40
-        target = contract_address_for(keypair.address, 1)
-        holders = (keypair.address, target, coinbase)
-        supply = sum(state.balance_of(a) for a in holders)
-        assert executor.execute(
-            make_transfer(keypair, target, 40, nonce=0), coinbase=coinbase
-        ).success
-        deploy = make_deploy(keypair, assemble([Op.STOP]), nonce=1)
-        receipt = executor.execute(deploy, coinbase=coinbase)
-        assert receipt.success
-        assert receipt.contract_address == target
-        assert state.balance_of(target) == 40
-        assert sum(state.balance_of(a) for a in holders) == supply
+    name = "write_then_fault"
 
-    @pytest.mark.parametrize("existing", [{"code": b"\x00"}, {"native": "exchange"}])
-    def test_deploy_onto_a_contract_reverts(self, executor, keypair, existing):
-        state = executor.state
-        target = contract_address_for(keypair.address, 0)
-        state.create_account(target, 7, **existing)
-        state.commit()
-        root = state.state_root()
-        receipt = executor.execute(make_deploy(keypair, assemble([Op.STOP]), nonce=0))
-        assert not receipt.success
-        assert receipt.error == VMError.code
-        assert state.state_root() == root
-        account = state.get_account(target)
-        assert (account.code, account.native) == (
-            existing.get("code"), existing.get("native")
-        )
+    @method
+    def poke(self, storage, info, divisor):
+        storage.set("1", 1)
+        return 1 // divisor
 
-    def test_invoke_deployed_bytecode(self, executor, keypair):
-        code = assemble([(Op.PUSH, 0), Op.CALLDATALOAD, (Op.PUSH, 1), Op.ADD, Op.RETURN])
-        deploy = make_deploy(keypair, code, nonce=0)
-        address = executor.execute(deploy).contract_address
-        call = make_invoke(keypair, address, "", (41,), nonce=1)
-        receipt = executor.execute(call)
-        assert receipt.success
-        assert receipt.return_value == 42
 
+class TestInvoke:
     def test_invoke_native_contract(self, executor, keypair):
         exchange = native_address_for("exchange")
         tx = make_invoke(keypair, exchange, "trade", ("AAPL", 15000, 10, "buy"), nonce=0)
@@ -214,13 +166,23 @@ class TestDeployAndInvoke:
         assert receipt.error in ("out-of-gas",)
 
     def test_vm_fault_rolls_back(self, executor, keypair):
-        code = assemble([(Op.PUSH, 1), (Op.PUSH, 1), Op.SSTORE, Op.ADD])  # underflow after write
-        deploy = make_deploy(keypair, code, nonce=0)
-        address = executor.execute(deploy).contract_address
-        call = make_invoke(keypair, address, "", (), nonce=1)
+        """A fault after a storage write reverts the write, the value sent
+        and the nonce; the same call without the fault keeps the write."""
+        state = executor.state
+        executor.registry.register(WriteThenFault())
+        address = install_native(state, WriteThenFault.name)
+        state.commit()
+        root = state.state_root()
+        call = make_invoke(keypair, address, "poke", (0,), nonce=0, amount=5)
         receipt = executor.execute(call)
-        assert not receipt.success
-        assert executor.state.storage_get(address, "1") is None
+        assert (receipt.success, receipt.error) == (False, VMRevert.code)
+        assert state.storage_get(address, "1") is None
+        assert state.state_root() == root
+        assert executor.execute(
+            make_invoke(keypair, address, "poke", (1,), nonce=0, amount=5)
+        ).success
+        assert state.storage_get(address, "1") == 1
+        assert state.balance_of(address) == 5
 
 
 class TestIntrinsicGas:
@@ -287,18 +249,11 @@ class TestMalformedCalls:
             executor, make_invoke(keypair, exchange, "trade", ("AAPL",), nonce=0)
         )
 
-    @pytest.mark.parametrize("native", [True, False])
-    def test_non_iterable_arguments(self, executor, keypair, native):
-        if native:
-            target = native_address_for("exchange")
-        else:
-            deploy = make_deploy(keypair, assemble([Op.STOP]), nonce=0)
-            target = executor.execute(deploy).contract_address
-            executor.state.commit()
+    def test_non_iterable_arguments(self, executor, keypair):
+        target = native_address_for("exchange")
         tx = signed_by(Transaction(
             tx_type=TxType.INVOKE, sender=keypair.address, receiver=target,
-            amount=3, nonce=executor.state.nonce_of(keypair.address),
-            gas_limit=200_000, gas_price=1,
+            amount=3, nonce=0, gas_limit=200_000, gas_price=1,
             payload={"contract": target, "function": "trade", "args": 5},
         ), keypair)
         self._assert_reverts(executor, tx)
@@ -365,28 +320,17 @@ def reference_execute(state, registry, tx, coinbase=""):
             raise InvalidSignature("bad signature")
         if tx.encoded_size() > params.MAX_TX_SIZE:
             raise OversizedTransaction("too big")
-        base_gas = intrinsic_gas(tx.data_size(), is_create=tx.tx_type is TxType.DEPLOY)
+        base_gas = intrinsic_gas(tx.data_size())
         if base_gas > tx.gas_limit:
             raise OutOfGas("intrinsic")
         if state.balance_of(sender) < fee_cap + tx.amount:
             raise InsufficientBalance("cost")
         state.sub_balance(sender, fee_cap)
         state.bump_nonce(sender)
-        gas_used, value, address, logs = base_gas, None, None, ()
+        gas_used, value = base_gas, None
         if tx.tx_type is TxType.TRANSFER:
             state.sub_balance(sender, tx.amount)
             state.add_balance(tx.receiver, tx.amount)
-        elif tx.tx_type is TxType.DEPLOY:
-            address = contract_address_for(sender, tx.nonce)
-            bytecode = tx.payload.get("bytecode", b"")
-            if not isinstance(bytecode, bytes):
-                raise VMError("bytecode")
-            if address in state._accounts and state.get_account(address).is_contract:
-                raise VMError("occupied")
-            state.create_account(address, code=bytecode)
-            if tx.amount:
-                state.sub_balance(sender, tx.amount)
-                state.add_balance(address, tx.amount)
         else:
             target = tx.payload.get("contract", tx.receiver)
             if tx.amount:
@@ -399,24 +343,15 @@ def reference_execute(state, registry, tx, coinbase=""):
                 args = tuple(tx.payload.get("args", ()))
             except TypeError as exc:
                 raise VMRevert("args") from exc
-            exec_gas = tx.gas_limit - base_gas
-            if account.native is not None:
-                value, used = registry.get(account.native).call(
-                    state, target, sender, str(tx.payload.get("function", "")),
-                    args, tx.amount, exec_gas,
-                )
-            else:
-                context = CallContext(
-                    address=target, caller=sender, value=tx.amount,
-                    calldata=tuple(a for a in args if isinstance(a, int)),
-                )
-                result = SVM(state).execute(account.code or b"", context, exec_gas)
-                used, value, logs = result.gas_used, result.return_value, tuple(result.logs)
+            value, used = registry.get(account.native).call(
+                state, target, sender, str(tx.payload.get("function", "")),
+                args, tx.amount, tx.gas_limit - base_gas,
+            )
             gas_used += used
         state.add_balance(sender, (tx.gas_limit - gas_used) * price)
         if coinbase:
             state.add_balance(coinbase, gas_used * price)
-        return Receipt(tx.tx_hash, True, gas_used, None, value, address, logs)
+        return Receipt(tx.tx_hash, True, gas_used, None, value)
     except ReproError as exc:
         state.revert(snap)
         return Receipt(tx.tx_hash, False, 0, getattr(exc, "code", "error"))
@@ -425,8 +360,6 @@ def reference_execute(state, registry, tx, coinbase=""):
 #: two funded clients (also the RPM committee) and one without an account
 CLIENTS = [generate_keypair(600 + i) for i in range(3)]
 COINBASE = "cb" * 20
-RETURN_41_PLUS_1 = assemble([(Op.PUSH, 0), Op.CALLDATALOAD, (Op.PUSH, 1), Op.ADD, Op.RETURN])
-UNDERFLOW_AFTER_WRITE = assemble([(Op.PUSH, 1), (Op.PUSH, 1), Op.SSTORE, Op.ADD])
 
 
 def _registry():
@@ -448,7 +381,7 @@ def _genesis():
     return state
 
 
-def _draw_transaction(data, state, deployed):
+def _draw_transaction(data, state):
     """One transaction of a mixed batch; its nonce is usually the sender's
     current one, read from ``state``."""
     draw = data.draw
@@ -463,7 +396,7 @@ def _draw_transaction(data, state, deployed):
     kind = draw(st.sampled_from([
         "transfer", "transfer", "below-intrinsic", "oversized", "trade",
         "trade-revert", "trade-out-of-gas", "ride", "ticket", "open-match",
-        "deploy", "bytecode", "missing-contract", "malformed-arity",
+        "missing-contract", "malformed-arity",
         "malformed-args", "malformed-certificate",
     ]))
     gas = {"gas_price": price}
@@ -490,12 +423,6 @@ def _draw_transaction(data, state, deployed):
     elif kind == "open-match":
         tx = make_invoke(kp, native_address_for("ticketing"), "open_match", (1, 2),
                          nonce, amount=amount, **gas)
-    elif kind == "deploy":
-        code = draw(st.sampled_from([RETURN_41_PLUS_1, UNDERFLOW_AFTER_WRITE, b""]))
-        tx = make_deploy(kp, code, nonce, gas_limit=200_000, **gas)
-    elif kind == "bytecode":
-        target = draw(st.sampled_from(deployed)) if deployed else "00" * 20
-        tx = make_invoke(kp, target, "", (41,), nonce, amount=amount, **gas)
     elif kind == "missing-contract":
         tx = make_invoke(kp, "00" * 20, "f", (), nonce, amount=amount, **gas)
     elif kind == "malformed-arity":
@@ -540,9 +467,8 @@ class TestFusedExecutorMatchesTheStepByStepSequence:
         genesis_root = state.state_root()
         executor = Executor(state, registry=registry)
         snap = state.snapshot()
-        deployed: list[str] = []
         for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
-            tx = _draw_transaction(data, reference, deployed)
+            tx = _draw_transaction(data, reference)
             coinbase = data.draw(st.sampled_from(
                 ["", COINBASE, tx.sender, CLIENTS[1].address]
             ))
@@ -551,8 +477,6 @@ class TestFusedExecutorMatchesTheStepByStepSequence:
             assert got._asdict() == expected._asdict()
             assert type(got) is Receipt
             assert state.state_root() == reference.state_root()
-            if got.contract_address is not None:
-                deployed.append(got.contract_address)
         state.revert(snap)
         assert state.state_root() == genesis_root
 

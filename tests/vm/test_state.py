@@ -43,8 +43,6 @@ class TestAccounts:
 
     def test_contract_account(self):
         ws = WorldState()
-        ws.create_account("c1", code=b"\x00")
-        assert ws.get_account("c1").is_contract
         ws.create_account("c2", native="exchange")
         assert ws.get_account("c2").is_contract
         ws.create_account("e1", 10)
@@ -172,7 +170,6 @@ _journal_ops = st.one_of(
         st.just("create"),
         st.sampled_from(ADDRESSES),
         st.none() | st.integers(min_value=0, max_value=50),
-        st.none() | st.sampled_from([b"", b"\x01"]),
         st.none() | st.sampled_from(["exchange", "rpm"]),
     ),
     st.tuples(
@@ -231,8 +228,8 @@ class TestJournalProperty:
 
         for op, *args in ops:
             if op == "create":
-                address, balance, code, native = args
-                ws.create_account(address, balance, code=code, native=native)
+                address, balance, native = args
+                ws.create_account(address, balance, native=native)
             elif op == "balance":
                 ws.set_balance(*args)
             elif op == "nonce":
@@ -290,7 +287,7 @@ def _journal_view(ws: WorldState) -> list:
 
 def _accounts_view(ws: WorldState) -> dict:
     return {
-        a.address: (a.balance, a.nonce, a.code, a.native)
+        a.address: (a.balance, a.nonce, a.native)
         for a in ws._accounts.values()
     }
 
