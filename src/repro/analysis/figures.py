@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import params
 from repro.sim.chains import CHAIN_MODELS, FIGURE_ORDER, EVM_DBFT, SRBB
 from repro.sim.engine import simulate_chain
 from repro.workloads import fifa_trace, nasdaq_trace, uber_trace
@@ -159,20 +158,40 @@ def table1(
     slashed and excluded after the first committed reports, so far fewer of
     its invalid transactions ever consume execution time.
     """
-    results = []
-    for rpm_enabled in (False, True):
-        row = _run_flooding(
+    from repro.diablo.benchmark import DiabloBenchmark
+    from repro.diablo.client import RoundRobinSubmitter
+
+    rows = []
+    for rpm in (False, True):
+        deployment, schedule = flooding_deployment(
             valid_count=valid_count,
             invalid_count=invalid_count,
             send_rate_tps=send_rate_tps,
             flood_per_block=flood_per_block,
-            rpm=rpm_enabled,
-            horizon_s=horizon_s,
+            rpm=rpm,
             seed=seed,
             execution_rate=execution_rate,
         )
-        results.append(row)
-    return results[0], results[1]
+        bench = DiabloBenchmark(
+            deployment, submitter=RoundRobinSubmitter(targets=(0, 1, 2))
+        )
+        result = bench.run(schedule, horizon_s=horizon_s)
+        observer = deployment.validators[0]
+        attacker_address = deployment.keypairs[3].address
+        rows.append(Table1Row(
+            config="SRBB w/ RPM" if rpm else "SRBB w/o RPM",
+            valid_sent=valid_count,
+            invalid_sent=deployment.validators[3].invalid_txs_proposed,
+            byzantine_validators=1,
+            throughput_tps=result.throughput_tps,
+            valid_dropped=result.dropped,
+            # every lazily-discarded tx in a decided superblock is one of the
+            # flooder's invalid transactions (valid load never fails execution)
+            invalid_committed=observer.stats.txs_discarded,
+            attacker_deposit=observer.rpm_deposit_of(attacker_address),
+            attacker_excluded=attacker_address in observer.excluded_validators,
+        ))
+    return rows[0], rows[1]
 
 
 def flooding_deployment(
@@ -188,32 +207,30 @@ def flooding_deployment(
 ):
     """Build the §V-B flooding deployment plus its valid-load schedule.
 
-    Exposed separately from :func:`_run_flooding` so ablation scenarios
+    Exposed separately from :func:`table1` so ablation scenarios
     (vote batching on/off in particular) can build the *identical*
     deployment — same seeds, same pre-signed transactions — and drive it
     themselves.  Returns ``(deployment, schedule)``.
     """
-    from repro.core.deployment import Deployment
-    from repro.faults import FaultSchedule
     from repro.diablo.client import LoadSchedule
-    from repro.net.topology import single_region_topology
+    from repro.diablo.runner import deploy
+    from repro.faults import FaultSchedule
     from repro.workloads.synthetic import factory_balances, transfer_request_factory
 
-    protocol = params.ProtocolParams(n=4, rpm=rpm, vote_batching=vote_batching)
     factory = transfer_request_factory(clients=32, seed=seed + 7_000)
-    deployment = Deployment(
-        protocol=protocol,
-        topology=single_region_topology(4),
-        fault_schedule=FaultSchedule().byzantine_flood(
+    deployment = deploy(
+        seed=seed,
+        balances=factory_balances(factory),
+        faults=FaultSchedule().byzantine_flood(
             3, at=0.0, per_block=flood_per_block, total=invalid_count,
             seed=seed + 99,
         ),
-        extra_balances=factory_balances(factory),
-        seed=seed,
         # c5.2xlarge-class VM throughput: at 15 000 TPS send the system is
         # execution-saturated (paper: ~4 000 TPS ceiling), so the flooded
         # invalid transactions steal visible commit throughput
         execution_rate=execution_rate,
+        rpm=rpm,
+        vote_batching=vote_batching,
     )
     # Pre-signed valid transactions, open-loop at the configured rate,
     # spread over the three correct validators (the flooder generates its
@@ -226,69 +243,20 @@ def flooding_deployment(
     return deployment, schedule
 
 
-def _run_flooding(
-    *,
-    valid_count: int,
-    invalid_count: int,
-    send_rate_tps: float,
-    flood_per_block: int,
-    rpm: bool,
-    horizon_s: float,
-    seed: int,
-    execution_rate: float = 5_000.0,
-) -> Table1Row:
-    from repro.diablo.benchmark import DiabloBenchmark
-    from repro.diablo.client import RoundRobinSubmitter
-
-    deployment, schedule = flooding_deployment(
-        valid_count=valid_count,
-        invalid_count=invalid_count,
-        send_rate_tps=send_rate_tps,
-        flood_per_block=flood_per_block,
-        rpm=rpm,
-        seed=seed,
-        execution_rate=execution_rate,
-    )
-    bench = DiabloBenchmark(
-        deployment, submitter=RoundRobinSubmitter(targets=(0, 1, 2))
-    )
-    result = bench.run(schedule, horizon_s=horizon_s)
-    invalid_sent = deployment.validators[3].invalid_txs_proposed
-    observer = deployment.validators[0]
-    attacker_address = deployment.keypairs[3].address
-    return Table1Row(
-        config="SRBB w/ RPM" if rpm else "SRBB w/o RPM",
-        valid_sent=valid_count,
-        invalid_sent=invalid_sent,
-        byzantine_validators=1,
-        throughput_tps=result.throughput_tps,
-        valid_dropped=result.dropped,
-        # every lazily-discarded tx in a decided superblock is one of the
-        # flooder's invalid transactions (valid load never fails execution)
-        invalid_committed=observer.stats.txs_discarded,
-        attacker_deposit=observer.rpm_deposit_of(attacker_address),
-        attacker_excluded=attacker_address in observer.excluded_validators,
-    )
-
-
 def figure1_counts(*, n: int = 8, txs: int = 20, seed: int = 2) -> dict:
     """Fig. 1 as numbers: per-transaction eager validations and gossip
     messages, modern protocol vs TVPR, measured on the message engine."""
-    from repro.core.deployment import Deployment, fund_clients
     from repro.diablo.benchmark import DiabloBenchmark
     from repro.diablo.client import LoadSchedule
-    from repro.net.topology import single_region_topology
+    from repro.diablo.runner import deploy
     from repro.workloads.synthetic import factory_balances, transfer_request_factory
 
     out = {}
     for tvpr in (False, True):
-        protocol = params.ProtocolParams(n=n, tvpr=tvpr, rpm=False)
         factory = transfer_request_factory(clients=8, seed=seed + 11)
-        deployment = Deployment(
-            protocol=protocol,
-            topology=single_region_topology(n),
-            extra_balances=factory_balances(factory),
-            seed=seed,
+        deployment = deploy(
+            n=n, seed=seed, balances=factory_balances(factory),
+            tvpr=tvpr, rpm=False,
         )
         schedule = LoadSchedule.from_transactions(
             [factory(i, 0.01 * i) for i in range(txs)], name="fig1"

@@ -2,9 +2,10 @@
 
 Three pieces, mirroring how the paper argues (DIABLO curves, Table I):
 
-* :mod:`repro.bench.scenarios` — a registry of named, deterministic
+* :mod:`repro.bench.scenarios` — one table of named, deterministic
   canonical runs (TVPR ablation, Table-I dapp mix, saturation sweep,
-  weak validator, chaos soak), each a seeded config over the existing engines;
+  weak validator, chaos soak, …), each a seeded config over the existing
+  engines;
 * :mod:`repro.bench.runner` — executes scenarios with telemetry enabled
   and writes schema-versioned ``BENCH_<scenario>.json`` artifacts
   (headline stats + full metrics snapshot + environment fingerprint);
@@ -12,7 +13,7 @@ Three pieces, mirroring how the paper argues (DIABLO curves, Table I):
   dumps) under direction-aware per-metric thresholds and renders a
   terminal table, exiting non-zero on regression so CI can gate on it.
 
-CLI: ``repro bench run|list|compare`` and ``repro metrics-diff``.
+CLI: ``repro bench run|list`` and ``repro metrics-diff``.
 """
 
 from repro.bench.artifact import (
@@ -37,7 +38,6 @@ from repro.bench.compare import (
 from repro.bench.runner import run_scenario, run_scenarios
 from repro.bench.scenarios import (
     Scenario,
-    cheapest_scenarios,
     get_scenario,
     run_byzantine_campaign,
     run_byzantine_chaos,
@@ -58,7 +58,6 @@ __all__ = [
     "Threshold",
     "WALL_CLOCK_HEADLINE_MARKERS",
     "artifact_filename",
-    "cheapest_scenarios",
     "compare_files",
     "diff_docs",
     "environment_fingerprint",

@@ -19,19 +19,39 @@ gating on them; only its event counts and the generously-bounded
 
 from __future__ import annotations
 
+import resource
+import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from repro import params, telemetry
+from repro.analysis.figures import flooding_deployment, table1
+from repro.core.deployment import fund_clients
+from repro.core.rewards import DepositLedger
+from repro.core.transaction import make_transfer
+from repro.diablo.benchmark import DiabloBenchmark
+from repro.diablo.client import LoadSchedule, RoundRobinSubmitter
+from repro.diablo.runner import deploy, run_dapp_workload
+from repro.faults import FaultSchedule
+from repro.sim.chains import EVM_DBFT, SRBB
+from repro.sim.engine import simulate_chain
+from repro.sim.sweep import latency_curve, saturation_throughput
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.critical_path import analyze
+from repro.workloads import fifa_trace
+from repro.workloads.synthetic import (
+    factory_balances,
+    flooding_mix,
+    transfer_request_factory,
+)
 
 __all__ = [
+    "SCENARIOS",
     "Scenario",
-    "register_scenario",
     "get_scenario",
     "scenario_names",
-    "cheapest_scenarios",
     "run_byzantine_campaign",
     "run_byzantine_chaos",
     "run_chaos_soak",
@@ -50,37 +70,19 @@ class Scenario:
     description: str
     run: "Callable[[MetricsRegistry], dict]"
     seed: int = 1
-    #: relative cost rank — lower is cheaper; CI runs the cheapest ones
-    cost_rank: int = 0
-
-
-_SCENARIOS: "dict[str, Scenario]" = {}
-
-
-def register_scenario(scenario: Scenario) -> Scenario:
-    if scenario.name in _SCENARIOS:
-        raise ValueError(f"scenario {scenario.name!r} already registered")
-    _SCENARIOS[scenario.name] = scenario
-    return scenario
 
 
 def get_scenario(name: str) -> Scenario:
     try:
-        return _SCENARIOS[name]
+        return SCENARIOS[name]
     except KeyError:
         raise KeyError(
-            f"unknown scenario {name!r}; options: {sorted(_SCENARIOS)}"
+            f"unknown scenario {name!r}; options: {sorted(SCENARIOS)}"
         ) from None
 
 
 def scenario_names() -> "list[str]":
-    return sorted(_SCENARIOS)
-
-
-def cheapest_scenarios(k: int = 2) -> "list[str]":
-    """The ``k`` cheapest scenario names (CI's regression-gate set)."""
-    ranked = sorted(_SCENARIOS.values(), key=lambda s: (s.cost_rank, s.name))
-    return [s.name for s in ranked[:k]]
+    return sorted(SCENARIOS)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +102,39 @@ def _histogram_sum(reg: MetricsRegistry, name: str) -> float:
 
 def _ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
+
+
+def _pct(latencies, q: float) -> float:
+    """The ``q``-th latency percentile, 0.0 for an empty run."""
+    return round(float(np.percentile(latencies, q)) if len(latencies) else 0.0, 4)
+
+
+def _ring(keypairs, nonces: int, gap: float) -> list:
+    """Pre-signed ring transfers, nonce-major: send ``k`` has client
+    ``k % len(keypairs)`` pay its successor one unit, stamped
+    ``created_at = k * gap``."""
+    count = len(keypairs)
+    return [
+        make_transfer(
+            keypairs[k % count], keypairs[(k + 1) % count].address, 1,
+            nonce=k // count, created_at=k * gap,
+        )
+        for k in range(nonces * count)
+    ]
+
+
+def _agreement(deployment, nodes, prefix: str = "") -> dict:
+    """Do ``nodes`` hold one chain and one state root?  Plus the
+    deployment's safety verdict and the nodes' highest height."""
+    hashes = {tuple(v.blockchain.block_hashes()) for v in nodes}
+    heights = {v.blockchain.height for v in nodes}
+    roots = {v.blockchain.state.state_root() for v in nodes}
+    return {
+        f"{prefix}chains_identical": float(len(hashes) == 1 and len(heights) == 1),
+        f"{prefix}state_roots_match": float(len(roots) == 1),
+        "safety_holds": float(deployment.safety_holds()),
+        "height": float(max(heights)),
+    }
 
 
 def _sim_headline(prefix: str, result) -> dict:
@@ -128,10 +163,6 @@ def _sim_headline(prefix: str, result) -> dict:
 def _run_tvpr_ablation(reg: MetricsRegistry) -> dict:
     """§V-A ablation on the tick engine: SRBB (TVPR on) vs EVM+DBFT
     (gossip everything) against the full FIFA workload."""
-    from repro.sim.chains import EVM_DBFT, SRBB
-    from repro.sim.engine import simulate_chain
-    from repro.workloads import fifa_trace
-
     trace = fifa_trace()
     srbb = simulate_chain(SRBB, trace)
     base = simulate_chain(EVM_DBFT, trace)
@@ -168,40 +199,22 @@ def run_saturation_probe(
     critical-path attribution — flat ``latency_breakdown:*`` keys — must
     pin ``execute`` as the dominant phase at saturation.
     """
-    from repro import params, telemetry
-    from repro.core.deployment import Deployment, fund_clients
-    from repro.core.transaction import make_transfer
-    from repro.net.topology import single_region_topology
-    from repro.telemetry.critical_path import analyze
-
     # A private tracer: the probe's lifecycle stamps and exec_share come
     # from its own events, independent of whether the caller traces.
     tracer = telemetry.Tracer(enabled=True)
     previous_tracer = telemetry.set_tracer(tracer)
     try:
         keypairs, balances = fund_clients(clients, seed=5000 + seed)
-        deployment = Deployment(
-            protocol=params.ProtocolParams(
-                n=4, tvpr=True, rpm=False, max_block_txs=150
-            ),
-            topology=single_region_topology(4),
-            extra_balances=balances,
-            execution_rate=execution_rate,
-            seed=seed,
+        deployment = deploy(
+            seed=seed, balances=balances, execution_rate=execution_rate,
+            tvpr=True, rpm=False, max_block_txs=150,
         )
         deployment.start()
-        total = clients * nonces
-        gap = send_window_s / total
-        sent = 0
-        for nonce in range(nonces):
-            for i, keypair in enumerate(keypairs):
-                k = nonce * clients + i
-                tx = make_transfer(
-                    keypair, keypairs[(i + 1) % clients].address, 1,
-                    nonce=nonce, created_at=k * gap,
-                )
-                deployment.submit(tx, validator_id=i % 4, at=k * gap)
-                sent += 1
+        gap = send_window_s / (clients * nonces)
+        txs = _ring(keypairs, nonces, gap)
+        for k, tx in enumerate(txs):
+            deployment.submit(tx, validator_id=k % clients % 4, at=k * gap)
+        sent = len(txs)
         deployment.run_until(horizon_s)
     finally:
         telemetry.set_tracer(previous_tracer)
@@ -221,9 +234,6 @@ def _run_saturation_sweep(reg: MetricsRegistry) -> dict:
     fixed rates plus the bisected saturation point, SRBB vs EVM+DBFT —
     plus the message-level saturation probe's per-phase latency
     attribution (``latency_breakdown:*``)."""
-    from repro.sim.chains import EVM_DBFT, SRBB
-    from repro.sim.sweep import latency_curve, saturation_throughput
-
     rates = (250, 500, 1_000, 2_000, 4_000)
     headline: dict = {}
     for prefix, model in (("srbb", SRBB), ("baseline", EVM_DBFT)):
@@ -258,6 +268,18 @@ def _dapp_derived(reg: MetricsRegistry, committed: float) -> dict:
     }
 
 
+def _with_derived(run, *args, **kwargs):
+    """A scenario that reports ``run(*args, **kwargs)``'s headline plus
+    the registry-derived stats of its ``committed`` transactions."""
+
+    def scenario(reg: MetricsRegistry) -> dict:
+        headline = run(*args, **kwargs)
+        headline.update(_dapp_derived(reg, headline["committed"]))
+        return headline
+
+    return scenario
+
+
 def _run_table1_dapp(reg: MetricsRegistry) -> dict:
     """Table I's 4-validator Sydney deployment at 1/10 scale: SRBB w/o vs
     w/ RPM under a Byzantine flooder (message-level engine).
@@ -270,8 +292,6 @@ def _run_table1_dapp(reg: MetricsRegistry) -> dict:
     throughput penalty collapse.  (The earlier burst-load tuning
     committed the whole valid set before deterrence could matter, so
     both arms reported identical headline numbers.)"""
-    from repro.analysis.figures import table1
-
     no_rpm, with_rpm = table1(
         valid_count=2_000,
         invalid_count=6_000,
@@ -321,10 +341,6 @@ def _run_vote_batching_ablation(reg: MetricsRegistry) -> dict:
     wire message; a deployment that wants the 0.3 s back sets
     ``vote_batch_tick=0``, which flushes at the end of each event cascade
     and so coalesces only what one incoming message triggered."""
-    from repro.analysis.figures import flooding_deployment
-    from repro.diablo.benchmark import DiabloBenchmark
-    from repro.diablo.client import RoundRobinSubmitter
-
     arms: dict = {}
     batch_series = (
         ("batches", _counter_total, "srbb_consensus_batches_total"),
@@ -392,7 +408,7 @@ def _run_vote_batching_ablation(reg: MetricsRegistry) -> dict:
     return headline
 
 
-def _run_weak_validator(reg: MetricsRegistry) -> dict:
+def _weak_validator() -> dict:
     """Message-level run over the paper's multi-region topology with one
     slow validator (§VI's 'weak validator'): the protocol must keep
     committing while cross-region metrics expose the asymmetry.
@@ -400,88 +416,42 @@ def _run_weak_validator(reg: MetricsRegistry) -> dict:
     (Formerly registered as ``fault_injection``; renamed because a slow
     node is a *delay* fault, not an injected loss/crash — those live in
     the ``chaos_soak`` scenario.)"""
-    from repro import params
-    from repro.core.deployment import Deployment
-    from repro.diablo.benchmark import DiabloBenchmark
-    from repro.diablo.client import LoadSchedule, RoundRobinSubmitter
-    from repro.net.faults import slow_nodes
-    from repro.net.topology import global_topology
-    from repro.workloads import nasdaq_request_factory, nasdaq_trace
-    from repro.workloads.synthetic import factory_balances
-
-    seed = 7
-    n = 8
-    trace = nasdaq_trace().scaled(0.002, name="nasdaq")
-    factory = nasdaq_request_factory(clients=16, seed=seed + 40)
-    deployment = Deployment(
-        protocol=params.ProtocolParams(n=n, tvpr=True),
-        topology=global_topology(n, degree=4, seed=seed),
-        extra_balances=factory_balances(factory),
-        seed=seed,
-    )
     # One healthy-but-slow validator: every message to or from node 7
     # takes an extra 400 ms (partial synchrony still bounds the delay).
-    deployment.network.adversarial_delay = slow_nodes([n - 1], 0.4)
-    schedule = LoadSchedule.from_trace(trace, factory)
-    bench = DiabloBenchmark(deployment, submitter=RoundRobinSubmitter())
-    result = bench.run(schedule, grace_s=30.0)
-    latencies = result.latencies_s
-    headline = {
+    # RPM stays on, as ProtocolParams has it, not as the runner defaults.
+    outcome = run_dapp_workload(
+        "nasdaq", scale=0.002, n=8, rpm=True, degree=4, weak_s=0.4, seed=7
+    )
+    result, deployment = outcome.result, outcome.deployment
+    return {
         "throughput_tps": round(result.throughput_tps, 4),
         "commit_rate": round(result.commit_rate, 6),
         "avg_latency_s": round(result.avg_latency_s, 4),
-        "p95_latency_s": round(
-            float(np.percentile(latencies, 95)) if len(latencies) else 0.0, 4
-        ),
+        "p95_latency_s": _pct(result.latencies_s, 95),
         "sent": float(result.sent),
         "committed": float(result.committed),
         "safety_holds": float(deployment.safety_holds()),
         "states_agree": float(deployment.states_agree()),
     }
-    headline.update(_dapp_derived(reg, float(result.committed)))
-    return headline
 
 
-def _chaos_deployment(*, schedule_seed: int, deployment_seed: int):
+def _chaos_run(*, fund_seed: int, deployment_seed: int, faults, **kwargs):
     """The canonical chaos deployment: n=4 single-region, reliable
-    delivery, liveness watchdogs, and a seeded fault schedule that
-    crashes one node (f=1), loses 5% of transmissions for the first 25 s,
-    and hard-partitions the committee 2|2 for 4 s before healing."""
-    from repro import params
-    from repro.core.deployment import Deployment, fund_clients
-    from repro.core.transaction import make_transfer
-    from repro.faults import FaultSchedule
-    from repro.net.topology import single_region_topology
+    delivery, liveness watchdogs, and a seeded fault schedule on node 3.
 
-    clients, balances = fund_clients(8, seed=5000 + deployment_seed)
-    schedule = (
-        FaultSchedule(seed=schedule_seed)
-        .drop_rate(0.05, until=25.0)
-        .crash(3, at=4.0)
-        .restart(3, at=10.0)
-        .hard_partition([[0, 1], [2, 3]], at=14.0, heal_at=18.0)
+    Pre-signed client transfers over the first ~20 s go to the three
+    validators the schedule never crashes (a client whose node is down
+    must resubmit elsewhere — modelled by not targeting node 3), all
+    submitted before the deployment starts.  Extra keywords go to
+    :func:`~repro.diablo.runner.deploy`.  Returns ``(deployment, txs)``."""
+    clients, balances = fund_clients(8, seed=fund_seed)
+    deployment = deploy(
+        seed=deployment_seed, balances=balances, reliable=True, faults=faults,
+        watchdog_stall_rounds=8, **kwargs,
     )
-    deployment = Deployment(
-        protocol=params.ProtocolParams(n=4, watchdog_stall_rounds=8),
-        topology=single_region_topology(4),
-        extra_balances=balances,
-        net_params=params.NetParams(reliable_delivery=True),
-        fault_schedule=schedule,
-        seed=deployment_seed,
-    )
-    # Pre-signed client transfers over the first ~20 s, submitted to the
-    # three validators the schedule never crashes (a client whose node is
-    # down must resubmit elsewhere — modelled by not targeting node 3).
-    txs = []
-    for j in range(6):
-        for i, keypair in enumerate(clients):
-            k = j * len(clients) + i
-            tx = make_transfer(
-                keypair, clients[(i + 1) % len(clients)].address, 1,
-                nonce=j, created_at=0.0,
-            )
-            txs.append(tx)
-            deployment.submit(tx, validator_id=k % 3, at=0.5 + k * 0.4)
+    txs = _ring(clients, 6, 0.0)
+    for k, tx in enumerate(txs):
+        deployment.submit(tx, validator_id=k % 3, at=0.5 + k * 0.4)
     return deployment, txs
 
 
@@ -489,9 +459,25 @@ def run_chaos_soak(
     *, schedule_seed: int = 13, deployment_seed: int = 3, horizon_s: float = 60.0
 ) -> dict:
     """One chaos-soak run -> headline dict (CI's multi-seed safety gate
-    calls this directly with varying seeds)."""
-    deployment, txs = _chaos_deployment(
-        schedule_seed=schedule_seed, deployment_seed=deployment_seed
+    calls this directly with varying seeds).
+
+    Crash-recovery chaos soak (the robustness-PR tentpole evidence):
+    deterministic chaos — one crash+restart with journal-replay catch-up, 5%
+    link loss absorbed by reliable delivery, a healing 2|2 partition —
+    must leave every correct chain byte-identical with every client
+    transaction committed.  The schedule crashes one node (f=1), loses 5%
+    of transmissions for the first 25 s, and hard-partitions the committee
+    2|2 for 4 s before healing."""
+    deployment, txs = _chaos_run(
+        fund_seed=5000 + deployment_seed,
+        deployment_seed=deployment_seed,
+        faults=(
+            FaultSchedule(seed=schedule_seed)
+            .drop_rate(0.05, until=25.0)
+            .crash(3, at=4.0)
+            .restart(3, at=10.0)
+            .hard_partition([[0, 1], [2, 3]], at=14.0, heal_at=18.0)
+        ),
     )
     deployment.start()
     # Sample the restarted node's recovery flag on a fixed grid so
@@ -505,21 +491,13 @@ def run_chaos_soak(
         if recovered_at == float("inf") and t > 10.0 and not restarted._recovering:
             recovered_at = t
     committed = sum(1 for tx in txs if deployment.committed_everywhere(tx))
-    hashes = {
-        tuple(v.blockchain.block_hashes()) for v in deployment.validators
-    }
-    heights = {v.blockchain.height for v in deployment.validators}
-    roots = {v.blockchain.state.state_root() for v in deployment.validators}
     stats = deployment.network.stats
     return {
-        "chains_identical": float(len(hashes) == 1 and len(heights) == 1),
-        "state_roots_match": float(len(roots) == 1),
-        "safety_holds": float(deployment.safety_holds()),
+        **_agreement(deployment, deployment.validators),
         "commit_rate": round(_ratio(committed, len(txs)), 6),
         "committed": float(committed),
         "sent": float(len(txs)),
         "recovery_time_s": round(recovered_at - 10.0, 4),
-        "height": float(max(heights)),
         "faults_injected_total": float(len(deployment.fault_controller.applied)),
         "retransmissions_total": float(stats.retransmissions),
         "duplicates_dropped_total": float(stats.duplicates_dropped),
@@ -531,22 +509,19 @@ def run_chaos_soak(
     }
 
 
-def _run_chaos_soak(reg: MetricsRegistry) -> dict:
-    """Crash-recovery chaos soak (the robustness-PR tentpole evidence):
-    deterministic chaos — one crash+restart with journal-replay catch-up, 5%
-    link loss absorbed by reliable delivery, a healing 2|2 partition —
-    must leave every correct chain byte-identical with every client
-    transaction committed."""
-    return run_chaos_soak()
-
-
 # ---------------------------------------------------------------------------
 # Byzantine fault campaign (robustness tentpole: deterrence must be visible)
 # ---------------------------------------------------------------------------
 
 
-def _campaign_deployment(*, rpm: bool, seed: int):
-    """The canonical Byzantine-campaign deployment: n=4 single-region,
+def run_byzantine_campaign(
+    *, rpm: bool, seed: int = 21, horizon_s: float = 40.0
+) -> dict:
+    """One campaign arm -> per-arm stats dict (both arms share the seed,
+    so the adversary's schedule and the valid load are identical and the
+    only difference is whether RPM's economics are live).
+
+    The canonical Byzantine-campaign deployment: n=4 single-region,
     one schedule-driven adversary seat (node 3, within the f=1 budget)
     that floods invalid transactions for 12 s, equivocates for 4 s, then
     withholds its consensus votes for 6 s.  The valid load is sustained
@@ -554,13 +529,6 @@ def _campaign_deployment(*, rpm: bool, seed: int):
     (400 tx/s), so every invalid transaction the flooder lands in a
     decided superblock visibly steals commit capacity — which is what
     lets RPM's exclusion show up as throughput, not just as a counter."""
-    from repro import params
-    from repro.core.deployment import Deployment
-    from repro.diablo.client import LoadSchedule
-    from repro.faults import FaultSchedule
-    from repro.net.topology import single_region_topology
-    from repro.workloads.synthetic import factory_balances, transfer_request_factory
-
     fault_schedule = (
         FaultSchedule(seed=seed)
         .byzantine_flood(
@@ -569,35 +537,14 @@ def _campaign_deployment(*, rpm: bool, seed: int):
         .byzantine_equivocate(3, at=14.0, until=18.0)
         .byzantine_withhold(3, at=20.0, until=26.0)
     )
-    fault_schedule.validate(n=4, f=1)
-    protocol = params.ProtocolParams(
-        n=4, rpm=rpm, rpm_exclude_comms=rpm, watchdog_stall_rounds=8
-    )
     factory = transfer_request_factory(clients=32, seed=seed + 7_000)
-    deployment = Deployment(
-        protocol=protocol,
-        topology=single_region_topology(4),
-        fault_schedule=fault_schedule,
-        extra_balances=factory_balances(factory),
-        seed=seed,
-        execution_rate=400.0,
+    deployment = deploy(
+        seed=seed, balances=factory_balances(factory), faults=fault_schedule,
+        execution_rate=400.0, rpm=rpm, rpm_exclude_comms=rpm,
+        watchdog_stall_rounds=8,
     )
     txs = [factory(i, i / 60.0) for i in range(840)]
     load = LoadSchedule.from_transactions(txs, name="byzantine-campaign")
-    return deployment, load
-
-
-def run_byzantine_campaign(
-    *, rpm: bool, seed: int = 21, horizon_s: float = 40.0
-) -> dict:
-    """One campaign arm -> per-arm stats dict (both arms share the seed,
-    so the adversary's schedule and the valid load are identical and the
-    only difference is whether RPM's economics are live)."""
-    from repro.core.rewards import DepositLedger
-    from repro.diablo.benchmark import DiabloBenchmark
-    from repro.diablo.client import RoundRobinSubmitter
-
-    deployment, load = _campaign_deployment(rpm=rpm, seed=seed)
     attacker = deployment.keypairs[3].address
     observer = deployment.validators[0]
     ledger = DepositLedger(tuple(kp.address for kp in deployment.keypairs[:4]))
@@ -613,9 +560,6 @@ def run_byzantine_campaign(
     result = bench.run(load, horizon_s=horizon_s)
     flooder = deployment.validators[3]
     honest = deployment.validators[:3]
-    hashes = {tuple(v.blockchain.block_hashes()) for v in honest}
-    heights = {v.blockchain.height for v in honest}
-    roots = {v.blockchain.state.state_root() for v in honest}
     econ = ledger.stats(attacker=attacker)
     if econ["time_to_exclusion_s"] == float("inf"):
         econ["time_to_exclusion_s"] = horizon_s  # JSON-safe "never" cap
@@ -627,10 +571,7 @@ def run_byzantine_campaign(
         "invalid_committed": float(observer.stats.txs_discarded),
         "invalid_proposed": float(flooder.invalid_txs_proposed),
         "withheld_msgs": float(flooder.withheld_msgs),
-        "honest_chains_identical": float(len(hashes) == 1 and len(heights) == 1),
-        "honest_state_roots_match": float(len(roots) == 1),
-        "safety_holds": float(deployment.safety_holds()),
-        "height": float(max(heights)),
+        **_agreement(deployment, honest, "honest_"),
         "faults_injected_total": float(len(deployment.fault_controller.applied)),
         "excluded_msgs_dropped": float(
             sum(v.excluded_msgs_dropped for v in honest)
@@ -700,44 +641,22 @@ def run_byzantine_chaos(
     votes, then crashes and restarts — under 5% link loss behind
     reliable delivery.  Honest chains must converge byte-identically and
     every honest-submitted valid transaction must commit."""
-    from repro import params
-    from repro.core.deployment import Deployment, fund_clients
-    from repro.core.transaction import make_transfer
-    from repro.faults import FaultSchedule
-    from repro.net.topology import single_region_topology
-
-    clients, balances = fund_clients(8, seed=5200 + deployment_seed)
-    schedule = (
-        FaultSchedule(seed=schedule_seed)
-        .drop_rate(0.05, until=10.0)
-        .byzantine_flood(
-            3, at=1.0, until=6.0, per_block=300, total=1_500,
-            seed=schedule_seed + 99,
-        )
-        .byzantine_withhold(3, at=6.0, until=10.0)
-        .crash(3, at=12.0)
-        .restart(3, at=18.0)
-    )
-    schedule.validate(n=4, f=1)
-    deployment = Deployment(
-        protocol=params.ProtocolParams(n=4, watchdog_stall_rounds=8),
-        topology=single_region_topology(4),
-        extra_balances=balances,
-        net_params=params.NetParams(reliable_delivery=True),
-        fault_schedule=schedule,
-        seed=deployment_seed,
+    deployment, txs = _chaos_run(
+        fund_seed=5200 + deployment_seed,
+        deployment_seed=deployment_seed,
+        faults=(
+            FaultSchedule(seed=schedule_seed)
+            .drop_rate(0.05, until=10.0)
+            .byzantine_flood(
+                3, at=1.0, until=6.0, per_block=300, total=1_500,
+                seed=schedule_seed + 99,
+            )
+            .byzantine_withhold(3, at=6.0, until=10.0)
+            .crash(3, at=12.0)
+            .restart(3, at=18.0)
+        ),
         execution_rate=2_000.0,
     )
-    txs = []
-    for j in range(6):
-        for i, keypair in enumerate(clients):
-            k = j * len(clients) + i
-            tx = make_transfer(
-                keypair, clients[(i + 1) % len(clients)].address, 1,
-                nonce=j, created_at=0.0,
-            )
-            txs.append(tx)
-            deployment.submit(tx, validator_id=k % 3, at=0.5 + k * 0.4)
     deployment.start()
     deployment.run_until(horizon_s)
     honest = deployment.validators[:3]
@@ -746,19 +665,13 @@ def run_byzantine_chaos(
         for tx in txs
         if all(tx.tx_hash in v.blockchain.commit_times for v in honest)
     )
-    hashes = {tuple(v.blockchain.block_hashes()) for v in honest}
-    heights = {v.blockchain.height for v in honest}
-    roots = {v.blockchain.state.state_root() for v in honest}
     observer = honest[0]
     attacker = deployment.keypairs[3].address
     return {
-        "honest_chains_identical": float(len(hashes) == 1 and len(heights) == 1),
-        "honest_state_roots_match": float(len(roots) == 1),
-        "safety_holds": float(deployment.safety_holds()),
+        **_agreement(deployment, honest, "honest_"),
         "commit_rate": round(_ratio(committed, len(txs)), 6),
         "committed": float(committed),
         "sent": float(len(txs)),
-        "height": float(max(heights)),
         "attacker_excluded": float(attacker in observer.excluded_validators),
         "attacker_deposit": float(observer.rpm_deposit_of(attacker)),
         "invalid_committed": float(observer.stats.txs_discarded),
@@ -792,16 +705,12 @@ def run_engine_scaling(
     so the timing measures the engine alone.  ``events_per_sec`` and
     ``peak_rss_mb`` are informational (wall-clock markers, never gated).
 
-    CI's smoke job calls this directly with ``sizes=(4, 8)``.
+    CI's smoke job calls this directly with ``sizes=(4, 8)``.  As a
+    scenario it is the wall-clock scaling gate: event counts must scale
+    with committee size exactly as before (tight gate), and measured wall
+    time must not blow past the established scaling exponent (generous
+    gate; absolute speeds stay informational).
     """
-    import resource
-    import time as _time
-
-    from repro import params
-    from repro.core.deployment import Deployment, fund_clients
-    from repro.core.transaction import make_transfer
-    from repro.net.topology import single_region_topology
-
     headline: dict = {}
     event_counts: "list[float]" = []
     wall_times: "list[float]" = []
@@ -810,26 +719,16 @@ def run_engine_scaling(
         first = None
         for rep in range(max(1, repeats)):
             keypairs, balances = fund_clients(clients, seed=5000 + seed)
-            deployment = Deployment(
-                protocol=params.ProtocolParams(n=n, tvpr=True, rpm=False),
-                topology=single_region_topology(n),
-                extra_balances=balances,
-                seed=seed,
+            deployment = deploy(
+                n=n, seed=seed, balances=balances, tvpr=True, rpm=False
             )
             deployment.start()
-            total = clients * nonces
-            gap = send_window_s / total
-            for nonce in range(nonces):
-                for i, keypair in enumerate(keypairs):
-                    k = nonce * clients + i
-                    tx = make_transfer(
-                        keypair, keypairs[(i + 1) % clients].address, 1,
-                        nonce=nonce, created_at=k * gap,
-                    )
-                    deployment.submit(tx, validator_id=i % n, at=k * gap)
-            c0 = _time.process_time()
+            gap = send_window_s / (clients * nonces)
+            for k, tx in enumerate(_ring(keypairs, nonces, gap)):
+                deployment.submit(tx, validator_id=k % clients % n, at=k * gap)
+            c0 = time.process_time()
             deployment.run_until(horizon_s)
-            cpu = max(_time.process_time() - c0, 1e-9)
+            cpu = max(time.process_time() - c0, 1e-9)
             if first is None:
                 first = deployment
             else:
@@ -893,14 +792,6 @@ def run_engine_scaling(
     return headline
 
 
-def _run_engine_scaling(reg: MetricsRegistry) -> dict:
-    """Wall-clock scaling gate: event counts must scale with committee
-    size exactly as before (tight gate), and measured wall time must not
-    blow past the established scaling exponent (generous gate; absolute
-    speeds stay informational)."""
-    return run_engine_scaling()
-
-
 def run_trace_replay(
     workload: str,
     *,
@@ -919,25 +810,18 @@ def run_trace_replay(
     marker.  The full NASDAQ trace is 30 240 transactions, FIFA is
     626 940.
     """
-    import time as _time
-
-    from repro import params as _params
-    from repro.diablo.runner import run_dapp_workload
-
     envelope = {
-        "nasdaq": _params.NASDAQ_ENVELOPE,
-        "uber": _params.UBER_ENVELOPE,
-        "fifa": _params.FIFA_ENVELOPE,
+        "nasdaq": params.NASDAQ_ENVELOPE,
+        "uber": params.UBER_ENVELOPE,
+        "fifa": params.FIFA_ENVELOPE,
     }[workload]
-    start = _time.process_time()
+    start = time.process_time()
     outcome = run_dapp_workload(
         workload, scale=1.0, n=n, clients=clients, grace_s=grace_s, seed=seed
     )
-    wall = _time.process_time() - start
-    result = outcome.result
-    deployment = outcome.deployment
-    latencies = result.latencies_s
-    headline = {
+    wall = time.process_time() - start
+    result, deployment = outcome.result, outcome.deployment
+    return {
         "trace_txs": float(result.sent),
         "trace_peak_tps": float(envelope.peak_tps),
         "trace_duration_s": float(envelope.duration_s),
@@ -946,15 +830,9 @@ def run_trace_replay(
         "committed": float(result.committed),
         "dropped": float(result.dropped),
         "avg_latency_s": round(result.avg_latency_s, 4),
-        "p50_latency_s": round(
-            float(np.percentile(latencies, 50)) if len(latencies) else 0.0, 4
-        ),
-        "p95_latency_s": round(
-            float(np.percentile(latencies, 95)) if len(latencies) else 0.0, 4
-        ),
-        "p99_latency_s": round(
-            float(np.percentile(latencies, 99)) if len(latencies) else 0.0, 4
-        ),
+        "p50_latency_s": _pct(result.latencies_s, 50),
+        "p95_latency_s": _pct(result.latencies_s, 95),
+        "p99_latency_s": _pct(result.latencies_s, 99),
         # How far past the trace's end the last commit landed: the
         # backlog-drain time the paper reports for over-capacity bursts.
         "backlog_drain_s": round(
@@ -967,25 +845,6 @@ def run_trace_replay(
         "states_agree": float(deployment.states_agree()),
         f"wall_s_n{n}": round(wall, 4),
     }
-    return headline
-
-
-def _run_trace_replay_nasdaq(reg: MetricsRegistry) -> dict:
-    headline = run_trace_replay("nasdaq")
-    headline.update(_dapp_derived(reg, headline["committed"]))
-    return headline
-
-
-def _run_trace_replay_uber(reg: MetricsRegistry) -> dict:
-    headline = run_trace_replay("uber")
-    headline.update(_dapp_derived(reg, headline["committed"]))
-    return headline
-
-
-def _run_trace_replay_fifa(reg: MetricsRegistry) -> dict:
-    headline = run_trace_replay("fifa", clients=128)
-    headline.update(_dapp_derived(reg, headline["committed"]))
-    return headline
 
 
 def run_table1_scale(
@@ -1017,20 +876,6 @@ def run_table1_scale(
     dispatch count), so this scenario is the most expensive registered
     one; CI runs a reduced-n variant (see the profile-smoke job).
     """
-    import time as _time
-
-    from repro import params as _params
-    from repro.core.deployment import Deployment
-    from repro.diablo.benchmark import DiabloBenchmark
-    from repro.diablo.client import LoadSchedule, RoundRobinSubmitter
-    from repro.net.faults import slow_nodes
-    from repro.net.topology import global_topology
-    from repro.workloads.synthetic import (
-        factory_balances,
-        flooding_mix,
-        transfer_request_factory,
-    )
-
     factory = transfer_request_factory(clients=clients, seed=950)
     balances = factory_balances(factory)
     txs = flooding_mix(
@@ -1038,18 +883,15 @@ def run_table1_scale(
         send_rate_tps=send_rate_tps, clients=clients, seed=950,
     )
     valid = [tx for tx in txs if tx.sender in balances]
-    deployment = Deployment(
-        protocol=_params.ProtocolParams(n=n, tvpr=True, rpm=False),
-        topology=global_topology(n, degree=degree, seed=seed),
-        extra_balances=balances,
-        seed=seed,
+    deployment = deploy(
+        n=n, seed=seed, balances=balances, degree=degree, weak_s=0.4,
+        tvpr=True, rpm=False,
     )
-    deployment.network.adversarial_delay = slow_nodes([n - 1], 0.4)
     schedule = LoadSchedule.from_transactions(txs, name=f"table1-n{n}")
     bench = DiabloBenchmark(deployment, submitter=RoundRobinSubmitter())
     deployment.start()
     bench.submitter.submit_all(deployment, schedule)
-    start = _time.process_time()
+    start = time.process_time()
     commit_done_s = 0.0
     t = 0.0
     while t < horizon_s:
@@ -1063,14 +905,14 @@ def run_table1_scale(
         # the safety checks sample them.
         t = round(t + settle_s, 10)
         deployment.run_until(t)
-    wall = _time.process_time() - start
+    wall = time.process_time() - start
     result = bench.collect(schedule, t)
     heights = {v.blockchain.height for v in deployment.correct_validators}
     hashes = {
         tuple(v.blockchain.block_hashes())
         for v in deployment.correct_validators
     }
-    headline = {
+    return {
         "sent_valid": float(len(valid)),
         "sent_invalid": float(len(txs) - len(valid)),
         "committed": float(result.committed),
@@ -1087,132 +929,105 @@ def run_table1_scale(
             deployment.sim.events_processed / max(wall, 1e-9), 2
         ),
     }
-    return headline
 
 
-def _run_table1_scale_200(reg: MetricsRegistry) -> dict:
-    headline = run_table1_scale()
-    headline.update(_dapp_derived(reg, headline["committed"]))
-    return headline
-
-
-register_scenario(Scenario(
-    name="tvpr_ablation",
-    description="SRBB vs EVM+DBFT on the full FIFA workload (tick engine): "
-    "the §V-A TVPR on/off throughput and latency ablation",
-    run=_run_tvpr_ablation,
-    seed=11,
-    cost_rank=0,
-))
-
-register_scenario(Scenario(
-    name="saturation_sweep",
-    description="Offered-load sweep and bisected saturation point, SRBB vs "
-    "EVM+DBFT (tick engine)",
-    run=_run_saturation_sweep,
-    seed=11,
-    cost_rank=1,
-))
-
-register_scenario(Scenario(
-    name="table1_dapp",
-    description="Table I at 1/10 scale: 4 Sydney validators, one Byzantine "
-    "flooder, SRBB w/o vs w/ RPM (message-level engine)",
-    run=_run_table1_dapp,
-    seed=1,
-    cost_rank=2,
-))
-
-register_scenario(Scenario(
-    name="vote_batching_ablation",
-    description="Vote batching on vs off on the Table I flooding deployment: "
-    "superblocks must stay byte-identical while consensus wire messages "
-    "drop >= 10x (message-level engine)",
-    run=_run_vote_batching_ablation,
-    seed=1,
-    cost_rank=4,
-))
-
-register_scenario(Scenario(
-    name="weak_validator",
-    description="8 validators over the 10-region topology with one slow "
-    "validator (+400 ms), NASDAQ mix (message-level engine)",
-    run=_run_weak_validator,
-    seed=7,
-    cost_rank=3,
-))
-
-register_scenario(Scenario(
-    name="engine_scaling",
-    description="Message-level engine wall-clock cost vs committee size "
-    "(n = 4..32): deterministic event counts gated tight, wall-time "
-    "scaling exponent gated generously",
-    run=_run_engine_scaling,
-    seed=9,
-    cost_rank=5,
-))
-
-register_scenario(Scenario(
-    name="trace_replay_nasdaq",
-    description="Full published NASDAQ envelope (30 240 txs, peak 19 800 "
-    "TPS) replayed on a 4-validator message-level deployment: burst "
-    "tolerance with every transaction pre-signed and exact",
-    run=_run_trace_replay_nasdaq,
-    seed=17,
-    cost_rank=5,
-))
-
-register_scenario(Scenario(
-    name="trace_replay_uber",
-    description="Full published Uber envelope (102 240 txs, sustained "
-    "~850 TPS) replayed on a 4-validator message-level deployment: "
-    "steady-state commit capacity",
-    run=_run_trace_replay_uber,
-    seed=17,
-    cost_rank=7,
-))
-
-register_scenario(Scenario(
-    name="trace_replay_fifa",
-    description="Full published FIFA envelope (626 940 txs, avg 3 483 "
-    "TPS) replayed on a 4-validator message-level deployment: capacity "
-    "exhaustion and backlog drain",
-    run=_run_trace_replay_fifa,
-    seed=17,
-    cost_rank=8,
-))
-
-register_scenario(Scenario(
-    name="table1_scale_200",
-    description="Table I flooding mix on a 200-validator multi-region "
-    "committee with one weak (+400 ms) node: every valid transaction "
-    "must commit everywhere within the sim-time budget (message-level "
-    "engine; the most expensive scenario — CI runs a reduced-n variant)",
-    run=_run_table1_scale_200,
-    seed=7,
-    cost_rank=9,
-))
-
-register_scenario(Scenario(
-    name="byzantine_campaign",
-    description="Schedule-driven Byzantine campaign on one seat (flooding, "
-    "equivocation, vote withholding, all within the f=1 budget), RPM off "
-    "vs on at the same seed: slashing must zero the attacker's deposit "
-    "within a bounded time, committed-invalid work must collapse, and the "
-    "protected arm must out-commit the unprotected one (message-level "
-    "engine)",
-    run=_run_byzantine_campaign,
-    seed=21,
-    cost_rank=4,
-))
-
-register_scenario(Scenario(
-    name="chaos_soak",
-    description="4 validators under a seeded chaos schedule: crash+restart "
-    "of one node with journal-replay catch-up, 5% link loss behind reliable "
-    "delivery, one healing hard partition; every client tx must commit and "
-    "all chains converge byte-identically (message-level engine)",
-    run=_run_chaos_soak,
-    seed=13,
-    cost_rank=3,
-))
+#: every scenario, by name; ``repro bench list`` prints them
+SCENARIOS: "dict[str, Scenario]" = {scenario.name: scenario for scenario in (
+    Scenario(
+        name="tvpr_ablation",
+        description="SRBB vs EVM+DBFT on the full FIFA workload (tick engine): "
+        "the §V-A TVPR on/off throughput and latency ablation",
+        run=_run_tvpr_ablation,
+        seed=11,
+    ),
+    Scenario(
+        name="saturation_sweep",
+        description="Offered-load sweep and bisected saturation point, SRBB vs "
+        "EVM+DBFT (tick engine)",
+        run=_run_saturation_sweep,
+        seed=11,
+    ),
+    Scenario(
+        name="table1_dapp",
+        description="Table I at 1/10 scale: 4 Sydney validators, one Byzantine "
+        "flooder, SRBB w/o vs w/ RPM (message-level engine)",
+        run=_run_table1_dapp,
+        seed=1,
+    ),
+    Scenario(
+        name="vote_batching_ablation",
+        description="Vote batching on vs off on the Table I flooding deployment: "
+        "superblocks must stay byte-identical while consensus wire messages "
+        "drop >= 10x (message-level engine)",
+        run=_run_vote_batching_ablation,
+        seed=1,
+    ),
+    Scenario(
+        name="weak_validator",
+        description="8 validators over the 10-region topology with one slow "
+        "validator (+400 ms), NASDAQ mix (message-level engine)",
+        run=_with_derived(_weak_validator),
+        seed=7,
+    ),
+    Scenario(
+        name="engine_scaling",
+        description="Message-level engine wall-clock cost vs committee size "
+        "(n = 4..32): deterministic event counts gated tight, wall-time "
+        "scaling exponent gated generously",
+        run=lambda reg: run_engine_scaling(),
+        seed=9,
+    ),
+    Scenario(
+        name="trace_replay_nasdaq",
+        description="Full published NASDAQ envelope (30 240 txs, peak 19 800 "
+        "TPS) replayed on a 4-validator message-level deployment: burst "
+        "tolerance with every transaction pre-signed and exact",
+        run=_with_derived(run_trace_replay, "nasdaq"),
+        seed=17,
+    ),
+    Scenario(
+        name="trace_replay_uber",
+        description="Full published Uber envelope (102 240 txs, sustained "
+        "~850 TPS) replayed on a 4-validator message-level deployment: "
+        "steady-state commit capacity",
+        run=_with_derived(run_trace_replay, "uber"),
+        seed=17,
+    ),
+    Scenario(
+        name="trace_replay_fifa",
+        description="Full published FIFA envelope (626 940 txs, avg 3 483 "
+        "TPS) replayed on a 4-validator message-level deployment: capacity "
+        "exhaustion and backlog drain",
+        run=_with_derived(run_trace_replay, "fifa", clients=128),
+        seed=17,
+    ),
+    Scenario(
+        name="table1_scale_200",
+        description="Table I flooding mix on a 200-validator multi-region "
+        "committee with one weak (+400 ms) node: every valid transaction "
+        "must commit everywhere within the sim-time budget (message-level "
+        "engine; the most expensive scenario — CI runs a reduced-n variant)",
+        run=_with_derived(run_table1_scale),
+        seed=7,
+    ),
+    Scenario(
+        name="byzantine_campaign",
+        description="Schedule-driven Byzantine campaign on one seat (flooding, "
+        "equivocation, vote withholding, all within the f=1 budget), RPM off "
+        "vs on at the same seed: slashing must zero the attacker's deposit "
+        "within a bounded time, committed-invalid work must collapse, and the "
+        "protected arm must out-commit the unprotected one (message-level "
+        "engine)",
+        run=_run_byzantine_campaign,
+        seed=21,
+    ),
+    Scenario(
+        name="chaos_soak",
+        description="4 validators under a seeded chaos schedule: crash+restart "
+        "of one node with journal-replay catch-up, 5% link loss behind reliable "
+        "delivery, one healing hard partition; every client tx must commit and "
+        "all chains converge byte-identically (message-level engine)",
+        run=lambda reg: run_chaos_soak(),
+        seed=13,
+    ),
+)}

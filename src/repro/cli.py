@@ -202,13 +202,10 @@ def _cmd_bench_run(args) -> int:
 
 
 def _cmd_bench_list(args) -> int:
-    from repro.bench import cheapest_scenarios, get_scenario, scenario_names
+    from repro.bench import get_scenario, scenario_names
 
-    cheap = set(cheapest_scenarios(2))
     for name in scenario_names():
-        scenario = get_scenario(name)
-        marker = " [ci]" if name in cheap else ""
-        print(f"{name:20s}{marker:6s} {scenario.description}")
+        print(f"{name:26s} {get_scenario(name).description}")
     return 0
 
 
@@ -372,15 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "list", parents=[common], help="list registered scenarios"
     )
     b.set_defaults(fn=_cmd_bench_list)
-    b = bench_sub.add_parser(
-        "compare", parents=[common],
-        help="diff two artifacts/dumps (alias of metrics-diff)",
-    )
-    b.add_argument("old", help="baseline artifact/dump (JSON or Prometheus)")
-    b.add_argument("new", help="candidate artifact/dump (JSON or Prometheus)")
-    b.add_argument("--max-rows", type=int, default=40)
-    b.add_argument("--show-unchanged", action="store_true")
-    b.set_defaults(fn=_cmd_metrics_diff)
 
     p = add_parser(
         "profile",

@@ -84,7 +84,7 @@ class CatchupResponse:
     ``next_index``, which a recovering requester's replay must reach.
     The responder picks both, so the check catches a tail that does not
     replay to the root it came with, not a responder that lies about
-    both (ROADMAP 4(c)).
+    both (ROADMAP item 1(a)).
     """
 
     superblocks: "tuple[SuperBlock, ...]"

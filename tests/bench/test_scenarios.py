@@ -8,7 +8,6 @@ import pytest
 
 from repro import params
 from repro.bench import (
-    cheapest_scenarios,
     get_scenario,
     run_scenario,
     scenario_names,
@@ -73,13 +72,6 @@ class TestRegistry:
     def test_unknown_scenario_raises_with_candidates(self):
         with pytest.raises(KeyError, match="tvpr_ablation"):
             get_scenario("no_such_scenario")
-
-    def test_cheapest_scenarios_are_tick_engine(self):
-        cheap = cheapest_scenarios(2)
-        assert len(cheap) == 2
-        assert all(get_scenario(n).cost_rank <= 1 for n in cheap)
-        ranks = [get_scenario(n).cost_rank for n in cheap]
-        assert ranks == sorted(ranks)
 
     def test_scenarios_have_descriptions_and_seeds(self):
         for name in scenario_names():

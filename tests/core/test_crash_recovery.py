@@ -202,7 +202,7 @@ class TestCatchupHardening:
     @pytest.mark.xfail(
         strict=True,
         reason="a never-crashed node applies an unsolicited CATCHUP_RESP "
-        "without checking it against anyone but its sender (ROADMAP 4(c))",
+        "without checking it against anyone but its sender (ROADMAP item 1(a))",
     )
     def test_unsolicited_forged_response_is_not_applied(self):
         deployment, clients = make_deployment(clients=2)

@@ -7,7 +7,7 @@ consensus resumes after the heal.  Without it the dropped votes are
 never sent again and no seat is ahead, so neither the watchdog nor the
 ahead-window catch-up has anything to fetch: the stall is permanent.
 Re-sending a stuck instance's votes after a heal is the open fix
-(ROADMAP item 4); the strict xfail turns into a failure once it lands.
+(ROADMAP item 1(b)); the strict xfail turns into a failure once it lands.
 """
 
 import pytest

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import scenario_names
 from repro.cli import build_parser, main
 
 
@@ -25,7 +26,6 @@ class TestParser:
         parser.parse_args(["table1", "--scale", "0.1"])
         parser.parse_args(["bench", "run", "tvpr_ablation", "--out-dir", "/tmp"])
         parser.parse_args(["bench", "list"])
-        parser.parse_args(["bench", "compare", "a.json", "b.json"])
         parser.parse_args(["metrics-diff", "a.json", "b.json", "--max-rows", "5"])
 
     def test_bench_requires_subcommand(self):
@@ -57,7 +57,8 @@ class TestExecution:
     def test_bench_list(self, capsys):
         assert main(["bench", "list"]) == 0
         out = capsys.readouterr().out
-        assert "tvpr_ablation" in out and "[ci]" in out
+        names = [line.split()[0] for line in out.splitlines()]
+        assert names == scenario_names() and len(names) == 12
 
     def test_bench_run_and_metrics_diff(self, tmp_path, capsys):
         assert main(["bench", "run", "tvpr_ablation",
