@@ -972,7 +972,7 @@ SCENARIOS: "dict[str, Scenario]" = {scenario.name: scenario for scenario in (
     Scenario(
         name="engine_scaling",
         description="Message-level engine wall-clock cost vs committee size "
-        "(n = 4..32): deterministic event counts gated tight, wall-time "
+        "(n = 4..48): deterministic event counts gated tight, wall-time "
         "scaling exponent gated generously",
         run=lambda reg: run_engine_scaling(),
         seed=9,

@@ -35,7 +35,12 @@ index, like DBFT's :class:`~repro.consensus.dbft.VoteTable`:
 
 A run of votes (:class:`~repro.consensus.messages.VoteRun`) whose digests
 all equal their slots' column digests, for slots that hold a payload, is
-tallied in one pass over its instances.  A vote for any other digest is
+tallied in one pass over its instances.  One that covers every slot is
+counted with one uniform add to its kind's counters, and then wakes the
+slots landing on a threshold in run order (only a slot's own checks read
+its counts); each kind keeps that add and its highest per-slot counter,
+as DBFT's vote table does.  A READY run that can take some slot to 2f+1
+takes the pass instead.  A vote for any other digest is
 counted in a per-digest entry; only an equivocating broadcaster or a slot
 seen for the first time produces them, and a run that mixes them in takes
 the per-vote routine (:meth:`ReliableBroadcast._vote`) in order.  Each
@@ -93,6 +98,9 @@ class ReliableBroadcast:
         self._payloads: list[Any] = [None] * n
         self._echoes = [0] * n
         self._readies = [0] * n
+        #: per kind: the uniform add, and the highest per-slot counter
+        self._echo_span = [0, 0]
+        self._ready_span = [0, 0]
         # per sender: the slots whose ECHO / READY it already cast
         self._echoed_by = [0] * n
         self._readied_by = [0] * n
@@ -163,27 +171,46 @@ class ReliableBroadcast:
         if not new:
             return
         seen[sender] |= new
+        counts, span = (self._echoes, self._echo_span) if echo else (
+            self._readies, self._ready_span
+        )
+        add, high = span
+        if new == self._all and (echo or high + add < self._quorum - 1):
+            add = span[0] = add + 1
+            # thresholds shifted by the uniform add, to compare with counters
+            quorum, amplify = self._quorum - add, self.f + 1 - add
+            landing = quorum if echo else amplify
+            if 0 <= landing <= high:
+                check_ready = self._check_ready
+                for i in run.instances:
+                    if counts[i] == landing:
+                        check_ready(i, columns[i])
+            return
+        quorum, amplify = self._quorum - add, self.f + 1 - add
         partial = new != mask
-        quorum = self._quorum
+        top = 0
         if echo:
-            counts = self._echoes
             for i in run.instances:
                 if partial and not new >> i & 1:
                     continue
                 count = counts[i] = counts[i] + 1
+                if count > top:
+                    top = count
                 if count == quorum:
                     self._check_ready(i, columns[i])
-            return
-        counts = self._readies
-        amplify = self.f + 1
-        for i in run.instances:
-            if partial and not new >> i & 1:
-                continue
-            count = counts[i] = counts[i] + 1
-            if count == amplify:
-                self._check_ready(i, columns[i])
-            if count >= quorum and not self._delivered >> i & 1:
-                self._check_deliver(i, columns[i])
+        else:
+            for i in run.instances:
+                if partial and not new >> i & 1:
+                    continue
+                count = counts[i] = counts[i] + 1
+                if count > top:
+                    top = count
+                if count == amplify:
+                    self._check_ready(i, columns[i])
+                if count >= quorum and not self._delivered >> i & 1:
+                    self._check_deliver(i, columns[i])
+        if top > high:
+            span[1] = top
 
     def delivered(self, instance: int) -> bool:
         return type(instance) is int and 0 <= instance < self.n and bool(
@@ -207,8 +234,13 @@ class ReliableBroadcast:
         if column is None:
             column = self._digests[instance] = digest
         if digest == column:
-            counts = self._echoes if echo else self._readies
+            counts, span = (self._echoes, self._echo_span) if echo else (
+                self._readies, self._ready_span
+            )
             count = counts[instance] = counts[instance] + 1
+            if count > span[1]:
+                span[1] = count
+            count += span[0]
         else:
             other = self._others.setdefault((instance, digest), [0, 0, None])
             field = 0 if echo else 1
@@ -246,8 +278,11 @@ class ReliableBroadcast:
     def _tally(self, instance: int, digest: bytes) -> tuple[int, int, Any]:
         """ECHO count, READY count and payload of ``digest`` in ``instance``."""
         if digest == self._digests[instance]:
-            payload = self._payloads[instance]
-            return self._echoes[instance], self._readies[instance], payload
+            return (
+                self._echoes[instance] + self._echo_span[0],
+                self._readies[instance] + self._ready_span[0],
+                self._payloads[instance],
+            )
         other = self._others[instance, digest]  # made by the vote that woke it
         return other[0], other[1], other[2]
 

@@ -27,7 +27,7 @@ which the property tests acknowledge by bounding rounds generously).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -77,8 +77,8 @@ class _RoundState:
     """One instance's own flags for one round (the votes it *heard* are
     tallied in the :class:`VoteTable`)."""
 
-    bval_echoed: set[int] = field(default_factory=set)  # values we echoed
-    bin_values: set[int] = field(default_factory=set)
+    bval_echoed: int = 0  # bit v: BVAL(v) echoed
+    bin_values: int = 0  # bit v: v is in bin_values
     aux_sent: bool = False
     coord_value: int | None = None
 
@@ -114,20 +114,35 @@ class VoteTable:
     decision may input 0 to a later instance of the same run, which then
     reads its own — not yet bumped — counter).
 
+    A run that covers every column (*full-width*) moves every counter of
+    its field by one, so it is counted with one per-field *uniform add*
+    and only a column that can wake is looked at.  A BVAL column wakes
+    when its count lands on f+1 or 2f+1; only that column's own
+    :meth:`BinaryConsensus._check_bval` reads its count, so a full-width
+    BVAL run adds first and then wakes those columns in run order.  An
+    AUX wake can input 0 to a later column that reads its own count, so a
+    full-width AUX run takes the ordered walk whenever some column's
+    total can reach n − f in a round that some instance is still in.
+    Each field keeps the highest of its per-column counters for those
+    tests; every partial run takes the ordered walk.
+
     Layout, chosen so that opening a round costs one allocation and a
     (round, sender) one dict entry: a standalone instance owns a whole
     table, and every container is one more object for the cyclic
     collector to walk.  Per round, one flat counter list of four
     ``columns``-wide fields: BVAL(0), BVAL(1), AUX(0), AUX(1) — distinct
-    senders counted, per column.  Per (round, sender), one integer of
-    three ``columns``-bit fields: the columns in which that sender's
-    BVAL(0), BVAL(1) and AUX (one per sender, whichever value) have been
-    counted — what keeps a Byzantine double vote from counting twice.
+    senders counted, per column, less the field's uniform add — then, per
+    field, its uniform add and its highest counter (its lowest is ≥ 0).
+    Per (round, sender), one integer of three ``columns``-bit fields: the
+    columns in which that sender's BVAL(0), BVAL(1) and AUX (one per
+    sender, whichever value) have been counted — what keeps a Byzantine
+    double vote from counting twice.  Per round, how many instances are in
+    it.
     """
 
     __slots__ = (
         "n", "columns", "owners",
-        "_all", "_echo_at", "_bin_at", "_aux_at", "_counts", "_seen",
+        "_all", "_echo_at", "_bin_at", "_aux_at", "_counts", "_seen", "_in_round",
     )
 
     def __init__(self, *, n: int, f: int, columns: int):
@@ -139,8 +154,9 @@ class VoteTable:
         self._echo_at = f + 1
         self._bin_at = 2 * f + 1
         self._aux_at = n - f
-        self._counts: dict[int, list[int]] = {}  # round -> 4 fields of counters
+        self._counts: dict[int, list[int]] = {}  # round -> 4 fields, 4 (add, top)
         self._seen: dict[tuple[int, int], int] = {}  # (round, sender) -> 3 fields of bits
+        self._in_round = {0: columns}  # round -> instances in it (0: not started)
 
     # bval() and aux() are the two hottest functions of a committee run and
     # also the whole of the single-vote path, so each spells out its own
@@ -148,7 +164,8 @@ class VoteTable:
     # * the sender must be a seat — an ``int`` in ``range(n)``; anything
     #   else is nobody's vote (and must never size a ``1 << sender``);
     # * columns at or past ``columns`` are unknown instances: masked off;
-    # * ``new`` is what the sender had not voted yet — the double-vote rule.
+    # * ``new`` is what the sender had not voted yet — the double-vote rule;
+    # * thresholds are shifted by the uniform add, to compare with counters.
 
     def bval(
         self, r: int, value: int, sender: int, columns: tuple[int, ...], mask: int
@@ -157,7 +174,8 @@ class VoteTable:
         (``mask`` is their bitmask; ``value`` is exactly 0 or 1)."""
         if type(sender) is not int or not 0 <= sender < self.n or r > MAX_ROUNDS:
             return
-        field = value * self.columns  # BVAL(value)'s field, bits and counters alike
+        width = self.columns
+        field = value * width  # BVAL(value)'s field, bits and counters alike
         voted = self._seen.get((r, sender), 0)
         new = mask & self._all & ~(voted >> field)
         if not new:
@@ -165,17 +183,38 @@ class VoteTable:
         self._seen[r, sender] = voted | new << field
         counts = self._counts.get(r)
         if counts is None:
-            counts = self._counts[r] = [0] * (4 * self.columns)
-        echo_at, bin_at = self._echo_at, self._bin_at
+            counts = self._counts[r] = [0] * (4 * width + 8)
+        span = 4 * width + 2 * value  # the field's add, then its top
         partial = new != mask
+        if new == self._all:
+            # Nothing but a column's own _check_bval reads its BVAL counter,
+            # so the add may come first and the wakes after, in run order.
+            add = counts[span] = counts[span] + 1
+            echo_at, bin_at = self._echo_at - add, self._bin_at - add
+            high = counts[span + 1]
+            if 0 <= echo_at <= high or 0 <= bin_at <= high:
+                for col in columns:
+                    if partial and not new >> col & 1:
+                        continue
+                    count = counts[field + col]
+                    if count == echo_at or count == bin_at:
+                        self.owners[col]._check_bval(r, value)
+            return
+        add = counts[span]
+        echo_at, bin_at = self._echo_at - add, self._bin_at - add
+        top = 0
         for col in columns:
             if partial and not new >> col & 1:
                 continue
             count = counts[field + col] = counts[field + col] + 1
+            if count > top:
+                top = count
             # Exact crossings only: the flags _check_bval sets make every
             # other call to it a no-op.
             if count == echo_at or count == bin_at:
                 self.owners[col]._check_bval(r, value)
+        if top > counts[span + 1]:
+            counts[span + 1] = top
 
     def aux(
         self, r: int, value: int, sender: int, columns: tuple[int, ...], mask: int
@@ -192,15 +231,24 @@ class VoteTable:
         self._seen[r, sender] = voted | new << 2 * width
         counts = self._counts.get(r)
         if counts is None:
-            counts = self._counts[r] = [0] * (4 * width)
+            counts = self._counts[r] = [0] * (4 * width + 8)
         field = (2 + value) * width
         other = (3 - value) * width
-        aux_at = self._aux_at
+        span = 4 * width + 2 * (2 + value)
+        other_span = 4 * width + 2 * (3 - value)
+        aux_at = self._aux_at - counts[span] - counts[other_span]
+        if new == self._all:
+            if counts[span + 1] + counts[other_span + 1] + 1 < aux_at or not self._in_round.get(r):
+                counts[span] += 1
+                return
         partial = new != mask
+        top = 0
         for col in columns:
             if partial and not new >> col & 1:
                 continue
             count = counts[field + col] = counts[field + col] + 1
+            if count > top:
+                top = count
             # Below n−f AUX in total the round cannot end, and an instance
             # that left round r no longer reads r's tallies.  (No
             # _maybe_send_aux here: whenever r is the current round,
@@ -210,6 +258,14 @@ class VoteTable:
                 owner = self.owners[col]
                 if owner.round == r:
                     owner._try_advance(r)
+        if top > counts[span + 1]:
+            counts[span + 1] = top
+
+    def moved(self, left: int, entered: int) -> None:
+        """Book an instance's move from round ``left`` to ``entered``."""
+        in_round = self._in_round
+        in_round[left] = in_round.get(left, 0) - 1
+        in_round[entered] = in_round.get(entered, 0) + 1
 
     def release(self) -> None:
         """Forget every tally and detach the instances: with ``n = 0``
@@ -219,11 +275,15 @@ class VoteTable:
         self.owners = [_RELEASED] * self.columns
         self._counts = {}
         self._seen = {}
+        self._in_round = {}
 
     def bval_count(self, r: int, value: int, col: int) -> int:
         """Distinct senders whose ``BVAL(r, value)`` column ``col`` counted."""
         counts = self._counts.get(r)
-        return counts[value * self.columns + col] if counts is not None else 0
+        if counts is None:
+            return 0
+        width = self.columns
+        return counts[value * width + col] + counts[4 * width + 2 * value]
 
     def aux_counts(self, r: int, col: int) -> tuple[int, int]:
         """Distinct senders whose ``AUX(r, 0)`` / ``AUX(r, 1)`` it counted."""
@@ -231,7 +291,10 @@ class VoteTable:
         if counts is None:
             return 0, 0
         width = self.columns
-        return counts[2 * width + col], counts[3 * width + col]
+        return (
+            counts[2 * width + col] + counts[4 * width + 4],
+            counts[3 * width + col] + counts[4 * width + 6],
+        )
 
 
 class BinaryConsensus:
@@ -304,6 +367,7 @@ class BinaryConsensus:
             return
         self._started = True
         self.est = value
+        self._table.moved(0, 1)
         self.round = 1
         self._start_round()
 
@@ -380,8 +444,8 @@ class BinaryConsensus:
         if self.my_id == coord:
             self._send(MsgKind.COORD, self.round, self.est)
         state = self._round_state(self.round)
-        if self.est not in state.bval_echoed:
-            state.bval_echoed.add(self.est)
+        if not state.bval_echoed >> self.est & 1:
+            state.bval_echoed |= 1 << self.est
             self._send(MsgKind.BVAL, self.round, self.est)
         # Votes may have arrived before we started this round.  Their echo
         # and bin_values flags were set as each count crossed its threshold
@@ -393,13 +457,14 @@ class BinaryConsensus:
         state = self._round_state(r)
         count = self._table.bval_count(r, value, self._col)
         # Echo once f+1 distinct nodes back the value (amplification).
-        if count >= self.f + 1 and value not in state.bval_echoed:
-            state.bval_echoed.add(value)
+        bit = 1 << value
+        if count >= self.f + 1 and not state.bval_echoed & bit:
+            state.bval_echoed |= bit
             if r <= self.round + 1 and self._participating():
                 self._send(MsgKind.BVAL, r, value)
         # 2f+1 distinct BVALs: at least one correct proposer → bin_values.
-        if count >= 2 * self.f + 1 and value not in state.bin_values:
-            state.bin_values.add(value)
+        if count >= 2 * self.f + 1 and not state.bin_values & bit:
+            state.bin_values |= bit
             self._maybe_send_aux(r, state)
             self._try_advance(r, state)
 
@@ -410,10 +475,11 @@ class BinaryConsensus:
             return
         if not self._participating():
             return
-        if state.coord_value is not None and state.coord_value in state.bin_values:
-            value = state.coord_value
+        coord = state.coord_value
+        if coord is not None and state.bin_values >> coord & 1:
+            value = coord
         else:
-            value = min(state.bin_values)
+            value = 0 if state.bin_values & 1 else 1
         state.aux_sent = True
         self._send(MsgKind.AUX, r, value)
 
@@ -429,9 +495,9 @@ class BinaryConsensus:
             return
         # n−f AUX messages whose values are all in bin_values
         c0, c1 = self._table.aux_counts(r, self._col)
-        if 0 not in bin_values:
+        if not bin_values & 1:
             c0 = 0
-        if 1 not in bin_values:
+        if not bin_values & 2:
             c1 = 0
         if c0 + c1 < self.n - self.f:
             return
@@ -451,6 +517,7 @@ class BinaryConsensus:
             if telemetry.get_registry().enabled:
                 _metrics().coin.inc()
             self.est = coin
+        self._table.moved(r, r + 1)
         self.round = r + 1
         self._start_round()
 

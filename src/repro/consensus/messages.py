@@ -248,17 +248,13 @@ class ConsensusBatch:
             object.__setattr__(self, "_approx_size", cached)
         return cached
 
-    def standalone_size(self) -> int:
-        """What the constituents would have cost sent individually."""
-        return sum(m.approx_size() for m in self.messages)
-
     def bytes_saved(self) -> int:
         """Wire bytes avoided by batching (never negative).
 
-        Equal to ``standalone_size() - approx_size()`` floored at zero,
-        without walking the constituents: sent alone, each one pays the
-        full envelope plus its payload; batched, it pays the compact
-        record plus the same payload.  (A constituent is never itself a
+        Equal to what the constituents would cost sent one by one, less
+        ``approx_size()``, floored at zero, without walking them: sent
+        alone, each one pays the full envelope plus its payload; batched,
+        it pays the compact record plus the same payload.  (A constituent is never itself a
         batch — the batcher buffers vote kinds only — so its payload is
         sized the same way in both.)
         """

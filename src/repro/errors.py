@@ -45,12 +45,6 @@ class InsufficientBalance(ValidationError):
     code = "insufficient-balance"
 
 
-class UnknownSender(ValidationError):
-    """Sender account does not exist in the world state."""
-
-    code = "unknown-sender"
-
-
 # ---------------------------------------------------------------------------
 # VM execution errors
 # ---------------------------------------------------------------------------

@@ -114,6 +114,8 @@ RETRANSMIT_BACKOFF = 2.0
 #: crash-recovery catch-up protocol (not the transport) is what
 #: guarantees a restarted node converges.
 RETRANSMIT_CAP = 6
+#: jitter samples drawn per RNG call
+JITTER_BLOCK = 1024
 
 
 def _traffic_children(m: SimpleNamespace, kind: str, src_region: str, dst_region: str):
@@ -281,6 +283,9 @@ class Network:
         self.bandwidth = bandwidth_bytes_per_s
         self.jitter_s = jitter_s
         self.rng = np.random.default_rng(seed)
+        #: jitter samples drawn JITTER_BLOCK at a time (the sequence scalar
+        #: draws give), taken from the end
+        self._jitters: list[float] = []
         self.adversarial_delay = adversarial_delay
         self.net = net or params.NetParams()
         #: injected lossy-link behavior; None keeps the delay-only model
@@ -358,7 +363,7 @@ class Network:
         """Sample the delivery delay for one message."""
         base = self._link(src, dst)[0]
         serialization = size_bytes / self.bandwidth
-        jitter = float(self.rng.exponential(self.jitter_s))
+        jitter = self._jitters.pop() if self._jitters else self._refill()
         delay = base + serialization + jitter
         if self.adversarial_delay is not None:
             # The adversary may only *stretch* delays, bounded by the
@@ -366,6 +371,11 @@ class Network:
             extra = max(0.0, self.adversarial_delay(src, dst, self.sim.now))
             delay += extra
         return min(delay, self.timing.bound(self.sim.now) + serialization)
+
+    def _refill(self) -> float:
+        """Draw the next block of jitter samples; returns the first."""
+        self._jitters[:] = self.rng.exponential(self.jitter_s, JITTER_BLOCK)[::-1].tolist()
+        return self._jitters.pop()
 
     # -- primitives -------------------------------------------------------------------
 
@@ -428,8 +438,7 @@ class Network:
         now = sim.now
         serialization = msg.size_bytes / self.bandwidth
         cap = self.timing.bound(now) + serialization
-        draw = self.rng.exponential
-        jitter_s = self.jitter_s
+        jitters = self._jitters
         for dst, base in targets:
             if base is None:
                 schedule(0.0, deliver, dst, msg)
@@ -441,7 +450,7 @@ class Network:
                 self._channel_send(src, dst, msg, seq=None)
             else:
                 # delay_for, with the per-fan-out terms hoisted
-                delay = base + serialization + float(draw(jitter_s))
+                delay = base + serialization + (jitters.pop() if jitters else self._refill())
                 if adversarial is not None:
                     delay += max(0.0, adversarial(src, dst, now))
                 if delay > cap:

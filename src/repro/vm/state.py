@@ -7,30 +7,16 @@ transaction rolls back completely — the mechanism behind the paper's
 
 from __future__ import annotations
 
-import copy as _copymod
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.crypto.hashing import hash_items
-from repro.errors import UnknownSender
 
 
 #: journal marker for "the key was not there": undoing an entry whose
 #: previous value is ``_ABSENT`` removes the key
 _ABSENT = object()
-
-
-def _clone_value(value: Any) -> Any:
-    """Deep-copy a storage value unless it is immutable.
-
-    Storage holds arbitrary Python values; sharing a mutable value (list,
-    dict) between two states lets an in-place mutation in one leak into
-    the other, which corrupts ``WorldState.copy()`` clones.
-    """
-    if value is None or isinstance(value, (int, float, str, bytes, bool)):
-        return value
-    return _copymod.deepcopy(value)
 
 
 @dataclass
@@ -42,10 +28,6 @@ class Account:
     nonce: int = 0
     #: native contract name when this account hosts a built-in contract
     native: str | None = None
-
-    @property
-    def is_contract(self) -> bool:
-        return self.native is not None
 
 
 class WorldState:
@@ -101,12 +83,6 @@ class WorldState:
         self._journal.clear()
 
     # -- accounts -----------------------------------------------------------
-
-    def get_account(self, address: str) -> Account:
-        try:
-            return self._accounts[address]
-        except KeyError:
-            raise UnknownSender(f"no account {address!r}") from None
 
     def get_or_create(self, address: str) -> Account:
         account = self._accounts.get(address)
@@ -229,26 +205,6 @@ class WorldState:
         for (addr, key) in sorted(self._storage, key=lambda s: (s[0], s[1])):
             items.extend([addr, key, repr(self._storage[(addr, key)])])
         return hash_items(items)
-
-    def copy(self) -> "WorldState":
-        """Independent copy: accounts re-created, storage values deep-copied.
-
-        Mutable storage values (lists/dicts) must not be shared between
-        clones — one clone mutating a stored value in place would otherwise
-        leak the mutation into every other clone of the same state.
-        """
-        clone = WorldState()
-        for address, account in self._accounts.items():
-            clone._accounts[address] = Account(
-                address=address,
-                balance=account.balance,
-                nonce=account.nonce,
-                native=account.native,
-            )
-        clone._storage = {
-            slot: _clone_value(value) for slot, value in self._storage.items()
-        }
-        return clone
 
     def __len__(self) -> int:
         return len(self._accounts)

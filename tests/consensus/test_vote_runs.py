@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.consensus.broadcast import ReliableBroadcast, _digest as rbc_digest
-from repro.consensus.dbft import VoteTable
+from repro.consensus.dbft import MAX_ROUNDS, VoteTable
 from repro.consensus.messages import (
     RUN_INSTANCE_LIMIT,
     ConsensusBatch,
@@ -528,6 +528,18 @@ def _stored_ints(table):
         yield from counts
 
 
+def _tallies(table):
+    """Every non-zero public count, over every round and known column."""
+    found = {}
+    for r in range(MAX_ROUNDS + 1):
+        for col in range(table.columns):
+            counts = (table.bval_count(r, 0, col), table.bval_count(r, 1, col),
+                      *table.aux_counts(r, col))
+            if any(counts):
+                found[r, col] = counts
+    return found
+
+
 class TestRangeChecks:
     N = 7
 
@@ -559,7 +571,8 @@ class TestRangeChecks:
         # ...alone or beside known ones, which still count
         table.bval(1, 1, 1, (2, instance), 1 << 2 | 1 << instance)
         assert table.bval_count(1, 1, 2) == 1
-        assert sorted(filter(None, _stored_ints(table))) == [1, 1 << self.N + 2]
+        assert _tallies(table) == {(1, 2): (0, 1, 0, 0)}
+        assert sorted(filter(None, table._seen.values())) == [1 << self.N + 2]
 
         rbc = ReliableBroadcast(
             n=self.N, f=2, my_id=0, index=INDEX,

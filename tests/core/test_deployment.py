@@ -23,7 +23,7 @@ class TestGenesisSpec:
         spec.build(state)
         assert state.balance_of("aa" * 20) == 123
         for name in spec.natives:
-            assert state.get_account(native_address_for(name)).native == name
+            assert state.accounts[native_address_for(name)].native == name
         assert state.storage_get(RPM_ADDRESS, VALIDATORS) == ("v1" * 20, "v2" * 20)
         assert read_deposit(state, "v1" * 20) == 777
 

